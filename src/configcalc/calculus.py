@@ -12,11 +12,14 @@ integration are decided exactly by scanning the finite configuration graph.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from math import lcm
 
-from .configspace import (apply_edge, digit_powers, guard_budget, index_of)
+from .configspace import (apply_edge, config_to_json, digit_powers, digits_of,
+                          edge_positions, guard_budget, index_of, move_table)
 from .interactions import Interaction
 from .locales import Locale, Window
 from .serialize import InputError, fraction_from_str, fraction_to_str
@@ -105,6 +108,21 @@ def embed(f: LocalFunction, support) -> LocalFunction:
   return LocalFunction(support, f.n_states, f.base, tuple(vals))
 
 
+def _depends_on(values, block: int, s: int) -> bool:
+  """Does the table change with the digit whose place value is ``block``?
+
+  Compares the value slices of each digit against those of digit zero: one
+  contiguous slice per block when blocks are long, one strided slice per
+  in-block offset when they are short.
+  """
+  span = block * s
+  if block * span >= len(values):
+    return any(values[i + d * block:i + (d + 1) * block] != values[i:i + block]
+               for i in range(0, len(values), span) for d in range(1, s))
+  return any(values[d * block + i::span] != values[i::span]
+             for i in range(block) for d in range(1, s))
+
+
 def trim(f: LocalFunction) -> LocalFunction:
   """Drop support sites the table does not actually depend on."""
   n = len(f.support)
@@ -112,17 +130,7 @@ def trim(f: LocalFunction) -> LocalFunction:
     return f
   s = f.n_states
   pows = f.powers()
-  keep = []
-  for k in range(n):
-    depends = False
-    block = pows[k]
-    for idx, v in enumerate(f.values):
-      d = (idx // block) % s
-      if d != 0 and v != f.values[idx - d * block]:
-        depends = True
-        break
-    if depends:
-      keep.append(k)
+  keep = [k for k in range(n) if _depends_on(f.values, pows[k], s)]
   if len(keep) == n:
     return f
   new_support = tuple(f.support[k] for k in keep)
@@ -281,9 +289,6 @@ class Form:
   def edges(self):
     return sorted(self.fns)
 
-  def compile_for(self, window: Window) -> dict:
-    return {e: f.compile_for(window) for e, f in self.fns.items()}
-
 
 def form_add(a: Form, b: Form, radius=None) -> Form:
   fns = dict(a.fns)
@@ -306,22 +311,43 @@ def form_sub(a: Form, b: Form, radius=None) -> Form:
   return form_add(a, form_scale(b, -1), radius)
 
 
+def _denominator(values) -> int:
+  """The least common denominator of exact values."""
+  return lcm(*{v.denominator for v in values})
+
+
+def _numerators(values, denom: int) -> list:
+  """Exact values as integer numerators over the common ``denom``."""
+  return [v.numerator * (denom // v.denominator) for v in values]
+
+
+def _fractions(nums, denom: int) -> tuple:
+  """Back from numerators over ``denom``: one Fraction per distinct value."""
+  cache = {v: Fraction(v, denom) for v in set(nums)}
+  return tuple(map(cache.__getitem__, nums))
+
+
+def _edge_jumps(support, edge, inter: Interaction) -> tuple:
+  """The move table of a single edge over the support's own digits."""
+  ((pu, pv, jumps),) = move_table(
+      ((support.index(edge[0]), support.index(edge[1])),), len(support), inter)
+  return pu, pv, jumps
+
+
 def gradient(f: LocalFunction, edge, inter: Interaction) -> LocalFunction:
   """nabla_e f: the change of f when the interaction fires across the edge."""
-  u, v = edge
-  support = tuple(sorted(set(f.support) | {u, v}))
-  big = embed(f, support)
-  pu, pv = support.index(u), support.index(v)
-  powers = big.powers()
-  vals = []
-  for digits in product(range(f.n_states), repeat=len(support)):
-    moved = apply_edge(digits, pu, pv, inter)
-    if moved == digits:
-      vals.append(ZERO)
-    else:
-      vals.append(big.values[index_of(moved, powers)]
-                  - big.values[index_of(digits, powers)])
-  return trim(LocalFunction(support, f.n_states, f.base, tuple(vals)))
+  support = tuple(sorted(set(f.support) | set(edge)))
+  values = embed(f, support).values
+  pu, pv, jumps = _edge_jumps(support, edge, inter)
+  s = f.n_states
+  denom = _denominator(values)
+  nums = _numerators(values, denom)
+  out = [0] * len(nums)
+  for idx, digits in enumerate(product(range(s), repeat=len(support))):
+    j = jumps[digits[pu] * s + digits[pv]]
+    if j is not None:
+      out[idx] = nums[idx + j] - nums[idx]
+  return trim(LocalFunction(support, s, f.base, _fractions(out, denom)))
 
 
 def differential(f: LocalFunction, window: Window, inter: Interaction,
@@ -357,31 +383,41 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
   incident to a common site that produce the same move produce the same
   value.  Returns the first witness of each kind, if any.
   """
-  vanish = alternation = matching = None
-  n = inter.n_states
+  vanish = alternation = None
+  s = inter.n_states
 
   for e, f in sorted(form.fns.items()):
     u, v = e
     support = tuple(sorted(set(f.support) | {u, v}))
-    fe = embed(f, support)
-    pu, pv = support.index(u), support.index(v)
+    vals = embed(f, support).values
     rev = form.fn((v, u))
-    frev = embed(rev, support) if rev is not None else None
-    powers = fe.powers()
-    for digits, val in zip(product(range(n), repeat=len(support)), fe.values):
-      moved = apply_edge(digits, pu, pv, inter)
-      if moved == digits:
+    back = embed(rev, support).values if rev is not None else (ZERO,) * len(vals)
+    denom = _denominator(vals + back)
+    vals, back = _numerators(vals, denom), _numerators(back, denom)
+    pu, pv, jumps = _edge_jumps(support, e, inter)
+    for idx, digits in enumerate(product(range(s), repeat=len(support))):
+      j = jumps[digits[pu] * s + digits[pv]]
+      val = vals[idx]
+      if j is None:
         if val != 0 and vanish is None:
-          vanish = {"edge": _edge_json(window, e), "value": fraction_to_str(val)}
-        continue
-      back = frev.values[index_of(moved, powers)] if frev is not None else ZERO
-      if back != -val and alternation is None:
+          vanish = {"edge": _edge_json(window, e),
+                    "value": fraction_to_str(Fraction(val, denom))}
+      elif back[idx + j] != -val and alternation is None:
         alternation = {
             "edge": _edge_json(window, e),
-            "value": fraction_to_str(val),
-            "reversed_value": fraction_to_str(back),
+            "value": fraction_to_str(Fraction(val, denom)),
+            "reversed_value": fraction_to_str(Fraction(back[idx + j], denom)),
         }
 
+  matching = _matching_witness(form, window, inter)
+  ok = vanish is None and alternation is None and matching is None
+  return {"ok": ok, "vanishing": vanish, "alternation": alternation,
+          "matching_targets": matching}
+
+
+def _matching_witness(form: Form, window: Window, inter: Interaction):
+  """Two stored edges sharing a site that make one move with two values."""
+  s = inter.n_states
   edge_list = sorted(form.fns)
   for i, e1 in enumerate(edge_list):
     for e2 in edge_list[i + 1:]:
@@ -389,24 +425,18 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
         continue
       f1, f2 = form.fns[e1], form.fns[e2]
       support = tuple(sorted(set(f1.support) | set(f2.support) | set(e1) | set(e2)))
-      b1, b2 = embed(f1, support), embed(f2, support)
-      p1 = (support.index(e1[0]), support.index(e1[1]))
-      p2 = (support.index(e2[0]), support.index(e2[1]))
-      for k, digits in enumerate(product(range(n), repeat=len(support))):
-        m1 = apply_edge(digits, p1[0], p1[1], inter)
-        m2 = apply_edge(digits, p2[0], p2[1], inter)
-        if m1 == m2 and m1 != digits and b1.values[k] != b2.values[k]:
-          if matching is None:
-            matching = {
-                "edges": [_edge_json(window, e1), _edge_json(window, e2)],
-                "values": [fraction_to_str(b1.values[k]),
-                           fraction_to_str(b2.values[k])],
-            }
-          break
-
-  ok = vanish is None and alternation is None and matching is None
-  return {"ok": ok, "vanishing": vanish, "alternation": alternation,
-          "matching_targets": matching}
+      b1, b2 = embed(f1, support).values, embed(f2, support).values
+      pu1, pv1, jumps1 = _edge_jumps(support, e1, inter)
+      pu2, pv2, jumps2 = _edge_jumps(support, e2, inter)
+      for k, digits in enumerate(product(range(s), repeat=len(support))):
+        j = jumps1[digits[pu1] * s + digits[pv1]]
+        if (j is not None and j == jumps2[digits[pu2] * s + digits[pv2]]
+            and b1[k] != b2[k]):
+          return {
+              "edges": [_edge_json(window, e1), _edge_json(window, e2)],
+              "values": [fraction_to_str(b1[k]), fraction_to_str(b2[k])],
+          }
+  return None
 
 
 def _edge_json(window: Window, edge):
@@ -426,105 +456,142 @@ class NotClosedError(Exception):
     self.witness = witness
 
 
-def _reverse_step(window: Window, inter: Interaction, epos, source, target):
-  """Find a directed edge whose application maps ``source`` to ``target``."""
-  for e, (pu, pv) in zip(window.edges, epos):
-    if apply_edge(source, pu, pv, inter) == target:
+def _step_edge(window: Window, moves, n_states: int, source: int,
+                  target: int):
+  """The first directed edge whose move maps configuration index ``source``
+  to ``target``, or None."""
+  s = n_states
+  digits = digits_of(source, window.n_sites, s)
+  for e, (pu, pv, jumps) in zip(window.edges, moves):
+    if jumps[digits[pu] * s + digits[pv]] == target - source:
       return e
   return None
 
 
+def _edge_steps(fn, window: Window, pu: int, pv: int, s: int, denom: int):
+  """How the potential scan reads one edge function at a configuration.
+
+  Returns (steps, runs).  When the function reads at most the edge's own two
+  sites, ``steps[a * s + b]`` is its numerator at the pair (a, b) and
+  ``runs`` is None.  Otherwise ``steps`` is its whole numerator table, and
+  each run (place, size, weight) of consecutive window positions adds
+  ``index // place % size * weight`` to the table index.
+  """
+  if fn is None:
+    return (0,) * (s * s), None
+  nums = _numerators(fn.values, denom)
+  pos = [window.position(x) for x in fn.support]
+  weights = fn.powers()
+  if set(pos) <= {pu, pv}:
+    steps = []
+    for a in range(s):
+      for b in range(s):
+        at = {pu: a, pv: b}
+        steps.append(nums[sum(at[p] * w for p, w in zip(pos, weights))])
+    return tuple(steps), None
+  runs = []
+  start = 0
+  while start < len(pos):
+    end = start
+    while end + 1 < len(pos) and pos[end + 1] == pos[end] + 1:
+      end += 1
+    runs.append((s ** (window.n_sites - 1 - pos[end]), s ** (end - start + 1),
+                 weights[end]))
+    start = end + 1
+  return nums, tuple(runs)
+
+
 def _potential_scan(form: Form, window: Window, inter: Interaction,
                     budget: int):
-  from collections import deque
+  """Breadth-first potential over the transition graph.
 
+  Seeds are the all-base configuration, then every unreached index in
+  order; each popped configuration tries the window edges in order.
+  Potentials are integer numerators over the common denominator of the
+  form's values.  Returns (numerators, denominator, pins, witness).
+  """
   total = guard_budget(window, inter, budget)
   n, s = window.n_sites, inter.n_states
-  powers = digit_powers(n, s)
-  epos = [(window.position(u), window.position(v)) for u, v in window.edges]
-  evals = [form.fn(e).compile_for(window) if form.fn(e) is not None else None
-           for e in window.edges]
+  moves = move_table(edge_positions(window), n, inter)
+  fns = [form.fn(e) for e in window.edges]
+  denom = _denominator([v for fn in fns if fn is not None for v in fn.values])
+  table = [(pu, pv, jumps, *_edge_steps(fn, window, pu, pv, s, denom), e)
+           for (pu, pv, jumps), fn, e in zip(moves, fns, window.edges)]
+  # The digits of an index, from small tables of its leading and trailing
+  # halves.
+  place = s ** (n - n // 2)
+  heads = list(product(range(s), repeat=n // 2))
+  tails = list(product(range(s), repeat=n - n // 2))
 
   values = [None] * total
-  parent = {}
-  star = index_of((inter.base,) * n, powers)
+  parent = [None] * total
   pins = []
-  order = [star] + [i for i in range(total)]
-
-  def digits_for(idx):
-    out = []
-    rem = idx
-    for _ in range(n):
-      rem, d = divmod(rem, s)
-      out.append(d)
-    return tuple(reversed(out))
-
-  for seed in order:
+  star = index_of((inter.base,) * n, digit_powers(n, s))
+  for seed in chain((star,), range(total)):
     if values[seed] is not None:
       continue
-    values[seed] = ZERO
+    values[seed] = 0
     pins.append(seed)
-    queue = deque([(seed, digits_for(seed))])
+    queue = deque((seed,))
     while queue:
-      idx, digits = queue.popleft()
+      idx = queue.popleft()
       val = values[idx]
-      for k, (pu, pv) in enumerate(epos):
-        a, b = digits[pu], digits[pv]
-        c, d = inter.apply(a, b)
-        if (c, d) == (a, b):
+      digits = heads[idx // place] + tails[idx % place]
+      for pu, pv, jumps, steps, runs, e in table:
+        code = digits[pu] * s + digits[pv]
+        j = jumps[code]
+        if j is None:
           continue
-        step = evals[k](digits) if evals[k] is not None else ZERO
-        jdx = idx + (c - a) * powers[pu] + (d - b) * powers[pv]
-        if values[jdx] is None:
-          values[jdx] = val + step
-          parent[jdx] = (idx, window.edges[k])
-          moved = list(digits)
-          moved[pu], moved[pv] = c, d
-          queue.append((jdx, tuple(moved)))
-        elif values[jdx] != val + step:
-          witness = _build_cycle(form, window, inter, parent, pins[-1],
-                                 idx, window.edges[k], jdx,
-                                 val + step - values[jdx], powers, epos)
-          return None, None, witness
-  return values, pins, None
+        if runs is None:
+          new = val + steps[code]
+        else:
+          k = 0
+          for p, size, w in runs:
+            k += idx // p % size * w
+          new = val + steps[k]
+        jdx = idx + j
+        old = values[jdx]
+        if old is None:
+          values[jdx] = new
+          parent[jdx] = idx
+          queue.append(jdx)
+        elif old != new:
+          witness = _build_cycle(form, window, inter, moves, parent, pins[-1],
+                                 idx, e, jdx, Fraction(new - old, denom))
+          return None, denom, None, witness
+  return values, denom, pins, None
 
 
-def _build_cycle(form, window, inter, parent, pin, idx, edge, jdx, defect,
-                 powers, epos):
+def _build_cycle(form, window, inter, moves, parent, pin, idx, edge, jdx,
+                 defect):
   """Assemble a closed walk with nonzero integral out of two BFS branches."""
-  def chain(to):
+  n, s = window.n_sites, inter.n_states
+
+  def branch(to):
     steps = []
     cur = to
-    while cur != pin and cur in parent:
-      prev, e = parent[cur]
-      steps.append((prev, e, cur))
+    while cur != pin and parent[cur] is not None:
+      prev = parent[cur]
+      # The scan reached ``cur`` by the first edge in order that moves there.
+      steps.append((prev, _step_edge(window, moves, s, prev, cur), cur))
       cur = prev
     return list(reversed(steps))
 
-  n, s = window.n_sites, inter.n_states
-
-  def digits_for(k):
-    out = []
-    rem = k
-    for _ in range(n):
-      rem, d = divmod(rem, s)
-      out.append(d)
-    return tuple(reversed(out))
-
-  walk = chain(idx) + [(idx, edge, jdx)]
+  edge_index = {e: k for k, e in enumerate(window.edges)}
+  walk = branch(idx) + [(idx, edge, jdx)]
   back = []
-  for prev, e, cur in reversed(chain(jdx)):
+  for prev, e, cur in reversed(branch(jdx)):
     # Retrace along the reversed arc of the forward step, so that for forms
     # satisfying the alternation axiom the return integral is exactly the
     # negative of the outgoing one.  (Several arcs can realize the same
     # transition; only the partner arc has that property.)
     partner = (e[1], e[0])
-    ppu, ppv = window.position(partner[0]), window.position(partner[1])
-    if apply_edge(digits_for(cur), ppu, ppv, inter) == digits_for(prev):
+    pu, pv, jumps = moves[edge_index[partner]]
+    digits = digits_of(cur, n, s)
+    if jumps[digits[pu] * s + digits[pv]] == prev - cur:
       rev = partner
     else:
-      rev = _reverse_step(window, inter, epos, digits_for(cur),
-                          digits_for(prev))
+      rev = _step_edge(window, moves, s, cur, prev)
     if rev is None:
       # No reverse arc: the interaction is not valid in the relaxed sense;
       # report the one-way transition itself.
@@ -532,11 +599,10 @@ def _build_cycle(form, window, inter, parent, pin, idx, edge, jdx, defect,
     back.append((cur, rev, prev))
   walk += back
 
-  from .configspace import config_to_json
   steps_json = []
   integral = ZERO
   for source, e, _target in walk:
-    digits = digits_for(source)
+    digits = digits_of(source, n, s)
     fn = form.fn(e)
     if fn is not None:
       integral += fn.value_at(dict(zip(window.vertices, digits)))
@@ -553,7 +619,7 @@ def _build_cycle(form, window, inter, parent, pin, idx, edge, jdx, defect,
 
 def is_closed(form: Form, window: Window, inter: Interaction,
               budget: int = 2_000_000) -> dict:
-  values, pins, witness = _potential_scan(form, window, inter, budget)
+  _, _, pins, witness = _potential_scan(form, window, inter, budget)
   if witness is not None:
     return {"closed": False, "witness": witness}
   return {"closed": True, "witness": None, "n_components": len(pins)}
@@ -567,10 +633,11 @@ def integrate(form: Form, window: Window, inter: Interaction,
   component and at the least configuration of every other component.
   Raises ``NotClosedError`` (with a witness cycle) otherwise.
   """
-  values, pins, witness = _potential_scan(form, window, inter, budget)
+  values, denom, pins, witness = _potential_scan(form, window, inter, budget)
   if witness is not None:
     raise NotClosedError(witness)
-  f = LocalFunction(window.vertices, inter.n_states, inter.base, tuple(values))
+  f = LocalFunction(window.vertices, inter.n_states, inter.base,
+                    _fractions(values, denom))
   return f, {"n_components": len(pins), "pins": pins}
 
 
@@ -638,11 +705,14 @@ def form_to_json(form: Form, window: Window) -> dict:
 
 
 def form_from_json(obj, window: Window, inter: Interaction) -> Form:
-  if not isinstance(obj, dict) or "edges" not in obj:
+  if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
     raise InputError(f"bad form payload {obj!r}")
   fns = {}
   dec = window.locale.decode_vertex
   for item in obj["edges"]:
+    if (not isinstance(item, dict) or "fn" not in item
+        or not isinstance(item.get("e"), list) or len(item["e"]) != 2):
+      raise InputError(f"bad form edge {item!r}")
     u, v = dec(item["e"][0]), dec(item["e"][1])
     if (u, v) not in set(window.edges):
       raise InputError(f"form edge ({u!r}, {v!r}) is not a window edge")

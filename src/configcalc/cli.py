@@ -66,9 +66,14 @@ def _budget(man, args) -> int:
       raise InputError("budget must be positive")
     return args.budget
   value = man.get("budget", DEFAULT_BUDGET)
-  if not isinstance(value, int) or value <= 0:
+  if not _is_count(value) or value <= 0:
     raise InputError(f"bad budget {value!r}")
   return value
+
+
+def _is_count(value) -> bool:
+  """An int proper: JSON's true and false are ints to Python."""
+  return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _probe_plan(man) -> dict:
@@ -80,7 +85,7 @@ def _probe_plan(man) -> dict:
   budget = plan.get("budget", 200_000)
   for name, value in (("radius", radius), ("ball_radius", ball),
                       ("budget", budget)):
-    if not isinstance(value, int) or value < 0:
+    if not _is_count(value) or value < 0:
       raise InputError(f"bad probe {name} {value!r}")
   return {"radius": radius, "ball_radius": ball, "budget": budget}
 
@@ -360,7 +365,7 @@ def _cmd_decompose(man, args):
   domain = _domain(man, locale)
   plan = _probe_plan(man)
   sub_budget = man.get("sub_budget", 65536)
-  if not isinstance(sub_budget, int) or sub_budget <= 0:
+  if not _is_count(sub_budget) or sub_budget <= 0:
     raise InputError(f"bad sub_budget {sub_budget!r}")
   result = varadhan_decompose(form, win, inter, basis, action, domain,
                               radius=man.get("radius"),

@@ -388,7 +388,8 @@ def solve_splitting(table: PairingTable) -> dict:
     method = "linear-solve"
     h = _linear_splitting(table)
     for (alpha, beta), val in table.cells.items():
-      assert h[alpha] + h[beta] - h[_vec_add(alpha, beta)] == val
+      if h[alpha] + h[beta] - h[_vec_add(alpha, beta)] != val:
+        raise RuntimeError(f"linear splitting misses the cell {alpha}, {beta}")
   zero = table.zero_vector()
   return {"h": h, "method": method,
           "pin": h.get(zero, ZERO), "domain": sorted(h)}

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import add
 
-from .interactions import Interaction, check_exchangeability
+from .interactions import Interaction, check_exchangeability, check_validity
 from .locales import Window
 from .serialize import InputError, fraction_to_str
 
@@ -76,6 +77,29 @@ def edge_positions(window: Window) -> tuple:
   return tuple((window.position(u), window.position(v)) for u, v in window.edges)
 
 
+def move_table(epos, n_sites: int, inter: Interaction) -> tuple:
+  """Every transition of every directed edge as a mixed-radix index jump.
+
+  One entry ``(pu, pv, jumps)`` per edge position pair in ``epos``:
+  ``jumps[a * s + b]`` is the index delta ``(c - a) * p_u + (d - b) * p_v``
+  of the move ``(a, b) -> (c, d)`` the interaction makes across the edge,
+  or None where it leaves the pair in place.  A moved pair never has delta
+  zero, since the two positions carry different powers of ``s``.
+  """
+  s = inter.n_states
+  powers = digit_powers(n_sites, s)
+  table = []
+  for pu, pv in epos:
+    jumps = []
+    for a in range(s):
+      for b in range(s):
+        c, d = inter.apply(a, b)
+        jumps.append(None if (c, d) == (a, b)
+                     else (c - a) * powers[pu] + (d - b) * powers[pv])
+    table.append((pu, pv, tuple(jumps)))
+  return tuple(table)
+
+
 # ---------------------------------------------------------------------------
 # Sparse configurations
 
@@ -130,25 +154,6 @@ def zero_quantity(basis) -> tuple:
 # Components of the transition graph
 
 
-class _UnionFind:
-  def __init__(self, n: int):
-    self.parent = list(range(n))
-
-  def find(self, a: int) -> int:
-    p = self.parent
-    while p[a] != a:
-      p[a] = p[p[a]]
-      a = p[a]
-    return a
-
-  def union(self, a: int, b: int):
-    ra, rb = self.find(a), self.find(b)
-    if ra != rb:
-      if rb < ra:
-        ra, rb = rb, ra
-      self.parent[rb] = ra
-
-
 def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET):
   """Union-find components of the transition graph.
 
@@ -157,27 +162,46 @@ def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET)
   ``representatives[c]`` is that least configuration index.
   """
   total = guard_budget(window, inter, budget)
-  n = window.n_sites
   s = inter.n_states
-  powers = digit_powers(n, s)
-  epos = edge_positions(window)
-  uf = _UnionFind(total)
-  for idx, digits in enumerate(all_configs(window, inter)):
-    for pu, pv in epos:
-      a, b = digits[pu], digits[pv]
-      c, d = inter.apply(a, b)
-      if (c, d) != (a, b):
-        delta = (c - a) * powers[pu] + (d - b) * powers[pv]
-        uf.union(idx, idx + delta)
+  powers = digit_powers(window.n_sites, s)
+  moves = move_table(edge_positions(window), window.n_sites, inter)
+  if check_validity(inter)["valid"]:
+    # Every move is undone across the same edge or its reverse, so each link
+    # is also met from its lower end: keep only the upward jumps.
+    moves = tuple((pu, pv, tuple(j if j is not None and j > 0 else None
+                                 for j in jumps))
+                  for pu, pv, jumps in moves)
+  # Every root is the least member of its set and every parent is below its
+  # child, so one ascending pass labels the configurations afterwards.
+  parent = list(range(total))
+  for pu, pv, jumps in moves:
+    # The configurations with the edge's pair of digits at zero, in order.
+    p_hi, p_lo = max(powers[pu], powers[pv]), min(powers[pu], powers[pv])
+    offsets = [h + m + l for h in range(0, total, s * p_hi)
+               for m in range(0, p_hi, s * p_lo) for l in range(p_lo)]
+    for code, j in enumerate(jumps):
+      if j is None:
+        continue
+      start = code // s * powers[pu] + code % s * powers[pv]
+      for o in offsets:
+        a = start + o
+        b = a + j
+        while parent[a] != a:
+          parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+          parent[b] = b = parent[parent[b]]
+        if a < b:
+          parent[b] = a
+        elif b < a:
+          parent[a] = b
   labels = [0] * total
   reps = []
-  seen = {}
-  for idx in range(total):
-    root = uf.find(idx)
-    if root not in seen:
-      seen[root] = len(reps)
+  for idx, p in enumerate(parent):
+    if p == idx:
+      labels[idx] = len(reps)
       reps.append(idx)
-    labels[idx] = seen[root]
+    else:
+      labels[idx] = labels[p]
   return labels, reps
 
 
@@ -190,15 +214,21 @@ def fibers_report(window: Window, inter: Interaction, basis,
   with equal quantities.
   """
   labels, reps = components(window, inter, budget)
+  # Quantities add over sites: sum the totals of the leading and trailing
+  # halves of each configuration, walked in index order.
+  s, n = inter.n_states, window.n_sites
+  head = n // 2
+  q_head = [quantity_of(d, basis) for d in product(range(s), repeat=head)]
+  q_tail = [quantity_of(d, basis) for d in product(range(s), repeat=n - head)]
+  first = {}  # (quantity, component) -> least configuration index
+  idx = 0
+  for qh in q_head:
+    for qt in q_tail:
+      first.setdefault((tuple(map(add, qh, qt)), labels[idx]), idx)
+      idx += 1
   fiber_components = {}
-  fiber_min_config = {}
-  for idx, digits in enumerate(all_configs(window, inter)):
-    q = quantity_of(digits, basis)
-    fiber_components.setdefault(q, {})
-    comp = labels[idx]
-    if comp not in fiber_components[q]:
-      fiber_components[q][comp] = idx
-    fiber_min_config.setdefault(q, idx)
+  for (q, comp), least in first.items():
+    fiber_components.setdefault(q, {})[comp] = least
   witness = None
   for q in sorted(fiber_components, key=lambda t: tuple(map(Fraction, t))):
     comps = fiber_components[q]

@@ -147,7 +147,8 @@ def translate_function(action: TranslationAction, f: LocalFunction,
                        shift) -> LocalFunction:
   """The translate of f: reads its sites at positions shifted by ``shift``."""
   support = tuple(action.act_vertex(v, shift) for v in f.support)
-  assert tuple(sorted(support)) == support  # lattice shifts preserve order
+  if tuple(sorted(support)) != support:  # lattice shifts preserve order
+    raise RuntimeError(f"translating by {shift} reorders the support")
   return LocalFunction(support, f.n_states, f.base, f.values)
 
 
@@ -377,7 +378,8 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
         continue
       start = digits_from_sites(window, inter, {x_prev: s})
       steps, final = exchange_path(window, inter, start, x_prev, x0, witnesses)
-      assert final == digits_from_sites(window, inter, {x0: s})
+      if final != digits_from_sites(window, inter, {x0: s}):
+        raise RuntimeError("exchange path did not move the probe state")
       rows.append([Fraction(vec[s]) for vec in basis])
       rhs.append(_path_integral(form_ev, steps))
       probes += 1
@@ -400,7 +402,8 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
         start = digits_from_sites(window, inter, {x0p: s, x1p: t})
         steps1, mid = exchange_path(window, inter, start, x0p, x0, witnesses)
         steps2, final = exchange_path(window, inter, mid, x1p, x1, witnesses)
-        assert final == digits_from_sites(window, inter, {x0: s, x1: t})
+        if final != digits_from_sites(window, inter, {x0: s, x1: t}):
+          raise RuntimeError("exchange paths did not move the probe states")
         measured = _path_integral(form_ev, steps1) + _path_integral(form_ev, steps2)
         predicted = sum(a_cols[j][i] * (basis[i][s] + basis[i][t])
                         for i in range(c))

@@ -664,14 +664,23 @@ def window_from_json(locale: Locale, obj) -> Window:
   if not isinstance(obj, dict):
     raise InputError(f"bad window descriptor {obj!r}")
   kind = obj.get("kind", "box" if "lo" in obj else "explicit")
+
+  def need(key):
+    if key not in obj:
+      raise InputError(f"{kind} window descriptor is missing '{key}'")
+    return obj[key]
+
   if kind == "box":
     if not isinstance(locale, LatticeLocale):
       raise InputError(f"box windows need a lattice locale, not {locale.name}")
-    return box(locale, tuple(obj["lo"]), tuple(obj["hi"]))
+    lo, hi = need("lo"), need("hi")
+    if not isinstance(lo, list) or not isinstance(hi, list):
+      raise InputError(f"box bounds must be lists, not {lo!r} and {hi!r}")
+    return box(locale, tuple(lo), tuple(hi))
   if kind == "ball":
-    center = locale.decode_vertex(obj["center"])
-    return ball_window(locale, center, int(obj["radius"]))
+    center = locale.decode_vertex(need("center"))
+    return ball_window(locale, center, int(need("radius")))
   if kind == "explicit":
-    verts = [locale.decode_vertex(v) for v in obj["vertices"]]
+    verts = [locale.decode_vertex(v) for v in need("vertices")]
     return window(locale, verts)
   raise InputError(f"unknown window kind {kind!r}")

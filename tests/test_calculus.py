@@ -5,6 +5,7 @@ defining recursion, computed here from scratch, on randomized functions.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,11 +23,12 @@ from configcalc.calculus import (Form, LocalFunction, NotClosedError, add,
                                  local_function_to_json, perturbed, reassemble,
                                  restrict, scale, sub, trim,
                                  uniformity_criterion)
-from configcalc.configspace import all_configs, apply_edge, digits_from_sites
+from configcalc.configspace import (all_configs, apply_edge, config_to_json,
+                                    digits_from_sites)
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
                                      glauber, multispecies, spin3)
 from configcalc.locales import Euclidean, box
-from configcalc.serialize import InputError
+from configcalc.serialize import InputError, fraction_to_str
 
 
 def line(n):
@@ -248,6 +250,161 @@ def test_perturbed_breaks_closedness_with_valid_cycle():
       win, inter, {tuple(s): inter.state_index(x)
                    for s, x in zip(first["sites"], first["states"])})
   assert seen == start, "witness walk is closed"
+
+
+# -- the integer transition kernel against a plain Fraction oracle ----------
+
+MIXED = (Fraction(1, 3), Fraction(2, 7), Fraction(-5, 9), Fraction(4, 21),
+         Fraction(-1, 6), Fraction(0))
+
+
+def mixed_function(rng, support, inter):
+  vals = tuple(rng.choice(MIXED) for _ in range(inter.n_states ** len(support)))
+  return LocalFunction(tuple(sorted(support)), inter.n_states, inter.base, vals)
+
+
+def reference_scan(form, window, inter):
+  """The potential scan in plain Fraction arithmetic over digit tuples.
+
+  Seeds: the all-base configuration, then every unreached configuration in
+  index order; each popped configuration tries the window edges in order,
+  first in first out.  Returns (values, pins, witness).
+  """
+  configs = list(all_configs(window, inter))
+  index = {digits: i for i, digits in enumerate(configs)}
+  pos = [(window.position(u), window.position(v)) for u, v in window.edges]
+  moves = {}  # (configuration index, edge) -> target index, moved pairs only
+  for i, digits in enumerate(configs):
+    for e, (pu, pv) in zip(window.edges, pos):
+      moved = apply_edge(digits, pu, pv, inter)
+      if moved != digits:
+        moves[i, e] = index[moved]
+
+  def value(e, i):
+    fn = form.fn(e)
+    if fn is None:
+      return Fraction(0)
+    return fn.value_at(dict(zip(window.vertices, configs[i])))
+
+  values = [None] * len(configs)
+  parent = {}
+  pins = []
+  star = index[(inter.base,) * window.n_sites]
+  for seed in [star] + list(range(len(configs))):
+    if values[seed] is not None:
+      continue
+    values[seed] = Fraction(0)
+    pins.append(seed)
+    queue = deque([seed])
+    while queue:
+      i = queue.popleft()
+      for e in window.edges:
+        j = moves.get((i, e))
+        if j is None:
+          continue
+        new = values[i] + value(e, i)
+        if values[j] is None:
+          values[j] = new
+          parent[j] = (i, e)
+          queue.append(j)
+        elif values[j] != new:
+          return None, None, reference_witness(
+              form, window, inter, configs, moves, parent, pins[-1], i, e, j,
+              new - values[j], value)
+  return values, pins, None
+
+
+def reference_witness(form, window, inter, configs, moves, parent, pin, i, e,
+                      j, defect, value):
+  def branch(to):
+    steps = []
+    while to != pin and to in parent:
+      prev, edge = parent[to]
+      steps.append((prev, edge, to))
+      to = prev
+    return steps[::-1]
+
+  walk = branch(i) + [(i, e, j)]
+  for prev, edge, cur in reversed(branch(j)):
+    partner = (edge[1], edge[0])
+    if moves.get((cur, partner)) != prev:
+      partner = next((f for f in window.edges if moves.get((cur, f)) == prev),
+                     edge)
+    walk.append((cur, partner, prev))
+  enc = window.locale.encode_vertex
+  return {
+      "cycle": [{"config": config_to_json(window, inter, configs[src]),
+                 "edge": [enc(edge[0]), enc(edge[1])]}
+                for src, edge, _ in walk],
+      "integral": fraction_to_str(sum(value(edge, src) for src, edge, _ in walk)),
+      "defect": fraction_to_str(defect),
+  }
+
+
+def mixed_closed_form(rng, window, inter):
+  """A sum of differentials whose edge functions read the edge alone, a
+  contiguous run of sites around it, or two separate runs."""
+  f = mixed_function(rng, ((1,), (3,)), inter)
+  g = mixed_function(rng, ((4,), (5,)), inter)
+  return form_add(differential(f, window, inter), differential(g, window, inter))
+
+
+@pytest.mark.parametrize("name", ["multispecies:2", "generalized-exclusion:2",
+                                  "glauber"])
+def test_integrate_matches_fraction_oracle(name):
+  rng = random.Random(23)
+  win, inter = line(6), by_name(name)
+  form = mixed_closed_form(rng, win, inter)
+  assert {v.denominator for fn in form.fns.values() for v in fn.values} - {1}
+  values, pins, witness = reference_scan(form, win, inter)
+  assert witness is None
+  f, meta = integrate(form, win, inter)
+  assert list(f.values) == values
+  assert meta == {"n_components": len(pins), "pins": pins}
+  assert is_closed(form, win, inter)["n_components"] == len(pins)
+
+
+@pytest.mark.parametrize("name", ["multispecies:2", "generalized-exclusion:2",
+                                  "glauber"])
+def test_not_closed_witness_matches_fraction_oracle(name):
+  rng = random.Random(29)
+  win, inter = line(6), by_name(name)
+  form = mixed_closed_form(rng, win, inter)
+  for _ in range(6):
+    edge = rng.choice(win.edges)
+    cells = [(a, b) for a in range(inter.n_states) for b in range(inter.n_states)
+             if inter.moves(a, b)]
+    a, b = rng.choice(cells)
+    bad = perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
+                    rng.choice(MIXED[:5]))
+    _, _, want = reference_scan(bad, win, inter)
+    rep = is_closed(bad, win, inter)
+    assert not rep["closed"]
+    assert rep["witness"] == want
+    with pytest.raises(NotClosedError) as err:
+      integrate(bad, win, inter)
+    assert err.value.witness == want
+
+
+@pytest.mark.parametrize("name", ["multispecies:2", "generalized-exclusion:2",
+                                  "spin3", "glauber"])
+def test_gradient_matches_definition(name):
+  rng = random.Random(31)
+  inter = by_name(name)
+  f = mixed_function(rng, ((1,), (2,), (4,)), inter)
+  for edge in (((0,), (1,)), ((1,), (2,)), ((2,), (1,)), ((4,), (3,)),
+               ((5,), (6,))):
+    support = tuple(sorted(set(f.support) | set(edge)))
+    pu, pv = support.index(edge[0]), support.index(edge[1])
+
+    def nabla(digits):
+      moved = apply_edge(digits, pu, pv, inter)
+      return (f.value_at(dict(zip(support, moved)))
+              - f.value_at(dict(zip(support, digits))))
+
+    assert functions_equal(gradient(f, edge, inter),
+                           from_callable(support, inter.n_states, inter.base,
+                                         nabla))
 
 
 def test_perturbation_of_alternation_detected():

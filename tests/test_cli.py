@@ -342,6 +342,27 @@ def test_budget_override_trips(tmp_path):
   assert rep["error"]["kind"] == "BudgetExceeded"
 
 
+def test_boolean_budget_is_an_input_error(tmp_path):
+  code, rep = run(tmp_path, dict(BASE, budget=True), "irreducible")
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+
+
+def test_box_window_without_upper_corner(tmp_path):
+  man = dict(BASE, window={"kind": "box", "lo": [0]})
+  code, rep = run(tmp_path, man, "irreducible")
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+  assert "'hi'" in rep["error"]["message"]
+
+
+def test_form_edge_without_function(tmp_path):
+  for item in ({"e": [[1], [2]]}, {"fn": {"support": [], "values": ["1"]}}):
+    code, rep = run(tmp_path, dict(BASE, form={"edges": [item]}), "closed")
+    assert code == 2, item
+    assert rep["error"]["kind"] == "InputError"
+
+
 def test_missing_manifest_is_an_input_error(tmp_path, capsys):
   code = main(["irreducible"])
   assert code == 2

@@ -10,9 +10,10 @@ from configcalc.configspace import (BudgetExceeded, all_configs, apply_edge,
                                     digits_of, exchange_path, fibers_report,
                                     index_of, n_configs, quantity_of,
                                     swapped, zero_quantity, digit_powers)
-from configcalc.interactions import (by_name, check_exchangeability,
-                                     conserved_basis, exclusion, glauber,
-                                     multispecies, pair_flip, spin3)
+from configcalc.interactions import (Interaction, by_name,
+                                     check_exchangeability, conserved_basis,
+                                     exclusion, glauber, multispecies,
+                                     pair_flip, spin3)
 from configcalc.locales import Euclidean, box
 from configcalc.serialize import InputError
 
@@ -97,6 +98,38 @@ def test_components_2d():
   brute, n_brute = brute_components(win, inter)
   assert list(labels) == brute
   assert len(reps) == n_brute == 5   # particle counts 0..4
+
+
+def test_components_of_a_one_way_rule_join_both_ends():
+  # (0, 1) -> (1, 1) is never undone, so forward reachability is not
+  # symmetric; components are those of the undirected transition graph
+  inter = Interaction("one-way", (0, 1), 0,
+                      (((0, 0), (1, 1)), ((1, 0), (1, 1))))
+  win = line(4)
+  powers = digit_powers(win.n_sites, inter.n_states)
+  links = {i: set() for i in range(n_configs(win, inter))}
+  for digits in all_configs(win, inter):
+    for u, v in win.edges:
+      out = apply_edge(digits, win.position(u), win.position(v), inter)
+      i, j = index_of(digits, powers), index_of(out, powers)
+      links[i].add(j)
+      links[j].add(i)
+  want = [None] * len(links)
+  comp = 0
+  for start in links:
+    if want[start] is None:
+      queue = deque([start])
+      want[start] = comp
+      while queue:
+        for j in links[queue.popleft()]:
+          if want[j] is None:
+            want[j] = comp
+            queue.append(j)
+      comp += 1
+  labels, reps = components(win, inter)
+  assert labels == want
+  assert reps == [want.index(c) for c in range(comp)]
+  assert brute_components(win, inter)[1] > comp  # forward search splits more
 
 
 def test_budget_enforced():
