@@ -27,7 +27,7 @@ from .locales import (Cross, Euclidean, FiniteGraph, FreeGroupCayley,
                       HalfPlane, Hexagonal, NNeighbor, ProductLocale,
                       Triangular, Window, ball_window, box, transferability,
                       window)
-from .serialize import InputError
+from .serialize import InputError, WitnessError
 
 __version__ = "0.1.0"
 
@@ -37,8 +37,8 @@ __all__ = [
     "InputError", "Interaction", "LocalFunction", "NNeighbor",
     "NotClosedError", "NotShiftInvariant", "PairingNotWellDefined",
     "ProductLocale", "SplittingInfeasible", "TranslationAction", "Triangular",
-    "Window", "ball_window", "box", "build_omega_rho", "by_name",
-    "check_exchangeability", "check_pairing_laws", "check_validity",
+    "Window", "WitnessError", "ball_window", "box", "build_omega_rho",
+    "by_name", "check_exchangeability", "check_pairing_laws", "check_validity",
     "components", "compute_pairing", "conserved_basis",
     "counterexample_report", "differential", "exchange_path", "expansion",
     "extract_cocycle", "fibers_report", "form_axioms_report", "gradient",

@@ -22,7 +22,8 @@ from .configspace import (apply_edge, config_to_json, digit_powers, digits_of,
                           edge_positions, guard_budget, index_of, move_table)
 from .interactions import Interaction
 from .locales import Locale, Window
-from .serialize import InputError, fraction_from_str, fraction_to_str
+from .serialize import (InputError, WitnessError, fraction_from_str,
+                        fraction_to_str)
 
 ZERO = Fraction(0)
 
@@ -189,34 +190,66 @@ def restrict(f: LocalFunction, region) -> LocalFunction:
 # Exact-support expansion
 
 
+def _subsets(n_sites: int):
+  """Position tuples of every subset of ``n_sites`` sites: by size, then in
+  ``combinations`` order."""
+  return chain.from_iterable(combinations(range(n_sites), size)
+                             for size in range(n_sites + 1))
+
+
+def _mobius(values, n_sites: int, n_states: int, base: int) -> list:
+  """Yates' subset Moebius transform of a dense table over ``n_sites`` sites.
+
+  For each site in turn, every entry where that site is not at base loses
+  the entry with that site set to base.  Entry eta of the result is then the
+  exact-support piece on the non-base sites of eta, evaluated at eta.
+  """
+  vals = list(values)
+  for place in digit_powers(n_sites, n_states):
+    for idx in range(len(vals)):
+      d = idx // place % n_states
+      if d != base:
+        vals[idx] -= vals[idx + (base - d) * place]
+  return vals
+
+
+def _piece(table, positions, n_sites: int, n_states: int, base: int) -> tuple:
+  """The piece on the sites at ``positions`` of a Moebius-transformed table,
+  as a dense table over those sites: zero wherever one of them is at base."""
+  powers = digit_powers(n_sites, n_states)
+  origin = base * sum(powers)
+  places = [powers[k] for k in positions]
+  vals = []
+  for digits in product(range(n_states), repeat=len(places)):
+    if base in digits:
+      vals.append(ZERO)
+    else:
+      vals.append(table[origin + sum((d - base) * p
+                                     for d, p in zip(digits, places))])
+  return tuple(vals)
+
+
 def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   """Exact-support pieces f_L over the subsets L of the support.
 
-  Inclusion-exclusion in closed form: f_L(eta) is the alternating sum of
-  f(eta restricted to L') over L' inside L.  Pieces that vanish identically
-  are dropped; the empty piece is f at the all-base configuration.  Summing
-  all pieces over subsets of any region recovers iota^Region f.
+  f_L(eta) is the alternating sum of f(eta restricted to L') over L' inside
+  L; one subset Moebius transform of f's table yields every piece at once.
+  Pieces that vanish identically are dropped; the empty piece is f at the
+  all-base configuration.  Summing all pieces over subsets of any region
+  recovers iota^Region f.  Pieces come by size, then in ``combinations``
+  order.
   """
   n = len(f.support)
   if (2 ** n) * (f.n_states ** n) > budget:
     raise InputError(f"expansion over {n} sites exceeds the budget")
+  table = _mobius(f.values, n, f.n_states, f.base)
   pieces = {}
-  for size in range(n + 1):
-    for sub_support in combinations(f.support, size):
-      piece_vals = []
-      sub_set = set(sub_support)
-      for digits in product(range(f.n_states), repeat=size):
-        assignment = dict(zip(sub_support, digits))
-        total = ZERO
-        for inner_size in range(size + 1):
-          for inner in combinations(sub_support, inner_size):
-            sign = 1 if (size - inner_size) % 2 == 0 else -1
-            val = f.value_at({v: assignment[v] for v in inner})
-            total += sign * val
-        piece_vals.append(total)
-      piece = LocalFunction(sub_support, f.n_states, f.base, tuple(piece_vals))
-      if not piece.is_zero():
-        pieces[sub_support] = piece
+  for positions in _subsets(n):
+    sub_support = tuple(f.support[k] for k in positions)
+    piece = LocalFunction(sub_support, f.n_states, f.base,
+                          _piece(table, positions, n, f.n_states, f.base))
+    if not piece.is_zero():
+      pieces[sub_support] = piece
   return pieces
 
 
@@ -448,12 +481,10 @@ def _edge_json(window: Window, edge):
 # Closedness / integration
 
 
-class NotClosedError(Exception):
+class NotClosedError(WitnessError):
   """Raised when integration meets an inconsistent cycle; carries a witness."""
 
-  def __init__(self, witness):
-    super().__init__("form is not closed on this window")
-    self.witness = witness
+  message = "form is not closed on this window"
 
 
 def _step_edge(window: Window, moves, n_states: int, source: int,

@@ -11,19 +11,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .calculus import (NotClosedError, differential, exact_support_radius,
-                       expansion, form_axioms_report, form_from_json,
-                       form_to_json, is_closed, is_uniform, integrate,
+from .calculus import (differential, exact_support_radius, expansion,
+                       form_axioms_report, form_from_json, form_to_json,
+                       is_closed, is_uniform, integrate,
                        local_function_from_json, local_function_to_json)
-from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
-                         check_pairing_laws, compute_pairing, default_probes,
+from .cohomology import (check_pairing_laws, compute_pairing, default_probes,
                          h_zero_report, inversion_count_function,
                          ordered_flux_form, pairing_table_from_json,
                          pairing_table_to_json, solve_splitting,
                          splitting_to_json, uniformize)
 from .configspace import DEFAULT_BUDGET, BudgetExceeded, fibers_report
-from .decomposition import (InconsistentCocycle, NotShiftInvariant,
-                            TranslationAction, build_omega_rho,
+from .decomposition import (TranslationAction, build_omega_rho,
                             cocycle_from_json, cocycle_to_json,
                             counterexample_report, extract_cocycle,
                             is_shift_invariant, synthesized_form,
@@ -31,7 +29,7 @@ from .decomposition import (InconsistentCocycle, NotShiftInvariant,
 from .interactions import (basis_to_json, check_validity, conserved_basis,
                            interaction_from_json, interaction_to_json)
 from .locales import locale_from_json, transferability, window_from_json
-from .serialize import InputError, dump_json, load_json
+from .serialize import InputError, WitnessError, dump_json, load_json
 
 COMMANDS = ("consv", "validate", "irreducible", "expand", "diff", "closed",
             "integrate", "pairing", "split", "uniformize", "h0", "omega-rho",
@@ -457,21 +455,9 @@ def main(argv=None) -> int:
   except (InputError, BudgetExceeded) as exc:
     payload, code = {"error": {"kind": type(exc).__name__,
                                "message": str(exc)}}, 2
-  except NotClosedError as exc:
-    payload, code = {"error": {"kind": "NotClosedError",
-                               "witness": exc.witness}}, 1
-  except PairingNotWellDefined as exc:
-    payload, code = {"error": {"kind": "PairingNotWellDefined",
-                               "witness": exc.witness}}, 1
-  except SplittingInfeasible as exc:
-    payload, code = {"error": {"kind": "SplittingInfeasible",
-                               "certificate": exc.certificate}}, 1
-  except NotShiftInvariant as exc:
-    payload, code = {"error": {"kind": "NotShiftInvariant",
-                               "witness": exc.witness}}, 1
-  except InconsistentCocycle as exc:
-    payload, code = {"error": {"kind": "InconsistentCocycle",
-                               "witness": exc.witness}}, 1
+  except WitnessError as exc:
+    payload, code = {"error": {"kind": type(exc).__name__,
+                               exc.key: exc.payload}}, 1
   report = {"command": command, "seed": args.seed, "exit_code": code}
   report.update(payload)
   text = dump_json(report, args.out)

@@ -22,26 +22,25 @@ from itertools import product
 from .calculus import LocalFunction, is_uniform, uniformity_criterion
 from .configspace import quantity_of, quantity_to_json
 from .interactions import Interaction
+from .linalg import rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
-from .serialize import InputError, fraction_from_str, fraction_to_str
+from .serialize import (InputError, WitnessError, fraction_from_str,
+                        fraction_to_str)
 
 ZERO = Fraction(0)
 
 
-class PairingNotWellDefined(Exception):
+class PairingNotWellDefined(WitnessError):
   """Two probes assigned different values to one pairing cell."""
 
-  def __init__(self, witness):
-    super().__init__("pairing defect is not a function of the quantity pair")
-    self.witness = witness
+  message = "pairing defect is not a function of the quantity pair"
 
 
-class SplittingInfeasible(Exception):
+class SplittingInfeasible(WitnessError):
   """The pairing table admits no splitting; carries an exact certificate."""
 
-  def __init__(self, certificate):
-    super().__init__("pairing table does not split")
-    self.certificate = certificate
+  key = "certificate"
+  message = "pairing table does not split"
 
 
 @dataclass
@@ -306,68 +305,40 @@ def _linear_splitting(table: PairingTable):
   unknowns.add(zero)
   cols = {v: i for i, v in enumerate(sorted(unknowns))}
   n = len(cols)
-  rows = []  # (coeff list, rhs, provenance combo {eq_id: coeff})
+  rows = []  # coefficients of the unknowns, then the right-hand side
   equations = []
   for (alpha, beta), val in sorted(table.cells.items()):
-    coeffs = [ZERO] * n
-    coeffs[cols[alpha]] += 1
-    coeffs[cols[beta]] += 1
-    coeffs[cols[_vec_add(alpha, beta)]] -= 1
-    eq_id = len(equations)
+    row = [ZERO] * n + [val]
+    row[cols[alpha]] += 1
+    row[cols[beta]] += 1
+    row[cols[_vec_add(alpha, beta)]] -= 1
+    rows.append(row)
     equations.append({"cell": {"a": quantity_to_json(alpha),
                                "b": quantity_to_json(beta)},
                       "value": fraction_to_str(val)})
-    rows.append((coeffs, val, {eq_id: Fraction(1)}))
   pin_value = table.cells.get((zero, zero), ZERO)
-  coeffs = [ZERO] * n
-  coeffs[cols[zero]] += 1
-  pin_id = len(equations)
+  row = [ZERO] * n + [pin_value]
+  row[cols[zero]] += 1
+  rows.append(row)
   equations.append({"pin": quantity_to_json(zero),
                     "value": fraction_to_str(pin_value)})
-  rows.append((coeffs, pin_value, {pin_id: Fraction(1)}))
 
-  pivot_of_col = {}
-  rank = 0
-  for c in range(n):
-    pivot = next((i for i in range(rank, len(rows)) if rows[i][0][c] != 0), None)
-    if pivot is None:
-      continue
-    rows[rank], rows[pivot] = rows[pivot], rows[rank]
-    pc, pr, pcombo = rows[rank]
-    inv = Fraction(1) / pc[c]
-    pc = [x * inv for x in pc]
-    pr = pr * inv
-    pcombo = {k: v * inv for k, v in pcombo.items()}
-    rows[rank] = (pc, pr, pcombo)
-    for i in range(len(rows)):
-      if i != rank and rows[i][0][c] != 0:
-        fc, fr, fcombo = rows[i]
-        factor = fc[c]
-        fc = [a - factor * b for a, b in zip(fc, pc)]
-        fr = fr - factor * pr
-        fcombo = dict(fcombo)
-        for k, v in pcombo.items():
-          fcombo[k] = fcombo.get(k, ZERO) - factor * v
-        rows[i] = (fc, fr, fcombo)
-    pivot_of_col[c] = rank
-    rank += 1
-
-  for coeffs, rhs, combo in rows[rank:]:
-    if rhs != 0:
+  reduced, pivots, combos = rref(rows, n)
+  for row, combo in zip(reduced[len(pivots):], combos[len(pivots):]):
+    if row[n] != 0:
       certificate = {
           "combination": [
               dict(equations[eq_id], coefficient=fraction_to_str(coef))
               for eq_id, coef in sorted(combo.items()) if coef != 0
           ],
-          "contradiction": fraction_to_str(rhs),
+          "contradiction": fraction_to_str(row[n]),
       }
       raise SplittingInfeasible(certificate)
 
   solution = [ZERO] * n
-  for c, r in pivot_of_col.items():
-    solution[c] = rows[r][1]
-  h = {v: solution[i] for v, i in cols.items()}
-  return h
+  for row, c in zip(reduced, pivots):
+    solution[c] = row[n]
+  return {v: solution[i] for v, i in cols.items()}
 
 
 def solve_splitting(table: PairingTable) -> dict:

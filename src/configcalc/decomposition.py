@@ -19,57 +19,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
-from .calculus import (Form, LocalFunction, add, constant, form_add, form_sub,
-                       functions_equal, gradient, integrate, is_closed,
-                       restrict, scale, support_diameter, sub, trim)
+from .calculus import (Form, LocalFunction, _mobius, _piece, _subsets, add,
+                       constant, form_add, form_sub, functions_equal,
+                       gradient, integrate, is_closed, restrict, scale,
+                       support_diameter, sub, trim)
 from .cohomology import compute_pairing, default_probes, solve_splitting
 from .configspace import (digits_from_sites, exchange_path, quantity_of,
                           quantity_to_json)
 from .interactions import Interaction, check_exchangeability
+from .linalg import rref
 from .locales import LatticeLocale, Window, window as build_window
-from .serialize import InputError, fraction_from_str, fraction_to_str
+from .serialize import (InputError, WitnessError, fraction_from_str,
+                        fraction_to_str)
 
 ZERO = Fraction(0)
 DEFAULT_SUB_BUDGET = 65536
 
 
-class NotShiftInvariant(Exception):
-  def __init__(self, witness):
-    super().__init__("form is not invariant under the translation action")
-    self.witness = witness
+class NotShiftInvariant(WitnessError):
+  message = "form is not invariant under the translation action"
 
 
-class InconsistentCocycle(Exception):
-  def __init__(self, witness):
-    super().__init__("translation defects are not spanned by the conserved "
-                     "quantities")
-    self.witness = witness
+class InconsistentCocycle(WitnessError):
+  message = ("translation defects are not spanned by the conserved "
+             "quantities")
 
 
 # ---------------------------------------------------------------------------
 # Translation actions
-
-
-def _mat_inverse(columns):
-  """Exact inverse of a small square matrix given by columns."""
-  d = len(columns)
-  rows = [[Fraction(columns[j][i]) for j in range(d)] for i in range(d)]
-  aug = [row + [Fraction(1) if k == i else ZERO for k in range(d)]
-         for i, row in enumerate(rows)]
-  for c in range(d):
-    pivot = next((r for r in range(c, d) if aug[r][c] != 0), None)
-    if pivot is None:
-      raise InputError("translation generators are linearly dependent")
-    aug[c], aug[pivot] = aug[pivot], aug[c]
-    inv = Fraction(1) / aug[c][c]
-    aug[c] = [x * inv for x in aug[c]]
-    for r in range(d):
-      if r != c and aug[r][c] != 0:
-        f = aug[r][c]
-        aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-  return [row[d:] for row in aug]
 
 
 @dataclass(frozen=True)
@@ -93,7 +72,13 @@ class TranslationAction:
     for g in self.generators:
       if len(g) != d:
         raise InputError("generator length does not match the locale")
-    object.__setattr__(self, "_inverse", _mat_inverse(self.generators))
+    # The generators are the matrix's columns.  At full rank, the row
+    # combinations that reduce it to the identity form its inverse.
+    _, pivots, combos = rref(zip(*self.generators), d)
+    if len(pivots) < d:
+      raise InputError("translation generators are linearly dependent")
+    inverse = [[combo.get(k, ZERO) for k in range(d)] for combo in combos]
+    object.__setattr__(self, "_inverse", inverse)
 
   @property
   def rank(self) -> int:
@@ -372,7 +357,6 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     if x0 not in window or x_prev not in window:
       raise InputError("window too small to probe the translation defect")
     rows = []
-    rhs = []
     for s in range(inter.n_states):
       if s == inter.base:
         continue
@@ -380,10 +364,19 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
       steps, final = exchange_path(window, inter, start, x_prev, x0, witnesses)
       if final != digits_from_sites(window, inter, {x0: s}):
         raise RuntimeError("exchange path did not move the probe state")
-      rows.append([Fraction(vec[s]) for vec in basis])
-      rhs.append(_path_integral(form_ev, steps))
+      rows.append([Fraction(vec[s]) for vec in basis]
+                  + [_path_integral(form_ev, steps)])
       probes += 1
-    col = _solve_exact(rows, rhs, inter, j)
+    # The defects must lie in the span of the quantities.
+    reduced, pivots, _ = rref(rows, c)
+    if any(row[c] != 0 for row in reduced[len(pivots):]):
+      raise InconsistentCocycle({
+          "generator": j,
+          "reason": "single-site defects outside the quantity span",
+      })
+    col = [ZERO] * c
+    for row, p in zip(reduced, pivots):
+      col[p] = row[c]
     a_cols.append(col)
 
   # linearity cross-checks on two-site configurations
@@ -417,38 +410,6 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
           })
   a_matrix = [[a_cols[j][i] for j in range(d)] for i in range(c)]
   return {"a": a_matrix, "probes": probes, "cross_checks": cross}
-
-
-def _solve_exact(rows, rhs, inter, generator):
-  """Solve the overdetermined system rows * x = rhs exactly (must be
-  consistent: the defects lie in the span of the quantities)."""
-  c = len(rows[0])
-  aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-  pivots = []
-  rank = 0
-  for col in range(c):
-    pivot = next((i for i in range(rank, len(aug)) if aug[i][col] != 0), None)
-    if pivot is None:
-      continue
-    aug[rank], aug[pivot] = aug[pivot], aug[rank]
-    inv = Fraction(1) / aug[rank][col]
-    aug[rank] = [x * inv for x in aug[rank]]
-    for i in range(len(aug)):
-      if i != rank and aug[i][col] != 0:
-        f = aug[i][col]
-        aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-    pivots.append(col)
-    rank += 1
-  for i in range(rank, len(aug)):
-    if aug[i][c] != 0:
-      raise InconsistentCocycle({
-          "generator": generator,
-          "reason": "single-site defects outside the quantity span",
-      })
-  x = [ZERO] * c
-  for r, col in enumerate(pivots):
-    x[col] = aug[r][c]
-  return x
 
 
 # ---------------------------------------------------------------------------
@@ -606,38 +567,33 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   split = solve_splitting(table)
   h = split["h"]
 
-  def corrected(assign_sites, digits):
-    q = tuple(map(Fraction, quantity_of(digits, basis)))
-    if q not in h:
-      raise InputError(
-          f"pairing probes did not cover quantity {quantity_to_json(q)}")
-    return potential.value_at(dict(zip(assign_sites, digits))) + h[q]
-
-  # orbit-averaged exact-support pieces meeting the fundamental domain
+  # Orbit-averaged exact-support pieces meeting the fundamental domain: on
+  # each admissible support L, the top piece of the corrected potential
+  # v + h(quantity) read on L.
   ball_sites = tuple(sorted(needed))
-  f_hat = constant(0, inter.n_states, inter.base)
-  for size in range(1, len(ball_sites) + 1):
-    for sub_supp in combinations(ball_sites, size):
-      if not set(sub_supp) & set(domain):
-        continue
-      if support_diameter(sub_supp, window.locale) > radius:
-        continue
-      piece_vals = []
-      for digits in product(range(inter.n_states), repeat=size):
-        total = ZERO
-        for inner_size in range(size + 1):
-          for inner in combinations(range(size), inner_size):
-            sign = 1 if (size - inner_size) % 2 == 0 else -1
-            inner_sites = tuple(sub_supp[i] for i in inner)
-            inner_digits = tuple(digits[i] for i in inner)
-            total += sign * corrected(inner_sites, inner_digits)
-        piece_vals.append(total)
-      piece = LocalFunction(sub_supp, inter.n_states, inter.base,
-                            tuple(piece_vals))
-      if piece.is_zero():
-        continue
-      weight = len(translates_meeting(action, piece, domain))
-      f_hat = add(f_hat, scale(piece, Fraction(1, weight)))
+  s = inter.n_states
+  f_hat = constant(0, s, inter.base)
+  for positions in _subsets(len(ball_sites)):
+    sub_supp = tuple(ball_sites[k] for k in positions)
+    if not set(sub_supp) & set(domain):
+      continue
+    if support_diameter(sub_supp, window.locale) > radius:
+      continue
+    size = len(sub_supp)
+    corrected = []
+    for digits in product(range(s), repeat=size):
+      q = tuple(map(Fraction, quantity_of(digits, basis)))
+      if q not in h:
+        raise InputError(
+            f"pairing probes did not cover quantity {quantity_to_json(q)}")
+      corrected.append(potential.value_at(dict(zip(sub_supp, digits))) + h[q])
+    moebius = _mobius(corrected, size, s, inter.base)
+    piece = LocalFunction(sub_supp, s, inter.base,
+                          _piece(moebius, range(size), size, s, inter.base))
+    if piece.is_zero():
+      continue
+    weight = len(translates_meeting(action, piece, domain))
+    f_hat = add(f_hat, scale(piece, Fraction(1, weight)))
   f_hat = trim(f_hat)
 
   residual = _verify_identity(form, f_hat, flux, window, inter, action)

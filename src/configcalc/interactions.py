@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .linalg import rref
 from .serialize import InputError, fraction_from_str, fraction_to_str
 
 
@@ -257,29 +258,6 @@ def check_validity(inter: Interaction) -> dict:
 # Conserved quantities
 
 
-def _rref(rows, n_cols):
-  """Reduced row echelon form over Fraction; returns (rows, pivot_cols)."""
-  rows = [list(r) for r in rows]
-  pivots = []
-  r = 0
-  for c in range(n_cols):
-    pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-    if pivot is None:
-      continue
-    rows[r], rows[pivot] = rows[pivot], rows[r]
-    inv = Fraction(1) / rows[r][c]
-    rows[r] = [v * inv for v in rows[r]]
-    for i in range(len(rows)):
-      if i != r and rows[i][c] != 0:
-        factor = rows[i][c]
-        rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-    pivots.append(c)
-    r += 1
-    if r == len(rows):
-      break
-  return rows[:r], pivots
-
-
 def _normalize_integer_vector(vec):
   """Scale to coprime integers with a positive leading entry."""
   from math import gcd, lcm
@@ -323,7 +301,7 @@ def conserved_basis(inter: Interaction) -> tuple:
       row[l] -= 1
       if any(row):
         rows.append(row)
-  echelon, pivots = _rref(rows, n)
+  echelon, pivots, _ = rref(rows, n)
   free_cols = [c for c in range(n) if c not in pivots]
   basis = []
   for fc in free_cols:

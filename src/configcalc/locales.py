@@ -42,7 +42,11 @@ class Locale:
   # -- metric ---------------------------------------------------------------
 
   def distance(self, x, y, cap: int = 64) -> int:
-    """Graph distance via bidirectional BFS.  Raises if it exceeds ``cap``."""
+    """Graph distance via bidirectional BFS.
+
+    Raises ``InputError`` when the distance exceeds ``cap`` or the two
+    vertices are not connected.
+    """
     if x == y:
       return 0
     front_a, front_b = {x: 0}, {y: 0}
@@ -51,7 +55,7 @@ class Locale:
     while front_a and front_b:
       dist += 1
       if dist > cap:
-        raise ValueError(f"distance({x}, {y}) exceeds cap {cap}")
+        raise InputError(f"distance({x}, {y}) exceeds cap {cap}")
       if len(front_a) > len(front_b):
         front_a, front_b = front_b, front_a
         seen_a, seen_b = seen_b, seen_a
@@ -64,7 +68,7 @@ class Locale:
             seen_a[v] = du + 1
             nxt[v] = du + 1
       front_a = nxt
-    raise ValueError(f"{x} and {y} are not connected within cap {cap}")
+    raise InputError(f"{x} and {y} are not connected within cap {cap}")
 
   def ball(self, center, radius: int) -> tuple:
     """Sorted tuple of vertices within graph distance ``radius`` of center."""

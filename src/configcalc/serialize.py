@@ -15,6 +15,23 @@ class InputError(ValueError):
   """Malformed manifest / JSON payload. CLI maps this to exit code 2."""
 
 
+class WitnessError(Exception):
+  """A checked property failed; ``payload`` is the replayable evidence.
+
+  The payload is also the attribute named by ``key`` (``exc.witness``, or
+  ``exc.certificate``), and reports carry it under that key.  CLI maps this
+  to exit code 1.
+  """
+
+  key = "witness"
+  message = "a checked property failed"
+
+  def __init__(self, payload):
+    super().__init__(self.message)
+    self.payload = payload
+    setattr(self, self.key, payload)
+
+
 def fraction_to_str(value: Fraction | int) -> str:
   f = Fraction(value)
   if f.denominator == 1:

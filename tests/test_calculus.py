@@ -78,6 +78,44 @@ def test_expansion_matches_recursion_small():
                              else want[s]), s
 
 
+def inclusion_exclusion_pieces(f):
+  """Brute force: f_L(eta) is the sum over L' inside L of
+  (-1)^(|L| - |L'|) f(eta on L'); pieces by size, then combinations order."""
+  pieces = {}
+  for size in range(len(f.support) + 1):
+    for sub_supp in combinations(f.support, size):
+      vals = []
+      for digits in product(range(f.n_states), repeat=size):
+        total = Fraction(0)
+        for k in range(size + 1):
+          for inner in combinations(range(size), k):
+            total += (-1) ** (size - k) * f.value_at(
+                {sub_supp[i]: digits[i] for i in inner})
+        vals.append(total)
+      if any(vals):
+        pieces[sub_supp] = tuple(vals)
+  return pieces
+
+
+@pytest.mark.parametrize("n, n_states, base", [
+    (0, 3, 0), (1, 2, 1), (3, 3, 0), (3, 3, 2), (3, 4, 3), (4, 2, 1),
+    (4, 3, 1), (5, 2, 0)])
+def test_expansion_matches_inclusion_exclusion(n, n_states, base):
+  rng = random.Random(100 * n + 10 * n_states + base)
+  for _ in range(3):
+    support = tuple((x,) for x in sorted(rng.sample(range(9), n)))
+    dense = random_function(rng, support, n_states, base)
+    # a function of the first half of the support only: pieces get dropped
+    half = embed(random_function(rng, support[:n // 2], n_states, base),
+                 support)
+    for f in (dense, half):
+      got = expansion(f)
+      want = inclusion_exclusion_pieces(f)
+      assert list(got) == list(want)
+      assert [p.support for p in got.values()] == list(want)
+      assert [p.values for p in got.values()] == list(want.values())
+
+
 def test_expansion_reconstructs():
   rng = random.Random(11)
   inter = spin3()

@@ -5,12 +5,15 @@
 import json
 from fractions import Fraction
 
-from configcalc.calculus import (differential, form_to_json, from_callable,
-                                 perturbed)
+from configcalc.calculus import (NotClosedError, differential, form_to_json,
+                                 from_callable, perturbed)
 from configcalc.cli import main
-from configcalc.cohomology import compute_pairing, pairing_table_to_json
+from configcalc.cohomology import (PairingNotWellDefined, SplittingInfeasible,
+                                   compute_pairing, pairing_table_to_json)
+from configcalc.decomposition import InconsistentCocycle, NotShiftInvariant
 from configcalc.interactions import conserved_basis, exclusion
 from configcalc.locales import Euclidean, box
+from configcalc.serialize import WitnessError
 
 
 def run(tmp_path, manifest, *argv, name="man.json"):
@@ -164,6 +167,30 @@ def test_pairing_embeds_probe_plan_and_flags_asymmetry(tmp_path):
   assert rep["probe_plan"]["radius"] == 3
   assert rep["laws"]["cocycle"]["ok"]
   assert not rep["laws"]["symmetry"]["ok"]
+
+
+def test_pairing_refuses_ill_defined_cell(tmp_path):
+  # f reads two fixed sites, so its defect is not a function of quantities
+  man = dict(BASE, window={"kind": "box", "lo": [0], "hi": [8]},
+             function={"support": [[1], [6]],
+                       "values": ["0", "0", "0", "1"]})
+  code, rep = run(tmp_path, man, "pairing")
+  assert code == 1
+  assert rep["error"]["kind"] == "PairingNotWellDefined"
+  values = rep["error"]["witness"]["values"]
+  assert values[0] != values[1]
+
+
+def test_witness_errors_share_one_base():
+  payload = {"evidence": 1}
+  for cls in (NotClosedError, PairingNotWellDefined, NotShiftInvariant,
+              InconsistentCocycle, SplittingInfeasible):
+    exc = cls(payload)
+    assert isinstance(exc, WitnessError)
+    assert exc.payload is payload
+    assert getattr(exc, exc.key) is payload
+  assert SplittingInfeasible(payload).certificate is payload
+  assert NotClosedError(payload).witness is payload
 
 
 def test_split_from_inline_pairing_table(tmp_path):
@@ -361,6 +388,17 @@ def test_form_edge_without_function(tmp_path):
     code, rep = run(tmp_path, dict(BASE, form={"edges": [item]}), "closed")
     assert code == 2, item
     assert rep["error"]["kind"] == "InputError"
+
+
+def test_far_triangular_pair_is_an_input_error(tmp_path):
+  # the support's two sites lie beyond the breadth-first distance cap
+  man = {"locale": {"kind": "triangular"}, "interaction": "exclusion",
+         "window": {"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+         "function": {"support": [[0, 0], [200, 0]],
+                      "values": ["0", "0", "0", "1"]}}
+  code, rep = run(tmp_path, man, "expand")
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
 
 
 def test_missing_manifest_is_an_input_error(tmp_path, capsys):

@@ -54,11 +54,18 @@ def test_translation_action_basics():
   sub = TranslationAction(Euclidean(2), ((2, 0), (0, 1)))
   assert sub.coeffs_of((4, 1)) == (2, 1)
   assert sub.coeffs_of((3, 0)) is None
+  assert sub.coeffs_of((1, 0)) is None
+  assert sub.coeffs_of((2, 0)) == (1, 0)
 
 
 def test_translation_action_rejects_wrong_generator_count():
   with pytest.raises(InputError):
     TranslationAction(Euclidean(2), ((1, 0),))
+
+
+def test_translation_action_rejects_dependent_generators():
+  with pytest.raises(InputError):
+    TranslationAction(Euclidean(2), ((1, 0), (2, 0)))
 
 
 def test_tile_of_and_orbit_tiles():
