@@ -9,8 +9,8 @@ translate-exact and flux parts.
 """
 
 from .calculus import (Form, LocalFunction, NotClosedError, differential,
-                       expansion, form_axioms_report, gradient, integrate,
-                       is_closed, is_uniform, reassemble)
+                       expansion, form_axioms_report, from_callable, gradient,
+                       integrate, is_closed, is_uniform, reassemble)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          check_pairing_laws, compute_pairing, h_zero_report,
                          solve_splitting, uniformize)
@@ -19,7 +19,8 @@ from .configspace import (BudgetExceeded, components, exchange_path,
 from .decomposition import (InconsistentCocycle, NotShiftInvariant,
                             TranslationAction, build_omega_rho,
                             counterexample_report, extract_cocycle,
-                            is_shift_invariant, varadhan_decompose)
+                            is_shift_invariant, synthesized_form,
+                            varadhan_decompose)
 from .interactions import (CATALOG_NAMES, Interaction, by_name,
                            check_exchangeability, check_validity,
                            conserved_basis)
@@ -41,8 +42,9 @@ __all__ = [
     "by_name", "check_exchangeability", "check_pairing_laws", "check_validity",
     "components", "compute_pairing", "conserved_basis",
     "counterexample_report", "differential", "exchange_path", "expansion",
-    "extract_cocycle", "fibers_report", "form_axioms_report", "gradient",
-    "h_zero_report", "integrate", "is_closed", "is_shift_invariant",
-    "is_uniform", "quantity_of", "reassemble", "solve_splitting",
-    "transferability", "uniformize", "varadhan_decompose", "window",
+    "extract_cocycle", "fibers_report", "form_axioms_report",
+    "from_callable", "gradient", "h_zero_report", "integrate", "is_closed",
+    "is_shift_invariant", "is_uniform", "quantity_of", "reassemble",
+    "solve_splitting", "synthesized_form", "transferability", "uniformize",
+    "varadhan_decompose", "window",
 ]

@@ -18,12 +18,13 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
 
-from .configspace import (apply_edge, config_to_json, digit_powers, digits_of,
-                          edge_positions, guard_budget, index_of, move_table)
+from .configspace import (_site_sums, apply_edge, config_to_json, digit_powers,
+                          digits_of, edge_positions, guard_budget, index_of,
+                          move_table)
 from .interactions import Interaction
 from .locales import Locale, Window
 from .serialize import (InputError, WitnessError, fraction_from_str,
-                        fraction_to_str)
+                        fraction_to_str, manifest_int)
 
 ZERO = Fraction(0)
 
@@ -60,18 +61,6 @@ class LocalFunction:
       idx += assignment.get(v, self.base) * p
     return self.values[idx]
 
-  def compile_for(self, window: Window):
-    """A fast evaluator digits -> Fraction for dense window configurations."""
-    pos = tuple(window.position(v) for v in self.support)
-    pows = self.powers()
-    values = self.values
-    def ev(digits):
-      idx = 0
-      for p, w in zip(pos, pows):
-        idx += digits[p] * w
-      return values[idx]
-    return ev
-
   def is_zero(self) -> bool:
     return all(v == 0 for v in self.values)
 
@@ -92,6 +81,21 @@ def from_callable(support, n_states: int, base: int, fn) -> LocalFunction:
   return LocalFunction(support, n_states, base, vals)
 
 
+def _gather(f: LocalFunction, support) -> tuple:
+  """f's values on every configuration of ``support`` (sites in any order),
+  in index order.  f's sites outside ``support`` sit at base; sites of
+  ``support`` that f does not read are ignored."""
+  s = f.n_states
+  place = dict(zip(f.support, f.powers()))
+  inside = set(support)
+  offset = f.base * sum(p for v, p in place.items() if v not in inside)
+  # The offset rides along as a leading site with a single state.
+  index = _site_sums([(offset,)] + [range(0, s * place[v], place[v])
+                                    if v in place else (0,) * s
+                                    for v in support])
+  return tuple(map(f.values.__getitem__, index))
+
+
 def embed(f: LocalFunction, support) -> LocalFunction:
   """The same function viewed on a larger support."""
   support = tuple(sorted(support))
@@ -100,13 +104,7 @@ def embed(f: LocalFunction, support) -> LocalFunction:
   missing = [v for v in f.support if v not in support]
   if missing:
     raise InputError(f"embed target lacks support sites {missing}")
-  pos = {v: i for i, v in enumerate(support)}
-  fpos = tuple(pos[v] for v in f.support)
-  fpows = f.powers()
-  vals = []
-  for digits in product(range(f.n_states), repeat=len(support)):
-    vals.append(f.values[sum(digits[p] * w for p, w in zip(fpos, fpows))])
-  return LocalFunction(support, f.n_states, f.base, tuple(vals))
+  return LocalFunction(support, f.n_states, f.base, _gather(f, support))
 
 
 def _depends_on(values, block: int, s: int) -> bool:
@@ -135,13 +133,7 @@ def trim(f: LocalFunction) -> LocalFunction:
   if len(keep) == n:
     return f
   new_support = tuple(f.support[k] for k in keep)
-  vals = []
-  for digits in product(range(s), repeat=len(keep)):
-    full = [0] * n
-    for k, d in zip(keep, digits):
-      full[k] = d
-    vals.append(f.values[index_of(full, pows)])
-  return LocalFunction(new_support, s, f.base, tuple(vals))
+  return LocalFunction(new_support, s, f.base, _gather(f, new_support))
 
 
 def _binary(f: LocalFunction, g: LocalFunction, op) -> LocalFunction:
@@ -175,15 +167,7 @@ def restrict(f: LocalFunction, region) -> LocalFunction:
   """iota^Region: evaluate with every site outside the region at the base."""
   region = set(region)
   support = tuple(v for v in f.support if v in region)
-  pos = {v: i for i, v in enumerate(support)}
-  fpows = f.powers()
-  vals = []
-  for digits in product(range(f.n_states), repeat=len(support)):
-    idx = 0
-    for v, w in zip(f.support, fpows):
-      idx += (digits[pos[v]] if v in pos else f.base) * w
-    vals.append(f.values[idx])
-  return LocalFunction(support, f.n_states, f.base, tuple(vals))
+  return LocalFunction(support, f.n_states, f.base, _gather(f, support))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +221,11 @@ def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   Pieces that vanish identically are dropped; the empty piece is f at the
   all-base configuration.  Summing all pieces over subsets of any region
   recovers iota^Region f.  Pieces come by size, then in ``combinations``
-  order.
+  order.  The budget is charged for the (1 + |S|)^n entries of all piece
+  tables together.
   """
   n = len(f.support)
-  if (2 ** n) * (f.n_states ** n) > budget:
+  if (1 + f.n_states) ** n > budget:
     raise InputError(f"expansion over {n} sites exceeds the budget")
   table = _mobius(f.values, n, f.n_states, f.base)
   pieces = {}
@@ -274,12 +259,18 @@ def support_diameter(vertices, locale: Locale) -> int:
 
 def exact_support_radius(f: LocalFunction, locale: Locale) -> int:
   """Largest diameter among the exact-support pieces of f."""
-  return max((support_diameter(supp, locale) for supp in expansion(f)),
-             default=0)
+  return _pieces_radius(expansion(f), locale)
+
+
+def _pieces_radius(pieces, locale: Locale) -> int:
+  return max((support_diameter(supp, locale) for supp in pieces), default=0)
 
 
 def is_uniform(f: LocalFunction, locale: Locale, radius: int) -> dict:
-  pieces = expansion(f)
+  return _pieces_uniformity(expansion(f), locale, radius)
+
+
+def _pieces_uniformity(pieces, locale: Locale, radius: int) -> dict:
   offenders = [list(map(locale.encode_vertex, supp))
                for supp in pieces
                if support_diameter(supp, locale) > radius]
@@ -360,27 +351,30 @@ def _fractions(nums, denom: int) -> tuple:
   return tuple(map(cache.__getitem__, nums))
 
 
-def _edge_jumps(support, edge, inter: Interaction) -> tuple:
-  """The move table of a single edge over the support's own digits."""
-  ((pu, pv, jumps),) = move_table(
-      ((support.index(edge[0]), support.index(edge[1])),), len(support), inter)
-  return pu, pv, jumps
+def _edge_jumps(support, edge, inter: Interaction) -> list:
+  """The index jump of the move across ``edge`` at every configuration of
+  the support, in index order (None where the pair stays put)."""
+  pu, pv = support.index(edge[0]), support.index(edge[1])
+  ((_, _, jumps),) = move_table(((pu, pv),), len(support), inter)
+  s = inter.n_states
+  codes = _site_sums([range(0, s * s, s) if k == pu else
+                      range(s) if k == pv else (0,) * s
+                      for k in range(len(support))])
+  return [jumps[code] for code in codes]
 
 
 def gradient(f: LocalFunction, edge, inter: Interaction) -> LocalFunction:
   """nabla_e f: the change of f when the interaction fires across the edge."""
   support = tuple(sorted(set(f.support) | set(edge)))
   values = embed(f, support).values
-  pu, pv, jumps = _edge_jumps(support, edge, inter)
-  s = f.n_states
   denom = _denominator(values)
   nums = _numerators(values, denom)
   out = [0] * len(nums)
-  for idx, digits in enumerate(product(range(s), repeat=len(support))):
-    j = jumps[digits[pu] * s + digits[pv]]
+  for idx, j in enumerate(_edge_jumps(support, edge, inter)):
     if j is not None:
       out[idx] = nums[idx + j] - nums[idx]
-  return trim(LocalFunction(support, s, f.base, _fractions(out, denom)))
+  return trim(LocalFunction(support, f.n_states, f.base,
+                            _fractions(out, denom)))
 
 
 def differential(f: LocalFunction, window: Window, inter: Interaction,
@@ -417,8 +411,6 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
   value.  Returns the first witness of each kind, if any.
   """
   vanish = alternation = None
-  s = inter.n_states
-
   for e, f in sorted(form.fns.items()):
     u, v = e
     support = tuple(sorted(set(f.support) | {u, v}))
@@ -427,9 +419,7 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
     back = embed(rev, support).values if rev is not None else (ZERO,) * len(vals)
     denom = _denominator(vals + back)
     vals, back = _numerators(vals, denom), _numerators(back, denom)
-    pu, pv, jumps = _edge_jumps(support, e, inter)
-    for idx, digits in enumerate(product(range(s), repeat=len(support))):
-      j = jumps[digits[pu] * s + digits[pv]]
+    for idx, j in enumerate(_edge_jumps(support, e, inter)):
       val = vals[idx]
       if j is None:
         if val != 0 and vanish is None:
@@ -450,7 +440,6 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
 
 def _matching_witness(form: Form, window: Window, inter: Interaction):
   """Two stored edges sharing a site that make one move with two values."""
-  s = inter.n_states
   edge_list = sorted(form.fns)
   for i, e1 in enumerate(edge_list):
     for e2 in edge_list[i + 1:]:
@@ -459,12 +448,10 @@ def _matching_witness(form: Form, window: Window, inter: Interaction):
       f1, f2 = form.fns[e1], form.fns[e2]
       support = tuple(sorted(set(f1.support) | set(f2.support) | set(e1) | set(e2)))
       b1, b2 = embed(f1, support).values, embed(f2, support).values
-      pu1, pv1, jumps1 = _edge_jumps(support, e1, inter)
-      pu2, pv2, jumps2 = _edge_jumps(support, e2, inter)
-      for k, digits in enumerate(product(range(s), repeat=len(support))):
-        j = jumps1[digits[pu1] * s + digits[pv1]]
-        if (j is not None and j == jumps2[digits[pu2] * s + digits[pv2]]
-            and b1[k] != b2[k]):
+      jumps = zip(_edge_jumps(support, e1, inter),
+                  _edge_jumps(support, e2, inter))
+      for k, (j1, j2) in enumerate(jumps):
+        if j1 is not None and j1 == j2 and b1[k] != b2[k]:
           return {
               "edges": [_edge_json(window, e1), _edge_json(window, e2)],
               "values": [fraction_to_str(b1[k]), fraction_to_str(b2[k])],
@@ -510,16 +497,12 @@ def _edge_steps(fn, window: Window, pu: int, pv: int, s: int, denom: int):
   """
   if fn is None:
     return (0,) * (s * s), None
-  nums = _numerators(fn.values, denom)
   pos = [window.position(x) for x in fn.support]
-  weights = fn.powers()
   if set(pos) <= {pu, pv}:
-    steps = []
-    for a in range(s):
-      for b in range(s):
-        at = {pu: a, pv: b}
-        steps.append(nums[sum(at[p] * w for p, w in zip(pos, weights))])
-    return tuple(steps), None
+    pair = (window.vertices[pu], window.vertices[pv])
+    return tuple(_numerators(_gather(fn, pair), denom)), None
+  nums = _numerators(fn.values, denom)
+  weights = fn.powers()
   runs = []
   start = 0
   while start < len(pos):
@@ -715,7 +698,8 @@ def local_function_to_json(f: LocalFunction, locale: Locale) -> dict:
 
 
 def local_function_from_json(obj, locale: Locale, inter: Interaction) -> LocalFunction:
-  if not isinstance(obj, dict) or "support" not in obj or "values" not in obj:
+  if (not isinstance(obj, dict) or not isinstance(obj.get("support"), list)
+      or not isinstance(obj.get("values"), list)):
     raise InputError(f"bad local function {obj!r}")
   support = tuple(sorted(locale.decode_vertex(v) for v in obj["support"]))
   if len(set(support)) != len(support):
@@ -749,5 +733,5 @@ def form_from_json(obj, window: Window, inter: Interaction) -> Form:
       raise InputError(f"form edge ({u!r}, {v!r}) is not a window edge")
     fns[(u, v)] = local_function_from_json(item["fn"], window.locale, inter)
   radius = obj.get("radius")
-  return Form(inter.n_states, inter.base, fns,
-              int(radius) if radius is not None else None)
+  return Form(inter.n_states, inter.base, fns, None if radius is None
+              else manifest_int(radius, "form radius", 0))

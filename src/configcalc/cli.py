@@ -11,17 +11,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .calculus import (differential, exact_support_radius, expansion,
-                       form_axioms_report, form_from_json, form_to_json,
-                       is_closed, is_uniform, integrate,
+from .calculus import (_pieces_radius, _pieces_uniformity, differential,
+                       expansion, form_axioms_report, form_from_json,
+                       form_to_json, is_closed, integrate,
                        local_function_from_json, local_function_to_json)
 from .cohomology import (check_pairing_laws, compute_pairing, default_probes,
                          h_zero_report, inversion_count_function,
                          ordered_flux_form, pairing_table_from_json,
                          pairing_table_to_json, solve_splitting,
                          splitting_to_json, uniformize)
-from .configspace import DEFAULT_BUDGET, BudgetExceeded, fibers_report
-from .decomposition import (TranslationAction, build_omega_rho,
+from .configspace import DEFAULT_BUDGET, fibers_report
+from .decomposition import (DEFAULT_SUB_BUDGET, TranslationAction,
+                            build_omega_rho,
                             cocycle_from_json, cocycle_to_json,
                             counterexample_report, extract_cocycle,
                             is_shift_invariant, synthesized_form,
@@ -29,7 +30,8 @@ from .decomposition import (TranslationAction, build_omega_rho,
 from .interactions import (basis_to_json, check_validity, conserved_basis,
                            interaction_from_json, interaction_to_json)
 from .locales import locale_from_json, transferability, window_from_json
-from .serialize import InputError, WitnessError, dump_json, load_json
+from .serialize import (InputError, WitnessError, dump_json, load_json,
+                        manifest_int)
 
 COMMANDS = ("consv", "validate", "irreducible", "expand", "diff", "closed",
             "integrate", "pairing", "split", "uniformize", "h0", "omega-rho",
@@ -59,33 +61,26 @@ def _window(man, locale):
 
 
 def _budget(man, args) -> int:
-  if args.budget is not None:
-    if args.budget <= 0:
-      raise InputError("budget must be positive")
-    return args.budget
-  value = man.get("budget", DEFAULT_BUDGET)
-  if not _is_count(value) or value <= 0:
-    raise InputError(f"bad budget {value!r}")
-  return value
-
-
-def _is_count(value) -> bool:
-  """An int proper: JSON's true and false are ints to Python."""
-  return isinstance(value, int) and not isinstance(value, bool)
+  value = args.budget if args.budget is not None else man.get(
+      "budget", DEFAULT_BUDGET)
+  return manifest_int(value, "budget", 1)
 
 
 def _probe_plan(man) -> dict:
   plan = man.get("probe", {})
   if not isinstance(plan, dict):
     raise InputError(f"bad probe plan {plan!r}")
-  radius = plan.get("radius", 1)
-  ball = plan.get("ball_radius", 1)
-  budget = plan.get("budget", 200_000)
-  for name, value in (("radius", radius), ("ball_radius", ball),
-                      ("budget", budget)):
-    if not _is_count(value) or value < 0:
-      raise InputError(f"bad probe {name} {value!r}")
-  return {"radius": radius, "ball_radius": ball, "budget": budget}
+  return {name: manifest_int(plan.get(name, default), f"probe {name}", 0)
+          for name, default in (("radius", 1), ("ball_radius", 1),
+                                ("budget", 200_000))}
+
+
+def _planned_probes(man, win, inter):
+  """The manifest's probe plan and the default probes it places."""
+  plan = _probe_plan(man)
+  return plan, default_probes(win, inter, plan["radius"],
+                              ball_radius=plan["ball_radius"],
+                              probe_budget=plan["budget"])
 
 
 def _function(man, window, inter):
@@ -102,9 +97,11 @@ def _function(man, window, inter):
 
 def _action(man, locale) -> TranslationAction:
   spec = _need(man, "action")
-  if not isinstance(spec, dict) or "generators" not in spec:
+  if (not isinstance(spec, dict) or not isinstance(spec.get("generators"), list)
+      or not all(isinstance(g, list) for g in spec["generators"])):
     raise InputError(f"bad action {spec!r}")
-  gens = tuple(tuple(g) for g in spec["generators"])
+  gens = tuple(tuple(manifest_int(x, "generator entry") for x in g)
+               for g in spec["generators"])
   return TranslationAction(locale, gens)
 
 
@@ -186,13 +183,13 @@ def _cmd_expand(man, args):
         "sites": [locale.encode_vertex(v) for v in supp],
         "fn": local_function_to_json(pieces[supp], locale),
     })
-  radius = exact_support_radius(f, locale)
   return {
       "function": local_function_to_json(f, locale),
       "pieces": pieces_json,
       "n_pieces": len(pieces_json),
-      "exact_support_radius": radius,
-      "uniform_at_probe_radius": is_uniform(f, locale, plan["radius"]),
+      "exact_support_radius": _pieces_radius(pieces, locale),
+      "uniform_at_probe_radius": _pieces_uniformity(pieces, locale,
+                                                    plan["radius"]),
   }, 0
 
 
@@ -239,10 +236,7 @@ def _cmd_pairing(man, args):
   win = _window(man, locale)
   basis = conserved_basis(inter)
   f = _function(man, win, inter)
-  plan = _probe_plan(man)
-  probes = default_probes(win, inter, plan["radius"],
-                          ball_radius=plan["ball_radius"],
-                          probe_budget=plan["budget"])
+  plan, probes = _planned_probes(man, win, inter)
   table = compute_pairing(f, win, inter, basis, plan["radius"], probes,
                           plan["budget"])
   laws = check_pairing_laws(table)
@@ -255,18 +249,6 @@ def _cmd_pairing(man, args):
   }, code
 
 
-def _table_for_split(man, args, win, inter, basis):
-  if "pairing" in man:
-    return pairing_table_from_json(man["pairing"], basis), None
-  f = _function(man, win, inter)
-  plan = _probe_plan(man)
-  probes = default_probes(win, inter, plan["radius"],
-                          ball_radius=plan["ball_radius"],
-                          probe_budget=plan["budget"])
-  return compute_pairing(f, win, inter, basis, plan["radius"], probes,
-                         plan["budget"]), plan
-
-
 def _cmd_split(man, args):
   inter = _interaction(man)
   basis = conserved_basis(inter)
@@ -276,7 +258,10 @@ def _cmd_split(man, args):
   else:
     locale = _locale(man)
     win = _window(man, locale)
-    table, plan = _table_for_split(man, args, win, inter, basis)
+    f = _function(man, win, inter)
+    plan, probes = _planned_probes(man, win, inter)
+    table = compute_pairing(f, win, inter, basis, plan["radius"], probes,
+                            plan["budget"])
   split = solve_splitting(table)
   return {
       "basis": basis_to_json(basis),
@@ -292,10 +277,7 @@ def _cmd_uniformize(man, args):
   win = _window(man, locale)
   basis = conserved_basis(inter)
   f = _function(man, win, inter)
-  plan = _probe_plan(man)
-  probes = default_probes(win, inter, plan["radius"],
-                          ball_radius=plan["ball_radius"],
-                          probe_budget=plan["budget"])
+  plan, probes = _planned_probes(man, win, inter)
   result = uniformize(f, win, inter, basis, plan["radius"], probes,
                       probe_budget=plan["budget"])
   ok = result["uniform"]["uniform"] and result["criterion_ok"]
@@ -362,13 +344,14 @@ def _cmd_decompose(man, args):
   action = _action(man, locale)
   domain = _domain(man, locale)
   plan = _probe_plan(man)
-  sub_budget = man.get("sub_budget", 65536)
-  if not _is_count(sub_budget) or sub_budget <= 0:
-    raise InputError(f"bad sub_budget {sub_budget!r}")
-  result = varadhan_decompose(form, win, inter, basis, action, domain,
-                              radius=man.get("radius"),
-                              sub_budget=sub_budget,
-                              probe_ball=plan["ball_radius"])
+  radius = man.get("radius")
+  if radius is not None:
+    radius = manifest_int(radius, "radius", 0)
+  result = varadhan_decompose(
+      form, win, inter, basis, action, domain, radius=radius,
+      sub_budget=manifest_int(man.get("sub_budget", DEFAULT_SUB_BUDGET),
+                              "sub_budget", 1),
+      probe_ball=plan["ball_radius"])
   payload = {
       "cocycle": cocycle_to_json(result["a"]),
       "f": local_function_to_json(result["f"], locale),
@@ -385,8 +368,7 @@ def _cmd_decompose(man, args):
 
 
 def _cmd_counterexample(man, args):
-  sites = man.get("sites", 9) if man else 9
-  report = counterexample_report(sites)
+  report = counterexample_report(manifest_int(man.get("sites", 9), "sites"))
   return {"counterexample": report}, 0
 
 
@@ -395,9 +377,10 @@ def _cmd_transfer(man, args):
   plan = man.get("transfer", {})
   if not isinstance(plan, dict):
     raise InputError(f"bad transfer options {plan!r}")
-  report = transferability(locale,
-                           probe_radius=plan.get("probe_radius", 3),
-                           probe_margin=plan.get("probe_margin", 4))
+  report = transferability(
+      locale,
+      probe_radius=manifest_int(plan.get("probe_radius", 3), "probe_radius", 0),
+      probe_margin=manifest_int(plan.get("probe_margin", 4), "probe_margin", 0))
   return {"transferability": report}, 0
 
 
@@ -452,7 +435,7 @@ def main(argv=None) -> int:
     else:
       raise InputError(f"'{command}' needs --manifest")
     payload, code = _HANDLERS[command](man, args)
-  except (InputError, BudgetExceeded) as exc:
+  except InputError as exc:
     payload, code = {"error": {"kind": type(exc).__name__,
                                "message": str(exc)}}, 2
   except WitnessError as exc:

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .calculus import LocalFunction, is_uniform, uniformity_criterion
-from .configspace import quantity_of, quantity_to_json
+from .calculus import (Form, LocalFunction, _gather, is_uniform, restrict,
+                       uniformity_criterion)
+from .configspace import _quantity_table, fibers_report, quantity_to_json
 from .interactions import Interaction
 from .linalg import rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
 from .serialize import (InputError, WitnessError, fraction_from_str,
-                        fraction_to_str)
+                        fraction_to_str, manifest_int)
 
 ZERO = Fraction(0)
 
@@ -167,15 +168,13 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
         "second": [locale.encode_vertex(v) for v in second],
         "distance": dist,
     })
-    pos_first = [union.index(v) for v in first]
-    pos_second = [union.index(v) for v in second]
-    for digits in product(range(inter.n_states), repeat=len(union)):
-      assign = dict(zip(union, digits))
-      defect = (f.value_at(assign)
-                - f.value_at({v: assign[v] for v in first})
-                - f.value_at({v: assign[v] for v in second}))
-      alpha = tuple(map(Fraction, quantity_of([digits[p] for p in pos_first], basis)))
-      beta = tuple(map(Fraction, quantity_of([digits[p] for p in pos_second], basis)))
+    # Every table runs over the configurations of the union in index order.
+    cells = zip(_quantity_table(union, basis, inter.n_states, first),
+                _quantity_table(union, basis, inter.n_states, second),
+                _gather(f, union), _gather(restrict(f, first), union),
+                _gather(restrict(f, second), union))
+    for alpha, beta, whole, on_first, on_second in cells:
+      defect = whole - on_first - on_second
       key = (alpha, beta)
       if key in table.cells:
         if table.cells[key] != defect:
@@ -391,12 +390,12 @@ def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
     cert_region = max((p[0] for p in probes), key=len)
   cert_region = tuple(sorted(cert_region))
   vals = []
-  for digits in product(range(inter.n_states), repeat=len(cert_region)):
-    q = tuple(map(Fraction, quantity_of(digits, basis)))
+  for v, q in zip(_gather(f, cert_region),
+                  _quantity_table(cert_region, basis, inter.n_states)):
     if q not in h:
       raise InputError(
           f"certificate region quantity {quantity_to_json(q)} not probed")
-    vals.append(f.value_at(dict(zip(cert_region, digits))) + h[q])
+    vals.append(v + h[q])
   g = LocalFunction(cert_region, inter.n_states, inter.base, tuple(vals))
   uniform = is_uniform(g, window.locale, radius)
   criterion = all(
@@ -424,8 +423,6 @@ def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
 def h_zero_report(window: Window, inter: Interaction, basis,
                   budget: int = 2_000_000) -> dict:
   """Constant-on-components functions versus spans of conserved quantities."""
-  from .configspace import fibers_report
-
   fib = fibers_report(window, inter, basis, budget)
   return {
       "h0_dimension": fib["n_components"],
@@ -472,23 +469,13 @@ def ordered_flux_form(window: Window, inter: Interaction,
   Both orientations of an edge carry the same two-site table: +1 when the
   sorted pair reads (high, low), -1 when it reads (low, high).
   """
-  from .calculus import Form
-
   low = inter.state_index(low_value)
   high = inter.state_index(high_value)
-  fns = {}
-  for u, v in window.edges:
-    support = tuple(sorted((u, v)))
-    vals = []
-    for a, b in product(range(inter.n_states), repeat=2):
-      if (a, b) == (high, low):
-        vals.append(Fraction(1))
-      elif (a, b) == (low, high):
-        vals.append(Fraction(-1))
-      else:
-        vals.append(ZERO)
-    fns[(u, v)] = LocalFunction(support, inter.n_states, inter.base,
-                                tuple(vals))
+  vals = tuple(Fraction(((a, b) == (high, low)) - ((a, b) == (low, high)))
+               for a, b in product(range(inter.n_states), repeat=2))
+  fns = {(u, v): LocalFunction(tuple(sorted((u, v))), inter.n_states,
+                               inter.base, vals)
+         for u, v in window.edges}
   return Form(inter.n_states, inter.base, fns, 0)
 
 
@@ -508,9 +495,16 @@ def pairing_table_to_json(table: PairingTable) -> dict:
 
 
 def pairing_table_from_json(obj, basis) -> PairingTable:
-  if not isinstance(obj, dict) or "cells" not in obj:
+  def is_cell(c):
+    return isinstance(c, dict) and "v" in c and all(
+        isinstance(c.get(k), list) and len(c[k]) == len(basis) for k in "ab")
+
+  if (not isinstance(obj, dict) or not isinstance(obj.get("cells"), list)
+      or not all(map(is_cell, obj["cells"]))
+      or not isinstance(obj.get("probes", []), list)):
     raise InputError(f"bad pairing table {obj!r}")
-  table = PairingTable(basis=tuple(basis), radius=int(obj.get("radius", 0)))
+  table = PairingTable(basis=tuple(basis), radius=manifest_int(
+      obj.get("radius", 0), "pairing radius", 0))
   for cell in obj["cells"]:
     alpha = tuple(fraction_from_str(x) for x in cell["a"])
     beta = tuple(fraction_from_str(x) for x in cell["b"])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from operator import add
 
 from .interactions import Interaction, check_exchangeability, check_validity
 from .locales import Window
@@ -60,6 +59,16 @@ def digits_of(index: int, n_sites: int, n_states: int) -> tuple:
 def all_configs(window: Window, inter: Interaction):
   """Iterate every configuration as a digit tuple, in index order."""
   return product(range(inter.n_states), repeat=window.n_sites)
+
+
+def _site_sums(tables) -> list:
+  """``sum(tables[k][digits[k]] for k)`` for every digit tuple, in index
+  order (first site most significant): the Kronecker sum of per-site tables,
+  one addition per entry of the result."""
+  out = [0]
+  for table in tables:
+    out = [a + b for a in out for b in table]
+  return out
 
 
 def apply_edge(digits, pu: int, pv: int, inter: Interaction):
@@ -142,6 +151,20 @@ def quantity_of(digits, basis) -> tuple:
   return tuple(sum(vec[d] for d in digits) for vec in basis)
 
 
+def _quantity_table(sites, basis, n_states: int, counted=None) -> list:
+  """The quantity vector of every configuration of ``sites``, in index
+  order, summing only the sites in ``counted`` (all of them by default).
+  Each distinct vector is one shared tuple of Fractions."""
+  zeros = (0,) * n_states
+  columns = [_site_sums([vec if counted is None or x in counted else zeros
+                         for x in sites])
+             for vec in basis]
+  if not columns:
+    return [()] * n_states ** len(sites)
+  shared = {q: tuple(map(Fraction, q)) for q in set(zip(*columns))}
+  return list(map(shared.__getitem__, zip(*columns)))
+
+
 def quantity_to_json(qvec) -> list:
   return [fraction_to_str(Fraction(v)) for v in qvec]
 
@@ -214,23 +237,18 @@ def fibers_report(window: Window, inter: Interaction, basis,
   with equal quantities.
   """
   labels, reps = components(window, inter, budget)
-  # Quantities add over sites: sum the totals of the leading and trailing
-  # halves of each configuration, walked in index order.
-  s, n = inter.n_states, window.n_sites
-  head = n // 2
-  q_head = [quantity_of(d, basis) for d in product(range(s), repeat=head)]
-  q_tail = [quantity_of(d, basis) for d in product(range(s), repeat=n - head)]
+  # Raw column sums, not _quantity_table's Fraction keys: hashing a
+  # Fraction is slow, and this groups every configuration once.
+  columns = [_site_sums([vec] * window.n_sites) for vec in basis]
+  quantities = zip(*columns) if columns else [()] * len(labels)
   first = {}  # (quantity, component) -> least configuration index
-  idx = 0
-  for qh in q_head:
-    for qt in q_tail:
-      first.setdefault((tuple(map(add, qh, qt)), labels[idx]), idx)
-      idx += 1
+  for idx, key in enumerate(zip(quantities, labels)):
+    first.setdefault(key, idx)
   fiber_components = {}
   for (q, comp), least in first.items():
     fiber_components.setdefault(q, {})[comp] = least
   witness = None
-  for q in sorted(fiber_components, key=lambda t: tuple(map(Fraction, t))):
+  for q in sorted(fiber_components):
     comps = fiber_components[q]
     if len(comps) > 1:
       first, second = sorted(comps.values())[:2]

@@ -21,16 +21,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .calculus import (Form, LocalFunction, _mobius, _piece, _subsets, add,
-                       constant, form_add, form_sub, functions_equal,
-                       gradient, integrate, is_closed, restrict, scale,
-                       support_diameter, sub, trim)
-from .cohomology import compute_pairing, default_probes, solve_splitting
-from .configspace import (digits_from_sites, exchange_path, quantity_of,
-                          quantity_to_json)
-from .interactions import Interaction, check_exchangeability
+from .calculus import (Form, LocalFunction, _gather, _mobius, _piece,
+                       _subsets, add, constant, differential,
+                       form_axioms_report, form_add, form_sub,
+                       functions_equal, gradient, integrate, is_closed,
+                       restrict, scale, support_diameter, sub, trim)
+from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
+                         check_pairing_laws, compute_pairing, default_probes,
+                         inversion_count_function, ordered_flux_form,
+                         pairing_table_to_json, solve_splitting)
+from .configspace import (_quantity_table, _site_sums, digits_from_sites,
+                          exchange_path, guard_budget, quantity_to_json)
+from .interactions import (Interaction, check_exchangeability,
+                           conserved_basis, multispecies)
 from .linalg import rref
-from .locales import LatticeLocale, Window, window as build_window
+from .locales import (Euclidean, Hexagonal, LatticeLocale, Window, box,
+                      window as build_window)
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str)
 
@@ -121,7 +127,6 @@ class TranslationAction:
 
 def _probe_vertex(locale: LatticeLocale):
   # lattice kinds: plain coordinate tuples, except the honeycomb's site flag
-  from .locales import Hexagonal
   if isinstance(locale, Hexagonal):
     yield (0, 0, 0)
   else:
@@ -197,21 +202,14 @@ def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
   theta(eta) weighs each site's quantities by the tile index of the site; it
   exists only on enumerable windows and is used for identity checks.
   """
-  from .configspace import guard_budget
-
   guard_budget(window, inter, budget)
-  weights = [_tile_coefficients(action, domain, a_matrix, basis, x)
-             for x in window.vertices]
-  vals = []
-  for digits in product(range(inter.n_states), repeat=window.n_sites):
-    total = ZERO
-    for d, w in zip(digits, weights):
-      for i, vec in enumerate(basis):
-        if w[i] != 0 and vec[d] != 0:
-          total += w[i] * vec[d]
-    vals.append(total)
+  tables = []
+  for x in window.vertices:
+    w = _tile_coefficients(action, domain, a_matrix, basis, x)
+    tables.append([sum((w[i] * vec[d] for i, vec in enumerate(basis)), ZERO)
+                   for d in range(inter.n_states)])
   return LocalFunction(window.vertices, inter.n_states, inter.base,
-                       tuple(vals))
+                       tuple(_site_sums(tables)))
 
 
 def build_omega_rho(a_matrix, action: TranslationAction, domain,
@@ -305,22 +303,12 @@ def is_shift_invariant(form: Form, window: Window,
 # Cocycle extraction
 
 
-def _form_evaluators(form: Form, window: Window):
-  cache = {}
-  def ev(edge, digits):
-    fn = form.fn(edge)
-    if fn is None:
-      return ZERO
-    if edge not in cache:
-      cache[edge] = fn.compile_for(window)
-    return cache[edge](digits)
-  return ev
-
-
-def _path_integral(form_ev, steps):
+def _path_integral(form: Form, window: Window, steps):
   total = ZERO
   for digits, edge in steps:
-    total += form_ev(edge, digits)
+    fn = form.fn(edge)
+    if fn is not None:
+      total += fn.value_at(dict(zip(window.vertices, digits)))
   return total
 
 
@@ -346,7 +334,6 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
   witnesses = exch["witnesses"]
   if center is None:
     center = window.vertices[len(window.vertices) // 2]
-  form_ev = _form_evaluators(form, window)
 
   a_cols = []
   probes = 0
@@ -365,7 +352,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
       if final != digits_from_sites(window, inter, {x0: s}):
         raise RuntimeError("exchange path did not move the probe state")
       rows.append([Fraction(vec[s]) for vec in basis]
-                  + [_path_integral(form_ev, steps)])
+                  + [_path_integral(form, window, steps)])
       probes += 1
     # The defects must lie in the span of the quantities.
     reduced, pivots, _ = rref(rows, c)
@@ -397,7 +384,8 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
         steps2, final = exchange_path(window, inter, mid, x1p, x1, witnesses)
         if final != digits_from_sites(window, inter, {x0: s, x1: t}):
           raise RuntimeError("exchange paths did not move the probe states")
-        measured = _path_integral(form_ev, steps1) + _path_integral(form_ev, steps2)
+        measured = (_path_integral(form, window, steps1)
+                    + _path_integral(form, window, steps2))
         predicted = sum(a_cols[j][i] * (basis[i][s] + basis[i][t])
                         for i in range(c))
         cross += 1
@@ -581,12 +569,12 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
       continue
     size = len(sub_supp)
     corrected = []
-    for digits in product(range(s), repeat=size):
-      q = tuple(map(Fraction, quantity_of(digits, basis)))
+    for v, q in zip(_gather(potential, sub_supp),
+                    _quantity_table(sub_supp, basis, s)):
       if q not in h:
         raise InputError(
             f"pairing probes did not cover quantity {quantity_to_json(q)}")
-      corrected.append(potential.value_at(dict(zip(sub_supp, digits))) + h[q])
+      corrected.append(v + h[q])
     moebius = _mobius(corrected, size, s, inter.base)
     piece = LocalFunction(sub_supp, s, inter.base,
                           _piece(moebius, range(size), size, s, inter.base))
@@ -683,13 +671,6 @@ def counterexample_report(n_sites: int = 9) -> dict:
   has an asymmetric pairing: splitting is infeasible and the decomposition
   must refuse with an exact certificate.  Returns all the evidence.
   """
-  from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
-                           check_pairing_laws, inversion_count_function,
-                           ordered_flux_form, pairing_table_to_json)
-  from .interactions import conserved_basis, multispecies
-  from .locales import Euclidean, box
-  from .calculus import differential, form_axioms_report
-
   if n_sites < 5 or n_sites % 2 == 0:
     raise InputError("the line scenario wants an odd window of >= 5 sites")
   half = n_sites // 2
@@ -765,6 +746,7 @@ def cocycle_to_json(a_matrix, basis_name: str = "computed") -> dict:
 
 
 def cocycle_from_json(obj) -> list:
-  if not isinstance(obj, dict) or "a" not in obj:
+  if (not isinstance(obj, dict) or not isinstance(obj.get("a"), list)
+      or not all(isinstance(row, list) for row in obj["a"])):
     raise InputError(f"bad cocycle payload {obj!r}")
   return [[fraction_from_str(x) for x in row] for row in obj["a"]]

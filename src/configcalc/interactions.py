@@ -386,22 +386,26 @@ def interaction_from_json(obj) -> Interaction:
   if set(obj) <= {"name"} and "name" in obj:
     return by_name(obj["name"])
   try:
-    states = tuple(obj["states"])
+    states = obj["states"]
     base_value = obj["base"]
     rows = obj["map"]
   except KeyError as exc:
     raise InputError(f"interaction descriptor missing {exc}") from None
+  if (not isinstance(states, list) or not isinstance(rows, list)
+      or any(isinstance(s, (list, dict)) for s in states)):
+    raise InputError(f"bad interaction states or map in {obj!r}")
+  states = tuple(states)
   if base_value not in states:
     raise InputError(f"base {base_value!r} is not one of the states")
   index = {s: i for i, s in enumerate(states)}
   n = len(states)
   table = [[(i, j) for j in range(n)] for i in range(n)]
   for row in rows:
-    if len(row) != 4:
+    if not isinstance(row, list) or len(row) != 4:
       raise InputError(f"map rows are [s1, s2, t1, t2]; got {row!r}")
     s1, s2, t1, t2 = row
     for v in (s1, s2, t1, t2):
-      if v not in index:
+      if isinstance(v, (list, dict)) or v not in index:
         raise InputError(f"map row {row!r} uses unknown state {v!r}")
     table[index[s1]][index[s2]] = (index[t1], index[t2])
   inter = Interaction(obj.get("name", "custom"), states, index[base_value],

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .serialize import InputError
+from .serialize import InputError, manifest_int
 
 
 class Locale:
@@ -94,7 +94,7 @@ class Locale:
   def decode_vertex(self, obj):
     if not isinstance(obj, list):
       raise InputError(f"bad vertex encoding {obj!r}")
-    return tuple(obj)
+    return tuple(manifest_int(c, "vertex coordinate") for c in obj)
 
   def describe(self) -> dict:
     return {"kind": self.name}
@@ -408,7 +408,10 @@ class FiniteGraph(Locale):
     return list(x) if isinstance(x, tuple) else x
 
   def decode_vertex(self, obj):
-    return tuple(obj) if isinstance(obj, list) else obj
+    x = tuple(obj) if isinstance(obj, list) else obj
+    if x not in self._vertices:  # compares by ==, so unhashable input is fine
+      raise InputError(f"{obj!r} is not a vertex of this finite graph")
+    return x
 
   def describe(self):
     return {
@@ -640,27 +643,38 @@ def locale_from_json(obj) -> Locale:
     raise InputError(f"bad locale descriptor {obj!r}")
   kind = obj["kind"]
   if kind == "euclidean":
-    return Euclidean(int(obj.get("d", 1)))
+    return Euclidean(manifest_int(obj.get("d", 1), "locale d", 1))
   if kind == "n-neighbor":
-    return NNeighbor(int(obj.get("d", 1)), int(obj.get("n", 2)))
+    return NNeighbor(manifest_int(obj.get("d", 1), "locale d", 1),
+                     manifest_int(obj.get("n", 2), "locale n", 1))
   if kind == "triangular":
     return Triangular()
   if kind == "hexagonal":
     return Hexagonal()
   if kind == "free-group":
-    return FreeGroupCayley(int(obj.get("rank", 2)))
+    return FreeGroupCayley(manifest_int(obj.get("rank", 2), "locale rank", 1))
   if kind == "product":
-    return ProductLocale(tuple(locale_from_json(f) for f in obj.get("factors", ())))
+    factors = obj.get("factors", [])
+    if not isinstance(factors, list):
+      raise InputError(f"bad product factors {factors!r}")
+    return ProductLocale(tuple(locale_from_json(f) for f in factors))
   if kind == "cross":
     return Cross()
   if kind == "half-plane":
     return HalfPlane()
   if kind == "finite-graph":
-    verts = [tuple(v) if isinstance(v, list) else v for v in obj.get("vertices", ())]
+    verts, edges = obj.get("vertices", []), obj.get("edges", [])
+    if not isinstance(verts, list) or not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 for e in edges):
+      raise InputError(f"bad finite-graph descriptor {obj!r}")
+    verts = [tuple(v) if isinstance(v, list) else v for v in verts]
     edges = [(tuple(u) if isinstance(u, list) else u,
               tuple(v) if isinstance(v, list) else v)
-             for u, v in obj.get("edges", ())]
-    return FiniteGraph(verts, edges)
+             for u, v in edges]
+    try:
+      return FiniteGraph(verts, edges)
+    except TypeError as exc:  # vertices that cannot be hashed or sorted
+      raise InputError(f"bad finite-graph vertices: {exc}") from None
   raise InputError(f"unknown locale kind {kind!r}")
 
 
@@ -680,11 +694,15 @@ def window_from_json(locale: Locale, obj) -> Window:
     lo, hi = need("lo"), need("hi")
     if not isinstance(lo, list) or not isinstance(hi, list):
       raise InputError(f"box bounds must be lists, not {lo!r} and {hi!r}")
-    return box(locale, tuple(lo), tuple(hi))
+    return box(locale, *(tuple(manifest_int(c, "box corner coordinate")
+                               for c in corner) for corner in (lo, hi)))
   if kind == "ball":
     center = locale.decode_vertex(need("center"))
-    return ball_window(locale, center, int(need("radius")))
+    return ball_window(locale, center,
+                       manifest_int(need("radius"), "window radius", 0))
   if kind == "explicit":
-    verts = [locale.decode_vertex(v) for v in need("vertices")]
-    return window(locale, verts)
+    verts = need("vertices")
+    if not isinstance(verts, list):
+      raise InputError(f"bad window vertices {verts!r}")
+    return window(locale, [locale.decode_vertex(v) for v in verts])
   raise InputError(f"unknown window kind {kind!r}")

@@ -32,6 +32,15 @@ class WitnessError(Exception):
     setattr(self, self.key, payload)
 
 
+def manifest_int(value, name: str, minimum: int | None = None) -> int:
+  """A count read from a manifest: a JSON integer (not a bool, not a float)
+  of at least ``minimum``.  Anything else is an ``InputError``."""
+  if (isinstance(value, bool) or not isinstance(value, int)
+      or minimum is not None and value < minimum):
+    raise InputError(f"bad {name} {value!r}")
+  return value
+
+
 def fraction_to_str(value: Fraction | int) -> str:
   f = Fraction(value)
   if f.denominator == 1:

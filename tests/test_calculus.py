@@ -12,8 +12,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.calculus import (Form, LocalFunction, NotClosedError, add,
-                                 constant, differential, embed, expansion,
+from configcalc.calculus import (Form, LocalFunction, NotClosedError, _gather,
+                                 add, constant, differential, embed, expansion,
                                  exact_support_radius, form_axioms_report,
                                  form_add, form_from_json, form_scale,
                                  form_sub, form_to_json, from_callable,
@@ -549,3 +549,18 @@ def test_value_at_defaults_to_base(seed):
   f = random_function(rng, ((0,), (2,)), inter.n_states, inter.base)
   full = f.value_at({(0,): 0, (2,): 0})
   assert f.value_at({}) == full
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_gather_matches_value_at(seed):
+  # targets in any site order, missing some of f's sites and holding sites
+  # f does not read; every base of a three-state alphabet
+  rng = random.Random(seed)
+  sites = [(k,) for k in range(6)]
+  for base in range(3):
+    f = random_function(rng, rng.sample(sites, rng.randint(0, 4)), 3, base)
+    target = tuple(rng.sample(sites, rng.randint(0, 4)))
+    expected = [f.value_at(dict(zip(target, digits)))
+                for digits in product(range(3), repeat=len(target))]
+    assert list(_gather(f, target)) == expected, (f.support, target, base)

@@ -2,8 +2,19 @@
 0 (all checks passed) / 1 (a property failed, with witness) / 2 (bad input).
 """
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import getitem
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from configcalc.calculus import (NotClosedError, differential, form_to_json,
                                  from_callable, perturbed)
@@ -94,6 +105,21 @@ def test_expand_lists_sorted_pieces(tmp_path):
   assert sizes == sorted(sizes)
   assert rep["exact_support_radius"] == 1
   assert rep["n_pieces"] == len(rep["pieces"])
+
+
+def test_expand_charges_the_piece_tables_once(tmp_path):
+  # twelve binary sites; the values depend on sites 3 and 7 only
+  values = [str(d[3] * d[7]) for d in product(range(2), repeat=12)]
+  man = dict(BASE, window={"kind": "box", "lo": [0], "hi": [11]},
+             function={"support": [[k] for k in range(12)], "values": values})
+  code, rep = run(tmp_path, man, "expand")
+  assert code == 0
+  assert [p["sites"] for p in rep["pieces"]] == [[[3], [7]]]
+  assert rep["exact_support_radius"] == 4
+  assert rep["uniform_at_probe_radius"]["offenders"] == [[[3], [7]]]
+  code, rep = run(tmp_path, man, "expand", "--budget", "1000")
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
 
 
 def test_diff_reports_axioms(tmp_path):
@@ -448,3 +474,111 @@ def test_seed_is_recorded(tmp_path):
   code, rep = run(tmp_path, {"interaction": "exclusion"}, "consv",
                   "--seed", "42")
   assert rep["seed"] == 42
+
+
+DECOMPOSE = dict(BASE,
+                 window={"kind": "box", "lo": [0], "hi": [6]},
+                 function={"support": [[0], [1]],
+                           "values": ["0", "0", "0", "1/2"]},
+                 form={"builtin": "synthesized"},
+                 cocycle={"a": [["-2/3"]]},
+                 action={"generators": [[1]]},
+                 domain=[[0]])
+PATH_GRAPH = {"kind": "finite-graph", "vertices": [0, 1, 2],
+              "edges": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize("command,manifest", [
+    ("transfer", {"locale": PATH_GRAPH, "transfer": {"probe_radius": "x"}}),
+    ("counterexample", {"sites": "9"}),
+    ("counterexample", {"sites": 7.0}),
+    ("irreducible", dict(BASE, locale={"kind": "euclidean", "d": "x"})),
+    ("decompose", dict(DECOMPOSE, radius="1")),
+    ("decompose", dict(DECOMPOSE, radius=-1)),
+    ("decompose", dict(DECOMPOSE, action={"generators": [["a"]]})),
+    ("split", {"interaction": "exclusion",
+               "pairing": {"cells": [{"a": ["1"], "v": "0"}]}}),
+    ("split", {"interaction": "exclusion",
+               "pairing": {"radius": "x", "cells": []}}),
+    ("closed", dict(BASE, form={"radius": "x", "edges": []})),
+    ("expand", {"locale": PATH_GRAPH, "interaction": "exclusion",
+                "window": {"vertices": [0, 1, 2]},
+                "function": {"support": [0, "x"], "values": ["0"] * 4}}),
+], ids=["transfer-probe-radius", "counterexample-sites-string",
+        "counterexample-sites-float", "locale-d", "decompose-radius-string",
+        "decompose-radius-negative", "decompose-generator-entry",
+        "pairing-cell-without-b", "pairing-radius", "form-radius",
+        "finite-graph-foreign-vertex"])
+def test_ill_typed_manifest_count_is_an_input_error(tmp_path, command,
+                                                    manifest):
+  code, rep = run(tmp_path, manifest, command)
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+
+
+# Small valid manifests covering every kind of input the commands read.
+FUZZ_MANIFESTS = [
+    ("consv", {"interaction": "exclusion"}),
+    ("validate", {"interaction": {"name": "t", "states": [0, 1], "base": 0,
+                                  "map": [[0, 1, 1, 0]]}}),
+    ("irreducible", dict(BASE)),
+    ("expand", dict(BASE, function={"support": [[0], [1]],
+                                    "values": ["0", "1", "2", "5"]},
+                    probe={"radius": 1})),
+    ("closed", dict(BASE, function={"support": [[1], [2]],
+                                    "values": ["0", "0", "0", "1"]},
+                    form={"builtin": "differential"})),
+    ("closed", dict(BASE, form={"radius": 0, "edges": [
+        {"e": [[0], [1]], "fn": {"support": [[0], [1]],
+                                 "values": ["0", "1", "-1", "0"]}}]})),
+    ("split", {"interaction": "exclusion", "pairing": {
+        "radius": 1, "probes": [],
+        "cells": [{"a": ["1"], "b": ["1"], "v": "2"}]}}),
+    ("pairing", dict(BASE, interaction="multispecies:2",
+                     window={"kind": "box", "lo": [0], "hi": [6]},
+                     function={"builtin": "inversion-count"},
+                     probe={"radius": 0, "ball_radius": 1, "budget": 2000})),
+    ("delta", dict(DECOMPOSE, form={"builtin": "omega-rho"},
+                   cocycle={"a": [["1/2"]]})),
+    ("decompose", dict(DECOMPOSE, radius=1, sub_budget=4096)),
+    ("counterexample", {"sites": 5}),
+    ("transfer", {"locale": PATH_GRAPH,
+                  "transfer": {"probe_radius": 1, "probe_margin": 1}}),
+]
+MUTANTS = ("x", "9", -1, 0, 2, 7.0, True, None, [], {}, [["a"]],
+           {"kind": "x"}, "delete")
+
+
+def _entry_paths(obj, prefix=()):
+  """The path of every dict entry and list element inside ``obj``."""
+  items = (obj.items() if isinstance(obj, dict)
+           else enumerate(obj) if isinstance(obj, list) else ())
+  for key, value in items:
+    yield prefix + (key,)
+    yield from _entry_paths(value, prefix + (key,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_main_is_total_over_mutated_manifests(data):
+  command, manifest = data.draw(st.sampled_from(FUZZ_MANIFESTS))
+  manifest = copy.deepcopy(manifest)
+  path = data.draw(st.sampled_from(list(_entry_paths(manifest))))
+  value = data.draw(st.sampled_from(MUTANTS))
+  holder = reduce(getitem, path[:-1], manifest)
+  if value == "delete":
+    del holder[path[-1]]
+  else:
+    holder[path[-1]] = value
+  with tempfile.TemporaryDirectory() as tmp:
+    man_path = os.path.join(tmp, "man.json")
+    with open(man_path, "w") as fh:
+      json.dump(manifest, fh)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+      code = main([command, "--manifest", man_path])
+  rep = json.loads(out.getvalue())
+  assert code in (0, 1, 2)
+  assert rep["exit_code"] == code
+  if code == 1 and "error" in rep:
+    assert "witness" in rep["error"] or "certificate" in rep["error"]

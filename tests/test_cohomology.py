@@ -6,23 +6,26 @@ cell at (alpha, beta) is 2*alpha*beta and the splitting solves to
 h(n) = -n^2 + n on the chain of multiples.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from itertools import product
 
-from configcalc.calculus import (differential, exact_support_radius,
-                                 expansion, from_callable, functions_equal)
+from configcalc.calculus import (LocalFunction, differential,
+                                 exact_support_radius, expansion,
+                                 from_callable, functions_equal)
 from configcalc.cohomology import (PairingNotWellDefined, SplittingInfeasible,
                                    check_pairing_laws, compute_pairing,
                                    default_probes, h_zero_report,
                                    inversion_count_function,
                                    ordered_flux_form, pairing_table_to_json,
-                                   pairing_table_from_json, solve_splitting,
-                                   splitting_to_json, uniformize)
-from configcalc.configspace import quantity_of
-from configcalc.serialize import InputError
+                                   pairing_table_from_json, set_distance,
+                                   solve_splitting, splitting_to_json,
+                                   uniformize)
+from configcalc.configspace import quantity_of, quantity_to_json
+from configcalc.serialize import InputError, fraction_to_str
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
                                      multispecies)
 from configcalc.locales import Euclidean, box
@@ -146,6 +149,69 @@ def test_pairing_orientation_is_left_to_right():
   low = (Fraction(1), Fraction(0))
   high = (Fraction(0), Fraction(1))
   assert table.cells[(low, high)] != table.cells[(high, low)]
+
+
+def reference_pairing(f, window, inter, basis, probes):
+  """The pairing as its definition reads: value_at and quantity_of at every
+  assignment of each probe pair, in product order.  Returns the cells in
+  insertion order, the probe records and the first conflict's witness."""
+  enc = window.locale.encode_vertex
+  cells, provenance, records = {}, {}, []
+  for first, second in probes:
+    union = tuple(sorted(first + second))
+    records.append({"first": [enc(v) for v in first],
+                    "second": [enc(v) for v in second],
+                    "distance": set_distance(first, second, window.locale)})
+    for digits in product(range(inter.n_states), repeat=len(union)):
+      assign = dict(zip(union, digits))
+      defect = (f.value_at(assign)
+                - f.value_at({v: assign[v] for v in first})
+                - f.value_at({v: assign[v] for v in second}))
+      key = tuple(tuple(map(Fraction, quantity_of([assign[v] for v in part],
+                                                  basis)))
+                  for part in (first, second))
+      if key not in cells:
+        cells[key] = defect
+        provenance[key] = records[-1]
+      elif cells[key] != defect:
+        return cells, records, {
+            "cell": {"a": quantity_to_json(key[0]),
+                     "b": quantity_to_json(key[1])},
+            "values": [fraction_to_str(cells[key]), fraction_to_str(defect)],
+            "probes": [provenance[key], records[-1]],
+        }
+  return cells, records, None
+
+
+@pytest.mark.parametrize("name", ["multispecies:2", "spin3", "pair-flip"])
+def test_pairing_matches_reference(name):
+  inter = by_name(name)
+  basis = conserved_basis(inter)
+  win = line(9)
+  probes = default_probes(win, inter, radius=1)
+  # a square of the window quantity plus a radius-1 term is well defined;
+  # a random table over sites in both probe halves is not
+  rng = random.Random(7)
+  defined = from_callable(
+      win.vertices, inter.n_states, inter.base,
+      lambda d: sum(quantity_of(d, basis), Fraction(0)) ** 2 + 3 * d[3] * d[4])
+  support = ((2,), (3,), (5,), (6,))
+  arbitrary = LocalFunction(support, inter.n_states, inter.base, tuple(
+      Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+      for _ in range(inter.n_states ** len(support))))
+  cells, records, conflict = reference_pairing(defined, win, inter, basis,
+                                               probes)
+  assert conflict is None
+  table = compute_pairing(defined, win, inter, basis, 1, probes)
+  assert list(table.cells.items()) == list(cells.items())
+  assert table.probes == records
+  if not basis:
+    assert list(table.cells) == [((), ())]
+  _, _, conflict = reference_pairing(arbitrary, win, inter, basis, probes)
+  assert conflict is not None
+  with pytest.raises(PairingNotWellDefined) as exc:
+    compute_pairing(arbitrary, win, inter, basis, 1, probes)
+  assert exc.value.witness == conflict
 
 
 def test_default_probes_are_oriented_on_the_line():

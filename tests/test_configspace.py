@@ -1,10 +1,13 @@
+import random
 from collections import deque
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.configspace import (BudgetExceeded, all_configs, apply_edge,
+from configcalc.configspace import (BudgetExceeded, _quantity_table,
+                                    _site_sums, all_configs, apply_edge,
                                     components, config_from_json,
                                     config_to_json, digits_from_sites,
                                     digits_of, exchange_path, fibers_report,
@@ -73,6 +76,33 @@ def test_all_configs_is_index_order():
   inter = multispecies(2)
   for idx, digits in enumerate(all_configs(win, inter)):
     assert digits == digits_of(idx, win.n_sites, inter.n_states)
+
+
+@pytest.mark.parametrize("radices", [(), (1,), (3,), (1, 1), (2, 1, 3),
+                                     (3, 3, 3), (2, 2, 2, 2)])
+def test_site_sums_match_brute_force(radices):
+  rng = random.Random(len(radices))
+  tables = [[rng.randint(-9, 9) for _ in range(s)] for s in radices]
+  expected = [sum(t[d] for t, d in zip(tables, digits))
+              for digits in product(*(range(s) for s in radices))]
+  assert _site_sums(tables) == expected
+
+
+@pytest.mark.parametrize("name", ["multispecies:2", "spin3", "pair-flip"])
+def test_quantity_table_matches_quantity_of(name):
+  inter = by_name(name)
+  basis = conserved_basis(inter)
+  sites = ((2,), (0,), (5,), (1,))
+  counted = (sites[0], sites[2])
+  for keep, table in ((sites, _quantity_table(sites, basis, inter.n_states)),
+                      (counted, _quantity_table(sites, basis, inter.n_states,
+                                                counted))):
+    configs = product(range(inter.n_states), repeat=len(sites))
+    expected = [tuple(map(Fraction, quantity_of(
+        [d for x, d in zip(sites, digits) if x in keep], basis)))
+        for digits in configs]
+    assert table == expected
+    assert all(type(v) is Fraction for q in table for v in q)
 
 
 @pytest.mark.parametrize("name,n", [("exclusion", 4), ("multispecies:2", 3),
