@@ -81,19 +81,23 @@ def from_callable(support, n_states: int, base: int, fn) -> LocalFunction:
   return LocalFunction(support, n_states, base, vals)
 
 
-def _gather(f: LocalFunction, support) -> tuple:
-  """f's values on every configuration of ``support`` (sites in any order),
-  in index order.  f's sites outside ``support`` sit at base; sites of
-  ``support`` that f does not read are ignored."""
+def _gather_index(f: LocalFunction, support) -> list:
+  """Where ``_gather`` reads each of its entries in f's table."""
   s = f.n_states
   place = dict(zip(f.support, f.powers()))
   inside = set(support)
   offset = f.base * sum(p for v, p in place.items() if v not in inside)
   # The offset rides along as a leading site with a single state.
-  index = _site_sums([(offset,)] + [range(0, s * place[v], place[v])
-                                    if v in place else (0,) * s
-                                    for v in support])
-  return tuple(map(f.values.__getitem__, index))
+  return _site_sums([(offset,)] + [range(0, s * place[v], place[v])
+                                   if v in place else (0,) * s
+                                   for v in support])
+
+
+def _gather(f: LocalFunction, support) -> tuple:
+  """f's values on every configuration of ``support`` (sites in any order),
+  in index order.  f's sites outside ``support`` sit at base; sites of
+  ``support`` that f does not read are ignored."""
+  return tuple(map(f.values.__getitem__, _gather_index(f, support)))
 
 
 def embed(f: LocalFunction, support) -> LocalFunction:
@@ -136,21 +140,53 @@ def trim(f: LocalFunction) -> LocalFunction:
   return LocalFunction(new_support, s, f.base, _gather(f, new_support))
 
 
-def _binary(f: LocalFunction, g: LocalFunction, op) -> LocalFunction:
-  if f.n_states != g.n_states or f.base != g.base:
+def _denominator(values) -> int:
+  """The least common denominator of exact values."""
+  return lcm(*{v.denominator for v in values})
+
+
+def _numerators(values, denom: int) -> list:
+  """Exact values as integer numerators over the common ``denom``."""
+  return [v.numerator * (denom // v.denominator) for v in values]
+
+
+def _fractions(nums, denom: int) -> tuple:
+  """Back from numerators over ``denom``: one Fraction per distinct value."""
+  cache = {v: Fraction(v, denom) for v in set(nums)}
+  return tuple(map(cache.__getitem__, nums))
+
+
+def _combine(terms, n_states: int, base: int) -> LocalFunction:
+  """sum c * f over the (c, f) pairs, on the union of the supports.
+
+  Every table is read on that union with ``_gather`` as integer numerators
+  over one common denominator, so the sum is integer additions only.
+  """
+  terms = [(Fraction(c), f) for c, f in terms]
+  if any(f.n_states != n_states or f.base != base for _, f in terms):
     raise InputError("mixing local functions over different state alphabets")
-  support = tuple(sorted(set(f.support) | set(g.support)))
-  fe, ge = embed(f, support), embed(g, support)
-  return LocalFunction(support, f.n_states, f.base,
-                       tuple(op(a, b) for a, b in zip(fe.values, ge.values)))
+  support = tuple(sorted(set(chain.from_iterable(f.support for _, f in terms))))
+  terms = [(c, f, _denominator(f.values)) for c, f in terms if c]
+  denom = lcm(*(c.denominator * d for c, _, d in terms))
+  columns = []
+  for c, f, _ in terms:
+    nums = _numerators(f.values, denom // c.denominator)
+    if c.numerator != 1:
+      nums = [c.numerator * k for k in nums]
+    if f.support != support:
+      nums = list(map(nums.__getitem__, _gather_index(f, support)))
+    columns.append(nums)
+  total = (list(map(sum, zip(*columns))) if columns
+           else [0] * n_states ** len(support))
+  return LocalFunction(support, n_states, base, _fractions(total, denom))
 
 
 def add(f, g):
-  return _binary(f, g, lambda a, b: a + b)
+  return _combine(((1, f), (1, g)), f.n_states, f.base)
 
 
 def sub(f, g):
-  return _binary(f, g, lambda a, b: a - b)
+  return _combine(((1, f), (-1, g)), f.n_states, f.base)
 
 
 def scale(f: LocalFunction, c) -> LocalFunction:
@@ -228,24 +264,26 @@ def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   if (1 + f.n_states) ** n > budget:
     raise InputError(f"expansion over {n} sites exceeds the budget")
   table = _mobius(f.values, n, f.n_states, f.base)
+  # The non-base sites of every entry as a bit mask over support positions;
+  # the piece on a subset is nonzero exactly when an entry with its mask is.
+  masks = _site_sums([[0 if d == f.base else 1 << k for d in range(f.n_states)]
+                      for k in range(n)])
+  live = {m for m, v in zip(masks, table) if v}
   pieces = {}
   for positions in _subsets(n):
-    sub_support = tuple(f.support[k] for k in positions)
-    piece = LocalFunction(sub_support, f.n_states, f.base,
-                          _piece(table, positions, n, f.n_states, f.base))
-    if not piece.is_zero():
-      pieces[sub_support] = piece
+    if sum(1 << k for k in positions) in live:
+      sub_support = tuple(f.support[k] for k in positions)
+      pieces[sub_support] = LocalFunction(
+          sub_support, f.n_states, f.base,
+          _piece(table, positions, n, f.n_states, f.base))
   return pieces
 
 
 def reassemble(pieces: dict, region, n_states: int, base: int) -> LocalFunction:
   """Sum of the pieces supported inside the region (= iota^Region of the whole)."""
   region = set(region)
-  total = constant(0, n_states, base)
-  for supp, piece in pieces.items():
-    if set(supp) <= region:
-      total = add(total, piece)
-  return total
+  return _combine(((1, piece) for supp, piece in pieces.items()
+                   if set(supp) <= region), n_states, base)
 
 
 def support_diameter(vertices, locale: Locale) -> int:
@@ -288,10 +326,10 @@ def uniformity_criterion(f: LocalFunction, locale: Locale, region, x,
   region = set(region)
   if x not in region:
     raise InputError(f"{x!r} is not in the probed region")
-  ball = set(locale.ball(x, radius))
-  lhs = sub(restrict(f, region), restrict(f, region - {x}))
-  rhs = sub(restrict(f, region & ball), restrict(f, (region & ball) - {x}))
-  return sub(lhs, rhs).is_zero()
+  near = region & set(locale.ball(x, radius))
+  return _combine(((1, restrict(f, region)), (-1, restrict(f, region - {x})),
+                   (-1, restrict(f, near)), (1, restrict(f, near - {x}))),
+                  f.n_states, f.base).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +352,23 @@ class Form:
     return sorted(self.fns)
 
 
-def form_add(a: Form, b: Form, radius=None) -> Form:
-  fns = dict(a.fns)
-  for e, f in b.fns.items():
-    fns[e] = add(fns[e], f) if e in fns else f
-  fns = {e: trim(f) for e, f in fns.items()}
-  fns = {e: f for e, f in fns.items() if not f.is_zero()}
+def _form_combine(a: Form, b: Form, sign: int, radius) -> Form:
+  """a + sign * b edge by edge: a's edges first, then b's other edges."""
+  fns = {}
+  for e in {**a.fns, **b.fns}:
+    f = trim(_combine([(c, g.fns[e]) for c, g in ((1, a), (sign, b))
+                       if e in g.fns], a.n_states, a.base))
+    if not f.is_zero():
+      fns[e] = f
   return Form(a.n_states, a.base, fns, radius)
+
+
+def form_add(a: Form, b: Form, radius=None) -> Form:
+  return _form_combine(a, b, 1, radius)
+
+
+def form_sub(a: Form, b: Form, radius=None) -> Form:
+  return _form_combine(a, b, -1, radius)
 
 
 def form_scale(a: Form, c) -> Form:
@@ -329,26 +377,6 @@ def form_scale(a: Form, c) -> Form:
     return Form(a.n_states, a.base, {}, a.radius)
   return Form(a.n_states, a.base, {e: scale(f, c) for e, f in a.fns.items()},
               a.radius)
-
-
-def form_sub(a: Form, b: Form, radius=None) -> Form:
-  return form_add(a, form_scale(b, -1), radius)
-
-
-def _denominator(values) -> int:
-  """The least common denominator of exact values."""
-  return lcm(*{v.denominator for v in values})
-
-
-def _numerators(values, denom: int) -> list:
-  """Exact values as integer numerators over the common ``denom``."""
-  return [v.numerator * (denom // v.denominator) for v in values]
-
-
-def _fractions(nums, denom: int) -> tuple:
-  """Back from numerators over ``denom``: one Fraction per distinct value."""
-  cache = {v: Fraction(v, denom) for v in set(nums)}
-  return tuple(map(cache.__getitem__, nums))
 
 
 def _edge_jumps(support, edge, inter: Interaction) -> list:
@@ -613,22 +641,23 @@ def _build_cycle(form, window, inter, moves, parent, pin, idx, edge, jdx,
     back.append((cur, rev, prev))
   walk += back
 
-  steps_json = []
-  integral = ZERO
-  for source, e, _target in walk:
-    digits = digits_of(source, n, s)
-    fn = form.fn(e)
-    if fn is not None:
-      integral += fn.value_at(dict(zip(window.vertices, digits)))
-    steps_json.append({
-        "config": config_to_json(window, inter, digits),
-        "edge": _edge_json(window, e),
-    })
+  steps = [(digits_of(source, n, s), e) for source, e, _target in walk]
   return {
-      "cycle": steps_json,
-      "integral": fraction_to_str(integral),
+      "cycle": [{"config": config_to_json(window, inter, digits),
+                 "edge": _edge_json(window, e)} for digits, e in steps],
+      "integral": fraction_to_str(_path_integral(form, window, steps)),
       "defect": fraction_to_str(defect),
   }
+
+
+def _path_integral(form: Form, window: Window, steps) -> Fraction:
+  """The form summed along transition steps (window digits, directed edge)."""
+  total = ZERO
+  for digits, edge in steps:
+    fn = form.fn(edge)
+    if fn is not None:
+      total += fn.value_at(dict(zip(window.vertices, digits)))
+  return total
 
 
 def is_closed(form: Form, window: Window, inter: Interaction,

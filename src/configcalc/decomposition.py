@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
-from .calculus import (Form, LocalFunction, _gather, _mobius, _piece,
-                       _subsets, add, constant, differential,
-                       form_axioms_report, form_add, form_sub,
+from .calculus import (Form, LocalFunction, _combine, _gather, _mobius,
+                       _path_integral, _piece, _subsets, constant,
+                       differential, form_axioms_report, form_add, form_sub,
                        functions_equal, gradient, integrate, is_closed,
-                       restrict, scale, support_diameter, sub, trim)
+                       restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          check_pairing_laws, compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
@@ -109,12 +108,12 @@ class TranslationAction:
   def act_vertex(self, x, shift):
     return self.locale.translate(x, shift)
 
-  def coordinate_delta(self, x, y):
-    """Coordinate difference x - y, or None if no translate of y reaches x."""
-    cx, cy = self.locale.coord(x), self.locale.coord(y)
-    if self.locale.with_coord(y, cx) != x:
+  def coeffs_carrying(self, v, x) -> tuple | None:
+    """Integer coefficients of the shift carrying ``v`` to ``x``, or None."""
+    cv, cx = self.locale.coord(v), self.locale.coord(x)
+    if self.locale.with_coord(v, cx) != x:
       return None
-    return tuple(a - b for a, b in zip(cx, cy))
+    return self.coeffs_of(tuple(a - b for a, b in zip(cx, cv)))
 
   def max_step(self) -> int:
     """Largest graph distance a single generator moves a vertex."""
@@ -148,14 +147,8 @@ def translate_function(action: TranslationAction, f: LocalFunction,
 
 def tile_of(action: TranslationAction, x, domain) -> tuple:
   """The unique (coeffs, anchor) with x = anchor translated by the coeffs."""
-  hits = []
-  for v in domain:
-    delta = action.coordinate_delta(x, v)
-    if delta is None:
-      continue
-    coeffs = action.coeffs_of(delta)
-    if coeffs is not None:
-      hits.append((coeffs, v))
+  hits = [(coeffs, v) for v in domain
+          if (coeffs := action.coeffs_carrying(v, x)) is not None]
   if not hits:
     raise InputError(f"vertex {x!r} is not covered by the domain tiling")
   if len(hits) > 1:
@@ -186,12 +179,20 @@ def orbit_tiles(window: Window, action: TranslationAction, domain) -> dict:
 # The flux form of a cocycle matrix
 
 
-def _tile_coefficients(action, domain, a_matrix, basis, x):
-  """Per-quantity coefficient sum_j a[i][j] * tau(x)_j at vertex x."""
-  coeffs, _ = tile_of(action, x, domain)
-  return tuple(sum(Fraction(a_matrix[i][j]) * coeffs[j]
-                   for j in range(action.rank))
-               for i in range(len(basis)))
+def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
+  """Per window site x, the table over states d of sum_i w_i(x) basis[i][d],
+  where w_i(x) = sum_j a[i][j] tau(x)_j weighs quantity i by x's tile index."""
+  if len(a_matrix) != len(basis):
+    raise InputError("cocycle matrix needs one row per conserved quantity")
+  if any(len(row) != action.rank for row in a_matrix):
+    raise InputError("cocycle matrix needs one column per generator")
+  tables = {}
+  for x in window.vertices:
+    coeffs, _ = tile_of(action, x, domain)
+    w = [sum(Fraction(a) * k for a, k in zip(row, coeffs)) for row in a_matrix]
+    tables[x] = [sum((wi * vec[d] for wi, vec in zip(w, basis)), ZERO)
+                 for d in range(inter.n_states)]
+  return tables
 
 
 def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
@@ -203,45 +204,25 @@ def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
   exists only on enumerable windows and is used for identity checks.
   """
   guard_budget(window, inter, budget)
-  tables = []
-  for x in window.vertices:
-    w = _tile_coefficients(action, domain, a_matrix, basis, x)
-    tables.append([sum((w[i] * vec[d] for i, vec in enumerate(basis)), ZERO)
-                   for d in range(inter.n_states)])
+  tables = _site_weights(a_matrix, action, domain, window, inter, basis)
   return LocalFunction(window.vertices, inter.n_states, inter.base,
-                       tuple(_site_sums(tables)))
+                       tuple(_site_sums(tables.values())))
 
 
 def build_omega_rho(a_matrix, action: TranslationAction, domain,
                     window: Window, inter: Interaction, basis) -> Form:
   """The canonical flux form of the matrix ``a``: each jump moves quantity
   between tiles weighted by the tile indices.  Radius zero by construction."""
-  if len(a_matrix) != len(basis):
-    raise InputError("cocycle matrix needs one row per conserved quantity")
-  for row in a_matrix:
-    if len(row) != action.rank:
-      raise InputError("cocycle matrix needs one column per generator")
-  weights = {x: _tile_coefficients(action, domain, a_matrix, basis, x)
-             for x in window.vertices}
+  tables = _site_weights(a_matrix, action, domain, window, inter, basis)
   fns = {}
-  c = len(basis)
-  for u, v in window.edges:
-    support = tuple(sorted((u, v)))
-    pu, pv = support.index(u), support.index(v)
-    wu, wv = weights[u], weights[v]
-    vals = []
-    for digits in product(range(inter.n_states), repeat=2):
-      du, dv = digits[pu], digits[pv]
-      tu, tv = inter.apply(du, dv)
-      total = ZERO
-      if (tu, tv) != (du, dv):
-        for i in range(c):
-          vec = basis[i]
-          total += wu[i] * (vec[tu] - vec[du]) + wv[i] * (vec[tv] - vec[dv])
-      vals.append(total)
-    fn = trim(LocalFunction(support, inter.n_states, inter.base, tuple(vals)))
+  for e in window.edges:
+    # The gradient of theta read on the edge's two sites.
+    pair = tuple(sorted(e))
+    fn = gradient(LocalFunction(pair, inter.n_states, inter.base,
+                                tuple(_site_sums([tables[x] for x in pair]))),
+                  e, inter)
     if not fn.is_zero():
-      fns[(u, v)] = fn
+      fns[e] = fn
   return Form(inter.n_states, inter.base, fns, 0)
 
 
@@ -301,15 +282,6 @@ def is_shift_invariant(form: Form, window: Window,
 
 # ---------------------------------------------------------------------------
 # Cocycle extraction
-
-
-def _path_integral(form: Form, window: Window, steps):
-  total = ZERO
-  for digits, edge in steps:
-    fn = form.fn(edge)
-    if fn is not None:
-      total += fn.value_at(dict(zip(window.vertices, digits)))
-  return total
 
 
 def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
@@ -406,16 +378,20 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
 
 def translates_meeting(action: TranslationAction, f: LocalFunction, targets):
   """All lattice shifts tau whose translate of supp(f) meets ``targets``."""
-  shifts = set()
-  for t in targets:
-    for v in f.support:
-      delta = action.coordinate_delta(t, v)
-      if delta is None:
-        continue
-      coeffs = action.coeffs_of(delta)
-      if coeffs is not None:
-        shifts.add(coeffs)
+  shifts = {action.coeffs_carrying(v, t) for t in targets for v in f.support}
+  shifts.discard(None)
   return sorted(shifts)
+
+
+def _translate_gradients(action: TranslationAction, f: LocalFunction, edge,
+                         win_set, inter: Interaction) -> LocalFunction:
+  """The sum, over the translates tau f that meet the edge, of
+  nabla_e(tau f restricted to the window): one gradient per translate."""
+  grads = []
+  for coeffs in translates_meeting(action, f, edge):
+    tf = translate_function(action, f, action.shift_of(coeffs))
+    grads.append((1, gradient(restrict(tf, win_set), edge, inter)))
+  return _combine(grads, inter.n_states, inter.base)
 
 
 def synthesized_form(f: LocalFunction, a_matrix, action: TranslationAction,
@@ -431,17 +407,10 @@ def synthesized_form(f: LocalFunction, a_matrix, action: TranslationAction,
     raise InputError("synthesis needs f to vanish on the base configuration")
   fns = {}
   win_set = set(window.vertices)
-  for (u, v) in window.edges:
-    total = constant(0, inter.n_states, inter.base)
-    for coeffs in translates_meeting(action, f, (u, v)):
-      tf = translate_function(action, f, action.shift_of(coeffs))
-      tf = restrict(tf, win_set)
-      grad = gradient(tf, (u, v), inter)
-      if not grad.is_zero():
-        total = add(total, grad)
-    total = trim(total)
+  for e in window.edges:
+    total = trim(_translate_gradients(action, f, e, win_set, inter))
     if not total.is_zero():
-      fns[(u, v)] = total
+      fns[e] = total
   exact_part = Form(inter.n_states, inter.base, fns, None)
   flux = build_omega_rho(a_matrix, action, domain, window, inter, basis)
   radius = max(1, support_diameter(f.support, window.locale))
@@ -456,10 +425,7 @@ def _recenter_domain(window: Window, action: TranslationAction,
   candidates = sorted(window.locale.ball(center, action.max_step()),
                       key=lambda v: (window.locale.distance(v, center), v))
   for cand in candidates:
-    delta = action.coordinate_delta(cand, anchor)
-    if delta is None:
-      continue
-    coeffs = action.coeffs_of(delta)
+    coeffs = action.coeffs_carrying(anchor, cand)
     if coeffs is None:
       continue
     shift = action.shift_of(coeffs)
@@ -560,7 +526,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   # v + h(quantity) read on L.
   ball_sites = tuple(sorted(needed))
   s = inter.n_states
-  f_hat = constant(0, s, inter.base)
+  terms = []
   for positions in _subsets(len(ball_sites)):
     sub_supp = tuple(ball_sites[k] for k in positions)
     if not set(sub_supp) & set(domain):
@@ -581,8 +547,8 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
     if piece.is_zero():
       continue
     weight = len(translates_meeting(action, piece, domain))
-    f_hat = add(f_hat, scale(piece, Fraction(1, weight)))
-  f_hat = trim(f_hat)
+    terms.append((Fraction(1, weight), piece))
+  f_hat = trim(_combine(terms, s, inter.base))
 
   residual = _verify_identity(form, f_hat, flux, window, inter, action)
 
@@ -625,20 +591,13 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
     ball = set(locale.ball(u, pad)) | set(locale.ball(v, pad))
     if not ball <= win_set:
       continue
-    expected = constant(0, inter.n_states, inter.base)
-    if f_hat.support:
-      for coeffs in translates_meeting(action, f_hat, (u, v)):
-        tf = translate_function(action, f_hat, action.shift_of(coeffs))
-        g = gradient(tf, (u, v), inter)
-        if not g.is_zero():
-          expected = add(expected, g)
-    flux_fn = flux.fn((u, v))
-    if flux_fn is not None:
-      expected = add(expected, flux_fn)
-    actual = form.fn((u, v)) or constant(0, inter.n_states, inter.base)
+    # The window cuts no translate that meets an interior edge.
+    terms = [(1, form.fn((u, v))), (-1, flux.fn((u, v))),
+             (-1, _translate_gradients(action, f_hat, (u, v), win_set, inter))]
+    diff = trim(_combine([(c, g) for c, g in terms if g is not None],
+                         inter.n_states, inter.base))
     checked += 1
-    if not functions_equal(expected, actual):
-      diff = trim(sub(actual, expected))
+    if not diff.is_zero():
       for dg, val in diff.assignments():
         if val != 0:
           worst = max(worst, abs(val))

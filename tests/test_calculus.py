@@ -12,8 +12,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.calculus import (Form, LocalFunction, NotClosedError, _gather,
-                                 add, constant, differential, embed, expansion,
+from configcalc.calculus import (Form, LocalFunction, NotClosedError,
+                                 _combine, _gather, add, constant, differential, embed, expansion,
                                  exact_support_radius, form_axioms_report,
                                  form_add, form_from_json, form_scale,
                                  form_sub, form_to_json, from_callable,
@@ -564,3 +564,79 @@ def test_gather_matches_value_at(seed):
     expected = [f.value_at(dict(zip(target, digits)))
                 for digits in product(range(3), repeat=len(target))]
     assert list(_gather(f, target)) == expected, (f.support, target, base)
+
+
+def combine_reference(terms, n_states, base):
+  """sum c * f, one configuration of the union of the supports at a time."""
+  support = tuple(sorted({v for _, f in terms for v in f.support}))
+  values = []
+  for digits in product(range(n_states), repeat=len(support)):
+    at = dict(zip(support, digits))
+    values.append(sum((Fraction(c) * f.value_at(at) for c, f in terms),
+                      Fraction(0)))
+  return support, tuple(values)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_combine_matches_value_at(seed):
+  rng = random.Random(seed)
+  sites = [(k,) for k in range(6)]
+  coefficients = (0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 4))
+  base = seed % 3
+  for shape in ("overlap", "disjoint", "empty", "equal"):
+    n_terms = rng.randint(1, 4)
+    if shape == "overlap":
+      supports = [rng.sample(sites, rng.randint(1, 3)) for _ in range(n_terms)]
+    elif shape == "disjoint":
+      pool = rng.sample(sites, 6)
+      supports = [pool[k::n_terms][:2] for k in range(n_terms)]
+    elif shape == "empty":
+      supports = [[]] + [rng.sample(sites, rng.randint(0, 2))
+                         for _ in range(n_terms - 1)]
+    else:
+      supports = [rng.sample(sites, 2)] * n_terms
+    # denominators 1..6 inside a table, and 35 in every other table
+    terms = [(rng.choice(coefficients),
+              random_function(rng, supp, 3, base, denom=6 if k % 2 else 35))
+             for k, supp in enumerate(supports)]
+    got = _combine(terms, 3, base)
+    assert (got.support, got.values) == combine_reference(terms, 3, base), shape
+    assert all(type(v) is Fraction for v in got.values)
+  zero = _combine([], 3, base)
+  assert (zero.support, zero.values) == ((), (Fraction(0),))
+
+
+def test_add_and_sub_refuse_mixed_alphabets():
+  rng = random.Random(5)
+  f = random_function(rng, ((0,), (1,)), 2, 0)
+  for other in (random_function(rng, ((1,),), 3, 0),
+                random_function(rng, ((1,),), 2, 1)):
+    for op in (add, sub):
+      with pytest.raises(InputError):
+        op(f, other)
+      with pytest.raises(InputError):
+        op(other, f)
+
+
+def test_form_add_and_sub_keep_edge_order():
+  rng = random.Random(9)
+  inter = exclusion()
+  e01, e10, e12, e21 = ((0,), (1,)), ((1,), (0,)), ((1,), (2,)), ((2,), (1,))
+
+  def fn(*supp):
+    return random_function(rng, supp, inter.n_states, inter.base)
+
+  shared = fn((1,), (2,))
+  a = Form(inter.n_states, inter.base, {e12: shared, e01: fn((0,), (1,))})
+  b = Form(inter.n_states, inter.base,
+           {e21: fn((2,),), e12: shared, e10: fn((0,),)})
+  total = form_add(a, b, radius=2)
+  assert list(total.fns) == [e12, e01, e21, e10]
+  assert total.radius == 2
+  assert total.fn(e12).values == scale(shared, 2).values
+  diff = form_sub(a, b)
+  # a's edges first, then b's other edges; the shared edge cancels
+  assert list(diff.fns) == [e01, e21, e10]
+  for e in (e21, e10):
+    assert functions_equal(diff.fn(e), scale(b.fn(e), -1))
+  assert functions_equal(diff.fn(e01), a.fn(e01))
