@@ -1,8 +1,11 @@
 """Local functions, exact-support expansions, and the naive differential.
 
 A ``LocalFunction`` is an exact-rational function of finitely many sites: a
-sorted support plus a dense mixed-radix table of values.  Everything here is
-Fraction arithmetic; nothing is ever rounded.
+sorted support plus a dense mixed-radix table of integer numerators over one
+common denominator.  That is the one table format: every kernel here reads
+and writes numerators and does integer arithmetic, and Fractions appear only
+where values enter (the constructor) or leave (``values``, ``value_at`` and
+the reports).  Nothing is ever rounded.
 
 The differential of a function along a directed edge e is
 ``f(eta^e) - f(eta)`` where ``eta^e`` applies the interaction across e.  A
@@ -16,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
+from math import gcd, lcm
 
 from .configspace import (_site_sums, apply_edge, config_to_json, digit_powers,
                           digits_of, edge_positions, guard_budget, index_of,
@@ -29,27 +32,57 @@ from .serialize import (InputError, WitnessError, fraction_from_str,
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LocalFunction:
   """Exact function of the states at finitely many sites.
 
-  ``values`` holds one Fraction per assignment of states to ``support``, the
-  first support vertex being the most significant mixed-radix digit.  The
-  empty support encodes a constant.
+  ``nums`` holds one integer numerator per assignment of states to
+  ``support``, the first support vertex being the most significant
+  mixed-radix digit, over the one positive ``denom``.  The table is kept in
+  lowest terms, so equal functions on one support are equal and hash equal.
+  The empty support encodes a constant.  ``values`` and ``value_at`` read
+  the table as Fractions.
   """
 
   support: tuple
   n_states: int
   base: int
-  values: tuple
+  nums: tuple
+  denom: int
 
-  def __post_init__(self):
-    expected = self.n_states ** len(self.support)
-    if len(self.values) != expected:
+  def __init__(self, support, n_states: int, base: int, values):
+    """From exact values (Fractions or ints), one per table entry."""
+    values = tuple(values)
+    denom = lcm(*{v.denominator for v in values})
+    self._fill(support, n_states, base,
+               tuple(v.numerator * (denom // v.denominator) for v in values),
+               denom)
+
+  @classmethod
+  def _exact(cls, support, n_states: int, base: int, nums, denom: int = 1):
+    """From integer numerators over ``denom``, put in lowest terms: how
+    every kernel builds its result."""
+    if denom != 1 and (common := gcd(denom, *nums)) != 1:
+      nums, denom = [k // common for k in nums], denom // common
+    f = object.__new__(cls)
+    f._fill(support, n_states, base, tuple(nums), denom)
+    return f
+
+  def _fill(self, support, n_states, base, nums, denom):
+    expected = n_states ** len(support)
+    if len(nums) != expected:
       raise InputError(
-          f"value table has {len(self.values)} entries, expected {expected}")
+          f"value table has {len(nums)} entries, expected {expected}")
+    vars(self).update(support=support, n_states=n_states, base=base,
+                      nums=nums, denom=denom)
 
   # -- evaluation -----------------------------------------------------------
+
+  @property
+  def values(self) -> tuple:
+    """The table as Fractions, one shared object per distinct value."""
+    shared = {k: Fraction(k, self.denom) for k in set(self.nums)}
+    return tuple(map(shared.__getitem__, self.nums))
 
   def powers(self):
     return digit_powers(len(self.support), self.n_states)
@@ -59,10 +92,10 @@ class LocalFunction:
     idx = 0
     for v, p in zip(self.support, self.powers()):
       idx += assignment.get(v, self.base) * p
-    return self.values[idx]
+    return Fraction(self.nums[idx], self.denom)
 
   def is_zero(self) -> bool:
-    return all(v == 0 for v in self.values)
+    return not any(self.nums)
 
   def assignments(self):
     """Iterate (digits, value) over the support table."""
@@ -81,23 +114,29 @@ def from_callable(support, n_states: int, base: int, fn) -> LocalFunction:
   return LocalFunction(support, n_states, base, vals)
 
 
-def _gather_index(f: LocalFunction, support) -> list:
-  """Where ``_gather`` reads each of its entries in f's table."""
+def _gather(f: LocalFunction, support) -> tuple:
+  """f's numerators on every configuration of ``support`` (sites in any
+  order), in index order.  f's sites outside ``support`` sit at base; sites
+  of ``support`` that f does not read are ignored."""
+  if tuple(support) == f.support:
+    return f.nums
   s = f.n_states
   place = dict(zip(f.support, f.powers()))
   inside = set(support)
   offset = f.base * sum(p for v, p in place.items() if v not in inside)
   # The offset rides along as a leading site with a single state.
-  return _site_sums([(offset,)] + [range(0, s * place[v], place[v])
-                                   if v in place else (0,) * s
-                                   for v in support])
+  index = _site_sums([(offset,)] + [range(0, s * place[v], place[v])
+                                    if v in place else (0,) * s
+                                    for v in support])
+  return tuple(map(f.nums.__getitem__, index))
 
 
-def _gather(f: LocalFunction, support) -> tuple:
-  """f's values on every configuration of ``support`` (sites in any order),
-  in index order.  f's sites outside ``support`` sit at base; sites of
-  ``support`` that f does not read are ignored."""
-  return tuple(map(f.values.__getitem__, _gather_index(f, support)))
+def _over(f: LocalFunction, support, denom: int, c: Fraction = Fraction(1)):
+  """c * f read on ``support`` as ``_gather`` does, as integer numerators
+  over ``denom``, a multiple of c's denominator times f's."""
+  m = c.numerator * (denom // (c.denominator * f.denom))
+  nums = _gather(f, support)
+  return nums if m == 1 else [m * k for k in nums]
 
 
 def embed(f: LocalFunction, support) -> LocalFunction:
@@ -108,21 +147,22 @@ def embed(f: LocalFunction, support) -> LocalFunction:
   missing = [v for v in f.support if v not in support]
   if missing:
     raise InputError(f"embed target lacks support sites {missing}")
-  return LocalFunction(support, f.n_states, f.base, _gather(f, support))
+  return LocalFunction._exact(support, f.n_states, f.base, _gather(f, support),
+                              f.denom)
 
 
-def _depends_on(values, block: int, s: int) -> bool:
+def _depends_on(nums, block: int, s: int) -> bool:
   """Does the table change with the digit whose place value is ``block``?
 
-  Compares the value slices of each digit against those of digit zero: one
+  Compares the table slices of each digit against those of digit zero: one
   contiguous slice per block when blocks are long, one strided slice per
   in-block offset when they are short.
   """
   span = block * s
-  if block * span >= len(values):
-    return any(values[i + d * block:i + (d + 1) * block] != values[i:i + block]
-               for i in range(0, len(values), span) for d in range(1, s))
-  return any(values[d * block + i::span] != values[i::span]
+  if block * span >= len(nums):
+    return any(nums[i + d * block:i + (d + 1) * block] != nums[i:i + block]
+               for i in range(0, len(nums), span) for d in range(1, s))
+  return any(nums[d * block + i::span] != nums[i::span]
              for i in range(block) for d in range(1, s))
 
 
@@ -133,52 +173,30 @@ def trim(f: LocalFunction) -> LocalFunction:
     return f
   s = f.n_states
   pows = f.powers()
-  keep = [k for k in range(n) if _depends_on(f.values, pows[k], s)]
+  keep = [k for k in range(n) if _depends_on(f.nums, pows[k], s)]
   if len(keep) == n:
     return f
   new_support = tuple(f.support[k] for k in keep)
-  return LocalFunction(new_support, s, f.base, _gather(f, new_support))
-
-
-def _denominator(values) -> int:
-  """The least common denominator of exact values."""
-  return lcm(*{v.denominator for v in values})
-
-
-def _numerators(values, denom: int) -> list:
-  """Exact values as integer numerators over the common ``denom``."""
-  return [v.numerator * (denom // v.denominator) for v in values]
-
-
-def _fractions(nums, denom: int) -> tuple:
-  """Back from numerators over ``denom``: one Fraction per distinct value."""
-  cache = {v: Fraction(v, denom) for v in set(nums)}
-  return tuple(map(cache.__getitem__, nums))
+  return LocalFunction._exact(new_support, s, f.base,
+                              _gather(f, new_support), f.denom)
 
 
 def _combine(terms, n_states: int, base: int) -> LocalFunction:
   """sum c * f over the (c, f) pairs, on the union of the supports.
 
-  Every table is read on that union with ``_gather`` as integer numerators
+  Every table is read on that union with ``_over`` as integer numerators
   over one common denominator, so the sum is integer additions only.
   """
   terms = [(Fraction(c), f) for c, f in terms]
   if any(f.n_states != n_states or f.base != base for _, f in terms):
     raise InputError("mixing local functions over different state alphabets")
   support = tuple(sorted(set(chain.from_iterable(f.support for _, f in terms))))
-  terms = [(c, f, _denominator(f.values)) for c, f in terms if c]
-  denom = lcm(*(c.denominator * d for c, _, d in terms))
-  columns = []
-  for c, f, _ in terms:
-    nums = _numerators(f.values, denom // c.denominator)
-    if c.numerator != 1:
-      nums = [c.numerator * k for k in nums]
-    if f.support != support:
-      nums = list(map(nums.__getitem__, _gather_index(f, support)))
-    columns.append(nums)
+  terms = [(c, f) for c, f in terms if c]
+  denom = lcm(*(c.denominator * f.denom for c, f in terms))
+  columns = [_over(f, support, denom, c) for c, f in terms]
   total = (list(map(sum, zip(*columns))) if columns
            else [0] * n_states ** len(support))
-  return LocalFunction(support, n_states, base, _fractions(total, denom))
+  return LocalFunction._exact(support, n_states, base, total, denom)
 
 
 def add(f, g):
@@ -190,9 +208,7 @@ def sub(f, g):
 
 
 def scale(f: LocalFunction, c) -> LocalFunction:
-  c = Fraction(c)
-  return LocalFunction(f.support, f.n_states, f.base,
-                       tuple(c * v for v in f.values))
+  return _combine(((c, f),), f.n_states, f.base)
 
 
 def functions_equal(f: LocalFunction, g: LocalFunction) -> bool:
@@ -203,7 +219,8 @@ def restrict(f: LocalFunction, region) -> LocalFunction:
   """iota^Region: evaluate with every site outside the region at the base."""
   region = set(region)
   support = tuple(v for v in f.support if v in region)
-  return LocalFunction(support, f.n_states, f.base, _gather(f, support))
+  return LocalFunction._exact(support, f.n_states, f.base, _gather(f, support),
+                              f.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +259,7 @@ def _piece(table, positions, n_sites: int, n_states: int, base: int) -> tuple:
   vals = []
   for digits in product(range(n_states), repeat=len(places)):
     if base in digits:
-      vals.append(ZERO)
+      vals.append(0)
     else:
       vals.append(table[origin + sum((d - base) * p
                                      for d, p in zip(digits, places))])
@@ -263,7 +280,7 @@ def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   n = len(f.support)
   if (1 + f.n_states) ** n > budget:
     raise InputError(f"expansion over {n} sites exceeds the budget")
-  table = _mobius(f.values, n, f.n_states, f.base)
+  table = _mobius(f.nums, n, f.n_states, f.base)
   # The non-base sites of every entry as a bit mask over support positions;
   # the piece on a subset is nonzero exactly when an entry with its mask is.
   masks = _site_sums([[0 if d == f.base else 1 << k for d in range(f.n_states)]
@@ -273,9 +290,9 @@ def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   for positions in _subsets(n):
     if sum(1 << k for k in positions) in live:
       sub_support = tuple(f.support[k] for k in positions)
-      pieces[sub_support] = LocalFunction(
+      pieces[sub_support] = LocalFunction._exact(
           sub_support, f.n_states, f.base,
-          _piece(table, positions, n, f.n_states, f.base))
+          _piece(table, positions, n, f.n_states, f.base), f.denom)
   return pieces
 
 
@@ -287,12 +304,8 @@ def reassemble(pieces: dict, region, n_states: int, base: int) -> LocalFunction:
 
 
 def support_diameter(vertices, locale: Locale) -> int:
-  verts = tuple(vertices)
-  best = 0
-  for i in range(len(verts)):
-    for j in range(i + 1, len(verts)):
-      best = max(best, locale.distance(verts[i], verts[j]))
-  return best
+  return max((locale.distance(u, v) for u, v in combinations(tuple(vertices), 2)),
+             default=0)
 
 
 def exact_support_radius(f: LocalFunction, locale: Locale) -> int:
@@ -394,15 +407,12 @@ def _edge_jumps(support, edge, inter: Interaction) -> list:
 def gradient(f: LocalFunction, edge, inter: Interaction) -> LocalFunction:
   """nabla_e f: the change of f when the interaction fires across the edge."""
   support = tuple(sorted(set(f.support) | set(edge)))
-  values = embed(f, support).values
-  denom = _denominator(values)
-  nums = _numerators(values, denom)
+  nums = _gather(f, support)
   out = [0] * len(nums)
   for idx, j in enumerate(_edge_jumps(support, edge, inter)):
     if j is not None:
       out[idx] = nums[idx + j] - nums[idx]
-  return trim(LocalFunction(support, f.n_states, f.base,
-                            _fractions(out, denom)))
+  return trim(LocalFunction._exact(support, f.n_states, f.base, out, f.denom))
 
 
 def differential(f: LocalFunction, window: Window, inter: Interaction,
@@ -412,10 +422,9 @@ def differential(f: LocalFunction, window: Window, inter: Interaction,
     g = gradient(f, e, inter)
     if not g.is_zero():
       fns[e] = g
-  form = Form(inter.n_states, inter.base, fns, radius)
   if radius is None:
-    form = Form(inter.n_states, inter.base, fns, form_radius(form, window.locale))
-  return form
+    radius = form_radius(Form(inter.n_states, inter.base, fns), window.locale)
+  return Form(inter.n_states, inter.base, fns, radius)
 
 
 def edge_distance(x, edge, locale: Locale) -> int:
@@ -423,11 +432,8 @@ def edge_distance(x, edge, locale: Locale) -> int:
 
 
 def form_radius(form: Form, locale: Locale) -> int:
-  r = 0
-  for e, f in form.fns.items():
-    for x in f.support:
-      r = max(r, edge_distance(x, e, locale))
-  return r
+  return max((edge_distance(x, e, locale)
+              for e, f in form.fns.items() for x in f.support), default=0)
 
 
 def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
@@ -442,11 +448,10 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
   for e, f in sorted(form.fns.items()):
     u, v = e
     support = tuple(sorted(set(f.support) | {u, v}))
-    vals = embed(f, support).values
     rev = form.fn((v, u))
-    back = embed(rev, support).values if rev is not None else (ZERO,) * len(vals)
-    denom = _denominator(vals + back)
-    vals, back = _numerators(vals, denom), _numerators(back, denom)
+    denom = f.denom if rev is None else lcm(f.denom, rev.denom)
+    vals = _over(f, support, denom)
+    back = (0,) * len(vals) if rev is None else _over(rev, support, denom)
     for idx, j in enumerate(_edge_jumps(support, e, inter)):
       val = vals[idx]
       if j is None:
@@ -475,14 +480,16 @@ def _matching_witness(form: Form, window: Window, inter: Interaction):
         continue
       f1, f2 = form.fns[e1], form.fns[e2]
       support = tuple(sorted(set(f1.support) | set(f2.support) | set(e1) | set(e2)))
-      b1, b2 = embed(f1, support).values, embed(f2, support).values
+      denom = lcm(f1.denom, f2.denom)
+      b1, b2 = _over(f1, support, denom), _over(f2, support, denom)
       jumps = zip(_edge_jumps(support, e1, inter),
                   _edge_jumps(support, e2, inter))
       for k, (j1, j2) in enumerate(jumps):
         if j1 is not None and j1 == j2 and b1[k] != b2[k]:
           return {
               "edges": [_edge_json(window, e1), _edge_json(window, e2)],
-              "values": [fraction_to_str(b1[k]), fraction_to_str(b2[k])],
+              "values": [fraction_to_str(Fraction(b1[k], denom)),
+                         fraction_to_str(Fraction(b2[k], denom))],
           }
   return None
 
@@ -528,8 +535,8 @@ def _edge_steps(fn, window: Window, pu: int, pv: int, s: int, denom: int):
   pos = [window.position(x) for x in fn.support]
   if set(pos) <= {pu, pv}:
     pair = (window.vertices[pu], window.vertices[pv])
-    return tuple(_numerators(_gather(fn, pair), denom)), None
-  nums = _numerators(fn.values, denom)
+    return _over(fn, pair, denom), None
+  nums = _over(fn, fn.support, denom)
   weights = fn.powers()
   runs = []
   start = 0
@@ -556,7 +563,7 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   n, s = window.n_sites, inter.n_states
   moves = move_table(edge_positions(window), n, inter)
   fns = [form.fn(e) for e in window.edges]
-  denom = _denominator([v for fn in fns if fn is not None for v in fn.values])
+  denom = lcm(*(fn.denom for fn in fns if fn is not None))
   table = [(pu, pv, jumps, *_edge_steps(fn, window, pu, pv, s, denom), e)
            for (pu, pv, jumps), fn, e in zip(moves, fns, window.edges)]
   # The digits of an index, from small tables of its leading and trailing
@@ -679,8 +686,8 @@ def integrate(form: Form, window: Window, inter: Interaction,
   values, denom, pins, witness = _potential_scan(form, window, inter, budget)
   if witness is not None:
     raise NotClosedError(witness)
-  f = LocalFunction(window.vertices, inter.n_states, inter.base,
-                    _fractions(values, denom))
+  f = LocalFunction._exact(window.vertices, inter.n_states, inter.base, values,
+                           denom)
   return f, {"n_components": len(pins), "pins": pins}
 
 
@@ -698,20 +705,22 @@ def perturbed(form: Form, window: Window, inter: Interaction, edge,
   rev = form.fn((v, u)) or constant(0, inter.n_states, inter.base)
   common = tuple(sorted(set(f.support) | set(rev.support) | {u, v}
                         | set(cell_assignment)))
-  fe, re = embed(f, common), embed(rev, common)
   pu, pv = common.index(u), common.index(v)
   cell = tuple(cell_assignment.get(w, inter.base) for w in common)
   moved = apply_edge(cell, pu, pv, inter)
   if moved == cell:
     raise InputError("perturbation cell must be moved by the edge")
-  powers = fe.powers()
-  vals = list(fe.values)
-  vals[index_of(cell, powers)] += delta
-  rvals = list(re.values)
-  rvals[index_of(moved, powers)] -= delta
+  denom = lcm(f.denom, rev.denom, delta.denominator)
+  step = delta.numerator * (denom // delta.denominator)
+  powers = digit_powers(len(common), inter.n_states)
+  vals = list(_over(f, common, denom))
+  vals[index_of(cell, powers)] += step
+  rvals = list(_over(rev, common, denom))
+  rvals[index_of(moved, powers)] -= step
   fns = dict(form.fns)
-  fns[edge] = LocalFunction(common, f.n_states, f.base, tuple(vals))
-  fns[(v, u)] = LocalFunction(common, rev.n_states, rev.base, tuple(rvals))
+  fns[edge] = LocalFunction._exact(common, f.n_states, f.base, vals, denom)
+  fns[(v, u)] = LocalFunction._exact(common, rev.n_states, rev.base, rvals,
+                                     denom)
   return Form(form.n_states, form.base, fns, form.radius)
 
 

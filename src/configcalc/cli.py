@@ -60,6 +60,13 @@ def _window(man, locale):
   return window_from_json(locale, _need(man, "window"))
 
 
+def _setting(man):
+  """The manifest's interaction, locale, window and conserved basis."""
+  inter = _interaction(man)
+  locale = _locale(man)
+  return inter, locale, _window(man, locale), conserved_basis(inter)
+
+
 def _budget(man, args) -> int:
   value = args.budget if args.budget is not None else man.get(
       "budget", DEFAULT_BUDGET)
@@ -161,19 +168,14 @@ def _cmd_validate(man, args):
 
 
 def _cmd_irreducible(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   report = fibers_report(win, inter, basis, _budget(man, args))
   ok = report["fibers_connected"] and report["components_separated"]
   return {"fibers": report, "basis": basis_to_json(basis)}, 0 if ok else 1
 
 
 def _cmd_expand(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
+  inter, locale, win, _ = _setting(man)
   f = _function(man, win, inter)
   plan = _probe_plan(man)
   pieces = expansion(f, budget=_budget(man, args))
@@ -194,9 +196,7 @@ def _cmd_expand(man, args):
 
 
 def _cmd_diff(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
+  inter, locale, win, _ = _setting(man)
   f = _function(man, win, inter)
   form = differential(f, win, inter)
   return {
@@ -207,20 +207,14 @@ def _cmd_diff(man, args):
 
 
 def _cmd_closed(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   form = _form(man, win, inter, basis)
   report = is_closed(form, win, inter, budget=_budget(man, args))
   return {"closed": report}, 0 if report["closed"] else 1
 
 
 def _cmd_integrate(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   form = _form(man, win, inter, basis)
   f, meta = integrate(form, win, inter, budget=_budget(man, args))
   return {
@@ -231,10 +225,7 @@ def _cmd_integrate(man, args):
 
 
 def _cmd_pairing(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   f = _function(man, win, inter)
   plan, probes = _planned_probes(man, win, inter)
   table = compute_pairing(f, win, inter, basis, plan["radius"], probes,
@@ -272,10 +263,7 @@ def _cmd_split(man, args):
 
 
 def _cmd_uniformize(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   f = _function(man, win, inter)
   plan, probes = _planned_probes(man, win, inter)
   result = uniformize(f, win, inter, basis, plan["radius"], probes,
@@ -294,20 +282,14 @@ def _cmd_uniformize(man, args):
 
 
 def _cmd_h0(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   report = h_zero_report(win, inter, basis, _budget(man, args))
   ok = report["quantities_separate_components"]
   return {"h0": report, "basis": basis_to_json(basis)}, 0 if ok else 1
 
 
 def _cmd_omega_rho(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   a = cocycle_from_json(_need(man, "cocycle"))
   action = _action(man, locale)
   domain = _domain(man, locale)
@@ -321,10 +303,7 @@ def _cmd_omega_rho(man, args):
 
 
 def _cmd_delta(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   form = _form(man, win, inter, basis)
   action = _action(man, locale)
   result = extract_cocycle(form, win, inter, basis, action)
@@ -336,10 +315,7 @@ def _cmd_delta(man, args):
 
 
 def _cmd_decompose(man, args):
-  inter = _interaction(man)
-  locale = _locale(man)
-  win = _window(man, locale)
-  basis = conserved_basis(inter)
+  inter, locale, win, basis = _setting(man)
   form = _form(man, win, inter, basis)
   action = _action(man, locale)
   domain = _domain(man, locale)

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .calculus import (Form, LocalFunction, _gather, is_uniform, restrict,
-                       uniformity_criterion)
+from .calculus import (Form, LocalFunction, _gather, _over, is_uniform,
+                       restrict, uniformity_criterion)
 from .configspace import _quantity_table, fibers_report, quantity_to_json
 from .interactions import Interaction
 from .linalg import rref
@@ -91,7 +92,7 @@ def default_probes(window: Window, inter: Interaction, radius: int,
         f"default probes need a lattice locale, not {locale.name}; "
         "supply explicit probes")
 
-  center = window.vertices[len(window.vertices) // 2]
+  center = window.center()
   d = locale.coord_dim()
   pairs = []
   seen = set()
@@ -151,6 +152,7 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
     probes = default_probes(window, inter, radius, probe_budget=probe_budget)
   locale = window.locale
   table = PairingTable(basis=tuple(basis), radius=radius)
+  cells = {}  # (alpha, beta) -> numerator over f.denom
   provenance = {}
   for first, second in probes:
     first, second = tuple(first), tuple(second)
@@ -168,25 +170,27 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
         "second": [locale.encode_vertex(v) for v in second],
         "distance": dist,
     })
-    # Every table runs over the configurations of the union in index order.
-    cells = zip(_quantity_table(union, basis, inter.n_states, first),
-                _quantity_table(union, basis, inter.n_states, second),
-                _gather(f, union), _gather(restrict(f, first), union),
-                _gather(restrict(f, second), union))
-    for alpha, beta, whole, on_first, on_second in cells:
+    # Every table runs over the configurations of the union in index order,
+    # as numerators over f's denominator.
+    rows = zip(_quantity_table(union, basis, inter.n_states, first),
+               _quantity_table(union, basis, inter.n_states, second),
+               _gather(f, union), _over(restrict(f, first), union, f.denom),
+               _over(restrict(f, second), union, f.denom))
+    for alpha, beta, whole, on_first, on_second in rows:
       defect = whole - on_first - on_second
       key = (alpha, beta)
-      if key in table.cells:
-        if table.cells[key] != defect:
+      if key in cells:
+        if cells[key] != defect:
           raise PairingNotWellDefined({
               "cell": {"a": quantity_to_json(alpha), "b": quantity_to_json(beta)},
-              "values": [fraction_to_str(table.cells[key]),
-                         fraction_to_str(defect)],
+              "values": [fraction_to_str(Fraction(cells[key], f.denom)),
+                         fraction_to_str(Fraction(defect, f.denom))],
               "probes": [provenance[key], table.probes[-1]],
           })
       else:
-        table.cells[key] = defect
+        cells[key] = defect
         provenance[key] = table.probes[-1]
+  table.cells = {key: Fraction(k, f.denom) for key, k in cells.items()}
   return table
 
 
@@ -389,14 +393,8 @@ def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
   if cert_region is None:
     cert_region = max((p[0] for p in probes), key=len)
   cert_region = tuple(sorted(cert_region))
-  vals = []
-  for v, q in zip(_gather(f, cert_region),
-                  _quantity_table(cert_region, basis, inter.n_states)):
-    if q not in h:
-      raise InputError(
-          f"certificate region quantity {quantity_to_json(q)} not probed")
-    vals.append(v + h[q])
-  g = LocalFunction(cert_region, inter.n_states, inter.base, tuple(vals))
+  g = _quantity_corrected(f, cert_region, basis, h,
+                          "certificate region quantity {} not probed")
   uniform = is_uniform(g, window.locale, radius)
   criterion = all(
       uniformity_criterion(g, window.locale, cert_region, x, radius)
@@ -414,6 +412,25 @@ def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
           "radius": radius,
       },
   }
+
+
+def _quantity_corrected(f: LocalFunction, sites, basis, h: dict,
+                        missing: str) -> LocalFunction:
+  """f read on ``sites`` plus h of their quantity vector, exactly.
+
+  ``missing`` words the ``InputError`` for a quantity h does not cover,
+  with ``{}`` standing for that quantity.
+  """
+  denom = lcm(f.denom, *(v.denominator for v in h.values()))
+  shift = {q: v.numerator * (denom // v.denominator) for q, v in h.items()}
+  nums = []
+  for k, q in zip(_over(f, sites, denom),
+                  _quantity_table(sites, basis, f.n_states)):
+    try:
+      nums.append(k + shift[q])
+    except KeyError:
+      raise InputError(missing.format(quantity_to_json(q))) from None
+  return LocalFunction._exact(tuple(sites), f.n_states, f.base, nums, denom)
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +475,8 @@ def inversion_count_function(window: Window, inter: Interaction,
         for j in range(i + 1, n):
           if digits[j] == high:
             count += 1
-    vals.append(Fraction(count))
-  return LocalFunction(window.vertices, inter.n_states, inter.base, tuple(vals))
+    vals.append(count)
+  return LocalFunction._exact(window.vertices, inter.n_states, inter.base, vals)
 
 
 def ordered_flux_form(window: Window, inter: Interaction,
@@ -471,10 +488,10 @@ def ordered_flux_form(window: Window, inter: Interaction,
   """
   low = inter.state_index(low_value)
   high = inter.state_index(high_value)
-  vals = tuple(Fraction(((a, b) == (high, low)) - ((a, b) == (low, high)))
-               for a, b in product(range(inter.n_states), repeat=2))
-  fns = {(u, v): LocalFunction(tuple(sorted((u, v))), inter.n_states,
-                               inter.base, vals)
+  nums = [((a, b) == (high, low)) - ((a, b) == (low, high))
+          for a, b in product(range(inter.n_states), repeat=2)]
+  fns = {(u, v): LocalFunction._exact(tuple(sorted((u, v))), inter.n_states,
+                                      inter.base, nums)
          for u, v in window.edges}
   return Form(inter.n_states, inter.base, fns, 0)
 

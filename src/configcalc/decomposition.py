@@ -19,18 +19,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .calculus import (Form, LocalFunction, _combine, _gather, _mobius,
+from .calculus import (Form, LocalFunction, _combine, _mobius,
                        _path_integral, _piece, _subsets, constant,
                        differential, form_axioms_report, form_add, form_sub,
                        functions_equal, gradient, integrate, is_closed,
                        restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
-                         check_pairing_laws, compute_pairing, default_probes,
+                         _quantity_corrected, check_pairing_laws,
+                         compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (_quantity_table, _site_sums, digits_from_sites,
-                          exchange_path, guard_budget, quantity_to_json)
+from .configspace import (digits_from_sites, exchange_path, guard_budget)
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import rref
@@ -78,12 +79,17 @@ class TranslationAction:
       if len(g) != d:
         raise InputError("generator length does not match the locale")
     # The generators are the matrix's columns.  At full rank, the row
-    # combinations that reduce it to the identity form its inverse.
+    # combinations that reduce it to the identity form its inverse, kept as
+    # integer numerators over one denominator.
     _, pivots, combos = rref(zip(*self.generators), d)
     if len(pivots) < d:
       raise InputError("translation generators are linearly dependent")
     inverse = [[combo.get(k, ZERO) for k in range(d)] for combo in combos]
-    object.__setattr__(self, "_inverse", inverse)
+    denom = lcm(*(x.denominator for row in inverse for x in row))
+    object.__setattr__(self, "_inverse", tuple(
+        tuple(x.numerator * (denom // x.denominator) for x in row)
+        for row in inverse))
+    object.__setattr__(self, "_denom", denom)
 
   @property
   def rank(self) -> int:
@@ -99,11 +105,10 @@ class TranslationAction:
 
   def coeffs_of(self, delta) -> tuple | None:
     """Integer coefficients expressing a coordinate vector, or None."""
-    ks = [sum(row[i] * delta[i] for i in range(len(delta)))
-          for row in self._inverse]
-    if any(k.denominator != 1 for k in ks):
+    ks = [sum(a * b for a, b in zip(row, delta)) for row in self._inverse]
+    if any(k % self._denom for k in ks):
       return None
-    return tuple(int(k) for k in ks)
+    return tuple(k // self._denom for k in ks)
 
   def act_vertex(self, x, shift):
     return self.locale.translate(x, shift)
@@ -138,7 +143,7 @@ def translate_function(action: TranslationAction, f: LocalFunction,
   support = tuple(action.act_vertex(v, shift) for v in f.support)
   if tuple(sorted(support)) != support:  # lattice shifts preserve order
     raise RuntimeError(f"translating by {shift} reorders the support")
-  return LocalFunction(support, f.n_states, f.base, f.values)
+  return LocalFunction._exact(support, f.n_states, f.base, f.nums, f.denom)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +185,7 @@ def orbit_tiles(window: Window, action: TranslationAction, domain) -> dict:
 
 
 def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
-  """Per window site x, the table over states d of sum_i w_i(x) basis[i][d],
+  """Per window site x, the one-site function d -> sum_i w_i(x) basis[i][d],
   where w_i(x) = sum_j a[i][j] tau(x)_j weighs quantity i by x's tile index."""
   if len(a_matrix) != len(basis):
     raise InputError("cocycle matrix needs one row per conserved quantity")
@@ -190,8 +195,10 @@ def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
   for x in window.vertices:
     coeffs, _ = tile_of(action, x, domain)
     w = [sum(Fraction(a) * k for a, k in zip(row, coeffs)) for row in a_matrix]
-    tables[x] = [sum((wi * vec[d] for wi, vec in zip(w, basis)), ZERO)
-                 for d in range(inter.n_states)]
+    tables[x] = LocalFunction(
+        (x,), inter.n_states, inter.base,
+        [sum((wi * vec[d] for wi, vec in zip(w, basis)), ZERO)
+         for d in range(inter.n_states)])
   return tables
 
 
@@ -205,8 +212,8 @@ def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
   """
   guard_budget(window, inter, budget)
   tables = _site_weights(a_matrix, action, domain, window, inter, basis)
-  return LocalFunction(window.vertices, inter.n_states, inter.base,
-                       tuple(_site_sums(tables.values())))
+  return _combine(((1, t) for t in tables.values()), inter.n_states,
+                  inter.base)
 
 
 def build_omega_rho(a_matrix, action: TranslationAction, domain,
@@ -217,10 +224,8 @@ def build_omega_rho(a_matrix, action: TranslationAction, domain,
   fns = {}
   for e in window.edges:
     # The gradient of theta read on the edge's two sites.
-    pair = tuple(sorted(e))
-    fn = gradient(LocalFunction(pair, inter.n_states, inter.base,
-                                tuple(_site_sums([tables[x] for x in pair]))),
-                  e, inter)
+    fn = gradient(_combine(((1, tables[x]) for x in e), inter.n_states,
+                           inter.base), e, inter)
     if not fn.is_zero():
       fns[e] = fn
   return Form(inter.n_states, inter.base, fns, 0)
@@ -232,11 +237,8 @@ def build_omega_rho(a_matrix, action: TranslationAction, domain,
 
 def interior_vertices(window: Window, pad: int) -> set:
   """Vertices whose pad-ball stays inside the window."""
-  out = set()
-  for x in window.vertices:
-    if all(y in window for y in window.locale.ball(x, pad)):
-      out.add(x)
-  return out
+  return {x for x in window.vertices
+          if all(y in window for y in window.locale.ball(x, pad))}
 
 
 def is_shift_invariant(form: Form, window: Window,
@@ -248,11 +250,11 @@ def is_shift_invariant(form: Form, window: Window,
   checked = 0
   zero = constant(0, form.n_states, form.base)
   for j, g in enumerate(action.generators):
+    back = tuple(-a for a in g)
     for (u, v) in window.edges:
       if u not in inner or v not in inner:
         continue
-      u0, v0 = action.act_vertex(u, tuple(-a for a in g)), \
-               action.act_vertex(v, tuple(-a for a in g))
+      u0, v0 = action.act_vertex(u, back), action.act_vertex(v, back)
       if u0 not in window or v0 not in window:
         continue
       f1 = form.fn((u, v)) or zero
@@ -305,20 +307,18 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
         f"exchange witnesses for {exch['missing_pairs']}")
   witnesses = exch["witnesses"]
   if center is None:
-    center = window.vertices[len(window.vertices) // 2]
+    center = window.center()
 
   a_cols = []
   probes = 0
-  for j in range(d):
-    g = action.generators[j]
+  states = [s for s in range(inter.n_states) if s != inter.base]
+  for j, g in enumerate(action.generators):
     x0 = center
     x_prev = action.act_vertex(x0, tuple(-a for a in g))
     if x0 not in window or x_prev not in window:
       raise InputError("window too small to probe the translation defect")
     rows = []
-    for s in range(inter.n_states):
-      if s == inter.base:
-        continue
+    for s in states:
       start = digits_from_sites(window, inter, {x_prev: s})
       steps, final = exchange_path(window, inter, start, x_prev, x0, witnesses)
       if final != digits_from_sites(window, inter, {x0: s}):
@@ -340,9 +340,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
 
   # linearity cross-checks on two-site configurations
   cross = 0
-  states = [s for s in range(inter.n_states) if s != inter.base]
-  for j in range(d):
-    g = action.generators[j]
+  for j, g in enumerate(action.generators):
     x0 = center
     x1 = action.act_vertex(x0, tuple(2 * a for a in g))
     x0p = action.act_vertex(x0, tuple(-a for a in g))
@@ -421,7 +419,7 @@ def _recenter_domain(window: Window, action: TranslationAction,
                      domain) -> tuple:
   """Translate the fundamental domain toward the window's middle vertex."""
   anchor = domain[len(domain) // 2]
-  center = window.vertices[len(window.vertices) // 2]
+  center = window.center()
   candidates = sorted(window.locale.ball(center, action.max_step()),
                       key=lambda v: (window.locale.distance(v, center), v))
   for cand in candidates:
@@ -534,16 +532,12 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
     if support_diameter(sub_supp, window.locale) > radius:
       continue
     size = len(sub_supp)
-    corrected = []
-    for v, q in zip(_gather(potential, sub_supp),
-                    _quantity_table(sub_supp, basis, s)):
-      if q not in h:
-        raise InputError(
-            f"pairing probes did not cover quantity {quantity_to_json(q)}")
-      corrected.append(v + h[q])
-    moebius = _mobius(corrected, size, s, inter.base)
-    piece = LocalFunction(sub_supp, s, inter.base,
-                          _piece(moebius, range(size), size, s, inter.base))
+    corrected = _quantity_corrected(potential, sub_supp, basis, h,
+                                    "pairing probes did not cover quantity {}")
+    moebius = _mobius(corrected.nums, size, s, inter.base)
+    piece = LocalFunction._exact(
+        sub_supp, s, inter.base,
+        _piece(moebius, range(size), size, s, inter.base), corrected.denom)
     if piece.is_zero():
       continue
     weight = len(translates_meeting(action, piece, domain))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import rref
 from .serialize import InputError, fraction_from_str, fraction_to_str
@@ -212,30 +213,23 @@ def check_validity(inter: Interaction) -> dict:
   edge orientations) is symmetric.  The report carries a witness for
   whichever fails.
   """
-  n = inter.n_states
+  pairs = [(i, j) for i in range(inter.n_states)
+           for j in range(inter.n_states)]
   strict_witness = None
-  for i in range(n):
-    for j in range(n):
-      k, l = inter.apply(i, j)
-      if (k, l) == (i, j):
-        continue
-      m, o = inter.apply(l, k)
-      if (o, m) != (i, j):
-        strict_witness = {
-            "pair": [inter.states[i], inter.states[j]],
-            "image": [inter.states[k], inter.states[l]],
-            "round_trip": [inter.states[o], inter.states[m]],
-        }
-        break
-    if strict_witness:
+  for i, j in pairs:
+    k, l = inter.apply(i, j)
+    m, o = inter.apply(l, k)
+    if (k, l) != (i, j) and (o, m) != (i, j):
+      strict_witness = {
+          "pair": [inter.states[i], inter.states[j]],
+          "image": [inter.states[k], inter.states[l]],
+          "round_trip": [inter.states[o], inter.states[m]],
+      }
       break
 
-  transitions = set()
-  for i in range(n):
-    for j in range(n):
-      for target in (inter.apply(i, j), inter.apply_reversed(i, j)):
-        if target != (i, j):
-          transitions.add(((i, j), target))
+  transitions = {((i, j), target) for i, j in pairs
+                 for target in (inter.apply(i, j), inter.apply_reversed(i, j))
+                 if target != (i, j)}
   relaxed_witness = None
   for p, q in sorted(transitions):
     if (q, p) not in transitions:
@@ -260,21 +254,11 @@ def check_validity(inter: Interaction) -> dict:
 
 def _normalize_integer_vector(vec):
   """Scale to coprime integers with a positive leading entry."""
-  from math import gcd, lcm
-
-  denoms = [f.denominator for f in vec if f != 0]
-  if not denoms:
-    return tuple(0 for _ in vec)
-  scale = lcm(*denoms) if len(denoms) > 1 else denoms[0]
-  ints = [int(f * scale) for f in vec]
-  g = 0
-  for v in ints:
-    g = gcd(g, abs(v))
-  ints = [v // g for v in ints]
-  lead = next(v for v in ints if v != 0)
-  if lead < 0:
-    ints = [-v for v in ints]
-  return tuple(ints)
+  denom = lcm(*(f.denominator for f in vec))
+  ints = [f.numerator * (denom // f.denominator) for f in vec]
+  lead = next((v for v in ints if v != 0), 1)
+  common = gcd(*ints) * (1 if lead > 0 else -1)
+  return tuple(v // common for v in ints) if common else tuple(ints)
 
 
 def conserved_basis(inter: Interaction) -> tuple:

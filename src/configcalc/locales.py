@@ -449,6 +449,20 @@ class Window:
   def n_sites(self) -> int:
     return len(self.vertices)
 
+  def center(self):
+    """The vertex of least eccentricity (its largest distance to another
+    window vertex); ties go to the vertex nearest index n // 2 in vertex
+    order, the lower index first."""
+    mid = len(self.vertices) // 2
+    order = sorted(range(len(self.vertices)), key=lambda i: (abs(i - mid), i))
+    dist, verts = self.locale.distance, self.vertices
+    best = verts[order[0]]
+    ecc = max(dist(best, w) for w in verts)
+    for v in (verts[i] for i in order[1:]):
+      if all(dist(v, w) < ecc for w in verts):  # stops at the first far one
+        best, ecc = v, max(dist(v, w) for w in verts)
+    return best
+
   def undirected_edges(self):
     return tuple((u, v) for u, v in self.edges if u <= v)
 

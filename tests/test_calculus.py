@@ -541,6 +541,47 @@ def test_form_json_rejects_foreign_edges():
     form_from_json(obj, win, inter)
 
 
+def test_table_is_numerators_over_one_reduced_denominator():
+  vals = (Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5))
+  f = LocalFunction(((0,), (1,)), 2, 0, vals)
+  assert (f.nums, f.denom) == ((3, -4, 0, 30), 6)
+  assert f.values == vals
+  assert all(type(v) is Fraction for v in f.values)
+  # equal values give equal functions with equal hashes, whichever path
+  # built them: kernel results are reduced to lowest terms
+  half = LocalFunction(((0,),), 2, 0, (Fraction(1, 2), Fraction(1, 2)))
+  one = add(half, half)
+  assert (one.nums, one.denom) == ((1, 1), 1)
+  built = (one, LocalFunction(((0,),), 2, 0, (1, 1)),
+           scale(LocalFunction(((0,),), 2, 0, (Fraction(1, 3),) * 2), 3),
+           restrict(LocalFunction(((0,), (1,)), 2, 0,
+                                  (1, Fraction(1, 2), 1, Fraction(1, 2))),
+                    {(0,)}))
+  for g in built:
+    assert g == built[0] and hash(g) == hash(built[0])
+  assert trim(one) == constant(1, 2, 0)
+  zero = sub(f, f)
+  assert zero.is_zero() and zero.denom == 1
+  assert zero == LocalFunction(f.support, 2, 0, (0,) * 4)
+  assert f != scale(f, 2) and not f.is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_value_at_and_is_zero_agree_with_values(seed):
+  rng = random.Random(seed)
+  sites = [(k,) for k in range(4)]
+  f = random_function(rng, rng.sample(sites, rng.randint(0, 3)), 3, seed % 3)
+  g = random_function(rng, rng.sample(sites, rng.randint(0, 3)), 3, seed % 3)
+  for h in (f, add(f, g), sub(f, f), scale(g, Fraction(-3, 2)),
+            restrict(add(f, g), sites[:2]), trim(sub(add(f, g), g))):
+    assert len(h.values) == len(h.nums)
+    for digits, value in h.assignments():
+      assert h.value_at(dict(zip(h.support, digits))) == value
+    assert h.is_zero() == all(v == 0 for v in h.values)
+  assert trim(sub(add(f, g), g)) == trim(f)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_value_at_defaults_to_base(seed):
@@ -563,7 +604,8 @@ def test_gather_matches_value_at(seed):
     target = tuple(rng.sample(sites, rng.randint(0, 4)))
     expected = [f.value_at(dict(zip(target, digits)))
                 for digits in product(range(3), repeat=len(target))]
-    assert list(_gather(f, target)) == expected, (f.support, target, base)
+    got = [Fraction(k, f.denom) for k in _gather(f, target)]
+    assert got == expected, (f.support, target, base)
 
 
 def combine_reference(terms, n_states, base):

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from configcalc.calculus import (differential, form_add, form_scale,
                                  from_callable, functions_equal, integrate)
@@ -56,6 +57,33 @@ def test_translation_action_basics():
   assert sub.coeffs_of((3, 0)) is None
   assert sub.coeffs_of((1, 0)) is None
   assert sub.coeffs_of((2, 0)) == (1, 0)
+
+
+def fraction_solve(gens, delta):
+  """Coefficients c with c[0] * gens[0] + c[1] * gens[1] == delta, by
+  Cramer's rule over Fractions; None unless both are integers."""
+  (a, c), (b, d) = gens
+  det = a * d - b * c
+  coeffs = (Fraction(delta[0] * d - b * delta[1], det),
+            Fraction(a * delta[1] - delta[0] * c, det))
+  if any(k.denominator != 1 for k in coeffs):
+    return None
+  return tuple(int(k) for k in coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+       st.tuples(st.integers(-15, 15), st.integers(-15, 15)))
+def test_coeffs_of_matches_a_fraction_solve(entries, delta):
+  gens = (tuple(entries[:2]), tuple(entries[2:]))
+  assume(gens[0][0] * gens[1][1] != gens[1][0] * gens[0][1])
+  act = TranslationAction(Euclidean(2), gens)
+  want = fraction_solve(gens, delta)
+  got = act.coeffs_of(delta)
+  assert got == want
+  if got is not None:
+    assert all(type(k) is int for k in got)
+    assert act.shift_of(got) == delta
 
 
 def test_translation_action_rejects_wrong_generator_count():
@@ -255,6 +283,33 @@ def test_decompose_square_multispecies():
   a = ((Fraction(1, 5), Fraction(0)), (Fraction(-1), Fraction(3, 7)))
   omega = synthesized_form(f, a, act, ((0, 0),), win, inter, basis)
   rep = varadhan_decompose(omega, win, inter, basis, act, ((0, 0),))
+  assert rows(rep["a"]) == a
+  assert rep["residual"]["ok"]
+  assert rep["residual"]["max_abs_residual"] == "0"
+
+
+@pytest.mark.parametrize("model", ["exclusion", "multispecies:2"])
+@pytest.mark.parametrize("lattice", ["square8", "hexagonal5"])
+def test_decompose_probes_from_the_window_center(lattice, model):
+  # The middle of the sorted vertex list is (4, 0) on an 8x8 box, and the
+  # hexagonal sub-window's middle vertex leaves no room for a probe pair;
+  # the vertex of least eccentricity has room on both.
+  inter = by_name(model)
+  basis = conserved_basis(inter)
+  if lattice == "square8":
+    locale, support, domain = Euclidean(2), ((0, 0), (1, 0)), ((0, 0),)
+    win = square(8)
+  else:
+    locale = Hexagonal()
+    support = domain = ((0, 0, 0), (0, 0, 1))
+    win = box(locale, (0, 0), (4, 4))
+  act = TranslationAction(locale, ((1, 0), (0, 1)))
+  f = from_callable(support, inter.n_states, inter.base,
+                    lambda d: Fraction(0) if inter.base in d
+                    else Fraction(3 * d[0] - d[1], 2))
+  a = tuple((Fraction(k + 1, 3), Fraction(-1, k + 4)) for k in range(len(basis)))
+  omega = synthesized_form(f, a, act, domain, win, inter, basis)
+  rep = varadhan_decompose(omega, win, inter, basis, act, domain)
   assert rows(rep["a"]) == a
   assert rep["residual"]["ok"]
   assert rep["residual"]["max_abs_residual"] == "0"

@@ -107,6 +107,25 @@ def test_hexagonal_box_expands_both_sublattices():
   assert all(v[2] in (0, 1) for v in w.vertices)
 
 
+def test_window_center_has_least_eccentricity():
+  def ecc(w, v):
+    return max(w.locale.distance(v, x) for x in w.vertices)
+
+  for w in (box(Euclidean(1), (0,), (8,)), box(Euclidean(1), (0,), (9,)),
+            box(Euclidean(2), (0, 0), (6, 6)), box(Euclidean(2), (0, 0), (7, 7)),
+            box(Hexagonal(), (0, 0), (3, 3)), ball_window(Triangular(), (0, 0), 2)):
+    c = w.center()
+    least = min(ecc(w, v) for v in w.vertices)
+    assert ecc(w, c) == least
+    # ties go to the vertex nearest the middle of the vertex order
+    mid = w.n_sites // 2
+    tied = [i for i, v in enumerate(w.vertices) if ecc(w, v) == least]
+    assert w.position(c) == min(tied, key=lambda i: (abs(i - mid), i))
+  # the middle of the sorted vertex list, (4, 0), is a corner-side vertex
+  assert box(Euclidean(2), (0, 0), (7, 7)).center() == (4, 3)
+  assert box(Euclidean(1), (0,), (9,)).center() == (5,)
+
+
 def test_ball_window():
   w = ball_window(Euclidean(2), (0, 0), 1)
   assert w.n_sites == 5
