@@ -22,7 +22,8 @@ from math import lcm
 
 from .calculus import (Form, LocalFunction, _gather, _over, is_uniform,
                        restrict, uniformity_criterion)
-from .configspace import _quantity_table, fibers_report, quantity_to_json
+from .configspace import (_quantity_sums, _quantity_table, fibers_report,
+                          quantity_to_json)
 from .interactions import Interaction
 from .linalg import rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
@@ -152,7 +153,7 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
     probes = default_probes(window, inter, radius, probe_budget=probe_budget)
   locale = window.locale
   table = PairingTable(basis=tuple(basis), radius=radius)
-  cells = {}  # (alpha, beta) -> numerator over f.denom
+  cells = {}  # (alpha, beta) as raw quantity sums -> numerator over f.denom
   provenance = {}
   for first, second in probes:
     first, second = tuple(first), tuple(second)
@@ -172,8 +173,8 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
     })
     # Every table runs over the configurations of the union in index order,
     # as numerators over f's denominator.
-    rows = zip(_quantity_table(union, basis, inter.n_states, first),
-               _quantity_table(union, basis, inter.n_states, second),
+    rows = zip(_quantity_sums(union, basis, inter.n_states, first),
+               _quantity_sums(union, basis, inter.n_states, second),
                _gather(f, union), _over(restrict(f, first), union, f.denom),
                _over(restrict(f, second), union, f.denom))
     for alpha, beta, whole, on_first, on_second in rows:
@@ -190,7 +191,10 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
       else:
         cells[key] = defect
         provenance[key] = table.probes[-1]
-  table.cells = {key: Fraction(k, f.denom) for key, k in cells.items()}
+  vectors = {q for key in cells for q in key}
+  shared = {q: tuple(map(Fraction, q)) for q in vectors}
+  table.cells = {(shared[alpha], shared[beta]): Fraction(k, f.denom)
+                 for (alpha, beta), k in cells.items()}
   return table
 
 
@@ -199,35 +203,58 @@ def _vec_add(a, b):
 
 
 def check_pairing_laws(table: PairingTable) -> dict:
-  """Cocycle identity over all probe-covered triples, plus symmetry."""
+  """Cocycle identity over all probe-covered triples, plus symmetry.
+
+  Each cell is read once as integer quantity keys (the quantities over their
+  common denominator) and an integer numerator over the values' common
+  denominator; the cocycle pairs (alpha, beta), (beta, gamma) are found by
+  indexing the cells by their first argument.
+  """
   cells = table.cells
+  q_denom = lcm(*(x.denominator for key in cells for q in key for x in q))
+  v_denom = lcm(*(v.denominator for v in cells.values()))
+
+  def scaled(q):
+    return tuple(x.numerator * (q_denom // x.denominator) for x in q)
+
+  nums = {}  # (a, b) -> numerator, in table order
+  keys = {}  # (a, b) -> the table's own key
+  by_first = {}  # a -> [b, ...] in table order
+  for key, v in cells.items():
+    a, b = scaled(key[0]), scaled(key[1])
+    nums[a, b] = v.numerator * (v_denom // v.denominator)
+    keys[a, b] = key
+    by_first.setdefault(a, []).append(b)
+
   cocycle_checked = 0
   cocycle_violations = []
-  for (alpha, beta), v1 in cells.items():
-    for (beta2, gamma), v3 in cells.items():
-      if beta2 != beta:
-        continue
-      k2 = (_vec_add(alpha, beta), gamma)
-      k4 = (alpha, _vec_add(beta, gamma))
-      if k2 in cells and k4 in cells:
+  for (a, b), v1 in nums.items():
+    ab = _vec_add(a, b)
+    for g in by_first.get(b, ()):
+      k2 = (ab, g)
+      k4 = (a, _vec_add(b, g))
+      if k2 in nums and k4 in nums:
         cocycle_checked += 1
-        if v1 + cells[k2] != v3 + cells[k4]:
+        if v1 + nums[k2] != nums[b, g] + nums[k4]:
+          alpha, beta = keys[a, b]
           cocycle_violations.append({
               "alpha": quantity_to_json(alpha),
               "beta": quantity_to_json(beta),
-              "gamma": quantity_to_json(gamma),
+              "gamma": quantity_to_json(keys[b, g][1]),
           })
   symmetry_checked = 0
   symmetry_violations = []
-  for (alpha, beta), v in sorted(cells.items()):
-    mirror = (beta, alpha)
-    if mirror in cells:
+  for a, b in sorted(nums):
+    mirror = (b, a)
+    if mirror in nums:
       symmetry_checked += 1
-      if cells[mirror] != v:
+      if nums[mirror] != nums[a, b]:
+        alpha, beta = keys[a, b]
         symmetry_violations.append({
             "a": quantity_to_json(alpha),
             "b": quantity_to_json(beta),
-            "values": [fraction_to_str(v), fraction_to_str(cells[mirror])],
+            "values": [fraction_to_str(cells[keys[a, b]]),
+                       fraction_to_str(cells[keys[mirror]])],
         })
   return {
       "cocycle": {"checked": cocycle_checked,
@@ -299,8 +326,9 @@ def _chain_splitting(table: PairingTable):
 
 def _linear_splitting(table: PairingTable):
   """Exact rational solve of h(a) + h(b) - h(a+b) = cell over the probed
-  domain, pinned at h(0) = cell(0,0); tracks the combination of equations so
-  that inconsistency yields a verifiable certificate."""
+  domain, pinned at h(0) = cell(0,0).  When the equations are inconsistent,
+  the first leftover row with a nonzero right-hand side yields a verifiable
+  certificate (see ``_certificate``)."""
   unknowns = set()
   for alpha, beta in table.cells:
     unknowns.update((alpha, beta, _vec_add(alpha, beta)))
@@ -311,7 +339,7 @@ def _linear_splitting(table: PairingTable):
   rows = []  # coefficients of the unknowns, then the right-hand side
   equations = []
   for (alpha, beta), val in sorted(table.cells.items()):
-    row = [ZERO] * n + [val]
+    row = [0] * n + [val]
     row[cols[alpha]] += 1
     row[cols[beta]] += 1
     row[cols[_vec_add(alpha, beta)]] -= 1
@@ -320,28 +348,55 @@ def _linear_splitting(table: PairingTable):
                                "b": quantity_to_json(beta)},
                       "value": fraction_to_str(val)})
   pin_value = table.cells.get((zero, zero), ZERO)
-  row = [ZERO] * n + [pin_value]
+  row = [0] * n + [pin_value]
   row[cols[zero]] += 1
   rows.append(row)
   equations.append({"pin": quantity_to_json(zero),
                     "value": fraction_to_str(pin_value)})
 
-  reduced, pivots, combos = rref(rows, n)
-  for row, combo in zip(reduced[len(pivots):], combos[len(pivots):]):
-    if row[n] != 0:
-      certificate = {
+  reduced, pivots, order = rref(rows, n)
+  rank = len(pivots)
+  for k in range(rank, len(rows)):
+    if reduced[k][n]:
+      combo, contradiction = _certificate(rows, pivots, order[:rank],
+                                          order[k], n)
+      raise SplittingInfeasible({
           "combination": [
               dict(equations[eq_id], coefficient=fraction_to_str(coef))
               for eq_id, coef in sorted(combo.items()) if coef != 0
           ],
-          "contradiction": fraction_to_str(row[n]),
-      }
-      raise SplittingInfeasible(certificate)
+          "contradiction": fraction_to_str(contradiction),
+      })
 
   solution = [ZERO] * n
   for row, c in zip(reduced, pivots):
     solution[c] = row[n]
   return {v: solution[i] for v, i in cols.items()}
+
+
+def _certificate(rows, pivots, inputs, j: int, n: int):
+  """The combination of equations that the elimination reduced row ``j`` by,
+  and the contradiction it sums to.
+
+  Only pivot rows are ever added to another row, so row j became
+  e_j + y over the pivot ``inputs`` P, with y * A_P = -A_j on the unknowns.
+  A_P has full rank, so y is unique and the square system at the pivot
+  columns determines it.  Raises ``RuntimeError`` unless the combination
+  cancels every unknown and leaves a nonzero right-hand side.
+  """
+  system = [[rows[p][c] for p in inputs] + [-rows[j][c]] for c in pivots]
+  solved, solved_pivots, _ = rref(system, len(inputs))
+  combo = {j: Fraction(1)}
+  for row, k in zip(solved, solved_pivots):
+    combo[inputs[k]] = row[-1]
+  total = [ZERO] * (n + 1)  # the combined row: unknowns, then right-hand side
+  for eq_id, coef in combo.items():
+    for c, x in enumerate(rows[eq_id]):
+      if x:
+        total[c] += coef * x
+  if any(total[:n]) or not total[n]:
+    raise RuntimeError("recovered combination does not certify infeasibility")
+  return combo, total[n]
 
 
 def solve_splitting(table: PairingTable) -> dict:

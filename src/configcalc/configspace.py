@@ -151,18 +151,26 @@ def quantity_of(digits, basis) -> tuple:
   return tuple(sum(vec[d] for d in digits) for vec in basis)
 
 
-def _quantity_table(sites, basis, n_states: int, counted=None) -> list:
-  """The quantity vector of every configuration of ``sites``, in index
-  order, summing only the sites in ``counted`` (all of them by default).
-  Each distinct vector is one shared tuple of Fractions."""
+def _quantity_sums(sites, basis, n_states: int, counted=None):
+  """The raw quantity sums of every configuration of ``sites``, in index
+  order, summing only the sites in ``counted`` (all of them by default):
+  one tuple of basis-entry sums per configuration.  Raw sums hash far
+  faster than tuples of Fractions, so grouping is done on these."""
   zeros = (0,) * n_states
   columns = [_site_sums([vec if counted is None or x in counted else zeros
                          for x in sites])
              for vec in basis]
   if not columns:
     return [()] * n_states ** len(sites)
-  shared = {q: tuple(map(Fraction, q)) for q in set(zip(*columns))}
-  return list(map(shared.__getitem__, zip(*columns)))
+  return zip(*columns)
+
+
+def _quantity_table(sites, basis, n_states: int, counted=None) -> list:
+  """``_quantity_sums`` with each distinct vector one shared tuple of
+  Fractions."""
+  sums = list(_quantity_sums(sites, basis, n_states, counted))
+  shared = {q: tuple(map(Fraction, q)) for q in set(sums)}
+  return list(map(shared.__getitem__, sums))
 
 
 def quantity_to_json(qvec) -> list:
@@ -237,10 +245,7 @@ def fibers_report(window: Window, inter: Interaction, basis,
   with equal quantities.
   """
   labels, reps = components(window, inter, budget)
-  # Raw column sums, not _quantity_table's Fraction keys: hashing a
-  # Fraction is slow, and this groups every configuration once.
-  columns = [_site_sums([vec] * window.n_sites) for vec in basis]
-  quantities = zip(*columns) if columns else [()] * len(labels)
+  quantities = _quantity_sums(window.vertices, basis, inter.n_states)
   first = {}  # (quantity, component) -> least configuration index
   for idx, key in enumerate(zip(quantities, labels)):
     first.setdefault(key, idx)

@@ -78,13 +78,15 @@ class TranslationAction:
     for g in self.generators:
       if len(g) != d:
         raise InputError("generator length does not match the locale")
-    # The generators are the matrix's columns.  At full rank, the row
-    # combinations that reduce it to the identity form its inverse, kept as
-    # integer numerators over one denominator.
-    _, pivots, combos = rref(zip(*self.generators), d)
+    # The generators are the matrix's columns.  At full rank, reducing
+    # [matrix | identity] leaves its inverse on the right, kept as integer
+    # numerators over one denominator.
+    rows = [list(row) + [int(i == k) for k in range(d)]
+            for i, row in enumerate(zip(*self.generators))]
+    reduced, pivots, _ = rref(rows, d)
     if len(pivots) < d:
       raise InputError("translation generators are linearly dependent")
-    inverse = [[combo.get(k, ZERO) for k in range(d)] for combo in combos]
+    inverse = [row[d:] for row in reduced]
     denom = lcm(*(x.denominator for row in inverse for x in row))
     object.__setattr__(self, "_inverse", tuple(
         tuple(x.numerator * (denom // x.denominator) for x in row)

@@ -1,48 +1,69 @@
-"""Exact Gauss-Jordan elimination over the rationals: the one elimination
-behind conserved bases, splitting certificates, cocycle solves and the
-inverses of translation generator matrices."""
+"""Exact Gauss-Jordan elimination over the rationals, computed on integers:
+the one elimination behind conserved bases, splitting certificates, cocycle
+solves and the inverses of translation generator matrices.
+
+Each input row is scaled to integers once and every step is fraction-free
+(Bareiss 1968, with a gcd division in place of the exact quotient), so only
+the pivot rows handed back are ever turned into ``Fraction``s.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
+
+
+def _integer_row(row) -> list:
+  """A nonzero multiple of ``row`` (ints and Fractions) with integer entries."""
+  row = list(row)
+  denom = lcm(*(x.denominator for x in row))
+  return [x.numerator * (denom // x.denominator) for x in row]
 
 
 def rref(rows, n_cols: int):
   """Reduced row echelon form of ``rows`` over their first ``n_cols`` columns.
 
   Column by column, the first row at or below the current rank with a
-  nonzero entry is swapped up and scaled to 1, and the column is cleared in
-  every other row.  Entries past ``n_cols`` (a right-hand side, say) are
-  carried along but never chosen as pivots.
+  nonzero entry is swapped up, and the column is cleared in every other row.
+  Entries past ``n_cols`` (a right-hand side, say) are carried along but
+  never chosen as pivots.
 
-  Returns (reduced, pivots, combos): all reduced rows, the first
-  ``len(pivots)`` of them holding the pivots; the pivot column of each; and
-  for each reduced row its combination ``{original row index: coefficient}``
-  of the input rows, which may list zero coefficients.
+  Returns (reduced, pivots, order).  The first ``len(pivots)`` reduced rows
+  hold the pivots, as ``Fraction`` rows scaled to 1 at their pivot column;
+  ``pivots`` is the column of each.  The leftover rows are integer rows that
+  hold the eliminated rows only up to a nonzero factor, so callers test them
+  against zero and nothing else.  ``order[k]`` is the index of the input row
+  that ended up as reduced row ``k``.
+
+  Only pivot rows are ever added to another row.  So a leftover row is its
+  own input row plus a combination of the inputs ``order[:len(pivots)]``,
+  which callers that need it can recover with one more solve.
   """
-  rows = [list(r) for r in rows]
-  combos = [{i: ONE} for i in range(len(rows))]
+  rows = [_integer_row(r) for r in rows]
+  order = list(range(len(rows)))
   pivots = []
   for c in range(n_cols):
     rank = len(pivots)
-    pivot = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+    pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
     if pivot is None:
       continue
     rows[rank], rows[pivot] = rows[pivot], rows[rank]
-    combos[rank], combos[pivot] = combos[pivot], combos[rank]
-    inv = ONE / rows[rank][c]
-    prow = rows[rank] = [x * inv for x in rows[rank]]
-    pcombo = combos[rank] = {k: v * inv for k, v in combos[rank].items()}
+    order[rank], order[pivot] = order[pivot], order[rank]
+    prow = rows[rank]
+    p = prow[c]
     for i, row in enumerate(rows):
-      factor = row[c]
-      if i == rank or factor == 0:
+      f = row[c]
+      if i == rank or not f:
         continue
-      rows[i] = [a - factor * b if b else a for a, b in zip(row, prow)]
-      combo = combos[i]
-      for k, v in pcombo.items():
-        combo[k] = combo.get(k, ZERO) - factor * v
+      g = gcd(p, f)
+      a, b = p // g, f // g
+      row = [a * x - b * y for x, y in zip(row, prow)]
+      g = gcd(*row)
+      rows[i] = [x // g for x in row] if g > 1 else row
     pivots.append(c)
-  return rows, pivots, combos
+  for k, c in enumerate(pivots):
+    p = rows[k][c]
+    rows[k] = [Fraction(x, p) if x else ZERO for x in rows[k]]
+  return rows, pivots, order

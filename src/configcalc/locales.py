@@ -198,6 +198,12 @@ class NNeighbor(LatticeLocale):
 _TRI_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
 
 
+def _tri_steps(dx: int, dy: int) -> int:
+  """Fewest steps +-(1,0), +-(0,1), +-(1,1) adding up to (dx, dy):
+  max(|dx|, |dy|) when dx and dy have the same sign, |dx| + |dy| otherwise."""
+  return max(abs(dx), abs(dy), abs(dx - dy))
+
+
 @dataclass(frozen=True)
 class Triangular(LatticeLocale):
   name = "triangular"
@@ -207,6 +213,9 @@ class Triangular(LatticeLocale):
 
   def __contains__(self, x):
     return isinstance(x, tuple) and len(x) == 2 and all(isinstance(a, int) for a in x)
+
+  def distance(self, x, y, cap: int = 64) -> int:
+    return _tri_steps(y[0] - x[0], y[1] - x[1])
 
   def coord_dim(self):
     return 2
@@ -220,7 +229,9 @@ class Hexagonal(LatticeLocale):
   """Honeycomb lattice as Z^2 x {0,1}: each cell holds one A and one B site.
 
   A site (i,j,0) touches (i,j,1), (i-1,j,1) and (i,j-1,1); B sites mirror.
-  Every vertex has degree three.
+  Every vertex has degree three.  Two steps carry a site to a site of its
+  own kind, moved by one of +-(1,0), +-(0,1), +-(1,-1): the steps of the
+  triangular lattice with the second coordinate mirrored.
   """
 
   name = "hexagonal"
@@ -234,6 +245,16 @@ class Hexagonal(LatticeLocale):
   def __contains__(self, x):
     return (isinstance(x, tuple) and len(x) == 3
             and all(isinstance(a, int) for a in x) and x[2] in (0, 1))
+
+  def distance(self, x, y, cap: int = 64) -> int:
+    if x[2] == 1:
+      x, y = y, x
+    di, dj = y[0] - x[0], y[1] - x[1]
+    if x[2] == y[2]:
+      return 2 * _tri_steps(di, -dj)
+    # A to B: one step onto a B neighbour of x, then pairs of steps.
+    return 1 + 2 * min(_tri_steps(di - a, b - dj)
+                       for a, b in ((0, 0), (-1, 0), (0, -1)))
 
   def coord(self, x):
     return x[:2]

@@ -416,15 +416,27 @@ def test_form_edge_without_function(tmp_path):
     assert rep["error"]["kind"] == "InputError"
 
 
-def test_far_triangular_pair_is_an_input_error(tmp_path):
-  # the support's two sites lie beyond the breadth-first distance cap
-  man = {"locale": {"kind": "triangular"}, "interaction": "exclusion",
-         "window": {"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+def test_pair_beyond_the_distance_cap_is_an_input_error(tmp_path):
+  # the half-plane has no closed-form distance; its two support sites lie
+  # beyond the breadth-first distance cap
+  man = {"locale": {"kind": "half-plane"}, "interaction": "exclusion",
+         "window": {"kind": "explicit", "vertices": [[0, 0], [1, 0]]},
          "function": {"support": [[0, 0], [200, 0]],
                       "values": ["0", "0", "0", "1"]}}
   code, rep = run(tmp_path, man, "expand")
   assert code == 2
   assert rep["error"]["kind"] == "InputError"
+  assert "exceeds cap" in rep["error"]["message"]
+
+
+def test_far_triangular_pair_has_a_distance(tmp_path):
+  man = {"locale": {"kind": "triangular"}, "interaction": "exclusion",
+         "window": {"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+         "function": {"support": [[0, 0], [200, 0]],
+                      "values": ["0", "0", "0", "1"]}}
+  code, rep = run(tmp_path, man, "expand")
+  assert code == 0
+  assert rep["exact_support_radius"] == 200
 
 
 def test_missing_manifest_is_an_input_error(tmp_path, capsys):

@@ -10,13 +10,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itertools import product
 
 from configcalc.calculus import (LocalFunction, differential,
                                  exact_support_radius, expansion,
                                  from_callable, functions_equal)
-from configcalc.cohomology import (PairingNotWellDefined, SplittingInfeasible,
+from configcalc.cohomology import (PairingNotWellDefined, PairingTable,
+                                   SplittingInfeasible,
                                    check_pairing_laws, compute_pairing,
                                    default_probes, h_zero_report,
                                    inversion_count_function,
@@ -93,6 +95,77 @@ def test_pairing_laws_hold_for_symmetric_table():
   assert rep["cocycle"]["checked"] > 0
   assert rep["symmetry"]["ok"]
   assert rep["symmetry"]["checked"] > 0
+
+
+def test_pairing_cells_are_keyed_by_shared_fraction_tuples():
+  table, basis = quadratic_table(11)
+  shared = {}
+  for key, value in table.cells.items():
+    assert type(value) is Fraction
+    for q in key:
+      assert all(type(x) is Fraction for x in q)
+      assert shared.setdefault(q, q) is q
+
+
+def reference_laws(table):
+  """check_pairing_laws as a loop over all pairs of cells."""
+  def add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+  cells = table.cells
+  cocycle, cocycle_bad = 0, []
+  for (alpha, beta), v1 in cells.items():
+    for (beta2, gamma), v3 in cells.items():
+      if beta2 != beta:
+        continue
+      k2, k4 = (add(alpha, beta), gamma), (alpha, add(beta, gamma))
+      if k2 in cells and k4 in cells:
+        cocycle += 1
+        if v1 + cells[k2] != v3 + cells[k4]:
+          cocycle_bad.append({"alpha": quantity_to_json(alpha),
+                              "beta": quantity_to_json(beta),
+                              "gamma": quantity_to_json(gamma)})
+  symmetry, symmetry_bad = 0, []
+  for (alpha, beta), v in sorted(cells.items()):
+    if (beta, alpha) in cells:
+      symmetry += 1
+      if cells[(beta, alpha)] != v:
+        symmetry_bad.append({"a": quantity_to_json(alpha),
+                             "b": quantity_to_json(beta),
+                             "values": [fraction_to_str(v),
+                                        fraction_to_str(cells[(beta, alpha)])]})
+  return {"cocycle": {"checked": cocycle, "ok": not cocycle_bad,
+                      "violations": cocycle_bad[:5]},
+          "symmetry": {"checked": symmetry, "ok": not symmetry_bad,
+                       "violations": symmetry_bad[:5]}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12),
+       st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(-2, 3)]))
+def test_pairing_laws_match_the_all_pairs_loop(seed, n_bad, scale):
+  # a table that splits as h(a) + h(b) - h(a+b), so it satisfies both laws,
+  # with violations injected into n_bad of its cells
+  rng = random.Random(seed)
+  vectors = [(Fraction(a) * scale, Fraction(b) * scale)
+             for a in range(-1, 4) for b in range(3)]
+  h = {}
+
+  def h_of(q):
+    return h.setdefault(q, Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+
+  table = PairingTable(basis=(0, 1), radius=0)
+  for alpha, beta in rng.sample([(a, b) for a in vectors for b in vectors],
+                                80):
+    table.cells[(alpha, beta)] = (h_of(alpha) + h_of(beta)
+                                  - h_of(tuple(x + y for x, y in zip(alpha, beta))))
+  for key in rng.sample(sorted(table.cells), n_bad):
+    table.cells[key] += Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+  rep = check_pairing_laws(table)
+  assert rep == reference_laws(table)
+  assert rep["cocycle"]["checked"] > 0 and rep["symmetry"]["checked"] > 0
+  if not n_bad:
+    assert rep["cocycle"]["ok"] and rep["symmetry"]["ok"]
 
 
 def test_asymmetric_table_is_infeasible_with_certificate():

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from configcalc.locales import (Cross, Euclidean, FiniteGraph, FreeGroupCayley,
-                                HalfPlane, Hexagonal, NNeighbor, ProductLocale,
-                                Triangular, ball_window, box, locale_from_json,
-                                transferability, window, window_from_json)
+                                HalfPlane, Hexagonal, Locale, NNeighbor,
+                                ProductLocale, Triangular, ball_window, box,
+                                locale_from_json, transferability, window,
+                                window_from_json)
 from configcalc.serialize import InputError
 
 
@@ -71,6 +72,26 @@ def test_hexagonal_distance_examples():
   assert hx.distance((0, 0, 0), (0, 0, 1)) == 1
   assert hx.distance((0, 0, 0), (1, 0, 0)) == 2
   assert hx.distance((0, 0, 0), (1, 1, 0)) == 4
+
+
+coordinate = st.integers(-6, 6)
+
+
+@settings(max_examples=60)
+@given(st.tuples(coordinate, coordinate), st.tuples(coordinate, coordinate),
+       st.integers(0, 1), st.integers(0, 1))
+def test_closed_form_distances_match_breadth_first_search(x, y, s, t):
+  # Locale.distance is the generic bidirectional BFS, capped at 64
+  for loc, u, v in ((Triangular(), x, y),
+                    (Hexagonal(), x + (s,), y + (t,))):
+    assert loc.distance(u, v) == Locale.distance(loc, u, v), (loc.name, u, v)
+
+
+def test_far_lattice_pairs_have_a_distance():
+  assert Triangular().distance((0, 0), (200, 0)) == 200
+  assert Triangular().distance((0, 0), (100, -100)) == 200
+  assert Hexagonal().distance((0, 0, 0), (100, 0, 0)) == 200
+  assert Hexagonal().distance((0, 0, 0), (-100, 0, 1)) == 199
 
 
 def test_free_group_distance_reduced_word_length():
