@@ -383,15 +383,40 @@ def translates_meeting(action: TranslationAction, f: LocalFunction, targets):
   return sorted(shifts)
 
 
-def _translate_gradients(action: TranslationAction, f: LocalFunction, edge,
-                         win_set, inter: Interaction) -> LocalFunction:
-  """The sum, over the translates tau f that meet the edge, of
-  nabla_e(tau f restricted to the window): one gradient per translate."""
-  grads = []
-  for coeffs in translates_meeting(action, f, edge):
-    tf = translate_function(action, f, action.shift_of(coeffs))
-    grads.append((1, gradient(restrict(tf, win_set), edge, inter)))
-  return _combine(grads, inter.n_states, inter.base)
+def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
+                             edges, win_set, inter: Interaction) -> dict:
+  """Per edge e, the sum over the translates tau f that meet e of
+  nabla_e(tau f restricted to the window).
+
+  The sum is translation-equivariant: if e' = sigma e and the window cuts
+  the translates meeting e' as it cuts those meeting e, the sum at e' is the
+  sum at e translated by sigma, the same table on a support moved in order.
+  So an edge is keyed by its translate back by its first meeting shift and
+  by the window membership of every site of every meeting translate; the
+  sum is computed once per key, one gradient per translate, and translated
+  to the key's other edges.
+  """
+  sums, first = {}, {}
+  for e in edges:
+    meeting = translates_meeting(action, f, e)
+    c0 = meeting[0] if meeting else (0,) * action.rank
+    shifts = [action.shift_of(c) for c in meeting]
+    back = action.shift_of(tuple(-k for k in c0))
+    key = (tuple(action.act_vertex(x, back) for x in e),
+           tuple(action.act_vertex(v, s) in win_set
+                 for s in shifts for v in f.support))
+    if key in first:
+      c1, total = first[key]
+      sums[e] = translate_function(
+          action, total, action.shift_of(tuple(a - b for a, b in zip(c0, c1))))
+      continue
+    total = _combine(
+        ((1, gradient(restrict(translate_function(action, f, s), win_set),
+                      e, inter)) for s in shifts),
+        inter.n_states, inter.base)
+    first[key] = (c0, total)
+    sums[e] = total
+  return sums
 
 
 def synthesized_form(f: LocalFunction, a_matrix, action: TranslationAction,
@@ -406,9 +431,10 @@ def synthesized_form(f: LocalFunction, a_matrix, action: TranslationAction,
   if f.value_at({}) != 0:
     raise InputError("synthesis needs f to vanish on the base configuration")
   fns = {}
-  win_set = set(window.vertices)
-  for e in window.edges:
-    total = trim(_translate_gradients(action, f, e, win_set, inter))
+  sums = _translate_gradient_sums(action, f, window.edges,
+                                  set(window.vertices), inter)
+  for e, total in sums.items():
+    total = trim(total)
     if not total.is_zero():
       fns[e] = total
   exact_part = Form(inter.n_states, inter.base, fns, None)
@@ -499,7 +525,6 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   extraction = extract_cocycle(form, window, inter, basis, action)
   a_matrix = extraction["a"]
   flux = build_omega_rho(a_matrix, action, domain, window, inter, basis)
-  remainder = form_sub(form, flux, radius)
 
   sub_win = _centered_subwindow(window, inter, anchor, sub_budget)
   needed = set()
@@ -512,7 +537,10 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   if not needed <= set(sub_win.vertices):
     raise InputError(
         "sub-window budget too small to cover the domain's radius ball")
-  local_remainder = form_restricted(remainder, sub_win)
+  # Only the sub-window part of the remainder is integrated; the whole
+  # window's flux is kept for the identity check.
+  local_remainder = form_sub(form_restricted(form, sub_win),
+                             form_restricted(flux, sub_win), radius)
   potential, pot_meta = integrate(local_remainder, sub_win, inter,
                                   budget=sub_budget)
 
@@ -579,20 +607,19 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
   """
   locale = window.locale
   pad = support_diameter(f_hat.support, locale) if f_hat.support else 0
-  win_set = set(window.vertices)
-  checked = 0
+  inner = interior_vertices(window, pad)
+  edges = [(u, v) for u, v in window.edges if u in inner and v in inner]
+  if not edges:
+    raise InputError("window too small: no interior edge to verify on")
+  # The window cuts no translate that meets an interior edge.
+  sums = _translate_gradient_sums(action, f_hat, edges, set(window.vertices),
+                                  inter)
   witness = None
   worst = ZERO
-  for (u, v) in window.edges:
-    ball = set(locale.ball(u, pad)) | set(locale.ball(v, pad))
-    if not ball <= win_set:
-      continue
-    # The window cuts no translate that meets an interior edge.
-    terms = [(1, form.fn((u, v))), (-1, flux.fn((u, v))),
-             (-1, _translate_gradients(action, f_hat, (u, v), win_set, inter))]
+  for (u, v), total in sums.items():
+    terms = [(1, form.fn((u, v))), (-1, flux.fn((u, v))), (-1, total)]
     diff = trim(_combine([(c, g) for c, g in terms if g is not None],
                          inter.n_states, inter.base))
-    checked += 1
     if not diff.is_zero():
       for dg, val in diff.assignments():
         if val != 0:
@@ -604,11 +631,9 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
                 "states": [inter.states[d] for d in dg],
                 "difference": fraction_to_str(val),
             }
-  if checked == 0:
-    raise InputError("window too small: no interior edge to verify on")
   return {
       "ok": witness is None,
-      "edges_checked": checked,
+      "edges_checked": len(edges),
       "interior_pad": pad,
       "max_abs_residual": fraction_to_str(worst),
       "witness": witness,

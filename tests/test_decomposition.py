@@ -12,13 +12,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from configcalc.calculus import (differential, form_add, form_scale,
-                                 from_callable, functions_equal, integrate)
+from configcalc import decomposition
+from configcalc.calculus import (_combine, differential, form_add, form_scale,
+                                 form_sub, from_callable, functions_equal,
+                                 gradient, integrate, restrict, scale)
 from configcalc.configspace import all_configs, apply_edge, digits_of
-from configcalc.decomposition import (InconsistentCocycle, NotShiftInvariant,
-                                      TranslationAction, build_omega_rho,
-                                      cocycle_from_json, cocycle_to_json,
-                                      counterexample_report, extract_cocycle,
+from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
+                                      NotShiftInvariant, TranslationAction,
+                                      _centered_subwindow, _verify_identity,
+                                      build_omega_rho, cocycle_from_json,
+                                      cocycle_to_json, counterexample_report,
+                                      extract_cocycle, form_restricted,
                                       interior_vertices, is_shift_invariant,
                                       orbit_tiles, synthesized_form,
                                       theta_profile, tile_of,
@@ -26,7 +30,7 @@ from configcalc.decomposition import (InconsistentCocycle, NotShiftInvariant,
                                       varadhan_decompose)
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
                                      lattice_gas, multispecies, spin3)
-from configcalc.locales import Euclidean, Hexagonal, box
+from configcalc.locales import Euclidean, Hexagonal, Triangular, box
 from configcalc.serialize import InputError
 
 
@@ -245,6 +249,111 @@ def test_translates_meeting_counts_lattice_shifts():
   shifts = translates_meeting(Z_ACTION, f, targets)
   # supports {0,1}+k meeting {0,1,2}: k in {-1, 0, 1, 2}
   assert sorted(shifts) == [(-1,), (0,), (1,), (2,)]
+
+
+def per_edge_translate_gradients(action, f, edges, win_set, inter):
+  """Reference sums: per edge, one gradient per meeting translate of f,
+  summed, with no reuse between edges."""
+  sums = {}
+  for edge in edges:
+    grads = []
+    for coeffs in translates_meeting(action, f, edge):
+      tf = translate_function(action, f, action.shift_of(coeffs))
+      grads.append((1, gradient(restrict(tf, win_set), edge, inter)))
+    sums[edge] = _combine(grads, inter.n_states, inter.base)
+  return sums
+
+
+def _vanishing_at_base(support, inter):
+  def value(d):
+    if all(x == inter.base for x in d):
+      return Fraction(0)
+    return Fraction(sum((k + 2) * (x + 1) ** (k + 1) for k, x in enumerate(d)),
+                    3 + len(d))
+  return from_callable(support, inter.n_states, inter.base, value)
+
+
+SQUARE = TranslationAction(Euclidean(2), ((1, 0), (0, 1)))
+GRADIENT_SUM_CASES = {
+    "line9-multispecies": (line(9), "multispecies:2", Z_ACTION, ((0,),),
+                           (((0,), (1,), (2,)), ((0,), (2,)))),
+    "square7-exclusion": (square(7), "exclusion", SQUARE, ((0, 0),),
+                          (((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 1)))),
+    "square8-exclusion": (square(8), "exclusion", SQUARE, ((0, 0),),
+                          (((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 1)))),
+    "square7-coarse": (square(7), "exclusion",
+                       TranslationAction(Euclidean(2), ((2, 0), (0, 1))),
+                       ((0, 0), (1, 0)),
+                       (((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 1)))),
+    "triangular7-exclusion": (box(Triangular(), (0, 0), (6, 6)), "exclusion",
+                              TranslationAction(Triangular(), ((1, 0), (0, 1))),
+                              ((0, 0),),
+                              (((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 1)))),
+    "hexagonal5-exclusion": (box(Hexagonal(), (0, 0), (4, 4)), "exclusion",
+                             TranslationAction(Hexagonal(), ((1, 0), (0, 1))),
+                             ((0, 0, 0), (0, 0, 1)),
+                             (((0, 0, 0), (0, 0, 1), (1, 0, 0)),
+                              ((0, 0, 0), (1, 1, 0)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRADIENT_SUM_CASES))
+def test_translate_gradient_sums_match_the_per_edge_sum(case, monkeypatch):
+  # Sums reused across an edge class must equal the sums built edge by edge,
+  # table for table, on edges whose meeting translates the window cuts in
+  # every pattern the supports allow.
+  win, model, act, domain, supports = GRADIENT_SUM_CASES[case]
+  inter = by_name(model)
+  basis = conserved_basis(inter)
+  a = tuple(tuple(Fraction(k - j, 3 + k + j) for j in range(act.rank))
+            for k in range(len(basis)))
+  flux = build_omega_rho(a, act, domain, win, inter, basis)
+
+  def run(f):
+    form = synthesized_form(f, a, act, domain, win, inter, basis)
+    reports = [_verify_identity(form, f_hat, flux, win, inter, act)
+               for f_hat in (f, scale(f, Fraction(3, 2)))]
+    return list(form.fns.items()), reports
+
+  for support in supports:
+    f = _vanishing_at_base(support, inter)
+    got = run(f)
+    with monkeypatch.context() as patch:
+      patch.setattr(decomposition, "_translate_gradient_sums",
+                    per_edge_translate_gradients)
+      want = run(f)
+    assert got == want
+    ok, perturbed = got[1]
+    assert ok["ok"] and ok["max_abs_residual"] == "0"
+    assert not perturbed["ok"] and perturbed["max_abs_residual"] != "0"
+    assert perturbed["witness"] is not None
+
+
+@pytest.mark.parametrize("case", ["line9", "square9"])
+def test_remainder_is_subtracted_on_the_sub_window(case):
+  # Restricting before subtracting gives the restricted remainder.
+  inter = multispecies(2)
+  basis = conserved_basis(inter)
+  if case == "line9":
+    # all of line(9) fits the default budget: take a five-site sub-window
+    win, act, domain, support = line(9), Z_ACTION, ((4,),), ((4,), (5,))
+    budget = 3 ** 5
+  else:
+    win, act, domain = square(9), SQUARE, ((4, 4),)
+    support, budget = ((4, 4), (5, 4)), DEFAULT_SUB_BUDGET
+  f = _vanishing_at_base(support, inter)
+  a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
+            for k in range(len(basis)))
+  form = synthesized_form(f, a, act, domain, win, inter, basis)
+  sub_win = _centered_subwindow(win, inter, domain[0], budget)
+  assert 1 < sub_win.n_sites < win.n_sites
+  for b in (a, tuple(tuple(2 * x for x in row) for row in a)):
+    flux = build_omega_rho(b, act, domain, win, inter, basis)
+    whole = form_restricted(form_sub(form, flux, 1), sub_win)
+    local = form_sub(form_restricted(form, sub_win),
+                     form_restricted(flux, sub_win), 1)
+    assert local == whole
+    assert local.fns
 
 
 def test_synthesized_form_roundtrip_line():
