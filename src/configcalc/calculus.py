@@ -10,7 +10,12 @@ the reports).  Nothing is ever rounded.
 The differential of a function along a directed edge e is
 ``f(eta^e) - f(eta)`` where ``eta^e`` applies the interaction across e.  A
 ``Form`` assigns one local function per directed window edge; closedness and
-integration are decided exactly by scanning the finite configuration graph.
+integration are decided exactly on the finite configuration graph.  When
+the interaction is valid and every edge function reads only its own edge,
+the window is solved slab by slab, one position at a time
+(``configspace._slab_solve``); wider forms, interactions that are not
+valid, and the witness cycle of a form that is not closed take a
+breadth-first scan over every configuration.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
 
-from .configspace import (_site_sums, apply_edge, config_to_json, digit_powers,
-                          digits_of, edge_positions, guard_budget, index_of,
-                          move_table)
-from .interactions import Interaction
+from .configspace import (DEFAULT_BUDGET, _site_sums, _slab_solve, apply_edge,
+                          config_to_json, digit_powers, digits_of,
+                          edge_positions, guard_budget, index_of, move_table)
+from .interactions import Interaction, check_validity
 from .locales import Locale, Window
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
@@ -552,18 +557,41 @@ def _edge_steps(fn, window: Window, pu: int, pv: int, s: int, denom: int):
 
 def _potential_scan(form: Form, window: Window, inter: Interaction,
                     budget: int):
-  """Breadth-first potential over the transition graph.
+  """The potential of a form over the transition graph.
 
-  Seeds are the all-base configuration, then every unreached index in
-  order; each popped configuration tries the window edges in order.
-  Potentials are integer numerators over the common denominator of the
-  form's values.  Returns (numerators, denominator, pins, witness).
+  Pins are the all-base configuration, then the least configuration of
+  every other component in order.  Potentials are integer numerators over
+  the common denominator of the form's values.  Returns (numerators,
+  denominator, pins, witness).
+
+  When the interaction is valid and every edge function reads its own edge
+  only, ``_slab_solve`` decides the window slab by slab.  Otherwise, and to
+  build the witness once it meets a cycle with a nonzero integral, the scan
+  is breadth first: seeds are the all-base configuration, then every
+  unreached index in order; each popped configuration tries the window
+  edges in order.
   """
   total = guard_budget(window, inter, budget)
   n, s = window.n_sites, inter.n_states
-  moves = move_table(edge_positions(window), n, inter)
   fns = [form.fn(e) for e in window.edges]
   denom = lcm(*(fn.denom for fn in fns if fn is not None))
+  star = index_of((inter.base,) * n, digit_powers(n, s))
+  if check_validity(inter)["valid"] and all(
+      fn is None or set(fn.support) <= set(e)
+      for fn, e in zip(fns, window.edges)):
+    solved = _slab_solve(window, inter, [
+        (0,) * (s * s) if fn is None else _over(fn, e, denom)
+        for fn, e in zip(fns, window.edges)])
+    if solved is not None:
+      values, labels, reps = solved
+      comp = labels[star]
+      if reps[comp] != star:
+        shift = values[star]
+        values = [v - shift if c == comp else v
+                  for v, c in zip(values, labels)]
+      return (values, denom,
+              [star] + [r for c, r in enumerate(reps) if c != comp], None)
+  moves = move_table(edge_positions(window), n, inter)
   table = [(pu, pv, jumps, *_edge_steps(fn, window, pu, pv, s, denom), e)
            for (pu, pv, jumps), fn, e in zip(moves, fns, window.edges)]
   # The digits of an index, from small tables of its leading and trailing
@@ -575,7 +603,6 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   values = [None] * total
   parent = [None] * total
   pins = []
-  star = index_of((inter.base,) * n, digit_powers(n, s))
   for seed in chain((star,), range(total)):
     if values[seed] is not None:
       continue
@@ -668,7 +695,7 @@ def _path_integral(form: Form, window: Window, steps) -> Fraction:
 
 
 def is_closed(form: Form, window: Window, inter: Interaction,
-              budget: int = 2_000_000) -> dict:
+              budget: int = DEFAULT_BUDGET) -> dict:
   _, _, pins, witness = _potential_scan(form, window, inter, budget)
   if witness is not None:
     return {"closed": False, "witness": witness}
@@ -676,7 +703,7 @@ def is_closed(form: Form, window: Window, inter: Interaction,
 
 
 def integrate(form: Form, window: Window, inter: Interaction,
-              budget: int = 2_000_000):
+              budget: int = DEFAULT_BUDGET):
   """Exact potential of a closed form on the window.
 
   The potential is pinned to zero at the all-base configuration on its

@@ -22,8 +22,8 @@ from math import lcm
 
 from .calculus import (Form, LocalFunction, _gather, _over, is_uniform,
                        restrict, uniformity_criterion)
-from .configspace import (_quantity_sums, _quantity_table, fibers_report,
-                          quantity_to_json)
+from .configspace import (DEFAULT_BUDGET, _quantity_sums, _quantity_table,
+                          fibers_report, quantity_to_json)
 from .interactions import Interaction
 from .linalg import rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
@@ -493,7 +493,7 @@ def _quantity_corrected(f: LocalFunction, sites, basis, h: dict,
 
 
 def h_zero_report(window: Window, inter: Interaction, basis,
-                  budget: int = 2_000_000) -> dict:
+                  budget: int = DEFAULT_BUDGET) -> dict:
   """Constant-on-components functions versus spans of conserved quantities."""
   fib = fibers_report(window, inter, basis, budget)
   return {

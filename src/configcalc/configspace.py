@@ -9,9 +9,10 @@ order.  Transitions apply the interaction across a directed window edge.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product, repeat
+from operator import add, sub
 
-from .interactions import Interaction, check_exchangeability, check_validity
+from .interactions import Interaction, check_exchangeability
 from .locales import Window
 from .serialize import InputError, fraction_to_str
 
@@ -185,54 +186,116 @@ def zero_quantity(basis) -> tuple:
 # Components of the transition graph
 
 
+def _digit_slice(seq, y: int, place: int, s: int) -> list:
+  """The entries of ``seq`` whose index has digit y at ``place``.
+
+  The order depends on ``place``, ``s`` and ``len(seq)`` only, so the calls
+  for digits y and y2 pair each index r with r + (y2 - y) * place: index
+  order from contiguous blocks when they are long, in-block offset order
+  from strided slices when they are short.
+  """
+  span = place * s
+  if place * span >= len(seq):
+    return list(chain.from_iterable(seq[i:i + place]
+                                    for i in range(y * place, len(seq), span)))
+  return list(chain.from_iterable(seq[y * place + i::span]
+                                  for i in range(place)))
+
+
+def _slab_solve(window: Window, inter: Interaction, steps=None):
+  """Transition components, and a potential when ``steps`` is given, found
+  by peeling window positions from the last one to the first.
+
+  Level m holds the configurations of positions m..n-1, indexed x * P + r
+  with x the digit at m and r one of the P level-(m+1) configurations.  A
+  move across an edge that avoids position m stays in its slab x * P + (.)
+  and is a level-(m+1) move, so every slab shares the level-(m+1) solution:
+  the potential U in integer numerators, 0 at each component's least member,
+  dense labels L ordered by least member, and those least members ``reps``.
+  The moves across the edges between m and a later position q join the
+  s * C slab components (node x * C + L[r]); they are read off the slices of
+  L and U at the digits of q.  Every move is checked at exactly one level,
+  and links count both ways, so the components are those of the undirected
+  transition graph.
+
+  ``steps[k][a * s + b]`` is the numerator of the k-th window edge's
+  function at the edge pair (a, b): each function reads its own edge only.
+  Returns (U, L, reps), U being None when ``steps`` is None, or None when a
+  cycle of moves has a nonzero integral.
+  """
+  n, s = window.n_sites, inter.n_states
+  epos = edge_positions(window)
+  U, L, reps = [0], [0], [0]
+  for m in range(n - 1, -1, -1):
+    size, n_comp = len(L), len(reps)
+    links = {}  # (source node, target node) -> offset difference
+    for k, (pu, pv) in enumerate(epos):
+      if min(pu, pv) != m:
+        continue
+      place = s ** (n - 1 - (pu + pv - m))
+      for a in range(s):
+        for b in range(s):
+          c, d = inter.apply(a, b)
+          if (c, d) == (a, b):
+            continue
+          # (digit at m, digit at q) before and after the move
+          (x, y), (x2, y2) = ((a, b), (c, d)) if pu == m else ((b, a), (d, c))
+          src = _digit_slice(L, y, place, s)
+          tgt = _digit_slice(L, y2, place, s)
+          if steps is None:
+            step, diffs = 0, repeat(0)
+          else:
+            step = steps[k][a * s + b]
+            diffs = map(sub, _digit_slice(U, y, place, s),
+                        _digit_slice(U, y2, place, s))
+          for l, l2, du in set(zip(src, tgt, diffs)):
+            diff = du + step
+            if links.setdefault((x * n_comp + l, x2 * n_comp + l2),
+                                diff) != diff:
+              return None
+    # Node x * C + c has least member x * P + reps[c], and both grow with
+    # the node, so walking the nodes in order labels by least member.
+    n_nodes = s * n_comp
+    adj = [[] for _ in range(n_nodes)]
+    for (u, v), diff in links.items():
+      adj[u].append((v, diff))
+      adj[v].append((u, -diff))
+    label, offset, new_reps = [None] * n_nodes, [0] * n_nodes, []
+    for node in range(n_nodes):
+      if label[node] is not None:
+        continue
+      label[node] = len(new_reps)
+      new_reps.append(node // n_comp * size + reps[node % n_comp])
+      stack = [node]
+      while stack:
+        u = stack.pop()
+        for v, diff in adj[u]:
+          if label[v] is None:
+            label[v], offset[v] = label[u], offset[u] + diff
+            stack.append(v)
+    if any(offset[v] - offset[u] != diff for (u, v), diff in links.items()):
+      return None
+    new_L, new_U = [], []
+    for x in range(s):
+      nodes = slice(x * n_comp, (x + 1) * n_comp)
+      new_L += map(label[nodes].__getitem__, L)
+      if steps is not None:
+        off = offset[nodes]
+        new_U += map(add, U, map(off.__getitem__, L)) if any(off) else U
+    U, L, reps = new_U, new_L, new_reps
+  return (None if steps is None else U), L, reps
+
+
 def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET):
-  """Union-find components of the transition graph.
+  """Components of the transition graph, links counted both ways.
 
   Returns (labels, representatives): ``labels[i]`` is the component id of
   configuration ``i`` (ids are dense, ordered by least member), and
-  ``representatives[c]`` is that least configuration index.
+  ``representatives[c]`` is that least configuration index.  The window is
+  solved slab by slab (``_slab_solve``), one window position at a time.
   """
-  total = guard_budget(window, inter, budget)
-  s = inter.n_states
-  powers = digit_powers(window.n_sites, s)
-  moves = move_table(edge_positions(window), window.n_sites, inter)
-  if check_validity(inter)["valid"]:
-    # Every move is undone across the same edge or its reverse, so each link
-    # is also met from its lower end: keep only the upward jumps.
-    moves = tuple((pu, pv, tuple(j if j is not None and j > 0 else None
-                                 for j in jumps))
-                  for pu, pv, jumps in moves)
-  # Every root is the least member of its set and every parent is below its
-  # child, so one ascending pass labels the configurations afterwards.
-  parent = list(range(total))
-  for pu, pv, jumps in moves:
-    # The configurations with the edge's pair of digits at zero, in order.
-    p_hi, p_lo = max(powers[pu], powers[pv]), min(powers[pu], powers[pv])
-    offsets = [h + m + l for h in range(0, total, s * p_hi)
-               for m in range(0, p_hi, s * p_lo) for l in range(p_lo)]
-    for code, j in enumerate(jumps):
-      if j is None:
-        continue
-      start = code // s * powers[pu] + code % s * powers[pv]
-      for o in offsets:
-        a = start + o
-        b = a + j
-        while parent[a] != a:
-          parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-          parent[b] = b = parent[parent[b]]
-        if a < b:
-          parent[b] = a
-        elif b < a:
-          parent[a] = b
-  labels = [0] * total
-  reps = []
-  for idx, p in enumerate(parent):
-    if p == idx:
-      labels[idx] = len(reps)
-      reps.append(idx)
-    else:
-      labels[idx] = labels[p]
+  guard_budget(window, inter, budget)
+  _, labels, reps = _slab_solve(window, inter)
   return labels, reps
 
 
@@ -246,9 +309,9 @@ def fibers_report(window: Window, inter: Interaction, basis,
   """
   labels, reps = components(window, inter, budget)
   quantities = _quantity_sums(window.vertices, basis, inter.n_states)
-  first = {}  # (quantity, component) -> least configuration index
-  for idx, key in enumerate(zip(quantities, labels)):
-    first.setdefault(key, idx)
+  pairs = list(zip(quantities, labels))
+  # (quantity, component) -> least configuration index: the last write wins
+  first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))
   fiber_components = {}
   for (q, comp), least in first.items():
     fiber_components.setdefault(q, {})[comp] = least

@@ -31,7 +31,8 @@ from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (digits_from_sites, exchange_path, guard_budget)
+from .configspace import (DEFAULT_BUDGET, digits_from_sites, exchange_path,
+                          guard_budget)
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import rref
@@ -206,7 +207,7 @@ def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
 
 def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
                   inter: Interaction, basis,
-                  budget: int = 2_000_000) -> LocalFunction:
+                  budget: int = DEFAULT_BUDGET) -> LocalFunction:
   """The window profile whose translation defect realizes the cocycle.
 
   theta(eta) weighs each site's quantities by the tile index of the site; it

@@ -12,6 +12,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import configcalc.calculus as calculus_module
 from configcalc.calculus import (Form, LocalFunction, NotClosedError,
                                  _combine, _gather, add, constant, differential, embed, expansion,
                                  exact_support_radius, form_axioms_report,
@@ -25,9 +26,11 @@ from configcalc.calculus import (Form, LocalFunction, NotClosedError,
                                  uniformity_criterion)
 from configcalc.configspace import (all_configs, apply_edge, config_to_json,
                                     digits_from_sites)
-from configcalc.interactions import (by_name, conserved_basis, exclusion,
-                                     glauber, multispecies, spin3)
-from configcalc.locales import Euclidean, box
+from configcalc.cohomology import ordered_flux_form
+from configcalc.decomposition import TranslationAction, build_omega_rho
+from configcalc.interactions import (Interaction, by_name, conserved_basis,
+                                     exclusion, glauber, multispecies, spin3)
+from configcalc.locales import Euclidean, Hexagonal, Triangular, box
 from configcalc.serialize import InputError, fraction_to_str
 
 
@@ -422,6 +425,98 @@ def test_not_closed_witness_matches_fraction_oracle(name):
     with pytest.raises(NotClosedError) as err:
       integrate(bad, win, inter)
     assert err.value.witness == want
+
+
+# (0, 1) -> (1, 1) is never undone: not valid, so the scan stays breadth-first
+ONE_WAY = Interaction("one-way", (0, 1), 0,
+                      (((0, 0), (1, 1)), ((1, 0), (1, 1))))
+
+# window, translation action and tile domain for build_omega_rho
+SCAN_WINDOWS = {
+    "line1": lambda: (line(1), TranslationAction(Euclidean(1), ((1,),)),
+                      ((0,),)),
+    "line2": lambda: (line(2), TranslationAction(Euclidean(1), ((1,),)),
+                      ((0,),)),
+    "line7": lambda: (line(7), TranslationAction(Euclidean(1), ((1,),)),
+                      ((0,),)),
+    "box3x4": lambda: (box(Euclidean(2), (0, 0), (2, 3)),
+                       TranslationAction(Euclidean(2), ((1, 0), (0, 1))),
+                       ((0, 0),)),
+    "triangular": lambda: (box(Triangular(), (0, 0), (2, 1)),
+                           TranslationAction(Triangular(), ((1, 0), (0, 1))),
+                           ((0, 0),)),
+    "hexagonal": lambda: (box(Hexagonal(), (0, 0), (1, 1)),
+                          TranslationAction(Hexagonal(), ((1, 0), (0, 1))),
+                          ((0, 0, 0), (0, 0, 1))),
+}
+
+# The Fraction oracle walks every configuration at a few seconds per 2^12,
+# so the 3 x 4 box runs exclusion and the one-way rule only.
+EDGE_LOCAL_CASES = [(w, name) for w in SCAN_WINDOWS
+                    for name in ("exclusion", "multispecies:2", "spin3",
+                                 "glauber", "pair-flip", "one-way")
+                    if w != "box3x4" or name in ("exclusion", "one-way")]
+
+
+def edge_local_forms(rng, window, action, domain, inter):
+  """Closed edge-local forms: the flux of a random cocycle matrix, the
+  ordered flux of the two highest states, and the differential of a sum of
+  random one-site weights."""
+  basis = conserved_basis(inter)
+  a = [[rng.choice(MIXED[:5]) for _ in range(action.rank)] for _ in basis]
+  weights = _combine(((1, mixed_function(rng, (x,), inter))
+                      for x in window.vertices), inter.n_states, inter.base)
+  return [build_omega_rho(a, action, domain, window, inter, basis),
+          ordered_flux_form(window, inter, *inter.states[-2:]),
+          differential(weights, window, inter)]
+
+
+@pytest.mark.parametrize("win_key,name", EDGE_LOCAL_CASES)
+def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
+  solved, slab_solve = [], calculus_module._slab_solve
+
+  def spy(*args):
+    solved.append(slab_solve(*args))
+    return solved[-1]
+
+  monkeypatch.setattr("configcalc.calculus._slab_solve", spy)
+  rng = random.Random(41)
+  win, action, domain = SCAN_WINDOWS[win_key]()
+  inter = ONE_WAY if name == "one-way" else by_name(name)
+  forms = edge_local_forms(rng, win, action, domain, inter)
+  for form in list(forms):
+    if not win.edges:
+      break
+    edge = rng.choice(win.edges)
+    cells = [(a, b) for a in range(inter.n_states)
+             for b in range(inter.n_states) if inter.moves(a, b)]
+    a, b = rng.choice(cells)
+    forms.append(perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
+                           rng.choice(MIXED[:5])))
+  closed = 0
+  for form in forms:
+    del solved[:]
+    values, pins, witness = reference_scan(form, win, inter)
+    rep = is_closed(form, win, inter)
+    if witness is None:
+      closed += 1
+      f, meta = integrate(form, win, inter)
+      assert list(f.values) == values
+      assert meta == {"n_components": len(pins), "pins": pins}
+      assert rep == {"closed": True, "witness": None,
+                     "n_components": len(pins)}
+    else:
+      assert rep == {"closed": False, "witness": witness}
+      with pytest.raises(NotClosedError) as err:
+        integrate(form, win, inter)
+      assert err.value.witness == witness
+    # the slab kernel decides every valid case; the BFS only builds witnesses
+    if name == "one-way":
+      assert not solved
+    else:
+      assert solved and all((s is None) == (witness is not None)
+                            for s in solved)
+  assert closed
 
 
 @pytest.mark.parametrize("name", ["multispecies:2", "generalized-exclusion:2",

@@ -17,7 +17,8 @@ from configcalc.interactions import (Interaction, by_name,
                                      check_exchangeability, conserved_basis,
                                      exclusion, glauber, multispecies,
                                      pair_flip, spin3)
-from configcalc.locales import Euclidean, box
+from configcalc.locales import (Euclidean, FiniteGraph, Hexagonal, Triangular,
+                               box, window)
 from configcalc.serialize import InputError
 
 
@@ -105,13 +106,30 @@ def test_quantity_table_matches_quantity_of(name):
     assert all(type(v) is Fraction for q in table for v in q)
 
 
+# windows beyond the line, by key; the graph is a five-cycle with a pendant
+# site, so edges (0, 4) and (0, 5) join far-apart window positions
+WINDOWS = {
+    "triangular": lambda: box(Triangular(), (0, 0), (2, 1)),
+    "hexagonal": lambda: box(Hexagonal(), (0, 0), (1, 1)),
+    "graph": lambda: window(
+        FiniteGraph(range(6), [(0, 5), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+        range(6)),
+}
+
+
 @pytest.mark.parametrize("name,n", [("exclusion", 4), ("multispecies:2", 3),
                                     ("spin3", 3), ("pair-flip", 4),
                                     ("glauber", 3),
                                     ("generalized-exclusion:2", 3),
-                                    ("lattice-gas:2", 3)])
+                                    ("lattice-gas:2", 3),
+                                    ("exclusion", "triangular"),
+                                    ("multispecies:2", "triangular"),
+                                    ("spin3", "hexagonal"),
+                                    ("pair-flip", "hexagonal"),
+                                    ("lattice-gas:2", "graph"),
+                                    ("glauber", "graph")])
 def test_components_match_brute_force(name, n):
-  win = line(n)
+  win = line(n) if isinstance(n, int) else WINDOWS[n]()
   inter = by_name(name)
   labels, reps = components(win, inter)
   brute, n_brute = brute_components(win, inter)
