@@ -217,7 +217,8 @@ def scale(f: LocalFunction, c) -> LocalFunction:
 
 
 def functions_equal(f: LocalFunction, g: LocalFunction) -> bool:
-  return sub(f, g).is_zero()
+  # The table format is canonical: equal fields mean equal functions.
+  return f == g or sub(f, g).is_zero()
 
 
 def restrict(f: LocalFunction, region) -> LocalFunction:

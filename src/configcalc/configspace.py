@@ -303,28 +303,37 @@ def fibers_report(window: Window, inter: Interaction, basis,
                   budget: int = DEFAULT_BUDGET) -> dict:
   """Do the conserved quantities separate exactly the transition components?
 
-  The report carries counts plus, when a quantity fiber splits into several
-  components, a concrete witness pair of mutually unreachable configurations
-  with equal quantities.
+  Every basis vector must be conserved by the interaction's moves (an
+  ``InputError`` otherwise), so the quantity is constant on each component
+  and is read at its least member.  The report carries counts plus, when a
+  quantity fiber splits into several components, a concrete witness pair of
+  mutually unreachable configurations with equal quantities.
   """
-  labels, reps = components(window, inter, budget)
-  quantities = _quantity_sums(window.vertices, basis, inter.n_states)
-  pairs = list(zip(quantities, labels))
-  # (quantity, component) -> least configuration index: the last write wins
-  first = dict(zip(reversed(pairs), reversed(range(len(pairs)))))
+  s = inter.n_states
+  for a in range(s):
+    for b in range(s):
+      c, d = inter.apply(a, b)
+      if any(vec[a] + vec[b] != vec[c] + vec[d] for vec in basis):
+        raise InputError(
+            f"the basis is not conserved by the move "
+            f"{(inter.states[a], inter.states[b])} -> "
+            f"{(inter.states[c], inter.states[d])}")
+  _, reps = components(window, inter, budget)
+  # quantity -> least members of its components, in increasing order
   fiber_components = {}
-  for (q, comp), least in first.items():
-    fiber_components.setdefault(q, {})[comp] = least
+  for rep in reps:
+    q = quantity_of(digits_of(rep, window.n_sites, s), basis)
+    fiber_components.setdefault(q, []).append(rep)
   witness = None
   for q in sorted(fiber_components):
     comps = fiber_components[q]
     if len(comps) > 1:
-      first, second = sorted(comps.values())[:2]
+      first, second = comps[:2]
       witness = {
           "quantity": quantity_to_json(q),
           "configs": [
-              config_to_json(window, inter, digits_of(first, window.n_sites, inter.n_states)),
-              config_to_json(window, inter, digits_of(second, window.n_sites, inter.n_states)),
+              config_to_json(window, inter, digits_of(first, window.n_sites, s)),
+              config_to_json(window, inter, digits_of(second, window.n_sites, s)),
           ],
       }
       break

@@ -23,7 +23,7 @@ from math import lcm
 
 from .calculus import (Form, LocalFunction, _combine, _mobius,
                        _path_integral, _piece, _subsets, constant,
-                       differential, form_axioms_report, form_add, form_sub,
+                       differential, form_axioms_report, form_sub,
                        functions_equal, gradient, integrate, is_closed,
                        restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
@@ -194,14 +194,20 @@ def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
     raise InputError("cocycle matrix needs one row per conserved quantity")
   if any(len(row) != action.rank for row in a_matrix):
     raise InputError("cocycle matrix needs one column per generator")
+  s = inter.n_states
+  # theta_x(d) = sum_j tau(x)_j g_j(d) with g_j(d) = sum_i a[i][j] basis[i][d],
+  # each g_j as integer numerators over one denominator
+  g = [[sum((Fraction(row[j]) * vec[d] for row, vec in zip(a_matrix, basis)),
+            ZERO) for d in range(s)] for j in range(action.rank)]
+  denom = lcm(*(x.denominator for col in g for x in col))
+  g = [[x.numerator * (denom // x.denominator) for x in col] for col in g]
   tables = {}
   for x in window.vertices:
     coeffs, _ = tile_of(action, x, domain)
-    w = [sum(Fraction(a) * k for a, k in zip(row, coeffs)) for row in a_matrix]
-    tables[x] = LocalFunction(
-        (x,), inter.n_states, inter.base,
-        [sum((wi * vec[d] for wi, vec in zip(w, basis)), ZERO)
-         for d in range(inter.n_states)])
+    tables[x] = LocalFunction._exact(
+        (x,), s, inter.base,
+        [sum(k * col[d] for k, col in zip(coeffs, g)) for d in range(s)],
+        denom)
   return tables
 
 
@@ -222,15 +228,30 @@ def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
 def build_omega_rho(a_matrix, action: TranslationAction, domain,
                     window: Window, inter: Interaction, basis) -> Form:
   """The canonical flux form of the matrix ``a``: each jump moves quantity
-  between tiles weighted by the tile indices.  Radius zero by construction."""
+  between tiles weighted by the tile indices.  Radius zero by construction.
+
+  The flux across (u, v) is the gradient of theta_u + theta_v, read off the
+  interaction's moves: at the pair (a, b) with (c, d) = phi(a, b) it is
+  theta_u(c) - theta_u(a) + theta_v(d) - theta_v(b), on the edge's sites in
+  sorted order.
+  """
   tables = _site_weights(a_matrix, action, domain, window, inter, basis)
+  s = inter.n_states
+  moves = [(a, b, *inter.apply(a, b)) for a in range(s) for b in range(s)]
+  moves = [(a, b, c, d) for a, b, c, d in moves if (c, d) != (a, b)]
   fns = {}
-  for e in window.edges:
-    # The gradient of theta read on the edge's two sites.
-    fn = gradient(_combine(((1, tables[x]) for x in e), inter.n_states,
-                           inter.base), e, inter)
+  for u, v in window.edges:
+    tu, tv = tables[u], tables[v]
+    denom = lcm(tu.denom, tv.denom)
+    mu, mv = denom // tu.denom, denom // tv.denom
+    nums = [0] * (s * s)
+    for a, b, c, d in moves:
+      nums[a * s + b if u < v else b * s + a] = (
+          mu * (tu.nums[c] - tu.nums[a]) + mv * (tv.nums[d] - tv.nums[b]))
+    fn = trim(LocalFunction._exact(tuple(sorted((u, v))), s, inter.base,
+                                   nums, denom))
     if not fn.is_zero():
-      fns[e] = fn
+      fns[(u, v)] = fn
   return Form(inter.n_states, inter.base, fns, 0)
 
 
@@ -385,17 +406,21 @@ def translates_meeting(action: TranslationAction, f: LocalFunction, targets):
 
 
 def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
-                             edges, win_set, inter: Interaction) -> dict:
-  """Per edge e, the sum over the translates tau f that meet e of
-  nabla_e(tau f restricted to the window).
+                             edges, win_set, inter: Interaction,
+                             flux: Form) -> dict:
+  """Per edge e, flux_e plus the sum over the translates tau f that meet e of
+  nabla_e(tau f restricted to the window), trimmed.
 
-  The sum is translation-equivariant: if e' = sigma e and the window cuts
-  the translates meeting e' as it cuts those meeting e, the sum at e' is the
-  sum at e translated by sigma, the same table on a support moved in order.
-  So an edge is keyed by its translate back by its first meeting shift and
-  by the window membership of every site of every meeting translate; the
-  sum is computed once per key, one gradient per translate, and translated
-  to the key's other edges.
+  The sum is translation-equivariant: if e' = sigma e, the window cuts the
+  translates meeting e' as it cuts those meeting e, and flux_e' is flux_e
+  translated by sigma, then the sum at e' is the sum at e translated by
+  sigma, the same table on a support moved in order.  So an edge is keyed by
+  its translate back by its first meeting shift, by the window membership of
+  every site of every meeting translate (in sorted-shift order), and by its
+  flux table on its support moved back by the same shift; the sum is
+  computed once per key, one gradient per translate, and translated to the
+  key's other edges.  A flux that does not translate (a basis the
+  interaction does not conserve) only splits the classes.
   """
   sums, first = {}, {}
   for e in edges:
@@ -403,18 +428,23 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
     c0 = meeting[0] if meeting else (0,) * action.rank
     shifts = [action.shift_of(c) for c in meeting]
     back = action.shift_of(tuple(-k for k in c0))
+    fl = flux.fn(e)
     key = (tuple(action.act_vertex(x, back) for x in e),
            tuple(action.act_vertex(v, s) in win_set
-                 for s in shifts for v in f.support))
+                 for s in shifts for v in f.support),
+           None if fl is None else (
+               tuple(action.act_vertex(x, back) for x in fl.support),
+               fl.nums, fl.denom))
     if key in first:
       c1, total = first[key]
       sums[e] = translate_function(
           action, total, action.shift_of(tuple(a - b for a, b in zip(c0, c1))))
       continue
-    total = _combine(
-        ((1, gradient(restrict(translate_function(action, f, s), win_set),
-                      e, inter)) for s in shifts),
-        inter.n_states, inter.base)
+    terms = [(1, gradient(restrict(translate_function(action, f, s), win_set),
+                          e, inter)) for s in shifts]
+    if fl is not None:
+      terms.append((1, fl))
+    total = trim(_combine(terms, inter.n_states, inter.base))
     first[key] = (c0, total)
     sums[e] = total
   return sums
@@ -427,21 +457,17 @@ def synthesized_form(f: LocalFunction, a_matrix, action: TranslationAction,
 
   Exactly closed on the window by construction; shift-invariant away from
   the boundary.  The base-configuration value of f must be zero so that
-  truncation does not bend interior edge functions.
+  truncation does not bend interior edge functions.  The flux is added
+  inside the per-class sums of ``_translate_gradient_sums``.
   """
   if f.value_at({}) != 0:
     raise InputError("synthesis needs f to vanish on the base configuration")
-  fns = {}
-  sums = _translate_gradient_sums(action, f, window.edges,
-                                  set(window.vertices), inter)
-  for e, total in sums.items():
-    total = trim(total)
-    if not total.is_zero():
-      fns[e] = total
-  exact_part = Form(inter.n_states, inter.base, fns, None)
   flux = build_omega_rho(a_matrix, action, domain, window, inter, basis)
+  sums = _translate_gradient_sums(action, f, window.edges,
+                                  set(window.vertices), inter, flux)
+  fns = {e: total for e, total in sums.items() if not total.is_zero()}
   radius = max(1, support_diameter(f.support, window.locale))
-  return form_add(exact_part, flux, radius)
+  return Form(inter.n_states, inter.base, fns, radius)
 
 
 def _recenter_domain(window: Window, action: TranslationAction,
@@ -614,13 +640,15 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
     raise InputError("window too small: no interior edge to verify on")
   # The window cuts no translate that meets an interior edge.
   sums = _translate_gradient_sums(action, f_hat, edges, set(window.vertices),
-                                  inter)
+                                  inter, flux)
   witness = None
   worst = ZERO
   for (u, v), total in sums.items():
-    terms = [(1, form.fn((u, v))), (-1, flux.fn((u, v))), (-1, total)]
-    diff = trim(_combine([(c, g) for c, g in terms if g is not None],
-                         inter.n_states, inter.base))
+    fn = form.fn((u, v))
+    if fn == total or (fn is None and total.is_zero()):
+      continue
+    terms = [(-1, total)] if fn is None else [(1, fn), (-1, total)]
+    diff = trim(_combine(terms, inter.n_states, inter.base))
     if not diff.is_zero():
       for dg, val in diff.assignments():
         if val != 0:

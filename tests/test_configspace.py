@@ -285,6 +285,64 @@ def test_exclusion_fiber_counts():
   assert rep["n_fibers"] == 5
 
 
+def grouped_fibers(window, inter, basis):
+  """Reference report: every configuration grouped by (quantity, component),
+  components from the brute-force search."""
+  labels, _ = brute_components(window, inter)
+  least = {}
+  for idx, digits in enumerate(all_configs(window, inter)):
+    least.setdefault((quantity_of(digits, basis), labels[idx]), idx)
+  fibers = {}
+  for (q, _comp), idx in least.items():
+    fibers.setdefault(q, []).append(idx)
+  witness = None
+  for q in sorted(fibers):
+    if len(fibers[q]) > 1:
+      first, second = sorted(fibers[q])[:2]
+      witness = {
+          "quantity": [str(Fraction(v)) for v in q],
+          "configs": [config_to_json(window, inter,
+                                     digits_of(i, window.n_sites,
+                                               inter.n_states))
+                      for i in (first, second)],
+      }
+      break
+  n_components = max(labels) + 1
+  return {
+      "n_configs": n_configs(window, inter),
+      "n_components": n_components,
+      "n_fibers": len(fibers),
+      "fibers_connected": witness is None,
+      "components_separated": n_components == len(fibers),
+      "witness": witness,
+  }
+
+
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3",
+                                  "pair-flip", "glauber"])
+def test_fibers_report_matches_per_configuration_grouping(name):
+  # Reading each component's quantity at its least member gives the counts,
+  # verdicts and witness of grouping every configuration.
+  inter = by_name(name)
+  basis = conserved_basis(inter)
+  reports = []
+  for n in range(3, 9):
+    rep = fibers_report(line(n), inter, basis)
+    assert rep == grouped_fibers(line(n), inter, basis), n
+    reports.append(rep)
+  if name == "pair-flip":
+    assert all(rep["witness"] is not None for rep in reports)
+
+
+@pytest.mark.parametrize("name,vec", [("spin3", (1, 0, 1)),
+                                      ("glauber", (0, 1)),
+                                      ("pair-flip", (0, 1))])
+def test_fibers_report_refuses_a_basis_the_moves_do_not_conserve(name, vec):
+  inter = by_name(name)
+  with pytest.raises(InputError, match="not conserved"):
+    fibers_report(line(3), inter, conserved_basis(inter) + (vec,))
+
+
 def test_config_json_roundtrip():
   win = line(4)
   inter = spin3()

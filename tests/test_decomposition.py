@@ -13,9 +13,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from configcalc import decomposition
-from configcalc.calculus import (_combine, differential, form_add, form_scale,
-                                 form_sub, from_callable, functions_equal,
-                                 gradient, integrate, restrict, scale)
+from configcalc.calculus import (Form, _combine, differential, form_add,
+                                 form_scale, form_sub, from_callable,
+                                 functions_equal, gradient, integrate,
+                                 restrict, scale, support_diameter, trim)
 from configcalc.configspace import all_configs, apply_edge, digits_of
 from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       NotShiftInvariant, TranslationAction,
@@ -31,7 +32,7 @@ from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
                                      lattice_gas, multispecies, spin3)
 from configcalc.locales import Euclidean, Hexagonal, Triangular, box
-from configcalc.serialize import InputError
+from configcalc.serialize import InputError, fraction_to_str
 
 
 def line(n):
@@ -251,16 +252,18 @@ def test_translates_meeting_counts_lattice_shifts():
   assert sorted(shifts) == [(-1,), (0,), (1,), (2,)]
 
 
-def per_edge_translate_gradients(action, f, edges, win_set, inter):
-  """Reference sums: per edge, one gradient per meeting translate of f,
-  summed, with no reuse between edges."""
+def per_edge_translate_gradients(action, f, edges, win_set, inter, flux):
+  """Reference sums: per edge, one gradient per meeting translate of f plus
+  the edge's flux, summed and trimmed, with no reuse between edges."""
   sums = {}
   for edge in edges:
     grads = []
     for coeffs in translates_meeting(action, f, edge):
       tf = translate_function(action, f, action.shift_of(coeffs))
       grads.append((1, gradient(restrict(tf, win_set), edge, inter)))
-    sums[edge] = _combine(grads, inter.n_states, inter.base)
+    if flux.fn(edge) is not None:
+      grads.append((1, flux.fn(edge)))
+    sums[edge] = trim(_combine(grads, inter.n_states, inter.base))
   return sums
 
 
@@ -327,6 +330,123 @@ def test_translate_gradient_sums_match_the_per_edge_sum(case, monkeypatch):
     assert ok["ok"] and ok["max_abs_residual"] == "0"
     assert not perturbed["ok"] and perturbed["max_abs_residual"] != "0"
     assert perturbed["witness"] is not None
+
+
+def gather_omega_rho(a, action, domain, window, inter, basis):
+  """Reference flux form: per edge, the gradient of theta_u + theta_v read
+  through ``_combine`` and ``gradient``."""
+  tables = decomposition._site_weights(a, action, domain, window, inter, basis)
+  fns = {}
+  for e in window.edges:
+    fn = gradient(_combine(((1, tables[x]) for x in e), inter.n_states,
+                           inter.base), e, inter)
+    if not fn.is_zero():
+      fns[e] = fn
+  return Form(inter.n_states, inter.base, fns, 0)
+
+
+def _exact_sums(action, f, edges, window, inter):
+  no_flux = Form(inter.n_states, inter.base, {}, 0)
+  return per_edge_translate_gradients(action, f, edges, set(window.vertices),
+                                      inter, no_flux)
+
+
+def form_add_synthesized(f, a, action, domain, window, inter, basis):
+  """Reference synthesized form: the exact part, then the flux added edge by
+  edge with ``form_add``."""
+  sums = _exact_sums(action, f, window.edges, window, inter)
+  exact = Form(inter.n_states, inter.base,
+               {e: t for e, t in sums.items() if not t.is_zero()}, None)
+  flux = gather_omega_rho(a, action, domain, window, inter, basis)
+  return form_add(exact, flux, max(1, support_diameter(f.support,
+                                                       window.locale)))
+
+
+def form_add_identity(form, f_hat, flux, window, inter, action):
+  """Reference identity check: form - flux - exact sum on each interior
+  edge, subtracted through ``_combine``."""
+  locale = window.locale
+  pad = support_diameter(f_hat.support, locale) if f_hat.support else 0
+  inner = interior_vertices(window, pad)
+  edges = [(u, v) for u, v in window.edges if u in inner and v in inner]
+  witness, worst = None, Fraction(0)
+  for (u, v), total in _exact_sums(action, f_hat, edges, window,
+                                   inter).items():
+    terms = [(1, form.fn((u, v))), (-1, flux.fn((u, v))), (-1, total)]
+    diff = trim(_combine([(c, g) for c, g in terms if g is not None],
+                         inter.n_states, inter.base))
+    for dg, val in diff.assignments():
+      if val != 0:
+        worst = max(worst, abs(val))
+        if witness is None:
+          witness = {
+              "edge": [locale.encode_vertex(u), locale.encode_vertex(v)],
+              "sites": [locale.encode_vertex(s) for s in diff.support],
+              "states": [inter.states[d] for d in dg],
+              "difference": fraction_to_str(val),
+          }
+  return {"ok": witness is None, "edges_checked": len(edges),
+          "interior_pad": pad, "max_abs_residual": fraction_to_str(worst),
+          "witness": witness}
+
+
+EVEN = TranslationAction(Euclidean(2), ((2, 0), (0, 2)))
+EVEN_DOMAIN = ((0, 0), (0, 1), (1, 0), (1, 1))
+# translates by EVEN cover only the even rows, so the odd rows' edges meet
+# none of them
+EVEN_SUPPORTS = (((0, 0), (1, 0)), ((0, 0), (1, 0), (2, 0)))
+SQUARE_SUPPORTS = (((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 1)))
+LINE_SUPPORTS = (((0,), (1,), (2,)), ((0,), (2,)))
+# (window, model, action, domain, supports, basis or None for the conserved)
+FOLD_CASES = {
+    "line9-multispecies": (line(9), "multispecies:2", Z_ACTION, ((0,),),
+                           LINE_SUPPORTS, None),
+    "line11-multispecies": (line(11), "multispecies:2", Z_ACTION, ((0,),),
+                            LINE_SUPPORTS, None),
+    "square7-even": (square(7), "exclusion", EVEN, EVEN_DOMAIN,
+                     EVEN_SUPPORTS, None),
+    "square8-even": (square(8), "multispecies:2", EVEN, EVEN_DOMAIN,
+                     EVEN_SUPPORTS[:1], None),
+    "square9-even": (square(9), "exclusion", EVEN, EVEN_DOMAIN,
+                     EVEN_SUPPORTS, None),
+    "triangular7-multispecies": (
+        box(Triangular(), (0, 0), (6, 6)), "multispecies:2",
+        TranslationAction(Triangular(), ((1, 0), (0, 1))), ((0, 0),),
+        SQUARE_SUPPORTS[1:], None),
+    "hexagonal5-exclusion": GRADIENT_SUM_CASES["hexagonal5-exclusion"]
+                            + (None,),
+    # theta's flux does not translate when the moves change the quantity
+    "line9-spin3-unconserved": (line(9), "spin3", Z_ACTION, ((0,),),
+                                LINE_SUPPORTS, ((1, 0, 1), (-1, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_synthesized_form_matches_form_add_reference(case):
+  # The flux read off the move table and added inside the class sums gives
+  # the forms and identity reports of the flux built by gradients and added
+  # edge by edge.
+  win, model, act, domain, supports, basis = FOLD_CASES[case]
+  inter = by_name(model)
+  if basis is None:
+    basis = conserved_basis(inter)
+  a = tuple(tuple(Fraction(k - j + 1, 3 + k + j) for j in range(act.rank))
+            for k in range(len(basis)))
+  flux = build_omega_rho(a, act, domain, win, inter, basis)
+  assert flux == gather_omega_rho(a, act, domain, win, inter, basis)
+  assert flux.fns
+  for support in supports:
+    f = _vanishing_at_base(support, inter)
+    if act is EVEN:  # some edges carry the flux alone
+      assert any(not translates_meeting(act, f, e) and flux.fn(e)
+                 for e in win.edges)
+    form = synthesized_form(f, a, act, domain, win, inter, basis)
+    want = form_add_synthesized(f, a, act, domain, win, inter, basis)
+    assert form.fns == want.fns and form.radius == want.radius
+    for f_hat in (f, scale(f, Fraction(3, 2))):
+      assert (_verify_identity(form, f_hat, flux, win, inter, act)
+              == form_add_identity(form, f_hat, flux, win, inter, act))
+    assert _verify_identity(form, f, flux, win, inter, act)["ok"]
 
 
 @pytest.mark.parametrize("case", ["line9", "square9"])
