@@ -25,11 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
+from operator import ne
 
-from .configspace import (DEFAULT_BUDGET, _site_sums, _slab_solve, apply_edge,
-                          config_to_json, digit_powers, digits_of,
-                          edge_positions, guard_budget, index_of, move_table)
+from .configspace import (DEFAULT_BUDGET, _digit_slice, _site_sums,
+                          _slab_solve, apply_edge, config_to_json,
+                          digit_powers, digits_of, edge_positions,
+                          guard_budget, index_of, move_table)
 from .interactions import Interaction, check_validity
+from .linalg import _integer_row
 from .locales import Locale, Window
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
@@ -57,11 +60,8 @@ class LocalFunction:
 
   def __init__(self, support, n_states: int, base: int, values):
     """From exact values (Fractions or ints), one per table entry."""
-    values = tuple(values)
-    denom = lcm(*{v.denominator for v in values})
-    self._fill(support, n_states, base,
-               tuple(v.numerator * (denom // v.denominator) for v in values),
-               denom)
+    nums, denom = _integer_row(values)
+    self._fill(support, n_states, base, tuple(nums), denom)
 
   @classmethod
   def _exact(cls, support, n_states: int, base: int, nums, denom: int = 1):
@@ -158,17 +158,9 @@ def embed(f: LocalFunction, support) -> LocalFunction:
 
 def _depends_on(nums, block: int, s: int) -> bool:
   """Does the table change with the digit whose place value is ``block``?
-
-  Compares the table slices of each digit against those of digit zero: one
-  contiguous slice per block when blocks are long, one strided slice per
-  in-block offset when they are short.
-  """
-  span = block * s
-  if block * span >= len(nums):
-    return any(nums[i + d * block:i + (d + 1) * block] != nums[i:i + block]
-               for i in range(0, len(nums), span) for d in range(1, s))
-  return any(nums[d * block + i::span] != nums[i::span]
-             for i in range(block) for d in range(1, s))
+  Compares the table's slices at each digit with its slices at digit zero."""
+  return any(any(map(ne, _digit_slice(nums, d, block, s),
+                     _digit_slice(nums, 0, block, s))) for d in range(1, s))
 
 
 def trim(f: LocalFunction) -> LocalFunction:

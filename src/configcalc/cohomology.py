@@ -521,17 +521,15 @@ def inversion_count_function(window: Window, inter: Interaction,
   """
   low = inter.state_index(low_value)
   high = inter.state_index(high_value)
-  n = window.n_sites
-  vals = []
-  for digits in product(range(inter.n_states), repeat=n):
-    count = 0
-    for i in range(n):
-      if digits[i] == low:
-        for j in range(i + 1, n):
-          if digits[j] == high:
-            count += 1
-    vals.append(count)
-  return LocalFunction._exact(window.vertices, inter.n_states, inter.base, vals)
+  s = inter.n_states
+  # Inversion and low-state counts of every prefix configuration in index
+  # order; a high state at the next site closes one inversion per low before it.
+  inversions, lows = [0], [0]
+  for _ in window.vertices:
+    inversions = [c + (d == high) * k for c, k in zip(inversions, lows)
+                  for d in range(s)]
+    lows = [k + (d == low) for k in lows for d in range(s)]
+  return LocalFunction._exact(window.vertices, s, inter.base, inversions)
 
 
 def ordered_flux_form(window: Window, inter: Interaction,

@@ -100,12 +100,9 @@ def move_table(epos, n_sites: int, inter: Interaction) -> tuple:
   powers = digit_powers(n_sites, s)
   table = []
   for pu, pv in epos:
-    jumps = []
-    for a in range(s):
-      for b in range(s):
-        c, d = inter.apply(a, b)
-        jumps.append(None if (c, d) == (a, b)
-                     else (c - a) * powers[pu] + (d - b) * powers[pv])
+    jumps = [None] * (s * s)
+    for a, b, c, d in inter.moved:
+      jumps[a * s + b] = (c - a) * powers[pu] + (d - b) * powers[pv]
     table.append((pu, pv, tuple(jumps)))
   return tuple(table)
 
@@ -186,20 +183,16 @@ def zero_quantity(basis) -> tuple:
 # Components of the transition graph
 
 
-def _digit_slice(seq, y: int, place: int, s: int) -> list:
-  """The entries of ``seq`` whose index has digit y at ``place``.
-
-  The order depends on ``place``, ``s`` and ``len(seq)`` only, so the calls
-  for digits y and y2 pair each index r with r + (y2 - y) * place: index
-  order from contiguous blocks when they are long, in-block offset order
-  from strided slices when they are short.
+def _digit_slice(seq, y: int, place: int, s: int):
+  """Slices of ``seq`` holding the entries whose index has digit y at
+  ``place``: long contiguous blocks, or one strided slice per in-block offset.
+  The slicing depends on ``place``, ``s`` and ``len(seq)`` only, so the slices
+  for digits y and y2 pair index r with r + (y2 - y) * place, entry by entry.
   """
   span = place * s
   if place * span >= len(seq):
-    return list(chain.from_iterable(seq[i:i + place]
-                                    for i in range(y * place, len(seq), span)))
-  return list(chain.from_iterable(seq[y * place + i::span]
-                                  for i in range(place)))
+    return (seq[i:i + place] for i in range(y * place, len(seq), span))
+  return (seq[y * place + i::span] for i in range(place))
 
 
 def _slab_solve(window: Window, inter: Interaction, steps=None):
@@ -233,26 +226,22 @@ def _slab_solve(window: Window, inter: Interaction, steps=None):
       if min(pu, pv) != m:
         continue
       place = s ** (n - 1 - (pu + pv - m))
-      for a in range(s):
-        for b in range(s):
-          c, d = inter.apply(a, b)
-          if (c, d) == (a, b):
-            continue
-          # (digit at m, digit at q) before and after the move
-          (x, y), (x2, y2) = ((a, b), (c, d)) if pu == m else ((b, a), (d, c))
-          src = _digit_slice(L, y, place, s)
-          tgt = _digit_slice(L, y2, place, s)
-          if steps is None:
-            step, diffs = 0, repeat(0)
-          else:
-            step = steps[k][a * s + b]
-            diffs = map(sub, _digit_slice(U, y, place, s),
-                        _digit_slice(U, y2, place, s))
-          for l, l2, du in set(zip(src, tgt, diffs)):
-            diff = du + step
-            if links.setdefault((x * n_comp + l, x2 * n_comp + l2),
-                                diff) != diff:
-              return None
+      for a, b, c, d in inter.moved:
+        # (digit at m, digit at q) before and after the move
+        (x, y), (x2, y2) = ((a, b), (c, d)) if pu == m else ((b, a), (d, c))
+        src, tgt = (chain.from_iterable(_digit_slice(L, z, place, s))
+                    for z in (y, y2))
+        if steps is None:
+          step, diffs = 0, repeat(0)
+        else:
+          step = steps[k][a * s + b]
+          diffs = map(sub, *(chain.from_iterable(_digit_slice(U, z, place, s))
+                             for z in (y, y2)))
+        for l, l2, du in set(zip(src, tgt, diffs)):
+          diff = du + step
+          if links.setdefault((x * n_comp + l, x2 * n_comp + l2),
+                              diff) != diff:
+            return None
     # Node x * C + c has least member x * P + reps[c], and both grow with
     # the node, so walking the nodes in order labels by least member.
     n_nodes = s * n_comp
@@ -310,14 +299,12 @@ def fibers_report(window: Window, inter: Interaction, basis,
   mutually unreachable configurations with equal quantities.
   """
   s = inter.n_states
-  for a in range(s):
-    for b in range(s):
-      c, d = inter.apply(a, b)
-      if any(vec[a] + vec[b] != vec[c] + vec[d] for vec in basis):
-        raise InputError(
-            f"the basis is not conserved by the move "
-            f"{(inter.states[a], inter.states[b])} -> "
-            f"{(inter.states[c], inter.states[d])}")
+  for a, b, c, d in inter.moved:
+    if any(vec[a] + vec[b] != vec[c] + vec[d] for vec in basis):
+      raise InputError(
+          f"the basis is not conserved by the move "
+          f"{(inter.states[a], inter.states[b])} -> "
+          f"{(inter.states[c], inter.states[d])}")
   _, reps = components(window, inter, budget)
   # quantity -> least members of its components, in increasing order
   fiber_components = {}

@@ -35,7 +35,7 @@ from .configspace import (DEFAULT_BUDGET, digits_from_sites, exchange_path,
                           guard_budget)
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
-from .linalg import rref
+from .linalg import _integer_row, rref
 from .locales import (Euclidean, Hexagonal, LatticeLocale, Window, box,
                       window as build_window)
 from .serialize import (InputError, WitnessError, fraction_from_str,
@@ -87,11 +87,9 @@ class TranslationAction:
     reduced, pivots, _ = rref(rows, d)
     if len(pivots) < d:
       raise InputError("translation generators are linearly dependent")
-    inverse = [row[d:] for row in reduced]
-    denom = lcm(*(x.denominator for row in inverse for x in row))
+    nums, denom = _integer_row(x for row in reduced for x in row[d:])
     object.__setattr__(self, "_inverse", tuple(
-        tuple(x.numerator * (denom // x.denominator) for x in row)
-        for row in inverse))
+        tuple(nums[i:i + d]) for i in range(0, d * d, d)))
     object.__setattr__(self, "_denom", denom)
 
   @property
@@ -197,10 +195,10 @@ def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
   s = inter.n_states
   # theta_x(d) = sum_j tau(x)_j g_j(d) with g_j(d) = sum_i a[i][j] basis[i][d],
   # each g_j as integer numerators over one denominator
-  g = [[sum((Fraction(row[j]) * vec[d] for row, vec in zip(a_matrix, basis)),
-            ZERO) for d in range(s)] for j in range(action.rank)]
-  denom = lcm(*(x.denominator for col in g for x in col))
-  g = [[x.numerator * (denom // x.denominator) for x in col] for col in g]
+  nums, denom = _integer_row(
+      sum((Fraction(row[j]) * vec[d] for row, vec in zip(a_matrix, basis)),
+          ZERO) for j in range(action.rank) for d in range(s))
+  g = [nums[i:i + s] for i in range(0, len(nums), s)]
   tables = {}
   for x in window.vertices:
     coeffs, _ = tile_of(action, x, domain)
@@ -237,15 +235,13 @@ def build_omega_rho(a_matrix, action: TranslationAction, domain,
   """
   tables = _site_weights(a_matrix, action, domain, window, inter, basis)
   s = inter.n_states
-  moves = [(a, b, *inter.apply(a, b)) for a in range(s) for b in range(s)]
-  moves = [(a, b, c, d) for a, b, c, d in moves if (c, d) != (a, b)]
   fns = {}
   for u, v in window.edges:
     tu, tv = tables[u], tables[v]
     denom = lcm(tu.denom, tv.denom)
     mu, mv = denom // tu.denom, denom // tv.denom
     nums = [0] * (s * s)
-    for a, b, c, d in moves:
+    for a, b, c, d in inter.moved:
       nums[a * s + b if u < v else b * s + a] = (
           mu * (tu.nums[c] - tu.nums[a]) + mv * (tv.nums[d] - tv.nums[b]))
     fn = trim(LocalFunction._exact(tuple(sorted((u, v))), s, inter.base,
@@ -746,9 +742,9 @@ def counterexample_report(n_sites: int = 9) -> dict:
 # JSON
 
 
-def cocycle_to_json(a_matrix, basis_name: str = "computed") -> dict:
+def cocycle_to_json(a_matrix) -> dict:
   return {
-      "basis": basis_name,
+      "basis": "computed",
       "generators": len(a_matrix[0]) if a_matrix else 0,
       "a": [[fraction_to_str(x) for x in row] for row in a_matrix],
   }

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import rref
+from .linalg import _integer_row, rref
 from .serialize import InputError, fraction_from_str, fraction_to_str
 
 
@@ -38,6 +38,8 @@ class Interaction:
   base: int                # index into ``states``
   table: tuple             # table[i][j] = (k, l) state-index pair
   meta: dict = field(default_factory=dict, compare=False)
+  #: (a, b, c, d) for every pair phi moves, (a, b) -> (c, d), in (a, b) order
+  moved: tuple = field(init=False, repr=False, compare=False)
 
   def __post_init__(self):
     n = len(self.states)
@@ -51,6 +53,9 @@ class Interaction:
       for k, l in row:
         if not (0 <= k < n and 0 <= l < n):
           raise InputError("interaction table entry out of range")
+    object.__setattr__(self, "moved", tuple(
+        (a, b, *cd) for a, row in enumerate(self.table)
+        for b, cd in enumerate(row) if cd != (a, b)))
 
   @property
   def n_states(self) -> int:
@@ -187,13 +192,19 @@ CATALOG_NAMES = ("exclusion", "multispecies:2", "generalized-exclusion:2",
 
 def by_name(spec: str) -> Interaction:
   """Resolve "exclusion", "multispecies:3", ... to an interaction."""
+  if not isinstance(spec, str):
+    raise InputError(f"interaction name must be a string, not {spec!r}")
   head, _, arg = spec.partition(":")
   if head not in _CATALOG:
     raise InputError(f"unknown interaction {spec!r}")
   builder = _CATALOG[head]
   if arg:
     try:
-      return builder(int(arg))
+      kappa = int(arg)
+    except ValueError:
+      raise InputError(f"interaction parameter {arg!r} is not an integer") from None
+    try:
+      return builder(kappa)
     except TypeError:
       raise InputError(f"interaction {head!r} takes no parameter") from None
   if head in ("multispecies", "generalized-exclusion", "lattice-gas"):
@@ -213,13 +224,10 @@ def check_validity(inter: Interaction) -> dict:
   edge orientations) is symmetric.  The report carries a witness for
   whichever fails.
   """
-  pairs = [(i, j) for i in range(inter.n_states)
-           for j in range(inter.n_states)]
   strict_witness = None
-  for i, j in pairs:
-    k, l = inter.apply(i, j)
+  for i, j, k, l in inter.moved:
     m, o = inter.apply(l, k)
-    if (k, l) != (i, j) and (o, m) != (i, j):
+    if (o, m) != (i, j):
       strict_witness = {
           "pair": [inter.states[i], inter.states[j]],
           "image": [inter.states[k], inter.states[l]],
@@ -227,9 +235,9 @@ def check_validity(inter: Interaction) -> dict:
       }
       break
 
-  transitions = {((i, j), target) for i, j in pairs
-                 for target in (inter.apply(i, j), inter.apply_reversed(i, j))
-                 if target != (i, j)}
+  # each move across an edge, and its mirror across the reversed edge
+  transitions = {t for a, b, c, d in inter.moved
+                 for t in (((a, b), (c, d)), ((b, a), (d, c)))}
   relaxed_witness = None
   for p, q in sorted(transitions):
     if (q, p) not in transitions:
@@ -254,8 +262,7 @@ def check_validity(inter: Interaction) -> dict:
 
 def _normalize_integer_vector(vec):
   """Scale to coprime integers with a positive leading entry."""
-  denom = lcm(*(f.denominator for f in vec))
-  ints = [f.numerator * (denom // f.denominator) for f in vec]
+  ints, _ = _integer_row(vec)
   lead = next((v for v in ints if v != 0), 1)
   common = gcd(*ints) * (1 if lead > 0 else -1)
   return tuple(v // common for v in ints) if common else tuple(ints)
@@ -273,18 +280,14 @@ def conserved_basis(inter: Interaction) -> tuple:
   pin = [Fraction(0)] * n
   pin[inter.base] = Fraction(1)
   rows.append(pin)
-  for i in range(n):
-    for j in range(n):
-      k, l = inter.apply(i, j)
-      if (k, l) == (i, j):
-        continue
-      row = [Fraction(0)] * n
-      row[i] += 1
-      row[j] += 1
-      row[k] -= 1
-      row[l] -= 1
-      if any(row):
-        rows.append(row)
+  for i, j, k, l in inter.moved:
+    row = [Fraction(0)] * n
+    row[i] += 1
+    row[j] += 1
+    row[k] -= 1
+    row[l] -= 1
+    if any(row):
+      rows.append(row)
   echelon, pivots, _ = rref(rows, n)
   free_cols = [c for c in range(n) if c not in pivots]
   basis = []
@@ -346,19 +349,11 @@ def check_exchangeability(inter: Interaction) -> dict:
 
 
 def interaction_to_json(inter: Interaction) -> dict:
-  rows = []
-  n = inter.n_states
-  for i in range(n):
-    for j in range(n):
-      k, l = inter.apply(i, j)
-      if (k, l) != (i, j):
-        rows.append([inter.states[i], inter.states[j],
-                     inter.states[k], inter.states[l]])
   return {
       "name": inter.name,
       "states": list(inter.states),
       "base": inter.base_value,
-      "map": rows,
+      "map": [[inter.states[k] for k in move] for move in inter.moved],
   }
 
 

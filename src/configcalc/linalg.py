@@ -15,11 +15,12 @@ from math import gcd, lcm
 ZERO = Fraction(0)
 
 
-def _integer_row(row) -> list:
-  """A nonzero multiple of ``row`` (ints and Fractions) with integer entries."""
-  row = list(row)
+def _integer_row(row):
+  """(numerators, denominator): the entries of ``row`` (ints and Fractions)
+  as integer numerators over the lcm of their denominators."""
+  row = tuple(row)
   denom = lcm(*(x.denominator for x in row))
-  return [x.numerator * (denom // x.denominator) for x in row]
+  return [x.numerator * (denom // x.denominator) for x in row], denom
 
 
 def rref(rows, n_cols: int):
@@ -41,7 +42,7 @@ def rref(rows, n_cols: int):
   own input row plus a combination of the inputs ``order[:len(pivots)]``,
   which callers that need it can recover with one more solve.
   """
-  rows = [_integer_row(r) for r in rows]
+  rows = [_integer_row(r)[0] for r in rows]
   order = list(range(len(rows)))
   pivots = []
   for c in range(n_cols):

@@ -27,6 +27,9 @@ from dataclasses import dataclass, field
 
 from .serialize import InputError, manifest_int
 
+#: the farthest graph distance the breadth-first ``Locale.distance`` searches
+DISTANCE_CAP = 64
+
 
 class Locale:
   """Base class; subclasses implement ``neighbors`` and ``__contains__``."""
@@ -41,11 +44,11 @@ class Locale:
 
   # -- metric ---------------------------------------------------------------
 
-  def distance(self, x, y, cap: int = 64) -> int:
+  def distance(self, x, y) -> int:
     """Graph distance via bidirectional BFS.
 
-    Raises ``InputError`` when the distance exceeds ``cap`` or the two
-    vertices are not connected.
+    Raises ``InputError`` when the distance exceeds ``DISTANCE_CAP`` or the
+    two vertices are not connected.
     """
     if x == y:
       return 0
@@ -54,8 +57,8 @@ class Locale:
     dist = 0
     while front_a and front_b:
       dist += 1
-      if dist > cap:
-        raise InputError(f"distance({x}, {y}) exceeds cap {cap}")
+      if dist > DISTANCE_CAP:
+        raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
       if len(front_a) > len(front_b):
         front_a, front_b = front_b, front_a
         seen_a, seen_b = seen_b, seen_a
@@ -68,7 +71,7 @@ class Locale:
             seen_a[v] = du + 1
             nxt[v] = du + 1
       front_a = nxt
-    raise InputError(f"{x} and {y} are not connected within cap {cap}")
+    raise InputError(f"{x} and {y} are not connected within cap {DISTANCE_CAP}")
 
   def ball(self, center, radius: int) -> tuple:
     """Sorted tuple of vertices within graph distance ``radius`` of center."""
@@ -142,7 +145,7 @@ class Euclidean(LatticeLocale):
   def __contains__(self, x):
     return isinstance(x, tuple) and len(x) == self.d and all(isinstance(a, int) for a in x)
 
-  def distance(self, x, y, cap: int = 64) -> int:
+  def distance(self, x, y) -> int:
     return sum(abs(a - b) for a, b in zip(x, y))
 
   def coord_dim(self):
@@ -184,7 +187,7 @@ class NNeighbor(LatticeLocale):
   def __contains__(self, x):
     return isinstance(x, tuple) and len(x) == self.d and all(isinstance(a, int) for a in x)
 
-  def distance(self, x, y, cap: int = 64) -> int:
+  def distance(self, x, y) -> int:
     l1 = sum(abs(a - b) for a, b in zip(x, y))
     return -(-l1 // self.n)
 
@@ -214,7 +217,7 @@ class Triangular(LatticeLocale):
   def __contains__(self, x):
     return isinstance(x, tuple) and len(x) == 2 and all(isinstance(a, int) for a in x)
 
-  def distance(self, x, y, cap: int = 64) -> int:
+  def distance(self, x, y) -> int:
     return _tri_steps(y[0] - x[0], y[1] - x[1])
 
   def coord_dim(self):
@@ -246,7 +249,7 @@ class Hexagonal(LatticeLocale):
     return (isinstance(x, tuple) and len(x) == 3
             and all(isinstance(a, int) for a in x) and x[2] in (0, 1))
 
-  def distance(self, x, y, cap: int = 64) -> int:
+  def distance(self, x, y) -> int:
     if x[2] == 1:
       x, y = y, x
     di, dj = y[0] - x[0], y[1] - x[1]
@@ -309,7 +312,7 @@ class FreeGroupCayley(Locale):
         return False
     return _reduce_word(x) == x
 
-  def distance(self, x, y, cap: int = 64) -> int:
+  def distance(self, x, y) -> int:
     inv = tuple(-a for a in reversed(x))
     return len(_reduce_word(inv + y))
 
@@ -341,8 +344,8 @@ class ProductLocale(Locale):
     return (isinstance(x, tuple) and len(x) == len(self.factors)
             and all(xi in loc for xi, loc in zip(x, self.factors)))
 
-  def distance(self, x, y, cap: int = 64) -> int:
-    return sum(loc.distance(xi, yi, cap) for loc, xi, yi in zip(self.factors, x, y))
+  def distance(self, x, y) -> int:
+    return sum(loc.distance(xi, yi) for loc, xi, yi in zip(self.factors, x, y))
 
   def encode_vertex(self, x):
     return [loc.encode_vertex(xi) for loc, xi in zip(self.factors, x)]

@@ -516,11 +516,14 @@ PATH_GRAPH = {"kind": "finite-graph", "vertices": [0, 1, 2],
     ("expand", {"locale": PATH_GRAPH, "interaction": "exclusion",
                 "window": {"vertices": [0, 1, 2]},
                 "function": {"support": [0, "x"], "values": ["0"] * 4}}),
+    ("consv", {"interaction": "multispecies:x"}),
+    ("consv", {"interaction": {"name": 5}}),
 ], ids=["transfer-probe-radius", "counterexample-sites-string",
         "counterexample-sites-float", "locale-d", "decompose-radius-string",
         "decompose-radius-negative", "decompose-generator-entry",
         "pairing-cell-without-b", "pairing-radius", "form-radius",
-        "finite-graph-foreign-vertex"])
+        "finite-graph-foreign-vertex", "interaction-parameter",
+        "interaction-name-not-a-string"])
 def test_ill_typed_manifest_count_is_an_input_error(tmp_path, command,
                                                     manifest):
   code, rep = run(tmp_path, manifest, command)

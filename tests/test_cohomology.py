@@ -168,6 +168,20 @@ def test_pairing_laws_match_the_all_pairs_loop(seed, n_bad, scale):
     assert rep["cocycle"]["ok"] and rep["symmetry"]["ok"]
 
 
+@pytest.mark.parametrize("name,low,high", [
+    ("multispecies:2", 1, 2), ("multispecies:2", 2, 1),
+    ("spin3", -1, 1), ("spin3", 1, -1), ("spin3", 0, 1)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inversion_count_matches_its_definition(name, low, high, n):
+  win, inter = line(n), by_name(name)
+  lo, hi = inter.state_index(low), inter.state_index(high)
+  f = inversion_count_function(win, inter, low, high)
+  assert f.support == win.vertices and f.base == inter.base
+  assert f.values == tuple(
+      sum(d[i] == lo and d[j] == hi for i in range(n) for j in range(i + 1, n))
+      for d in product(range(inter.n_states), repeat=n))
+
+
 def test_asymmetric_table_is_infeasible_with_certificate():
   win = line(9)
   inter = multispecies(2)

@@ -282,3 +282,34 @@ def test_explicit_interaction_from_json():
   assert inter.apply(0, 1) == (1, 0)
   rep = check_validity(inter)
   assert rep["strict"]
+
+
+def brute_force_moved(inter):
+  """Every pair phi moves, with its image, scanning all |S|^2 pairs."""
+  return tuple((a, b, *inter.apply(a, b)) for a in range(inter.n_states)
+               for b in range(inter.n_states) if inter.apply(a, b) != (a, b))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_moved_lists_the_moved_pairs_in_pair_order(name):
+  inter = by_name(name)
+  assert inter.moved == brute_force_moved(inter)
+  assert inter.moved
+
+
+def test_moved_of_a_custom_interaction():
+  # a three-state cycle on some pairs, one pair mapped onto itself
+  inter = interaction_from_json({
+      "name": "cyc", "states": [5, 7, 9], "base": 7,
+      "map": [[5, 9, 9, 5], [9, 5, 7, 7], [7, 7, 5, 9], [9, 9, 9, 9]]})
+  assert inter.moved == brute_force_moved(inter)
+  assert inter.moved == ((0, 2, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1))
+  assert interaction_to_json(inter)["map"] == [
+      [5, 9, 9, 5], [7, 7, 5, 9], [9, 5, 7, 7]]
+
+
+@pytest.mark.parametrize("spec", ["multispecies:x", "lattice-gas:2.5", 5,
+                                  None, ["exclusion"]])
+def test_by_name_refuses_a_malformed_spec(spec):
+  with pytest.raises(InputError):
+    by_name(spec)

@@ -8,13 +8,15 @@ extra solve must be the combination this elimination tracks.
 """
 
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from configcalc.cohomology import (PairingTable, SplittingInfeasible,
                                    solve_splitting)
 from configcalc.configspace import quantity_to_json
-from configcalc.linalg import rref
+from configcalc.linalg import _integer_row, rref
 from configcalc.serialize import fraction_to_str
 
 
@@ -135,3 +137,25 @@ def test_certificate_is_the_tracked_combination(cells):
   else:
     assert expected is None
 
+
+def old_integer_row(row):
+  """The idiom the helper replaces: numerators over the lcm, spelled out."""
+  denom = lcm(*(x.denominator for x in row))
+  return [x.numerator * (denom // x.denominator) for x in row], denom
+
+
+@pytest.mark.parametrize("row", [
+    [], [0], [3, -6, 0, 9], [Fraction(1, 2), Fraction(-2, 3), Fraction(0)],
+    [Fraction(5, 4), 2, -1, Fraction(7, 6)], [Fraction(-3, 9), 4],
+    [Fraction(1, 10 ** 20), 10 ** 20]])
+def test_integer_row_is_numerators_over_the_lcm(row):
+  assert _integer_row(row) == old_integer_row(row)
+  assert _integer_row(iter(row)) == old_integer_row(row)
+  nums, denom = _integer_row(row)
+  assert [Fraction(k, denom) for k in nums] == row
+
+
+@given(st.lists(st.fractions(max_denominator=30) | st.integers(-50, 50),
+                max_size=6))
+def test_integer_row_matches_the_old_idiom(row):
+  assert _integer_row(row) == old_integer_row(row)

@@ -94,6 +94,23 @@ def test_far_lattice_pairs_have_a_distance():
   assert Hexagonal().distance((0, 0, 0), (-100, 0, 1)) == 199
 
 
+def test_breadth_first_distance_refusals_name_the_cap():
+  # 65 steps along the cross's arm, one past the cap of 64
+  with pytest.raises(InputError) as far:
+    Cross().distance((0, 0), (65, 0))
+  assert str(far.value) == "distance((0, 0), (65, 0)) exceeds cap 64"
+  assert Cross().distance((0, 0), (64, 0)) == 64
+  apart = FiniteGraph([0, 1, 2], [(0, 1)])
+  with pytest.raises(InputError) as cut:
+    apart.distance(0, 2)
+  assert str(cut.value) == "0 and 2 are not connected within cap 64"
+  # a product applies the cap to each factor, not to the sum
+  prod = ProductLocale((Cross(), Cross()))
+  assert prod.distance(((0, 0), (0, 0)), ((40, 0), (0, 40))) == 80
+  with pytest.raises(InputError, match="exceeds cap 64"):
+    prod.distance(((0, 0), (0, 0)), ((65, 0), (0, 0)))
+
+
 def test_free_group_distance_reduced_word_length():
   # letters are signed generator indices; inverses cancel on concatenation
   fg = FreeGroupCayley(2)

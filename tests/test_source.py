@@ -15,3 +15,52 @@ def test_library_has_no_assert_statements():
            for node in ast.walk(ast.parse(path.read_text(), str(path)))
            if isinstance(node, ast.Assert)]
   assert not found, found
+
+
+def _modules():
+  files = sorted(Path(configcalc.__file__).parent.glob("*.py"))
+  assert files
+  return {path.name: ast.parse(path.read_text(), str(path)) for path in files}
+
+
+def _used_names(tree) -> set:
+  """Every name read in ``tree``: loaded names, attribute names, and the
+  strings listed in ``__all__``."""
+  used = set()
+  for node in ast.walk(tree):
+    if isinstance(node, ast.Name):
+      used.add(node.id)
+    elif isinstance(node, ast.Attribute):
+      used.add(node.attr)
+    elif (isinstance(node, ast.Assign)
+          and any(isinstance(t, ast.Name) and t.id == "__all__"
+                  for t in node.targets)):
+      used.update(ast.literal_eval(node.value))
+  return used
+
+
+def test_library_imports_only_names_it_uses():
+  # A merged kernel leaves its old helpers' imports behind.
+  unused = []
+  for name, tree in _modules().items():
+    used = _used_names(tree)
+    for node in tree.body:
+      if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if getattr(node, "module", None) == "__future__":
+          continue
+        for alias in node.names:
+          bound = alias.asname or alias.name.split(".")[0]
+          if bound not in used:
+            unused.append(f"{name}:{node.lineno} {bound}")
+  assert not unused, unused
+
+
+def test_every_private_function_is_referenced():
+  # A module-private function that nothing calls is a dead copy.
+  modules = _modules()
+  used = set().union(*map(_used_names, modules.values()))
+  dead = [f"{name}:{node.lineno} {node.name}"
+          for name, tree in modules.items() for node in tree.body
+          if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+          and not node.name.startswith("__") and node.name not in used]
+  assert not dead, dead
