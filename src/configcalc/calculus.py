@@ -37,8 +37,6 @@ from .locales import Locale, Window
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True, init=False)
 class LocalFunction:
@@ -679,11 +677,21 @@ def _build_cycle(form, window, inter, moves, parent, pin, idx, edge, jdx,
 
 def _path_integral(form: Form, window: Window, steps) -> Fraction:
   """The form summed along transition steps (window digits, directed edge)."""
-  total = ZERO
+  denom = lcm(*(form.fn(e).denom for _, e in steps if e in form.fns))
+  return Fraction(_path_numerator(form, window, steps, denom), denom)
+
+
+def _path_numerator(form: Form, window: Window, steps, denom: int) -> int:
+  """``_path_integral`` as an integer numerator over ``denom``, a multiple
+  of the denominator of every edge function the steps cross."""
+  total = 0
   for digits, edge in steps:
     fn = form.fn(edge)
     if fn is not None:
-      total += fn.value_at(dict(zip(window.vertices, digits)))
+      k = 0
+      for v, p in zip(fn.support, fn.powers()):
+        k += digits[window.position(v)] * p
+      total += fn.nums[k] * (denom // fn.denom)
   return total
 
 
@@ -749,9 +757,10 @@ def perturbed(form: Form, window: Window, inter: Interaction, edge,
 
 
 def local_function_to_json(f: LocalFunction, locale: Locale) -> dict:
+  text = {k: fraction_to_str(Fraction(k, f.denom)) for k in set(f.nums)}
   return {
       "support": [locale.encode_vertex(v) for v in f.support],
-      "values": [fraction_to_str(v) for v in f.values],
+      "values": list(map(text.__getitem__, f.nums)),
   }
 
 

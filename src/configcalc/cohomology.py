@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .calculus import (Form, LocalFunction, _gather, _over, is_uniform,
+from .calculus import (Form, LocalFunction, _over, is_uniform,
                        restrict, uniformity_criterion)
 from .configspace import (DEFAULT_BUDGET, _quantity_sums, _quantity_table,
                           fibers_report, quantity_to_json)
@@ -151,9 +151,18 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
   """
   if probes is None:
     probes = default_probes(window, inter, radius, probe_budget=probe_budget)
+  return _pairing(lambda union: restrict(f, union), f.denom, window, inter,
+                  basis, radius, probes, probe_budget)
+
+
+def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
+             radius: int, probes, probe_budget: int = 200_000) -> PairingTable:
+  """The pairing loop of ``compute_pairing``.  ``read(union)`` is the
+  function on each probe pair's union (sites outside it at base), with a
+  denominator dividing ``denom``; it is called after the pair is checked."""
   locale = window.locale
   table = PairingTable(basis=tuple(basis), radius=radius)
-  cells = {}  # (alpha, beta) as raw quantity sums -> numerator over f.denom
+  cells = {}  # (alpha, beta) as raw quantity sums -> numerator over denom
   provenance = {}
   for first, second in probes:
     first, second = tuple(first), tuple(second)
@@ -171,12 +180,13 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
         "second": [locale.encode_vertex(v) for v in second],
         "distance": dist,
     })
+    f = read(union)
     # Every table runs over the configurations of the union in index order,
-    # as numerators over f's denominator.
+    # as numerators over the common denominator.
     rows = zip(_quantity_sums(union, basis, inter.n_states, first),
                _quantity_sums(union, basis, inter.n_states, second),
-               _gather(f, union), _over(restrict(f, first), union, f.denom),
-               _over(restrict(f, second), union, f.denom))
+               _over(f, union, denom), _over(restrict(f, first), union, denom),
+               _over(restrict(f, second), union, denom))
     for alpha, beta, whole, on_first, on_second in rows:
       defect = whole - on_first - on_second
       key = (alpha, beta)
@@ -184,8 +194,8 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
         if cells[key] != defect:
           raise PairingNotWellDefined({
               "cell": {"a": quantity_to_json(alpha), "b": quantity_to_json(beta)},
-              "values": [fraction_to_str(Fraction(cells[key], f.denom)),
-                         fraction_to_str(Fraction(defect, f.denom))],
+              "values": [fraction_to_str(Fraction(cells[key], denom)),
+                         fraction_to_str(Fraction(defect, denom))],
               "probes": [provenance[key], table.probes[-1]],
           })
       else:
@@ -193,7 +203,7 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
         provenance[key] = table.probes[-1]
   vectors = {q for key in cells for q in key}
   shared = {q: tuple(map(Fraction, q)) for q in vectors}
-  table.cells = {(shared[alpha], shared[beta]): Fraction(k, f.denom)
+  table.cells = {(shared[alpha], shared[beta]): Fraction(k, denom)
                  for (alpha, beta), k in cells.items()}
   return table
 
@@ -554,11 +564,12 @@ def ordered_flux_form(window: Window, inter: Interaction,
 
 
 def pairing_table_to_json(table: PairingTable) -> dict:
+  text = {q: quantity_to_json(q) for key in table.cells for q in key}
   cells = []
   for (alpha, beta), val in sorted(table.cells.items()):
     cells.append({
-        "a": quantity_to_json(alpha),
-        "b": quantity_to_json(beta),
+        "a": list(text[alpha]),
+        "b": list(text[beta]),
         "v": fraction_to_str(val),
     })
   return {"radius": table.radius, "cells": cells, "probes": table.probes}

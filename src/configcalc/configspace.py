@@ -390,6 +390,29 @@ def exchange_path(window: Window, inter: Interaction, digits, x, y,
   return steps, current
 
 
+def rearrangement_path(window: Window, inter: Interaction, digits, target,
+                       witnesses: dict | None = None):
+  """Transform ``digits`` into ``target``, a rearrangement of its states.
+
+  Takes the window positions in order; each position that does not yet hold
+  its target state swaps it in from the first later position that holds it,
+  by ``exchange_path``.  Returns (steps, final) as ``exchange_path`` does,
+  with ``final == target``.
+  """
+  target = tuple(target)
+  if sorted(digits) != sorted(target):
+    raise InputError("the target is not a rearrangement of the configuration")
+  steps = []
+  current = tuple(digits)
+  for p, want in enumerate(target):
+    if current[p] != want:
+      q = current.index(want, p + 1)
+      more, current = exchange_path(window, inter, current, window.vertices[p],
+                                    window.vertices[q], witnesses)
+      steps += more
+  return steps, current
+
+
 def swapped(digits, window: Window, x, y):
   px, py = window.position(x), window.position(y)
   out = list(digits)

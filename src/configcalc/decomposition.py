@@ -19,20 +19,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from itertools import combinations_with_replacement
+from math import comb, lcm
+from operator import add
 
-from .calculus import (Form, LocalFunction, _combine, _mobius,
-                       _path_integral, _piece, _subsets, constant,
-                       differential, form_axioms_report, form_sub,
+from .calculus import (Form, LocalFunction, _combine, _mobius, _over,
+                       _path_integral, _path_numerator, _piece, _subsets,
+                       constant, differential, form_axioms_report, form_sub,
                        functions_equal, gradient, integrate, is_closed,
                        restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
-                         _quantity_corrected, check_pairing_laws,
+                         _pairing, _quantity_corrected, check_pairing_laws,
                          compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (DEFAULT_BUDGET, digits_from_sites, exchange_path,
-                          guard_budget)
+from .configspace import (DEFAULT_BUDGET, _site_sums, digits_from_sites,
+                          exchange_path, guard_budget, rearrangement_path)
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import _integer_row, rref
@@ -514,6 +517,93 @@ def form_restricted(form: Form, sub: Window) -> Form:
   return Form(form.n_states, form.base, fns, form.radius)
 
 
+def _fibers_are_multisets(win: Window, inter: Interaction, basis) -> bool:
+  """Are the transition components of ``win`` its state multisets?
+
+  They are when the window is connected, every move conserves the basis,
+  every pair of states has an exchange witness, and the states' quantity
+  vectors, less the base's, have rank |S| - 1: every rearrangement is then
+  reachable, the quantity is constant on components, and it fixes the state
+  counts.
+  """
+  s, base = inter.n_states, inter.base
+  if (not win.is_connected()
+      or not check_exchangeability(inter)["exchangeable"]
+      or any(vec[a] + vec[b] != vec[c] + vec[d]
+             for vec in basis for a, b, c, d in inter.moved)):
+    return False
+  rows = [[vec[d] - vec[base] for vec in basis] for d in range(s) if d != base]
+  return len(rref(rows, len(basis))[1]) == s - 1
+
+
+def _hull(win: Window, sites) -> tuple:
+  """``sites`` plus one shortest window path from the least of them to each
+  other one: a connected region that holds them."""
+  first = min(sites)
+  region = set(sites)
+  for x in sites:
+    region.update(win.path_between(first, x))
+  return tuple(sorted(region))
+
+
+def _local_reader(remainder: Form, sub_win: Window, inter: Interaction,
+                  budget: int):
+  """Read the sub-window potential of the remainder without scanning the
+  sub-window.
+
+  Returns (read, denom): ``read(sites)`` is ``restrict(V, sites)`` for the
+  potential V of ``integrate(remainder, sub_win)``, as numerators over a
+  divisor of ``denom``.  It needs the components to be the state multisets
+  (``_fibers_are_multisets``) and the remainder to be closed.  V is then 0
+  at the sorted configuration of each multiset, the component's least
+  member.  ``read`` integrates the hull R of ``sites`` on its own, pinned at
+  the sorted configurations on R (base elsewhere), and shifts each of R's
+  components by V at its pin: the remainder's integral along
+  ``rearrangement_path`` from the sorted configuration.  Hulls and pin
+  values are shared across calls.
+  """
+  s, n = inter.n_states, sub_win.n_sites
+  denom = lcm(*(fn.denom for fn in remainder.fns.values()))
+  witnesses = check_exchangeability(inter)["witnesses"]
+  pinned = {}  # sub-window configuration -> V there, over denom
+  hulls = {}
+
+  def pin_value(cfg):
+    if cfg not in pinned:
+      steps, _ = rearrangement_path(sub_win, inter, sorted(cfg), cfg,
+                                    witnesses)
+      pinned[cfg] = _path_numerator(remainder, sub_win, steps, denom)
+    return pinned[cfg]
+
+  def hull_potential(region):
+    r_win = build_window(sub_win.locale, region)
+    pot, _ = integrate(form_restricted(remainder, r_win), r_win, inter,
+                       budget)
+    m = len(region)
+    # A configuration's component is its state counts, keyed in base m + 1.
+    weights = [(m + 1) ** d for d in range(s)]
+    positions = [sub_win.position(x) for x in region]
+    shift = {}
+    for pin in combinations_with_replacement(range(s), m):
+      cfg = [inter.base] * n
+      for k, d in zip(positions, pin):
+        cfg[k] = d
+      shift[sum(weights[d] for d in pin)] = pin_value(tuple(cfg))
+    keys = _site_sums([weights] * m)
+    return LocalFunction._exact(
+        region, s, inter.base,
+        list(map(add, _over(pot, region, denom), map(shift.__getitem__, keys))),
+        denom)
+
+  def read(sites):
+    region = _hull(sub_win, sites)
+    if region not in hulls:
+      hulls[region] = hull_potential(region)
+    return restrict(hulls[region], sites)
+
+  return read, denom
+
+
 def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
                        action: TranslationAction, domain,
                        radius: int | None = None,
@@ -527,6 +617,11 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   feasible -- the certificate escapes otherwise); average the exact-support
   pieces that meet the fundamental domain over their translation orbits; and
   re-verify the defining identity on every interior edge, exactly.
+
+  The potential is read only on the probe pairs and on the domain's radius
+  ball.  Where the sub-window's components are its state multisets, only
+  those regions are integrated (``_local_reader``); elsewhere the whole
+  sub-window is.
   """
   domain = tuple(sorted(domain))
   if radius is None:
@@ -564,11 +659,18 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   # window's flux is kept for the identity check.
   local_remainder = form_sub(form_restricted(form, sub_win),
                              form_restricted(flux, sub_win), radius)
-  potential, pot_meta = integrate(local_remainder, sub_win, inter,
-                                  budget=sub_budget)
+  s = inter.n_states
+  if _fibers_are_multisets(sub_win, inter, basis):
+    read, denom = _local_reader(local_remainder, sub_win, inter, sub_budget)
+    n_components = comb(sub_win.n_sites + s - 1, s - 1)
+  else:
+    potential, pot_meta = integrate(local_remainder, sub_win, inter,
+                                    budget=sub_budget)
+    read = partial(restrict, potential)
+    denom, n_components = potential.denom, pot_meta["n_components"]
 
   probes = default_probes(sub_win, inter, radius, ball_radius=probe_ball)
-  table = compute_pairing(potential, sub_win, inter, basis, radius, probes)
+  table = _pairing(read, denom, sub_win, inter, basis, radius, probes)
   split = solve_splitting(table)
   h = split["h"]
 
@@ -576,7 +678,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   # each admissible support L, the top piece of the corrected potential
   # v + h(quantity) read on L.
   ball_sites = tuple(sorted(needed))
-  s = inter.n_states
+  ball = read(ball_sites)
   terms = []
   for positions in _subsets(len(ball_sites)):
     sub_supp = tuple(ball_sites[k] for k in positions)
@@ -585,7 +687,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
     if support_diameter(sub_supp, window.locale) > radius:
       continue
     size = len(sub_supp)
-    corrected = _quantity_corrected(potential, sub_supp, basis, h,
+    corrected = _quantity_corrected(ball, sub_supp, basis, h,
                                     "pairing probes did not cover quantity {}")
     moebius = _mobius(corrected.nums, size, s, inter.base)
     piece = LocalFunction._exact(
@@ -612,7 +714,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
           "identity_pad": residual["interior_pad"],
       },
       "sub_window_sites": sub_win.n_sites,
-      "potential_components": pot_meta["n_components"],
+      "potential_components": n_components,
       "shift_invariance": inv,
       "extraction": {"probes": extraction["probes"],
                      "cross_checks": extraction["cross_checks"]},

@@ -176,13 +176,13 @@ def pair_flip() -> Interaction:
 
 
 _CATALOG = {
-    "exclusion": lambda arg: exclusion(),
+    "exclusion": exclusion,
     "multispecies": multispecies,
     "generalized-exclusion": generalized_exclusion,
     "lattice-gas": lattice_gas,
-    "spin3": lambda arg: spin3(),
-    "glauber": lambda arg: glauber(),
-    "pair-flip": lambda arg: pair_flip(),
+    "spin3": spin3,
+    "glauber": glauber,
+    "pair-flip": pair_flip,
 }
 
 #: interactions every catalog listing should cover
@@ -209,7 +209,7 @@ def by_name(spec: str) -> Interaction:
       raise InputError(f"interaction {head!r} takes no parameter") from None
   if head in ("multispecies", "generalized-exclusion", "lattice-gas"):
     raise InputError(f"interaction {head!r} needs a parameter, e.g. {head}:2")
-  return builder(None)
+  return builder()
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,14 @@ def test_consv_multispecies(tmp_path):
   assert rep["c_phi"] == 3
 
 
+@pytest.mark.parametrize("name", ["spin3:7", "exclusion:3"])
+def test_parameter_on_a_parameterless_model_exits_2(tmp_path, name):
+  code, rep = run(tmp_path, {"interaction": name}, "consv")
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+  assert "takes no parameter" in rep["error"]["message"]
+
+
 def test_validate_passes_catalog(tmp_path):
   for name in ("exclusion", "glauber", "spin3", "pair-flip"):
     code, rep = run(tmp_path, {"interaction": name}, "validate")

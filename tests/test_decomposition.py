@@ -6,18 +6,25 @@ and a known local part, and the decomposition must return both on the nose,
 with an edge-by-edge zero residual on the interior.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from configcalc import decomposition
+from configcalc import calculus, decomposition
 from configcalc.calculus import (Form, _combine, differential, form_add,
-                                 form_scale, form_sub, from_callable,
-                                 functions_equal, gradient, integrate,
+                                 form_scale, form_sub, form_to_json,
+                                 from_callable, functions_equal, gradient,
+                                 integrate,
                                  restrict, scale, support_diameter, trim)
-from configcalc.configspace import all_configs, apply_edge, digits_of
+from configcalc.cli import main
+from configcalc.cohomology import PairingNotWellDefined, default_probes
+from configcalc.configspace import (all_configs, apply_edge, config_from_json,
+                                    digits_of)
 from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       NotShiftInvariant, TranslationAction,
                                       _centered_subwindow, _verify_identity,
@@ -30,7 +37,8 @@ from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       translate_function, translates_meeting,
                                       varadhan_decompose)
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
-                                     lattice_gas, multispecies, spin3)
+                                     interaction_from_json, lattice_gas,
+                                     multispecies, spin3)
 from configcalc.locales import Euclidean, Hexagonal, Triangular, box
 from configcalc.serialize import InputError, fraction_to_str
 
@@ -652,3 +660,241 @@ def test_hexagonal_window_profile_is_invariant():
   omega = build_omega_rho(a, act, domain, win, inter, basis)
   rep = is_shift_invariant(omega, win, act)
   assert rep["invariant"]
+
+
+# ---------------------------------------------------------------------------
+# The potential is integrated only where the decomposition reads it
+
+
+def _read_case(case):
+  """A synthesized form on the named lattice, model and support radius."""
+  lattice, model, r = case.split("-")
+  inter = by_name(model)
+  basis = conserved_basis(inter)
+  if lattice.startswith("line"):
+    win, act, c = line(int(lattice[4:])), Z_ACTION, 4
+    support, domain = ((c,), (c + int(r[1:]),)), ((c,),)
+  elif lattice.startswith("square"):
+    n = int(lattice[6:])
+    win, act, c = square(n), SQUARE, n // 2
+    support, domain = ((c, c), (c + 1, c)), ((c, c),)
+  elif lattice == "hexagonal5":
+    win = box(Hexagonal(), (0, 0), (4, 4))
+    act = TranslationAction(Hexagonal(), ((1, 0), (0, 1)))
+    support = domain = ((2, 2, 0), (2, 2, 1))
+  else:
+    win = box(Triangular(), (0, 0), (6, 6))
+    act = TranslationAction(Triangular(), ((1, 0), (0, 1)))
+    support, domain = ((3, 3), (4, 3)), ((3, 3),)
+  f = _vanishing_at_base(support, inter)
+  a = tuple(tuple(Fraction(k + 1, 3 + j) for j in range(act.rank))
+            for k in range(len(basis)))
+  omega = synthesized_form(f, a, act, domain, win, inter, basis)
+  return win, inter, basis, act, domain, omega
+
+
+def _spy_scans(monkeypatch):
+  """The site counts of the windows the potential scan runs on, from now."""
+  scanned, real = [], calculus._potential_scan
+
+  def scan(form, window, inter, budget):
+    scanned.append(window.n_sites)
+    return real(form, window, inter, budget)
+
+  monkeypatch.setattr(calculus, "_potential_scan", scan)
+  return scanned
+
+
+READ_CASES = ([f"line{n}-{m}-r{r}" for n in (9, 10)
+               for m in ("multispecies:2", "exclusion") for r in (1, 2)]
+              + [f"{lat}-{m}-r1" for lat in ("square7", "square9", "hexagonal5")
+                 for m in ("multispecies:2", "exclusion")]
+              + ["triangular7-exclusion-r1"])
+
+
+@pytest.mark.parametrize("case", READ_CASES)
+def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
+  win, inter, basis, act, domain, omega = _read_case(case)
+  readers = []
+  real_reader = decomposition._local_reader
+
+  def reader(remainder, sub_win, inter, budget):
+    read, denom = real_reader(remainder, sub_win, inter, budget)
+    calls = []
+    readers.append((remainder, sub_win, calls))
+
+    def recorded(sites):
+      calls.append((sites, read(sites)))
+      return calls[-1][1]
+    return recorded, denom
+
+  def decompose():
+    try:
+      return varadhan_decompose(omega, win, inter, basis, act, domain)
+    except InputError as exc:  # the probe plan or the window falls short
+      return str(exc)
+
+  monkeypatch.setattr(decomposition, "_local_reader", reader)
+  scanned = _spy_scans(monkeypatch)
+  rep = decompose()
+  ((remainder, sub_win, calls),) = readers
+  scans = list(scanned)
+
+  # Every probe union and the domain's radius ball are read, and each read
+  # equals the whole sub-window's potential restricted to it.
+  unions = {tuple(sorted(first + second))
+            for first, second in default_probes(sub_win, inter, omega.radius)}
+  ball = tuple(sorted({y for x in decomposition._recenter_domain(win, act, domain)
+                       for y in win.locale.ball(x, omega.radius)}))
+  assert [sites for sites, _ in calls][-1] == ball
+  assert {sites for sites, _ in calls} == unions | {ball}
+  whole, meta = integrate(remainder, sub_win, inter, budget=DEFAULT_SUB_BUDGET)
+  for sites, got in calls:
+    assert got == restrict(whole, sites)
+  if isinstance(rep, dict):
+    assert rep["residual"]["ok"]
+    assert rep["potential_components"] == meta["n_components"]
+
+  # Only read regions are scanned, never the whole sub-window unless the
+  # domain's radius ball is all of it.
+  if set(ball) != set(sub_win.vertices):
+    assert max(scans) < sub_win.n_sites
+  assert len(scans) == len({decomposition._hull(sub_win, sites)
+                            for sites, _ in calls})
+
+  # Scanning the whole sub-window instead gives the same result.
+  monkeypatch.setattr(decomposition, "_fibers_are_multisets",
+                      lambda *args: False)
+  assert decompose() == rep
+
+
+CYCLE_MAP = {"name": "cyc", "states": [0, 1, 2], "base": 0,
+             "map": [[0, 1, 1, 0], [1, 0, 0, 1], [1, 2, 2, 1], [2, 1, 1, 2],
+                     [0, 2, 1, 1], [1, 1, 2, 0], [2, 0, 0, 2]]}
+
+
+def _result_digest(rep):
+  out = dict(rep)
+  out["a"] = [list(map(fraction_to_str, row)) for row in rep["a"]]
+  out["f"] = [list(rep["f"].support), list(rep["f"].nums), rep["f"].denom]
+  out["h"] = sorted((str(list(map(str, q))), str(v))
+                    for q, v in rep["h"].items())
+  out["table"] = decomposition.pairing_table_to_json(rep["table"])
+  text = json.dumps(out, sort_keys=True, default=str)
+  return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Digests of the whole result, taken before the read-region integration.
+FALLBACK_DIGESTS = {
+    "spin3": "6df4d37d3852ece5630ac6524f21cdf457f3b02b38492e1dd043d1eac93cce77",
+    "generalized-exclusion:2":
+        "7c607bfd84a345f5781f203f693603adc7828b07139b4faa27cfbf9b96228625",
+    "glauber": "6deeb32535819098794de683399a23f8066afc58ebc2c46fd4aa7d59e0838688",
+    "custom": "344ebc42b7ab5609ed8c4433ffa3b5da491283f7568b5fc59d5daee0b7252446",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_DIGESTS) + ["pair-flip"])
+def test_fallback_models_scan_the_whole_sub_window(name, monkeypatch):
+  inter = (interaction_from_json(CYCLE_MAP) if name == "custom"
+           else by_name(name))
+  basis = conserved_basis(inter)
+  win = line(9)
+  act, domain = ((TranslationAction(Euclidean(1), ((2,),)), ((4,), (5,)))
+                 if name == "generalized-exclusion:2" else (Z_ACTION, ((4,),)))
+  base = inter.base
+  f = from_callable(((4,), (5,)), inter.n_states, base,
+                    lambda d: Fraction(0) if d == (base, base)
+                    else Fraction(3 * d[0] - d[1] + 1, 2))
+  a = tuple(tuple(Fraction(k + 1, 3) for _ in range(act.rank))
+            for k in range(len(basis)))
+  omega = synthesized_form(f, a, act, domain, win, inter, basis)
+  sub_win = decomposition._centered_subwindow(win, inter, (4,),
+                                              DEFAULT_SUB_BUDGET)
+  assert not decomposition._fibers_are_multisets(sub_win, inter, basis)
+  scanned = _spy_scans(monkeypatch)
+  if name == "pair-flip":  # parity splits the fibers
+    with pytest.raises(PairingNotWellDefined) as info:
+      varadhan_decompose(omega, win, inter, basis, act, domain)
+    probe = {"first": [[1], [2], [3]], "second": [[5], [6], [7]],
+             "distance": 2}
+    assert info.value.witness == {"cell": {"a": [], "b": []},
+                                  "values": ["0", "4"],
+                                  "probes": [probe, probe]}
+  else:
+    rep = varadhan_decompose(omega, win, inter, basis, act, domain)
+    assert rep["residual"]["ok"]
+    assert _result_digest(rep) == FALLBACK_DIGESTS[name]
+  assert scanned == [sub_win.n_sites]
+
+
+def _three_body_bump(win, c):
+  """A shift-invariant exclusion form that is not closed: c on the move
+  (1, 1, 0, 1) -> (1, 0, 1, 1) of four consecutive sites, across the middle
+  edge in either orientation, and -c on the move back."""
+  fns = {}
+  for (x,) in win.vertices:
+    sites = ((x - 1,), (x,), (x + 1,), (x + 2,))
+    if not all(v in win for v in sites):
+      continue
+    g = from_callable(sites, 2, 0, lambda d: c if d == (1, 1, 0, 1)
+                      else -c if d == (1, 0, 1, 1) else 0)
+    fns[((x,), (x + 1,))] = fns[((x + 1,), (x,))] = g
+  return Form(2, 0, fns, 2)
+
+
+def test_non_closed_input_exits_1_with_a_cycle_that_replays(tmp_path):
+  win = box(Euclidean(1), (0,), (10,))
+  inter = exclusion()
+  basis = conserved_basis(inter)
+  f = from_callable(((5,), (6,)), 2, 0, lambda d: Fraction(d[0] * d[1], 2))
+  omega = synthesized_form(f, ((Fraction(-2, 3),),), Z_ACTION, ((5,),), win,
+                           inter, basis)
+  bad = form_add(omega, _three_body_bump(win, Fraction(1, 3)), 2)
+  man = {"locale": {"kind": "euclidean", "d": 1}, "interaction": "exclusion",
+         "window": {"kind": "box", "lo": [0], "hi": [10]},
+         "form": form_to_json(bad, win), "action": {"generators": [[1]]},
+         "domain": [[5]]}
+  path, out = tmp_path / "man.json", tmp_path / "out.json"
+  path.write_text(json.dumps(man))
+  assert main(["decompose", "--manifest", str(path), "--out", str(out)]) == 1
+  rep = json.loads(out.read_text())
+  assert rep["error"]["kind"] == "NotClosedError"
+  witness = rep["error"]["witness"]
+  # The cycle comes from the scan of a read region, with every site
+  # outside it at base; it closes on the window and its integral under the
+  # input form is the reported nonzero defect.
+  configs = [config_from_json(win, inter, step["config"])
+             for step in witness["cycle"]]
+  edges = [tuple(map(win.locale.decode_vertex, step["edge"]))
+           for step in witness["cycle"]]
+  total = Fraction(0)
+  for k, (cfg, (u, v)) in enumerate(zip(configs, edges)):
+    nxt = apply_edge(cfg, win.position(u), win.position(v), inter)
+    assert nxt != cfg and nxt == configs[(k + 1) % len(configs)]
+    fn = bad.fn((u, v))
+    if fn is not None:
+      total += fn.value_at(dict(zip(win.vertices, cfg)))
+  assert fraction_to_str(total) == witness["integral"] == witness["defect"]
+  assert total != 0
+
+
+# ---------------------------------------------------------------------------
+# CLI reports stay byte-identical
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", sorted(json.loads(
+    (DATA / "report_digests.json").read_text())))
+def test_cli_reports_keep_their_bytes(name, tmp_path):
+  """The sha256 of each committed manifest's report, as recorded before the
+  decomposition learnt to integrate only where it reads."""
+  want = json.loads((DATA / "report_digests.json").read_text())[name]
+  out = tmp_path / "report.json"
+  if name == "counterexample":
+    argv = ["counterexample"]
+  else:
+    argv = ["decompose", "--manifest", str(DATA / f"{name}.json")]
+  assert main(argv + ["--out", str(out)]) == 0
+  assert hashlib.sha256(out.read_bytes()).hexdigest() == want

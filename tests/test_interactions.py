@@ -309,7 +309,10 @@ def test_moved_of_a_custom_interaction():
 
 
 @pytest.mark.parametrize("spec", ["multispecies:x", "lattice-gas:2.5", 5,
-                                  None, ["exclusion"]])
+                                  None, ["exclusion"], "spin3:7",
+                                  "exclusion:3", "glauber:0", "pair-flip:1"])
 def test_by_name_refuses_a_malformed_spec(spec):
-  with pytest.raises(InputError):
+  with pytest.raises(InputError) as info:
     by_name(spec)
+  if isinstance(spec, str) and spec.split(":")[1].isdigit():
+    assert "takes no parameter" in str(info.value)
