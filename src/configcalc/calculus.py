@@ -411,15 +411,13 @@ def gradient(f: LocalFunction, edge, inter: Interaction) -> LocalFunction:
   return trim(LocalFunction._exact(support, f.n_states, f.base, out, f.denom))
 
 
-def differential(f: LocalFunction, window: Window, inter: Interaction,
-                 radius: int | None = None) -> Form:
+def differential(f: LocalFunction, window: Window, inter: Interaction) -> Form:
   fns = {}
   for e in window.edges:
     g = gradient(f, e, inter)
     if not g.is_zero():
       fns[e] = g
-  if radius is None:
-    radius = form_radius(Form(inter.n_states, inter.base, fns), window.locale)
+  radius = form_radius(Form(inter.n_states, inter.base, fns), window.locale)
   return Form(inter.n_states, inter.base, fns, radius)
 
 

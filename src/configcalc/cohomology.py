@@ -22,8 +22,8 @@ from math import lcm
 
 from .calculus import (Form, LocalFunction, _over, is_uniform,
                        restrict, uniformity_criterion)
-from .configspace import (DEFAULT_BUDGET, _quantity_sums, _quantity_table,
-                          fibers_report, quantity_to_json)
+from .configspace import (DEFAULT_BUDGET, _quantity_sums, fibers_report,
+                          quantity_to_json)
 from .interactions import Interaction
 from .linalg import rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
@@ -439,8 +439,7 @@ def solve_splitting(table: PairingTable) -> dict:
 
 
 def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
-               radius: int, probes=None, cert_region=None,
-               probe_budget: int = 200_000) -> dict:
+               radius: int, probes=None, probe_budget: int = 200_000) -> dict:
   """Correct f by a function of the conserved quantities.
 
   Returns g = f + h(quantity) restricted to a certificate region, together
@@ -455,9 +454,7 @@ def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
                           probe_budget)
   split = solve_splitting(table)
   h = split["h"]
-  if cert_region is None:
-    cert_region = max((p[0] for p in probes), key=len)
-  cert_region = tuple(sorted(cert_region))
+  cert_region = tuple(sorted(max((p[0] for p in probes), key=len)))
   g = _quantity_corrected(f, cert_region, basis, h,
                           "certificate region quantity {} not probed")
   uniform = is_uniform(g, window.locale, radius)
@@ -490,7 +487,7 @@ def _quantity_corrected(f: LocalFunction, sites, basis, h: dict,
   shift = {q: v.numerator * (denom // v.denominator) for q, v in h.items()}
   nums = []
   for k, q in zip(_over(f, sites, denom),
-                  _quantity_table(sites, basis, f.n_states)):
+                  _quantity_sums(sites, basis, f.n_states)):
     try:
       nums.append(k + shift[q])
     except KeyError:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import chain, product, repeat
 from operator import add, sub
 
-from .interactions import Interaction, check_exchangeability
+from .interactions import Interaction
 from .locales import Window
 from .serialize import InputError, fraction_to_str
 
@@ -161,14 +161,6 @@ def _quantity_sums(sites, basis, n_states: int, counted=None):
   if not columns:
     return [()] * n_states ** len(sites)
   return zip(*columns)
-
-
-def _quantity_table(sites, basis, n_states: int, counted=None) -> list:
-  """``_quantity_sums`` with each distinct vector one shared tuple of
-  Fractions."""
-  sums = list(_quantity_sums(sites, basis, n_states, counted))
-  shared = {q: tuple(map(Fraction, q)) for q in set(sums)}
-  return list(map(shared.__getitem__, sums))
 
 
 def quantity_to_json(qvec) -> list:
@@ -340,8 +332,7 @@ def fibers_report(window: Window, inter: Interaction, basis,
 # Explicit transition paths
 
 
-def exchange_path(window: Window, inter: Interaction, digits, x, y,
-                  witnesses: dict | None = None):
+def exchange_path(window: Window, inter: Interaction, digits, x, y):
   """Transform ``digits`` into the configuration with sites x and y swapped.
 
   Walks a shortest window path z_0 .. z_m, exchanging adjacent pairs on the
@@ -350,15 +341,9 @@ def exchange_path(window: Window, inter: Interaction, digits, x, y,
   other).  Returns (steps, final) where ``steps`` is a list of
   (configuration, directed_edge) transitions and ``final`` equals the input
   with the two sites swapped.  Every intermediate step is a genuine
-  single-edge transition.
+  single-edge transition.  A pair of unequal states with no exchange
+  witness that the walk has to swap raises ``PairNotExchangeable``.
   """
-  if witnesses is None:
-    report = check_exchangeability(inter)
-    if not report["exchangeable"]:
-      raise PairNotExchangeable(
-          f"{inter.name} lacks exchange witnesses for pairs "
-          f"{report['missing_pairs']}")
-    witnesses = report["witnesses"]
   steps = []
   current = tuple(digits)
   if x == y:
@@ -370,7 +355,7 @@ def exchange_path(window: Window, inter: Interaction, digits, x, y,
     a, b = cfg[pu], cfg[pv]
     if a == b:
       return cfg
-    w = witnesses.get((a, b))
+    w = inter.witnesses.get((a, b))
     if w is None:
       raise PairNotExchangeable(
           f"{inter.name} cannot exchange the pair "
@@ -390,8 +375,7 @@ def exchange_path(window: Window, inter: Interaction, digits, x, y,
   return steps, current
 
 
-def rearrangement_path(window: Window, inter: Interaction, digits, target,
-                       witnesses: dict | None = None):
+def rearrangement_path(window: Window, inter: Interaction, digits, target):
   """Transform ``digits`` into ``target``, a rearrangement of its states.
 
   Takes the window positions in order; each position that does not yet hold
@@ -408,7 +392,7 @@ def rearrangement_path(window: Window, inter: Interaction, digits, target,
     if current[p] != want:
       q = current.index(want, p + 1)
       more, current = exchange_path(window, inter, current, window.vertices[p],
-                                    window.vertices[q], witnesses)
+                                    window.vertices[q])
       steps += more
   return steps, current
 

@@ -310,7 +310,7 @@ def is_shift_invariant(form: Form, window: Window,
 
 
 def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
-                    action: TranslationAction, center=None) -> dict:
+                    action: TranslationAction) -> dict:
   """Recover the cocycle matrix from translation defects of the potential.
 
   For each generator, the difference v(eta) - v(translated eta) equals the
@@ -328,9 +328,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     raise InputError(
         f"cocycle extraction moves states around; {inter.name} lacks "
         f"exchange witnesses for {exch['missing_pairs']}")
-  witnesses = exch["witnesses"]
-  if center is None:
-    center = window.center()
+  center = window.center()
 
   a_cols = []
   probes = 0
@@ -343,7 +341,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     rows = []
     for s in states:
       start = digits_from_sites(window, inter, {x_prev: s})
-      steps, final = exchange_path(window, inter, start, x_prev, x0, witnesses)
+      steps, final = exchange_path(window, inter, start, x_prev, x0)
       if final != digits_from_sites(window, inter, {x0: s}):
         raise RuntimeError("exchange path did not move the probe state")
       rows.append([Fraction(vec[s]) for vec in basis]
@@ -373,8 +371,8 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     for s in states:
       for t in states:
         start = digits_from_sites(window, inter, {x0p: s, x1p: t})
-        steps1, mid = exchange_path(window, inter, start, x0p, x0, witnesses)
-        steps2, final = exchange_path(window, inter, mid, x1p, x1, witnesses)
+        steps1, mid = exchange_path(window, inter, start, x0p, x0)
+        steps2, final = exchange_path(window, inter, mid, x1p, x1)
         if final != digits_from_sites(window, inter, {x0: s, x1: t}):
           raise RuntimeError("exchange paths did not move the probe states")
         measured = (_path_integral(form, window, steps1)
@@ -564,14 +562,12 @@ def _local_reader(remainder: Form, sub_win: Window, inter: Interaction,
   """
   s, n = inter.n_states, sub_win.n_sites
   denom = lcm(*(fn.denom for fn in remainder.fns.values()))
-  witnesses = check_exchangeability(inter)["witnesses"]
   pinned = {}  # sub-window configuration -> V there, over denom
   hulls = {}
 
   def pin_value(cfg):
     if cfg not in pinned:
-      steps, _ = rearrangement_path(sub_win, inter, sorted(cfg), cfg,
-                                    witnesses)
+      steps, _ = rearrangement_path(sub_win, inter, sorted(cfg), cfg)
       pinned[cfg] = _path_numerator(remainder, sub_win, steps, denom)
     return pinned[cfg]
 
@@ -790,7 +786,7 @@ def counterexample_report(n_sites: int = 9) -> dict:
 
   axioms = form_axioms_report(omega, win, inter)
   closed = is_closed(omega, win, inter)
-  d_f = differential(f, win, inter, radius=0)
+  d_f = differential(f, win, inter)
   matches = all(
       functions_equal(d_f.fn(e) or constant(0, inter.n_states, inter.base),
                       omega.fn(e) or constant(0, inter.n_states, inter.base))

@@ -37,9 +37,10 @@ class Interaction:
   states: tuple            # state values, e.g. (0, 1) or (-1, 0, 1)
   base: int                # index into ``states``
   table: tuple             # table[i][j] = (k, l) state-index pair
-  meta: dict = field(default_factory=dict, compare=False)
   #: (a, b, c, d) for every pair phi moves, (a, b) -> (c, d), in (a, b) order
   moved: tuple = field(init=False, repr=False, compare=False)
+  #: (i, j) -> ``exchange_witness(self, i, j)`` for every pair that has one
+  witnesses: dict = field(init=False, repr=False, compare=False)
 
   def __post_init__(self):
     n = len(self.states)
@@ -56,6 +57,9 @@ class Interaction:
     object.__setattr__(self, "moved", tuple(
         (a, b, *cd) for a, row in enumerate(self.table)
         for b, cd in enumerate(row) if cd != (a, b)))
+    object.__setattr__(self, "witnesses", {
+        (i, j): w for i in range(n) for j in range(n)
+        if (w := exchange_witness(self, i, j)) is not None})
 
   @property
   def n_states(self) -> int:
@@ -111,8 +115,7 @@ def multispecies(kappa: int) -> Interaction:
     raise InputError("multispecies needs kappa >= 1")
   states = tuple(range(kappa + 1))
   return Interaction(f"multispecies:{kappa}", states, 0,
-                     _table_from_rule(states, lambda a, b: (b, a)),
-                     meta={"kappa": kappa})
+                     _table_from_rule(states, lambda a, b: (b, a)))
 
 
 def generalized_exclusion(kappa: int) -> Interaction:
@@ -126,8 +129,7 @@ def generalized_exclusion(kappa: int) -> Interaction:
     return (a, b)
 
   return Interaction(f"generalized-exclusion:{kappa}", states, 0,
-                     _table_from_rule(states, rule),
-                     meta={"kappa": kappa, "truncated_from_naturals": True})
+                     _table_from_rule(states, rule))
 
 
 def lattice_gas(kappa: int) -> Interaction:
@@ -143,8 +145,7 @@ def lattice_gas(kappa: int) -> Interaction:
     return (a, b)
 
   return Interaction(f"lattice-gas:{kappa}", states, 0,
-                     _table_from_rule(states, rule),
-                     meta={"kappa": kappa, "truncated_from_naturals": True})
+                     _table_from_rule(states, rule))
 
 
 def spin3() -> Interaction:
@@ -328,18 +329,12 @@ def exchange_witness(inter: Interaction, i: int, j: int):
 def check_exchangeability(inter: Interaction) -> dict:
   """Per-pair exchange witnesses; ``exchangeable`` iff every pair has one."""
   n = inter.n_states
-  witnesses = {}
-  missing = []
-  for i in range(n):
-    for j in range(n):
-      w = exchange_witness(inter, i, j)
-      if w is None:
-        missing.append([inter.states[i], inter.states[j]])
-      else:
-        witnesses[(i, j)] = w
+  missing = [[inter.states[i], inter.states[j]]
+             for i in range(n) for j in range(n)
+             if (i, j) not in inter.witnesses]
   return {
       "exchangeable": not missing,
-      "witnesses": witnesses,
+      "witnesses": dict(inter.witnesses),
       "missing_pairs": missing,
   }
 

@@ -308,6 +308,37 @@ def test_moved_of_a_custom_interaction():
       [5, 9, 9, 5], [7, 7, 5, 9], [9, 5, 7, 7]]
 
 
+def per_pair_witnesses(inter):
+  """(witnesses, missing pairs) from one ``exchange_witness`` search per
+  pair, in (i, j) order."""
+  witnesses, missing = {}, []
+  for i in range(inter.n_states):
+    for j in range(inter.n_states):
+      w = exchange_witness(inter, i, j)
+      if w is None:
+        missing.append([inter.states[i], inter.states[j]])
+      else:
+        witnesses[(i, j)] = w
+  return witnesses, missing
+
+
+def test_witnesses_match_the_per_pair_search():
+  inters = [by_name(name) for name in CATALOG_NAMES]
+  # the three-state cycle above: (5, 7) is fixed, so it has no witness
+  inters.append(interaction_from_json({
+      "name": "cyc", "states": [5, 7, 9], "base": 7,
+      "map": [[5, 9, 9, 5], [9, 5, 7, 7], [7, 7, 5, 9], [9, 9, 9, 9]]}))
+  assert [5, 7] in per_pair_witnesses(inters[-1])[1]
+  for inter in inters:
+    witnesses, missing = per_pair_witnesses(inter)
+    assert inter.witnesses == witnesses, inter.name
+    assert check_exchangeability(inter) == {
+        "exchangeable": not missing,
+        "witnesses": witnesses,
+        "missing_pairs": missing,
+    }, inter.name
+
+
 @pytest.mark.parametrize("spec", ["multispecies:x", "lattice-gas:2.5", 5,
                                   None, ["exclusion"], "spin3:7",
                                   "exclusion:3", "glauber:0", "pair-flip:1"])

@@ -64,3 +64,53 @@ def test_every_private_function_is_referenced():
           if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
           and not node.name.startswith("__") and node.name not in used]
   assert not dead, dead
+
+
+def _optional_parameters(fn, bound: bool) -> tuple:
+  """(positional parameter names, names of those with a default and of the
+  keyword-only ones with a default); ``bound`` drops self or cls."""
+  a = fn.args
+  pos = [p.arg for p in a.posonlyargs + a.args][1 if bound else 0:]
+  optional = pos[len(pos) - len(a.defaults):] if a.defaults else []
+  optional += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+               if d is not None]
+  return pos, optional
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+  # A default that every caller keeps is a parameter the inputs already fix.
+  # Calls are matched by name, as ``f(...)`` or ``x.f(...)``.
+  root = Path(__file__).resolve().parent.parent
+  lib = sorted(Path(configcalc.__file__).parent.glob("*.py"))
+  callers = lib + sorted((root / "scripts").glob("*.py")) + sorted(
+      (root / "perfbench").glob("*.py"))
+  trees = {path: ast.parse(path.read_text(), str(path)) for path in callers}
+  defs = []
+  for path in lib:
+    for node in trees[path].body:
+      if isinstance(node, ast.FunctionDef):
+        defs.append((path.name, node, False))
+      elif isinstance(node, ast.ClassDef):
+        defs += [(path.name, fn, not any(
+                     isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list))
+                 for fn in node.body if isinstance(fn, ast.FunctionDef)]
+  calls = {}
+  for tree in trees.values():
+    for node in ast.walk(tree):
+      if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        calls.setdefault(name, []).append(node)
+  unset = []
+  for module, fn, bound in defs:
+    pos, optional = _optional_parameters(fn, bound)
+    passed = set()
+    for call in calls.get(fn.name, ()):
+      if (any(isinstance(a, ast.Starred) for a in call.args)
+          or any(k.arg is None for k in call.keywords)):
+        passed.update(optional)
+      passed.update(pos[:len(call.args)], (k.arg for k in call.keywords))
+    if fn.name in calls:
+      unset += [f"{module}:{fn.lineno} {fn.name}({p})"
+                for p in optional if p not in passed]
+  assert not unset, unset
