@@ -212,6 +212,16 @@ def _vec_add(a, b):
   return tuple(x + y for x, y in zip(a, b))
 
 
+def _integer_quantities(cells):
+  """(keys, denom): every quantity in the keys of ``cells`` as a tuple of
+  integer numerators over ``denom``, the lcm of all their denominators.
+  The keys add like the quantities and sort in the same order."""
+  vectors = {q for key in cells for q in key}
+  denom = lcm(*(x.denominator for q in vectors for x in q))
+  return {q: tuple(x.numerator * (denom // x.denominator) for x in q)
+          for q in vectors}, denom
+
+
 def check_pairing_laws(table: PairingTable) -> dict:
   """Cocycle identity over all probe-covered triples, plus symmetry.
 
@@ -221,17 +231,13 @@ def check_pairing_laws(table: PairingTable) -> dict:
   indexing the cells by their first argument.
   """
   cells = table.cells
-  q_denom = lcm(*(x.denominator for key in cells for q in key for x in q))
+  ikeys, _ = _integer_quantities(cells)
   v_denom = lcm(*(v.denominator for v in cells.values()))
-
-  def scaled(q):
-    return tuple(x.numerator * (q_denom // x.denominator) for x in q)
-
   nums = {}  # (a, b) -> numerator, in table order
   keys = {}  # (a, b) -> the table's own key
   by_first = {}  # a -> [b, ...] in table order
   for key, v in cells.items():
-    a, b = scaled(key[0]), scaled(key[1])
+    a, b = ikeys[key[0]], ikeys[key[1]]
     nums[a, b] = v.numerator * (v_denom // v.denominator)
     keys[a, b] = key
     by_first.setdefault(a, []).append(b)
@@ -338,50 +344,63 @@ def _linear_splitting(table: PairingTable):
   """Exact rational solve of h(a) + h(b) - h(a+b) = cell over the probed
   domain, pinned at h(0) = cell(0,0).  When the equations are inconsistent,
   the first leftover row with a nonzero right-hand side yields a verifiable
-  certificate (see ``_certificate``)."""
-  unknowns = set()
-  for alpha, beta in table.cells:
-    unknowns.update((alpha, beta, _vec_add(alpha, beta)))
-  zero = table.zero_vector()
-  unknowns.add(zero)
+  certificate (see ``_certificate``).
+
+  The unknowns are the integer quantity keys and each equation is a sparse
+  integer row, its right-hand side the cell's numerator over the values'
+  common denominator; the equations are spelled out only in a certificate.
+  """
+  keys, q_denom = _integer_quantities(table.cells)
+  v_denom = lcm(*(v.denominator for v in table.cells.values()))
+  cells = sorted((keys[alpha], keys[beta], alpha, beta, val)
+                 for (alpha, beta), val in table.cells.items())
+  origin = table.zero_vector()
+  zero = tuple(0 for _ in origin)
+  unknowns = {zero}
+  for a, b, *_ in cells:
+    unknowns.update((a, b, _vec_add(a, b)))
   cols = {v: i for i, v in enumerate(sorted(unknowns))}
   n = len(cols)
-  rows = []  # coefficients of the unknowns, then the right-hand side
-  equations = []
-  for (alpha, beta), val in sorted(table.cells.items()):
-    row = [0] * n + [val]
-    row[cols[alpha]] += 1
-    row[cols[beta]] += 1
-    row[cols[_vec_add(alpha, beta)]] -= 1
+  rows = []  # {unknown's column: coefficient, n: right-hand side}
+  for a, b, _, _, val in cells:
+    row = {n: val.numerator * (v_denom // val.denominator)}
+    for v, x in ((a, 1), (b, 1), (_vec_add(a, b), -1)):
+      c = cols[v]
+      row[c] = row.get(c, 0) + x
     rows.append(row)
-    equations.append({"cell": {"a": quantity_to_json(alpha),
-                               "b": quantity_to_json(beta)},
-                      "value": fraction_to_str(val)})
-  pin_value = table.cells.get((zero, zero), ZERO)
-  row = [0] * n + [pin_value]
-  row[cols[zero]] += 1
-  rows.append(row)
-  equations.append({"pin": quantity_to_json(zero),
-                    "value": fraction_to_str(pin_value)})
+  pin_value = table.cells.get((origin, origin), ZERO)
+  rows.append({cols[zero]: 1,
+               n: pin_value.numerator * (v_denom // pin_value.denominator)})
 
   reduced, pivots, order = rref(rows, n)
   rank = len(pivots)
   for k in range(rank, len(rows)):
-    if reduced[k][n]:
+    if n in reduced[k]:
       combo, contradiction = _certificate(rows, pivots, order[:rank],
                                           order[k], n)
+
+      def equation(i):
+        if i == len(cells):
+          return {"pin": quantity_to_json(origin),
+                  "value": fraction_to_str(pin_value)}
+        _, _, alpha, beta, val = cells[i]
+        return {"cell": {"a": quantity_to_json(alpha),
+                         "b": quantity_to_json(beta)},
+                "value": fraction_to_str(val)}
+
       raise SplittingInfeasible({
           "combination": [
-              dict(equations[eq_id], coefficient=fraction_to_str(coef))
+              dict(equation(eq_id), coefficient=fraction_to_str(coef))
               for eq_id, coef in sorted(combo.items()) if coef != 0
           ],
-          "contradiction": fraction_to_str(contradiction),
+          "contradiction": fraction_to_str(Fraction(contradiction, v_denom)),
       })
 
   solution = [ZERO] * n
   for row, c in zip(reduced, pivots):
-    solution[c] = row[n]
-  return {v: solution[i] for v, i in cols.items()}
+    solution[c] = Fraction(row.get(n, 0), v_denom)
+  return {tuple(Fraction(x, q_denom) for x in v): solution[i]
+          for v, i in cols.items()}
 
 
 def _certificate(rows, pivots, inputs, j: int, n: int):
@@ -394,19 +413,28 @@ def _certificate(rows, pivots, inputs, j: int, n: int):
   columns determines it.  Raises ``RuntimeError`` unless the combination
   cancels every unknown and leaves a nonzero right-hand side.
   """
-  system = [[rows[p][c] for p in inputs] + [-rows[j][c]] for c in pivots]
-  solved, solved_pivots, _ = rref(system, len(inputs))
+  at = {c: i for i, c in enumerate(pivots)}  # pivot column -> system row
+  m = len(inputs)
+  system = [{} for _ in pivots]
+  for k, eq_id in enumerate(inputs):
+    for c, x in rows[eq_id].items():
+      if c in at:
+        system[at[c]][k] = x
+  for c, x in rows[j].items():
+    if c in at:
+      system[at[c]][m] = -x
+  solved, solved_pivots, _ = rref(system, m)
   combo = {j: Fraction(1)}
   for row, k in zip(solved, solved_pivots):
-    combo[inputs[k]] = row[-1]
-  total = [ZERO] * (n + 1)  # the combined row: unknowns, then right-hand side
+    combo[inputs[k]] = row.get(m, ZERO)
+  total = {}  # the combined row: unknowns, then right-hand side
   for eq_id, coef in combo.items():
-    for c, x in enumerate(rows[eq_id]):
-      if x:
-        total[c] += coef * x
-  if any(total[:n]) or not total[n]:
+    for c, x in rows[eq_id].items():
+      total[c] = total.get(c, 0) + coef * x
+  rhs = total.pop(n, 0)
+  if any(total.values()) or not rhs:
     raise RuntimeError("recovered combination does not certify infeasibility")
-  return combo, total[n]
+  return combo, rhs
 
 
 def solve_splitting(table: PairingTable) -> dict:
@@ -584,9 +612,12 @@ def pairing_table_from_json(obj, basis) -> PairingTable:
   table = PairingTable(basis=tuple(basis), radius=manifest_int(
       obj.get("radius", 0), "pairing radius", 0))
   for cell in obj["cells"]:
-    alpha = tuple(fraction_from_str(x) for x in cell["a"])
-    beta = tuple(fraction_from_str(x) for x in cell["b"])
-    table.cells[(alpha, beta)] = fraction_from_str(cell["v"])
+    key = tuple(tuple(fraction_from_str(x) for x in cell[k]) for k in "ab")
+    value = fraction_from_str(cell["v"])
+    if table.cells.setdefault(key, value) != value:
+      raise InputError(
+          f"pairing cell a={cell['a']!r} b={cell['b']!r} carries two values, "
+          f"{fraction_to_str(table.cells[key])} and {fraction_to_str(value)}")
   table.probes = list(obj.get("probes", ()))
   return table
 

@@ -85,12 +85,13 @@ class TranslationAction:
     # The generators are the matrix's columns.  At full rank, reducing
     # [matrix | identity] leaves its inverse on the right, kept as integer
     # numerators over one denominator.
-    rows = [list(row) + [int(i == k) for k in range(d)]
+    rows = [dict(enumerate(list(row) + [int(i == k) for k in range(d)]))
             for i, row in enumerate(zip(*self.generators))]
     reduced, pivots, _ = rref(rows, d)
     if len(pivots) < d:
       raise InputError("translation generators are linearly dependent")
-    nums, denom = _integer_row(x for row in reduced for x in row[d:])
+    nums, denom = _integer_row(row.get(d + k, 0)
+                               for row in reduced for k in range(d))
     object.__setattr__(self, "_inverse", tuple(
         tuple(nums[i:i + d]) for i in range(0, d * d, d)))
     object.__setattr__(self, "_denom", denom)
@@ -344,19 +345,19 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
       steps, final = exchange_path(window, inter, start, x_prev, x0)
       if final != digits_from_sites(window, inter, {x0: s}):
         raise RuntimeError("exchange path did not move the probe state")
-      rows.append([Fraction(vec[s]) for vec in basis]
-                  + [_path_integral(form, window, steps)])
+      rows.append(dict(enumerate([vec[s] for vec in basis]
+                                 + [_path_integral(form, window, steps)])))
       probes += 1
     # The defects must lie in the span of the quantities.
     reduced, pivots, _ = rref(rows, c)
-    if any(row[c] != 0 for row in reduced[len(pivots):]):
+    if any(c in row for row in reduced[len(pivots):]):
       raise InconsistentCocycle({
           "generator": j,
           "reason": "single-site defects outside the quantity span",
       })
     col = [ZERO] * c
     for row, p in zip(reduced, pivots):
-      col[p] = row[c]
+      col[p] = row.get(c, ZERO)
     a_cols.append(col)
 
   # linearity cross-checks on two-site configurations
@@ -530,7 +531,8 @@ def _fibers_are_multisets(win: Window, inter: Interaction, basis) -> bool:
       or any(vec[a] + vec[b] != vec[c] + vec[d]
              for vec in basis for a, b, c, d in inter.moved)):
     return False
-  rows = [[vec[d] - vec[base] for vec in basis] for d in range(s) if d != base]
+  rows = [dict(enumerate(vec[d] - vec[base] for vec in basis))
+          for d in range(s) if d != base]
   return len(rref(rows, len(basis))[1]) == s - 1
 
 

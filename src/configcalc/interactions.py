@@ -277,17 +277,12 @@ def conserved_basis(inter: Interaction) -> tuple:
   leading coefficient, free states taken in increasing index order.
   """
   n = inter.n_states
-  rows = []
-  pin = [Fraction(0)] * n
-  pin[inter.base] = Fraction(1)
-  rows.append(pin)
+  rows = [{inter.base: 1}]
   for i, j, k, l in inter.moved:
-    row = [Fraction(0)] * n
-    row[i] += 1
-    row[j] += 1
-    row[k] -= 1
-    row[l] -= 1
-    if any(row):
+    row = {}
+    for state, x in ((i, 1), (j, 1), (k, -1), (l, -1)):
+      row[state] = row.get(state, 0) + x
+    if any(row.values()):
       rows.append(row)
   echelon, pivots, _ = rref(rows, n)
   free_cols = [c for c in range(n) if c not in pivots]
@@ -296,7 +291,7 @@ def conserved_basis(inter: Interaction) -> tuple:
     vec = [Fraction(0)] * n
     vec[fc] = Fraction(1)
     for r, pc in zip(echelon, pivots):
-      vec[pc] = -r[fc]
+      vec[pc] = -r.get(fc, 0)
     basis.append(_normalize_integer_vector(vec))
   return tuple(basis)
 

@@ -261,6 +261,23 @@ def test_split_refuses_asymmetric_with_certificate(tmp_path):
   assert cert["contradiction"] != "0"
 
 
+def test_split_refuses_a_pairing_cell_with_two_values(tmp_path):
+  cells = [{"a": ["1"], "b": ["1"], "v": "1"},
+           {"a": ["1"], "b": ["1"], "v": "2"}]
+  man = {"interaction": "exclusion", "pairing": {"cells": cells}}
+  code, rep = run(tmp_path, man, "split")
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+  assert "a=['1'] b=['1']" in rep["error"]["message"]
+  assert "1 and 2" in rep["error"]["message"]
+  # an exact repeat, even spelled differently, is the same cell
+  man["pairing"]["cells"] = [cells[1], dict(cells[1], v="4/2")]
+  code, rep = run(tmp_path, man, "split")
+  assert code == 0
+  assert rep["splitting"]["h"] == [{"q": ["1"], "v": "0"},
+                                   {"q": ["2"], "v": "-2"}]
+
+
 def test_uniformize_flat_function(tmp_path):
   man = dict(BASE,
              window={"kind": "box", "lo": [0], "hi": [12]},
