@@ -357,9 +357,6 @@ class Form:
   def fn(self, edge) -> LocalFunction | None:
     return self.fns.get(edge)
 
-  def edges(self):
-    return sorted(self.fns)
-
 
 def _form_combine(a: Form, b: Form, sign: int, radius) -> Form:
   """a + sign * b edge by edge: a's edges first, then b's other edges."""

@@ -99,8 +99,6 @@ def default_probes(window: Window, inter: Interaction, radius: int,
   seen = set()
 
   def try_pair(first, second):
-    if not first or not second:
-      return
     if set_distance(first, second, locale) <= radius:
       return
     size = len(set(first) | set(second))
@@ -119,9 +117,6 @@ def default_probes(window: Window, inter: Interaction, radius: int,
       off2 = [0] * d
       off1[axis] = -(r1 + gap // 2)
       off2[axis] = r2 + (gap + 1) // 2
-      extra = r1 + r2 + gap - (off2[axis] - off1[axis])
-      if extra > 0:
-        off2[axis] += extra
       c1 = locale.translate(center, tuple(off1))
       c2 = locale.translate(center, tuple(off2))
       if c1 not in window or c2 not in window:
@@ -289,24 +284,25 @@ def check_pairing_laws(table: PairingTable) -> dict:
 def _chain_splitting(table: PairingTable):
   """Constructive splitting when every probed quantity is an integer multiple
   of one primitive vector: build h along the chain of consecutive cells."""
-  vectors = set()
-  for alpha, beta in table.cells:
-    vectors.update((alpha, beta, _vec_add(alpha, beta)))
-  nonzero = [v for v in vectors if any(x != 0 for x in v)]
   zero = table.zero_vector()
   pin = table.cells.get((zero, zero), ZERO)
-  if not nonzero:
+  ref = next((v for key in table.cells for v in key if any(v)), None)
+  if ref is None:
     return {zero: pin}
-  lead = next(i for i, x in enumerate(nonzero[0]) if x != 0)
-  if any(v[lead] == 0 for v in nonzero):
+  lead = next(i for i, x in enumerate(ref) if x != 0)
+  # Sums of vectors on ref's line stay on it: refuse a plane before adding.
+  if any(x * ref[lead] != v[lead] * y
+         for key in table.cells for v in key for x, y in zip(v, ref)):
     return None
-  prim = min(nonzero, key=lambda v: abs(v[lead]))
+  vectors = {v for key in table.cells for v in key}
+  vectors.update(_vec_add(alpha, beta) for alpha, beta in table.cells)
+  prim = min((v for v in vectors if v[lead] != 0), key=lambda v: abs(v[lead]))
   if prim[lead] < 0:
     prim = tuple(-x for x in prim)
   multiples = {}
   for v in vectors:
     k = v[lead] / prim[lead]
-    if k.denominator != 1 or tuple(k * x for x in prim) != v:
+    if k.denominator != 1:
       return None
     multiples[v] = int(k)
 
@@ -332,12 +328,7 @@ def _chain_splitting(table: PairingTable):
       if c is None:
         return None
       h_tilde[-k - 1] = h_tilde[-k] + h_tilde[-1] - (c - pin)
-  h = {}
-  for v, k in multiples.items():
-    if k not in h_tilde:
-      return None
-    h[v] = h_tilde[k] + pin
-  return h
+  return {v: h_tilde[k] + pin for v, k in multiples.items()}
 
 
 def _linear_splitting(table: PairingTable):

@@ -22,13 +22,32 @@ JSON as nested lists of ints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .serialize import InputError, manifest_int
 
 #: the farthest graph distance the breadth-first ``Locale.distance`` searches
 DISTANCE_CAP = 64
+
+
+def _layers(neighbors, start):
+  """Breadth-first search from ``start``, one whole layer at a time.
+
+  Lazily yields ``(layer, parent)`` for distances 0, 1, ... until a layer is
+  empty.  ``parent`` maps every vertex reached so far to the vertex that first
+  reached it, in ``neighbors`` order (``start`` to None); it grows in place.
+  """
+  parent = {start: None}
+  layer = [start]
+  while layer:
+    yield layer, parent
+    nxt = []
+    for u in layer:
+      for v in neighbors(u):
+        if v not in parent:
+          parent[v] = u
+          nxt.append(v)
+    layer = nxt
 
 
 class Locale:
@@ -45,49 +64,26 @@ class Locale:
   # -- metric ---------------------------------------------------------------
 
   def distance(self, x, y) -> int:
-    """Graph distance via bidirectional BFS.
+    """Graph distance via breadth-first search from x.
 
     Raises ``InputError`` when the distance exceeds ``DISTANCE_CAP`` or the
-    two vertices are not connected.
+    search from x runs out of vertices before reaching y.
     """
-    if x == y:
-      return 0
-    front_a, front_b = {x: 0}, {y: 0}
-    seen_a, seen_b = {x: 0}, {y: 0}
-    dist = 0
-    while front_a and front_b:
-      dist += 1
-      if dist > DISTANCE_CAP:
+    for dist, (_, parent) in enumerate(_layers(self.neighbors, x)):
+      if y in parent:
+        return dist
+      if dist == DISTANCE_CAP:
         raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
-      if len(front_a) > len(front_b):
-        front_a, front_b = front_b, front_a
-        seen_a, seen_b = seen_b, seen_a
-      nxt = {}
-      for u, du in front_a.items():
-        for v in self.neighbors(u):
-          if v in seen_b:
-            return du + 1 + seen_b[v]
-          if v not in seen_a:
-            seen_a[v] = du + 1
-            nxt[v] = du + 1
-      front_a = nxt
     raise InputError(f"{x} and {y} are not connected within cap {DISTANCE_CAP}")
 
   def ball(self, center, radius: int) -> tuple:
     """Sorted tuple of vertices within graph distance ``radius`` of center."""
     if center not in self:
       raise InputError(f"ball center {center!r} not in locale {self.name}")
-    seen = {center}
-    frontier = [center]
-    for _ in range(radius):
-      nxt = []
-      for u in frontier:
-        for v in self.neighbors(u):
-          if v not in seen:
-            seen.add(v)
-            nxt.append(v)
-      frontier = nxt
-    return tuple(sorted(seen))
+    for dist, (_, parent) in enumerate(_layers(self.neighbors, center)):
+      if dist >= radius:
+        break
+    return tuple(sorted(parent))
 
   # -- JSON vertex codecs ----------------------------------------------------
 
@@ -494,36 +490,23 @@ class Window:
     return [y for y in self.locale.neighbors(x) if y in self._index]
 
   def path_between(self, x, y):
-    """Some shortest vertex path x .. y inside the window (BFS)."""
-    if x == y:
-      return [x]
-    prev = {x: None}
-    queue = deque([x])
-    while queue:
-      u = queue.popleft()
-      for v in self.neighbors_in(u):
-        if v not in prev:
-          prev[v] = u
-          if v == y:
-            path = [y]
-            while prev[path[-1]] is not None:
-              path.append(prev[path[-1]])
-            return path[::-1]
-          queue.append(v)
+    """A shortest vertex path x .. y inside the window: searching breadth
+    first from x, each vertex's predecessor is the first vertex that reached
+    it in ``neighbors_in`` order."""
+    for _, parent in _layers(self.neighbors_in, x):
+      if y in parent:
+        path = [y]
+        while parent[path[-1]] is not None:
+          path.append(parent[path[-1]])
+        return path[::-1]
     raise InputError(f"no path from {x!r} to {y!r} inside the window")
 
   def is_connected(self) -> bool:
     if not self.vertices:
       return True
-    seen = {self.vertices[0]}
-    queue = deque(seen)
-    while queue:
-      u = queue.popleft()
-      for v in self.neighbors_in(u):
-        if v not in seen:
-          seen.add(v)
-          queue.append(v)
-    return len(seen) == len(self.vertices)
+    for _, reached in _layers(self.neighbors_in, self.vertices[0]):
+      pass
+    return len(reached) == len(self.vertices)
 
 
 def window(locale: Locale, vertices) -> Window:
@@ -642,15 +625,9 @@ def _probe_transferability(locale: Locale, probe_radius: int, probe_margin: int)
     for start in sorted(rest):
       if start in seen:
         continue
-      comp = {start}
-      queue = deque([start])
-      while queue:
-        u = queue.popleft()
-        for v in locale.neighbors(u):
-          if v in rest and v not in comp:
-            comp.add(v)
-            queue.append(v)
-      seen |= comp
+      for _, comp in _layers(lambda u: rest.intersection(locale.neighbors(u)), start):
+        pass
+      seen.update(comp)
       boundary = any(w not in region for u in comp for w in locale.neighbors(u))
       comps.append({"size": len(comp), "reaches_probe_edge": boundary})
     finite = [c for c in comps if not c["reaches_probe_edge"]]

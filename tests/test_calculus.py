@@ -554,6 +554,20 @@ def test_perturbation_of_alternation_detected():
   assert rep["alternation"] is not None
 
 
+
+def test_matching_targets_witness_names_both_arcs():
+  # both orientations of the edge swap the pair (1, 0) to (0, 1), so they
+  # make one move and must carry one value
+  win = line(3)
+  inter = exclusion()
+  fns = {e: from_callable(((0,), (1,)), inter.n_states, inter.base,
+                          lambda d, v=v: Fraction(v) if d == (1, 0) else Fraction(0))
+         for e, v in ((((0,), (1,)), 1), (((1,), (0,)), 2))}
+  rep = form_axioms_report(Form(inter.n_states, inter.base, fns, 1), win, inter)
+  assert not rep["ok"]
+  assert rep["matching_targets"] == {"edges": [[[0], [1]], [[1], [0]]],
+                                     "values": ["1", "2"]}
+
 def test_form_vanishes_on_fixed_pairs_axiom():
   win = line(3)
   inter = exclusion()

@@ -29,7 +29,7 @@ from configcalc.cohomology import (PairingNotWellDefined, PairingTable,
 from configcalc.configspace import quantity_of, quantity_to_json
 from configcalc.serialize import InputError, fraction_to_str
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
-                                     multispecies)
+                                     multispecies, spin3)
 from configcalc.locales import Euclidean, box
 
 
@@ -76,6 +76,22 @@ def test_quadratic_defect_split_frozen_values():
     assert h[(Fraction(n),)] == val, n
   assert h[(Fraction(0),)] == 0 and h[(Fraction(1),)] == 0
 
+
+
+def test_quadratic_defect_split_walks_the_negative_chain():
+  # spin3 quantities take both signs, so the chain also steps down through
+  # the cells (1, -1) and (-k, -1)
+  win = line(13)
+  inter = spin3()
+  basis = conserved_basis(inter)
+  probes = [(tuple((x,) for x in range(k)), ((11,),)) for k in range(1, 6)]
+  sites = tuple((x,) for x in range(5)) + ((11,),)
+  f = from_callable(sites, inter.n_states, inter.base,
+                    lambda d: Fraction(sum(inter.states[s] for s in d)) ** 2)
+  table = compute_pairing(f, win, inter, basis, radius=3, probes=probes)
+  split = solve_splitting(table)
+  assert split["method"] == "chain-iteration"
+  assert split["h"] == {(Fraction(q),): Fraction(-q * q + q) for q in range(-6, 7)}
 
 def test_split_kills_the_defect():
   # h(a+b) - h(a) - h(b) = -H(a, b) on every tabulated cell

@@ -1,11 +1,13 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.locales import (Cross, Euclidean, FiniteGraph, FreeGroupCayley,
-                                HalfPlane, Hexagonal, Locale, NNeighbor,
-                                ProductLocale, Triangular, ball_window, box,
-                                locale_from_json, transferability, window,
-                                window_from_json)
+from configcalc.locales import (DISTANCE_CAP, Cross, Euclidean, FiniteGraph,
+                                FreeGroupCayley, HalfPlane, Hexagonal, Locale,
+                                NNeighbor, ProductLocale, Triangular,
+                                ball_window, box, locale_from_json,
+                                transferability, window, window_from_json)
 from configcalc.serialize import InputError
 
 
@@ -81,7 +83,7 @@ coordinate = st.integers(-6, 6)
 @given(st.tuples(coordinate, coordinate), st.tuples(coordinate, coordinate),
        st.integers(0, 1), st.integers(0, 1))
 def test_closed_form_distances_match_breadth_first_search(x, y, s, t):
-  # Locale.distance is the generic bidirectional BFS, capped at 64
+  # Locale.distance is the generic breadth-first search from u, capped at 64
   for loc, u, v in ((Triangular(), x, y),
                     (Hexagonal(), x + (s,), y + (t,))):
     assert loc.distance(u, v) == Locale.distance(loc, u, v), (loc.name, u, v)
@@ -254,3 +256,174 @@ def test_ball_agrees_with_distance(x, y, r):
   probe = [(x + dx, y + dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)]
   for v in probe:
     assert (v in ball) == (loc.distance((x, y), v) <= r)
+
+
+# ---------------------------------------------------------------------------
+# Reference walks: the separate breadth-first loops that distance, ball,
+# path_between, is_connected and the transfer probe each had before they
+# shared one layered search.  The shared search must reproduce all of them.
+
+
+def reference_distance(loc, x, y):
+  if x == y:
+    return 0
+  front_a, front_b = {x: 0}, {y: 0}
+  seen_a, seen_b = {x: 0}, {y: 0}
+  dist = 0
+  while front_a and front_b:
+    dist += 1
+    if dist > DISTANCE_CAP:
+      raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
+    if len(front_a) > len(front_b):
+      front_a, front_b = front_b, front_a
+      seen_a, seen_b = seen_b, seen_a
+    nxt = {}
+    for u, du in front_a.items():
+      for v in loc.neighbors(u):
+        if v in seen_b:
+          return du + 1 + seen_b[v]
+        if v not in seen_a:
+          seen_a[v] = du + 1
+          nxt[v] = du + 1
+    front_a = nxt
+  raise InputError(f"{x} and {y} are not connected within cap {DISTANCE_CAP}")
+
+
+def reference_ball(loc, center, radius):
+  seen = {center}
+  frontier = [center]
+  for _ in range(radius):
+    nxt = []
+    for u in frontier:
+      for v in loc.neighbors(u):
+        if v not in seen:
+          seen.add(v)
+          nxt.append(v)
+    frontier = nxt
+  return tuple(sorted(seen))
+
+
+def reference_path_between(w, x, y):
+  if x == y:
+    return [x]
+  prev = {x: None}
+  queue = deque([x])
+  while queue:
+    u = queue.popleft()
+    for v in w.neighbors_in(u):
+      if v not in prev:
+        prev[v] = u
+        if v == y:
+          path = [y]
+          while prev[path[-1]] is not None:
+            path.append(prev[path[-1]])
+          return path[::-1]
+        queue.append(v)
+  raise InputError(f"no path from {x!r} to {y!r} inside the window")
+
+
+def reference_is_connected(w):
+  if not w.vertices:
+    return True
+  seen = {w.vertices[0]}
+  queue = deque(seen)
+  while queue:
+    u = queue.popleft()
+    for v in w.neighbors_in(u):
+      if v not in seen:
+        seen.add(v)
+        queue.append(v)
+  return len(seen) == len(w.vertices)
+
+
+def reference_components(loc, x0, r, margin):
+  region = set(loc.ball(x0, r + margin))
+  rest = region - set(loc.ball(x0, r))
+  comps = []
+  seen = set()
+  for start in sorted(rest):
+    if start in seen:
+      continue
+    comp = {start}
+    queue = deque([start])
+    while queue:
+      u = queue.popleft()
+      for v in loc.neighbors(u):
+        if v in rest and v not in comp:
+          comp.add(v)
+          queue.append(v)
+    seen |= comp
+    boundary = any(w not in region for u in comp for w in loc.neighbors(u))
+    comps.append({"size": len(comp), "reaches_probe_edge": boundary})
+  return comps
+
+
+def outcome(fn, *args):
+  """fn's result, or the text of the InputError it raises."""
+  try:
+    return fn(*args)
+  except InputError as exc:
+    return ("refused", str(exc))
+
+
+# a 6-cycle with a chord and a pendant path, plus a separate edge
+finite = FiniteGraph(range(10), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+                                 (1, 4), (5, 6), (6, 7), (8, 9)])
+
+
+def test_distance_matches_the_bidirectional_reference():
+  grid = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+  for loc in (Cross(), HalfPlane()):
+    verts = [v for v in grid if v in loc]
+    for x in verts:
+      for y in verts:
+        assert Locale.distance(loc, x, y) == reference_distance(loc, x, y), (x, y)
+  for x in finite.vertices:
+    for y in finite.vertices:
+      assert outcome(finite.distance, x, y) == outcome(reference_distance, finite, x, y)
+  refusals = [outcome(Cross().distance, (0, 0), (DISTANCE_CAP + 1, 0)),
+              outcome(HalfPlane().distance, (-40, 0), (0, 40)),
+              outcome(finite.distance, 7, 9)]
+  assert refusals == [outcome(reference_distance, Cross(), (0, 0), (DISTANCE_CAP + 1, 0)),
+                      outcome(reference_distance, HalfPlane(), (-40, 0), (0, 40)),
+                      outcome(reference_distance, finite, 7, 9)]
+  assert [kind for kind, _ in refusals] == ["refused"] * 3
+  assert refusals[2][1] == "7 and 9 are not connected within cap 64"
+
+
+def test_ball_matches_the_layered_reference():
+  cases = [(Euclidean(2), (1, -1)), (Triangular(), (0, 0)), (Hexagonal(), (0, 0, 1)),
+           (FreeGroupCayley(2), (1, -2)), (Cross(), (0, 2)), (HalfPlane(), (-1, 0)),
+           (NNeighbor(1, 2), (3,)), (finite, 6)]
+  for loc, center in cases:
+    for r in range(4):
+      assert loc.ball(center, r) == reference_ball(loc, center, r), (loc.name, r)
+
+
+def test_path_between_matches_the_first_discoverer_reference():
+  wins = [box(Euclidean(2), (0, 0), (2, 3)), box(Triangular(), (0, 0), (2, 2)),
+          box(Hexagonal(), (0, 0), (1, 2)), ball_window(Cross(), (0, 0), 3),
+          window(Euclidean(2), [(0, 0), (0, 1), (1, 1), (3, 0), (3, 1)])]
+  for w in wins:
+    for x in w.vertices:
+      for y in w.vertices:
+        assert outcome(w.path_between, x, y) == outcome(reference_path_between, w, x, y)
+
+
+def test_is_connected_matches_the_reference():
+  joined = box(Hexagonal(), (0, 0), (1, 1))
+  split = window(Euclidean(2), [(0, 0), (0, 1), (2, 0)])
+  assert [joined.is_connected(), split.is_connected()] == [True, False]
+  assert [reference_is_connected(joined), reference_is_connected(split)] == [True, False]
+
+
+def test_transfer_probe_components_match_the_reference():
+  path12 = FiniteGraph(range(12), [(i, i + 1) for i in range(11)])
+  rep = transferability(path12, probe_radius=2, probe_margin=3)
+  balls = rep["evidence"]["balls"]
+  for r, ball in enumerate(balls, 1):
+    assert ball == {"radius": r,
+                    "components": reference_components(path12, 0, r, 3)}
+    assert ball["components"] == [{"size": 3, "reaches_probe_edge": True}]
+  assert len(balls) == 2
+  assert rep["classification"] == "unknown"
