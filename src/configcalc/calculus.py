@@ -11,11 +11,11 @@ The differential of a function along a directed edge e is
 ``f(eta^e) - f(eta)`` where ``eta^e`` applies the interaction across e.  A
 ``Form`` assigns one local function per directed window edge; closedness and
 integration are decided exactly on the finite configuration graph.  When
-the interaction is valid and every edge function reads only its own edge,
-the window is solved slab by slab, one position at a time
-(``configspace._slab_solve``); wider forms, interactions that are not
-valid, and the witness cycle of a form that is not closed take a
-breadth-first scan over every configuration.
+the interaction is valid, the window is solved slab by slab, one position
+at a time (``configspace._slab_solve``), each edge checked at the least
+window position it reads, whatever its function's width.  Interactions
+that are not valid, and the witness cycle of a form that is not closed,
+take a breadth-first scan over every configuration.
 """
 
 from __future__ import annotations
@@ -512,35 +512,6 @@ def _step_edge(window: Window, moves, n_states: int, source: int,
   return None
 
 
-def _edge_steps(fn, window: Window, pu: int, pv: int, s: int, denom: int):
-  """How the potential scan reads one edge function at a configuration.
-
-  Returns (steps, runs).  When the function reads at most the edge's own two
-  sites, ``steps[a * s + b]`` is its numerator at the pair (a, b) and
-  ``runs`` is None.  Otherwise ``steps`` is its whole numerator table, and
-  each run (place, size, weight) of consecutive window positions adds
-  ``index // place % size * weight`` to the table index.
-  """
-  if fn is None:
-    return (0,) * (s * s), None
-  pos = [window.position(x) for x in fn.support]
-  if set(pos) <= {pu, pv}:
-    pair = (window.vertices[pu], window.vertices[pv])
-    return _over(fn, pair, denom), None
-  nums = _over(fn, fn.support, denom)
-  weights = fn.powers()
-  runs = []
-  start = 0
-  while start < len(pos):
-    end = start
-    while end + 1 < len(pos) and pos[end + 1] == pos[end] + 1:
-      end += 1
-    runs.append((s ** (window.n_sites - 1 - pos[end]), s ** (end - start + 1),
-                 weights[end]))
-    start = end + 1
-  return nums, tuple(runs)
-
-
 def _potential_scan(form: Form, window: Window, inter: Interaction,
                     budget: int):
   """The potential of a form over the transition graph.
@@ -550,24 +521,27 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   the common denominator of the form's values.  Returns (numerators,
   denominator, pins, witness).
 
-  When the interaction is valid and every edge function reads its own edge
-  only, ``_slab_solve`` decides the window slab by slab.  Otherwise, and to
-  build the witness once it meets a cycle with a nonzero integral, the scan
-  is breadth first: seeds are the all-base configuration, then every
-  unreached index in order; each popped configuration tries the window
-  edges in order.
+  Each edge function is read as (window positions, numerators over them):
+  the edge's two positions when it reads no other site, else every
+  position it reads with the edge's, in order.  When the interaction is
+  valid, ``_slab_solve`` decides the window slab by slab, whatever the
+  functions read.  When it is not, and to build the witness once the
+  kernel meets a cycle with a nonzero integral, the scan is breadth first:
+  seeds are the all-base configuration, then every unreached index in
+  order; each popped configuration tries the window edges in order.
   """
   total = guard_budget(window, inter, budget)
   n, s = window.n_sites, inter.n_states
-  fns = [form.fn(e) for e in window.edges]
-  denom = lcm(*(fn.denom for fn in fns if fn is not None))
+  zero = constant(0, s, inter.base)
+  fns = [form.fn(e) or zero for e in window.edges]
+  denom = lcm(*(fn.denom for fn in fns))
+  reads = []
+  for fn, e in zip(fns, window.edges):
+    sites = e if set(fn.support) <= set(e) else tuple(sorted({*fn.support, *e}))
+    reads.append((tuple(map(window.position, sites)), _over(fn, sites, denom)))
   star = index_of((inter.base,) * n, digit_powers(n, s))
-  if check_validity(inter)["valid"] and all(
-      fn is None or set(fn.support) <= set(e)
-      for fn, e in zip(fns, window.edges)):
-    solved = _slab_solve(window, inter, [
-        (0,) * (s * s) if fn is None else _over(fn, e, denom)
-        for fn, e in zip(fns, window.edges)])
+  if check_validity(inter)["valid"]:
+    solved = _slab_solve(window, inter, reads)
     if solved is not None:
       values, labels, reps = solved
       comp = labels[star]
@@ -578,8 +552,8 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
       return (values, denom,
               [star] + [r for c, r in enumerate(reps) if c != comp], None)
   moves = move_table(edge_positions(window), n, inter)
-  table = [(pu, pv, jumps, *_edge_steps(fn, window, pu, pv, s, denom), e)
-           for (pu, pv, jumps), fn, e in zip(moves, fns, window.edges)]
+  table = [(pu, pv, jumps, pos, nums, e) for (pu, pv, jumps), (pos, nums), e
+           in zip(moves, reads, window.edges)]
   # The digits of an index, from small tables of its leading and trailing
   # halves.
   place = s ** (n - n // 2)
@@ -599,18 +573,14 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
       idx = queue.popleft()
       val = values[idx]
       digits = heads[idx // place] + tails[idx % place]
-      for pu, pv, jumps, steps, runs, e in table:
-        code = digits[pu] * s + digits[pv]
-        j = jumps[code]
+      for pu, pv, jumps, pos, nums, e in table:
+        j = jumps[digits[pu] * s + digits[pv]]
         if j is None:
           continue
-        if runs is None:
-          new = val + steps[code]
-        else:
-          k = 0
-          for p, size, w in runs:
-            k += idx // p % size * w
-          new = val + steps[k]
+        k = 0
+        for p in pos:
+          k = k * s + digits[p]
+        new = val + nums[k]
         jdx = idx + j
         old = values[jdx]
         if old is None:

@@ -187,58 +187,84 @@ def _digit_slice(seq, y: int, place: int, s: int):
   return (seq[y * place + i::span] for i in range(place))
 
 
-def _slab_solve(window: Window, inter: Interaction, steps=None):
-  """Transition components, and a potential when ``steps`` is given, found
+def _slab_solve(window: Window, inter: Interaction, reads=None):
+  """Transition components, and a potential when ``reads`` is given, found
   by peeling window positions from the last one to the first.
 
   Level m holds the configurations of positions m..n-1, indexed x * P + r
-  with x the digit at m and r one of the P level-(m+1) configurations.  A
-  move across an edge that avoids position m stays in its slab x * P + (.)
-  and is a level-(m+1) move, so every slab shares the level-(m+1) solution:
-  the potential U in integer numerators, 0 at each component's least member,
-  dense labels L ordered by least member, and those least members ``reps``.
-  The moves across the edges between m and a later position q join the
-  s * C slab components (node x * C + L[r]); they are read off the slices of
-  L and U at the digits of q.  Every move is checked at exactly one level,
-  and links count both ways, so the components are those of the undirected
-  transition graph.
+  with x the digit at m and r one of the P level-(m+1) configurations.  An
+  edge is checked at the least window position it reads: its two sites and
+  the sites its function reads.  A move checked at a later level changes no
+  digit at m and its step does not depend on it, so every slab shares the
+  level-(m+1) solution: the potential U in integer numerators, 0 at each
+  component's least member, dense labels L ordered by least member, and
+  those least members ``reps``.  The moves checked at m join the s * C slab
+  components (node x * C + L[r]); links count both ways, so the components
+  are those of the undirected transition graph.
 
-  ``steps[k][a * s + b]`` is the numerator of the k-th window edge's
-  function at the edge pair (a, b): each function reads its own edge only.
-  Returns (U, L, reps), U being None when ``steps`` is None, or None when a
-  cycle of moves has a nonzero integral.
+  ``reads[k]`` is the k-th window edge's function as (window positions,
+  numerators over them): the edge's two positions when it reads no other
+  site, else every position it reads with the edge's, in order.  An
+  edge-local function has one step per move, added to the labels and
+  potentials read off the slices of L and U at the digits of the edge's
+  later position.  A wider one is read where the move fires, from the
+  level-(m+1) configurations; when m is below both edge sites the move
+  links two components of one slab.  Returns (U, L, reps), U being None
+  when ``reads`` is None, or None when a cycle of moves has a nonzero
+  integral.
   """
   n, s = window.n_sites, inter.n_states
   epos = edge_positions(window)
   U, L, reps = [0], [0], [0]
   for m in range(n - 1, -1, -1):
     size, n_comp = len(L), len(reps)
-    links = {}  # (source node, target node) -> offset difference
+    links = set()  # (source node, target node, offset difference)
     for k, (pu, pv) in enumerate(epos):
-      if min(pu, pv) != m:
+      pos, nums = (pu, pv), None
+      if reads is not None:
+        pos, nums = reads[k]
+      if min(pos) != m:
         continue
-      place = s ** (n - 1 - (pu + pv - m))
+      if len(pos) == 2:
+        place = s ** (n - 1 - (pu + pv - m))
+        for a, b, c, d in inter.moved:
+          # (digit at m, digit at q) before and after the move
+          (x, y), (x2, y2) = ((a, b), (c, d)) if pu == m else ((b, a), (d, c))
+          src, tgt = (chain.from_iterable(_digit_slice(L, z, place, s))
+                      for z in (y, y2))
+          diffs, step = repeat(0), 0
+          if nums is not None:
+            diffs = map(sub, *(chain.from_iterable(_digit_slice(U, z, place, s))
+                               for z in (y, y2)))
+            step = nums[a * s + b]
+          links.update([(x * n_comp + l, x2 * n_comp + l2, du + step)
+                        for l, l2, du in set(zip(src, tgt, diffs))])
+        continue
+      # A wider function: every level-(m+1) configuration r with digit 0 at
+      # the edge's sites, with its index in the function's table; a move
+      # adds its digits at those sites to both.
+      weight = dict(zip(pos, digit_powers(len(pos), s)))
+      free = [p for p in range(m + 1, n) if p not in (pu, pv)]
+      at = list(zip(
+          _site_sums([range(0, s ** (n - p), s ** (n - 1 - p)) for p in free]),
+          _site_sums([range(0, s * weight[p], weight[p]) if p in weight
+                      else (0,) * s for p in free])))
+      (pl_u, w_u), (pl_v, w_v) = ((s ** (n - 1 - p), weight[p]) if p > m
+                                  else (0, 0) for p in (pu, pv))
+      wm = weight[m]
       for a, b, c, d in inter.moved:
-        # (digit at m, digit at q) before and after the move
-        (x, y), (x2, y2) = ((a, b), (c, d)) if pu == m else ((b, a), (d, c))
-        src, tgt = (chain.from_iterable(_digit_slice(L, z, place, s))
-                    for z in (y, y2))
-        if steps is None:
-          step, diffs = 0, repeat(0)
-        else:
-          step = steps[k][a * s + b]
-          diffs = map(sub, *(chain.from_iterable(_digit_slice(U, z, place, s))
-                             for z in (y, y2)))
-        for l, l2, du in set(zip(src, tgt, diffs)):
-          diff = du + step
-          if links.setdefault((x * n_comp + l, x2 * n_comp + l2),
-                              diff) != diff:
-            return None
+        o, o2, ko = a * pl_u + b * pl_v, c * pl_u + d * pl_v, a * w_u + b * w_v
+        # (digit at m, after the move): every digit when m is not an edge site
+        pairs = ([(a, c)] if pu == m else [(b, d)] if pv == m
+                 else [(x, x) for x in range(s)])
+        links.update([(x * n_comp + L[r + o], x2 * n_comp + L[r + o2],
+                       U[r + o] - U[r + o2] + nums[x * wm + ko + i])
+                      for x, x2 in pairs for r, i in at])
     # Node x * C + c has least member x * P + reps[c], and both grow with
     # the node, so walking the nodes in order labels by least member.
     n_nodes = s * n_comp
     adj = [[] for _ in range(n_nodes)]
-    for (u, v), diff in links.items():
+    for u, v, diff in links:
       adj[u].append((v, diff))
       adj[v].append((u, -diff))
     label, offset, new_reps = [None] * n_nodes, [0] * n_nodes, []
@@ -254,17 +280,17 @@ def _slab_solve(window: Window, inter: Interaction, steps=None):
           if label[v] is None:
             label[v], offset[v] = label[u], offset[u] + diff
             stack.append(v)
-    if any(offset[v] - offset[u] != diff for (u, v), diff in links.items()):
-      return None
+          elif offset[v] != offset[u] + diff:
+            return None
     new_L, new_U = [], []
     for x in range(s):
       nodes = slice(x * n_comp, (x + 1) * n_comp)
       new_L += map(label[nodes].__getitem__, L)
-      if steps is not None:
+      if reads is not None:
         off = offset[nodes]
         new_U += map(add, U, map(off.__getitem__, L)) if any(off) else U
     U, L, reps = new_U, new_L, new_reps
-  return (None if steps is None else U), L, reps
+  return (None if reads is None else U), L, reps
 
 
 def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET):

@@ -30,12 +30,13 @@ from .serialize import InputError, manifest_int
 DISTANCE_CAP = 64
 
 
-def _layers(neighbors, start):
+def _layers(neighbors, start, goal=None):
   """Breadth-first search from ``start``, one whole layer at a time.
 
   Lazily yields ``(layer, parent)`` for distances 0, 1, ... until a layer is
   empty.  ``parent`` maps every vertex reached so far to the vertex that first
   reached it, in ``neighbors`` order (``start`` to None); it grows in place.
+  The last layer yielded ends at ``goal`` once the search reaches it.
   """
   parent = {start: None}
   layer = [start]
@@ -47,6 +48,9 @@ def _layers(neighbors, start):
         if v not in parent:
           parent[v] = u
           nxt.append(v)
+          if v == goal:
+            yield nxt, parent
+            return
     layer = nxt
 
 
@@ -493,7 +497,7 @@ class Window:
     """A shortest vertex path x .. y inside the window: searching breadth
     first from x, each vertex's predecessor is the first vertex that reached
     it in ``neighbors_in`` order."""
-    for _, parent in _layers(self.neighbors_in, x):
+    for _, parent in _layers(self.neighbors_in, x, y):
       if y in parent:
         path = [y]
         while parent[path[-1]] is not None:

@@ -471,6 +471,21 @@ def edge_local_forms(rng, window, action, domain, inter):
           differential(weights, window, inter)]
 
 
+def wide_forms(rng, window, inter):
+  """Closed forms whose edge functions read beyond their edge: twice, the
+  differential of a function of two random sites plus that of a function
+  of three."""
+  n = len(window.vertices)
+  forms = []
+  for _ in range(2):
+    f, g = (mixed_function(rng, rng.sample(window.vertices, min(k, n)), inter)
+            for k in (2, 3))
+    forms.append(form_add(differential(f, window, inter),
+                          differential(g, window, inter)))
+  return forms
+
+
+# The cases also take wide forms: the slab kernel decides them too.
 @pytest.mark.parametrize("win_key,name", EDGE_LOCAL_CASES)
 def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
   solved, slab_solve = [], calculus_module._slab_solve
@@ -483,7 +498,11 @@ def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
   rng = random.Random(41)
   win, action, domain = SCAN_WINDOWS[win_key]()
   inter = ONE_WAY if name == "one-way" else by_name(name)
-  forms = edge_local_forms(rng, win, action, domain, inter)
+  wide = wide_forms(rng, win, inter)
+  if len(win.vertices) > 2:
+    assert all(any(not set(fn.support) <= set(e) for e, fn in form.fns.items())
+               for form in wide)
+  forms = edge_local_forms(rng, win, action, domain, inter) + wide
   for form in list(forms):
     if not win.edges:
       break

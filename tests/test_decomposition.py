@@ -898,3 +898,53 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
     argv = ["decompose", "--manifest", str(DATA / f"{name}.json")]
   assert main(argv + ["--out", str(out)]) == 0
   assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+# The sha256 of each report, taken before the slab kernel read wide forms.
+WIDE_SCAN_DIGESTS = {
+    "decompose_glauber_square6":
+        "2dd3b3e896436edab5026270d608f6d3effd678300777db8707d51449c60f5b1",
+    "decompose_multispecies2_line10_r2":
+        "453548dd1030d24a29b61bd264972fddd19b9ec4a6c4e7fd09156f4d6d9fe82b",
+    "decompose_spin3_line10":
+        "7e45b55262ed85c3fb502124895ae341af3405d3877d04902ac7c6cbd2d9781b",
+    "decompose_spin3_line9":
+        "80c44449b5449f0d77ed38eff38585944abb90d7596ea306614dfb64a842243e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SCAN_DIGESTS))
+def test_decompose_scans_take_no_breadth_first_step(name, tmp_path,
+                                                    monkeypatch):
+  """Each remainder the decomposition integrates reads beyond its edges,
+  on hulls or on the whole sub-window, and the slab kernel decides every
+  one: the breadth-first loop never starts a queue, and the report keeps
+  its bytes."""
+  wide, solved, queues = [], [], []
+  real_scan, real_slab, real_deque = (calculus._potential_scan,
+                                      calculus._slab_solve, calculus.deque)
+
+  def scan(form, window, inter, budget):
+    wide.append(any(not set(fn.support) <= set(e)
+                    for e, fn in form.fns.items()))
+    return real_scan(form, window, inter, budget)
+
+  def slab(window, inter, reads):
+    out = real_slab(window, inter, reads)
+    solved.append(out is not None)
+    return out
+
+  def deque(*args):
+    queues.append(args)
+    return real_deque(*args)
+
+  monkeypatch.setattr(calculus, "_potential_scan", scan)
+  monkeypatch.setattr(calculus, "_slab_solve", slab)
+  monkeypatch.setattr(calculus, "deque", deque)
+  out = tmp_path / "report.json"
+  assert main(["decompose", "--manifest", str(DATA / f"{name}.json"),
+               "--out", str(out)]) == 0
+  assert wide and all(wide)
+  assert solved == [True] * len(wide)
+  assert not queues
+  assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_SCAN_DIGESTS[name]
