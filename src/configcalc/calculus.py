@@ -304,11 +304,6 @@ def support_diameter(vertices, locale: Locale) -> int:
              default=0)
 
 
-def exact_support_radius(f: LocalFunction, locale: Locale) -> int:
-  """Largest diameter among the exact-support pieces of f."""
-  return _pieces_radius(expansion(f), locale)
-
-
 def _pieces_radius(pieces, locale: Locale) -> int:
   return max((support_diameter(supp, locale) for supp in pieces), default=0)
 
@@ -375,14 +370,6 @@ def form_add(a: Form, b: Form, radius=None) -> Form:
 
 def form_sub(a: Form, b: Form, radius=None) -> Form:
   return _form_combine(a, b, -1, radius)
-
-
-def form_scale(a: Form, c) -> Form:
-  c = Fraction(c)
-  if c == 0:
-    return Form(a.n_states, a.base, {}, a.radius)
-  return Form(a.n_states, a.base, {e: scale(f, c) for e, f in a.fns.items()},
-              a.radius)
 
 
 def _edge_jumps(support, edge, inter: Interaction) -> list:

@@ -33,10 +33,6 @@ from .locales import locale_from_json, transferability, window_from_json
 from .serialize import (InputError, WitnessError, dump_json, load_json,
                         manifest_int)
 
-COMMANDS = ("consv", "validate", "irreducible", "expand", "diff", "closed",
-            "integrate", "pairing", "split", "uniformize", "h0", "omega-rho",
-            "delta", "decompose", "counterexample", "transfer")
-
 
 # ---------------------------------------------------------------------------
 # Manifest access
@@ -167,11 +163,19 @@ def _cmd_validate(man, args):
   }, 0 if report["valid"] else 1
 
 
+def _fibers(man, args):
+  """The manifest's basis, its fibers report and the degree-zero report read
+  off it, and the exit code of both: 0 when the conserved quantities
+  separate exactly the transition components."""
+  inter, _, win, basis = _setting(man)
+  fib = fibers_report(win, inter, basis, _budget(man, args))
+  h0 = h_zero_report(fib, basis)
+  return basis, fib, h0, 0 if h0["quantities_separate_components"] else 1
+
+
 def _cmd_irreducible(man, args):
-  inter, locale, win, basis = _setting(man)
-  report = fibers_report(win, inter, basis, _budget(man, args))
-  ok = report["fibers_connected"] and report["components_separated"]
-  return {"fibers": report, "basis": basis_to_json(basis)}, 0 if ok else 1
+  basis, fib, _, code = _fibers(man, args)
+  return {"fibers": fib, "basis": basis_to_json(basis)}, code
 
 
 def _cmd_expand(man, args):
@@ -282,10 +286,8 @@ def _cmd_uniformize(man, args):
 
 
 def _cmd_h0(man, args):
-  inter, locale, win, basis = _setting(man)
-  report = h_zero_report(win, inter, basis, _budget(man, args))
-  ok = report["quantities_separate_components"]
-  return {"h0": report, "basis": basis_to_json(basis)}, 0 if ok else 1
+  basis, _, h0, code = _fibers(man, args)
+  return {"h0": h0, "basis": basis_to_json(basis)}, code
 
 
 def _cmd_omega_rho(man, args):
@@ -294,7 +296,7 @@ def _cmd_omega_rho(man, args):
   action = _action(man, locale)
   domain = _domain(man, locale)
   form = build_omega_rho(a, action, domain, win, inter, basis)
-  inv = is_shift_invariant(form, win, action, 0)
+  inv = is_shift_invariant(form, win, inter, action, 0)
   return {
       "cocycle": cocycle_to_json(a),
       "form": form_to_json(form, win),
@@ -386,15 +388,14 @@ def _build_parser() -> argparse.ArgumentParser:
   parser = argparse.ArgumentParser(
       prog="configcalc",
       description="Exact conserved-quantity calculus on finite windows.")
-  sub = parser.add_subparsers(dest="command", required=True)
-  for name in COMMANDS:
-    p = sub.add_parser(name)
-    p.add_argument("--manifest", help="path to the JSON manifest")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the report; reports are deterministic")
-    p.add_argument("--budget", type=int, default=None,
-                   help="override the manifest's configuration budget")
+  parser.add_argument("command", choices=_HANDLERS, metavar="command",
+                      help=", ".join(_HANDLERS))
+  parser.add_argument("--manifest", help="path to the JSON manifest")
+  parser.add_argument("--out", help="write the report here instead of stdout")
+  parser.add_argument("--seed", type=int, default=0,
+                      help="recorded in the report; reports are deterministic")
+  parser.add_argument("--budget", type=int, default=None,
+                      help="override the manifest's configuration budget")
   return parser
 
 

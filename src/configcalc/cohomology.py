@@ -22,8 +22,7 @@ from math import lcm
 
 from .calculus import (Form, LocalFunction, _over, is_uniform,
                        restrict, uniformity_criterion)
-from .configspace import (DEFAULT_BUDGET, _quantity_sums, fibers_report,
-                          quantity_to_json)
+from .configspace import _quantity_sums, quantity_to_json
 from .interactions import Interaction
 from .linalg import rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
@@ -518,10 +517,9 @@ def _quantity_corrected(f: LocalFunction, sites, basis, h: dict,
 # Degree zero
 
 
-def h_zero_report(window: Window, inter: Interaction, basis,
-                  budget: int = DEFAULT_BUDGET) -> dict:
-  """Constant-on-components functions versus spans of conserved quantities."""
-  fib = fibers_report(window, inter, basis, budget)
+def h_zero_report(fib: dict, basis) -> dict:
+  """Constant-on-components functions versus spans of conserved quantities,
+  read off the ``fibers_report`` ``fib``."""
   return {
       "h0_dimension": fib["n_components"],
       "c_phi": len(basis),

@@ -9,7 +9,7 @@ order.  Transitions apply the interaction across a directed window edge.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import add, sub
 
 from .interactions import Interaction
@@ -55,11 +55,6 @@ def digits_of(index: int, n_sites: int, n_states: int) -> tuple:
     index, rem = divmod(index, n_states)
     out.append(rem)
   return tuple(reversed(out))
-
-
-def all_configs(window: Window, inter: Interaction):
-  """Iterate every configuration as a digit tuple, in index order."""
-  return product(range(inter.n_states), repeat=window.n_sites)
 
 
 def _site_sums(tables) -> list:
@@ -165,10 +160,6 @@ def _quantity_sums(sites, basis, n_states: int, counted=None):
 
 def quantity_to_json(qvec) -> list:
   return [fraction_to_str(Fraction(v)) for v in qvec]
-
-
-def zero_quantity(basis) -> tuple:
-  return tuple(0 for _ in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +412,3 @@ def rearrangement_path(window: Window, inter: Interaction, digits, target):
                                     window.vertices[q])
       steps += more
   return steps, current
-
-
-def swapped(digits, window: Window, x, y):
-  px, py = window.position(x), window.position(y)
-  out = list(digits)
-  out[px], out[py] = out[py], out[px]
-  return tuple(out)

@@ -166,25 +166,6 @@ def tile_of(action: TranslationAction, x, domain) -> tuple:
   return hits[0]
 
 
-def orbit_tiles(window: Window, action: TranslationAction, domain) -> dict:
-  """Group window vertices into domain translates; flag partial tiles."""
-  domain = tuple(sorted(domain))
-  tiles = {}
-  for x in window.vertices:
-    coeffs, _anchor = tile_of(action, x, domain)
-    tiles.setdefault(coeffs, []).append(x)
-  report = {"n_tiles": len(tiles), "full": [], "partial": []}
-  for coeffs in sorted(tiles):
-    entry = {"tile": list(coeffs), "sites": len(tiles[coeffs])}
-    if len(tiles[coeffs]) == len(domain):
-      report["full"].append(entry)
-    else:
-      report["partial"].append(entry)
-  report["n_full"] = len(report["full"])
-  report["n_partial"] = len(report["partial"])
-  return report
-
-
 # ---------------------------------------------------------------------------
 # The flux form of a cocycle matrix
 
@@ -265,9 +246,23 @@ def interior_vertices(window: Window, pad: int) -> set:
           if all(y in window for y in window.locale.ball(x, pad))}
 
 
-def is_shift_invariant(form: Form, window: Window,
+def _difference_witness(locale, edge, diff: LocalFunction,
+                        inter: Interaction) -> dict:
+  """The first nonzero entry of ``diff``, the mismatch on ``edge``, with the
+  sites' state values."""
+  digits, val = next((dg, val) for dg, val in diff.assignments() if val != 0)
+  return {
+      "edge": [locale.encode_vertex(x) for x in edge],
+      "sites": [locale.encode_vertex(x) for x in diff.support],
+      "states": [inter.states[d] for d in digits],
+      "difference": fraction_to_str(val),
+  }
+
+
+def is_shift_invariant(form: Form, window: Window, inter: Interaction,
                        action: TranslationAction, pad: int | None = None) -> dict:
-  """Compare each interior edge function against its generator translate."""
+  """Compare each interior edge function against its generator translate;
+  the first mismatch is the witness, in ``inter``'s state values."""
   if pad is None:
     pad = form.radius if form.radius is not None else 0
   inner = interior_vertices(window, pad + action.max_step())
@@ -286,23 +281,10 @@ def is_shift_invariant(form: Form, window: Window,
       shifted = translate_function(action, f0, g)
       checked += 1
       if not functions_equal(f1, shifted):
-        diff = trim(sub(f1, shifted))
-        witness_digits = next(
-            digits for digits, val in diff.assignments() if val != 0)
-        return {
-            "invariant": False,
-            "checked": checked,
-            "witness": {
-                "generator": j,
-                "edge": [window.locale.encode_vertex(u),
-                         window.locale.encode_vertex(v)],
-                "sites": [window.locale.encode_vertex(s)
-                          for s in diff.support],
-                "states": list(witness_digits),
-                "difference": fraction_to_str(diff.value_at(
-                    dict(zip(diff.support, witness_digits)))),
-            },
-        }
+        witness = _difference_witness(window.locale, (u, v),
+                                      trim(sub(f1, shifted)), inter)
+        return {"invariant": False, "checked": checked,
+                "witness": {"generator": j, **witness}}
   return {"invariant": True, "checked": checked, "witness": None}
 
 
@@ -628,7 +610,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
     if x not in window:
       raise InputError("fundamental domain must sit inside the window")
 
-  inv = is_shift_invariant(form, window, action, radius)
+  inv = is_shift_invariant(form, window, inter, action, radius)
   if not inv["invariant"]:
     raise NotShiftInvariant(inv["witness"])
 
@@ -746,16 +728,9 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
     terms = [(-1, total)] if fn is None else [(1, fn), (-1, total)]
     diff = trim(_combine(terms, inter.n_states, inter.base))
     if not diff.is_zero():
-      for dg, val in diff.assignments():
-        if val != 0:
-          worst = max(worst, abs(val))
-          if witness is None:
-            witness = {
-                "edge": [locale.encode_vertex(u), locale.encode_vertex(v)],
-                "sites": [locale.encode_vertex(s) for s in diff.support],
-                "states": [inter.states[d] for d in dg],
-                "difference": fraction_to_str(val),
-            }
+      worst = max(worst, *(abs(val) for _, val in diff.assignments()))
+      if witness is None:
+        witness = _difference_witness(locale, (u, v), diff, inter)
   return {
       "ok": witness is None,
       "edges_checked": len(edges),
@@ -795,7 +770,7 @@ def counterexample_report(n_sites: int = 9) -> dict:
       for e in set(d_f.fns) | set(omega.fns))
 
   action = TranslationAction(locale, ((1,),))
-  inv = is_shift_invariant(omega, win, action, 0)
+  inv = is_shift_invariant(omega, win, inter, action, 0)
 
   probes = default_probes(win, inter, 0)
   table = compute_pairing(f, win, inter, basis, 0, probes)

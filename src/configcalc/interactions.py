@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .linalg import _integer_row, rref
-from .serialize import InputError, fraction_from_str, fraction_to_str
+from .serialize import InputError, fraction_to_str
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,6 @@ class Interaction:
     """The reversed-edge rule: swap, apply phi, swap back."""
     k, l = self.table[j][i]
     return (l, k)
-
-  def moves(self, i: int, j: int) -> bool:
-    return self.table[i][j] != (i, j)
 
   def state_index(self, value) -> int:
     try:
@@ -296,10 +293,6 @@ def conserved_basis(inter: Interaction) -> tuple:
   return tuple(basis)
 
 
-def quantity_of_state(basis, state_index: int):
-  return tuple(Fraction(vec[state_index]) for vec in basis)
-
-
 # ---------------------------------------------------------------------------
 # Exchangeability
 
@@ -384,7 +377,3 @@ def interaction_from_json(obj) -> Interaction:
 
 def basis_to_json(basis) -> list:
   return [[fraction_to_str(Fraction(v)) for v in vec] for vec in basis]
-
-
-def basis_from_json(obj) -> tuple:
-  return tuple(tuple(fraction_from_str(v) for v in vec) for vec in obj)

@@ -99,9 +99,6 @@ class Locale:
       raise InputError(f"bad vertex encoding {obj!r}")
     return tuple(manifest_int(c, "vertex coordinate") for c in obj)
 
-  def describe(self) -> dict:
-    return {"kind": self.name}
-
 
 class LatticeLocale(Locale):
   """Common behaviour for locales whose vertices carry integer coordinates.
@@ -151,9 +148,6 @@ class Euclidean(LatticeLocale):
   def coord_dim(self):
     return self.d
 
-  def describe(self):
-    return {"kind": "euclidean", "d": self.d}
-
 
 def _l1_offsets(d: int, n: int):
   """All nonzero integer vectors v with |v|_1 <= n."""
@@ -194,9 +188,6 @@ class NNeighbor(LatticeLocale):
   def coord_dim(self):
     return self.d
 
-  def describe(self):
-    return {"kind": "n-neighbor", "d": self.d, "n": self.n}
-
 
 _TRI_OFFSETS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1))
 
@@ -222,9 +213,6 @@ class Triangular(LatticeLocale):
 
   def coord_dim(self):
     return 2
-
-  def describe(self):
-    return {"kind": "triangular"}
 
 
 @dataclass(frozen=True)
@@ -267,9 +255,6 @@ class Hexagonal(LatticeLocale):
 
   def coord_dim(self):
     return 2
-
-  def describe(self):
-    return {"kind": "hexagonal"}
 
 
 def _reduce_word(word):
@@ -316,9 +301,6 @@ class FreeGroupCayley(Locale):
     inv = tuple(-a for a in reversed(x))
     return len(_reduce_word(inv + y))
 
-  def describe(self):
-    return {"kind": "free-group", "rank": self.rank}
-
 
 @dataclass(frozen=True)
 class ProductLocale(Locale):
@@ -355,9 +337,6 @@ class ProductLocale(Locale):
       raise InputError(f"bad product vertex {obj!r}")
     return tuple(loc.decode_vertex(oi) for loc, oi in zip(self.factors, obj))
 
-  def describe(self):
-    return {"kind": "product", "factors": [loc.describe() for loc in self.factors]}
-
 
 class _PredicateSublocale(Locale):
   """Induced subgraph of Z^2 on the vertices satisfying ``member``."""
@@ -383,9 +362,6 @@ class Cross(_PredicateSublocale):
   def member(self, x):
     return x[0] == 0 or x[1] == 0
 
-  def describe(self):
-    return {"kind": "cross"}
-
 
 @dataclass(frozen=True)
 class HalfPlane(_PredicateSublocale):
@@ -395,9 +371,6 @@ class HalfPlane(_PredicateSublocale):
 
   def member(self, x):
     return x[0] >= 0 or x[1] == 0
-
-  def describe(self):
-    return {"kind": "half-plane"}
 
 
 class FiniteGraph(Locale):
@@ -436,12 +409,6 @@ class FiniteGraph(Locale):
     if x not in self._vertices:  # compares by ==, so unhashable input is fine
       raise InputError(f"{obj!r} is not a vertex of this finite graph")
     return x
-
-  def describe(self):
-    return {
-        "kind": "finite-graph",
-        "vertices": [self.encode_vertex(v) for v in self._vertices],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +453,6 @@ class Window:
       if all(dist(v, w) < ecc for w in verts):  # stops at the first far one
         best, ecc = v, max(dist(v, w) for w in verts)
     return best
-
-  def undirected_edges(self):
-    return tuple((u, v) for u, v in self.edges if u <= v)
 
   def neighbors_in(self, x):
     return [y for y in self.locale.neighbors(x) if y in self._index]

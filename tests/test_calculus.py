@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 import configcalc.calculus as calculus_module
 from configcalc.calculus import (Form, LocalFunction, NotClosedError,
-                                 _combine, _gather, add, constant, differential, embed, expansion,
-                                 exact_support_radius, form_axioms_report,
-                                 form_add, form_from_json, form_scale,
+                                 _combine, _gather, _pieces_radius, add,
+                                 constant, differential, embed, expansion,
+                                 form_axioms_report, form_add, form_from_json,
                                  form_sub, form_to_json, from_callable,
                                  functions_equal, gradient, integrate,
                                  is_closed, is_uniform,
@@ -24,7 +24,7 @@ from configcalc.calculus import (Form, LocalFunction, NotClosedError,
                                  local_function_to_json, perturbed, reassemble,
                                  restrict, scale, sub, trim,
                                  uniformity_criterion)
-from configcalc.configspace import (all_configs, apply_edge, config_to_json,
+from configcalc.configspace import (apply_edge, config_to_json,
                                     digits_from_sites)
 from configcalc.cohomology import ordered_flux_form
 from configcalc.decomposition import TranslationAction, build_omega_rho
@@ -165,11 +165,11 @@ def test_exact_support_radius():
   loc = Euclidean(1)
   f = from_callable(((0,), (3,)), inter.n_states, inter.base,
                     lambda d: Fraction(d[0] * d[1]))
-  assert exact_support_radius(f, loc) == 3
+  assert _pieces_radius(expansion(f), loc) == 3
   g = from_callable(((0,), (3,)), inter.n_states, inter.base,
                     lambda d: Fraction(d[0] + d[1]))
   # additive: splits into singleton pieces
-  assert exact_support_radius(g, loc) == 0
+  assert _pieces_radius(expansion(g), loc) == 0
 
 
 def test_is_uniform_reports_offenders():
@@ -311,7 +311,7 @@ def reference_scan(form, window, inter):
   index order; each popped configuration tries the window edges in order,
   first in first out.  Returns (values, pins, witness).
   """
-  configs = list(all_configs(window, inter))
+  configs = list(product(range(inter.n_states), repeat=window.n_sites))
   index = {digits: i for i, digits in enumerate(configs)}
   pos = [(window.position(u), window.position(v)) for u, v in window.edges]
   moves = {}  # (configuration index, edge) -> target index, moved pairs only
@@ -413,8 +413,7 @@ def test_not_closed_witness_matches_fraction_oracle(name):
   form = mixed_closed_form(rng, win, inter)
   for _ in range(6):
     edge = rng.choice(win.edges)
-    cells = [(a, b) for a in range(inter.n_states) for b in range(inter.n_states)
-             if inter.moves(a, b)]
+    cells = [(a, b) for a, b, _, _ in inter.moved]
     a, b = rng.choice(cells)
     bad = perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
                     rng.choice(MIXED[:5]))
@@ -507,8 +506,7 @@ def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
     if not win.edges:
       break
     edge = rng.choice(win.edges)
-    cells = [(a, b) for a in range(inter.n_states)
-             for b in range(inter.n_states) if inter.moves(a, b)]
+    cells = [(a, b) for a, b, _, _ in inter.moved]
     a, b = rng.choice(cells)
     forms.append(perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
                            rng.choice(MIXED[:5])))
@@ -621,10 +619,6 @@ def test_form_arith():
     assert functions_equal(twice.fn(e), scale(a.fn(e), 2))
   zero = form_sub(a, a)
   assert not zero.fns
-  neg = form_scale(a, -1)
-  for e in a.fns:
-    assert functions_equal(add(a.fn(e), neg.fn(e)),
-                           constant(0, inter.n_states, inter.base))
 
 
 def test_local_function_json_roundtrip():

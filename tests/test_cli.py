@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import getitem
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,8 @@ def run(tmp_path, manifest, *argv, name="man.json"):
                             "--out", str(out_path)])
   return code, json.loads(out_path.read_text())
 
+
+DATA = Path(__file__).parent / "data"
 
 BASE = {
     "locale": {"kind": "euclidean", "d": 1},
@@ -146,6 +149,16 @@ def test_closed_accepts_differential(tmp_path):
   code, rep = run(tmp_path, man, "closed")
   assert code == 0
   assert rep["closed"]["closed"]
+
+
+def test_closed_accepts_the_ordered_flux(tmp_path):
+  man = dict(BASE, interaction="multispecies:2",
+             window={"kind": "box", "lo": [0], "hi": [8]},
+             form={"builtin": "ordered-flux"})
+  code, rep = run(tmp_path, man, "closed")
+  assert code == 0
+  # one component per species count (n1, n2) with n1 + n2 <= 9
+  assert rep["closed"]["n_components"] == 55
 
 
 def _perturbed_form_json():
@@ -305,6 +318,19 @@ def test_h0_pair_flip_exceeds_quantity_count(tmp_path):
   assert code == 1
   assert rep["h0"]["h0_dimension"] > rep["h0"]["n_quantity_fibers"]
   assert rep["h0"]["fiber_witness"] is not None
+
+
+def test_irreducible_and_h0_share_one_verdict(tmp_path):
+  pair_flip = json.loads((DATA / "fibers_pair_flip_line6.json").read_text())
+  for man, want in ((pair_flip, 1), (dict(pair_flip, interaction="exclusion"),
+                                     0)):
+    code, fibers = run(tmp_path, man, "irreducible")
+    assert code == want
+    code, h0 = run(tmp_path, man, "h0")
+    assert code == want
+    assert h0["h0"]["quantities_separate_components"] == (want == 0)
+    assert h0["h0"]["h0_dimension"] == fibers["fibers"]["n_components"]
+    assert h0["h0"]["fiber_witness"] == fibers["fibers"]["witness"]
 
 
 def test_omega_rho_invariant(tmp_path):
@@ -505,6 +531,23 @@ def test_out_file_silences_stdout(tmp_path, capsys):
   main(["consv", "--manifest", str(man_path), "--out", str(out)])
   assert capsys.readouterr().out == ""
   assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decompose", "--help"]])
+def test_help_lists_every_option(argv, capsys):
+  with pytest.raises(SystemExit) as exc:
+    main(argv)
+  assert exc.value.code == 0
+  out = capsys.readouterr().out
+  for option in ("--manifest", "--out", "--seed", "--budget"):
+    assert option in out
+
+
+def test_unknown_command_exits_2(capsys):
+  with pytest.raises(SystemExit) as exc:
+    main(["bogus"])
+  assert exc.value.code == 2
+  assert "invalid choice" in capsys.readouterr().err
 
 
 def test_seed_is_recorded(tmp_path):

@@ -14,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import product
 
-from configcalc.calculus import (LocalFunction, differential,
-                                 exact_support_radius, expansion,
-                                 from_callable, functions_equal)
+from configcalc.calculus import (LocalFunction, _pieces_radius,
+                                 differential, expansion, from_callable,
+                                 functions_equal)
 from configcalc.cohomology import (PairingNotWellDefined, PairingTable,
-                                   SplittingInfeasible,
+                                   SplittingInfeasible, _chain_splitting,
                                    check_pairing_laws, compute_pairing,
                                    default_probes, h_zero_report,
                                    inversion_count_function,
@@ -26,7 +26,8 @@ from configcalc.cohomology import (PairingNotWellDefined, PairingTable,
                                    pairing_table_from_json, set_distance,
                                    solve_splitting, splitting_to_json,
                                    uniformize)
-from configcalc.configspace import quantity_of, quantity_to_json
+from configcalc.configspace import (fibers_report, quantity_of,
+                                    quantity_to_json)
 from configcalc.serialize import InputError, fraction_to_str
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
                                      multispecies, spin3)
@@ -92,6 +93,29 @@ def test_quadratic_defect_split_walks_the_negative_chain():
   split = solve_splitting(table)
   assert split["method"] == "chain-iteration"
   assert split["h"] == {(Fraction(q),): Fraction(-q * q + q) for q in range(-6, 7)}
+
+@pytest.mark.parametrize("cells", [
+    # 3 is not an integer multiple of the primitive 2
+    [(2, 3)],
+    # the negative chain has no cell (1, -1)
+    [(1, 1), (-1, -1)],
+    # it has (1, -1) but no (-1, -1)
+    [(1, -1), (-2, -1)],
+], ids=["not-a-multiple", "no-first-negative-cell", "no-next-negative-cell"])
+def test_chain_refusal_falls_back_to_the_linear_solve(cells):
+  def h(q):
+    return Fraction(q * q, 3) - q
+
+  table = PairingTable(basis=(0,), radius=0)
+  for a, b in cells:
+    table.cells[((Fraction(a),), (Fraction(b),))] = h(a) + h(b) - h(a + b)
+  assert _chain_splitting(table) is None
+  split = solve_splitting(table)
+  assert split["method"] == "linear-solve"
+  got = split["h"]
+  for (alpha, beta), val in table.cells.items():
+    assert got[alpha] + got[beta] - got[(alpha[0] + beta[0],)] == val
+
 
 def test_split_kills_the_defect():
   # h(a+b) - h(a) - h(b) = -H(a, b) on every tabulated cell
@@ -349,8 +373,8 @@ def test_uniformize_flattens_quadratic_counter():
   assert rep["uniform"]["uniform"]
   assert rep["criterion_ok"]
   g = rep["g"]
-  assert exact_support_radius(g, win.locale) == 0
   pieces = expansion(g)
+  assert _pieces_radius(pieces, win.locale) == 0
   assert all(len(s) <= 1 for s in pieces)
   # the correction is quadratic with a linear kernel: g is c * count
   region = g.support
@@ -376,7 +400,7 @@ def test_h_zero_counts_components_by_quantity():
   win = line(3)
   inter = exclusion()
   basis = conserved_basis(inter)
-  rep = h_zero_report(win, inter, basis)
+  rep = h_zero_report(fibers_report(win, inter, basis), basis)
   assert rep["h0_dimension"] == 4
   assert rep["c_phi"] == 1
   assert rep["n_quantity_fibers"] == 4
@@ -387,7 +411,7 @@ def test_h_zero_two_species():
   win = line(2)
   inter = multispecies(2)
   basis = conserved_basis(inter)
-  rep = h_zero_report(win, inter, basis)
+  rep = h_zero_report(fibers_report(win, inter, basis), basis)
   # quantities (n1, n2) with n1 + n2 <= 2: six fibers
   assert rep["n_quantity_fibers"] == 6
   assert rep["h0_dimension"] == 6
@@ -398,7 +422,7 @@ def test_h_zero_flags_quantity_blind_disconnection():
   win = line(4)
   inter = by_name("pair-flip")
   basis = conserved_basis(inter)
-  rep = h_zero_report(win, inter, basis)
+  rep = h_zero_report(fibers_report(win, inter, basis), basis)
   assert not rep["quantities_separate_components"]
   assert rep["fiber_witness"] is not None
   assert rep["h0_dimension"] > rep["n_quantity_fibers"]

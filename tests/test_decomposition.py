@@ -9,6 +9,7 @@ with an edge-by-edge zero residual on the interior.
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,14 +18,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from configcalc import calculus, decomposition
 from configcalc.calculus import (Form, _combine, differential, form_add,
-                                 form_scale, form_sub, form_to_json,
+                                 form_sub, form_to_json,
                                  from_callable, functions_equal, gradient,
                                  integrate,
                                  restrict, scale, support_diameter, trim)
 from configcalc.cli import main
 from configcalc.cohomology import PairingNotWellDefined, default_probes
-from configcalc.configspace import (all_configs, apply_edge, config_from_json,
-                                    digits_of)
+from configcalc.configspace import apply_edge, config_from_json, digits_of
 from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       NotShiftInvariant, TranslationAction,
                                       _centered_subwindow, _verify_identity,
@@ -32,8 +32,7 @@ from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       cocycle_to_json, counterexample_report,
                                       extract_cocycle, form_restricted,
                                       interior_vertices, is_shift_invariant,
-                                      orbit_tiles, synthesized_form,
-                                      theta_profile, tile_of,
+                                      synthesized_form, theta_profile, tile_of,
                                       translate_function, translates_meeting,
                                       varadhan_decompose)
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
@@ -115,14 +114,11 @@ def test_tile_of_and_orbit_tiles():
   domain = ((0,), (1,))
   coeffs, anchor = tile_of(act, (3,), domain)
   assert coeffs == (1,) and anchor == (1,)
-  rep = orbit_tiles(win, act, domain)
-  assert rep["n_full"] == 2
-  assert rep["n_partial"] == 0
-
-  win9 = line(9)
-  rep9 = orbit_tiles(win9, act, domain)
-  assert rep9["n_full"] == 4
-  assert rep9["n_partial"] == 1
+  # the sites of each orbit tile: two full tiles on line(4), and four full
+  # tiles plus one partial one on line(9)
+  for window, sizes in ((win, [2, 2]), (line(9), [1, 2, 2, 2, 2])):
+    tiles = Counter(tile_of(act, x, domain)[0] for x in window.vertices)
+    assert sorted(tiles.values()) == sizes
 
 
 def test_tile_of_rejects_overlapping_domain():
@@ -196,7 +192,7 @@ def test_omega_rho_is_closed_and_shift_invariant():
   a = ((Fraction(1, 3), Fraction(-1, 2)),
        (Fraction(2), Fraction(0)))
   omega = build_omega_rho(a, act, ((0, 0),), win, inter, basis)
-  rep = is_shift_invariant(omega, win, act)
+  rep = is_shift_invariant(omega, win, inter, act)
   assert rep["invariant"]
   assert rep["checked"] > 0
 
@@ -207,11 +203,28 @@ def test_is_shift_invariant_catches_pinned_form():
   f = from_callable(((2,), (3,)), inter.n_states, inter.base,
                     lambda d: Fraction(d[0] * d[1]))
   omega = differential(f, win, inter)
-  rep = is_shift_invariant(omega, win, Z_ACTION)
+  rep = is_shift_invariant(omega, win, inter, Z_ACTION)
   assert not rep["invariant"]
   w = rep["witness"]
   assert w["generator"] == 0
   assert w["difference"] != "0"
+
+
+def test_is_shift_invariant_witness_carries_state_values():
+  # The bumped cell holds spin3's state indices 0 and 2, whose values are
+  # -1 and 1: the witness reads like every other witness, in state values.
+  win = line(9)
+  inter = spin3()
+  basis = conserved_basis(inter)
+  omega = build_omega_rho(((Fraction(1, 2),),), Z_ACTION, ((0,),), win, inter,
+                          basis)
+  edge = ((4,), (5,))
+  bumped = calculus.perturbed(omega, win, inter, edge, {(4,): 0, (5,): 2}, 1)
+  rep = is_shift_invariant(bumped, win, inter, Z_ACTION, 0)
+  assert not rep["invariant"]
+  w = rep["witness"]
+  assert w["edge"] == [[4], [5]] and w["sites"] == [[4], [5]]
+  assert w["states"] == [-1, 1]
 
 
 def test_extract_cocycle_recovers_built_profile():
@@ -658,7 +671,7 @@ def test_hexagonal_window_profile_is_invariant():
   a = ((Fraction(1, 2), Fraction(-1, 3)),)
   domain = tuple(sorted(v for v in win.vertices if v[:2] == (0, 0)))
   omega = build_omega_rho(a, act, domain, win, inter, basis)
-  rep = is_shift_invariant(omega, win, act)
+  rep = is_shift_invariant(omega, win, inter, act)
   assert rep["invariant"]
 
 

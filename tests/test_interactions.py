@@ -10,16 +10,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from configcalc.interactions import (CATALOG_NAMES, by_name, basis_from_json,
-                                     basis_to_json, check_exchangeability,
+from configcalc.interactions import (CATALOG_NAMES, by_name, basis_to_json, check_exchangeability,
                                      check_validity, conserved_basis,
                                      exchange_witness, exclusion,
                                      generalized_exclusion, glauber,
                                      interaction_from_json,
                                      interaction_to_json, lattice_gas,
                                      multispecies, pair_flip,
-                                     quantity_of_state, spin3)
-from configcalc.serialize import InputError
+                                     spin3)
+from configcalc.serialize import InputError, fraction_from_str
 
 
 def _span_equal(vecs_a, vecs_b):
@@ -249,9 +248,8 @@ def test_non_exchangeable_models():
 
 def test_quantity_of_state():
   basis = conserved_basis(multispecies(2))
-  assert quantity_of_state(basis, 0) == (0, 0)
-  assert quantity_of_state(basis, 1) == (1, 0)
-  assert quantity_of_state(basis, 2) == (0, 1)
+  quantities = [tuple(vec[d] for vec in basis) for d in range(3)]
+  assert quantities == [(0, 0), (1, 0), (0, 1)]
 
 
 def test_interaction_json_roundtrip():
@@ -267,7 +265,9 @@ def test_interaction_json_roundtrip():
 
 def test_basis_json_roundtrip():
   basis = conserved_basis(lattice_gas(3))
-  assert basis_from_json(basis_to_json(basis)) == basis
+  back = tuple(tuple(fraction_from_str(v) for v in vec)
+               for vec in basis_to_json(basis))
+  assert back == basis
 
 
 @given(st.integers(2, 4))

@@ -1,6 +1,7 @@
 """Guarantees about the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import configcalc
@@ -64,6 +65,56 @@ def test_every_private_function_is_referenced():
           if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
           and not node.name.startswith("__") and node.name not in used]
   assert not dead, dead
+
+
+def _references(tree) -> set:
+  """Every name ``tree`` reads as a ``Name`` or an ``Attribute``, except
+  inside a function of that same name (its own definition or recursion)."""
+  found = set()
+
+  def visit(node, enclosing):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+      enclosing = enclosing | {node.name}
+    elif isinstance(node, ast.Name) and node.id not in enclosing:
+      found.add(node.id)
+    elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+      found.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+      visit(child, enclosing)
+
+  visit(tree, frozenset())
+  return found
+
+
+def test_every_public_name_has_a_caller():
+  # A public function or method that only the tests reach is surface with no
+  # user.  A caller is a reference elsewhere in the library or in scripts/ or
+  # perfbench/, an entry of ``__all__``, or a name the README writes in
+  # backticks.  Names are matched as names, so a method is kept alive by any
+  # attribute of that name.
+  root = Path(__file__).resolve().parent.parent
+  modules = _modules()
+  outside = sorted((root / "scripts").glob("*.py")) + sorted(
+      (root / "perfbench").glob("*.py"))
+  callers = set(configcalc.__all__).union(
+      *map(_references, modules.values()),
+      *(_references(ast.parse(path.read_text(), str(path)))
+        for path in outside))
+  readme = re.sub(r"```.*?```", "", (root / "README.md").read_text(),
+                  flags=re.S)
+  callers |= {word for span in re.findall(r"`([^`]+)`", readme)
+              for word in re.findall(r"[A-Za-z_]\w*", span)}
+  defs = []
+  for name, tree in modules.items():
+    for node in tree.body:
+      if isinstance(node, ast.FunctionDef):
+        defs.append((name, node))
+      elif isinstance(node, ast.ClassDef):
+        defs += [(name, fn) for fn in node.body
+                 if isinstance(fn, ast.FunctionDef)]
+  uncalled = [f"{name}:{fn.lineno} {fn.name}" for name, fn in defs
+              if not fn.name.startswith("_") and fn.name not in callers]
+  assert not uncalled, uncalled
 
 
 def _optional_parameters(fn, bound: bool) -> tuple:
