@@ -20,17 +20,17 @@ take a breadth-first scan over every configuration.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import chain, combinations, compress, product
 from math import gcd, lcm
-from operator import ne
 
-from .configspace import (DEFAULT_BUDGET, _digit_slice, _site_sums,
-                          _slab_solve, apply_edge, config_to_json,
-                          digit_powers, digits_of, edge_positions,
-                          guard_budget, index_of, move_table)
+from .configspace import (DEFAULT_BUDGET, _digit_slice, _fixed_slices,
+                          _move_slices, _site_sums, _slab_solve, apply_edge,
+                          config_to_json, digit_powers, digits_of,
+                          edge_positions, guard_budget, index_of, move_table)
 from .interactions import Interaction, check_validity
 from .linalg import _integer_row
 from .locales import Locale, Window
@@ -157,7 +157,7 @@ def embed(f: LocalFunction, support) -> LocalFunction:
 def _depends_on(nums, block: int, s: int) -> bool:
   """Does the table change with the digit whose place value is ``block``?
   Compares the table's slices at each digit with its slices at digit zero."""
-  return any(any(map(ne, _digit_slice(nums, d, block, s),
+  return any(any(map(operator.ne, _digit_slice(nums, d, block, s),
                      _digit_slice(nums, 0, block, s))) for d in range(1, s))
 
 
@@ -372,26 +372,33 @@ def form_sub(a: Form, b: Form, radius=None) -> Form:
   return _form_combine(a, b, -1, radius)
 
 
-def _edge_jumps(support, edge, inter: Interaction) -> list:
-  """The index jump of the move across ``edge`` at every configuration of
-  the support, in index order (None where the pair stays put)."""
-  pu, pv = support.index(edge[0]), support.index(edge[1])
-  ((_, _, jumps),) = move_table(((pu, pv),), len(support), inter)
-  s = inter.n_states
-  codes = _site_sums([range(0, s * s, s) if k == pu else
-                      range(s) if k == pv else (0,) * s
-                      for k in range(len(support))])
-  return [jumps[code] for code in codes]
+def _edge_slices(support, edge, inter: Interaction) -> tuple:
+  """``configspace._move_slices`` of the edge on a table over ``support``."""
+  return _move_slices(len(support), support.index(edge[0]),
+                      support.index(edge[1]), inter.n_states, inter.moved)
+
+
+def _least_hit(slices, rows):
+  """(table index, slice number) of the least index at which a row is true,
+  ``rows[k]`` running along ``slices[k]``; None if no row is."""
+  hits = []
+  for i, (sl, row) in enumerate(zip(slices, rows)):
+    k = next(compress(range(sl.start, sl.stop, sl.step), row), None)
+    if k is not None:
+      hits.append((k, i))
+  return min(hits, default=None)
 
 
 def gradient(f: LocalFunction, edge, inter: Interaction) -> LocalFunction:
-  """nabla_e f: the change of f when the interaction fires across the edge."""
+  """nabla_e f: the change of f when the interaction fires across the edge.
+
+  Each move shifts every configuration it fires on by one index jump, so
+  the table is one slice subtraction per slice of each move."""
   support = tuple(sorted(set(f.support) | set(edge)))
   nums = _gather(f, support)
   out = [0] * len(nums)
-  for idx, j in enumerate(_edge_jumps(support, edge, inter)):
-    if j is not None:
-      out[idx] = nums[idx + j] - nums[idx]
+  for src, dst in _edge_slices(support, edge, inter)[0]:
+    out[src] = map(operator.sub, nums[dst], nums[src])
   return trim(LocalFunction._exact(support, f.n_states, f.base, out, f.denom))
 
 
@@ -420,7 +427,9 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
   (1) edges that do not move a configuration carry value zero; (2) the value
   flips sign when the move is undone across the reversed edge; (3) two edges
   incident to a common site that produce the same move produce the same
-  value.  Returns the first witness of each kind, if any.
+  value.  Returns the first witness of each kind, if any: the least
+  configuration index of the first edge in order.  Both are read off the
+  edge's move slices, the still ones for (1) and the fired ones for (2).
   """
   vanish = alternation = None
   for e, f in sorted(form.fns.items()):
@@ -430,18 +439,23 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
     denom = f.denom if rev is None else lcm(f.denom, rev.denom)
     vals = _over(f, support, denom)
     back = (0,) * len(vals) if rev is None else _over(rev, support, denom)
-    for idx, j in enumerate(_edge_jumps(support, e, inter)):
-      val = vals[idx]
-      if j is None:
-        if val != 0 and vanish is None:
-          vanish = {"edge": _edge_json(window, e),
-                    "value": fraction_to_str(Fraction(val, denom))}
-      elif back[idx + j] != -val and alternation is None:
-        alternation = {
-            "edge": _edge_json(window, e),
-            "value": fraction_to_str(Fraction(val, denom)),
-            "reversed_value": fraction_to_str(Fraction(back[idx + j], denom)),
-        }
+    fired, still = _edge_slices(support, e, inter)
+    hit = vanish is None and _least_hit(still, (vals[sl] for sl in still))
+    if hit:
+      vanish = {"edge": _edge_json(window, e),
+                "value": fraction_to_str(Fraction(vals[hit[0]], denom))}
+    hit = alternation is None and _least_hit(
+        [src for src, _ in fired],
+        (map(operator.add, vals[src], back[dst]) for src, dst in fired))
+    if hit:
+      idx, k = hit
+      src, dst = fired[k]
+      alternation = {
+          "edge": _edge_json(window, e),
+          "value": fraction_to_str(Fraction(vals[idx], denom)),
+          "reversed_value": fraction_to_str(
+              Fraction(back[idx + dst.start - src.start], denom)),
+      }
 
   matching = _matching_witness(form, window, inter)
   ok = vanish is None and alternation is None and matching is None
@@ -450,25 +464,46 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
 
 
 def _matching_witness(form: Form, window: Window, inter: Interaction):
-  """Two stored edges sharing a site that make one move with two values."""
+  """Two stored edges sharing a site that make one move with two values.
+
+  Two moves, one per edge, with one index jump make one move wherever both
+  fire: on the slices with both moves' digits at the edges' sites.  The
+  witness is the least such configuration index of the first edge pair."""
   edge_list = sorted(form.fns)
+  s = inter.n_states
   for i, e1 in enumerate(edge_list):
     for e2 in edge_list[i + 1:]:
       if not set(e1) & set(e2):
         continue
       f1, f2 = form.fns[e1], form.fns[e2]
       support = tuple(sorted(set(f1.support) | set(f2.support) | set(e1) | set(e2)))
+      n = len(support)
+      powers = digit_powers(n, s)
+      (p1, q1), (p2, q2) = ((support.index(u), support.index(v))
+                            for u, v in (e1, e2))
+      slices = []
+      for a, b, c, d in inter.moved:
+        jump = (c - a) * powers[p1] + (d - b) * powers[q1]
+        for a2, b2, c2, d2 in inter.moved:
+          # both moves fire: they agree on the digit of the shared site(s)
+          digits = {p1: a, q1: b}
+          if ((c2 - a2) * powers[p2] + (d2 - b2) * powers[q2] == jump
+              and digits.setdefault(p2, a2) == a2
+              and digits.setdefault(q2, b2) == b2):
+            slices += _fixed_slices(n, s, tuple(sorted(digits.items())))
+      if not slices:
+        continue
       denom = lcm(f1.denom, f2.denom)
       b1, b2 = _over(f1, support, denom), _over(f2, support, denom)
-      jumps = zip(_edge_jumps(support, e1, inter),
-                  _edge_jumps(support, e2, inter))
-      for k, (j1, j2) in enumerate(jumps):
-        if j1 is not None and j1 == j2 and b1[k] != b2[k]:
-          return {
-              "edges": [_edge_json(window, e1), _edge_json(window, e2)],
-              "values": [fraction_to_str(Fraction(b1[k], denom)),
-                         fraction_to_str(Fraction(b2[k], denom))],
-          }
+      hit = _least_hit(slices,
+                       (map(operator.ne, b1[sl], b2[sl]) for sl in slices))
+      if hit:
+        k = hit[0]
+        return {
+            "edges": [_edge_json(window, e1), _edge_json(window, e2)],
+            "values": [fraction_to_str(Fraction(b1[k], denom)),
+                       fraction_to_str(Fraction(b2[k], denom))],
+        }
   return None
 
 

@@ -9,6 +9,7 @@ order.  Transitions apply the interaction across a directed window edge.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import add, sub
 
@@ -100,6 +101,58 @@ def move_table(epos, n_sites: int, inter: Interaction) -> tuple:
       jumps[a * s + b] = (c - a) * powers[pu] + (d - b) * powers[pv]
     table.append((pu, pv, tuple(jumps)))
   return tuple(table)
+
+
+@lru_cache(maxsize=1024)
+def _fixed_slices(n_sites: int, s: int, fixed: tuple) -> tuple:
+  """Slices of an index-ordered table over ``n_sites`` sites that hold
+  exactly the entries with the given digits at the given positions.
+
+  ``fixed`` holds (position, digit) pairs in position order.  The free
+  positions form runs between the fixed ones, and an index is the fixed
+  digits' part plus one multiple of each run's least place.  Each slice
+  walks the run with the most entries (the later run on a tie, so a run
+  that ends the table gives contiguous blocks), one slice per combination
+  of the other runs, in index order of their starts.
+  """
+  powers = digit_powers(n_sites, s)
+  start = sum(d * powers[p] for p, d in fixed)
+  runs, lo = [], 0
+  for p in [p for p, _ in fixed] + [n_sites]:
+    if p > lo:
+      runs.append((s ** (p - lo), powers[p - 1]))  # (entries, least place)
+    lo = p + 1
+  count, place = max(runs, key=lambda run: (run[0], -run[1]), default=(1, 1))
+  others = [(start,)] + [range(0, c * pl, pl) for c, pl in runs if pl != place]
+  return tuple(slice(o, o + count * place, place) for o in _site_sums(others))
+
+
+@lru_cache(maxsize=1024)
+def _move_slices(n_sites: int, pu: int, pv: int, s: int, moved) -> tuple:
+  """The moves across a directed edge at positions (pu, pv) of an
+  ``n_sites`` table, as slices of it.
+
+  Returns (fired, still).  ``fired`` holds one (source, target) slice pair
+  per slice of each move (a, b, c, d) of ``moved``, in move order: the
+  source holds the entries with digits (a, b) at (pu, pv), and the target
+  the same entries after the move, shifted by its index jump
+  ``(c - a) * p_u + (d - b) * p_v``.  ``still`` holds the slices of the
+  pairs the interaction leaves in place.
+  """
+  powers = digit_powers(n_sites, s)
+  moves = {(a, b): (c, d) for a, b, c, d in moved}
+  fired, still = [], []
+  for a in range(s):
+    for b in range(s):
+      slices = _fixed_slices(n_sites, s, tuple(sorted(((pu, a), (pv, b)))))
+      if (a, b) not in moves:
+        still += slices
+        continue
+      c, d = moves[a, b]
+      jump = (c - a) * powers[pu] + (d - b) * powers[pv]
+      fired += [(src, slice(src.start + jump, src.stop + jump, src.step))
+                for src in slices]
+  return tuple(fired), tuple(still)
 
 
 # ---------------------------------------------------------------------------

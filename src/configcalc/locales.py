@@ -68,16 +68,30 @@ class Locale:
   # -- metric ---------------------------------------------------------------
 
   def distance(self, x, y) -> int:
-    """Graph distance via breadth-first search from x.
+    """Graph distance via a breadth-first search from each end.
 
-    Raises ``InputError`` when the distance exceeds ``DISTANCE_CAP`` or the
-    search from x runs out of vertices before reaching y.
+    Each step grows one end by a layer: the end whose last layer is
+    smaller, the shallower one on a tie.  The first new layer that meets
+    the other end's reached vertices gives the distance.  Raises
+    ``InputError`` when the distance exceeds ``DISTANCE_CAP`` or one end
+    runs out of vertices first.
     """
-    for dist, (_, parent) in enumerate(_layers(self.neighbors, x)):
-      if y in parent:
+    if x == y:
+      return 0
+    ends = [_layers(self.neighbors, x), _layers(self.neighbors, y)]
+    last = [next(end) for end in ends]  # (layer, parent) of each end
+    depth = [0, 0]
+    for dist in range(1, DISTANCE_CAP + 1):
+      k = (len(last[0][0]), depth[0]) > (len(last[1][0]), depth[1])
+      grown = next(ends[k], None)
+      if grown is None:
+        break
+      last[k] = grown
+      depth[k] += 1
+      if any(v in last[1 - k][1] for v in grown[0]):
         return dist
-      if dist == DISTANCE_CAP:
-        raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
+    else:
+      raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
     raise InputError(f"{x} and {y} are not connected within cap {DISTANCE_CAP}")
 
   def ball(self, center, radius: int) -> tuple:

@@ -7,7 +7,7 @@ defining recursion, computed here from scratch, on randomized functions.
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,12 +24,13 @@ from configcalc.calculus import (Form, LocalFunction, NotClosedError,
                                  local_function_to_json, perturbed, reassemble,
                                  restrict, scale, sub, trim,
                                  uniformity_criterion)
-from configcalc.configspace import (apply_edge, config_to_json,
+from configcalc.configspace import (_move_slices, apply_edge, config_to_json,
                                     digits_from_sites)
-from configcalc.cohomology import ordered_flux_form
+from configcalc.cohomology import inversion_count_function, ordered_flux_form
 from configcalc.decomposition import TranslationAction, build_omega_rho
-from configcalc.interactions import (Interaction, by_name, conserved_basis,
-                                     exclusion, glauber, multispecies, spin3)
+from configcalc.interactions import (CATALOG_NAMES, Interaction, by_name,
+                                     conserved_basis, exclusion, glauber,
+                                     multispecies, spin3)
 from configcalc.locales import Euclidean, Hexagonal, Triangular, box
 from configcalc.serialize import InputError, fraction_to_str
 
@@ -536,25 +537,85 @@ def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
   assert closed
 
 
+def oracle_gradient(f, edge, inter):
+  """nabla_e f configuration by configuration, by ``apply_edge``."""
+  support = tuple(sorted(set(f.support) | set(edge)))
+  pu, pv = support.index(edge[0]), support.index(edge[1])
+
+  def nabla(digits):
+    moved = apply_edge(digits, pu, pv, inter)
+    return (f.value_at(dict(zip(support, moved)))
+            - f.value_at(dict(zip(support, digits))))
+
+  return from_callable(support, inter.n_states, inter.base, nabla)
+
+
 @pytest.mark.parametrize("name", ["multispecies:2", "generalized-exclusion:2",
                                   "spin3", "glauber"])
 def test_gradient_matches_definition(name):
+  """The move-slice gradient against the per-configuration oracle: on a
+  line, a 3x4 box, a triangular and a hexagonal window, with gradient
+  supports of up to 8 sites, edges in both orientations and move slices
+  both contiguous and strided."""
   rng = random.Random(31)
   inter = by_name(name)
+  s = inter.n_states
   f = mixed_function(rng, ((1,), (2,), (4,)), inter)
-  for edge in (((0,), (1,)), ((1,), (2,)), ((2,), (1,)), ((4,), (3,)),
-               ((5,), (6,))):
-    support = tuple(sorted(set(f.support) | set(edge)))
+  cases = [(f, edge) for edge in (((0,), (1,)), ((1,), (2,)), ((2,), (1,)),
+                                  ((4,), (3,)), ((5,), (6,)))]
+  for win in (box(Euclidean(2), (0, 0), (2, 3)),
+              box(Triangular(), (0, 0), (2, 2)),
+              box(Hexagonal(), (0, 0), (2, 1))):
+    start = rng.randrange(3)
+    g = mixed_function(rng, win.vertices[start:start + (6 if s == 2 else 5)],
+                       inter)
+    meets = {k: [e for e in win.edges if e[0] < e[1]
+                 and len(set(e) & set(g.support)) == k] for k in (0, 1, 2)}
+    for k, count in ((2, 2), (1, 2), (0, 1)):
+      for e in rng.sample(meets[k], min(count, len(meets[k]))):
+        cases += [(g, e), (g, e[::-1])]
+  orientations, strided, sizes = set(), set(), set()
+  for g, edge in cases:
+    support = tuple(sorted(set(g.support) | set(edge)))
     pu, pv = support.index(edge[0]), support.index(edge[1])
+    orientations.add(pu < pv)
+    fired, _ = _move_slices(len(support), pu, pv, s, inter.moved)
+    strided.update(src.step > 1 for src, _ in fired)
+    sizes.add(len(support))
+    assert functions_equal(gradient(g, edge, inter),
+                           oracle_gradient(g, edge, inter)), edge
+  assert orientations == strided == {True, False}
+  assert {5, 6, 7} <= sizes and max(sizes) <= 8
 
-    def nabla(digits):
-      moved = apply_edge(digits, pu, pv, inter)
-      return (f.value_at(dict(zip(support, moved)))
-              - f.value_at(dict(zip(support, digits))))
 
-    assert functions_equal(gradient(f, edge, inter),
-                           from_callable(support, inter.n_states, inter.base,
-                                         nabla))
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_move_slices_cover_each_firing_configuration_once(name):
+  """Each move's source slices hold every configuration where it fires,
+  once, and its target slices the moved configurations; the still slices
+  hold every configuration where the pair stays put, once."""
+  inter = by_name(name)
+  s = inter.n_states
+  for n in range(2, 6):
+    configs = list(product(range(s), repeat=n))
+    indices = range(len(configs))
+    for pu, pv in permutations(range(n), 2):
+      fired, still = _move_slices(n, pu, pv, s, inter.moved)
+      moves = sorted((i, j) for src, dst in fired
+                     for i, j in zip(indices[src], indices[dst]))
+      targets = {i: configs.index(apply_edge(c, pu, pv, inter))
+                 for i, c in enumerate(configs)}
+      assert moves == [(i, j) for i, j in targets.items() if i != j]
+      assert sorted(i for sl in still for i in indices[sl]) == [
+          i for i, j in targets.items() if i == j]
+
+
+def test_differential_of_inversion_count_is_the_ordered_flux_on_line11():
+  win, inter = line(11), multispecies(2)
+  d_f = differential(inversion_count_function(win, inter), win, inter)
+  omega = ordered_flux_form(win, inter)
+  assert sorted(d_f.fns) == sorted(omega.fns)
+  for e, fn in omega.fns.items():
+    assert d_f.fns[e] == fn, e
 
 
 def test_perturbation_of_alternation_detected():
@@ -594,6 +655,85 @@ def test_form_vanishes_on_fixed_pairs_axiom():
   form = Form(inter.n_states, inter.base, {((0,), (1,)): f01}, 1)
   rep = form_axioms_report(form, win, inter)
   assert rep["vanishing"] is not None
+
+
+def reference_axioms(form, window, inter):
+  """The three axiom witnesses configuration by configuration, by
+  ``apply_edge``: the first edge (pair) in order, then the least
+  configuration index of its support."""
+  s, enc = inter.n_states, window.locale.encode_vertex
+  zero = constant(0, s, inter.base)
+
+  def cells(edges, fns):
+    support = tuple(sorted(set(chain(*edges, *(f.support for f in fns)))))
+    places = [(support.index(u), support.index(v)) for u, v in edges]
+    for digits in product(range(s), repeat=len(support)):
+      moved = [apply_edge(digits, pu, pv, inter) for pu, pv in places]
+      yield dict(zip(support, digits)), moved, digits, support
+
+  vanish = alternation = matching = None
+  for e, f in sorted(form.fns.items()):
+    rev = form.fn(e[::-1]) or zero
+    # the reversed edge is read on e's support, its other sites at base
+    for at, (moved,), digits, support in cells([e], [f]):
+      val = f.value_at(at)
+      if moved == digits:
+        if val and vanish is None:
+          vanish = {"edge": [enc(e[0]), enc(e[1])],
+                    "value": fraction_to_str(val)}
+      elif alternation is None:
+        back = rev.value_at(dict(zip(support, moved)))
+        if back != -val:
+          alternation = {"edge": [enc(e[0]), enc(e[1])],
+                         "value": fraction_to_str(val),
+                         "reversed_value": fraction_to_str(back)}
+  edges = sorted(form.fns)
+  for e1, e2 in combinations(edges, 2):
+    if matching is None and set(e1) & set(e2):
+      f1, f2 = form.fns[e1], form.fns[e2]
+      for at, (m1, m2), digits, _ in cells([e1, e2], [f1, f2]):
+        if m1 != digits and m1 == m2 and f1.value_at(at) != f2.value_at(at):
+          matching = {"edges": [[enc(e1[0]), enc(e1[1])],
+                                [enc(e2[0]), enc(e2[1])]],
+                      "values": [fraction_to_str(f1.value_at(at)),
+                                 fraction_to_str(f2.value_at(at))]}
+          break
+  return {"ok": vanish is None and alternation is None and matching is None,
+          "vanishing": vanish, "alternation": alternation,
+          "matching_targets": matching}
+
+
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3",
+                                  "pair-flip"])
+def test_axiom_witnesses_match_the_configuration_by_configuration_check(name):
+  """The slice-read axiom checks give the same first witnesses as a check
+  of every configuration: random forms on a line and a 2x2 box, and
+  differentials with one bumped cell."""
+  rng = random.Random(7)
+  inter = by_name(name)
+  s = inter.n_states
+  seen = set()
+  for win in (line(4), box(Euclidean(2), (0, 0), (1, 1))):
+    for _ in range(6):
+      fns = {}
+      for e in rng.sample(win.edges, 5):
+        extra = rng.sample([v for v in win.vertices if v not in e],
+                           rng.randint(0, 1))
+        fns[e] = mixed_function(rng, tuple(e) + tuple(extra), inter)
+      f = mixed_function(rng, rng.sample(win.vertices, 2), inter)
+      d = differential(f, win, inter).fns
+      bumped = dict(d)
+      if d:
+        e = rng.choice(sorted(d))
+        nums = list(d[e].values)
+        nums[rng.randrange(len(nums))] += 1
+        bumped[e] = LocalFunction(d[e].support, s, inter.base, nums)
+      for fns in (fns, d, bumped):
+        form = Form(s, inter.base, fns)
+        rep = form_axioms_report(form, win, inter)
+        assert rep == reference_axioms(form, win, inter)
+        seen.update(k for k, w in rep.items() if w and k != "ok")
+  assert seen == {"vanishing", "alternation", "matching_targets"}
 
 
 def test_glauber_relaxed_integration():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from configcalc.locales import (DISTANCE_CAP, Cross, Euclidean, FiniteGraph,
                                 FreeGroupCayley, HalfPlane, Hexagonal, Locale,
-                                NNeighbor, ProductLocale, Triangular,
+                                NNeighbor, ProductLocale, Triangular, _layers,
                                 ball_window, box, locale_from_json,
                                 transferability, window, window_from_json)
 from configcalc.serialize import InputError
@@ -111,6 +111,51 @@ def test_breadth_first_distance_refusals_name_the_cap():
   assert prod.distance(((0, 0), (0, 0)), ((40, 0), (0, 40))) == 80
   with pytest.raises(InputError, match="exceeds cap 64"):
     prod.distance(((0, 0), (0, 0)), ((65, 0), (0, 0)))
+
+
+def one_ended_distance(locale, x, y):
+  """The distance by one breadth-first search from x, or None where
+  ``Locale.distance`` must refuse."""
+  for dist, (_, parent) in enumerate(_layers(locale.neighbors, x)):
+    if y in parent:
+      return dist
+    if dist == DISTANCE_CAP:
+      return None
+  return None
+
+
+def two_ended_distance(locale, x, y):
+  try:
+    return Locale.distance(locale, x, y)
+  except InputError as exc:
+    return str(exc)
+
+
+def test_two_ended_distance_matches_the_one_ended_search():
+  half = HalfPlane()
+  # left of the vertical axis the half-plane is the horizontal axis alone
+  points = ([(i, j) for i in range(0, 6) for j in range(-4, 5)]
+            + [(i, 0) for i in range(-6, 0)])
+  cases = [(half, x, y) for x in points[::7] for y in points]
+  cases += [(half, (0, 0), (10, 10)), (half, (-30, 0), (30, 5))]
+  # two components: a path of 70 vertices and a triangle
+  graph = FiniteGraph(range(73), [(k, k + 1) for k in range(69)]
+                      + [(70, 71), (71, 72), (70, 72)])
+  cases += [(graph, x, y) for x, y in ((0, 64), (64, 0), (70, 72), (8, 8),
+                                       (3, 71), (72, 5), (0, 65), (69, 2))]
+  refusals = []
+  for loc, x, y in cases:
+    want, got = one_ended_distance(loc, x, y), two_ended_distance(loc, x, y)
+    if want is None:
+      refusals.append(got)
+    else:
+      assert got == want, (loc.name, x, y)
+  # a disconnected pair is refused as soon as the smaller side runs out
+  assert refusals == ["distance((-30, 0), (30, 5)) exceeds cap 64",
+                      "3 and 71 are not connected within cap 64",
+                      "72 and 5 are not connected within cap 64",
+                      "distance(0, 65) exceeds cap 64",
+                      "distance(69, 2) exceeds cap 64"]
 
 
 def test_free_group_distance_reduced_word_length():
