@@ -27,10 +27,10 @@ from fractions import Fraction
 from itertools import chain, combinations, compress, product
 from math import gcd, lcm
 
-from .configspace import (DEFAULT_BUDGET, _digit_slice, _fixed_slices,
-                          _move_slices, _site_sums, _slab_solve, apply_edge,
-                          config_to_json, digit_powers, digits_of,
-                          edge_positions, guard_budget, index_of, move_table)
+from .configspace import (DEFAULT_BUDGET, _fixed_slices, _move_slices,
+                          _site_sums, _slab_solve, apply_edge, config_to_json,
+                          digit_powers, digits_of, edge_positions,
+                          guard_budget, index_of, move_table)
 from .interactions import Interaction, check_validity
 from .linalg import _integer_row
 from .locales import Locale, Window
@@ -154,11 +154,14 @@ def embed(f: LocalFunction, support) -> LocalFunction:
                               f.denom)
 
 
-def _depends_on(nums, block: int, s: int) -> bool:
-  """Does the table change with the digit whose place value is ``block``?
-  Compares the table's slices at each digit with its slices at digit zero."""
-  return any(any(map(operator.ne, _digit_slice(nums, d, block, s),
-                     _digit_slice(nums, 0, block, s))) for d in range(1, s))
+def _depends_on(nums, n_sites: int, s: int, k: int) -> bool:
+  """Does the table change with the digit at position ``k``?  Compares each
+  slice at digit zero there with the same slice shifted to every other
+  digit."""
+  place = s ** (n_sites - 1 - k)
+  return any(nums[sl] != nums[sl.start + d * place:sl.stop + d * place:sl.step]
+             for sl in _fixed_slices(n_sites, s, ((k, 0),))
+             for d in range(1, s))
 
 
 def trim(f: LocalFunction) -> LocalFunction:
@@ -167,8 +170,7 @@ def trim(f: LocalFunction) -> LocalFunction:
   if n == 0:
     return f
   s = f.n_states
-  pows = f.powers()
-  keep = [k for k in range(n) if _depends_on(f.nums, pows[k], s)]
+  keep = [k for k in range(n) if _depends_on(f.nums, n, s, k)]
   if len(keep) == n:
     return f
   new_support = tuple(f.support[k] for k in keep)
@@ -233,16 +235,16 @@ def _subsets(n_sites: int):
 def _mobius(values, n_sites: int, n_states: int, base: int) -> list:
   """Yates' subset Moebius transform of a dense table over ``n_sites`` sites.
 
-  For each site in turn, every entry where that site is not at base loses
-  the entry with that site set to base.  Entry eta of the result is then the
+  For each site in turn, the slices with every other digit there lose the
+  slices with the base digit there.  Entry eta of the result is then the
   exact-support piece on the non-base sites of eta, evaluated at eta.
   """
   vals = list(values)
-  for place in digit_powers(n_sites, n_states):
-    for idx in range(len(vals)):
-      d = idx // place % n_states
-      if d != base:
-        vals[idx] -= vals[idx + (base - d) * place]
+  for k, place in enumerate(digit_powers(n_sites, n_states)):
+    for src in _fixed_slices(n_sites, n_states, ((k, base),)):
+      for shift in [(d - base) * place for d in range(n_states) if d != base]:
+        dst = slice(src.start + shift, src.stop + shift, src.step)
+        vals[dst] = map(operator.sub, vals[dst], vals[src])
   return vals
 
 
@@ -526,10 +528,9 @@ def _step_edge(window: Window, moves, n_states: int, source: int,
                   target: int):
   """The first directed edge whose move maps configuration index ``source``
   to ``target``, or None."""
-  s = n_states
-  digits = digits_of(source, window.n_sites, s)
+  digits = digits_of(source, window.n_sites, n_states)
   for e, (pu, pv, jumps) in zip(window.edges, moves):
-    if jumps[digits[pu] * s + digits[pv]] == target - source:
+    if jumps[digits[pu] * n_states + digits[pv]] == target - source:
       return e
   return None
 
@@ -545,14 +546,19 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
 
   Each edge function is read as (window positions, numerators over them):
   the edge's two positions when it reads no other site, else every
-  position it reads with the edge's, in order.  When the interaction is
-  valid, ``_slab_solve`` decides the window slab by slab, whatever the
-  functions read.  When it is not, and to build the witness once the
-  kernel meets a cycle with a nonzero integral, the scan is breadth first:
-  seeds are the all-base configuration, then every unreached index in
-  order; each popped configuration tries the window edges in order.
+  position it reads with the edge's, in order.  ``_slab_solve`` decides the
+  window slab by slab, whatever the functions read.  Once it meets a cycle
+  with a nonzero integral, a breadth-first scan builds the witness: seeds
+  are the all-base configuration, then every unreached index in order; each
+  popped configuration tries the window edges in order.  A potential needs
+  every move undone by some move, so an interaction that is not valid
+  raises ``InputError`` naming its one-way transition.
   """
   total = guard_budget(window, inter, budget)
+  one_way = check_validity(inter)["relaxed_witness"]
+  if one_way is not None:
+    raise InputError(f"{inter.name} is not valid: no move undoes "
+                     f"{tuple(one_way['from'])} -> {tuple(one_way['to'])}")
   n, s = window.n_sites, inter.n_states
   zero = constant(0, s, inter.base)
   fns = [form.fn(e) or zero for e in window.edges]
@@ -562,17 +568,15 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
     sites = e if set(fn.support) <= set(e) else tuple(sorted({*fn.support, *e}))
     reads.append((tuple(map(window.position, sites)), _over(fn, sites, denom)))
   star = index_of((inter.base,) * n, digit_powers(n, s))
-  if check_validity(inter)["valid"]:
-    solved = _slab_solve(window, inter, reads)
-    if solved is not None:
-      values, labels, reps = solved
-      comp = labels[star]
-      if reps[comp] != star:
-        shift = values[star]
-        values = [v - shift if c == comp else v
-                  for v, c in zip(values, labels)]
-      return (values, denom,
-              [star] + [r for c, r in enumerate(reps) if c != comp], None)
+  solved = _slab_solve(window, inter, reads)
+  if solved is not None:
+    values, labels, reps = solved
+    comp = labels[star]
+    if reps[comp] != star:
+      shift = values[star]
+      values = [v - shift if c == comp else v for v, c in zip(values, labels)]
+    return (values, denom,
+            [star] + [r for c, r in enumerate(reps) if c != comp], None)
   moves = move_table(edge_positions(window), n, inter)
   table = [(pu, pv, jumps, pos, nums, e) for (pu, pv, jumps), (pos, nums), e
            in zip(moves, reads, window.edges)]
@@ -584,12 +588,10 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
 
   values = [None] * total
   parent = [None] * total
-  pins = []
   for seed in chain((star,), range(total)):
     if values[seed] is not None:
       continue
     values[seed] = 0
-    pins.append(seed)
     queue = deque((seed,))
     while queue:
       idx = queue.popleft()
@@ -610,15 +612,16 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
           parent[jdx] = idx
           queue.append(jdx)
         elif old != new:
-          witness = _build_cycle(form, window, inter, moves, parent, pins[-1],
-                                 idx, e, jdx, Fraction(new - old, denom))
-          return None, denom, None, witness
-  return values, denom, pins, None
+          return None, denom, None, _build_cycle(
+              form, window, inter, moves, parent, seed, idx, e, jdx,
+              Fraction(new - old, denom))
 
 
 def _build_cycle(form, window, inter, moves, parent, pin, idx, edge, jdx,
                  defect):
-  """Assemble a closed walk with nonzero integral out of two BFS branches."""
+  """Assemble a closed walk with nonzero integral out of two BFS branches:
+  the tree path to ``idx``, the closing step to ``jdx``, and back to the pin
+  along jdx's tree path."""
   n, s = window.n_sites, inter.n_states
 
   def branch(to):
@@ -633,7 +636,6 @@ def _build_cycle(form, window, inter, moves, parent, pin, idx, edge, jdx,
 
   edge_index = {e: k for k, e in enumerate(window.edges)}
   walk = branch(idx) + [(idx, edge, jdx)]
-  back = []
   for prev, e, cur in reversed(branch(jdx)):
     # Retrace along the reversed arc of the forward step, so that for forms
     # satisfying the alternation axiom the return integral is exactly the
@@ -646,12 +648,14 @@ def _build_cycle(form, window, inter, moves, parent, pin, idx, edge, jdx,
       rev = partner
     else:
       rev = _step_edge(window, moves, s, cur, prev)
-    if rev is None:
-      # No reverse arc: the interaction is not valid in the relaxed sense;
-      # report the one-way transition itself.
-      rev = e
-    back.append((cur, rev, prev))
-  walk += back
+    # A return arc that does not undo its step's value closes a two-step
+    # cycle whose integral is nonzero: that cycle is the witness.
+    loop = _path_integral(form, window,
+                          [(digits_of(prev, n, s), e), (digits, rev)])
+    if loop:
+      walk, defect = [(prev, e, cur), (cur, rev, prev)], loop
+      break
+    walk.append((cur, rev, prev))
 
   steps = [(digits_of(source, n, s), e) for source, e, _target in walk]
   return {

@@ -403,16 +403,16 @@ def _certificate(rows, pivots, inputs, j: int, n: int):
   columns determines it.  Raises ``RuntimeError`` unless the combination
   cancels every unknown and leaves a nonzero right-hand side.
   """
-  at = {c: i for i, c in enumerate(pivots)}  # pivot column -> system row
+  row_of = {c: i for i, c in enumerate(pivots)}  # pivot column -> system row
   m = len(inputs)
   system = [{} for _ in pivots]
   for k, eq_id in enumerate(inputs):
     for c, x in rows[eq_id].items():
-      if c in at:
-        system[at[c]][k] = x
+      if c in row_of:
+        system[row_of[c]][k] = x
   for c, x in rows[j].items():
-    if c in at:
-      system[at[c]][m] = -x
+    if c in row_of:
+      system[row_of[c]][m] = -x
   solved, solved_pivots, _ = rref(system, m)
   combo = {j: Fraction(1)}
   for row, k in zip(solved, solved_pivots):

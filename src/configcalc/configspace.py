@@ -211,6 +211,15 @@ def _quantity_sums(sites, basis, n_states: int, counted=None):
   return zip(*columns)
 
 
+def _unconserved_move(inter: Interaction, basis):
+  """The first move (a, b, c, d) of the interaction that changes a basis
+  quantity's sum over the pair, or None when every move conserves them."""
+  for a, b, c, d in inter.moved:
+    if any(vec[a] + vec[b] != vec[c] + vec[d] for vec in basis):
+      return a, b, c, d
+  return None
+
+
 def quantity_to_json(qvec) -> list:
   return [fraction_to_str(Fraction(v)) for v in qvec]
 
@@ -219,16 +228,9 @@ def quantity_to_json(qvec) -> list:
 # Components of the transition graph
 
 
-def _digit_slice(seq, y: int, place: int, s: int):
-  """Slices of ``seq`` holding the entries whose index has digit y at
-  ``place``: long contiguous blocks, or one strided slice per in-block offset.
-  The slicing depends on ``place``, ``s`` and ``len(seq)`` only, so the slices
-  for digits y and y2 pair index r with r + (y2 - y) * place, entry by entry.
-  """
-  span = place * s
-  if place * span >= len(seq):
-    return (seq[i:i + place] for i in range(y * place, len(seq), span))
-  return (seq[y * place + i::span] for i in range(place))
+def _along(seq, slices):
+  """The entries of ``seq`` along ``slices``, in order."""
+  return chain.from_iterable(map(seq.__getitem__, slices))
 
 
 def _slab_solve(window: Window, inter: Interaction, reads=None):
@@ -248,12 +250,14 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
 
   ``reads[k]`` is the k-th window edge's function as (window positions,
   numerators over them): the edge's two positions when it reads no other
-  site, else every position it reads with the edge's, in order.  An
-  edge-local function has one step per move, added to the labels and
-  potentials read off the slices of L and U at the digits of the edge's
-  later position.  A wider one is read where the move fires, from the
-  level-(m+1) configurations; when m is below both edge sites the move
-  links two components of one slab.  Returns (U, L, reps), U being None
+  site, else every position it reads with the edge's, in order.  A move
+  fires on the ``_fixed_slices`` of the level-(m+1) table that hold its
+  digits at the edge sites above m, and lands on those slices shifted by
+  its index jump; its digits at m are its own when m is an edge site, and
+  every (x, x) otherwise, a link between two components of one slab.  Its
+  step is one number for an edge-local function, and for a wider one the
+  same slices of the function's table read over the level-(m+1)
+  configurations with digit x at m.  Returns (U, L, reps), U being None
   when ``reads`` is None, or None when a cycle of moves has a nonzero
   integral.
   """
@@ -264,46 +268,36 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
     size, n_comp = len(L), len(reps)
     links = set()  # (source node, target node, offset difference)
     for k, (pu, pv) in enumerate(epos):
-      pos, nums = (pu, pv), None
-      if reads is not None:
-        pos, nums = reads[k]
+      pos, nums = reads[k] if reads is not None else ((pu, pv), None)
       if min(pos) != m:
         continue
-      if len(pos) == 2:
-        place = s ** (n - 1 - (pu + pv - m))
-        for a, b, c, d in inter.moved:
-          # (digit at m, digit at q) before and after the move
-          (x, y), (x2, y2) = ((a, b), (c, d)) if pu == m else ((b, a), (d, c))
-          src, tgt = (chain.from_iterable(_digit_slice(L, z, place, s))
-                      for z in (y, y2))
-          diffs, step = repeat(0), 0
-          if nums is not None:
-            diffs = map(sub, *(chain.from_iterable(_digit_slice(U, z, place, s))
-                               for z in (y, y2)))
-            step = nums[a * s + b]
-          links.update([(x * n_comp + l, x2 * n_comp + l2, du + step)
-                        for l, l2, du in set(zip(src, tgt, diffs))])
-        continue
-      # A wider function: every level-(m+1) configuration r with digit 0 at
-      # the edge's sites, with its index in the function's table; a move
-      # adds its digits at those sites to both.
-      weight = dict(zip(pos, digit_powers(len(pos), s)))
-      free = [p for p in range(m + 1, n) if p not in (pu, pv)]
-      at = list(zip(
-          _site_sums([range(0, s ** (n - p), s ** (n - 1 - p)) for p in free]),
-          _site_sums([range(0, s * weight[p], weight[p]) if p in weight
-                      else (0,) * s for p in free])))
-      (pl_u, w_u), (pl_v, w_v) = ((s ** (n - 1 - p), weight[p]) if p > m
-                                  else (0, 0) for p in (pu, pv))
-      wm = weight[m]
+      tables = None  # a wider function read with each digit x at m
+      if len(pos) > 2:
+        weight = dict(zip(pos, digit_powers(len(pos), s)))
+        table = list(map(nums.__getitem__, _site_sums(
+            [range(0, s * weight[p], weight[p]) if p in weight else (0,) * s
+             for p in range(m, n)])))
+        tables = [table[x * size:(x + 1) * size] for x in range(s)]
+      # the places of the edge sites above m, 0 at m
+      pl_u, pl_v = (s ** (n - 1 - p) if p > m else 0 for p in (pu, pv))
       for a, b, c, d in inter.moved:
-        o, o2, ko = a * pl_u + b * pl_v, c * pl_u + d * pl_v, a * w_u + b * w_v
-        # (digit at m, after the move): every digit when m is not an edge site
+        jump = (c - a) * pl_u + (d - b) * pl_v
+        src = _fixed_slices(n - 1 - m, s, tuple(sorted(
+            (p - m - 1, y) for p, y in ((pu, a), (pv, b)) if p > m)))
+        tgt = [slice(sl.start + jump, sl.stop + jump, sl.step) for sl in src]
         pairs = ([(a, c)] if pu == m else [(b, d)] if pv == m
                  else [(x, x) for x in range(s)])
-        links.update([(x * n_comp + L[r + o], x2 * n_comp + L[r + o2],
-                       U[r + o] - U[r + o2] + nums[x * wm + ko + i])
-                      for x, x2 in pairs for r, i in at])
+        for x, x2 in pairs:
+          diffs, step = repeat(0), 0
+          if reads is not None:
+            diffs = map(sub, _along(U, src), _along(U, tgt))
+            if tables is None:
+              step = nums[a * s + b]
+            else:
+              diffs = map(add, diffs, _along(tables[x], src))
+          links.update([(x * n_comp + l, x2 * n_comp + l2, du + step)
+                        for l, l2, du in set(zip(_along(L, src), _along(L, tgt),
+                                                 diffs))])
     # Node x * C + c has least member x * P + reps[c], and both grow with
     # the node, so walking the nodes in order labels by least member.
     n_nodes = s * n_comp
@@ -361,12 +355,11 @@ def fibers_report(window: Window, inter: Interaction, basis,
   mutually unreachable configurations with equal quantities.
   """
   s = inter.n_states
-  for a, b, c, d in inter.moved:
-    if any(vec[a] + vec[b] != vec[c] + vec[d] for vec in basis):
-      raise InputError(
-          f"the basis is not conserved by the move "
-          f"{(inter.states[a], inter.states[b])} -> "
-          f"{(inter.states[c], inter.states[d])}")
+  move = _unconserved_move(inter, basis)
+  if move is not None:
+    a, b, c, d = (inter.states[k] for k in move)
+    raise InputError(
+        f"the basis is not conserved by the move {(a, b)} -> {(c, d)}")
   _, reps = components(window, inter, budget)
   # quantity -> least members of its components, in increasing order
   fiber_components = {}

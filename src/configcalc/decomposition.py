@@ -34,8 +34,9 @@ from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (DEFAULT_BUDGET, _site_sums, digits_from_sites,
-                          exchange_path, guard_budget, rearrangement_path)
+from .configspace import (DEFAULT_BUDGET, _site_sums, _unconserved_move,
+                          digits_from_sites, exchange_path, guard_budget,
+                          rearrangement_path)
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import _integer_row, rref
@@ -510,8 +511,7 @@ def _fibers_are_multisets(win: Window, inter: Interaction, basis) -> bool:
   s, base = inter.n_states, inter.base
   if (not win.is_connected()
       or not check_exchangeability(inter)["exchangeable"]
-      or any(vec[a] + vec[b] != vec[c] + vec[d]
-             for vec in basis for a, b, c, d in inter.moved)):
+      or _unconserved_move(inter, basis) is not None):
     return False
   rows = [dict(enumerate(vec[d] - vec[base] for vec in basis))
           for d in range(s) if d != base]

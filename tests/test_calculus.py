@@ -24,7 +24,8 @@ from configcalc.calculus import (Form, LocalFunction, NotClosedError,
                                  local_function_to_json, perturbed, reassemble,
                                  restrict, scale, sub, trim,
                                  uniformity_criterion)
-from configcalc.configspace import (_move_slices, apply_edge, config_to_json,
+from configcalc.configspace import (_fixed_slices, _move_slices, apply_edge,
+                                    config_from_json, config_to_json,
                                     digits_from_sites)
 from configcalc.cohomology import inversion_count_function, ordered_flux_form
 from configcalc.decomposition import TranslationAction, build_omega_rho
@@ -159,6 +160,37 @@ def test_trim_drops_padding():
   f = from_callable(((1,),), inter.n_states, inter.base, lambda d: 3 * d[0])
   g = embed(f, ((0,), (1,), (5,)))
   assert trim(g).support == ((1,),)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_trim_matches_the_per_configuration_oracle(s):
+  """trim keeps exactly the sites at which some configuration's value
+  changes with the digit: random tables on up to 3 sites, half of them
+  ignoring one site, padded with an unread site at every position, so the
+  digit slices come both contiguous and strided."""
+  rng = random.Random(37 + s)
+  steps = set()
+  for k in range(4):
+    sites = tuple((2 * i,) for i in range(k))
+    vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for _ in range(s ** k)]
+    ignored = rng.randrange(k) if k else None
+    for g in (LocalFunction(sites, s, 0, vals),
+              from_callable(sites, s, 0, lambda d: vals[sum(
+                  x * s ** i for i, x in enumerate(d) if i != ignored)])):
+      for pad in range(k + 1):
+        f = embed(g, sites + ((2 * pad - 1,),))
+        n = len(f.support)
+        configs = list(product(range(s), repeat=n))
+        keep = [j for j in range(n) if any(
+            f.value_at(dict(zip(f.support, c))) != f.value_at(
+                dict(zip(f.support, c[:j] + (x,) + c[j + 1:])))
+            for c in configs for x in range(s))]
+        assert trim(f).support == tuple(f.support[j] for j in keep)
+        assert functions_equal(trim(f), f)
+        steps.update(sl.step > 1 for j in range(n)
+                     for sl in _fixed_slices(n, s, ((j, 0),)))
+  assert steps == {True, False}
 
 
 def test_exact_support_radius():
@@ -370,8 +402,12 @@ def reference_witness(form, window, inter, configs, moves, parent, pin, i, e,
   for prev, edge, cur in reversed(branch(j)):
     partner = (edge[1], edge[0])
     if moves.get((cur, partner)) != prev:
-      partner = next((f for f in window.edges if moves.get((cur, f)) == prev),
-                     edge)
+      partner = next(f for f in window.edges if moves.get((cur, f)) == prev)
+    # a return arc that does not undo its step is itself the witness
+    loop = [(prev, edge, cur), (cur, partner, prev)]
+    if value(edge, prev) + value(partner, cur):
+      walk, defect = loop, value(edge, prev) + value(partner, cur)
+      break
     walk.append((cur, partner, prev))
   enc = window.locale.encode_vertex
   return {
@@ -419,6 +455,7 @@ def test_not_closed_witness_matches_fraction_oracle(name):
     bad = perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
                     rng.choice(MIXED[:5]))
     _, _, want = reference_scan(bad, win, inter)
+    assert want["integral"] == want["defect"] != "0"
     rep = is_closed(bad, win, inter)
     assert not rep["closed"]
     assert rep["witness"] == want
@@ -427,7 +464,75 @@ def test_not_closed_witness_matches_fraction_oracle(name):
     assert err.value.witness == want
 
 
-# (0, 1) -> (1, 1) is never undone: not valid, so the scan stays breadth-first
+def replayed_integral(witness, form, win, inter):
+  """The form summed along a witness cycle, once each step is checked to be
+  its edge's move and the walk to close."""
+  configs = [config_from_json(win, inter, step["config"])
+             for step in witness["cycle"]]
+  total = Fraction(0)
+  for k, (cfg, step) in enumerate(zip(configs, witness["cycle"])):
+    u, v = map(win.locale.decode_vertex, step["edge"])
+    nxt = apply_edge(cfg, win.position(u), win.position(v), inter)
+    assert nxt != cfg and nxt == configs[(k + 1) % len(configs)]
+    if form.fn((u, v)) is not None:
+      total += form.fn((u, v)).value_at(dict(zip(win.vertices, cfg)))
+  return total
+
+
+def assert_certificate(witness, form, win, inter):
+  assert witness["integral"] == witness["defect"] != "0"
+  assert fraction_to_str(replayed_integral(witness, form, win, inter)) == (
+      witness["integral"])
+
+
+def test_witness_of_a_rotation_cycle_is_its_own_certificate():
+  """spin3's rotation on (0, 1) is undone across (1, 0) with another value
+  of the ordered flux, so that two-step cycle is the witness."""
+  win, inter = line(7), spin3()
+  form = ordered_flux_form(win, inter, low_value=-1, high_value=1)
+  w = is_closed(form, win, inter)["witness"]
+  assert_certificate(w, form, win, inter)
+  assert w["defect"] == "1" and len(w["cycle"]) == 2
+
+
+def test_witness_of_every_perturbed_glauber_form_is_its_own_certificate():
+  """Glauber flips an edge's first site, so the reversed edge never undoes
+  a tree step with the negated value; every one-cell perturbation of its
+  (zero) omega-rho form on line(8) still gets a certificate."""
+  win, inter = line(8), glauber()
+  basis = conserved_basis(inter)
+  form = build_omega_rho([], TranslationAction(Euclidean(1), ((1,),)),
+                         ((0,),), win, inter, basis)
+  witnessed = 0
+  for e in win.edges:
+    for a, b, _, _ in inter.moved:
+      bad = perturbed(form, win, inter, e, {e[0]: a, e[1]: b}, Fraction(1, 4))
+      rep = is_closed(bad, win, inter)
+      if not rep["closed"]:
+        witnessed += 1
+        assert_certificate(rep["witness"], bad, win, inter)
+  assert witnessed == len(win.edges) * len(inter.moved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG_NAMES), st.integers(3, 6),
+       st.randoms(use_true_random=False))
+def test_every_witness_is_its_own_certificate(name, n, rng):
+  """A one-cell perturbation of a closed form on line(3) to line(6): when
+  it is not closed, its witness cycle replays to its nonzero defect."""
+  win, inter = line(n), by_name(name)
+  form = differential(mixed_function(rng, rng.sample(win.vertices, 2), inter),
+                      win, inter)
+  edge = rng.choice(win.edges)
+  a, b = rng.choice([(a, b) for a, b, _, _ in inter.moved])
+  bad = perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
+                  rng.choice(MIXED[:5]))
+  rep = is_closed(bad, win, inter)
+  if not rep["closed"]:
+    assert_certificate(rep["witness"], bad, win, inter)
+
+
+# (0, 1) -> (1, 1) is never undone: not valid, so the scans refuse it
 ONE_WAY = Interaction("one-way", (0, 1), 0,
                       (((0, 0), (1, 1)), ((1, 0), (1, 1))))
 
@@ -451,7 +556,7 @@ SCAN_WINDOWS = {
 }
 
 # The Fraction oracle walks every configuration at a few seconds per 2^12,
-# so the 3 x 4 box runs exclusion and the one-way rule only.
+# so the 3 x 4 box runs exclusion and the one-way rule (no oracle) only.
 EDGE_LOCAL_CASES = [(w, name) for w in SCAN_WINDOWS
                     for name in ("exclusion", "multispecies:2", "spin3",
                                  "glauber", "pair-flip", "one-way")
@@ -511,6 +616,16 @@ def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
     a, b = rng.choice(cells)
     forms.append(perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
                            rng.choice(MIXED[:5])))
+  if name == "one-way":
+    # a one-way move leaves no potential to pin: every form is refused,
+    # naming that move, before anything is solved
+    for form in forms:
+      for scan in (is_closed, integrate):
+        with pytest.raises(InputError,
+                           match=r"no move undoes \(0, 1\) -> \(1, 1\)"):
+          scan(form, win, inter)
+    assert not solved
+    return
   closed = 0
   for form in forms:
     del solved[:]
@@ -524,16 +639,14 @@ def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
       assert rep == {"closed": True, "witness": None,
                      "n_components": len(pins)}
     else:
+      assert witness["integral"] == witness["defect"] != "0"
       assert rep == {"closed": False, "witness": witness}
       with pytest.raises(NotClosedError) as err:
         integrate(form, win, inter)
       assert err.value.witness == witness
-    # the slab kernel decides every valid case; the BFS only builds witnesses
-    if name == "one-way":
-      assert not solved
-    else:
-      assert solved and all((s is None) == (witness is not None)
-                            for s in solved)
+    # the slab kernel decides every case; the BFS only builds witnesses
+    assert solved and all((s is None) == (witness is not None)
+                          for s in solved)
   assert closed
 
 

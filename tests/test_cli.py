@@ -17,13 +17,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.calculus import (NotClosedError, differential, form_to_json,
-                                 from_callable, perturbed)
+from configcalc.calculus import (Form, NotClosedError, differential,
+                                 form_to_json, from_callable, perturbed)
 from configcalc.cli import main
 from configcalc.cohomology import (PairingNotWellDefined, SplittingInfeasible,
                                    compute_pairing, pairing_table_to_json)
 from configcalc.decomposition import InconsistentCocycle, NotShiftInvariant
-from configcalc.interactions import conserved_basis, exclusion
+from configcalc.interactions import conserved_basis, exclusion, glauber
 from configcalc.locales import Euclidean, box
 from configcalc.serialize import WitnessError
 
@@ -180,6 +180,40 @@ def test_closed_rejects_perturbed_with_witness(tmp_path):
   w = rep["closed"]["witness"]
   assert w["integral"] == w["defect"]
   assert w["integral"] != "0"
+
+
+def test_closed_and_integrate_certify_cycles_not_retraced_by_negation(
+    tmp_path):
+  """spin3's rotation under the ordered flux, and a one-cell perturbation of
+  the zero form under glauber: no return arc negates its tree step, and
+  both commands still report a witness whose integral is its defect."""
+  win, inter = box(Euclidean(1), (0,), (7,)), glauber()
+  bad = perturbed(Form(inter.n_states, inter.base), win, inter,
+                  ((1,), (0,)), {(1,): 0, (0,): 0}, Fraction(1, 4))
+  flip = {"locale": {"kind": "euclidean", "d": 1}, "interaction": "glauber",
+          "window": {"kind": "box", "lo": [0], "hi": [7]},
+          "form": form_to_json(bad, win)}
+  rotation = json.loads((DATA / "closed_spin3_line7.json").read_text())
+  for man, defect in ((rotation, "1"), (flip, "1/4")):
+    code, rep = run(tmp_path, man, "closed")
+    assert code == 1
+    w = rep["closed"]["witness"]
+    assert w["integral"] == w["defect"] == defect
+    code, rep = run(tmp_path, man, "integrate")
+    assert code == 1
+    assert rep["error"]["kind"] == "NotClosedError"
+    assert rep["error"]["witness"] == w
+
+
+def test_closed_and_integrate_refuse_a_rule_that_is_not_valid(tmp_path):
+  """(1, 0) -> (0, 0) is never undone, so no form has a potential: both
+  commands exit 2 naming the one-way transition, not a witness."""
+  man = json.loads((DATA / "closed_one_way_line3.json").read_text())
+  for command in ("closed", "integrate"):
+    code, rep = run(tmp_path, man, command)
+    assert code == 2
+    assert rep["error"]["kind"] == "InputError"
+    assert "no move undoes (0, 1) -> (0, 0)" in rep["error"]["message"]
 
 
 def test_integrate_differential(tmp_path):

@@ -1,13 +1,14 @@
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.configspace import (BudgetExceeded, _quantity_sums,
-                                    _site_sums, apply_edge, components,
+from configcalc.configspace import (BudgetExceeded, _fixed_slices,
+                                    _quantity_sums, _site_sums, apply_edge,
+                                    components,
                                     config_from_json, config_to_json,
                                     digits_from_sites, digits_of,
                                     exchange_path, fibers_report, index_of,
@@ -87,6 +88,26 @@ def test_site_sums_match_brute_force(radices):
   expected = [sum(t[d] for t, d in zip(tables, digits))
               for digits in product(*(range(s) for s in radices))]
   assert _site_sums(tables) == expected
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_fixed_slices_hold_exactly_the_fixed_digits(s):
+  """Every index whose digits match, once, for 0 to 3 fixed positions on up
+  to 6 sites, with slices both contiguous and strided."""
+  rng = random.Random(s)
+  steps = set()
+  for n in range(7):
+    configs = list(product(range(s), repeat=n))
+    indices = range(len(configs))
+    for k in range(min(n, 3) + 1):
+      for positions in combinations(range(n), k):
+        fixed = tuple((p, rng.randrange(s)) for p in positions)
+        slices = _fixed_slices(n, s, fixed)
+        steps.update(sl.step > 1 for sl in slices)
+        assert sorted(i for sl in slices for i in indices[sl]) == [
+            i for i, c in enumerate(configs)
+            if all(c[p] == d for p, d in fixed)], (n, fixed)
+  assert steps == {True, False}
 
 
 @pytest.mark.parametrize("name", ["multispecies:2", "spin3", "pair-flip"])
