@@ -4,10 +4,12 @@ The expansion tests pit the closed-form inclusion-exclusion against the
 defining recursion, computed here from scratch, on randomized functions.
 """
 
+import json
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -462,6 +464,44 @@ def test_not_closed_witness_matches_fraction_oracle(name):
     with pytest.raises(NotClosedError) as err:
       integrate(bad, win, inter)
     assert err.value.witness == want
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def manifest_form(name):
+  """The window, interaction and explicit form of a committed line manifest."""
+  man = json.loads((DATA / f"{name}.json").read_text())
+  win, inter = line(man["window"]["hi"][0] + 1), by_name(man["interaction"])
+  return win, inter, form_from_json(man["form"], win, inter)
+
+
+def far_box_form():
+  """A multispecies:2 omega-rho form on the 3 x 3 box, bumped on its last
+  edge at a cell that sets every site: the conflict is met in a component
+  late in seed order."""
+  win, inter = box(Euclidean(2), (0, 0), (2, 2)), multispecies(2)
+  basis = conserved_basis(inter)
+  omega = build_omega_rho([[Fraction(1, 3), Fraction(2, 7)],
+                           [Fraction(-2, 5), Fraction(1, 2)]],
+                          TranslationAction(Euclidean(2), ((1, 0), (0, 1))),
+                          ((0, 0),), win, inter, basis)
+  cell = {v: 2 for v in win.vertices}
+  cell[2, 2] = 1
+  return win, inter, perturbed(omega, win, inter, ((2, 1), (2, 2)), cell,
+                               Fraction(1, 7))
+
+
+@pytest.mark.parametrize("case", ["closed_glauber_line6",
+                                  "closed_multispecies2_line9_far", "box3x3"])
+def test_far_and_relaxed_witnesses_match_fraction_oracle(case):
+  """The witnesses of the committed glauber and far-conflict manifests, and
+  of a far conflict on a 3 x 3 box, against the Fraction oracle."""
+  win, inter, bad = far_box_form() if case == "box3x3" else manifest_form(case)
+  _, _, want = reference_scan(bad, win, inter)
+  assert want["integral"] == want["defect"] != "0"
+  assert len(want["cycle"]) > 2
+  assert is_closed(bad, win, inter)["witness"] == want
 
 
 def replayed_integral(witness, form, win, inter):

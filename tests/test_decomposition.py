@@ -915,6 +915,29 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
   assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
+# The sha256 of each ``closed`` report, taken before the witness cycle was
+# read off the breadth-first scan's own tree: spin3's two-step rotation
+# cycle, an 8-step cycle of a one-cell perturbed glauber differential, and a
+# 16-step cycle pinned at a component late in seed order (a multispecies:2
+# omega-rho form bumped at a cell that sets all nine sites).
+WITNESS_DIGESTS = {
+    "closed_glauber_line6":
+        "d36c95bef868dbd5058e63eda9cde1397bff4001dfce4eb04600d727bd98c0b3",
+    "closed_multispecies2_line9_far":
+        "bca9f98e50be0914e018609ff948f079c6253171bd7c67cd89df6d33c7e18828",
+    "closed_spin3_line7":
+        "5bcf2cc4a92dcd1ef8b58617340501ab9f82d500632a7c914f292d78302be265",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
+def test_witness_reports_keep_their_bytes(name, tmp_path):
+  out = tmp_path / "report.json"
+  assert main(["closed", "--manifest", str(DATA / f"{name}.json"),
+               "--out", str(out)]) == 1
+  assert hashlib.sha256(out.read_bytes()).hexdigest() == WITNESS_DIGESTS[name]
+
+
 # The sha256 of each report, taken before the slab kernel read wide forms.
 WIDE_SCAN_DIGESTS = {
     "decompose_glauber_square6":
