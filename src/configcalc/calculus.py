@@ -30,7 +30,7 @@ from math import gcd, lcm
 from .configspace import (DEFAULT_BUDGET, _fixed_slices, _move_slices,
                           _site_sums, _slab_solve, apply_edge, config_to_json,
                           digit_powers, digits_of, edge_positions,
-                          guard_budget, index_of, move_table)
+                          guard_budget, index_of)
 from .interactions import Interaction, check_validity
 from .linalg import _integer_row
 from .locales import Locale, Window
@@ -427,13 +427,16 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
   """Check the three structural form axioms on every stored edge.
 
   (1) edges that do not move a configuration carry value zero; (2) the value
-  flips sign when the move is undone across the reversed edge; (3) two edges
-  incident to a common site that produce the same move produce the same
-  value.  Returns the first witness of each kind, if any: the least
-  configuration index of the first edge in order.  Both are read off the
-  edge's move slices, the still ones for (1) and the fired ones for (2).
+  flips sign when the move (a, b) -> (c, d) is undone across the reversed
+  edge, where phi(d, c) = (b, a), and else across the edge itself (a rule
+  valid only in the relaxed sense); (3) two edges incident to a common site
+  that produce the same move produce the same value.  Returns the first
+  witness of each kind, if any: the least configuration index of the first
+  edge in order.  Both are read off the edge's move slices, the still ones
+  for (1) and the fired ones for (2).
   """
   vanish = alternation = None
+  own = [inter.apply(d, c) != (b, a) for a, b, c, d in inter.moved]
   for e, f in sorted(form.fns.items()):
     u, v = e
     support = tuple(sorted(set(f.support) | {u, v}))
@@ -442,13 +445,17 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
     vals = _over(f, support, denom)
     back = (0,) * len(vals) if rev is None else _over(rev, support, denom)
     fired, still = _edge_slices(support, e, inter)
+    # the table each fired slice is undone on (every move has as many slices)
+    undo = [vals if o else back for o in own
+            for _ in range(len(fired) // len(own))]
     hit = vanish is None and _least_hit(still, (vals[sl] for sl in still))
     if hit:
       vanish = {"edge": _edge_json(window, e),
                 "value": fraction_to_str(Fraction(vals[hit[0]], denom))}
     hit = alternation is None and _least_hit(
         [src for src, _ in fired],
-        (map(operator.add, vals[src], back[dst]) for src, dst in fired))
+        (map(operator.add, vals[src], t[dst]) for (src, dst), t
+         in zip(fired, undo)))
     if hit:
       idx, k = hit
       src, dst = fired[k]
@@ -456,7 +463,7 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
           "edge": _edge_json(window, e),
           "value": fraction_to_str(Fraction(vals[idx], denom)),
           "reversed_value": fraction_to_str(
-              Fraction(back[idx + dst.start - src.start], denom)),
+              Fraction(undo[k][idx + dst.start - src.start], denom)),
       }
 
   matching = _matching_witness(form, window, inter)
@@ -524,17 +531,6 @@ class NotClosedError(WitnessError):
   message = "form is not closed on this window"
 
 
-def _step_edge(window: Window, moves, n_states: int, source: int,
-                  target: int):
-  """The first directed edge whose move maps configuration index ``source``
-  to ``target``, or None."""
-  digits = digits_of(source, window.n_sites, n_states)
-  for e, (pu, pv, jumps) in zip(window.edges, moves):
-    if jumps[digits[pu] * n_states + digits[pv]] == target - source:
-      return e
-  return None
-
-
 def _potential_scan(form: Form, window: Window, inter: Interaction,
                     budget: int):
   """The potential of a form over the transition graph.
@@ -550,7 +546,8 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   window slab by slab, whatever the functions read.  Once it meets a cycle
   with a nonzero integral, a breadth-first scan builds the witness: seeds
   are the all-base configuration, then every unreached index in order; each
-  popped configuration tries the window edges in order.  A potential needs
+  popped configuration tries the window edges in order, and the scan
+  records the move that first reached each configuration.  A potential needs
   every move undone by some move, so an interaction that is not valid
   raises ``InputError`` naming its one-way transition.
   """
@@ -567,7 +564,8 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   for fn, e in zip(fns, window.edges):
     sites = e if set(fn.support) <= set(e) else tuple(sorted({*fn.support, *e}))
     reads.append((tuple(map(window.position, sites)), _over(fn, sites, denom)))
-  star = index_of((inter.base,) * n, digit_powers(n, s))
+  powers = digit_powers(n, s)
+  star = index_of((inter.base,) * n, powers)
   solved = _slab_solve(window, inter, reads)
   if solved is not None:
     values, labels, reps = solved
@@ -577,9 +575,12 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
       values = [v - shift if c == comp else v for v, c in zip(values, labels)]
     return (values, denom,
             [star] + [r for c, r in enumerate(reps) if c != comp], None)
-  moves = move_table(edge_positions(window), n, inter)
-  table = [(pu, pv, jumps, pos, nums, e) for (pu, pv, jumps), (pos, nums), e
-           in zip(moves, reads, window.edges)]
+  table = []  # per edge: its positions, the index jump of each pair, its read
+  for k, ((pu, pv), read) in enumerate(zip(edge_positions(window), reads)):
+    jumps = [None] * (s * s)
+    for a, b, c, d in inter.moved:
+      jumps[a * s + b] = (c - a) * powers[pu] + (d - b) * powers[pv]
+    table.append((pu, pv, jumps, *read, k))
   # The digits of an index, from small tables of its leading and trailing
   # halves.
   place = s ** (n - n // 2)
@@ -587,7 +588,7 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   tails = list(product(range(s), repeat=n - n // 2))
 
   values = [None] * total
-  parent = [None] * total
+  parent, via = [0] * total, [0] * total  # the move that first reached each
   for seed in chain((star,), range(total)):
     if values[seed] is not None:
       continue
@@ -597,72 +598,70 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
       idx = queue.popleft()
       val = values[idx]
       digits = heads[idx // place] + tails[idx % place]
-      for pu, pv, jumps, pos, nums, e in table:
+      for pu, pv, jumps, pos, nums, k in table:
         j = jumps[digits[pu] * s + digits[pv]]
         if j is None:
           continue
-        k = 0
+        r = 0
         for p in pos:
-          k = k * s + digits[p]
-        new = val + nums[k]
+          r = r * s + digits[p]
+        new = val + nums[r]
         jdx = idx + j
         old = values[jdx]
         if old is None:
           values[jdx] = new
-          parent[jdx] = idx
+          parent[jdx], via[jdx] = idx, k
           queue.append(jdx)
         elif old != new:
           return None, denom, None, _build_cycle(
-              form, window, inter, moves, parent, seed, idx, e, jdx,
-              Fraction(new - old, denom))
+              window, inter, table, (values, parent, via), seed, idx, k, jdx,
+              new, denom)
 
 
-def _build_cycle(form, window, inter, moves, parent, pin, idx, edge, jdx,
-                 defect):
-  """Assemble a closed walk with nonzero integral out of two BFS branches:
-  the tree path to ``idx``, the closing step to ``jdx``, and back to the pin
-  along jdx's tree path."""
+def _build_cycle(window, inter, table, tree, pin, idx, k, jdx, new, denom):
+  """A closed walk with nonzero integral out of the scan's tree: the tree
+  path from the pin to ``idx``, the closing step along edge number ``k``
+  (bringing numerator ``new`` to ``jdx``), and back along jdx's tree path.
+  ``tree`` holds the scan's numerators and the source and edge number of
+  the move that first reached each index; return arcs are read off
+  ``table``."""
+  values, parent, via = tree
   n, s = window.n_sites, inter.n_states
 
   def branch(to):
     steps = []
-    cur = to
-    while cur != pin and parent[cur] is not None:
-      prev = parent[cur]
-      # The scan reached ``cur`` by the first edge in order that moves there.
-      steps.append((prev, _step_edge(window, moves, s, prev, cur), cur))
-      cur = prev
-    return list(reversed(steps))
+    while to != pin:
+      steps.append((parent[to], via[to], values[to] - values[parent[to]], to))
+      to = parent[to]
+    return steps[::-1]
 
-  edge_index = {e: k for k, e in enumerate(window.edges)}
-  walk = branch(idx) + [(idx, edge, jdx)]
-  for prev, e, cur in reversed(branch(jdx)):
-    # Retrace along the reversed arc of the forward step, so that for forms
-    # satisfying the alternation axiom the return integral is exactly the
-    # negative of the outgoing one.  (Several arcs can realize the same
-    # transition; only the partner arc has that property.)
-    partner = (e[1], e[0])
-    pu, pv, jumps = moves[edge_index[partner]]
+  walk = branch(idx) + [(idx, k, new - values[idx], jdx)]
+  defect = new - values[jdx]
+  for prev, e, step, cur in reversed(branch(jdx)):
     digits = digits_of(cur, n, s)
-    if jumps[digits[pu] * s + digits[pv]] == prev - cur:
-      rev = partner
-    else:
-      rev = _step_edge(window, moves, s, cur, prev)
+    back = {f: nums[index_of([digits[p] for p in pos],
+                             digit_powers(len(pos), s))]
+            for pu, pv, jumps, pos, nums, f in table
+            if jumps[digits[pu] * s + digits[pv]] == prev - cur}
+    # Retrace along the reversed edge when it undoes the step (for forms
+    # satisfying the alternation axiom it undoes the step's value too),
+    # else along the first edge in order that does.
+    rev = window.edges.index(window.edges[e][::-1])
+    rev = rev if rev in back else min(back)
     # A return arc that does not undo its step's value closes a two-step
     # cycle whose integral is nonzero: that cycle is the witness.
-    loop = _path_integral(form, window,
-                          [(digits_of(prev, n, s), e), (digits, rev)])
-    if loop:
-      walk, defect = [(prev, e, cur), (cur, rev, prev)], loop
+    if step + back[rev]:
+      walk = [(prev, e, step, cur), (cur, rev, back[rev], prev)]
+      defect = step + back[rev]
       break
-    walk.append((cur, rev, prev))
+    walk.append((cur, rev, back[rev], prev))
 
-  steps = [(digits_of(source, n, s), e) for source, e, _target in walk]
   return {
-      "cycle": [{"config": config_to_json(window, inter, digits),
-                 "edge": _edge_json(window, e)} for digits, e in steps],
-      "integral": fraction_to_str(_path_integral(form, window, steps)),
-      "defect": fraction_to_str(defect),
+      "cycle": [{"config": config_to_json(window, inter, digits_of(src, n, s)),
+                 "edge": _edge_json(window, window.edges[e])}
+                for src, e, _, _ in walk],
+      "integral": fraction_to_str(Fraction(sum(w[2] for w in walk), denom)),
+      "defect": fraction_to_str(Fraction(defect, denom)),
   }
 
 
@@ -714,32 +713,34 @@ def perturbed(form: Form, window: Window, inter: Interaction, edge,
               cell_assignment: dict, delta) -> Form:
   """Bump one moved cell of one edge function by ``delta``.
 
-  The reversed edge is adjusted in the opposite direction on the image cell,
-  so the alternation axiom survives; closedness does not.  The cell is given
-  as a sparse {vertex: state_index} assignment and must be moved by the edge.
+  The orientation of the edge that undoes the move (the reversed edge where
+  it does, else the edge itself) is adjusted in the opposite direction on
+  the image cell, so the alternation axiom survives; closedness does not.
+  The cell is given as a sparse {vertex: state_index} assignment and must be
+  moved by the edge.
   """
   delta = Fraction(delta)
   u, v = edge
-  f = form.fn(edge) or constant(0, inter.n_states, inter.base)
-  rev = form.fn((v, u)) or constant(0, inter.n_states, inter.base)
-  common = tuple(sorted(set(f.support) | set(rev.support) | {u, v}
-                        | set(cell_assignment)))
-  pu, pv = common.index(u), common.index(v)
-  cell = tuple(cell_assignment.get(w, inter.base) for w in common)
-  moved = apply_edge(cell, pu, pv, inter)
-  if moved == cell:
+  a, b = (cell_assignment.get(w, inter.base) for w in edge)
+  c, d = inter.apply(a, b)
+  if (c, d) == (a, b):
     raise InputError("perturbation cell must be moved by the edge")
-  denom = lcm(f.denom, rev.denom, delta.denominator)
+  back = (v, u) if inter.apply(d, c) == (b, a) else edge
+  zero = constant(0, inter.n_states, inter.base)
+  fs = {e: form.fn(e) or zero for e in (edge, back)}
+  common = tuple(sorted({u, v, *cell_assignment,
+                         *chain.from_iterable(f.support for f in fs.values())}))
+  denom = lcm(*(f.denom for f in fs.values()), delta.denominator)
   step = delta.numerator * (denom // delta.denominator)
   powers = digit_powers(len(common), inter.n_states)
-  vals = list(_over(f, common, denom))
-  vals[index_of(cell, powers)] += step
-  rvals = list(_over(rev, common, denom))
-  rvals[index_of(moved, powers)] -= step
+  cell = tuple(cell_assignment.get(w, inter.base) for w in common)
+  moved = apply_edge(cell, common.index(u), common.index(v), inter)
+  tables = {e: list(_over(f, common, denom)) for e, f in fs.items()}
+  tables[edge][index_of(cell, powers)] += step
+  tables[back][index_of(moved, powers)] -= step
   fns = dict(form.fns)
-  fns[edge] = LocalFunction._exact(common, f.n_states, f.base, vals, denom)
-  fns[(v, u)] = LocalFunction._exact(common, rev.n_states, rev.base, rvals,
-                                     denom)
+  for e, vals in tables.items():
+    fns[e] = LocalFunction._exact(common, form.n_states, form.base, vals, denom)
   return Form(form.n_states, form.base, fns, form.radius)
 
 

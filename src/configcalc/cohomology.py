@@ -427,6 +427,13 @@ def _certificate(rows, pivots, inputs, j: int, n: int):
   return combo, rhs
 
 
+def _missed_cell(table: PairingTable, h: dict):
+  """The first cell (alpha, beta) where h(alpha) + h(beta) - h(alpha + beta)
+  is not the table's value, or None."""
+  return next((cell for cell, val in table.cells.items()
+               if h[cell[0]] + h[cell[1]] - h[_vec_add(*cell)] != val), None)
+
+
 def solve_splitting(table: PairingTable) -> dict:
   """Split the table as h(a) + h(b) - h(a+b), or raise with a certificate.
 
@@ -436,17 +443,13 @@ def solve_splitting(table: PairingTable) -> dict:
   """
   method = "chain-iteration"
   h = _chain_splitting(table)
-  if h is not None:
-    for (alpha, beta), val in table.cells.items():
-      if h[alpha] + h[beta] - h[_vec_add(alpha, beta)] != val:
-        h = None
-        break
-  if h is None:
+  if h is None or _missed_cell(table, h):
     method = "linear-solve"
     h = _linear_splitting(table)
-    for (alpha, beta), val in table.cells.items():
-      if h[alpha] + h[beta] - h[_vec_add(alpha, beta)] != val:
-        raise RuntimeError(f"linear splitting misses the cell {alpha}, {beta}")
+    missed = _missed_cell(table, h)
+    if missed:
+      raise RuntimeError("linear splitting misses the cell {}, {}".format(
+          *missed))
   zero = table.zero_vector()
   return {"h": h, "method": method,
           "pin": h.get(zero, ZERO), "domain": sorted(h)}

@@ -83,26 +83,6 @@ def edge_positions(window: Window) -> tuple:
   return tuple((window.position(u), window.position(v)) for u, v in window.edges)
 
 
-def move_table(epos, n_sites: int, inter: Interaction) -> tuple:
-  """Every transition of every directed edge as a mixed-radix index jump.
-
-  One entry ``(pu, pv, jumps)`` per edge position pair in ``epos``:
-  ``jumps[a * s + b]`` is the index delta ``(c - a) * p_u + (d - b) * p_v``
-  of the move ``(a, b) -> (c, d)`` the interaction makes across the edge,
-  or None where it leaves the pair in place.  A moved pair never has delta
-  zero, since the two positions carry different powers of ``s``.
-  """
-  s = inter.n_states
-  powers = digit_powers(n_sites, s)
-  table = []
-  for pu, pv in epos:
-    jumps = [None] * (s * s)
-    for a, b, c, d in inter.moved:
-      jumps[a * s + b] = (c - a) * powers[pu] + (d - b) * powers[pv]
-    table.append((pu, pv, tuple(jumps)))
-  return tuple(table)
-
-
 @lru_cache(maxsize=1024)
 def _fixed_slices(n_sites: int, s: int, fixed: tuple) -> tuple:
   """Slices of an index-ordered table over ``n_sites`` sites that hold

@@ -161,6 +161,16 @@ def test_closed_accepts_the_ordered_flux(tmp_path):
   assert rep["closed"]["n_components"] == 55
 
 
+def test_diff_under_a_relaxed_rule_satisfies_the_axioms(tmp_path):
+  """The indicator of state 1 at site 2 on line(5) under glauber: each
+  flip is undone across its own edge, where alternation pairs it."""
+  code, rep = run(tmp_path, json.loads(
+      (DATA / "diff_glauber_line5.json").read_text()), "diff")
+  assert code == 0
+  assert rep["axioms"] == {"ok": True, "vanishing": None, "alternation": None,
+                           "matching_targets": None}
+
+
 def _perturbed_form_json():
   loc = Euclidean(1)
   win = box(loc, (0,), (4,))
@@ -186,7 +196,10 @@ def test_closed_and_integrate_certify_cycles_not_retraced_by_negation(
     tmp_path):
   """spin3's rotation under the ordered flux, and a one-cell perturbation of
   the zero form under glauber: no return arc negates its tree step, and
-  both commands still report a witness whose integral is its defect."""
+  both commands still report a witness whose integral is its defect.
+  Glauber's flip across (1, 0) is undone by the same edge, so the bump's
+  -1/4 sits on (1, 0) at the image cell, where the two-step witness (flip
+  site 1 across (1, 2), back across (1, 0)) reads it."""
   win, inter = box(Euclidean(1), (0,), (7,)), glauber()
   bad = perturbed(Form(inter.n_states, inter.base), win, inter,
                   ((1,), (0,)), {(1,): 0, (0,): 0}, Fraction(1, 4))
@@ -194,7 +207,7 @@ def test_closed_and_integrate_certify_cycles_not_retraced_by_negation(
           "window": {"kind": "box", "lo": [0], "hi": [7]},
           "form": form_to_json(bad, win)}
   rotation = json.loads((DATA / "closed_spin3_line7.json").read_text())
-  for man, defect in ((rotation, "1"), (flip, "1/4")):
+  for man, defect in ((rotation, "1"), (flip, "-1/4")):
     code, rep = run(tmp_path, man, "closed")
     assert code == 1
     w = rep["closed"]["witness"]
