@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 
 from .calculus import (Form, LocalFunction, _combine, _mobius, _over,
                        _path_integral, _path_numerator, _piece, _subsets,
@@ -102,29 +102,25 @@ class TranslationAction:
     return len(self.generators)
 
   def shift_of(self, coeffs) -> tuple:
-    d = self.locale.coord_dim()
-    out = [0] * d
-    for c, g in zip(coeffs, self.generators):
-      for i in range(d):
-        out[i] += c * g[i]
-    return tuple(out)
+    return tuple(sum(map(mul, coeffs, col)) for col in zip(*self.generators))
 
-  def coeffs_of(self, delta) -> tuple | None:
-    """Integer coefficients expressing a coordinate vector, or None."""
-    ks = [sum(a * b for a, b in zip(row, delta)) for row in self._inverse]
-    if any(k % self._denom for k in ks):
-      return None
-    return tuple(k // self._denom for k in ks)
+  def reduce(self, x) -> tuple:
+    """``(coeffs, rep)``: the floor of x's coordinate in the generators, and
+    x moved back by that shift, so rep's coefficients lie in [0, 1).  Two
+    vertices share a rep exactly when a shift carries one to the other."""
+    c = self.locale.coord(x)
+    coeffs = tuple(sum(map(mul, row, c)) // self._denom
+                   for row in self._inverse)
+    return coeffs, self.locale.with_coord(
+        x, tuple(a - b for a, b in zip(c, self.shift_of(coeffs))))
 
   def act_vertex(self, x, shift):
     return self.locale.translate(x, shift)
 
   def coeffs_carrying(self, v, x) -> tuple | None:
     """Integer coefficients of the shift carrying ``v`` to ``x``, or None."""
-    cv, cx = self.locale.coord(v), self.locale.coord(x)
-    if self.locale.with_coord(v, cx) != x:
-      return None
-    return self.coeffs_of(tuple(a - b for a, b in zip(cx, cv)))
+    (kv, rv), (kx, rx) = self.reduce(v), self.reduce(x)
+    return tuple(a - b for a, b in zip(kx, kv)) if rv == rx else None
 
   def max_step(self) -> int:
     """Largest graph distance a single generator moves a vertex."""
@@ -392,42 +388,37 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
   """Per edge e, flux_e plus the sum over the translates tau f that meet e of
   nabla_e(tau f restricted to the window), trimmed.
 
-  The sum is translation-equivariant: if e' = sigma e, the window cuts the
-  translates meeting e' as it cuts those meeting e, and flux_e' is flux_e
-  translated by sigma, then the sum at e' is the sum at e translated by
-  sigma, the same table on a support moved in order.  So an edge is keyed by
-  its translate back by its first meeting shift, by the window membership of
-  every site of every meeting translate (in sorted-shift order), and by its
-  flux table on its support moved back by the same shift; the sum is
-  computed once per key, one gradient per translate, and translated to the
-  key's other edges.  A flux that does not translate (a basis the
-  interaction does not conserve) only splits the classes.
+  The sum is translation-equivariant: if e = sigma e0, the translates
+  meeting e are those meeting e0 moved by sigma, so the sum at e is fixed by
+  the orbit representative e0 (e moved back by the reduction of its tail),
+  by the sites of the translates meeting e0 that the window keeps once moved
+  back, and by e's flux table moved back.  The translates meeting e0 are
+  found once per orbit; the sum is built on e0 once per key, one gradient
+  per translate restricted to the kept sites, so no table exceeds the
+  window, and translated to each edge of the key, the same table on a
+  support moved in order.  A flux that does not translate (a basis the
+  interaction does not conserve) only splits the keys.
   """
-  sums, first = {}, {}
+  orbits, totals, sums = {}, {}, {}
   for e in edges:
-    meeting = translates_meeting(action, f, e)
-    c0 = meeting[0] if meeting else (0,) * action.rank
-    shifts = [action.shift_of(c) for c in meeting]
-    back = action.shift_of(tuple(-k for k in c0))
+    coeffs, rep = action.reduce(e[0])
+    shift = action.shift_of(coeffs)
+    back = tuple(-k for k in shift)
+    e0 = (rep, action.act_vertex(e[1], back))
+    if e0 not in orbits:
+      orbits[e0] = [translate_function(action, f, action.shift_of(c))
+                    for c in translates_meeting(action, f, e0)]
+    kept = tuple(y for g in orbits[e0] for y in g.support
+                 if action.act_vertex(y, shift) in win_set)
     fl = flux.fn(e)
-    key = (tuple(action.act_vertex(x, back) for x in e),
-           tuple(action.act_vertex(v, s) in win_set
-                 for s in shifts for v in f.support),
-           None if fl is None else (
-               tuple(action.act_vertex(x, back) for x in fl.support),
-               fl.nums, fl.denom))
-    if key in first:
-      c1, total = first[key]
-      sums[e] = translate_function(
-          action, total, action.shift_of(tuple(a - b for a, b in zip(c0, c1))))
-      continue
-    terms = [(1, gradient(restrict(translate_function(action, f, s), win_set),
-                          e, inter)) for s in shifts]
-    if fl is not None:
-      terms.append((1, fl))
-    total = trim(_combine(terms, inter.n_states, inter.base))
-    first[key] = (c0, total)
-    sums[e] = total
+    fl = () if fl is None else ((1, translate_function(action, fl, back)),)
+    key = (e0, kept, fl)
+    if key not in totals:
+      terms = [(1, gradient(restrict(g, kept), e0, inter))
+               for g in orbits[e0]]
+      totals[key] = trim(_combine(terms + list(fl), inter.n_states,
+                                  inter.base))
+    sums[e] = translate_function(action, totals[key], shift)
   return sums
 
 

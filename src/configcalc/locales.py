@@ -111,7 +111,10 @@ class Locale:
   def decode_vertex(self, obj):
     if not isinstance(obj, list):
       raise InputError(f"bad vertex encoding {obj!r}")
-    return tuple(manifest_int(c, "vertex coordinate") for c in obj)
+    x = tuple(manifest_int(c, "vertex coordinate") for c in obj)
+    if x not in self:
+      raise InputError(f"{obj!r} is not a vertex of locale {self.name}")
+    return x
 
 
 class LatticeLocale(Locale):

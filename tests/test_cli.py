@@ -646,6 +646,36 @@ def test_ill_typed_manifest_count_is_an_input_error(tmp_path, command,
   assert rep["error"]["kind"] == "InputError"
 
 
+SQUARE4 = dict(BASE, locale={"kind": "euclidean", "d": 2},
+               window={"kind": "box", "lo": [0, 0], "hi": [3, 3]})
+HEXAGONAL4 = dict(BASE, locale={"kind": "hexagonal"},
+                  window={"kind": "box", "lo": [0, 0], "hi": [3, 3]})
+
+
+@pytest.mark.parametrize("command,manifest,vertex", [
+    ("omega-rho", dict(SQUARE4, cocycle={"a": [["1", "2"]]},
+                       action={"generators": [[1, 0], [0, 1]]},
+                       domain=[[0]]), [0]),
+    ("omega-rho", dict(SQUARE4, cocycle={"a": [["1", "2"]]},
+                       action={"generators": [[1, 0], [0, 1]]},
+                       domain=[[0, 0, 5]]), [0, 0, 5]),
+    ("diff", dict(SQUARE4, function={"support": [[1]],
+                                     "values": ["0", "1"]}), [1]),
+    ("diff", dict(HEXAGONAL4, function={"support": [[0, 0, 7]],
+                                        "values": ["0", "1"]}), [0, 0, 7]),
+], ids=["domain-too-short", "domain-too-long", "support-too-short",
+        "hexagonal-flag"])
+def test_a_vertex_outside_the_locale_is_an_input_error(tmp_path, command,
+                                                       manifest, vertex):
+  # Each vertex has the wrong shape for its locale; read as a tuple anyway,
+  # it drops every vertical flux or leaves an empty form.
+  code, rep = run(tmp_path, manifest, command)
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+  assert rep["error"]["message"] == (
+      f"{vertex!r} is not a vertex of locale {manifest['locale']['kind']}")
+
+
 # Small valid manifests covering every kind of input the commands read.
 FUZZ_MANIFESTS = [
     ("consv", {"interaction": "exclusion"}),

@@ -61,14 +61,14 @@ def test_translation_action_basics():
   act = TranslationAction(Euclidean(2), ((1, 0), (0, 1)))
   assert act.rank == 2
   assert act.shift_of((2, -1)) == (2, -1)
-  assert act.coeffs_of((3, 4)) == (3, 4)
+  assert act.coeffs_carrying((0, 0), (3, 4)) == (3, 4)
   assert act.act_vertex((2, -1), (1, 1)) == (3, 0)
   # sublattice action: only even shifts along the first axis
   sub = TranslationAction(Euclidean(2), ((2, 0), (0, 1)))
-  assert sub.coeffs_of((4, 1)) == (2, 1)
-  assert sub.coeffs_of((3, 0)) is None
-  assert sub.coeffs_of((1, 0)) is None
-  assert sub.coeffs_of((2, 0)) == (1, 0)
+  assert sub.coeffs_carrying((0, 0), (4, 1)) == (2, 1)
+  assert sub.coeffs_carrying((0, 0), (3, 0)) is None
+  assert sub.coeffs_carrying((0, 0), (1, 0)) is None
+  assert sub.coeffs_carrying((0, 0), (2, 0)) == (1, 0)
 
 
 def fraction_solve(gens, delta):
@@ -91,11 +91,53 @@ def test_coeffs_of_matches_a_fraction_solve(entries, delta):
   assume(gens[0][0] * gens[1][1] != gens[1][0] * gens[0][1])
   act = TranslationAction(Euclidean(2), gens)
   want = fraction_solve(gens, delta)
-  got = act.coeffs_of(delta)
+  got = act.coeffs_carrying((0, 0), delta)
   assert got == want
   if got is not None:
     assert all(type(k) is int for k in got)
     assert act.shift_of(got) == delta
+
+
+def fraction_coords(gens, c):
+  """The coefficients of c in the generators as Fractions: a quotient in
+  one dimension, Cramer's rule in two."""
+  if len(c) == 1:
+    return (Fraction(c[0], gens[0][0]),)
+  (a, c0), (b, d) = gens
+  det = a * d - b * c0
+  return (Fraction(c[0] * d - b * c[1], det),
+          Fraction(a * c[1] - c[0] * c0, det))
+
+
+REDUCE_ACTIONS = (
+    [TranslationAction(Euclidean(1), ((g,),)) for g in (1, 2, 3, -4)]
+    + [TranslationAction(locale, gens) for locale in (Triangular(), Hexagonal())
+       for gens in (((1, 0), (0, 1)), ((2, 0), (0, 1)))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reduce_moves_a_vertex_into_the_unit_cell(data):
+  if data.draw(st.booleans()):
+    entries = data.draw(st.lists(st.integers(-5, 5), min_size=4, max_size=4))
+    gens = (tuple(entries[:2]), tuple(entries[2:]))
+    assume(gens[0][0] * gens[1][1] != gens[1][0] * gens[0][1])
+    act = TranslationAction(Euclidean(2), gens)
+  else:
+    act = data.draw(st.sampled_from(REDUCE_ACTIONS))
+  locale, d = act.locale, act.locale.coord_dim()
+  x = data.draw(st.tuples(*[st.integers(-15, 15)] * d))
+  if isinstance(locale, Hexagonal):
+    x += (data.draw(st.integers(0, 1)),)
+  c = data.draw(st.tuples(*[st.integers(-4, 4)] * d))
+  coeffs, rep = act.reduce(x)
+  assert all(type(k) is int for k in coeffs)
+  assert rep in locale and rep[d:] == x[d:]  # the honeycomb keeps its flag
+  assert act.act_vertex(rep, act.shift_of(coeffs)) == x
+  assert all(0 <= k < 1 for k in fraction_coords(act.generators,
+                                                 locale.coord(rep)))
+  moved = act.act_vertex(x, act.shift_of(c))
+  assert act.reduce(moved) == (tuple(a + b for a, b in zip(coeffs, c)), rep)
 
 
 def test_translation_action_rejects_wrong_generator_count():
@@ -351,6 +393,55 @@ def test_translate_gradient_sums_match_the_per_edge_sum(case, monkeypatch):
     assert ok["ok"] and ok["max_abs_residual"] == "0"
     assert not perturbed["ok"] and perturbed["max_abs_residual"] != "0"
     assert perturbed["witness"] is not None
+
+
+# (window, action, domain, support of f): every window edge of the even
+# action's odd rows meets no translate of f
+ORBIT_CASES = {
+    "line9": (line(9), Z_ACTION, ((0,),), ((0,), (1,))),
+    "square9": (square(9), SQUARE, ((0, 0),), ((0, 0), (1, 0))),
+    "square9-even": (square(9),
+                     TranslationAction(Euclidean(2), ((2, 0), (0, 2))),
+                     ((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 0), (1, 0))),
+    "hexagonal5": (box(Hexagonal(), (0, 0), (4, 4)),
+                   TranslationAction(Hexagonal(), ((1, 0), (0, 1))),
+                   ((0, 0, 0), (0, 0, 1)), ((0, 0, 0), (0, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("case,meetings,combines", [
+    ("line9", 2, 6), ("square9", 4, 12), ("square9-even", 16, 22),
+    ("hexagonal5", 6, 6)])
+def test_translate_gradient_sums_find_the_translates_once_per_orbit(
+    case, meetings, combines, monkeypatch):
+  # One translates_meeting call per orbit of directed edges, and one sum
+  # per (orbit, window cut, flux) key, equal to the sums built edge by edge.
+  win, act, domain, support = ORBIT_CASES[case]
+  inter = multispecies(2)
+  basis = conserved_basis(inter)
+  a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
+            for k in range(len(basis)))
+  flux = build_omega_rho(a, act, domain, win, inter, basis)
+  f = _vanishing_at_base(support, inter)
+  calls = Counter()
+
+  def spy(name):
+    real = getattr(decomposition, name)
+
+    def counted(*args):
+      calls[name] += 1
+      return real(*args)
+    monkeypatch.setattr(decomposition, name, counted)
+
+  spy("translates_meeting")
+  spy("_combine")
+  win_set = set(win.vertices)
+  sums = decomposition._translate_gradient_sums(act, f, win.edges, win_set,
+                                                inter, flux)
+  assert calls == {"translates_meeting": meetings, "_combine": combines}
+  monkeypatch.undo()
+  assert sums == per_edge_translate_gradients(act, f, win.edges, win_set,
+                                              inter, flux)
 
 
 def gather_omega_rho(a, action, domain, window, inter, basis):
@@ -903,8 +994,10 @@ DATA = Path(__file__).parent / "data"
 def test_cli_reports_keep_their_bytes(name, tmp_path):
   """The sha256 of each committed manifest's report, as recorded before the
   decomposition learnt to integrate only where it reads (the ``diff``
-  report: before the gradient read move slices).  A manifest runs the
-  command its name starts with."""
+  report: before the gradient read move slices; the two ``_coarse``
+  decompositions, whose actions step by two sites along the first axis: at
+  commit 4aaa1b0, before the translate sums were keyed by edge orbit).  A
+  manifest runs the command its name starts with."""
   want = json.loads((DATA / "report_digests.json").read_text())[name]
   out = tmp_path / "report.json"
   if name == "counterexample":
