@@ -167,8 +167,6 @@ def _depends_on(nums, n_sites: int, s: int, k: int) -> bool:
 def trim(f: LocalFunction) -> LocalFunction:
   """Drop support sites the table does not actually depend on."""
   n = len(f.support)
-  if n == 0:
-    return f
   s = f.n_states
   keep = [k for k in range(n) if _depends_on(f.nums, n, s, k)]
   if len(keep) == n:

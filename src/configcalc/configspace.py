@@ -191,13 +191,15 @@ def _quantity_sums(sites, basis, n_states: int, counted=None):
   return zip(*columns)
 
 
-def _unconserved_move(inter: Interaction, basis):
-  """The first move (a, b, c, d) of the interaction that changes a basis
-  quantity's sum over the pair, or None when every move conserves them."""
-  for a, b, c, d in inter.moved:
+def _require_conserved(inter: Interaction, basis) -> None:
+  """Refuse a basis that a move of the interaction does not conserve,
+  naming the first such move in ``(a, b)`` order."""
+  for move in inter.moved:
+    a, b, c, d = move
     if any(vec[a] + vec[b] != vec[c] + vec[d] for vec in basis):
-      return a, b, c, d
-  return None
+      a, b, c, d = (inter.states[k] for k in move)
+      raise InputError(
+          f"the basis is not conserved by the move {(a, b)} -> {(c, d)}")
 
 
 def quantity_to_json(qvec) -> list:
@@ -335,11 +337,7 @@ def fibers_report(window: Window, inter: Interaction, basis,
   mutually unreachable configurations with equal quantities.
   """
   s = inter.n_states
-  move = _unconserved_move(inter, basis)
-  if move is not None:
-    a, b, c, d = (inter.states[k] for k in move)
-    raise InputError(
-        f"the basis is not conserved by the move {(a, b)} -> {(c, d)}")
+  _require_conserved(inter, basis)
   _, reps = components(window, inter, budget)
   # quantity -> least members of its components, in increasing order
   fiber_components = {}

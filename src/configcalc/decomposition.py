@@ -34,7 +34,7 @@ from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (DEFAULT_BUDGET, _site_sums, _unconserved_move,
+from .configspace import (DEFAULT_BUDGET, _require_conserved, _site_sums,
                           digits_from_sites, exchange_path, guard_budget,
                           rearrangement_path)
 from .interactions import (Interaction, check_exchangeability,
@@ -169,7 +169,10 @@ def tile_of(action: TranslationAction, x, domain) -> tuple:
 
 def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
   """Per window site x, the one-site function d -> sum_i w_i(x) basis[i][d],
-  where w_i(x) = sum_j a[i][j] tau(x)_j weighs quantity i by x's tile index."""
+  where w_i(x) = sum_j a[i][j] tau(x)_j weighs quantity i by x's tile index.
+  A basis that some move does not conserve is refused, as ``fibers_report``
+  refuses it, so the flux of ``build_omega_rho`` is translation-equivariant."""
+  _require_conserved(inter, basis)
   if len(a_matrix) != len(basis):
     raise InputError("cocycle matrix needs one row per conserved quantity")
   if any(len(row) != action.rank for row in a_matrix):
@@ -208,7 +211,8 @@ def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
 def build_omega_rho(a_matrix, action: TranslationAction, domain,
                     window: Window, inter: Interaction, basis) -> Form:
   """The canonical flux form of the matrix ``a``: each jump moves quantity
-  between tiles weighted by the tile indices.  Radius zero by construction.
+  between tiles weighted by the tile indices.  Radius zero by construction;
+  a basis that the moves do not conserve is refused (``_site_weights``).
 
   The flux across (u, v) is the gradient of theta_u + theta_v, read off the
   interaction's moves: at the pair (a, b) with (c, d) = phi(a, b) it is
@@ -271,8 +275,6 @@ def is_shift_invariant(form: Form, window: Window, inter: Interaction,
       if u not in inner or v not in inner:
         continue
       u0, v0 = action.act_vertex(u, back), action.act_vertex(v, back)
-      if u0 not in window or v0 not in window:
-        continue
       f1 = form.fn((u, v)) or zero
       f0 = form.fn((u0, v0)) or zero
       shifted = translate_function(action, f0, g)
@@ -389,15 +391,15 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
   nabla_e(tau f restricted to the window), trimmed.
 
   The sum is translation-equivariant: if e = sigma e0, the translates
-  meeting e are those meeting e0 moved by sigma, so the sum at e is fixed by
-  the orbit representative e0 (e moved back by the reduction of its tail),
-  by the sites of the translates meeting e0 that the window keeps once moved
-  back, and by e's flux table moved back.  The translates meeting e0 are
-  found once per orbit; the sum is built on e0 once per key, one gradient
-  per translate restricted to the kept sites, so no table exceeds the
-  window, and translated to each edge of the key, the same table on a
-  support moved in order.  A flux that does not translate (a basis the
-  interaction does not conserve) only splits the keys.
+  meeting e are those meeting e0 moved by sigma, and the flux at e is the
+  flux at e0 moved by sigma (the basis is conserved, ``_site_weights``).  So
+  the sum at e is fixed by the orbit representative e0 (e moved back by the
+  reduction of its tail) and by the sites of the translates meeting e0 that
+  the window keeps once moved back.  The translates meeting e0 are found
+  once per orbit; the sum is built on e0 once per key, one gradient per
+  translate restricted to the kept sites, so no table exceeds the window,
+  plus the flux of the key's first edge moved back, and translated to each
+  edge of the key, the same table on a support moved in order.
   """
   orbits, totals, sums = {}, {}, {}
   for e in edges:
@@ -410,14 +412,13 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
                     for c in translates_meeting(action, f, e0)]
     kept = tuple(y for g in orbits[e0] for y in g.support
                  if action.act_vertex(y, shift) in win_set)
-    fl = flux.fn(e)
-    fl = () if fl is None else ((1, translate_function(action, fl, back)),)
-    key = (e0, kept, fl)
+    key = (e0, kept)
     if key not in totals:
       terms = [(1, gradient(restrict(g, kept), e0, inter))
                for g in orbits[e0]]
-      totals[key] = trim(_combine(terms + list(fl), inter.n_states,
-                                  inter.base))
+      if (fl := flux.fn(e)) is not None:
+        terms.append((1, translate_function(action, fl, back)))
+      totals[key] = trim(_combine(terms, inter.n_states, inter.base))
     sums[e] = translate_function(action, totals[key], shift)
   return sums
 
@@ -493,16 +494,16 @@ def form_restricted(form: Form, sub: Window) -> Form:
 def _fibers_are_multisets(win: Window, inter: Interaction, basis) -> bool:
   """Are the transition components of ``win`` its state multisets?
 
-  They are when the window is connected, every move conserves the basis,
-  every pair of states has an exchange witness, and the states' quantity
-  vectors, less the base's, have rank |S| - 1: every rearrangement is then
-  reachable, the quantity is constant on components, and it fixes the state
+  They are when the window is connected, every pair of states has an
+  exchange witness, and the states' quantity vectors, less the base's, have
+  rank |S| - 1: every rearrangement is then reachable, and the quantity,
+  constant on components (the one caller, ``varadhan_decompose``, built
+  omega_rho first, which refuses an unconserved basis), fixes the state
   counts.
   """
   s, base = inter.n_states, inter.base
   if (not win.is_connected()
-      or not check_exchangeability(inter)["exchangeable"]
-      or _unconserved_move(inter, basis) is not None):
+      or not check_exchangeability(inter)["exchangeable"]):
     return False
   rows = [dict(enumerate(vec[d] - vec[base] for vec in basis))
           for d in range(s) if d != base]

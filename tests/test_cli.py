@@ -392,6 +392,19 @@ def test_omega_rho_invariant(tmp_path):
   assert rep["cocycle"]["a"] == [["1/2"]]
 
 
+def test_omega_rho_refuses_a_domain_that_does_not_tile(tmp_path):
+  # the even shifts of one vertex miss every odd vertex
+  man = dict(BASE,
+             window={"kind": "box", "lo": [0], "hi": [5]},
+             cocycle={"a": [["1/2"]]},
+             action={"generators": [[2]]},
+             domain=[[0]])
+  code, rep = run(tmp_path, man, "omega-rho")
+  assert code == 2
+  assert rep["error"]["message"] == (
+      "vertex (1,) is not covered by the domain tiling")
+
+
 def test_delta_recovers_cocycle(tmp_path):
   man = dict(BASE,
              window={"kind": "box", "lo": [0], "hi": [6]},
@@ -447,6 +460,36 @@ def test_decompose_refuses_pinned_form(tmp_path):
   assert rep["error"]["kind"] in ("NotShiftInvariant", "InconsistentCocycle")
 
 
+def test_pairing_default_probes_need_a_lattice_locale(tmp_path):
+  line = {"kind": "euclidean", "d": 1}
+  man = dict(BASE,
+             locale={"kind": "product", "factors": [line, line]},
+             window={"kind": "ball", "center": [[0], [0]], "radius": 3},
+             function={"support": [[[0], [0]]], "values": ["0", "1"]})
+  code, rep = run(tmp_path, man, "pairing")
+  assert code == 2
+  assert rep["error"]["message"] == (
+      "default probes need a lattice locale, not product; "
+      "supply explicit probes")
+
+
+def test_decompose_on_a_split_locale_needs_explicit_probes(tmp_path):
+  man = dict(BASE,
+             locale={"kind": "n-neighbor", "d": 1, "n": 2},
+             window={"kind": "box", "lo": [0], "hi": [6]},
+             function={"support": [[0], [1]],
+                       "values": ["0", "0", "0", "1/2"]},
+             form={"builtin": "synthesized"},
+             cocycle={"a": [["-2/3"]]},
+             action={"generators": [[1]]},
+             domain=[[0]])
+  code, rep = run(tmp_path, man, "decompose")
+  assert code == 2
+  assert rep["error"]["message"] == (
+      "no probe orientation convention for split locale n-neighbor; "
+      "supply explicit probes")
+
+
 def test_counterexample_needs_no_manifest(tmp_path, capsys):
   out = tmp_path / "ce.json"
   code = main(["counterexample", "--out", str(out)])
@@ -468,6 +511,16 @@ def test_transfer_classifications(tmp_path):
                   "transfer")
   assert code == 0
   assert rep["transferability"]["classification"] == "weakly-only"
+
+
+def test_transfer_without_a_probe_anchor_is_unknown(tmp_path):
+  locale = {"kind": "product",
+            "factors": [{"kind": "free-group"}, {"kind": "euclidean", "d": 1}]}
+  code, rep = run(tmp_path, {"locale": locale}, "transfer")
+  assert code == 0
+  report = rep["transferability"]
+  assert report["classification"] == "unknown"
+  assert report["evidence"] == {"reason": "no probe anchor"}
 
 
 def test_reports_are_deterministic(tmp_path):

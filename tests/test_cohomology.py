@@ -47,6 +47,23 @@ def quadratic_table(n_sites=13):
   return compute_pairing(f, win, inter, basis, radius=5), basis
 
 
+@pytest.mark.parametrize("probes,budget,message", [
+    ([(((0,), (1,)), ((1,), (5,)))], 200_000, "probe sets overlap"),
+    ([(((0,),), ((1,),))], 200_000,
+     "probe pair at distance 1 is not separated beyond 1"),
+    ([(((0,), (1,), (2,)), ((6,), (7,), (8,)))], 32,
+     "probe pair over 6 sites exceeds budget")])
+def test_explicit_probes_are_checked_before_they_are_read(probes, budget,
+                                                          message):
+  win = line(9)
+  inter = exclusion()
+  f = from_callable(win.vertices, inter.n_states, inter.base,
+                    lambda d: Fraction(sum(d)))
+  with pytest.raises(InputError) as err:
+    compute_pairing(f, win, inter, conserved_basis(inter), 1, probes, budget)
+  assert str(err.value) == message
+
+
 def test_quadratic_defect_pairing_cells():
   table, basis = quadratic_table()
   # alpha, beta run over particle counts encoded as quantity tuples

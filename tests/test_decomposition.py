@@ -24,7 +24,8 @@ from configcalc.calculus import (Form, _combine, differential, form_add,
                                  restrict, scale, support_diameter, trim)
 from configcalc.cli import main
 from configcalc.cohomology import PairingNotWellDefined, default_probes
-from configcalc.configspace import apply_edge, config_from_json, digits_of
+from configcalc.configspace import (apply_edge, config_from_json, digits_of,
+                                    fibers_report)
 from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       NotShiftInvariant, TranslationAction,
                                       _centered_subwindow, _verify_identity,
@@ -195,6 +196,26 @@ def test_theta_profile_differential_is_omega_rho():
       assert (x or y).is_zero(), e
     else:
       assert functions_equal(x, y), e
+
+
+def test_flux_refuses_a_basis_the_moves_do_not_conserve():
+  # spin3 rotates the states, so this basis changes under its moves: the
+  # flux, the synthesized form and theta refuse it as fibers_report does.
+  win, inter = line(9), spin3()
+  basis = ((1, 0, 1), (-1, 0, 1))
+  a = ((Fraction(1, 2),), (Fraction(-1, 3),))
+  domain = ((0,),)
+  f = _vanishing_at_base(((0,), (1,)), inter)
+  with pytest.raises(InputError) as want:
+    fibers_report(win, inter, basis)
+  assert "not conserved by the move" in str(want.value)
+  for build in (
+      lambda: build_omega_rho(a, Z_ACTION, domain, win, inter, basis),
+      lambda: synthesized_form(f, a, Z_ACTION, domain, win, inter, basis),
+      lambda: theta_profile(a, Z_ACTION, domain, win, inter, basis)):
+    with pytest.raises(InputError) as got:
+      build()
+    assert str(got.value) == str(want.value)
 
 
 def test_theta_profile_translation_defect_is_the_quantity():
@@ -415,7 +436,7 @@ ORBIT_CASES = {
 def test_translate_gradient_sums_find_the_translates_once_per_orbit(
     case, meetings, combines, monkeypatch):
   # One translates_meeting call per orbit of directed edges, and one sum
-  # per (orbit, window cut, flux) key, equal to the sums built edge by edge.
+  # per (orbit, window cut) key, equal to the sums built edge by edge.
   win, act, domain, support = ORBIT_CASES[case]
   inter = multispecies(2)
   basis = conserved_basis(inter)
@@ -442,6 +463,34 @@ def test_translate_gradient_sums_find_the_translates_once_per_orbit(
   monkeypatch.undo()
   assert sums == per_edge_translate_gradients(act, f, win.edges, win_set,
                                               inter, flux)
+
+
+@pytest.mark.parametrize("case,of_f,flux_moves", [
+    ("line9", 6, 6), ("square9", 14, 12), ("square9-even", 14, 12),
+    ("hexagonal5", 10, 4)])
+def test_translate_gradient_sums_move_each_flux_back_once_per_key(
+    case, of_f, flux_moves, monkeypatch):
+  # translate_function moves f to each meeting translate once per orbit,
+  # each key's sum forward once per edge, and a flux back at most once per
+  # (orbit, window cut) key (6/12/22/6 keys), not once per flux edge
+  # (16/288/144/80).
+  win, act, domain, support = ORBIT_CASES[case]
+  inter = multispecies(2)
+  basis = conserved_basis(inter)
+  a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
+            for k in range(len(basis)))
+  flux = build_omega_rho(a, act, domain, win, inter, basis)
+  f = _vanishing_at_base(support, inter)
+  moved = []
+
+  def translate(action, g, shift):
+    moved.append(g)
+    return translate_function(action, g, shift)
+  monkeypatch.setattr(decomposition, "translate_function", translate)
+  decomposition._translate_gradient_sums(act, f, win.edges, set(win.vertices),
+                                         inter, flux)
+  n_f = sum(g is f for g in moved)
+  assert (n_f, len(moved) - n_f - len(win.edges)) == (of_f, flux_moves)
 
 
 def gather_omega_rho(a, action, domain, window, inter, basis):
@@ -527,9 +576,8 @@ FOLD_CASES = {
         SQUARE_SUPPORTS[1:], None),
     "hexagonal5-exclusion": GRADIENT_SUM_CASES["hexagonal5-exclusion"]
                             + (None,),
-    # theta's flux does not translate when the moves change the quantity
-    "line9-spin3-unconserved": (line(9), "spin3", Z_ACTION, ((0,),),
-                                LINE_SUPPORTS, ((1, 0, 1), (-1, 0, 1))),
+    # a rotating rule whose base is not the first state
+    "line9-spin3": (line(9), "spin3", Z_ACTION, ((0,),), LINE_SUPPORTS, None),
 }
 
 
