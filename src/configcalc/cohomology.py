@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import sub
 
 from .calculus import (Form, LocalFunction, _over, is_uniform,
-                       restrict, uniformity_criterion)
-from .configspace import _quantity_sums, quantity_to_json
+                       uniformity_criterion)
+from .configspace import (_quantity_sums, _site_sums, digit_powers,
+                          quantity_to_json)
 from .interactions import Interaction
 from .linalg import rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
@@ -145,16 +147,48 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
   """
   if probes is None:
     probes = default_probes(window, inter, radius, probe_budget=probe_budget)
-  return _pairing(lambda union: restrict(f, union), f.denom, window, inter,
-                  basis, radius, probes, probe_budget)
+  return _pairing(lambda union: f, f.denom, window, inter, basis, radius,
+                  probes, probe_budget)
+
+
+def _half(sites, place: dict, basis, s: int, base: int):
+  """One probe half enumerated on its own, in its index order: the offset
+  of each of its configurations into the union table (``place`` holds each
+  union site's place), their raw quantity sums, and the offset of the
+  half's all-base configuration."""
+  offsets = _site_sums([range(0, s * place[x], place[x]) for x in sites])
+  return (offsets, list(_quantity_sums(sites, basis, s)),
+          base * sum(place[x] for x in sites))
+
+
+def _leads(offsets, quantities) -> dict:
+  """quantity -> least offset of a configuration carrying it."""
+  lead = {}
+  for o, q in zip(offsets, quantities):
+    if lead.get(q, o) >= o:
+      lead[q] = o
+  return lead
 
 
 def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
              radius: int, probes, probe_budget: int = 200_000) -> PairingTable:
-  """The pairing loop of ``compute_pairing``.  ``read(union)`` is the
-  function on each probe pair's union (sites outside it at base), with a
-  denominator dividing ``denom``; it is called after the pair is checked."""
+  """The pairing loop of ``compute_pairing``.  ``read(union)`` is a
+  function that agrees with f wherever the sites outside each probe pair's
+  union sit at base, with a denominator dividing ``denom``; it is called
+  after the pair is checked.
+
+  Each probe reads its union table W once and enumerates its two halves on
+  their own: configuration i of ``first`` sits at offset pf[i] of W and
+  configuration j of ``second`` at ps[j], so the defect is
+  W[pf[i] + ps[j]] - W[pf[i] + ps[base]] - W[pf[base] + ps[j]].  The probe
+  is consistent iff every alpha class of ``first`` meets each beta class
+  of ``second`` at one defect.  A cell first appears in union index order
+  at the least pf of its alpha class plus the least ps of its beta class,
+  and new cells are kept in that order.  On any disagreement the probe is
+  walked again in union index order, to name its first conflict.
+  """
   locale = window.locale
+  s = inter.n_states
   table = PairingTable(basis=tuple(basis), radius=radius)
   cells = {}  # (alpha, beta) as raw quantity sums -> numerator over denom
   provenance = {}
@@ -167,39 +201,82 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
       raise InputError(
           f"probe pair at distance {dist} is not separated beyond {radius}")
     union = tuple(sorted(first + second))
-    if inter.n_states ** len(union) > probe_budget:
+    if s ** len(union) > probe_budget:
       raise InputError(f"probe pair over {len(union)} sites exceeds budget")
-    table.probes.append({
+    record = {
         "first": [locale.encode_vertex(v) for v in first],
         "second": [locale.encode_vertex(v) for v in second],
         "distance": dist,
-    })
-    f = read(union)
-    # Every table runs over the configurations of the union in index order,
-    # as numerators over the common denominator.
-    rows = zip(_quantity_sums(union, basis, inter.n_states, first),
-               _quantity_sums(union, basis, inter.n_states, second),
-               _over(f, union, denom), _over(restrict(f, first), union, denom),
-               _over(restrict(f, second), union, denom))
-    for alpha, beta, whole, on_first, on_second in rows:
-      defect = whole - on_first - on_second
-      key = (alpha, beta)
-      if key in cells:
-        if cells[key] != defect:
-          raise PairingNotWellDefined({
-              "cell": {"a": quantity_to_json(alpha), "b": quantity_to_json(beta)},
-              "values": [fraction_to_str(Fraction(cells[key], denom)),
-                         fraction_to_str(Fraction(defect, denom))],
-              "probes": [provenance[key], table.probes[-1]],
-          })
+    }
+    table.probes.append(record)
+    whole = _over(read(union), union, denom)
+    place = dict(zip(union, digit_powers(len(union), s)))
+    pf, qf, f_base = _half(first, place, basis, s, inter.base)
+    ps, qs, s_base = _half(second, place, basis, s, inter.base)
+    betas = {}  # beta -> dense id
+    beta_ids = [betas.setdefault(q, len(betas)) for q in qs]
+    on_second = list(map(whole.__getitem__, map(f_base.__add__, ps)))
+    # one slice of W per row where the second half's offsets step evenly
+    step = ps[1] - ps[0] if len(ps) > 1 else 1
+    even = step > 0 and ps == list(range(ps[0], ps[0] + step * len(ps), step))
+    classes = {}  # alpha -> {(beta id, defect)}
+    for o, alpha in zip(pf, qf):
+      if even:
+        row = whole[o + ps[0]:o + ps[0] + step * len(ps):step]
       else:
-        cells[key] = defect
-        provenance[key] = table.probes[-1]
+        row = map(whole.__getitem__, map(o.__add__, ps))
+      row = map(sub, row, on_second)
+      c = whole[o + s_base]
+      classes.setdefault(alpha, set()).update(
+          [(b, k - c) for b, k in set(zip(beta_ids, row))])
+    keys = list(betas)
+    fresh = []  # (first union index, cell, defect)
+    a_lead, b_lead = _leads(pf, qf), _leads(ps, qs)
+    for alpha, seen in classes.items():
+      consistent = len(seen) == len(keys)
+      for b, k in seen:
+        key = (alpha, keys[b])
+        if key not in cells:
+          fresh.append((a_lead[alpha] + b_lead[keys[b]], key, k))
+        elif cells[key] != k:
+          consistent = False
+      if not consistent:
+        _raise_first_conflict(cells, provenance, record, denom, whole,
+                              (pf, qf, f_base), (ps, qs, s_base))
+    for _, key, k in sorted(fresh):
+      cells[key] = k
+      provenance[key] = record
   vectors = {q for key in cells for q in key}
   shared = {q: tuple(map(Fraction, q)) for q in vectors}
-  table.cells = {(shared[alpha], shared[beta]): Fraction(k, denom)
+  values = {k: Fraction(k, denom) for k in set(cells.values())}
+  table.cells = {(shared[alpha], shared[beta]): values[k]
                  for (alpha, beta), k in cells.items()}
   return table
+
+
+def _raise_first_conflict(cells, provenance, record, denom: int, whole,
+                          first, second):
+  """Walk one probe in union index order against the cells of the earlier
+  probes, as a single pass over the union would, and raise
+  ``PairingNotWellDefined`` at the first cell that meets two values."""
+  (pf, qf, f_base), (ps, qs, s_base) = first, second
+  entries = sorted((o + p, o, p, alpha, beta)
+                   for o, alpha in zip(pf, qf) for p, beta in zip(ps, qs))
+  cells, provenance = dict(cells), dict(provenance)
+  for u, o, p, alpha, beta in entries:
+    defect = whole[u] - whole[o + s_base] - whole[f_base + p]
+    key = (alpha, beta)
+    if key not in cells:
+      cells[key] = defect
+      provenance[key] = record
+    elif cells[key] != defect:
+      raise PairingNotWellDefined({
+          "cell": {"a": quantity_to_json(alpha), "b": quantity_to_json(beta)},
+          "values": [fraction_to_str(Fraction(cells[key], denom)),
+                     fraction_to_str(Fraction(defect, denom))],
+          "probes": [provenance[key], record],
+      })
+  raise RuntimeError("no conflict found in an inconsistent probe")
 
 
 def _vec_add(a, b):

@@ -177,15 +177,11 @@ def quantity_of(digits, basis) -> tuple:
   return tuple(sum(vec[d] for d in digits) for vec in basis)
 
 
-def _quantity_sums(sites, basis, n_states: int, counted=None):
+def _quantity_sums(sites, basis, n_states: int):
   """The raw quantity sums of every configuration of ``sites``, in index
-  order, summing only the sites in ``counted`` (all of them by default):
-  one tuple of basis-entry sums per configuration.  Raw sums hash far
-  faster than tuples of Fractions, so grouping is done on these."""
-  zeros = (0,) * n_states
-  columns = [_site_sums([vec if counted is None or x in counted else zeros
-                         for x in sites])
-             for vec in basis]
+  order: one tuple of basis-entry sums per configuration.  Raw sums hash
+  far faster than tuples of Fractions, so grouping is done on these."""
+  columns = [_site_sums([vec] * len(sites)) for vec in basis]
   if not columns:
     return [()] * n_states ** len(sites)
   return zip(*columns)

@@ -152,15 +152,31 @@ def translate_function(action: TranslationAction, f: LocalFunction,
 # Tilings by a fundamental domain
 
 
-def tile_of(action: TranslationAction, x, domain) -> tuple:
-  """The unique (coeffs, anchor) with x = anchor translated by the coeffs."""
-  hits = [(coeffs, v) for v in domain
-          if (coeffs := action.coeffs_carrying(v, x)) is not None]
+def _reduced_domain(action: TranslationAction, domain) -> dict:
+  """rep -> [(coeffs, v), ...]: the domain vertices by their reduction,
+  in domain order."""
+  reduced = {}
+  for v in domain:
+    coeffs, rep = action.reduce(v)
+    reduced.setdefault(rep, []).append((coeffs, v))
+  return reduced
+
+
+def _tile(action: TranslationAction, x, reduced: dict) -> tuple:
+  """``tile_of`` against a ``_reduced_domain``: one reduction of x."""
+  kx, rx = action.reduce(x)
+  hits = [(tuple(a - b for a, b in zip(kx, kv)), v)
+          for kv, v in reduced.get(rx, ())]
   if not hits:
     raise InputError(f"vertex {x!r} is not covered by the domain tiling")
   if len(hits) > 1:
     raise InputError(f"domain translates overlap at {x!r}: not a tiling")
   return hits[0]
+
+
+def tile_of(action: TranslationAction, x, domain) -> tuple:
+  """The unique (coeffs, anchor) with x = anchor translated by the coeffs."""
+  return _tile(action, x, _reduced_domain(action, domain))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +200,10 @@ def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
       sum((Fraction(row[j]) * vec[d] for row, vec in zip(a_matrix, basis)),
           ZERO) for j in range(action.rank) for d in range(s))
   g = [nums[i:i + s] for i in range(0, len(nums), s)]
+  reduced = _reduced_domain(action, domain)
   tables = {}
   for x in window.vertices:
-    coeffs, _ = tile_of(action, x, domain)
+    coeffs, _ = _tile(action, x, reduced)
     tables[x] = LocalFunction._exact(
         (x,), s, inter.base,
         [sum(k * col[d] for k, col in zip(coeffs, g)) for d in range(s)],

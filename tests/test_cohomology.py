@@ -358,6 +358,74 @@ def test_pairing_matches_reference(name):
   assert exc.value.witness == conflict
 
 
+# Hand-placed pairs on a 5x4 box, each separated beyond 1: halves that
+# interleave in union order; a pair listed later half first, each half out
+# of its sorted order; and two single sites.
+INTERLEAVED = (((0, 0), (1, 0), (2, 0)), ((0, 3), (1, 3)))
+REVERSED = (((4, 3), (3, 3)), ((1, 0), (0, 1)))
+SINGLES = (((3, 0),), ((1, 3),))
+
+
+def _random_on(pair):
+  """Random values on every site of both halves of a probe pair."""
+  rng = random.Random(23)
+  support = tuple(sorted(pair[0] + pair[1]))
+  return LocalFunction(support, 3, 0, [
+      Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+      for _ in range(3 ** len(support))])
+
+
+def _box_case(case):
+  """(probes, basis, f) for one pairing case on the box."""
+  basis = conserved_basis(multispecies(2))
+  if case == "defined":
+    # a square of the window quantity plus a term on two adjacent sites;
+    # each probe brings new cells
+    sites = sorted({v for half in INTERLEAVED + REVERSED + SINGLES
+                    for v in half})
+    pos = {v: k for k, v in enumerate(sites)}
+    f = from_callable(sites, 3, 0, lambda d: sum(
+        quantity_of(d, basis), Fraction(0)) ** 2
+        + 3 * d[pos[0, 0]] * d[pos[0, 1]])
+    return [REVERSED, INTERLEAVED, SINGLES], basis, f
+  if case == "within":
+    return [REVERSED, SINGLES], basis, _random_on(REVERSED)
+  if case == "across":
+    # the product of the states at the two single sites: each probe on its
+    # own is a function of the quantities, the two disagree
+    return [SINGLES, REVERSED], basis, from_callable(
+        SINGLES[0] + SINGLES[1], 3, 0, lambda d: d[0] * d[1])
+  # no conserved quantity: one cell, defined only for a defect-free f
+  if case == "empty-basis":
+    one_site = LocalFunction(((0, 0),), 3, 0, (0, 5, Fraction(-1, 2)))
+    return [INTERLEAVED, REVERSED, SINGLES], (), one_site
+  return [INTERLEAVED, REVERSED], (), _random_on(INTERLEAVED)
+
+
+@pytest.mark.parametrize("case", ["defined", "within", "across",
+                                  "empty-basis", "empty-basis-conflict"])
+def test_pairing_matches_reference_on_a_box(case):
+  win = box(Euclidean(2), (0, 0), (4, 3))
+  inter = multispecies(2)
+  probes, basis, f = _box_case(case)
+  union = sorted(INTERLEAVED[0] + INTERLEAVED[1])
+  assert union[:2] == [INTERLEAVED[0][0], INTERLEAVED[1][0]]
+  cells, records, conflict = reference_pairing(f, win, inter, basis, probes)
+  if conflict is None:
+    table = compute_pairing(f, win, inter, basis, 1, probes)
+    assert list(table.cells.items()) == list(cells.items())
+    assert table.probes == records
+    assert case in ("defined", "empty-basis")
+    if not basis:
+      assert list(table.cells) == [((), ())]
+    return
+  with pytest.raises(PairingNotWellDefined) as exc:
+    compute_pairing(f, win, inter, basis, 1, probes)
+  assert exc.value.witness == conflict
+  first, second = conflict["probes"]
+  assert (first == second) == (case != "across")
+
+
 def test_default_probes_are_oriented_on_the_line():
   win = line(13)
   inter = exclusion()

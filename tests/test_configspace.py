@@ -14,6 +14,7 @@ from configcalc.configspace import (BudgetExceeded, _fixed_slices,
                                     exchange_path, fibers_report, index_of,
                                     n_configs, quantity_of,
                                     rearrangement_path, digit_powers)
+from configcalc.cohomology import _half
 from configcalc.interactions import (Interaction, by_name, conserved_basis,
                                      exclusion, glauber, multispecies,
                                      pair_flip, spin3)
@@ -114,16 +115,26 @@ def test_fixed_slices_hold_exactly_the_fixed_digits(s):
 def test_quantity_table_matches_quantity_of(name):
   inter = by_name(name)
   basis = conserved_basis(inter)
+  s = inter.n_states
   sites = ((2,), (0,), (5,), (1,))
-  counted = (sites[0], sites[2])
-  for keep, table in ((sites, _quantity_sums(sites, basis, inter.n_states)),
-                      (counted, _quantity_sums(sites, basis, inter.n_states,
-                                               counted))):
-    configs = product(range(inter.n_states), repeat=len(sites))
-    expected = [tuple(map(Fraction, quantity_of(
-        [d for x, d in zip(sites, digits) if x in keep], basis)))
-        for digits in configs]
-    assert list(table) == expected
+  expected = [tuple(map(Fraction, quantity_of(digits, basis)))
+              for digits in product(range(s), repeat=len(sites))]
+  assert list(_quantity_sums(sites, basis, s)) == expected
+  # one probe half as the pairing enumerates it: each of its configurations
+  # sits at an offset into the union's table (every other site's digit 0,
+  # for the other half's offset to add to) and carries the half's own sums
+  union = tuple(sorted(sites))
+  place = dict(zip(union, digit_powers(len(union), s)))
+  half = (sites[2], sites[0])
+  offsets, sums, base_offset = _half(half, place, basis, s, inter.base)
+  configs = list(product(range(s), repeat=len(union)))
+  assert base_offset == index_of(
+      [inter.base if x in half else 0 for x in union],
+      digit_powers(len(union), s))
+  for digits, o, q in zip(product(range(s), repeat=len(half)), offsets, sums):
+    assigned = dict(zip(half, digits))
+    assert configs[o] == tuple(assigned.get(x, 0) for x in union)
+    assert q == tuple(map(Fraction, quantity_of(digits, basis)))
 
 
 # windows beyond the line, by key; the graph is a five-cycle with a pendant

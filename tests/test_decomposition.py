@@ -1044,14 +1044,22 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
   decomposition learnt to integrate only where it reads (the ``diff``
   report: before the gradient read move slices; the two ``_coarse``
   decompositions, whose actions step by two sites along the first axis: at
-  commit 4aaa1b0, before the translate sums were keyed by edge orbit).  A
-  manifest runs the command its name starts with."""
+  commit 4aaa1b0, before the translate sums were keyed by edge orbit; the
+  ``pairing`` and ``uniformize`` reports of the 3x3 quadratic, whose axis-1
+  probe halves interleave in union order: at commit 671442b, before the
+  pairing enumerated each probe half once).  A key runs the command it
+  starts with, on the manifest named by the whole key or else by the rest
+  of it."""
   want = json.loads((DATA / "report_digests.json").read_text())[name]
   out = tmp_path / "report.json"
   if name == "counterexample":
     argv = ["counterexample"]
   else:
-    argv = [name.split("_")[0], "--manifest", str(DATA / f"{name}.json")]
+    command, rest = name.split("_", 1)
+    manifest = DATA / f"{name}.json"
+    if not manifest.exists():
+      manifest = DATA / f"{rest}.json"
+    argv = [command, "--manifest", str(manifest)]
   assert main(argv + ["--out", str(out)]) == 0
   assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
