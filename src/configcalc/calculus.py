@@ -27,10 +27,10 @@ from fractions import Fraction
 from itertools import chain, combinations, compress, product
 from math import gcd, lcm
 
-from .configspace import (DEFAULT_BUDGET, _fixed_slices, _move_slices,
-                          _site_sums, _slab_solve, apply_edge, config_to_json,
-                          digit_powers, digits_of, edge_positions,
-                          guard_budget, index_of)
+from .configspace import (DEFAULT_BUDGET, _expand, _fixed_slices,
+                          _move_slices, _site_sums, _slab_solve, apply_edge,
+                          config_to_json, digit_powers, digits_of,
+                          edge_positions, guard_budget, index_of)
 from .interactions import Interaction, check_validity
 from .linalg import _integer_row
 from .locales import Locale, Window
@@ -535,8 +535,9 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
 
   Pins are the all-base configuration, then the least configuration of
   every other component in order.  Potentials are integer numerators over
-  the common denominator of the form's values.  Returns (numerators,
-  denominator, pins, witness).
+  the common denominator of the form's values.  Returns (level maps,
+  denominator, pins, witness): the maps of ``_slab_solve``, pinned so, from
+  which ``_expand`` spells out the potential.
 
   Each edge function is read as (window positions, numerators over them):
   the edge's two positions when it reads no other site, else every
@@ -566,12 +567,16 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   star = index_of((inter.base,) * n, powers)
   solved = _slab_solve(window, inter, reads)
   if solved is not None:
-    values, labels, reps = solved
-    comp = labels[star]
-    if reps[comp] != star:
-      shift = values[star]
-      values = [v - shift if c == comp else v for v, c in zip(values, labels)]
-    return (values, denom,
+    maps, reps = solved
+    comp = shift = 0  # the all-base configuration's label and potential
+    for label, offset in reversed(maps):
+      node = inter.base * (len(label) // s) + comp
+      comp, shift = label[node], shift + offset[node]
+    if shift:  # not its component's least member: pin it there instead
+      label, offset = maps[0]
+      maps[0] = label, [o - shift if c == comp else o
+                        for c, o in zip(label, offset)]
+    return (maps, denom,
             [star] + [r for c, r in enumerate(reps) if c != comp], None)
   table = []  # per edge: its positions, the index jump of each pair, its read
   for k, ((pu, pv), read) in enumerate(zip(edge_positions(window), reads)):
@@ -699,11 +704,11 @@ def integrate(form: Form, window: Window, inter: Interaction,
   component and at the least configuration of every other component.
   Raises ``NotClosedError`` (with a witness cycle) otherwise.
   """
-  values, denom, pins, witness = _potential_scan(form, window, inter, budget)
+  maps, denom, pins, witness = _potential_scan(form, window, inter, budget)
   if witness is not None:
     raise NotClosedError(witness)
-  f = LocalFunction._exact(window.vertices, inter.n_states, inter.base, values,
-                           denom)
+  f = LocalFunction._exact(window.vertices, inter.n_states, inter.base,
+                           _expand(maps, inter.n_states, True), denom)
   return f, {"n_components": len(pins), "pins": pins}
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add, sub
+from operator import add
 
 from .interactions import Interaction
 from .locales import Window
@@ -206,76 +205,66 @@ def quantity_to_json(qvec) -> list:
 # Components of the transition graph
 
 
-def _along(seq, slices):
-  """The entries of ``seq`` along ``slices``, in order."""
-  return chain.from_iterable(map(seq.__getitem__, slices))
-
-
 def _slab_solve(window: Window, inter: Interaction, reads=None):
   """Transition components, and a potential when ``reads`` is given, found
   by peeling window positions from the last one to the first.
 
-  Level m holds the configurations of positions m..n-1, indexed x * P + r
-  with x the digit at m and r one of the P level-(m+1) configurations.  An
-  edge is checked at the least window position it reads: its two sites and
-  the sites its function reads.  A move checked at a later level changes no
-  digit at m and its step does not depend on it, so every slab shares the
-  level-(m+1) solution: the potential U in integer numerators, 0 at each
-  component's least member, dense labels L ordered by least member, and
-  those least members ``reps``.  The moves checked at m join the s * C slab
-  components (node x * C + L[r]); links count both ways, so the components
-  are those of the undirected transition graph.
+  Level q holds the configurations of positions q..n-1, indexed x * P + r
+  with x the digit at q and r one of the P level-(q+1) configurations.  Its
+  solution is a map over the s * C nodes x * C + c, c one of the C
+  level-(q+1) components: ``label`` gives the node's level-q component
+  (dense, ordered by least member) and ``offset`` what it adds to the
+  level-(q+1) potential.  A configuration's label and potential (integer
+  numerators, 0 at each component's least member) are read by walking its
+  digits through the maps from level n-1 down; ``_expand`` spells them out
+  for every configuration.
 
-  ``reads[k]`` is the k-th window edge's function as (window positions,
-  numerators over them): the edge's two positions when it reads no other
-  site, else every position it reads with the edge's, in order.  A move
-  fires on the ``_fixed_slices`` of the level-(m+1) table that hold its
-  digits at the edge sites above m, and lands on those slices shifted by
-  its index jump; its digits at m are its own when m is an edge site, and
-  every (x, x) otherwise, a link between two components of one slab.  Its
-  step is one number for an edge-local function, and for a wider one the
-  same slices of the function's table read over the level-(m+1)
-  configurations with digit x at m.  Returns (U, L, reps), U being None
-  when ``reads`` is None, or None when a cycle of moves has a nonzero
-  integral.
+  An edge is checked at the least window position m it reads: its two
+  sites, and the sites its function reads.  ``reads[k]`` is the k-th window
+  edge's function as (window positions, numerators over them): the edge's
+  two positions when it reads no other site, else every position it reads
+  with the edge's, in order.  A move checked at a later level changes no
+  digit at m and its step does not depend on it, so every slab shares the
+  level-(m+1) solution, and the moves checked at m join the s * C nodes.  A
+  move's links are read off the maps between m and the greatest position t
+  its edge reads.  From (source label, target label, offset difference,
+  read index) = (c, c, 0, 0) over the level-(t+1) components, each level
+  q = t..m+1 maps both labels through its node map, adds the offset
+  difference and advances the read index by the source digit, taking the
+  move's own (source, target) digits at an edge site and every (x, x)
+  elsewhere; at m the function's step is added.  Deduplicated at every
+  level, these are the links of the level-(m+1) configurations the move
+  fires on.  Links count both ways, so the components are those of the
+  undirected transition graph.  Returns (maps, reps), with ``maps[q]``
+  level q's (label, offset) and ``reps`` the least members of the window's
+  components, or None when a cycle of moves has a nonzero integral.
   """
   n, s = window.n_sites, inter.n_states
   epos = edge_positions(window)
-  U, L, reps = [0], [0], [0]
+  each, zeros = [(x, x) for x in range(s)], [0] * (s * s)
+  maps, reps = [None] * n, [0]
   for m in range(n - 1, -1, -1):
-    size, n_comp = len(L), len(reps)
+    size, n_comp = s ** (n - 1 - m), len(reps)
     links = set()  # (source node, target node, offset difference)
     for k, (pu, pv) in enumerate(epos):
-      pos, nums = reads[k] if reads is not None else ((pu, pv), None)
+      pos, nums = reads[k] if reads is not None else ((pu, pv), zeros)
       if min(pos) != m:
         continue
-      tables = None  # a wider function read with each digit x at m
-      if len(pos) > 2:
-        weight = dict(zip(pos, digit_powers(len(pos), s)))
-        table = list(map(nums.__getitem__, _site_sums(
-            [range(0, s * weight[p], weight[p]) if p in weight else (0,) * s
-             for p in range(m, n)])))
-        tables = [table[x * size:(x + 1) * size] for x in range(s)]
-      # the places of the edge sites above m, 0 at m
-      pl_u, pl_v = (s ** (n - 1 - p) if p > m else 0 for p in (pu, pv))
+      weight = dict(zip(pos, digit_powers(len(pos), s)))
+      t = max(pos)
       for a, b, c, d in inter.moved:
-        jump = (c - a) * pl_u + (d - b) * pl_v
-        src = _fixed_slices(n - 1 - m, s, tuple(sorted(
-            (p - m - 1, y) for p, y in ((pu, a), (pv, b)) if p > m)))
-        tgt = [slice(sl.start + jump, sl.stop + jump, sl.step) for sl in src]
-        pairs = ([(a, c)] if pu == m else [(b, d)] if pv == m
-                 else [(x, x) for x in range(s)])
-        for x, x2 in pairs:
-          diffs, step = repeat(0), 0
-          if reads is not None:
-            diffs = map(sub, _along(U, src), _along(U, tgt))
-            if tables is None:
-              step = nums[a * s + b]
-            else:
-              diffs = map(add, diffs, _along(tables[x], src))
-          links.update([(x * n_comp + l, x2 * n_comp + l2, du + step)
-                        for l, l2, du in set(zip(_along(L, src), _along(L, tgt),
-                                                 diffs))])
+        pairs = {pu: [(a, c)], pv: [(b, d)]}
+        # (source label, target label, offset difference, read index)
+        reach = {(l, l, 0, 0) for l in range(len(maps[t][0]) // s)}
+        for q in range(t, m, -1):
+          label, offset = maps[q]
+          width, w = len(label) // s, weight.get(q, 0)
+          reach = {(label[i], label[j], du + offset[i] - offset[j], r + x * w)
+                   for l, l2, du, r in reach for x, x2 in pairs.get(q, each)
+                   for i, j in ((x * width + l, x2 * width + l2),)}
+        links.update((x * n_comp + l, x2 * n_comp + l2,
+                      du + nums[r + x * weight[m]])
+                     for l, l2, du, r in reach for x, x2 in pairs.get(m, each))
     # Node x * C + c has least member x * P + reps[c], and both grow with
     # the node, so walking the nodes in order labels by least member.
     n_nodes = s * n_comp
@@ -298,15 +287,28 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
             stack.append(v)
           elif offset[v] != offset[u] + diff:
             return None
+    maps[m], reps = (label, offset), new_reps
+  return maps, reps
+
+
+def _expand(maps, s: int, potential: bool) -> list:
+  """The dense table of ``_slab_solve``'s level maps, in index order: every
+  configuration's label, or with ``potential`` its potential numerator
+  (which reads the labels of every level but the first)."""
+  L, U = [0], [0]
+  for q in range(len(maps) - 1, -1, -1):
+    label, offset = maps[q]
+    n_comp = len(label) // s
     new_L, new_U = [], []
     for x in range(s):
       nodes = slice(x * n_comp, (x + 1) * n_comp)
-      new_L += map(label[nodes].__getitem__, L)
-      if reads is not None:
+      if potential:
         off = offset[nodes]
         new_U += map(add, U, map(off.__getitem__, L)) if any(off) else U
-    U, L, reps = new_U, new_L, new_reps
-  return (None if reads is None else U), L, reps
+      if q or not potential:
+        new_L += map(label[nodes].__getitem__, L)
+    L, U = new_L, new_U
+  return U if potential else L
 
 
 def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET):
@@ -315,11 +317,12 @@ def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET)
   Returns (labels, representatives): ``labels[i]`` is the component id of
   configuration ``i`` (ids are dense, ordered by least member), and
   ``representatives[c]`` is that least configuration index.  The window is
-  solved slab by slab (``_slab_solve``), one window position at a time.
+  solved slab by slab (``_slab_solve``), one window position at a time, and
+  its labels are spelled out from the level maps.
   """
   guard_budget(window, inter, budget)
-  _, labels, reps = _slab_solve(window, inter)
-  return labels, reps
+  maps, reps = _slab_solve(window, inter)
+  return _expand(maps, inter.n_states, False), reps
 
 
 def fibers_report(window: Window, inter: Interaction, basis,
@@ -334,7 +337,8 @@ def fibers_report(window: Window, inter: Interaction, basis,
   """
   s = inter.n_states
   _require_conserved(inter, basis)
-  _, reps = components(window, inter, budget)
+  guard_budget(window, inter, budget)
+  _, reps = _slab_solve(window, inter)
   # quantity -> least members of its components, in increasing order
   fiber_components = {}
   for rep in reps:

@@ -9,6 +9,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, permutations, product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -27,14 +28,16 @@ from configcalc.calculus import (Form, LocalFunction, NotClosedError,
                                  restrict, scale, sub, trim,
                                  uniformity_criterion)
 from configcalc.configspace import (_fixed_slices, _move_slices, apply_edge,
-                                    config_from_json, config_to_json,
-                                    digits_from_sites)
+                                    components, config_from_json,
+                                    config_to_json, digit_powers,
+                                    digits_from_sites, index_of)
 from configcalc.cohomology import inversion_count_function, ordered_flux_form
 from configcalc.decomposition import TranslationAction, build_omega_rho
 from configcalc.interactions import (CATALOG_NAMES, Interaction, by_name,
                                      conserved_basis, exclusion, glauber,
                                      multispecies, spin3)
-from configcalc.locales import Euclidean, Hexagonal, Triangular, box
+from configcalc.locales import (Euclidean, FreeGroupCayley, Hexagonal,
+                               Triangular, ball_window, box)
 from configcalc.serialize import InputError, fraction_to_str
 
 
@@ -688,6 +691,141 @@ def test_edge_local_scan_matches_fraction_oracle(win_key, name, monkeypatch):
     assert solved and all((s is None) == (witness is not None)
                           for s in solved)
   assert closed
+
+
+# -- the slab kernel against a configuration-by-configuration oracle --------
+
+KERNEL_WINDOWS = {
+    "line6": lambda: line(6),
+    "box2x3": lambda: box(Euclidean(2), (0, 0), (1, 2)),
+    "box3x3": lambda: box(Euclidean(2), (0, 0), (2, 2)),
+    "triangular2x3": lambda: box(Triangular(), (0, 0), (1, 2)),
+    "free2_ball1": lambda: ball_window(FreeGroupCayley(2), (), 1),
+}
+
+
+def transition_moves(window, inter):
+  """Every move of every window edge, configuration by configuration:
+  (source index, edge number, target index), by ``apply_edge``."""
+  configs = list(product(range(inter.n_states), repeat=window.n_sites))
+  index = {digits: i for i, digits in enumerate(configs)}
+  pos = [(window.position(u), window.position(v)) for u, v in window.edges]
+  return [(i, k, index[moved]) for i, digits in enumerate(configs)
+          for k, (pu, pv) in enumerate(pos)
+          for moved in (apply_edge(digits, pu, pv, inter),)
+          if moved != digits]
+
+
+def union_find_oracle(window, inter, moves, form=None):
+  """Components, and the potential of ``form``, by a weighted union-find
+  over ``moves``: each move joins its two configurations, its step read
+  off the edge function at its source.
+
+  Returns (labels, reps, values): labels dense and ordered by least member,
+  those least members, and the potential pinned as ``integrate`` pins it
+  (None without a form); or None when a cycle has a nonzero integral."""
+  s = inter.n_states
+  configs = list(product(range(s), repeat=window.n_sites))
+  zero = constant(0, s, inter.base)
+  fns = [] if form is None else [form.fn(e) or zero for e in window.edges]
+  denom = lcm(*(fn.denom for fn in fns))
+  reads = [([window.position(v) for v in fn.support], fn.nums,
+            denom // fn.denom) for fn in fns]
+  parent, up = list(range(len(configs))), [0] * len(configs)
+
+  def find(i):  # (root, potential of i minus that of its root)
+    path = []
+    while parent[i] != i:
+      path.append(i)
+      i = parent[i]
+    total = 0
+    for j in reversed(path):
+      total += up[j]
+      parent[j], up[j] = i, total
+    return i, (up[path[0]] if path else 0)
+
+  for i, k, j in moves:
+    step = 0
+    if form is not None:
+      pos, nums, scale = reads[k]
+      r = 0
+      for p in pos:
+        r = r * s + configs[i][p]
+      step = nums[r] * scale
+    (ri, di), (rj, dj) = find(i), find(j)
+    if ri != rj:
+      parent[rj], up[rj] = ri, di + step - dj
+    elif dj - di != step:
+      return None
+  comp_of, labels, reps, pot = {}, [], [], []
+  for i in range(len(configs)):
+    root, d = find(i)
+    if root not in comp_of:
+      comp_of[root] = len(reps)
+      reps.append(i)
+    labels.append(comp_of[root])
+    pot.append(d)
+  if form is None:
+    return labels, reps, None
+  pin = dict(enumerate(reps))
+  star = configs.index((inter.base,) * window.n_sites)
+  pin[labels[star]] = star
+  return labels, reps, [Fraction(p - pot[pin[c]], denom)
+                        for p, c in zip(pot, labels)]
+
+
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3",
+                                  "glauber", "generalized-exclusion:2",
+                                  "pair-flip"])
+@pytest.mark.parametrize("win_key", sorted(KERNEL_WINDOWS))
+def test_slab_kernel_matches_a_union_find_oracle(win_key, name, monkeypatch):
+  """The components, the potentials of the differentials of random 1- to
+  3-site functions (whose edge functions read beyond their edge) and the
+  refusal of perturbed copies, each against the union-find oracle."""
+  solved, slab_solve = [], calculus_module._slab_solve
+
+  def spy(*args):
+    solved.append(slab_solve(*args))
+    return solved[-1]
+
+  monkeypatch.setattr("configcalc.calculus._slab_solve", spy)
+  rng = random.Random(f"{win_key} {name}")
+  win, inter = KERNEL_WINDOWS[win_key](), by_name(name)
+  moves = transition_moves(win, inter)
+  labels, reps, _ = union_find_oracle(win, inter, moves)
+  assert components(win, inter) == (labels, reps)
+  star = index_of((inter.base,) * win.n_sites,
+                  digit_powers(win.n_sites, inter.n_states))
+  forms = [differential(mixed_function(rng, rng.sample(win.vertices, k),
+                                       inter), win, inter) for k in (1, 2, 3)]
+  assert any(not set(fn.support) <= set(e)
+             for form in forms for e, fn in form.fns.items())
+  for form in list(forms):
+    edge = rng.choice(win.edges)
+    a, b = rng.choice([(a, b) for a, b, _, _ in inter.moved])
+    forms.append(perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
+                           rng.choice(MIXED[:5])))
+  verdicts = []
+  for form in forms:
+    del solved[:]
+    oracle = union_find_oracle(win, inter, moves, form)
+    verdicts.append(oracle is not None)
+    rep = is_closed(form, win, inter)
+    if oracle is None:
+      assert not rep["closed"]
+      with pytest.raises(NotClosedError):
+        integrate(form, win, inter)
+    else:
+      labels, reps, values = oracle
+      f, meta = integrate(form, win, inter)
+      assert list(f.values) == values
+      assert meta == {"n_components": len(reps),
+                      "pins": [star] + [r for c, r in enumerate(reps)
+                                        if c != labels[star]]}
+      assert rep == {"closed": True, "witness": None,
+                     "n_components": len(reps)}
+    assert solved and all((s is None) == (oracle is None) for s in solved)
+  assert verdicts == [True] * 3 + [False] * 3
 
 
 def oracle_gradient(f, edge, inter):

@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,7 +16,9 @@ from configcalc.configspace import (BudgetExceeded, _fixed_slices,
                                     exchange_path, fibers_report, index_of,
                                     n_configs, quantity_of,
                                     rearrangement_path, digit_powers)
+from configcalc.calculus import is_closed
 from configcalc.cohomology import _half
+from configcalc.decomposition import TranslationAction, build_omega_rho
 from configcalc.interactions import (Interaction, by_name, conserved_basis,
                                      exclusion, glauber, multispecies,
                                      pair_flip, spin3)
@@ -215,6 +219,33 @@ def test_budget_enforced():
   win = box(Euclidean(2), (0, 0), (4, 4))
   with pytest.raises(BudgetExceeded):
     components(win, exclusion(), budget=1000)
+
+
+def traced_peak(call):
+  """``call()`` and the peak of the memory it allocated, by ``tracemalloc``."""
+  tracemalloc.start()
+  try:
+    out = call()
+    return out, tracemalloc.get_traced_memory()[1]
+  finally:
+    tracemalloc.stop()
+
+
+def test_fibers_and_closedness_build_no_dense_table():
+  """``fibers_report`` and ``is_closed`` read only the kernel's least
+  members and level maps: each peaks below one list of |S|^n ints."""
+  inter = multispecies(2)
+  basis = conserved_basis(inter)
+  rep, peak = traced_peak(lambda: fibers_report(line(13), inter, basis))
+  assert rep["n_components"] == 105 and rep["components_separated"]
+  assert peak < sys.getsizeof([0] * 3 ** 13)
+  win = line(11)
+  omega = build_omega_rho([[Fraction(1, 3)], [Fraction(-2, 5)]],
+                          TranslationAction(Euclidean(1), ((1,),)), ((0,),),
+                          win, inter, basis)
+  rep, peak = traced_peak(lambda: is_closed(omega, win, inter))
+  assert rep == {"closed": True, "witness": None, "n_components": 78}
+  assert peak < sys.getsizeof([0] * 3 ** 11)
 
 
 def test_quantity_preserved_along_moves():
