@@ -696,6 +696,30 @@ def is_closed(form: Form, window: Window, inter: Interaction,
   return {"closed": True, "witness": None, "n_components": len(pins)}
 
 
+def _potential_reader(form: Form, window: Window, inter: Interaction,
+                      budget: int):
+  """The potential of a closed form, read where a caller asks.
+
+  Returns (read, denom, pins): ``read(sites)`` is the potential with every
+  window site outside ``sites`` at base, as a function of ``sites``,
+  spelled out from the level maps of ``_potential_scan`` over those
+  positions alone; its denominator divides ``denom``.  Raises
+  ``NotClosedError`` (with a witness cycle) when the form is not closed.
+  """
+  maps, denom, pins, witness = _potential_scan(form, window, inter, budget)
+  if witness is not None:
+    raise NotClosedError(witness)
+  s = inter.n_states
+
+  def read(sites):
+    sites = tuple(sorted(sites, key=window.position))
+    positions = set(map(window.position, sites))
+    return LocalFunction._exact(sites, s, inter.base,
+                                _expand(maps, s, True, positions, inter.base),
+                                denom)
+  return read, denom, pins
+
+
 def integrate(form: Form, window: Window, inter: Interaction,
               budget: int = DEFAULT_BUDGET):
   """Exact potential of a closed form on the window.
@@ -704,12 +728,8 @@ def integrate(form: Form, window: Window, inter: Interaction,
   component and at the least configuration of every other component.
   Raises ``NotClosedError`` (with a witness cycle) otherwise.
   """
-  maps, denom, pins, witness = _potential_scan(form, window, inter, budget)
-  if witness is not None:
-    raise NotClosedError(witness)
-  f = LocalFunction._exact(window.vertices, inter.n_states, inter.base,
-                           _expand(maps, inter.n_states, True), denom)
-  return f, {"n_components": len(pins), "pins": pins}
+  read, _, pins = _potential_reader(form, window, inter, budget)
+  return read(window.vertices), {"n_components": len(pins), "pins": pins}
 
 
 def perturbed(form: Form, window: Window, inter: Interaction, edge,

@@ -217,7 +217,8 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   level-(q+1) potential.  A configuration's label and potential (integer
   numerators, 0 at each component's least member) are read by walking its
   digits through the maps from level n-1 down; ``_expand`` spells them out
-  for every configuration.
+  for every configuration, or for those of a few positions with the rest at
+  one digit.
 
   An edge is checked at the least window position m it reads: its two
   sites, and the sites its function reads.  ``reads[k]`` is the k-th window
@@ -232,10 +233,12 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   q = t..m+1 maps both labels through its node map, adds the offset
   difference and advances the read index by the source digit, taking the
   move's own (source, target) digits at an edge site and every (x, x)
-  elsewhere; at m the function's step is added.  Deduplicated at every
-  level, these are the links of the level-(m+1) configurations the move
-  fires on.  Links count both ways, so the components are those of the
-  undirected transition graph.  Returns (maps, reps), with ``maps[q]``
+  elsewhere; at m the function's step is added.  Above the edge's higher
+  site h every move takes (x, x), so levels t..h+1 are walked once per
+  edge and each move walks on from h.  Deduplicated at every level, these
+  are the links of the level-(m+1) configurations the move fires on.
+  Links count both ways, so the components are those of the undirected
+  transition graph.  Returns (maps, reps), with ``maps[q]``
   level q's (label, offset) and ``reps`` the least members of the window's
   components, or None when a cycle of moves has a nonzero integral.
   """
@@ -243,6 +246,16 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   epos = edge_positions(window)
   each, zeros = [(x, x) for x in range(s)], [0] * (s * s)
   maps, reps = [None] * n, [0]
+
+  def walk(reach, levels, weight, pairs):
+    for q in levels:
+      label, offset = maps[q]
+      width, w, xs = len(label) // s, weight.get(q, 0), pairs.get(q, each)
+      reach = {(label[i], label[j], du + offset[i] - offset[j], r + x * w)
+               for l, l2, du, r in reach for x, x2 in xs
+               for i, j in ((x * width + l, x2 * width + l2),)}
+    return reach
+
   for m in range(n - 1, -1, -1):
     size, n_comp = s ** (n - 1 - m), len(reps)
     links = set()  # (source node, target node, offset difference)
@@ -251,20 +264,17 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
       if min(pos) != m:
         continue
       weight = dict(zip(pos, digit_powers(len(pos), s)))
-      t = max(pos)
+      t, h = max(pos), max(pu, pv)
+      # (source label, target label, offset difference, read index); every
+      # move reads (x, x) above h, so those levels are walked once per edge
+      above = walk({(l, l, 0, 0) for l in range(len(maps[t][0]) // s)},
+                   range(t, h, -1), weight, {})
       for a, b, c, d in inter.moved:
         pairs = {pu: [(a, c)], pv: [(b, d)]}
-        # (source label, target label, offset difference, read index)
-        reach = {(l, l, 0, 0) for l in range(len(maps[t][0]) // s)}
-        for q in range(t, m, -1):
-          label, offset = maps[q]
-          width, w = len(label) // s, weight.get(q, 0)
-          reach = {(label[i], label[j], du + offset[i] - offset[j], r + x * w)
-                   for l, l2, du, r in reach for x, x2 in pairs.get(q, each)
-                   for i, j in ((x * width + l, x2 * width + l2),)}
-        links.update((x * n_comp + l, x2 * n_comp + l2,
-                      du + nums[r + x * weight[m]])
-                     for l, l2, du, r in reach for x, x2 in pairs.get(m, each))
+        reach = walk(above, range(h, m, -1), weight, pairs)
+        w, xs = weight[m], pairs.get(m, each)
+        links.update((x * n_comp + l, x2 * n_comp + l2, du + nums[r + x * w])
+                     for l, l2, du, r in reach for x, x2 in xs)
     # Node x * C + c has least member x * P + reps[c], and both grow with
     # the node, so walking the nodes in order labels by least member.
     n_nodes = s * n_comp
@@ -291,8 +301,9 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   return maps, reps
 
 
-def _expand(maps, s: int, potential: bool) -> list:
-  """The dense table of ``_slab_solve``'s level maps, in index order: every
+def _expand(maps, s: int, potential: bool, positions, base: int) -> list:
+  """The dense table of ``_slab_solve``'s level maps over ``positions``, in
+  index order, with every other position read at digit ``base``: each
   configuration's label, or with ``potential`` its potential numerator
   (which reads the labels of every level but the first)."""
   L, U = [0], [0]
@@ -300,7 +311,7 @@ def _expand(maps, s: int, potential: bool) -> list:
     label, offset = maps[q]
     n_comp = len(label) // s
     new_L, new_U = [], []
-    for x in range(s):
+    for x in range(s) if q in positions else (base,):
       nodes = slice(x * n_comp, (x + 1) * n_comp)
       if potential:
         off = offset[nodes]
@@ -322,7 +333,8 @@ def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET)
   """
   guard_budget(window, inter, budget)
   maps, reps = _slab_solve(window, inter)
-  return _expand(maps, inter.n_states, False), reps
+  return _expand(maps, inter.n_states, False, range(window.n_sites),
+                 inter.base), reps
 
 
 def fibers_report(window: Window, inter: Interaction, basis,
@@ -413,26 +425,4 @@ def exchange_path(window: Window, inter: Interaction, digits, x, y):
     current = swap_adjacent(current, path[i], path[i + 1])
   for i in range(m - 2, -1, -1):
     current = swap_adjacent(current, path[i], path[i + 1])
-  return steps, current
-
-
-def rearrangement_path(window: Window, inter: Interaction, digits, target):
-  """Transform ``digits`` into ``target``, a rearrangement of its states.
-
-  Takes the window positions in order; each position that does not yet hold
-  its target state swaps it in from the first later position that holds it,
-  by ``exchange_path``.  Returns (steps, final) as ``exchange_path`` does,
-  with ``final == target``.
-  """
-  target = tuple(target)
-  if sorted(digits) != sorted(target):
-    raise InputError("the target is not a rearrangement of the configuration")
-  steps = []
-  current = tuple(digits)
-  for p, want in enumerate(target):
-    if current[p] != want:
-      q = current.index(want, p + 1)
-      more, current = exchange_path(window, inter, current, window.vertices[p],
-                                    window.vertices[q])
-      steps += more
   return steps, current

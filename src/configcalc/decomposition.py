@@ -19,24 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations_with_replacement
-from math import comb, lcm
-from operator import add, mul
+from math import lcm
+from operator import mul
 
-from .calculus import (Form, LocalFunction, _combine, _mobius, _over,
-                       _path_integral, _path_numerator, _piece, _subsets,
+from .calculus import (Form, LocalFunction, _combine, _mobius,
+                       _path_integral, _piece, _potential_reader, _subsets,
                        constant, differential, form_axioms_report, form_sub,
-                       functions_equal, gradient, integrate, is_closed,
-                       restrict, support_diameter, sub, trim)
+                       functions_equal, gradient, is_closed, restrict,
+                       support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          _pairing, _quantity_corrected, check_pairing_laws,
                          compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (DEFAULT_BUDGET, _require_conserved, _site_sums,
-                          digits_from_sites, exchange_path, guard_budget,
-                          rearrangement_path)
+from .configspace import (DEFAULT_BUDGET, _require_conserved,
+                          digits_from_sites, exchange_path, guard_budget)
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import _integer_row, rref
@@ -508,91 +505,6 @@ def form_restricted(form: Form, sub: Window) -> Form:
   return Form(form.n_states, form.base, fns, form.radius)
 
 
-def _fibers_are_multisets(win: Window, inter: Interaction, basis) -> bool:
-  """Are the transition components of ``win`` its state multisets?
-
-  They are when the window is connected, every pair of states has an
-  exchange witness, and the states' quantity vectors, less the base's, have
-  rank |S| - 1: every rearrangement is then reachable, and the quantity,
-  constant on components (the one caller, ``varadhan_decompose``, built
-  omega_rho first, which refuses an unconserved basis), fixes the state
-  counts.
-  """
-  s, base = inter.n_states, inter.base
-  if (not win.is_connected()
-      or not check_exchangeability(inter)["exchangeable"]):
-    return False
-  rows = [dict(enumerate(vec[d] - vec[base] for vec in basis))
-          for d in range(s) if d != base]
-  return len(rref(rows, len(basis))[1]) == s - 1
-
-
-def _hull(win: Window, sites) -> tuple:
-  """``sites`` plus one shortest window path from the least of them to each
-  other one: a connected region that holds them."""
-  first = min(sites)
-  region = set(sites)
-  for x in sites:
-    region.update(win.path_between(first, x))
-  return tuple(sorted(region))
-
-
-def _local_reader(remainder: Form, sub_win: Window, inter: Interaction,
-                  budget: int):
-  """Read the sub-window potential of the remainder without scanning the
-  sub-window.
-
-  Returns (read, denom): ``read(sites)`` is ``restrict(V, sites)`` for the
-  potential V of ``integrate(remainder, sub_win)``, as numerators over a
-  divisor of ``denom``.  It needs the components to be the state multisets
-  (``_fibers_are_multisets``) and the remainder to be closed.  V is then 0
-  at the sorted configuration of each multiset, the component's least
-  member.  ``read`` integrates the hull R of ``sites`` on its own, pinned at
-  the sorted configurations on R (base elsewhere), and shifts each of R's
-  components by V at its pin: the remainder's integral along
-  ``rearrangement_path`` from the sorted configuration.  Hulls and pin
-  values are shared across calls.
-  """
-  s, n = inter.n_states, sub_win.n_sites
-  denom = lcm(*(fn.denom for fn in remainder.fns.values()))
-  pinned = {}  # sub-window configuration -> V there, over denom
-  hulls = {}
-
-  def pin_value(cfg):
-    if cfg not in pinned:
-      steps, _ = rearrangement_path(sub_win, inter, sorted(cfg), cfg)
-      pinned[cfg] = _path_numerator(remainder, sub_win, steps, denom)
-    return pinned[cfg]
-
-  def hull_potential(region):
-    r_win = build_window(sub_win.locale, region)
-    pot, _ = integrate(form_restricted(remainder, r_win), r_win, inter,
-                       budget)
-    m = len(region)
-    # A configuration's component is its state counts, keyed in base m + 1.
-    weights = [(m + 1) ** d for d in range(s)]
-    positions = [sub_win.position(x) for x in region]
-    shift = {}
-    for pin in combinations_with_replacement(range(s), m):
-      cfg = [inter.base] * n
-      for k, d in zip(positions, pin):
-        cfg[k] = d
-      shift[sum(weights[d] for d in pin)] = pin_value(tuple(cfg))
-    keys = _site_sums([weights] * m)
-    return LocalFunction._exact(
-        region, s, inter.base,
-        list(map(add, _over(pot, region, denom), map(shift.__getitem__, keys))),
-        denom)
-
-  def read(sites):
-    region = _hull(sub_win, sites)
-    if region not in hulls:
-      hulls[region] = hull_potential(region)
-    return restrict(hulls[region], sites)
-
-  return read, denom
-
-
 def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
                        action: TranslationAction, domain,
                        radius: int | None = None,
@@ -607,10 +519,10 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   pieces that meet the fundamental domain over their translation orbits; and
   re-verify the defining identity on every interior edge, exactly.
 
-  The potential is read only on the probe pairs and on the domain's radius
-  ball.  Where the sub-window's components are its state multisets, only
-  those regions are integrated (``_local_reader``); elsewhere the whole
-  sub-window is.
+  The remainder is solved once on the sub-window, whatever the model, and
+  its potential is spelled out only on the probe pairs' unions and on the
+  domain's radius ball, from the solution's level maps
+  (``calculus._potential_reader``).
   """
   domain = tuple(sorted(domain))
   if radius is None:
@@ -649,14 +561,8 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   local_remainder = form_sub(form_restricted(form, sub_win),
                              form_restricted(flux, sub_win), radius)
   s = inter.n_states
-  if _fibers_are_multisets(sub_win, inter, basis):
-    read, denom = _local_reader(local_remainder, sub_win, inter, sub_budget)
-    n_components = comb(sub_win.n_sites + s - 1, s - 1)
-  else:
-    potential, pot_meta = integrate(local_remainder, sub_win, inter,
-                                    budget=sub_budget)
-    read = partial(restrict, potential)
-    denom, n_components = potential.denom, pot_meta["n_components"]
+  read, denom, pins = _potential_reader(local_remainder, sub_win, inter,
+                                        sub_budget)
 
   probes = default_probes(sub_win, inter, radius, ball_radius=probe_ball)
   table = _pairing(read, denom, sub_win, inter, basis, radius, probes)
@@ -703,7 +609,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
           "identity_pad": residual["interior_pad"],
       },
       "sub_window_sites": sub_win.n_sites,
-      "potential_components": n_components,
+      "potential_components": len(pins),
       "shift_invariance": inv,
       "extraction": {"probes": extraction["probes"],
                      "cross_checks": extraction["cross_checks"]},

@@ -486,13 +486,6 @@ class Window:
         return path[::-1]
     raise InputError(f"no path from {x!r} to {y!r} inside the window")
 
-  def is_connected(self) -> bool:
-    if not self.vertices:
-      return True
-    for _, reached in _layers(self.neighbors_in, self.vertices[0]):
-      pass
-    return len(reached) == len(self.vertices)
-
 
 def window(locale: Locale, vertices) -> Window:
   vertices = tuple(vertices)

@@ -14,8 +14,7 @@ from configcalc.configspace import (BudgetExceeded, _fixed_slices,
                                     config_from_json, config_to_json,
                                     digits_from_sites, digits_of,
                                     exchange_path, fibers_report, index_of,
-                                    n_configs, quantity_of,
-                                    rearrangement_path, digit_powers)
+                                    n_configs, quantity_of, digit_powers)
 from configcalc.calculus import is_closed
 from configcalc.cohomology import _half
 from configcalc.decomposition import TranslationAction, build_omega_rho
@@ -327,47 +326,6 @@ def test_exchange_path_refuses_only_a_pair_it_must_swap():
   inter = pair_flip()
   digits = digits_from_sites(win, inter, {})
   assert exchange_path(win, inter, digits, (0,), (2,)) == ([], digits)
-
-
-def replay_path(win, inter, digits, steps):
-  """The end of a step list, checking every step is a genuine move."""
-  seen = tuple(digits)
-  for config, edge in steps:
-    assert config == seen
-    pu, pv = win.position(edge[0]), win.position(edge[1])
-    nxt = apply_edge(config, pu, pv, inter)
-    assert nxt != config, "path contains a frozen step"
-    seen = nxt
-  return seen
-
-
-@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3",
-                                  "lattice-gas:2"])
-@pytest.mark.parametrize("lattice", ["line6", "square3", "hexagonal2"])
-def test_rearrangement_path_ends_at_its_target(name, lattice):
-  inter = by_name(name)
-  win = {"line6": line(6),
-         "square3": box(Euclidean(2), (0, 0), (2, 2)),
-         "hexagonal2": box(Hexagonal(), (0, 0), (1, 1))}[lattice]
-  rng = random.Random(f"{name}-{lattice}")
-  for _ in range(12):
-    digits = tuple(rng.randrange(inter.n_states) for _ in range(win.n_sites))
-    target = list(digits)
-    rng.shuffle(target)
-    steps, final = rearrangement_path(win, inter, digits, target)
-    assert final == tuple(target)
-    assert replay_path(win, inter, digits, steps) == final
-  # from the sorted configuration, as the decomposition's pins are
-  steps, final = rearrangement_path(win, inter, sorted(digits), digits)
-  assert replay_path(win, inter, sorted(digits), steps) == final == digits
-
-
-def test_rearrangement_path_refuses_other_states():
-  inter = multispecies(2)
-  with pytest.raises(InputError):
-    rearrangement_path(line(3), inter, (0, 1, 2), (0, 1, 1))
-  with pytest.raises(InputError):
-    rearrangement_path(line(3), pair_flip(), (0, 1, 0), (1, 0, 0))
 
 
 def test_fibers_connected_catalog_small():

@@ -9,6 +9,8 @@ with an edge-by-edge zero residual on the interior.
 import hashlib
 import json
 import random
+import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -815,12 +817,13 @@ def test_hexagonal_window_profile_is_invariant():
 
 
 # ---------------------------------------------------------------------------
-# The potential is integrated only where the decomposition reads it
+# The potential is spelled out only where the decomposition reads it
 
 
 def _read_case(case):
   """A synthesized form on the named lattice, model and support radius."""
-  lattice, model, r = case.split("-")
+  lattice, rest = case.split("-", 1)
+  model, r = rest.rsplit("-", 1)
   inter = by_name(model)
   basis = conserved_basis(inter)
   if lattice.startswith("line"):
@@ -861,34 +864,33 @@ READ_CASES = ([f"line{n}-{m}-r{r}" for n in (9, 10)
                for m in ("multispecies:2", "exclusion") for r in (1, 2)]
               + [f"{lat}-{m}-r1" for lat in ("square7", "square9", "hexagonal5")
                  for m in ("multispecies:2", "exclusion")]
-              + ["triangular7-exclusion-r1"])
+              + ["triangular7-exclusion-r1"]
+              + [f"line9-{m}-r1"
+                 for m in ("spin3", "generalized-exclusion:2", "glauber")])
 
 
 @pytest.mark.parametrize("case", READ_CASES)
 def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
   win, inter, basis, act, domain, omega = _read_case(case)
   readers = []
-  real_reader = decomposition._local_reader
+  real_reader = decomposition._potential_reader
 
   def reader(remainder, sub_win, inter, budget):
-    read, denom = real_reader(remainder, sub_win, inter, budget)
+    read, denom, pins = real_reader(remainder, sub_win, inter, budget)
     calls = []
     readers.append((remainder, sub_win, calls))
 
     def recorded(sites):
       calls.append((sites, read(sites)))
       return calls[-1][1]
-    return recorded, denom
+    return recorded, denom, pins
 
-  def decompose():
-    try:
-      return varadhan_decompose(omega, win, inter, basis, act, domain)
-    except InputError as exc:  # the probe plan or the window falls short
-      return str(exc)
-
-  monkeypatch.setattr(decomposition, "_local_reader", reader)
+  monkeypatch.setattr(decomposition, "_potential_reader", reader)
   scanned = _spy_scans(monkeypatch)
-  rep = decompose()
+  try:
+    rep = varadhan_decompose(omega, win, inter, basis, act, domain)
+  except InputError as exc:  # the probe plan or the window falls short
+    rep = str(exc)
   ((remainder, sub_win, calls),) = readers
   scans = list(scanned)
 
@@ -907,17 +909,9 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
     assert rep["residual"]["ok"]
     assert rep["potential_components"] == meta["n_components"]
 
-  # Only read regions are scanned, never the whole sub-window unless the
-  # domain's radius ball is all of it.
-  if set(ball) != set(sub_win.vertices):
-    assert max(scans) < sub_win.n_sites
-  assert len(scans) == len({decomposition._hull(sub_win, sites)
-                            for sites, _ in calls})
-
-  # Scanning the whole sub-window instead gives the same result.
-  monkeypatch.setattr(decomposition, "_fibers_are_multisets",
-                      lambda *args: False)
-  assert decompose() == rep
+  # One scan per decomposition, on the sub-window; every read comes from
+  # its level maps.
+  assert scans == [sub_win.n_sites]
 
 
 CYCLE_MAP = {"name": "cyc", "states": [0, 1, 2], "base": 0,
@@ -963,7 +957,6 @@ def test_fallback_models_scan_the_whole_sub_window(name, monkeypatch):
   omega = synthesized_form(f, a, act, domain, win, inter, basis)
   sub_win = decomposition._centered_subwindow(win, inter, (4,),
                                               DEFAULT_SUB_BUDGET)
-  assert not decomposition._fibers_are_multisets(sub_win, inter, basis)
   scanned = _spy_scans(monkeypatch)
   if name == "pair-flip":  # parity splits the fibers
     with pytest.raises(PairingNotWellDefined) as info:
@@ -1013,7 +1006,7 @@ def test_non_closed_input_exits_1_with_a_cycle_that_replays(tmp_path):
   rep = json.loads(out.read_text())
   assert rep["error"]["kind"] == "NotClosedError"
   witness = rep["error"]["witness"]
-  # The cycle comes from the scan of a read region, with every site
+  # The cycle comes from the scan of the sub-window, with every site
   # outside it at base; it closes on the window and its integral under the
   # input form is the reported nonzero defect.
   configs = [config_from_json(win, inter, step["config"])
@@ -1103,10 +1096,10 @@ WIDE_SCAN_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(WIDE_SCAN_DIGESTS))
 def test_decompose_scans_take_no_breadth_first_step(name, tmp_path,
                                                     monkeypatch):
-  """Each remainder the decomposition integrates reads beyond its edges,
-  on hulls or on the whole sub-window, and the slab kernel decides every
-  one: the breadth-first loop never starts a queue, and the report keeps
-  its bytes."""
+  """Each remainder the decomposition integrates on its sub-window reads
+  beyond its edges, and the slab kernel decides every one: the
+  breadth-first loop never starts a queue, and the report keeps its
+  bytes."""
   wide, solved, queues = [], [], []
   real_scan, real_slab, real_deque = (calculus._potential_scan,
                                       calculus._slab_solve, calculus.deque)
@@ -1135,3 +1128,19 @@ def test_decompose_scans_take_no_breadth_first_step(name, tmp_path,
   assert solved == [True] * len(wide)
   assert not queues
   assert hashlib.sha256(out.read_bytes()).hexdigest() == WIDE_SCAN_DIGESTS[name]
+
+
+def test_decompose_builds_no_sub_window_table(tmp_path):
+  """The remainder's potential is read off the kernel's level maps: CLI
+  ``decompose`` on a 3^10 sub-window peaks below one list of 3^10 ints."""
+  out = tmp_path / "report.json"
+  argv = ["decompose", "--manifest", str(DATA / "decompose_spin3_line10.json"),
+          "--out", str(out)]
+  tracemalloc.start()
+  try:
+    assert main(argv) == 0
+    peak = tracemalloc.get_traced_memory()[1]
+  finally:
+    tracemalloc.stop()
+  assert json.loads(out.read_text())["sub_window_sites"] == 10
+  assert peak < sys.getsizeof([0] * 3 ** 10)

@@ -182,7 +182,7 @@ def test_box_window_shape():
   w = box(Euclidean(2), (0, 0), (2, 2))
   assert w.n_sites == 9
   assert len(w.edges) == 24          # 12 undirected adjacencies, both ways
-  assert w.is_connected()
+  assert all(w.path_between(w.vertices[0], v) for v in w.vertices)
   assert w.vertices == tuple(sorted(w.vertices))
 
 
@@ -305,8 +305,8 @@ def test_ball_agrees_with_distance(x, y, r):
 
 # ---------------------------------------------------------------------------
 # Reference walks: the separate breadth-first loops that distance, ball,
-# path_between, is_connected and the transfer probe each had before they
-# shared one layered search.  The shared search must reproduce all of them.
+# path_between and the transfer probe each had before they shared one
+# layered search.  The shared search must reproduce all of them.
 
 
 def reference_distance(loc, x, y):
@@ -365,20 +365,6 @@ def reference_path_between(w, x, y):
           return path[::-1]
         queue.append(v)
   raise InputError(f"no path from {x!r} to {y!r} inside the window")
-
-
-def reference_is_connected(w):
-  if not w.vertices:
-    return True
-  seen = {w.vertices[0]}
-  queue = deque(seen)
-  while queue:
-    u = queue.popleft()
-    for v in w.neighbors_in(u):
-      if v not in seen:
-        seen.add(v)
-        queue.append(v)
-  return len(seen) == len(w.vertices)
 
 
 def reference_components(loc, x0, r, margin):
@@ -453,13 +439,6 @@ def test_path_between_matches_the_first_discoverer_reference():
     for x in w.vertices:
       for y in w.vertices:
         assert outcome(w.path_between, x, y) == outcome(reference_path_between, w, x, y)
-
-
-def test_is_connected_matches_the_reference():
-  joined = box(Hexagonal(), (0, 0), (1, 1))
-  split = window(Euclidean(2), [(0, 0), (0, 1), (2, 0)])
-  assert [joined.is_connected(), split.is_connected()] == [True, False]
-  assert [reference_is_connected(joined), reference_is_connected(split)] == [True, False]
 
 
 def test_transfer_probe_components_match_the_reference():
