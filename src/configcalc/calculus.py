@@ -223,13 +223,6 @@ def restrict(f: LocalFunction, region) -> LocalFunction:
 # Exact-support expansion
 
 
-def _subsets(n_sites: int):
-  """Position tuples of every subset of ``n_sites`` sites: by size, then in
-  ``combinations`` order."""
-  return chain.from_iterable(combinations(range(n_sites), size)
-                             for size in range(n_sites + 1))
-
-
 def _mobius(values, n_sites: int, n_states: int, base: int) -> list:
   """Yates' subset Moebius transform of a dense table over ``n_sites`` sites.
 
@@ -281,14 +274,14 @@ def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   # the piece on a subset is nonzero exactly when an entry with its mask is.
   masks = _site_sums([[0 if d == f.base else 1 << k for d in range(f.n_states)]
                       for k in range(n)])
-  live = {m for m, v in zip(masks, table) if v}
+  live = [tuple(k for k in range(n) if m >> k & 1)
+          for m in set(compress(masks, table))]
   pieces = {}
-  for positions in _subsets(n):
-    if sum(1 << k for k in positions) in live:
-      sub_support = tuple(f.support[k] for k in positions)
-      pieces[sub_support] = LocalFunction._exact(
-          sub_support, f.n_states, f.base,
-          _piece(table, positions, n, f.n_states, f.base), f.denom)
+  for positions in sorted(live, key=lambda p: (len(p), p)):
+    sub_support = tuple(f.support[k] for k in positions)
+    pieces[sub_support] = LocalFunction._exact(
+        sub_support, f.n_states, f.base,
+        _piece(table, positions, n, f.n_states, f.base), f.denom)
   return pieces
 
 

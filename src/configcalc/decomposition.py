@@ -22,11 +22,10 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .calculus import (Form, LocalFunction, _combine, _mobius,
-                       _path_integral, _piece, _potential_reader, _subsets,
-                       constant, differential, form_axioms_report, form_sub,
-                       functions_equal, gradient, is_closed, restrict,
-                       support_diameter, sub, trim)
+from .calculus import (Form, LocalFunction, _combine, _mobius, _path_integral,
+                       _piece, _potential_reader, constant, differential,
+                       form_axioms_report, form_sub, functions_equal, gradient,
+                       is_closed, restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          _pairing, _quantity_corrected, check_pairing_laws,
                          compute_pairing, default_probes,
@@ -505,6 +504,20 @@ def form_restricted(form: Form, sub: Window) -> Form:
   return Form(form.n_states, form.base, fns, form.radius)
 
 
+def _admissible_supports(sites, domain, locale, radius: int) -> list:
+  """Nonempty supports among ``sites`` of diameter at most ``radius`` that
+  meet ``domain``, by size, then in ``combinations`` order: each grows in
+  site order by later sites within ``radius`` of all it holds, and the list
+  is walked breadth first while it grows."""
+  grown = [(-1, ())]
+  for last, held in grown:
+    for k in range(last + 1, len(sites)):
+      if all(locale.distance(x, sites[k]) <= radius for x in held):
+        grown.append((k, held + (sites[k],)))
+  domain = set(domain)
+  return [held for _, held in grown if domain.intersection(held)]
+
+
 def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
                        action: TranslationAction, domain,
                        radius: int | None = None,
@@ -521,8 +534,8 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
 
   The remainder is solved once on the sub-window, whatever the model, and
   its potential is spelled out only on the probe pairs' unions and on the
-  domain's radius ball, from the solution's level maps
-  (``calculus._potential_reader``).
+  admissible supports (``_admissible_supports``), from the solution's level
+  maps (``calculus._potential_reader``); no radius-ball table is built.
   """
   domain = tuple(sorted(domain))
   if radius is None:
@@ -571,22 +584,16 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
 
   # Orbit-averaged exact-support pieces meeting the fundamental domain: on
   # each admissible support L, the top piece of the corrected potential
-  # v + h(quantity) read on L.
-  ball_sites = tuple(sorted(needed))
-  ball = read(ball_sites)
+  # v + h(quantity) read on L alone.
   terms = []
-  for positions in _subsets(len(ball_sites)):
-    sub_supp = tuple(ball_sites[k] for k in positions)
-    if not set(sub_supp) & set(domain):
-      continue
-    if support_diameter(sub_supp, window.locale) > radius:
-      continue
-    size = len(sub_supp)
-    corrected = _quantity_corrected(ball, sub_supp, basis, h,
+  for supp in _admissible_supports(sorted(needed), domain, window.locale,
+                                   radius):
+    size = len(supp)
+    corrected = _quantity_corrected(read(supp), supp, basis, h,
                                     "pairing probes did not cover quantity {}")
     moebius = _mobius(corrected.nums, size, s, inter.base)
     piece = LocalFunction._exact(
-        sub_supp, s, inter.base,
+        supp, s, inter.base,
         _piece(moebius, range(size), size, s, inter.base), corrected.denom)
     if piece.is_zero():
       continue
@@ -626,7 +633,7 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
   mismatch as a witness and the largest absolute residual overall.
   """
   locale = window.locale
-  pad = support_diameter(f_hat.support, locale) if f_hat.support else 0
+  pad = support_diameter(f_hat.support, locale)
   inner = interior_vertices(window, pad)
   edges = [(u, v) for u, v in window.edges if u in inner and v in inner]
   if not edges:
