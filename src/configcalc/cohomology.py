@@ -26,7 +26,7 @@ from .calculus import (Form, LocalFunction, _over, is_uniform,
 from .configspace import (_quantity_sums, _site_sums, digit_powers,
                           quantity_to_json)
 from .interactions import Interaction
-from .linalg import rref
+from .linalg import _integer_row, rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
@@ -51,11 +51,13 @@ class SplittingInfeasible(WitnessError):
 class PairingTable:
   basis: tuple
   radius: int
-  cells: dict = field(default_factory=dict)   # (alpha, beta) -> Fraction
+  # (alpha, beta) -> Fraction; a computed table keys each cell by the raw
+  # quantity sums of its two halves (int tuples for the conserved basis)
+  cells: dict = field(default_factory=dict)
   probes: list = field(default_factory=list)  # provenance, JSON-ready
 
   def zero_vector(self):
-    return tuple(ZERO for _ in self.basis)
+    return (0,) * len(self.basis)
 
 
 def set_distance(first, second, locale: Locale) -> int:
@@ -246,11 +248,8 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
     for _, key, k in sorted(fresh):
       cells[key] = k
       provenance[key] = record
-  vectors = {q for key in cells for q in key}
-  shared = {q: tuple(map(Fraction, q)) for q in vectors}
   values = {k: Fraction(k, denom) for k in set(cells.values())}
-  table.cells = {(shared[alpha], shared[beta]): values[k]
-                 for (alpha, beta), k in cells.items()}
+  table.cells = {key: values[k] for key, k in cells.items()}
   return table
 
 
@@ -283,34 +282,17 @@ def _vec_add(a, b):
   return tuple(x + y for x, y in zip(a, b))
 
 
-def _integer_quantities(cells):
-  """(keys, denom): every quantity in the keys of ``cells`` as a tuple of
-  integer numerators over ``denom``, the lcm of all their denominators.
-  The keys add like the quantities and sort in the same order."""
-  vectors = {q for key in cells for q in key}
-  denom = lcm(*(x.denominator for q in vectors for x in q))
-  return {q: tuple(x.numerator * (denom // x.denominator) for x in q)
-          for q in vectors}, denom
-
-
 def check_pairing_laws(table: PairingTable) -> dict:
   """Cocycle identity over all probe-covered triples, plus symmetry.
 
-  Each cell is read once as integer quantity keys (the quantities over their
-  common denominator) and an integer numerator over the values' common
-  denominator; the cocycle pairs (alpha, beta), (beta, gamma) are found by
-  indexing the cells by their first argument.
+  The cells are read as they are keyed, each value as its integer numerator
+  over the values' common denominator; the cocycle pairs (alpha, beta),
+  (beta, gamma) are found by indexing the cells by their first argument.
   """
   cells = table.cells
-  ikeys, _ = _integer_quantities(cells)
-  v_denom = lcm(*(v.denominator for v in cells.values()))
-  nums = {}  # (a, b) -> numerator, in table order
-  keys = {}  # (a, b) -> the table's own key
+  nums = dict(zip(cells, _integer_row(cells.values())[0]))
   by_first = {}  # a -> [b, ...] in table order
-  for key, v in cells.items():
-    a, b = ikeys[key[0]], ikeys[key[1]]
-    nums[a, b] = v.numerator * (v_denom // v.denominator)
-    keys[a, b] = key
+  for a, b in cells:
     by_first.setdefault(a, []).append(b)
 
   cocycle_checked = 0
@@ -323,11 +305,10 @@ def check_pairing_laws(table: PairingTable) -> dict:
       if k2 in nums and k4 in nums:
         cocycle_checked += 1
         if v1 + nums[k2] != nums[b, g] + nums[k4]:
-          alpha, beta = keys[a, b]
           cocycle_violations.append({
-              "alpha": quantity_to_json(alpha),
-              "beta": quantity_to_json(beta),
-              "gamma": quantity_to_json(keys[b, g][1]),
+              "alpha": quantity_to_json(a),
+              "beta": quantity_to_json(b),
+              "gamma": quantity_to_json(g),
           })
   symmetry_checked = 0
   symmetry_violations = []
@@ -336,12 +317,11 @@ def check_pairing_laws(table: PairingTable) -> dict:
     if mirror in nums:
       symmetry_checked += 1
       if nums[mirror] != nums[a, b]:
-        alpha, beta = keys[a, b]
         symmetry_violations.append({
-            "a": quantity_to_json(alpha),
-            "b": quantity_to_json(beta),
-            "values": [fraction_to_str(cells[keys[a, b]]),
-                       fraction_to_str(cells[keys[mirror]])],
+            "a": quantity_to_json(a),
+            "b": quantity_to_json(b),
+            "values": [fraction_to_str(cells[a, b]),
+                       fraction_to_str(cells[mirror])],
         })
   return {
       "cocycle": {"checked": cocycle_checked,
@@ -377,10 +357,10 @@ def _chain_splitting(table: PairingTable):
     prim = tuple(-x for x in prim)
   multiples = {}
   for v in vectors:
-    k = v[lead] / prim[lead]
-    if k.denominator != 1:
+    k, rest = divmod(v[lead], prim[lead])
+    if rest:
       return None
-    multiples[v] = int(k)
+    multiples[v] = k
 
   def cell(ka, kb):
     key = (tuple(ka * x for x in prim), tuple(kb * x for x in prim))
@@ -413,31 +393,28 @@ def _linear_splitting(table: PairingTable):
   the first leftover row with a nonzero right-hand side yields a verifiable
   certificate (see ``_certificate``).
 
-  The unknowns are the integer quantity keys and each equation is a sparse
-  integer row, its right-hand side the cell's numerator over the values'
-  common denominator; the equations are spelled out only in a certificate.
+  The unknowns are the quantities as the cells key them and each equation
+  is a sparse integer row, its right-hand side the cell's numerator over
+  the values' common denominator; the equations are spelled out only in a
+  certificate.
   """
-  keys, q_denom = _integer_quantities(table.cells)
-  v_denom = lcm(*(v.denominator for v in table.cells.values()))
-  cells = sorted((keys[alpha], keys[beta], alpha, beta, val)
-                 for (alpha, beta), val in table.cells.items())
-  origin = table.zero_vector()
-  zero = tuple(0 for _ in origin)
+  cells = sorted(table.cells.items())
+  zero = table.zero_vector()
+  pin_value = table.cells.get((zero, zero), ZERO)
+  nums, v_denom = _integer_row([val for _, val in cells] + [pin_value])
   unknowns = {zero}
-  for a, b, *_ in cells:
+  for a, b in table.cells:
     unknowns.update((a, b, _vec_add(a, b)))
   cols = {v: i for i, v in enumerate(sorted(unknowns))}
   n = len(cols)
   rows = []  # {unknown's column: coefficient, n: right-hand side}
-  for a, b, _, _, val in cells:
-    row = {n: val.numerator * (v_denom // val.denominator)}
+  for ((a, b), _), k in zip(cells, nums):
+    row = {n: k}
     for v, x in ((a, 1), (b, 1), (_vec_add(a, b), -1)):
       c = cols[v]
       row[c] = row.get(c, 0) + x
     rows.append(row)
-  pin_value = table.cells.get((origin, origin), ZERO)
-  rows.append({cols[zero]: 1,
-               n: pin_value.numerator * (v_denom // pin_value.denominator)})
+  rows.append({cols[zero]: 1, n: nums[-1]})
 
   reduced, pivots, order = rref(rows, n)
   rank = len(pivots)
@@ -448,9 +425,9 @@ def _linear_splitting(table: PairingTable):
 
       def equation(i):
         if i == len(cells):
-          return {"pin": quantity_to_json(origin),
+          return {"pin": quantity_to_json(zero),
                   "value": fraction_to_str(pin_value)}
-        _, _, alpha, beta, val = cells[i]
+        (alpha, beta), val = cells[i]
         return {"cell": {"a": quantity_to_json(alpha),
                          "b": quantity_to_json(beta)},
                 "value": fraction_to_str(val)}
@@ -466,8 +443,7 @@ def _linear_splitting(table: PairingTable):
   solution = [ZERO] * n
   for row, c in zip(reduced, pivots):
     solution[c] = Fraction(row.get(n, 0), v_denom)
-  return {tuple(Fraction(x, q_denom) for x in v): solution[i]
-          for v, i in cols.items()}
+  return {v: solution[i] for v, i in cols.items()}
 
 
 def _certificate(rows, pivots, inputs, j: int, n: int):

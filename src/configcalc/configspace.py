@@ -172,14 +172,17 @@ def config_from_json(window: Window, inter: Interaction, obj) -> tuple:
 
 
 def quantity_of(digits, basis) -> tuple:
-  """The window total of each basis quantity; exact (int or Fraction)."""
+  """The window total of each basis quantity, summed in the basis's own
+  entries: ints for the conserved basis, equal to the raw sums that key a
+  computed pairing table."""
   return tuple(sum(vec[d] for d in digits) for vec in basis)
 
 
 def _quantity_sums(sites, basis, n_states: int):
   """The raw quantity sums of every configuration of ``sites``, in index
   order: one tuple of basis-entry sums per configuration.  Raw sums hash
-  far faster than tuples of Fractions, so grouping is done on these."""
+  far faster than tuples of Fractions, so grouping is done on these, and
+  the pairing table keeps them as its keys."""
   columns = [_site_sums([vec] * len(sites)) for vec in basis]
   if not columns:
     return [()] * n_states ** len(sites)

@@ -712,9 +712,8 @@ def counterexample_report(n_sites: int = 9) -> dict:
   except PairingNotWellDefined as exc:
     decompose_error = {"pairing_ill_defined": exc.witness}
 
-  one = Fraction(1)
-  alpha_left_one = (one, ZERO)   # a single low-species particle
-  beta_right_two = (ZERO, one)   # a single high-species particle
+  alpha_left_one = (1, 0)   # a single low-species particle
+  beta_right_two = (0, 1)   # a single high-species particle
   return {
       "window_sites": n_sites,
       "form_axioms_ok": axioms["ok"],

@@ -23,6 +23,7 @@ JSON as nested lists of ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .serialize import InputError, manifest_int
 
@@ -137,6 +138,10 @@ class LatticeLocale(Locale):
   def coord_dim(self) -> int:
     raise NotImplementedError
 
+  def __contains__(self, x):
+    return (isinstance(x, tuple) and len(x) == self.coord_dim()
+            and all(isinstance(a, int) for a in x))
+
 
 @dataclass(frozen=True)
 class Euclidean(LatticeLocale):
@@ -156,9 +161,6 @@ class Euclidean(LatticeLocale):
         out.append(tuple(y))
     return out
 
-  def __contains__(self, x):
-    return isinstance(x, tuple) and len(x) == self.d and all(isinstance(a, int) for a in x)
-
   def distance(self, x, y) -> int:
     return sum(abs(a - b) for a, b in zip(x, y))
 
@@ -167,7 +169,8 @@ class Euclidean(LatticeLocale):
 
 
 def _l1_offsets(d: int, n: int):
-  """All nonzero integer vectors v with |v|_1 <= n."""
+  """All integer vectors v with |v|_1 <= n, the zero vector included (the
+  recursion needs the zero tails; ``NNeighbor.neighbors`` skips it)."""
   if d == 0:
     yield ()
     return
@@ -195,9 +198,6 @@ class NNeighbor(LatticeLocale):
         out.append(tuple(a + b for a, b in zip(x, off)))
     return out
 
-  def __contains__(self, x):
-    return isinstance(x, tuple) and len(x) == self.d and all(isinstance(a, int) for a in x)
-
   def distance(self, x, y) -> int:
     l1 = sum(abs(a - b) for a, b in zip(x, y))
     return -(-l1 // self.n)
@@ -221,9 +221,6 @@ class Triangular(LatticeLocale):
 
   def neighbors(self, x):
     return [(x[0] + a, x[1] + b) for a, b in _TRI_OFFSETS]
-
-  def __contains__(self, x):
-    return isinstance(x, tuple) and len(x) == 2 and all(isinstance(a, int) for a in x)
 
   def distance(self, x, y) -> int:
     return _tri_steps(y[0] - x[0], y[1] - x[1])
@@ -512,17 +509,8 @@ def box(locale: LatticeLocale, lo, hi) -> Window:
     raise InputError(f"box bounds must have {d} coordinates")
   if any(a > b for a, b in zip(lo, hi)):
     raise InputError("box needs lo <= hi coordinatewise")
-
-  def expand(prefix):
-    if len(prefix) == d:
-      yield prefix
-      return
-    i = len(prefix)
-    for a in range(lo[i], hi[i] + 1):
-      yield from expand(prefix + (a,))
-
   verts = []
-  for c in expand(()):
+  for c in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
     if isinstance(locale, Hexagonal):
       verts.extend([(c[0], c[1], 0), (c[0], c[1], 1)])
     else:

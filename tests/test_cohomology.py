@@ -154,14 +154,19 @@ def test_pairing_laws_hold_for_symmetric_table():
   assert rep["symmetry"]["checked"] > 0
 
 
-def test_pairing_cells_are_keyed_by_shared_fraction_tuples():
+def test_pairing_cells_are_keyed_by_raw_quantity_sums():
+  """A computed table keys its cells by the raw quantity sums, int tuples
+  for the conserved basis; they hash and compare like the Fraction tuples
+  of a JSON table, so the two key formats give one dict."""
   table, basis = quadratic_table(11)
-  shared = {}
   for key, value in table.cells.items():
     assert type(value) is Fraction
     for q in key:
-      assert all(type(x) is Fraction for x in q)
-      assert shared.setdefault(q, q) is q
+      assert type(q) is tuple and all(type(x) is int for x in q)
+  as_fractions = {tuple(tuple(map(Fraction, q)) for q in key): value
+                  for key, value in table.cells.items()}
+  assert table.cells == as_fractions
+  assert table.zero_vector() == (0,) * len(basis)
 
 
 def reference_laws(table):

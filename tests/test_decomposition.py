@@ -1101,7 +1101,10 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
   pairing enumerated each probe half once; the triangular 10x10 glauber
   decomposition at radius 2: at commit 9f07541, before the orbit average
   read each admissible support alone instead of the whole radius ball: 6-8
-  s there, 0.15 s after, in process on a 2-vCPU host).  A key runs the
+  s there, 0.15 s after, in process on a 2-vCPU host; the ``split`` of an
+  inline exclusion table whose quantities are halves, the one report where
+  the chain iteration divides Fraction keys: at commit 856ec30, before the
+  pairing table was keyed by the raw quantity sums).  A key runs the
   command it starts with, on the manifest named by the whole key or else by
   the rest of it."""
   want = json.loads((DATA / "report_digests.json").read_text())[name]
