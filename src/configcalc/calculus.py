@@ -10,12 +10,12 @@ the reports).  Nothing is ever rounded.
 The differential of a function along a directed edge e is
 ``f(eta^e) - f(eta)`` where ``eta^e`` applies the interaction across e.  A
 ``Form`` assigns one local function per directed window edge; closedness and
-integration are decided exactly on the finite configuration graph.  When
-the interaction is valid, the window is solved slab by slab, one position
-at a time (``configspace._slab_solve``), each edge checked at the least
-window position it reads, whatever its function's width.  Interactions
-that are not valid, and the witness cycle of a form that is not closed,
-take a breadth-first scan over every configuration.
+integration are decided exactly on the finite configuration graph: the
+window is solved slab by slab, one position at a time
+(``configspace._slab_solve``), each edge checked at the least window
+position it reads, whatever its function's width.  An interaction that is
+not valid (a move that no move undoes) is refused.  The witness cycle of a
+form that is not closed comes from a breadth-first scan.
 """
 
 from __future__ import annotations

@@ -100,12 +100,14 @@ def default_probes(window: Window, inter: Interaction, radius: int,
   d = locale.coord_dim()
   pairs = []
   seen = set()
+  over = []  # union sizes of the pairs the budget turns away
 
   def try_pair(first, second):
     if set_distance(first, second, locale) <= radius:
       return
     size = len(set(first) | set(second))
     if inter.n_states ** size > probe_budget:
+      over.append(size)
       return
     key = (tuple(first), tuple(second))
     if key not in seen:
@@ -130,7 +132,10 @@ def default_probes(window: Window, inter: Interaction, radius: int,
       if not oriented:
         try_pair(second, first)
   if not pairs:
-    raise InputError("window too small to place any probe pair")
+    raise InputError(
+        f"probe budget {probe_budget} admits no probe pair: the smallest "
+        f"needs {inter.n_states}^{min(over)} configurations" if over
+        else "window too small to place any probe pair")
   return pairs
 
 

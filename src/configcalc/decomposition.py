@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .calculus import (Form, LocalFunction, _combine, _mobius, _path_integral,
-                       _piece, _potential_reader, constant, differential,
+from .calculus import (Form, LocalFunction, _combine, _path_integral,
+                       _potential_reader, constant, differential, expansion,
                        form_axioms_report, form_sub, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
@@ -120,19 +120,11 @@ class TranslationAction:
 
   def max_step(self) -> int:
     """Largest graph distance a single generator moves a vertex."""
-    probe = next(iter(_probe_vertex(self.locale)))
-    best = 0
-    for g in self.generators:
-      best = max(best, self.locale.distance(probe, self.locale.translate(probe, g)))
-    return best
-
-
-def _probe_vertex(locale: LatticeLocale):
-  # lattice kinds: plain coordinate tuples, except the honeycomb's site flag
-  if isinstance(locale, Hexagonal):
-    yield (0, 0, 0)
-  else:
-    yield (0,) * locale.coord_dim()
+    # lattice kinds: plain coordinate tuples, except the honeycomb's site flag
+    probe = ((0, 0, 0) if isinstance(self.locale, Hexagonal)
+             else (0,) * self.locale.coord_dim())
+    return max(self.locale.distance(probe, self.locale.translate(probe, g))
+               for g in self.generators)
 
 
 def translate_function(action: TranslationAction, f: LocalFunction,
@@ -504,18 +496,25 @@ def form_restricted(form: Form, sub: Window) -> Form:
   return Form(form.n_states, form.base, fns, form.radius)
 
 
-def _admissible_supports(sites, domain, locale, radius: int) -> list:
-  """Nonempty supports among ``sites`` of diameter at most ``radius`` that
-  meet ``domain``, by size, then in ``combinations`` order: each grows in
-  site order by later sites within ``radius`` of all it holds, and the list
-  is walked breadth first while it grows."""
-  grown = [(-1, ())]
-  for last, held in grown:
-    for k in range(last + 1, len(sites)):
-      if all(locale.distance(x, sites[k]) <= radius for x in held):
-        grown.append((k, held + (sites[k],)))
-  domain = set(domain)
-  return [held for _, held in grown if domain.intersection(held)]
+def _maximal_supports(sites, domain, locale, radius: int) -> list:
+  """The maximal sets among ``sites`` of diameter at most ``radius`` that
+  meet ``domain``, sorted, each sorted: the maximal cliques of the graph
+  joining sites within ``radius``, by Bron and Kerbosch's pivoted search."""
+  near = {x: {y for y in sites if 0 < locale.distance(x, y) <= radius}
+          for x in sites}
+  found = []
+
+  def extend(held, cands, done):
+    if not cands | done:
+      found.append(tuple(sorted(held)))
+      return
+    pivot = max(cands | done, key=lambda u: len(cands & near[u]))
+    for x in sorted(cands - near[pivot]):
+      extend(held + [x], cands & near[x], done & near[x])
+      cands, done = cands - {x}, done | {x}
+
+  extend([], set(sites), set())
+  return sorted(held for held in found if not set(domain).isdisjoint(held))
 
 
 def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
@@ -532,10 +531,10 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   pieces that meet the fundamental domain over their translation orbits; and
   re-verify the defining identity on every interior edge, exactly.
 
-  The remainder is solved once on the sub-window, whatever the model, and
-  its potential is spelled out only on the probe pairs' unions and on the
-  admissible supports (``_admissible_supports``), from the solution's level
-  maps (``calculus._potential_reader``); no radius-ball table is built.
+  The remainder is solved once on the sub-window, whatever the model.  Its
+  potential is read off the level maps (``calculus._potential_reader``) only
+  on the probe pairs' unions and on the maximal supports
+  (``_maximal_supports``), each expanded once by ``expansion``.
   """
   domain = tuple(sorted(domain))
   if radius is None:
@@ -573,7 +572,6 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   # window's flux is kept for the identity check.
   local_remainder = form_sub(form_restricted(form, sub_win),
                              form_restricted(flux, sub_win), radius)
-  s = inter.n_states
   read, denom, pins = _potential_reader(local_remainder, sub_win, inter,
                                         sub_budget)
 
@@ -582,24 +580,18 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   split = solve_splitting(table)
   h = split["h"]
 
-  # Orbit-averaged exact-support pieces meeting the fundamental domain: on
-  # each admissible support L, the top piece of the corrected potential
-  # v + h(quantity) read on L alone.
-  terms = []
-  for supp in _admissible_supports(sorted(needed), domain, window.locale,
-                                   radius):
-    size = len(supp)
-    corrected = _quantity_corrected(read(supp), supp, basis, h,
-                                    "pairing probes did not cover quantity {}")
-    moebius = _mobius(corrected.nums, size, s, inter.base)
-    piece = LocalFunction._exact(
-        supp, s, inter.base,
-        _piece(moebius, range(size), size, s, inter.base), corrected.denom)
-    if piece.is_zero():
-      continue
-    weight = len(translates_meeting(action, piece, domain))
-    terms.append((Fraction(1, weight), piece))
-  f_hat = trim(_combine(terms, s, inter.base))
+  # Orbit-averaged exact-support pieces meeting the fundamental domain, from
+  # the corrected potential v + h(quantity) on each maximal support M.  Read
+  # on M with M - L at base it is its read on L (the conserved basis
+  # vanishes on base), so the expansions agree on every shared piece.
+  pieces = {}
+  for supp in _maximal_supports(sorted(needed), domain, window.locale, radius):
+    pieces.update(expansion(_quantity_corrected(
+        read(supp), supp, basis, h, "pairing probes did not cover quantity {}")))
+  f_hat = trim(_combine(
+      ((Fraction(1, len(translates_meeting(action, piece, domain))), piece)
+       for supp, piece in pieces.items() if not set(domain).isdisjoint(supp)),
+      inter.n_states, inter.base))
 
   residual = _verify_identity(form, f_hat, flux, window, inter, action)
 

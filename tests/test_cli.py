@@ -473,6 +473,22 @@ def test_pairing_default_probes_need_a_lattice_locale(tmp_path):
       "supply explicit probes")
 
 
+def test_pairing_names_a_probe_budget_that_admits_no_pair(tmp_path):
+  # Every probe pair fits the 11-site window; the budget turns each away.
+  man = dict(BASE, interaction="multispecies:2",
+             window={"kind": "box", "lo": [0], "hi": [10]},
+             function={"support": [[4], [5]],
+                       "values": [str(k) for k in range(9)]},
+             probe={"budget": 8})
+  code, rep = run(tmp_path, man, "pairing")
+  assert code == 2
+  assert rep["error"]["message"] == (
+      "probe budget 8 admits no probe pair: the smallest needs 3^2 "
+      "configurations")
+  man["probe"] = {"budget": 9}
+  assert run(tmp_path, man, "pairing")[0] == 0
+
+
 def test_decompose_on_a_split_locale_needs_explicit_probes(tmp_path):
   man = dict(BASE,
              locale={"kind": "n-neighbor", "d": 1, "n": 2},

@@ -19,14 +19,16 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from configcalc import calculus, decomposition
-from configcalc.calculus import (Form, _combine, differential, form_add,
+from configcalc import calculus, cli, decomposition
+from configcalc.calculus import (Form, LocalFunction, _combine, _mobius,
+                                 _piece, differential, form_add,
                                  form_sub, form_to_json,
                                  from_callable, functions_equal, gradient,
                                  integrate,
                                  restrict, scale, support_diameter, trim)
 from configcalc.cli import main
-from configcalc.cohomology import PairingNotWellDefined, default_probes
+from configcalc.cohomology import (PairingNotWellDefined, _quantity_corrected,
+                                   default_probes)
 from configcalc.configspace import (apply_edge, config_from_json, digits_of,
                                     fibers_report)
 from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
@@ -887,8 +889,35 @@ def _brute_supports(sites, domain, locale, radius):
   return found
 
 
+def _maximal(supports):
+  """The admissible supports that lie in no other, in sorted order.  A
+  support inside another is one site short of some admissible support
+  between them, so only one-site-short supports are dropped."""
+  short = {t[:k] + t[k + 1:] for t in supports for k in range(len(t))}
+  return sorted(set(supports) - short)
+
+
+def _orbit_average_by_support(read, h, basis, domain, sites, locale, radius,
+                              action, inter):
+  """The orbit average support by support: over every admissible support L
+  (``_brute_supports``), the top Moebius piece of the corrected potential
+  read on L alone, weighted by 1 / ``translates_meeting``."""
+  s, base = inter.n_states, inter.base
+  terms = []
+  for supp in _brute_supports(sites, domain, locale, radius):
+    g = _quantity_corrected(read(supp), supp, basis, h, "{}")
+    n = len(supp)
+    piece = LocalFunction._exact(
+        supp, s, base, _piece(_mobius(g.nums, n, s, base), range(n), n, s,
+                              base), g.denom)
+    if not piece.is_zero():
+      terms.append((Fraction(1, len(translates_meeting(action, piece,
+                                                       domain))), piece))
+  return trim(_combine(terms, s, base))
+
+
 # (locale, window corners, domain): the sites searched are the window's part
-# of the domain's radius ball, all of it but on NNeighbor(2, 2) at r = 2.
+# of the domain's radius ball.
 SUPPORT_CASES = {
     "line": (Euclidean(1), ((0,), (8,)), ((4,),)),
     "square": (Euclidean(2), ((0, 0), (6, 6)), ((3, 3),)),
@@ -901,12 +930,54 @@ SUPPORT_CASES = {
 @pytest.mark.parametrize("radius", (0, 1, 2))
 @pytest.mark.parametrize("name", sorted(SUPPORT_CASES))
 def test_admissible_supports_match_the_subset_filter(name, radius):
+  # The maximal supports are the maximal sets the subset filter admits.
   locale, (lo, hi), domain = SUPPORT_CASES[name]
   win = box(locale, lo, hi)
   sites = sorted({y for x in domain for y in locale.ball(x, radius)
                   if y in win})
-  got = decomposition._admissible_supports(sites, domain, locale, radius)
-  assert got == _brute_supports(sites, domain, locale, radius)
+  got = decomposition._maximal_supports(sites, domain, locale, radius)
+  assert got == _maximal(_brute_supports(sites, domain, locale, radius))
+
+
+def _check_maximal_supports(got, sites, domain, locale, radius):
+  """Each support is sorted, of diameter at most ``radius``, meets
+  ``domain`` and takes no further site; none repeats; sorted order."""
+  assert got == sorted(set(got))
+  for supp in got:
+    assert supp == tuple(sorted(supp)) and set(supp) <= set(sites)
+    assert support_diameter(supp, locale) <= radius
+    assert set(supp) & set(domain)
+    assert not any(all(locale.distance(x, y) <= radius for y in supp)
+                   for x in sites if x not in supp)
+
+
+def test_maximal_supports_on_the_whole_nneighbor_ball():
+  # 41 sites and 59392 admissible supports, 25 maximal ones.  The center
+  # is within the radius of every site, so each support holds it.
+  locale, radius = NNeighbor(2, 2), 2
+  sites = list(locale.ball((0, 0), radius))
+  got = decomposition._maximal_supports(sites, ((0, 0),), locale, radius)
+  assert len(sites) == 41 and len(got) == 25
+  _check_maximal_supports(got, sites, ((0, 0),), locale, radius)
+
+
+@pytest.mark.parametrize("mutant", ("not-maximal", "domain-unfiltered"))
+def test_maximal_support_checks_catch_mutants(mutant):
+  # On the hexagonal two-site domain at r = 2, 4 of the 16 maximal sets of
+  # the ball miss the domain.
+  locale, (lo, hi), domain = SUPPORT_CASES["hexagonal"]
+  win, radius = box(locale, lo, hi), 2
+  sites = sorted({y for x in domain for y in locale.ball(x, radius)
+                  if y in win})
+  got = decomposition._maximal_supports(sites, domain, locale, radius)
+  if mutant == "not-maximal":  # one support loses a site off the domain
+    drop = next(x for x in got[0] if x not in domain)
+    got = sorted(got[1:] + [tuple(x for x in got[0] if x != drop)])
+  else:
+    got = decomposition._maximal_supports(sites, sites, locale, radius)
+  assert got != _maximal(_brute_supports(sites, domain, locale, radius))
+  with pytest.raises(AssertionError):
+    _check_maximal_supports(got, sites, domain, locale, radius)
 
 
 @pytest.mark.parametrize("case", READ_CASES)
@@ -941,7 +1012,7 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
   ((remainder, sub_win, calls),) = readers
   scans = list(scanned)
 
-  # The pairing reads the probe unions; then each admissible support is read
+  # The pairing reads the probe unions; then each maximal support is read
   # once, in order, until the end or an uncovered quantity; no read spans
   # more sites than the largest of those.  Each read equals the whole
   # sub-window's potential restricted to it.
@@ -950,7 +1021,8 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
   centered = decomposition._recenter_domain(win, act, domain)
   ball = sorted({y for x in centered
                  for y in win.locale.ball(x, omega.radius)})
-  supports = _brute_supports(ball, centered, win.locale, omega.radius)
+  supports = _maximal(_brute_supports(ball, centered, win.locale,
+                                      omega.radius))
   (split,) = paired
   reads = [sites for sites, _ in calls]
   assert set(reads[:split]) == unions
@@ -966,6 +1038,11 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
   if isinstance(rep, dict):
     assert rep["residual"]["ok"]
     assert rep["potential_components"] == meta["n_components"]
+    # The pieces of the maximal supports' expansions are the pieces of
+    # every admissible support read alone.
+    assert rep["f"] == _orbit_average_by_support(
+        lambda sites: restrict(whole, sites), rep["h"], basis, centered, ball,
+        win.locale, omega.radius, act, inter)
 
   # One scan per decomposition, on the sub-window; every read comes from
   # its level maps.
@@ -1119,6 +1196,42 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
     argv = [command, "--manifest", str(manifest)]
   assert main(argv + ["--out", str(out)]) == 0
   assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def test_triangular_r2_orbit_average_matches_the_support_by_support_rule(
+    tmp_path, monkeypatch):
+  """19 maximal supports stand in for the 448 admissible ones of the
+  triangular 10x10 glauber decomposition at radius 2: same f."""
+  seen = {}
+  real_reader = decomposition._potential_reader
+  real_decompose = decomposition.varadhan_decompose
+
+  def reader(*args):
+    seen["read"], denom, pins = real_reader(*args)
+    return seen["read"], denom, pins
+
+  def decompose(form, win, inter, basis, action, domain, **kwargs):
+    seen["rep"] = real_decompose(form, win, inter, basis, action, domain,
+                                 **kwargs)
+    seen["args"] = win, inter, basis, action, domain
+    return seen["rep"]
+
+  monkeypatch.setattr(decomposition, "_potential_reader", reader)
+  monkeypatch.setattr(cli, "varadhan_decompose", decompose)
+  out = tmp_path / "report.json"
+  manifest = DATA / "decompose_glauber_triangular10_r2.json"
+  assert main(["decompose", "--manifest", str(manifest), "--out",
+               str(out)]) == 0
+  win, inter, basis, act, domain = seen["args"]
+  rep, radius = seen["rep"], seen["rep"]["radius"]
+  centered = decomposition._recenter_domain(win, act, tuple(sorted(domain)))
+  ball = sorted({y for x in centered for y in win.locale.ball(x, radius)})
+  assert len(decomposition._maximal_supports(ball, centered, win.locale,
+                                             radius)) == 19
+  assert len(_brute_supports(ball, centered, win.locale, radius)) == 448
+  assert rep["f"] == _orbit_average_by_support(
+      seen["read"], rep["h"], basis, centered, ball, win.locale, radius, act,
+      inter)
 
 
 # The sha256 of each ``closed`` report, taken before the witness cycle was
