@@ -346,25 +346,6 @@ class Form:
     return self.fns.get(edge)
 
 
-def _form_combine(a: Form, b: Form, sign: int, radius) -> Form:
-  """a + sign * b edge by edge: a's edges first, then b's other edges."""
-  fns = {}
-  for e in {**a.fns, **b.fns}:
-    f = trim(_combine([(c, g.fns[e]) for c, g in ((1, a), (sign, b))
-                       if e in g.fns], a.n_states, a.base))
-    if not f.is_zero():
-      fns[e] = f
-  return Form(a.n_states, a.base, fns, radius)
-
-
-def form_add(a: Form, b: Form, radius=None) -> Form:
-  return _form_combine(a, b, 1, radius)
-
-
-def form_sub(a: Form, b: Form, radius=None) -> Form:
-  return _form_combine(a, b, -1, radius)
-
-
 def _edge_slices(support, edge, inter: Interaction) -> tuple:
   """``configspace._move_slices`` of the edge on a table over ``support``."""
   return _move_slices(len(support), support.index(edge[0]),
@@ -533,15 +514,14 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   which ``_expand`` spells out the potential.
 
   Each edge function is read as (window positions, numerators over them):
-  the edge's two positions when it reads no other site, else every
-  position it reads with the edge's, in order.  ``_slab_solve`` decides the
-  window slab by slab, whatever the functions read.  Once it meets a cycle
-  with a nonzero integral, a breadth-first scan builds the witness: seeds
-  are the all-base configuration, then every unreached index in order; each
-  popped configuration tries the window edges in order, and the scan
-  records the move that first reached each configuration.  A potential needs
-  every move undone by some move, so an interaction that is not valid
-  raises ``InputError`` naming its one-way transition.
+  every position it reads with the edge's, in order.  ``_slab_solve``
+  decides the window slab by slab, whatever the functions read.  Once it
+  meets a cycle with a nonzero integral, a breadth-first scan builds the
+  witness: seeds are the all-base configuration, then every unreached index
+  in order; each popped configuration tries the window edges in order, and
+  the scan records the move that first reached each configuration.  A
+  potential needs every move undone by some move, so an interaction that is
+  not valid raises ``InputError`` naming its one-way transition.
   """
   total = guard_budget(window, inter, budget)
   one_way = check_validity(inter)["relaxed_witness"]
@@ -554,7 +534,7 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   denom = lcm(*(fn.denom for fn in fns))
   reads = []
   for fn, e in zip(fns, window.edges):
-    sites = e if set(fn.support) <= set(e) else tuple(sorted({*fn.support, *e}))
+    sites = tuple(sorted({*fn.support, *e}))
     reads.append((tuple(map(window.position, sites)), _over(fn, sites, denom)))
   powers = digit_powers(n, s)
   star = index_of((inter.base,) * n, powers)

@@ -225,9 +225,9 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
 
   An edge is checked at the least window position m it reads: its two
   sites, and the sites its function reads.  ``reads[k]`` is the k-th window
-  edge's function as (window positions, numerators over them): the edge's
-  two positions when it reads no other site, else every position it reads
-  with the edge's, in order.  A move checked at a later level changes no
+  edge's function as (window positions, numerators over them): every
+  position it reads with the edge's, in window order, whatever the
+  function's width.  A move checked at a later level changes no
   digit at m and its step does not depend on it, so every slab shares the
   level-(m+1) solution, and the moves checked at m join the s * C nodes.  A
   move's links are read off the maps between m and the greatest position t

@@ -24,15 +24,14 @@ from operator import mul
 
 from .calculus import (Form, LocalFunction, _combine, _path_integral,
                        _potential_reader, constant, differential, expansion,
-                       form_axioms_report, form_sub, functions_equal, gradient,
+                       form_axioms_report, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          _pairing, _quantity_corrected, check_pairing_laws,
                          compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (DEFAULT_BUDGET, _require_conserved,
-                          digits_from_sites, exchange_path, guard_budget)
+from .configspace import _require_conserved, digits_from_sites, exchange_path
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import _integer_row, rref
@@ -197,20 +196,6 @@ def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
         [sum(k * col[d] for k, col in zip(coeffs, g)) for d in range(s)],
         denom)
   return tables
-
-
-def theta_profile(a_matrix, action: TranslationAction, domain, window: Window,
-                  inter: Interaction, basis,
-                  budget: int = DEFAULT_BUDGET) -> LocalFunction:
-  """The window profile whose translation defect realizes the cocycle.
-
-  theta(eta) weighs each site's quantities by the tile index of the site; it
-  exists only on enumerable windows and is used for identity checks.
-  """
-  guard_budget(window, inter, budget)
-  tables = _site_weights(a_matrix, action, domain, window, inter, basis)
-  return _combine(((1, t) for t in tables.values()), inter.n_states,
-                  inter.base)
 
 
 def build_omega_rho(a_matrix, action: TranslationAction, domain,
@@ -483,19 +468,6 @@ def _centered_subwindow(window: Window, inter: Interaction, anchor,
   return build_window(locale, best)
 
 
-def form_restricted(form: Form, sub: Window) -> Form:
-  fns = {}
-  sub_set = set(sub.vertices)
-  for e in sub.edges:
-    fn = form.fn(e)
-    if fn is None:
-      continue
-    r = trim(restrict(fn, sub_set))
-    if not r.is_zero():
-      fns[e] = r
-  return Form(form.n_states, form.base, fns, form.radius)
-
-
 def _maximal_supports(sites, domain, locale, radius: int) -> list:
   """The maximal sets among ``sites`` of diameter at most ``radius`` that
   meet ``domain``, sorted, each sorted: the maximal cliques of the graph
@@ -568,12 +540,20 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   if not needed <= set(sub_win.vertices):
     raise InputError(
         "sub-window budget too small to cover the domain's radius ball")
-  # Only the sub-window part of the remainder is integrated; the whole
+  # The remainder omega - omega_rho is integrated on the sub-window only,
+  # built there edge by edge from omega's functions restricted to it; the
+  # flux reads its edge alone, so it needs no restriction.  The whole
   # window's flux is kept for the identity check.
-  local_remainder = form_sub(form_restricted(form, sub_win),
-                             form_restricted(flux, sub_win), radius)
-  read, denom, pins = _potential_reader(local_remainder, sub_win, inter,
-                                        sub_budget)
+  inside, zero = set(sub_win.vertices), constant(0, inter.n_states, inter.base)
+  remainder = {}
+  for e in sub_win.edges:
+    fn = trim(_combine(((1, restrict(form.fn(e) or zero, inside)),
+                        (-1, flux.fn(e) or zero)), inter.n_states, inter.base))
+    if not fn.is_zero():
+      remainder[e] = fn
+  read, denom, pins = _potential_reader(
+      Form(inter.n_states, inter.base, remainder, radius), sub_win, inter,
+      sub_budget)
 
   probes = default_probes(sub_win, inter, radius, ball_radius=probe_ball)
   table = _pairing(read, denom, sub_win, inter, basis, radius, probes)

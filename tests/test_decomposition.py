@@ -21,8 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from configcalc import calculus, cli, decomposition
 from configcalc.calculus import (Form, LocalFunction, _combine, _mobius,
-                                 _piece, differential, form_add,
-                                 form_sub, form_to_json,
+                                 _piece, differential, form_to_json,
                                  from_callable, functions_equal, gradient,
                                  integrate,
                                  restrict, scale, support_diameter, trim)
@@ -36,9 +35,9 @@ from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       _centered_subwindow, _verify_identity,
                                       build_omega_rho, cocycle_from_json,
                                       cocycle_to_json, counterexample_report,
-                                      extract_cocycle, form_restricted,
-                                      interior_vertices, is_shift_invariant,
-                                      synthesized_form, theta_profile, tile_of,
+                                      extract_cocycle, interior_vertices,
+                                      is_shift_invariant, synthesized_form,
+                                      tile_of,
                                       translate_function, translates_meeting,
                                       varadhan_decompose)
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
@@ -185,6 +184,15 @@ def test_translate_function():
   assert g.value_at({(3,): 1, (4,): 0}) == 2
 
 
+def theta_profile(a_matrix, action, domain, window, inter, basis):
+  """The window profile whose translation defect realizes the cocycle: the
+  sum of the flux's per-site weight tables."""
+  tables = decomposition._site_weights(a_matrix, action, domain, window, inter,
+                                       basis)
+  return _combine(((1, t) for t in tables.values()), inter.n_states,
+                  inter.base)
+
+
 def test_theta_profile_differential_is_omega_rho():
   win = line(7)
   inter = exclusion()
@@ -192,8 +200,7 @@ def test_theta_profile_differential_is_omega_rho():
   a = ((Fraction(1, 2),),)
   domain = ((0,),)
   omega = build_omega_rho(a, Z_ACTION, domain, win, inter, basis)
-  theta = theta_profile(a, Z_ACTION, domain, win, inter, basis,
-                        budget=2_000_000)
+  theta = theta_profile(a, Z_ACTION, domain, win, inter, basis)
   d_theta = differential(theta, win, inter)
   for e in set(omega.fns) | set(d_theta.fns):
     x = omega.fn(e) or None
@@ -206,7 +213,7 @@ def test_theta_profile_differential_is_omega_rho():
 
 def test_flux_refuses_a_basis_the_moves_do_not_conserve():
   # spin3 rotates the states, so this basis changes under its moves: the
-  # flux, the synthesized form and theta refuse it as fibers_report does.
+  # flux and the synthesized form refuse it as fibers_report does.
   win, inter = line(9), spin3()
   basis = ((1, 0, 1), (-1, 0, 1))
   a = ((Fraction(1, 2),), (Fraction(-1, 3),))
@@ -217,8 +224,7 @@ def test_flux_refuses_a_basis_the_moves_do_not_conserve():
   assert "not conserved by the move" in str(want.value)
   for build in (
       lambda: build_omega_rho(a, Z_ACTION, domain, win, inter, basis),
-      lambda: synthesized_form(f, a, Z_ACTION, domain, win, inter, basis),
-      lambda: theta_profile(a, Z_ACTION, domain, win, inter, basis)):
+      lambda: synthesized_form(f, a, Z_ACTION, domain, win, inter, basis)):
     with pytest.raises(InputError) as got:
       build()
     assert str(got.value) == str(want.value)
@@ -233,8 +239,7 @@ def test_theta_profile_translation_defect_is_the_quantity():
   rho = Fraction(1, 2)
   a = ((rho,),)
   domain = ((0,),)
-  theta = theta_profile(a, Z_ACTION, domain, win, inter, basis,
-                        budget=2_000_000)
+  theta = theta_profile(a, Z_ACTION, domain, win, inter, basis)
   shifted = translate_function(Z_ACTION, theta, (1,))
   common = tuple(sorted(set(theta.support) & set(shifted.support)))
   for digits in _some_assignments(common, inter, 40):
@@ -518,6 +523,33 @@ def _exact_sums(action, f, edges, window, inter):
                                       inter, no_flux)
 
 
+def form_combine(a, b, sign, radius=None):
+  """Reference form arithmetic: a + sign * b edge by edge, each sum trimmed
+  and the zero ones dropped."""
+  fns = {}
+  for e in {**a.fns, **b.fns}:
+    fn = trim(_combine([(c, g.fns[e]) for c, g in ((1, a), (sign, b))
+                        if e in g.fns], a.n_states, a.base))
+    if not fn.is_zero():
+      fns[e] = fn
+  return Form(a.n_states, a.base, fns, radius)
+
+
+def form_add(a, b, radius=None):
+  return form_combine(a, b, 1, radius)
+
+
+def form_restricted(form, sub_win):
+  """Reference restriction: each sub-window edge's function with every
+  site outside the sub-window at base, trimmed, the zero ones dropped."""
+  inside = set(sub_win.vertices)
+  fns = {e: trim(restrict(form.fns[e], inside))
+         for e in sub_win.edges if e in form.fns}
+  return Form(form.n_states, form.base,
+              {e: fn for e, fn in fns.items() if not fn.is_zero()},
+              form.radius)
+
+
 def form_add_synthesized(f, a, action, domain, window, inter, basis):
   """Reference synthesized form: the exact part, then the flux added edge by
   edge with ``form_add``."""
@@ -616,8 +648,10 @@ def test_synthesized_form_matches_form_add_reference(case):
 
 
 @pytest.mark.parametrize("case", ["line9", "square9"])
-def test_remainder_is_subtracted_on_the_sub_window(case):
-  # Restricting before subtracting gives the restricted remainder.
+def test_remainder_is_subtracted_on_the_sub_window(case, monkeypatch):
+  # The remainder the decomposition integrates is omega restricted to the
+  # sub-window minus the flux restricted to it, which is also the whole
+  # remainder restricted.
   inter = multispecies(2)
   basis = conserved_basis(inter)
   if case == "line9":
@@ -630,15 +664,28 @@ def test_remainder_is_subtracted_on_the_sub_window(case):
   f = _vanishing_at_base(support, inter)
   a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
             for k in range(len(basis)))
-  form = synthesized_form(f, a, act, domain, win, inter, basis)
-  sub_win = _centered_subwindow(win, inter, domain[0], budget)
-  assert 1 < sub_win.n_sites < win.n_sites
+  real_reader = decomposition._potential_reader
+  passed = []
+
+  def reader(remainder, sub_win, inter, sub_budget):
+    passed.append((remainder, sub_win))
+    return real_reader(remainder, sub_win, inter, sub_budget)
+
+  monkeypatch.setattr(decomposition, "_potential_reader", reader)
   for b in (a, tuple(tuple(2 * x for x in row) for row in a)):
+    form = synthesized_form(f, b, act, domain, win, inter, basis)
+    rep = varadhan_decompose(form, win, inter, basis, act, domain,
+                             sub_budget=budget)
+    assert rows(rep["a"]) == b
+    ((remainder, sub_win),) = passed  # one sub-window solve
+    passed.clear()
+    assert sub_win == _centered_subwindow(win, inter, domain[0], budget)
+    assert 1 < sub_win.n_sites < win.n_sites
     flux = build_omega_rho(b, act, domain, win, inter, basis)
-    whole = form_restricted(form_sub(form, flux, 1), sub_win)
-    local = form_sub(form_restricted(form, sub_win),
-                     form_restricted(flux, sub_win), 1)
-    assert local == whole
+    local = form_combine(form_restricted(form, sub_win),
+                         form_restricted(flux, sub_win), -1, 1)
+    assert local == form_restricted(form_combine(form, flux, -1, 1), sub_win)
+    assert remainder == local
     assert local.fns
 
 
