@@ -13,9 +13,10 @@ The differential of a function along a directed edge e is
 integration are decided exactly on the finite configuration graph: the
 window is solved slab by slab, one position at a time
 (``configspace._slab_solve``), each edge checked at the least window
-position it reads, whatever its function's width.  An interaction that is
-not valid (a move that no move undoes) is refused.  The witness cycle of a
-form that is not closed comes from a breadth-first scan.
+position it reads, whatever its function's width.  An edge the form does
+not store carries the zero function.  An interaction that is not valid (a
+move that no move undoes) is refused.  A form that is not closed raises
+``NotClosedError`` with a witness cycle from a breadth-first scan.
 """
 
 from __future__ import annotations
@@ -342,8 +343,9 @@ class Form:
   fns: dict = field(default_factory=dict)
   radius: int | None = None
 
-  def fn(self, edge) -> LocalFunction | None:
-    return self.fns.get(edge)
+  def fn(self, edge) -> LocalFunction:
+    """The function on ``edge``: the zero constant if none is stored."""
+    return self.fns.get(edge) or constant(0, self.n_states, self.base)
 
 
 def _edge_slices(support, edge, inter: Interaction) -> tuple:
@@ -413,9 +415,9 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
     u, v = e
     support = tuple(sorted(set(f.support) | {u, v}))
     rev = form.fn((v, u))
-    denom = f.denom if rev is None else lcm(f.denom, rev.denom)
+    denom = lcm(f.denom, rev.denom)
     vals = _over(f, support, denom)
-    back = (0,) * len(vals) if rev is None else _over(rev, support, denom)
+    back = _over(rev, support, denom)
     fired, still = _edge_slices(support, e, inter)
     # the table each fired slice is undone on (every move has as many slices)
     undo = [vals if o else back for o in own
@@ -509,9 +511,12 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
 
   Pins are the all-base configuration, then the least configuration of
   every other component in order.  Potentials are integer numerators over
-  the common denominator of the form's values.  Returns (level maps,
-  denominator, pins, witness): the maps of ``_slab_solve``, pinned so, from
-  which ``_expand`` spells out the potential.
+  the common denominator of the form's values.  Returns (read, denom,
+  pins): ``read(sites)`` is the potential with every window site outside
+  ``sites`` at base, as a function of ``sites``, spelled out by ``_expand``
+  from the level maps of ``_slab_solve`` over those positions alone; its
+  denominator divides ``denom``.  A form that is not closed raises
+  ``NotClosedError`` with a witness cycle.
 
   Each edge function is read as (window positions, numerators over them):
   every position it reads with the edge's, in order.  ``_slab_solve``
@@ -529,8 +534,7 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
     raise InputError(f"{inter.name} is not valid: no move undoes "
                      f"{tuple(one_way['from'])} -> {tuple(one_way['to'])}")
   n, s = window.n_sites, inter.n_states
-  zero = constant(0, s, inter.base)
-  fns = [form.fn(e) or zero for e in window.edges]
+  fns = [form.fn(e) for e in window.edges]
   denom = lcm(*(fn.denom for fn in fns))
   reads = []
   for fn, e in zip(fns, window.edges):
@@ -549,8 +553,14 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
       label, offset = maps[0]
       maps[0] = label, [o - shift if c == comp else o
                         for c, o in zip(label, offset)]
-    return (maps, denom,
-            [star] + [r for c, r in enumerate(reps) if c != comp], None)
+
+    def read(sites):
+      sites = tuple(sorted(sites, key=window.position))
+      positions = set(map(window.position, sites))
+      return LocalFunction._exact(sites, s, inter.base,
+                                  _expand(maps, s, True, positions, inter.base),
+                                  denom)
+    return read, denom, [star] + [r for c, r in enumerate(reps) if c != comp]
   table = []  # per edge: its positions, the index jump of each pair, its read
   for k, ((pu, pv), read) in enumerate(zip(edge_positions(window), reads)):
     jumps = [None] * (s * s)
@@ -589,9 +599,9 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
           parent[jdx], via[jdx] = idx, k
           queue.append(jdx)
         elif old != new:
-          return None, denom, None, _build_cycle(
+          raise NotClosedError(_build_cycle(
               window, inter, table, (values, parent, via), seed, idx, k, jdx,
-              new, denom)
+              new, denom))
 
 
 def _build_cycle(window, inter, table, tree, pin, idx, k, jdx, new, denom):
@@ -643,54 +653,24 @@ def _build_cycle(window, inter, table, tree, pin, idx, k, jdx, new, denom):
 
 def _path_integral(form: Form, window: Window, steps) -> Fraction:
   """The form summed along transition steps (window digits, directed edge)."""
-  denom = lcm(*(form.fn(e).denom for _, e in steps if e in form.fns))
-  return Fraction(_path_numerator(form, window, steps, denom), denom)
-
-
-def _path_numerator(form: Form, window: Window, steps, denom: int) -> int:
-  """``_path_integral`` as an integer numerator over ``denom``, a multiple
-  of the denominator of every edge function the steps cross."""
+  fns = [(digits, form.fn(edge)) for digits, edge in steps]
+  denom = lcm(*(fn.denom for _, fn in fns))
   total = 0
-  for digits, edge in steps:
-    fn = form.fn(edge)
-    if fn is not None:
-      k = 0
-      for v, p in zip(fn.support, fn.powers()):
-        k += digits[window.position(v)] * p
-      total += fn.nums[k] * (denom // fn.denom)
-  return total
+  for digits, fn in fns:
+    k = 0
+    for v, p in zip(fn.support, fn.powers()):
+      k += digits[window.position(v)] * p
+    total += fn.nums[k] * (denom // fn.denom)
+  return Fraction(total, denom)
 
 
 def is_closed(form: Form, window: Window, inter: Interaction,
               budget: int = DEFAULT_BUDGET) -> dict:
-  _, _, pins, witness = _potential_scan(form, window, inter, budget)
-  if witness is not None:
-    return {"closed": False, "witness": witness}
+  try:
+    _, _, pins = _potential_scan(form, window, inter, budget)
+  except NotClosedError as exc:
+    return {"closed": False, "witness": exc.witness}
   return {"closed": True, "witness": None, "n_components": len(pins)}
-
-
-def _potential_reader(form: Form, window: Window, inter: Interaction,
-                      budget: int):
-  """The potential of a closed form, read where a caller asks.
-
-  Returns (read, denom, pins): ``read(sites)`` is the potential with every
-  window site outside ``sites`` at base, as a function of ``sites``,
-  spelled out from the level maps of ``_potential_scan`` over those
-  positions alone; its denominator divides ``denom``.  Raises
-  ``NotClosedError`` (with a witness cycle) when the form is not closed.
-  """
-  maps, denom, pins, witness = _potential_scan(form, window, inter, budget)
-  if witness is not None:
-    raise NotClosedError(witness)
-  s = inter.n_states
-
-  def read(sites):
-    sites = tuple(sorted(sites, key=window.position))
-    positions = set(map(window.position, sites))
-    return LocalFunction._exact(sites, s, inter.base,
-                                _expand(maps, s, True, positions, inter.base),
-                                denom)
-  return read, denom, pins
 
 
 def integrate(form: Form, window: Window, inter: Interaction,
@@ -701,7 +681,7 @@ def integrate(form: Form, window: Window, inter: Interaction,
   component and at the least configuration of every other component.
   Raises ``NotClosedError`` (with a witness cycle) otherwise.
   """
-  read, _, pins = _potential_reader(form, window, inter, budget)
+  read, _, pins = _potential_scan(form, window, inter, budget)
   return read(window.vertices), {"n_components": len(pins), "pins": pins}
 
 
@@ -722,8 +702,7 @@ def perturbed(form: Form, window: Window, inter: Interaction, edge,
   if (c, d) == (a, b):
     raise InputError("perturbation cell must be moved by the edge")
   back = (v, u) if inter.apply(d, c) == (b, a) else edge
-  zero = constant(0, inter.n_states, inter.base)
-  fs = {e: form.fn(e) or zero for e in (edge, back)}
+  fs = {e: form.fn(e) for e in (edge, back)}
   common = tuple(sorted({u, v, *cell_assignment,
                          *chain.from_iterable(f.support for f in fs.values())}))
   denom = lcm(*(f.denom for f in fs.values()), delta.denominator)

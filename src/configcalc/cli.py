@@ -15,11 +15,11 @@ from .calculus import (_pieces_radius, _pieces_uniformity, differential,
                        expansion, form_axioms_report, form_from_json,
                        form_to_json, is_closed, integrate,
                        local_function_from_json, local_function_to_json)
-from .cohomology import (check_pairing_laws, compute_pairing, default_probes,
-                         h_zero_report, inversion_count_function,
-                         ordered_flux_form, pairing_table_from_json,
-                         pairing_table_to_json, solve_splitting,
-                         splitting_to_json, uniformize)
+from .cohomology import (DEFAULT_PROBE_BUDGET, check_pairing_laws,
+                         compute_pairing, default_probes, h_zero_report,
+                         inversion_count_function, ordered_flux_form,
+                         pairing_table_from_json, pairing_table_to_json,
+                         solve_splitting, splitting_to_json, uniformize)
 from .configspace import DEFAULT_BUDGET, fibers_report
 from .decomposition import (DEFAULT_SUB_BUDGET, TranslationAction,
                             build_omega_rho,
@@ -75,7 +75,7 @@ def _probe_plan(man) -> dict:
     raise InputError(f"bad probe plan {plan!r}")
   return {name: manifest_int(plan.get(name, default), f"probe {name}", 0)
           for name, default in (("radius", 1), ("ball_radius", 1),
-                                ("budget", 200_000))}
+                                ("budget", DEFAULT_PROBE_BUDGET))}
 
 
 def _planned_probes(man, win, inter):

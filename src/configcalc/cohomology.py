@@ -32,6 +32,7 @@ from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
 
 ZERO = Fraction(0)
+DEFAULT_PROBE_BUDGET = 200_000
 
 
 class PairingNotWellDefined(WitnessError):
@@ -73,7 +74,8 @@ def _truncated_ball(window: Window, center, radius: int):
 
 
 def default_probes(window: Window, inter: Interaction, radius: int,
-                   ball_radius: int = 1, probe_budget: int = 200_000) -> list:
+                   ball_radius: int = 1,
+                   probe_budget: int = DEFAULT_PROBE_BUDGET) -> list:
   """Deterministic list of probe pairs (first, second) inside the window.
 
   On the line the first set always sits to the left of the second -- the two
@@ -145,7 +147,7 @@ def default_probes(window: Window, inter: Interaction, radius: int,
 
 def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
                     basis, radius: int, probes=None,
-                    probe_budget: int = 200_000) -> PairingTable:
+                    probe_budget: int = DEFAULT_PROBE_BUDGET) -> PairingTable:
   """Exact pairing table of f over the probe plan.
 
   Every assignment over each probe pair is enumerated; the defect must agree
@@ -178,7 +180,8 @@ def _leads(offsets, quantities) -> dict:
 
 
 def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
-             radius: int, probes, probe_budget: int = 200_000) -> PairingTable:
+             radius: int, probes,
+             probe_budget: int = DEFAULT_PROBE_BUDGET) -> PairingTable:
   """The pairing loop of ``compute_pairing``.  ``read(union)`` is a
   function that agrees with f wherever the sites outside each probe pair's
   union sit at base, with a denominator dividing ``denom``; it is called
@@ -518,7 +521,8 @@ def solve_splitting(table: PairingTable) -> dict:
 
 
 def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
-               radius: int, probes=None, probe_budget: int = 200_000) -> dict:
+               radius: int, probes=None,
+               probe_budget: int = DEFAULT_PROBE_BUDGET) -> dict:
   """Correct f by a function of the conserved quantities.
 
   Returns g = f + h(quantity) restricted to a certificate region, together

@@ -23,7 +23,7 @@ from math import lcm
 from operator import mul
 
 from .calculus import (Form, LocalFunction, _combine, _path_integral,
-                       _potential_reader, constant, differential, expansion,
+                       _potential_scan, differential, expansion,
                        form_axioms_report, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
@@ -258,15 +258,14 @@ def is_shift_invariant(form: Form, window: Window, inter: Interaction,
     pad = form.radius if form.radius is not None else 0
   inner = interior_vertices(window, pad + action.max_step())
   checked = 0
-  zero = constant(0, form.n_states, form.base)
   for j, g in enumerate(action.generators):
     back = tuple(-a for a in g)
     for (u, v) in window.edges:
       if u not in inner or v not in inner:
         continue
       u0, v0 = action.act_vertex(u, back), action.act_vertex(v, back)
-      f1 = form.fn((u, v)) or zero
-      f0 = form.fn((u0, v0)) or zero
+      f1 = form.fn((u, v))
+      f0 = form.fn((u0, v0))
       shifted = translate_function(action, f0, g)
       checked += 1
       if not functions_equal(f1, shifted):
@@ -406,7 +405,7 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
     if key not in totals:
       terms = [(1, gradient(restrict(g, kept), e0, inter))
                for g in orbits[e0]]
-      if (fl := flux.fn(e)) is not None:
+      if (fl := flux.fns.get(e)) is not None:
         terms.append((1, translate_function(action, fl, back)))
       totals[key] = trim(_combine(terms, inter.n_states, inter.base))
     sums[e] = translate_function(action, totals[key], shift)
@@ -504,7 +503,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   re-verify the defining identity on every interior edge, exactly.
 
   The remainder is solved once on the sub-window, whatever the model.  Its
-  potential is read off the level maps (``calculus._potential_reader``) only
+  potential is read off the level maps (``calculus._potential_scan``) only
   on the probe pairs' unions and on the maximal supports
   (``_maximal_supports``), each expanded once by ``expansion``.
   """
@@ -544,14 +543,14 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   # built there edge by edge from omega's functions restricted to it; the
   # flux reads its edge alone, so it needs no restriction.  The whole
   # window's flux is kept for the identity check.
-  inside, zero = set(sub_win.vertices), constant(0, inter.n_states, inter.base)
+  inside = set(sub_win.vertices)
   remainder = {}
   for e in sub_win.edges:
-    fn = trim(_combine(((1, restrict(form.fn(e) or zero, inside)),
-                        (-1, flux.fn(e) or zero)), inter.n_states, inter.base))
+    fn = trim(_combine(((1, restrict(form.fn(e), inside)), (-1, flux.fn(e))),
+                       inter.n_states, inter.base))
     if not fn.is_zero():
       remainder[e] = fn
-  read, denom, pins = _potential_reader(
+  read, denom, pins = _potential_scan(
       Form(inter.n_states, inter.base, remainder, radius), sub_win, inter,
       sub_budget)
 
@@ -617,10 +616,9 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
   worst = ZERO
   for (u, v), total in sums.items():
     fn = form.fn((u, v))
-    if fn == total or (fn is None and total.is_zero()):
+    if fn == total:
       continue
-    terms = [(-1, total)] if fn is None else [(1, fn), (-1, total)]
-    diff = trim(_combine(terms, inter.n_states, inter.base))
+    diff = trim(_combine(((1, fn), (-1, total)), inter.n_states, inter.base))
     if not diff.is_zero():
       worst = max(worst, *(abs(val) for _, val in diff.assignments()))
       if witness is None:
@@ -658,10 +656,8 @@ def counterexample_report(n_sites: int = 9) -> dict:
   axioms = form_axioms_report(omega, win, inter)
   closed = is_closed(omega, win, inter)
   d_f = differential(f, win, inter)
-  matches = all(
-      functions_equal(d_f.fn(e) or constant(0, inter.n_states, inter.base),
-                      omega.fn(e) or constant(0, inter.n_states, inter.base))
-      for e in set(d_f.fns) | set(omega.fns))
+  matches = all(functions_equal(d_f.fn(e), omega.fn(e))
+                for e in set(d_f.fns) | set(omega.fns))
 
   action = TranslationAction(locale, ((1,),))
   inv = is_shift_invariant(omega, win, inter, action, 0)

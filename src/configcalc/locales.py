@@ -545,8 +545,7 @@ def _catalog_class(locale: Locale):
     return _TRANSFER
   if isinstance(locale, ProductLocale):
     if all(isinstance(f, Euclidean) for f in locale.factors):
-      total = sum(f.d for f in locale.factors)
-      return _WEAK_ONLY if total == 1 else _STRONG
+      return _STRONG
   return None
 
 

@@ -715,7 +715,73 @@ def test_ill_typed_manifest_count_is_an_input_error(tmp_path, command,
   assert rep["error"]["kind"] == "InputError"
 
 
-SQUARE4 = dict(BASE, locale={"kind": "euclidean", "d": 2},
+LINE = {"kind": "euclidean", "d": 1}
+
+
+def _custom_rule(states, rows):
+  return {"interaction": {"states": states, "base": states[0], "map": rows}}
+
+
+@pytest.mark.parametrize("command,manifest,message", [
+    ("irreducible", {"locale": LINE, "interaction": "exclusion"},
+     "manifest is missing the 'window' entry"),
+    ("expand", dict(BASE, function={"builtin": "nope"}),
+     "unknown builtin function 'nope'"),
+    ("closed", dict(BASE, form={"builtin": "nope"}),
+     "unknown builtin form 'nope'"),
+    ("omega-rho", dict(DECOMPOSE, domain=[]), "bad domain []"),
+    ("transfer", {"locale": PATH_GRAPH, "transfer": 3},
+     "bad transfer options 3"),
+    ("expand", dict(BASE, function={"support": [[0]], "values": ["0", "x/"]}),
+     "bad rational literal 'x/'"),
+    ("consv", _custom_rule([0, 0], []), "interaction states must be distinct"),
+    ("consv", {"interaction": "generalized-exclusion:0"},
+     "generalized exclusion needs kappa >= 1"),
+    ("consv", {"interaction": "lattice-gas:1"}, "lattice gas needs kappa >= 2"),
+    ("consv", {"interaction": "multispecies"},
+     "interaction 'multispecies' needs a parameter, e.g. multispecies:2"),
+    ("consv", _custom_rule([0, 1], [[0, 1, 1]]),
+     "map rows are [s1, s2, t1, t2]; got [0, 1, 1]"),
+    ("transfer", {"locale": {"kind": "product", "factors": [LINE]}},
+     "product locale needs at least two factors"),
+    ("transfer", {"locale": {"kind": "product", "factors": 3}},
+     "bad product factors 3"),
+    ("irreducible", dict(BASE, locale={"kind": "product",
+                                       "factors": [LINE, LINE]},
+                         window={"vertices": [[0]]}),
+     "bad product vertex [0]"),
+    ("irreducible", dict(BASE, window=3), "bad window descriptor 3"),
+    ("irreducible", dict(BASE, window={"lo": [0, 0], "hi": [4, 4]}),
+     "box bounds must have 1 coordinates"),
+    ("irreducible", dict(BASE, window={"lo": [4], "hi": [0]}),
+     "box needs lo <= hi coordinatewise"),
+    ("irreducible", dict(BASE, locale={"kind": "free-group"}),
+     "box windows need a lattice locale, not free-group"),
+    ("irreducible", dict(BASE, window={"vertices": 3}),
+     "bad window vertices 3"),
+    ("decompose", dict(DECOMPOSE, domain=[[9]]),
+     "fundamental domain must sit inside the window"),
+    ("decompose", dict(DECOMPOSE, sub_budget=2),
+     "sub-window budget too small to cover the domain's radius ball"),
+    ("omega-rho", dict(DECOMPOSE, cocycle=5), "bad cocycle payload 5"),
+], ids=["missing-window", "unknown-builtin-function", "unknown-builtin-form",
+        "empty-domain", "transfer-not-an-object", "rational-literal",
+        "repeated-states", "generalized-exclusion-0", "lattice-gas-1",
+        "multispecies-without-parameter", "three-entry-map-row",
+        "product-one-factor", "product-factors-not-a-list",
+        "bad-product-vertex", "window-not-an-object", "box-corner-length",
+        "box-lo-above-hi", "box-on-free-group", "explicit-vertices-not-a-list",
+        "decompose-domain-outside-window", "sub-budget-too-small",
+        "cocycle-not-an-object"])
+def test_manifest_input_errors_exit_2_with_their_message(tmp_path, command,
+                                                         manifest, message):
+  code, rep = run(tmp_path, manifest, command)
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+  assert rep["error"]["message"] == message
+
+
+SQUARE4 =dict(BASE, locale={"kind": "euclidean", "d": 2},
                window={"kind": "box", "lo": [0, 0], "hi": [3, 3]})
 HEXAGONAL4 = dict(BASE, locale={"kind": "hexagonal"},
                   window={"kind": "box", "lo": [0, 0], "hi": [3, 3]})

@@ -636,7 +636,7 @@ def test_synthesized_form_matches_form_add_reference(case):
   for support in supports:
     f = _vanishing_at_base(support, inter)
     if act is EVEN:  # some edges carry the flux alone
-      assert any(not translates_meeting(act, f, e) and flux.fn(e)
+      assert any(not translates_meeting(act, f, e) and e in flux.fns
                  for e in win.edges)
     form = synthesized_form(f, a, act, domain, win, inter, basis)
     want = form_add_synthesized(f, a, act, domain, win, inter, basis)
@@ -664,14 +664,14 @@ def test_remainder_is_subtracted_on_the_sub_window(case, monkeypatch):
   f = _vanishing_at_base(support, inter)
   a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
             for k in range(len(basis)))
-  real_reader = decomposition._potential_reader
+  real_reader = decomposition._potential_scan
   passed = []
 
   def reader(remainder, sub_win, inter, sub_budget):
     passed.append((remainder, sub_win))
     return real_reader(remainder, sub_win, inter, sub_budget)
 
-  monkeypatch.setattr(decomposition, "_potential_reader", reader)
+  monkeypatch.setattr(decomposition, "_potential_scan", reader)
   for b in (a, tuple(tuple(2 * x for x in row) for row in a)):
     form = synthesized_form(f, b, act, domain, win, inter, basis)
     rep = varadhan_decompose(form, win, inter, basis, act, domain,
@@ -901,13 +901,13 @@ def _read_case(case):
 
 def _spy_scans(monkeypatch):
   """The site counts of the windows the potential scan runs on, from now."""
-  scanned, real = [], calculus._potential_scan
+  scanned, real = [], decomposition._potential_scan
 
   def scan(form, window, inter, budget):
     scanned.append(window.n_sites)
     return real(form, window, inter, budget)
 
-  monkeypatch.setattr(calculus, "_potential_scan", scan)
+  monkeypatch.setattr(decomposition, "_potential_scan", scan)
   return scanned
 
 
@@ -1031,7 +1031,7 @@ def test_maximal_support_checks_catch_mutants(mutant):
 def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
   win, inter, basis, act, domain, omega = _read_case(case)
   readers, paired = [], []
-  real_reader = decomposition._potential_reader
+  real_reader = decomposition._potential_scan
   real_pairing = decomposition._pairing
 
   def reader(remainder, sub_win, inter, budget):
@@ -1049,7 +1049,7 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
     paired.append(len(readers[-1][2]))
     return table
 
-  monkeypatch.setattr(decomposition, "_potential_reader", reader)
+  monkeypatch.setattr(decomposition, "_potential_scan", reader)
   monkeypatch.setattr(decomposition, "_pairing", pairing)
   scanned = _spy_scans(monkeypatch)
   try:
@@ -1250,7 +1250,7 @@ def test_triangular_r2_orbit_average_matches_the_support_by_support_rule(
   """19 maximal supports stand in for the 448 admissible ones of the
   triangular 10x10 glauber decomposition at radius 2: same f."""
   seen = {}
-  real_reader = decomposition._potential_reader
+  real_reader = decomposition._potential_scan
   real_decompose = decomposition.varadhan_decompose
 
   def reader(*args):
@@ -1263,7 +1263,7 @@ def test_triangular_r2_orbit_average_matches_the_support_by_support_rule(
     seen["args"] = win, inter, basis, action, domain
     return seen["rep"]
 
-  monkeypatch.setattr(decomposition, "_potential_reader", reader)
+  monkeypatch.setattr(decomposition, "_potential_scan", reader)
   monkeypatch.setattr(cli, "varadhan_decompose", decompose)
   out = tmp_path / "report.json"
   manifest = DATA / "decompose_glauber_triangular10_r2.json"
@@ -1325,7 +1325,7 @@ def test_decompose_scans_take_no_breadth_first_step(name, tmp_path,
   breadth-first loop never starts a queue, and the report keeps its
   bytes."""
   wide, solved, queues = [], [], []
-  real_scan, real_slab, real_deque = (calculus._potential_scan,
+  real_scan, real_slab, real_deque = (decomposition._potential_scan,
                                       calculus._slab_solve, calculus.deque)
 
   def scan(form, window, inter, budget):
@@ -1342,7 +1342,7 @@ def test_decompose_scans_take_no_breadth_first_step(name, tmp_path,
     queues.append(args)
     return real_deque(*args)
 
-  monkeypatch.setattr(calculus, "_potential_scan", scan)
+  monkeypatch.setattr(decomposition, "_potential_scan", scan)
   monkeypatch.setattr(calculus, "_slab_solve", slab)
   monkeypatch.setattr(calculus, "deque", deque)
   out = tmp_path / "report.json"
