@@ -166,15 +166,29 @@ def _depends_on(nums, n_sites: int, s: int, k: int) -> bool:
 
 
 def trim(f: LocalFunction) -> LocalFunction:
-  """Drop support sites the table does not actually depend on."""
+  """Drop support sites the table does not actually depend on.
+
+  Each site found unread is dropped at once, keeping the entries with digit
+  zero there, and the next site is tested on that smaller table: dropping a
+  site does not change whether the table reads any other."""
   n = len(f.support)
   s = f.n_states
-  keep = [k for k in range(n) if _depends_on(f.nums, n, s, k)]
-  if len(keep) == n:
+  nums, keep = f.nums, []
+  for v in f.support:
+    k = len(keep)
+    if _depends_on(nums, n, s, k):
+      keep.append(v)
+      continue
+    slices = _fixed_slices(n, s, ((k, 0),))
+    rows = [nums[sl] for sl in slices]
+    # Contiguous slices run one per configuration of the sites before k;
+    # strided ones walk those sites, one per configuration of the sites after.
+    nums = list(chain.from_iterable(rows if slices[0].step == 1
+                                    else zip(*rows)))
+    n -= 1
+  if n == len(f.support):
     return f
-  new_support = tuple(f.support[k] for k in keep)
-  return LocalFunction._exact(new_support, s, f.base,
-                              _gather(f, new_support), f.denom)
+  return LocalFunction._exact(tuple(keep), s, f.base, nums, f.denom)
 
 
 def _combine(terms, n_states: int, base: int) -> LocalFunction:

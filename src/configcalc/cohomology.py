@@ -160,14 +160,22 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
                   probes, probe_budget)
 
 
+def _offsets(sites, place: dict, s: int, base: int, shift: int = 0):
+  """Offsets into a table where each site x sits at ``place.get(x, 0)``,
+  plus ``shift``: of every configuration of ``sites``, in their index
+  order, and of their all-base configuration."""
+  places = [place.get(x, 0) for x in sites]
+  return (_site_sums([(shift,)] + [[d * p for d in range(s)] for p in places]),
+          shift + base * sum(places))
+
+
 def _half(sites, place: dict, basis, s: int, base: int):
   """One probe half enumerated on its own, in its index order: the offset
   of each of its configurations into the union table (``place`` holds each
   union site's place), their raw quantity sums, and the offset of the
   half's all-base configuration."""
-  offsets = _site_sums([range(0, s * place[x], place[x]) for x in sites])
-  return (offsets, list(_quantity_sums(sites, basis, s)),
-          base * sum(place[x] for x in sites))
+  offsets, at_base = _offsets(sites, place, s, base)
+  return offsets, list(_quantity_sums(sites, basis, s)), at_base
 
 
 def _leads(offsets, quantities) -> dict:
@@ -183,22 +191,24 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
              radius: int, probes,
              probe_budget: int = DEFAULT_PROBE_BUDGET) -> PairingTable:
   """The pairing loop of ``compute_pairing``.  ``read(union)`` is a
-  function that agrees with f wherever the sites outside each probe pair's
-  union sit at base, with a denominator dividing ``denom``; it is called
-  after the pair is checked.
+  function g that agrees with f wherever the sites outside each probe
+  pair's union sit at base, with a denominator dividing ``denom``; it is
+  called after the pair is checked.
 
-  Each probe reads its union table W once and enumerates its two halves on
-  their own: configuration i of ``first`` sits at offset pf[i] of W and
-  configuration j of ``second`` at ps[j], so the defect is
-  W[pf[i] + ps[j]] - W[pf[i] + ps[base]] - W[pf[base] + ps[j]].  The probe
-  is consistent iff every alpha class of ``first`` meets each beta class
-  of ``second`` at one defect.  A cell first appears in union index order
-  at the least pf of its alpha class plus the least ps of its beta class,
-  and new cells are kept in that order.  On any disagreement the probe is
-  walked again in union index order, to name its first conflict.
+  Each probe reads g's own table G and enumerates its two halves on their
+  own: configuration i of ``first`` sits at offset pf[i] of G and
+  configuration j of ``second`` at ps[j] (a union site g does not read has
+  place 0; g's sites outside the union sit at base, in pf), so the defect
+  is G[pf[i] + ps[j]] - G[pf[i] + ps[base]] - G[pf[base] + ps[j]], scaled
+  from g's denominator to ``denom``.  The probe is consistent iff every
+  alpha class of ``first`` meets each beta class of ``second`` at one
+  defect.  A cell first appears in union index order at the least union
+  offset of its alpha class plus the least of its beta class, and new cells
+  are kept in that order.  On any disagreement the probe is walked again in
+  union index order, to name its first conflict.
   """
   locale = window.locale
-  s = inter.n_states
+  s, base = inter.n_states, inter.base
   table = PairingTable(basis=tuple(basis), radius=radius)
   cells = {}  # (alpha, beta) as raw quantity sums -> numerator over denom
   provenance = {}
@@ -219,17 +229,22 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
         "distance": dist,
     }
     table.probes.append(record)
-    whole = _over(read(union), union, denom)
+    g = read(union)
+    whole, scale = g.nums, denom // g.denom
     place = dict(zip(union, digit_powers(len(union), s)))
-    pf, qf, f_base = _half(first, place, basis, s, inter.base)
-    ps, qs, s_base = _half(second, place, basis, s, inter.base)
+    reads = dict(zip(g.support, g.powers()))
+    rest = base * sum(p for v, p in reads.items() if v not in place)
+    uf, qf, _ = _half(first, place, basis, s, base)
+    us, qs, _ = _half(second, place, basis, s, base)
+    pf, f_base = _offsets(first, reads, s, base, rest)
+    ps, s_base = _offsets(second, reads, s, base)
     betas = {}  # beta -> dense id
     beta_ids = [betas.setdefault(q, len(betas)) for q in qs]
     on_second = list(map(whole.__getitem__, map(f_base.__add__, ps)))
-    # one slice of W per row where the second half's offsets step evenly
+    # one slice of G per row where the second half's offsets step evenly
     step = ps[1] - ps[0] if len(ps) > 1 else 1
     even = step > 0 and ps == list(range(ps[0], ps[0] + step * len(ps), step))
-    classes = {}  # alpha -> {(beta id, defect)}
+    classes = {}  # alpha -> {(beta id, defect over g's denominator)}
     for o, alpha in zip(pf, qf):
       if even:
         row = whole[o + ps[0]:o + ps[0] + step * len(ps):step]
@@ -241,18 +256,18 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
           [(b, k - c) for b, k in set(zip(beta_ids, row))])
     keys = list(betas)
     fresh = []  # (first union index, cell, defect)
-    a_lead, b_lead = _leads(pf, qf), _leads(ps, qs)
+    a_lead, b_lead = _leads(uf, qf), _leads(us, qs)
     for alpha, seen in classes.items():
       consistent = len(seen) == len(keys)
       for b, k in seen:
-        key = (alpha, keys[b])
+        key, k = (alpha, keys[b]), k * scale
         if key not in cells:
           fresh.append((a_lead[alpha] + b_lead[keys[b]], key, k))
         elif cells[key] != k:
           consistent = False
       if not consistent:
-        _raise_first_conflict(cells, provenance, record, denom, whole,
-                              (pf, qf, f_base), (ps, qs, s_base))
+        _raise_first_conflict(cells, provenance, record, denom, g,
+                              (uf, pf, qf, f_base), (us, ps, qs, s_base))
     for _, key, k in sorted(fresh):
       cells[key] = k
       provenance[key] = record
@@ -261,17 +276,21 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
   return table
 
 
-def _raise_first_conflict(cells, provenance, record, denom: int, whole,
-                          first, second):
+def _raise_first_conflict(cells, provenance, record, denom: int, g, first,
+                          second):
   """Walk one probe in union index order against the cells of the earlier
   probes, as a single pass over the union would, and raise
-  ``PairingNotWellDefined`` at the first cell that meets two values."""
-  (pf, qf, f_base), (ps, qs, s_base) = first, second
-  entries = sorted((o + p, o, p, alpha, beta)
-                   for o, alpha in zip(pf, qf) for p, beta in zip(ps, qs))
+  ``PairingNotWellDefined`` at the first cell that meets two values.  Each
+  half holds its union offsets, its offsets into g's table, its quantities
+  and its all-base offset there."""
+  (uf, pf, qf, f_base), (us, ps, qs, s_base) = first, second
+  whole, scale = g.nums, denom // g.denom
+  entries = sorted((u + v, o, p, alpha, beta)
+                   for u, o, alpha in zip(uf, pf, qf)
+                   for v, p, beta in zip(us, ps, qs))
   cells, provenance = dict(cells), dict(provenance)
-  for u, o, p, alpha, beta in entries:
-    defect = whole[u] - whole[o + s_base] - whole[f_base + p]
+  for _, o, p, alpha, beta in entries:
+    defect = (whole[o + p] - whole[o + s_base] - whole[f_base + p]) * scale
     key = (alpha, beta)
     if key not in cells:
       cells[key] = defect
@@ -295,49 +314,50 @@ def check_pairing_laws(table: PairingTable) -> dict:
 
   The cells are read as they are keyed, each value as its integer numerator
   over the values' common denominator; the cocycle pairs (alpha, beta),
-  (beta, gamma) are found by indexing the cells by their first argument.
+  (beta, gamma) are found by indexing the cells by their first argument,
+  each as (gamma, beta + gamma, value), so every sum is formed once per
+  cell.  Violations are kept as keys; only the reported ones are written.
   """
   cells = table.cells
   nums = dict(zip(cells, _integer_row(cells.values())[0]))
-  by_first = {}  # a -> [b, ...] in table order
-  for a, b in cells:
-    by_first.setdefault(a, []).append(b)
+  by_first = {}  # beta -> [(gamma, beta + gamma, value), ...] in table order
+  for (b, g), v in nums.items():
+    by_first.setdefault(b, []).append((g, _vec_add(b, g), v))
 
   cocycle_checked = 0
   cocycle_violations = []
   for (a, b), v1 in nums.items():
     ab = _vec_add(a, b)
-    for g in by_first.get(b, ()):
-      k2 = (ab, g)
-      k4 = (a, _vec_add(b, g))
-      if k2 in nums and k4 in nums:
+    for g, bg, v3 in by_first.get(b, ()):
+      v2, v4 = nums.get((ab, g)), nums.get((a, bg))
+      if v2 is not None and v4 is not None:
         cocycle_checked += 1
-        if v1 + nums[k2] != nums[b, g] + nums[k4]:
-          cocycle_violations.append({
-              "alpha": quantity_to_json(a),
-              "beta": quantity_to_json(b),
-              "gamma": quantity_to_json(g),
-          })
+        if v1 + v2 != v3 + v4:
+          cocycle_violations.append((a, b, g))
   symmetry_checked = 0
   symmetry_violations = []
   for a, b in sorted(nums):
-    mirror = (b, a)
-    if mirror in nums:
+    mirror = nums.get((b, a))
+    if mirror is not None:
       symmetry_checked += 1
-      if nums[mirror] != nums[a, b]:
-        symmetry_violations.append({
-            "a": quantity_to_json(a),
-            "b": quantity_to_json(b),
-            "values": [fraction_to_str(cells[a, b]),
-                       fraction_to_str(cells[mirror])],
-        })
+      if mirror != nums[a, b]:
+        symmetry_violations.append((a, b))
   return {
       "cocycle": {"checked": cocycle_checked,
                   "ok": not cocycle_violations,
-                  "violations": cocycle_violations[:5]},
+                  "violations": [
+                      {"alpha": quantity_to_json(a),
+                       "beta": quantity_to_json(b),
+                       "gamma": quantity_to_json(g)}
+                      for a, b, g in cocycle_violations[:5]]},
       "symmetry": {"checked": symmetry_checked,
                    "ok": not symmetry_violations,
-                   "violations": symmetry_violations[:5]},
+                   "violations": [
+                       {"a": quantity_to_json(a),
+                        "b": quantity_to_json(b),
+                        "values": [fraction_to_str(cells[a, b]),
+                                   fraction_to_str(cells[b, a])]}
+                       for a, b in symmetry_violations[:5]]},
   }
 
 

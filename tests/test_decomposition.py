@@ -203,12 +203,7 @@ def test_theta_profile_differential_is_omega_rho():
   theta = theta_profile(a, Z_ACTION, domain, win, inter, basis)
   d_theta = differential(theta, win, inter)
   for e in set(omega.fns) | set(d_theta.fns):
-    x = omega.fn(e) or None
-    y = d_theta.fn(e) or None
-    if x is None or y is None:
-      assert (x or y).is_zero(), e
-    else:
-      assert functions_equal(x, y), e
+    assert functions_equal(omega.fn(e), d_theta.fn(e)), e
 
 
 def test_flux_refuses_a_basis_the_moves_do_not_conserve():
@@ -356,8 +351,7 @@ def per_edge_translate_gradients(action, f, edges, win_set, inter, flux):
     for coeffs in translates_meeting(action, f, edge):
       tf = translate_function(action, f, action.shift_of(coeffs))
       grads.append((1, gradient(restrict(tf, win_set), edge, inter)))
-    if flux.fn(edge) is not None:
-      grads.append((1, flux.fn(edge)))
+    grads.append((1, flux.fn(edge)))
     sums[edge] = trim(_combine(grads, inter.n_states, inter.base))
   return sums
 
@@ -1199,9 +1193,7 @@ def test_non_closed_input_exits_1_with_a_cycle_that_replays(tmp_path):
   for k, (cfg, (u, v)) in enumerate(zip(configs, edges)):
     nxt = apply_edge(cfg, win.position(u), win.position(v), inter)
     assert nxt != cfg and nxt == configs[(k + 1) % len(configs)]
-    fn = bad.fn((u, v))
-    if fn is not None:
-      total += fn.value_at(dict(zip(win.vertices, cfg)))
+    total += bad.fn((u, v)).value_at(dict(zip(win.vertices, cfg)))
   assert fraction_to_str(total) == witness["integral"] == witness["defect"]
   assert total != 0
 
