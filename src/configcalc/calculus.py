@@ -29,8 +29,8 @@ from itertools import chain, combinations, compress, product
 from math import gcd, lcm
 
 from .configspace import (DEFAULT_BUDGET, _expand, _fixed_slices,
-                          _move_slices, _site_sums, _slab_solve, apply_edge,
-                          config_to_json, digit_powers, digits_of,
+                          _move_slices, _offsets, _site_sums, _slab_solve,
+                          apply_edge, config_to_json, digit_powers, digits_of,
                           edge_positions, guard_budget, index_of)
 from .interactions import Interaction, check_validity
 from .linalg import _integer_row
@@ -124,14 +124,7 @@ def _gather(f: LocalFunction, support) -> tuple:
   of ``support`` that f does not read are ignored."""
   if tuple(support) == f.support:
     return f.nums
-  s = f.n_states
-  place = dict(zip(f.support, f.powers()))
-  inside = set(support)
-  offset = f.base * sum(p for v, p in place.items() if v not in inside)
-  # The offset rides along as a leading site with a single state.
-  index = _site_sums([(offset,)] + [range(0, s * place[v], place[v])
-                                    if v in place else (0,) * s
-                                    for v in support])
+  index, _ = _offsets(support, f.support, f.n_states, f.base)
   return tuple(map(f.nums.__getitem__, index))
 
 
@@ -559,10 +552,9 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   solved = _slab_solve(window, inter, reads)
   if solved is not None:
     maps, reps = solved
-    comp = shift = 0  # the all-base configuration's label and potential
-    for label, offset in reversed(maps):
-      node = inter.base * (len(label) // s) + comp
-      comp, shift = label[node], shift + offset[node]
+    # the all-base configuration's label and potential
+    [comp], [shift] = (_expand(maps, s, potential, (), inter.base)
+                       for potential in (False, True))
     if shift:  # not its component's least member: pin it there instead
       label, offset = maps[0]
       maps[0] = label, [o - shift if c == comp else o

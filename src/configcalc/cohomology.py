@@ -23,8 +23,7 @@ from operator import sub
 
 from .calculus import (Form, LocalFunction, _over, is_uniform,
                        uniformity_criterion)
-from .configspace import (_quantity_sums, _site_sums, digit_powers,
-                          quantity_to_json)
+from .configspace import _offsets, _quantity_sums, quantity_to_json
 from .interactions import Interaction
 from .linalg import _integer_row, rref
 from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
@@ -160,22 +159,11 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
                   probes, probe_budget)
 
 
-def _offsets(sites, place: dict, s: int, base: int, shift: int = 0):
-  """Offsets into a table where each site x sits at ``place.get(x, 0)``,
-  plus ``shift``: of every configuration of ``sites``, in their index
-  order, and of their all-base configuration."""
-  places = [place.get(x, 0) for x in sites]
-  return (_site_sums([(shift,)] + [[d * p for d in range(s)] for p in places]),
-          shift + base * sum(places))
-
-
-def _half(sites, place: dict, basis, s: int, base: int):
-  """One probe half enumerated on its own, in its index order: the offset
-  of each of its configurations into the union table (``place`` holds each
-  union site's place), their raw quantity sums, and the offset of the
-  half's all-base configuration."""
-  offsets, at_base = _offsets(sites, place, s, base)
-  return offsets, list(_quantity_sums(sites, basis, s)), at_base
+def _half(sites, union, basis, s: int, base: int):
+  """One probe half in its index order: the index of each configuration in
+  the union's table, the other half at base, and its raw quantity sums."""
+  offsets, _ = _offsets(sites, union, s, base)
+  return offsets, list(_quantity_sums(sites, basis, s))
 
 
 def _leads(offsets, quantities) -> dict:
@@ -196,14 +184,14 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
   called after the pair is checked.
 
   Each probe reads g's own table G and enumerates its two halves on their
-  own: configuration i of ``first`` sits at offset pf[i] of G and
-  configuration j of ``second`` at ps[j] (a union site g does not read has
-  place 0; g's sites outside the union sit at base, in pf), so the defect
-  is G[pf[i] + ps[j]] - G[pf[i] + ps[base]] - G[pf[base] + ps[j]], scaled
-  from g's denominator to ``denom``.  The probe is consistent iff every
-  alpha class of ``first`` meets each beta class of ``second`` at one
+  own: configuration i of ``first`` sits at index pf[i] of G with every
+  other site at base, and configuration j of ``second`` adds ps[j], its
+  index counted from G's all-base index o (a union site g does not read is
+  ignored).  So the defect is G[pf[i] + ps[j]] - G[pf[i]] - G[o + ps[j]],
+  scaled from g's denominator to ``denom``.  The probe is consistent iff
+  every alpha class of ``first`` meets each beta class of ``second`` at one
   defect.  A cell first appears in union index order at the least union
-  offset of its alpha class plus the least of its beta class, and new cells
+  index of its alpha class plus the least of its beta class, and new cells
   are kept in that order.  On any disagreement the probe is walked again in
   union index order, to name its first conflict.
   """
@@ -231,16 +219,13 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
     table.probes.append(record)
     g = read(union)
     whole, scale = g.nums, denom // g.denom
-    place = dict(zip(union, digit_powers(len(union), s)))
-    reads = dict(zip(g.support, g.powers()))
-    rest = base * sum(p for v, p in reads.items() if v not in place)
-    uf, qf, _ = _half(first, place, basis, s, base)
-    us, qs, _ = _half(second, place, basis, s, base)
-    pf, f_base = _offsets(first, reads, s, base, rest)
-    ps, s_base = _offsets(second, reads, s, base)
+    uf, qf = _half(first, union, basis, s, base)
+    us, qs = _half(second, union, basis, s, base)
+    pf, at_base = _offsets(first, g.support, s, base)
+    ps = [p - at_base for p in _offsets(second, g.support, s, base)[0]]
     betas = {}  # beta -> dense id
     beta_ids = [betas.setdefault(q, len(betas)) for q in qs]
-    on_second = list(map(whole.__getitem__, map(f_base.__add__, ps)))
+    on_second = list(map(whole.__getitem__, map(at_base.__add__, ps)))
     # one slice of G per row where the second half's offsets step evenly
     step = ps[1] - ps[0] if len(ps) > 1 else 1
     even = step > 0 and ps == list(range(ps[0], ps[0] + step * len(ps), step))
@@ -251,7 +236,7 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
       else:
         row = map(whole.__getitem__, map(o.__add__, ps))
       row = map(sub, row, on_second)
-      c = whole[o + s_base]
+      c = whole[o]
       classes.setdefault(alpha, set()).update(
           [(b, k - c) for b, k in set(zip(beta_ids, row))])
     keys = list(betas)
@@ -266,8 +251,8 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
         elif cells[key] != k:
           consistent = False
       if not consistent:
-        _raise_first_conflict(cells, provenance, record, denom, g,
-                              (uf, pf, qf, f_base), (us, ps, qs, s_base))
+        _raise_first_conflict(cells, provenance, record, denom, g, at_base,
+                              (uf, pf, qf), (us, ps, qs))
     for _, key, k in sorted(fresh):
       cells[key] = k
       provenance[key] = record
@@ -276,21 +261,21 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
   return table
 
 
-def _raise_first_conflict(cells, provenance, record, denom: int, g, first,
-                          second):
+def _raise_first_conflict(cells, provenance, record, denom: int, g,
+                          at_base: int, first, second):
   """Walk one probe in union index order against the cells of the earlier
   probes, as a single pass over the union would, and raise
   ``PairingNotWellDefined`` at the first cell that meets two values.  Each
-  half holds its union offsets, its offsets into g's table, its quantities
-  and its all-base offset there."""
-  (uf, pf, qf, f_base), (us, ps, qs, s_base) = first, second
+  half holds its union indices, its indices into g's table as ``_pairing``
+  reads them, and its quantities; ``at_base`` is g's all-base index."""
+  (uf, pf, qf), (us, ps, qs) = first, second
   whole, scale = g.nums, denom // g.denom
   entries = sorted((u + v, o, p, alpha, beta)
                    for u, o, alpha in zip(uf, pf, qf)
                    for v, p, beta in zip(us, ps, qs))
   cells, provenance = dict(cells), dict(provenance)
   for _, o, p, alpha, beta in entries:
-    defect = (whole[o + p] - whole[o + s_base] - whole[f_base + p]) * scale
+    defect = (whole[o + p] - whole[o] - whole[at_base + p]) * scale
     key = (alpha, beta)
     if key not in cells:
       cells[key] = defect

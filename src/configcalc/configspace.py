@@ -67,6 +67,19 @@ def _site_sums(tables) -> list:
   return out
 
 
+def _offsets(sites, support, s: int, base: int) -> tuple:
+  """Where the configurations of ``sites`` sit in an index-ordered table
+  over ``support``, with the table's other sites at ``base`` (a site of
+  ``sites`` the table lacks is ignored): the index of each configuration of
+  ``sites``, in their index order, and the index of the all-base one."""
+  place = dict(zip(support, digit_powers(len(support), s)))
+  places = [place.get(x, 0) for x in sites]
+  at_base = base * sum(place.values())
+  # The other sites' base digits ride along as a leading site with one state.
+  return _site_sums([(at_base - base * sum(places),)] + [
+      [d * p for d in range(s)] for p in places]), at_base
+
+
 def apply_edge(digits, pu: int, pv: int, inter: Interaction):
   """Apply the interaction across the directed edge at positions (pu, pv)."""
   a, b = digits[pu], digits[pv]

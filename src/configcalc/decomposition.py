@@ -301,23 +301,29 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
         f"exchange witnesses for {exch['missing_pairs']}")
   center = window.center()
 
+  def defect(moves):
+    """The integral of the form along the exchange paths that carry state s
+    from x to y for each (s, x, y) of ``moves`` in turn, every other site at
+    base."""
+    current = digits_from_sites(window, inter, {x: s for s, x, _ in moves})
+    total = ZERO
+    for _, x, y in moves:
+      steps, current = exchange_path(window, inter, current, x, y)
+      total += _path_integral(form, window, steps)
+    if current != digits_from_sites(window, inter, {y: s for s, _, y in moves}):
+      raise RuntimeError("exchange paths did not move the probe states")
+    return total
+
   a_cols = []
-  probes = 0
   states = [s for s in range(inter.n_states) if s != inter.base]
   for j, g in enumerate(action.generators):
     x0 = center
     x_prev = action.act_vertex(x0, tuple(-a for a in g))
     if x0 not in window or x_prev not in window:
       raise InputError("window too small to probe the translation defect")
-    rows = []
-    for s in states:
-      start = digits_from_sites(window, inter, {x_prev: s})
-      steps, final = exchange_path(window, inter, start, x_prev, x0)
-      if final != digits_from_sites(window, inter, {x0: s}):
-        raise RuntimeError("exchange path did not move the probe state")
-      rows.append(dict(enumerate([vec[s] for vec in basis]
-                                 + [_path_integral(form, window, steps)])))
-      probes += 1
+    rows = [dict(enumerate([vec[s] for vec in basis]
+                           + [defect([(s, x_prev, x0)])]))
+            for s in states]
     # The defects must lie in the span of the quantities.
     reduced, pivots, _ = rref(rows, c)
     if any(c in row for row in reduced[len(pivots):]):
@@ -341,13 +347,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
       continue
     for s in states:
       for t in states:
-        start = digits_from_sites(window, inter, {x0p: s, x1p: t})
-        steps1, mid = exchange_path(window, inter, start, x0p, x0)
-        steps2, final = exchange_path(window, inter, mid, x1p, x1)
-        if final != digits_from_sites(window, inter, {x0: s, x1: t}):
-          raise RuntimeError("exchange paths did not move the probe states")
-        measured = (_path_integral(form, window, steps1)
-                    + _path_integral(form, window, steps2))
+        measured = defect([(s, x0p, x0), (t, x1p, x1)])
         predicted = sum(a_cols[j][i] * (basis[i][s] + basis[i][t])
                         for i in range(c))
         cross += 1
@@ -359,7 +359,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
               "predicted": fraction_to_str(predicted),
           })
   a_matrix = [[a_cols[j][i] for j in range(d)] for i in range(c)]
-  return {"a": a_matrix, "probes": probes, "cross_checks": cross}
+  return {"a": a_matrix, "probes": len(states) * d, "cross_checks": cross}
 
 
 # ---------------------------------------------------------------------------

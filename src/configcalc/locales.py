@@ -31,13 +31,12 @@ from .serialize import InputError, manifest_int
 DISTANCE_CAP = 64
 
 
-def _layers(neighbors, start, goal=None):
+def _layers(neighbors, start):
   """Breadth-first search from ``start``, one whole layer at a time.
 
   Lazily yields ``(layer, parent)`` for distances 0, 1, ... until a layer is
   empty.  ``parent`` maps every vertex reached so far to the vertex that first
   reached it, in ``neighbors`` order (``start`` to None); it grows in place.
-  The last layer yielded ends at ``goal`` once the search reaches it.
   """
   parent = {start: None}
   layer = [start]
@@ -49,9 +48,6 @@ def _layers(neighbors, start, goal=None):
         if v not in parent:
           parent[v] = u
           nxt.append(v)
-          if v == goal:
-            yield nxt, parent
-            return
     layer = nxt
 
 
@@ -475,7 +471,7 @@ class Window:
     """A shortest vertex path x .. y inside the window: searching breadth
     first from x, each vertex's predecessor is the first vertex that reached
     it in ``neighbors_in`` order."""
-    for _, parent in _layers(self.neighbors_in, x, y):
+    for _, parent in _layers(self.neighbors_in, x):
       if y in parent:
         path = [y]
         while parent[path[-1]] is not None:

@@ -781,6 +781,46 @@ def test_manifest_input_errors_exit_2_with_their_message(tmp_path, command,
   assert rep["error"]["message"] == message
 
 
+OMEGA_RHO = dict(DECOMPOSE, form={"builtin": "omega-rho"})
+
+
+@pytest.mark.parametrize("command,manifest,message", [
+    ("expand", dict(BASE, function={"support": [[0]], "values": ["0"]}),
+     "value table has 1 entries, expected 2"),
+    ("closed", dict(BASE, form={"edges": 3}), "bad form payload {'edges': 3}"),
+    ("delta", dict(DECOMPOSE, action={"generators": 3}),
+     "bad action {'generators': 3}"),
+    ("delta", dict(DECOMPOSE, action={"generators": [[1, 0]]}),
+     "generator length does not match the locale"),
+    ("omega-rho", dict(OMEGA_RHO, cocycle={"a": [["1"], ["2"]]}),
+     "cocycle matrix needs one row per conserved quantity"),
+    ("omega-rho", dict(OMEGA_RHO, cocycle={"a": [["1", "2"]]}),
+     "cocycle matrix needs one column per generator"),
+    ("delta", dict(DECOMPOSE, window={"kind": "box", "lo": [0], "hi": [0]}),
+     "window too small to probe the translation defect"),
+    ("decompose", dict(DECOMPOSE, radius=4),
+     "window too small: the radius ball around the (re-centered) "
+     "fundamental domain leaves it"),
+    ("irreducible", dict(BASE, window={"vertices": [0]}),
+     "bad vertex encoding 0"),
+    ("irreducible", dict(BASE, window={"kind": "nope"}),
+     "unknown window kind 'nope'"),
+    ("consv", {"interaction": {"states": [0, 1], "base": 5, "map": []}},
+     "base 5 is not one of the states"),
+    ("consv", {"interaction": {"states": 3, "base": 0, "map": []}},
+     "bad interaction states or map in {'states': 3, 'base': 0, 'map': []}"),
+], ids=["value-count", "form-payload", "action-payload", "generator-length",
+        "cocycle-rows", "cocycle-columns", "window-too-small-to-probe",
+        "radius-ball-leaves-window", "vertex-encoding", "window-kind",
+        "interaction-base", "interaction-states"])
+def test_model_and_shape_errors_exit_2_with_their_message(tmp_path, command,
+                                                          manifest, message):
+  code, rep = run(tmp_path, manifest, command)
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+  assert rep["error"]["message"] == message
+
+
 SQUARE4 =dict(BASE, locale={"kind": "euclidean", "d": 2},
                window={"kind": "box", "lo": [0, 0], "hi": [3, 3]})
 HEXAGONAL4 = dict(BASE, locale={"kind": "hexagonal"},

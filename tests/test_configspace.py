@@ -124,19 +124,17 @@ def test_quantity_table_matches_quantity_of(name):
               for digits in product(range(s), repeat=len(sites))]
   assert list(_quantity_sums(sites, basis, s)) == expected
   # one probe half as the pairing enumerates it: each of its configurations
-  # sits at an offset into the union's table (every other site's digit 0,
-  # for the other half's offset to add to) and carries the half's own sums
+  # sits at an index of the union's table, the other half at base, and
+  # carries the half's own sums
   union = tuple(sorted(sites))
-  place = dict(zip(union, digit_powers(len(union), s)))
   half = (sites[2], sites[0])
-  offsets, sums, base_offset = _half(half, place, basis, s, inter.base)
+  offsets, sums = _half(half, union, basis, s, inter.base)
   configs = list(product(range(s), repeat=len(union)))
-  assert base_offset == index_of(
-      [inter.base if x in half else 0 for x in union],
-      digit_powers(len(union), s))
-  for digits, o, q in zip(product(range(s), repeat=len(half)), offsets, sums):
+  halves = list(product(range(s), repeat=len(half)))
+  assert len(offsets) == len(sums) == len(halves)
+  for digits, o, q in zip(halves, offsets, sums):
     assigned = dict(zip(half, digits))
-    assert configs[o] == tuple(assigned.get(x, 0) for x in union)
+    assert configs[o] == tuple(assigned.get(x, inter.base) for x in union)
     assert q == tuple(map(Fraction, quantity_of(digits, basis)))
 
 

@@ -165,3 +165,24 @@ def test_every_optional_parameter_is_set_by_a_caller():
       unset += [f"{module}:{fn.lineno} {fn.name}({p})"
                 for p in optional if p not in passed]
   assert not unset, unset
+
+
+def test_index_arithmetic_stays_in_configspace_and_calculus():
+  # Where a configuration sits in a table is configspace's and calculus's
+  # business (``configspace._offsets`` and the kernels beside it); the
+  # algebra and front-end modules read tables through those kernels.
+  banned = {"digit_powers", "_site_sums", "index_of", "digits_of", "powers"}
+  modules = _modules()
+  found = []
+  for name in ("cohomology.py", "decomposition.py", "cli.py"):
+    for node in ast.walk(modules[name]):
+      if isinstance(node, ast.Name):
+        used = {node.id}
+      elif isinstance(node, ast.Attribute):
+        used = {node.attr}
+      elif isinstance(node, ast.ImportFrom):
+        used = {alias.name for alias in node.names}
+      else:
+        continue
+      found += [f"{name}:{node.lineno} {word}" for word in used & banned]
+  assert not found, found
