@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from itertools import chain
+from operator import add, mul, sub as minus
 
 from .calculus import (Form, LocalFunction, _combine, _path_integral,
                        _potential_scan, differential, expansion,
@@ -128,32 +128,40 @@ class TranslationAction:
 
 def translate_function(action: TranslationAction, f: LocalFunction,
                        shift) -> LocalFunction:
-  """The translate of f: reads its sites at positions shifted by ``shift``."""
+  """The translate of f: reads its sites at positions shifted by ``shift``.
+  The table is f's, already in lowest terms, so only the support moves."""
   support = tuple(action.act_vertex(v, shift) for v in f.support)
   if tuple(sorted(support)) != support:  # lattice shifts preserve order
     raise RuntimeError(f"translating by {shift} reorders the support")
-  return LocalFunction._exact(support, f.n_states, f.base, f.nums, f.denom)
+  return _on_support(f, support)
+
+
+def _on_support(f: LocalFunction, support) -> LocalFunction:
+  """f's table, unchanged, on another support of as many sites."""
+  moved = object.__new__(LocalFunction)
+  moved._fill(support, f.n_states, f.base, f.nums, f.denom)
+  return moved
 
 
 # ---------------------------------------------------------------------------
 # Tilings by a fundamental domain
 
 
-def _reduced_domain(action: TranslationAction, domain) -> dict:
-  """rep -> [(coeffs, v), ...]: the domain vertices by their reduction,
-  in domain order."""
-  reduced = {}
+def _reduced_domain(domain, reduced) -> dict:
+  """rep -> [(coeffs, v), ...]: the domain vertices by their reduction
+  (``reduced`` maps a vertex to it), in domain order."""
+  by_rep = {}
   for v in domain:
-    coeffs, rep = action.reduce(v)
-    reduced.setdefault(rep, []).append((coeffs, v))
-  return reduced
+    coeffs, rep = reduced[v]
+    by_rep.setdefault(rep, []).append((coeffs, v))
+  return by_rep
 
 
-def _tile(action: TranslationAction, x, reduced: dict) -> tuple:
-  """``tile_of`` against a ``_reduced_domain``: one reduction of x."""
-  kx, rx = action.reduce(x)
+def _tile(x, reduction, by_rep: dict) -> tuple:
+  """``tile_of`` against a ``_reduced_domain``, from x's reduction."""
+  kx, rx = reduction
   hits = [(tuple(a - b for a, b in zip(kx, kv)), v)
-          for kv, v in reduced.get(rx, ())]
+          for kv, v in by_rep.get(rx, ())]
   if not hits:
     raise InputError(f"vertex {x!r} is not covered by the domain tiling")
   if len(hits) > 1:
@@ -163,67 +171,58 @@ def _tile(action: TranslationAction, x, reduced: dict) -> tuple:
 
 def tile_of(action: TranslationAction, x, domain) -> tuple:
   """The unique (coeffs, anchor) with x = anchor translated by the coeffs."""
-  return _tile(action, x, _reduced_domain(action, domain))
+  by_rep = _reduced_domain(domain, {v: action.reduce(v) for v in domain})
+  return _tile(x, action.reduce(x), by_rep)
 
 
 # ---------------------------------------------------------------------------
 # The flux form of a cocycle matrix
 
 
-def _site_weights(a_matrix, action, domain, window, inter, basis) -> dict:
-  """Per window site x, the one-site function d -> sum_i w_i(x) basis[i][d],
-  where w_i(x) = sum_j a[i][j] tau(x)_j weighs quantity i by x's tile index.
-  A basis that some move does not conserve is refused, as ``fibers_report``
-  refuses it, so the flux of ``build_omega_rho`` is translation-equivariant."""
+def build_omega_rho(a_matrix, action: TranslationAction, domain,
+                    window: Window, inter: Interaction, basis) -> Form:
+  """The canonical flux form of the matrix ``a``: each jump moves quantity
+  between tiles weighted by the tile indices.  Radius zero by construction.
+
+  With g_j(d) = sum_i a[i][j] basis[i][d] and tau(x) the tile index of x
+  (``tile_of``), the flux across (u, v) at the pair (a, b) with
+  (c, d) = phi(a, b) is the gradient of theta_u + theta_v, where
+  theta_x(d) = sum_j tau(x)_j g_j(d).  A basis that some move does not
+  conserve is refused, as ``fibers_report`` refuses it; for a conserved one
+  g_j(c) - g_j(a) = -(g_j(d) - g_j(b)), so the flux is
+  sum_j (tau(v)_j - tau(u)_j) (g_j(d) - g_j(b)).  It depends only on the
+  edge's orientation and on tau(v) - tau(u): one trimmed table per such key,
+  put on each edge's sites in sorted order.
+  """
   _require_conserved(inter, basis)
   if len(a_matrix) != len(basis):
     raise InputError("cocycle matrix needs one row per conserved quantity")
   if any(len(row) != action.rank for row in a_matrix):
     raise InputError("cocycle matrix needs one column per generator")
   s = inter.n_states
-  # theta_x(d) = sum_j tau(x)_j g_j(d) with g_j(d) = sum_i a[i][j] basis[i][d],
   # each g_j as integer numerators over one denominator
   nums, denom = _integer_row(
       sum((Fraction(row[j]) * vec[d] for row, vec in zip(a_matrix, basis)),
           ZERO) for j in range(action.rank) for d in range(s))
   g = [nums[i:i + s] for i in range(0, len(nums), s)]
-  reduced = _reduced_domain(action, domain)
-  tables = {}
-  for x in window.vertices:
-    coeffs, _ = _tile(action, x, reduced)
-    tables[x] = LocalFunction._exact(
-        (x,), s, inter.base,
-        [sum(k * col[d] for k, col in zip(coeffs, g)) for d in range(s)],
-        denom)
-  return tables
-
-
-def build_omega_rho(a_matrix, action: TranslationAction, domain,
-                    window: Window, inter: Interaction, basis) -> Form:
-  """The canonical flux form of the matrix ``a``: each jump moves quantity
-  between tiles weighted by the tile indices.  Radius zero by construction;
-  a basis that the moves do not conserve is refused (``_site_weights``).
-
-  The flux across (u, v) is the gradient of theta_u + theta_v, read off the
-  interaction's moves: at the pair (a, b) with (c, d) = phi(a, b) it is
-  theta_u(c) - theta_u(a) + theta_v(d) - theta_v(b), on the edge's sites in
-  sorted order.
-  """
-  tables = _site_weights(a_matrix, action, domain, window, inter, basis)
-  s = inter.n_states
-  fns = {}
+  reduced = {x: action.reduce(x)
+             for x in dict.fromkeys((*domain, *window.vertices))}
+  by_rep = _reduced_domain(domain, reduced)
+  tau = {x: _tile(x, reduced[x], by_rep)[0] for x in window.vertices}
+  tables, fns = {}, {}
   for u, v in window.edges:
-    tu, tv = tables[u], tables[v]
-    denom = lcm(tu.denom, tv.denom)
-    mu, mv = denom // tu.denom, denom // tv.denom
-    nums = [0] * (s * s)
-    for a, b, c, d in inter.moved:
-      nums[a * s + b if u < v else b * s + a] = (
-          mu * (tu.nums[c] - tu.nums[a]) + mv * (tv.nums[d] - tv.nums[b]))
-    fn = trim(LocalFunction._exact(tuple(sorted((u, v))), s, inter.base,
-                                   nums, denom))
-    if not fn.is_zero():
-      fns[(u, v)] = fn
+    key = (u < v, tuple(b - a for a, b in zip(tau[u], tau[v])))
+    if key not in tables:
+      nums = [0] * (s * s)
+      for a, b, c, d in inter.moved:
+        nums[a * s + b if u < v else b * s + a] = sum(
+            k * (col[d] - col[b]) for k, col in zip(key[1], g))
+      tables[key] = trim(LocalFunction._exact((0, 1), s, inter.base, nums,
+                                              denom))
+    table = tables[key]
+    if not table.is_zero():
+      sites = sorted((u, v))
+      fns[(u, v)] = _on_support(table, tuple(sites[i] for i in table.support))
   return Form(inter.n_states, inter.base, fns, 0)
 
 
@@ -232,9 +231,17 @@ def build_omega_rho(a_matrix, action: TranslationAction, domain,
 
 
 def interior_vertices(window: Window, pad: int) -> set:
-  """Vertices whose pad-ball stays inside the window."""
-  return {x for x in window.vertices
-          if all(y in window for y in window.locale.ball(x, pad))}
+  """Vertices whose pad-ball stays inside the window: those more than pad
+  steps from every vertex outside it.  One breadth-first search through the
+  window, from the vertices with a neighbour outside it at depth 1, finds
+  the others."""
+  layer = {x for x in window.vertices
+           if any(y not in window for y in window.locale.neighbors(x))}
+  near = set()
+  for _ in range(pad):
+    near |= layer
+    layer = {y for x in layer for y in window.neighbors_in(x)} - near
+  return set(window.vertices) - near
 
 
 def _difference_witness(locale, edge, diff: LocalFunction,
@@ -263,11 +270,15 @@ def is_shift_invariant(form: Form, window: Window, inter: Interaction,
     for (u, v) in window.edges:
       if u not in inner or v not in inner:
         continue
-      u0, v0 = action.act_vertex(u, back), action.act_vertex(v, back)
       f1 = form.fn((u, v))
-      f0 = form.fn((u0, v0))
-      shifted = translate_function(action, f0, g)
+      f0 = form.fn((action.act_vertex(u, back), action.act_vertex(v, back)))
       checked += 1
+      # equal tables on the moved support are equal functions; otherwise
+      # the translate decides, and it is built only then
+      if (f1.nums == f0.nums and f1.denom == f0.denom and f1.support == tuple(
+          action.act_vertex(x, g) for x in f0.support)):
+        continue
+      shifted = translate_function(action, f0, g)
       if not functions_equal(f1, shifted):
         witness = _difference_witness(window.locale, (u, v),
                                       trim(sub(f1, shifted)), inter)
@@ -366,11 +377,19 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
 # Synthesis (sums of translates) and the main decomposition
 
 
-def translates_meeting(action: TranslationAction, f: LocalFunction, targets):
-  """All lattice shifts tau whose translate of supp(f) meets ``targets``."""
-  shifts = {action.coeffs_carrying(v, t) for t in targets for v in f.support}
-  shifts.discard(None)
-  return sorted(shifts)
+def translates_meeting(action: TranslationAction, f: LocalFunction, targets,
+                       reduced=None):
+  """All lattice shifts tau whose translate of supp(f) meets ``targets``.
+  ``reduced`` maps vertices to their ``reduce``; the call adds those it
+  lacks, so callers can share it over many calls."""
+  reduced = {} if reduced is None else reduced
+  for x in chain(f.support, targets):
+    if x not in reduced:
+      reduced[x] = action.reduce(x)
+  tails = [reduced[v] for v in f.support]
+  return sorted({tuple(map(minus, kt, kv))
+                 for kt, rt in map(reduced.get, targets)
+                 for kv, rv in tails if rv == rt})
 
 
 def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
@@ -381,34 +400,44 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
 
   The sum is translation-equivariant: if e = sigma e0, the translates
   meeting e are those meeting e0 moved by sigma, and the flux at e is the
-  flux at e0 moved by sigma (the basis is conserved, ``_site_weights``).  So
-  the sum at e is fixed by the orbit representative e0 (e moved back by the
-  reduction of its tail) and by the sites of the translates meeting e0 that
-  the window keeps once moved back.  The translates meeting e0 are found
-  once per orbit; the sum is built on e0 once per key, one gradient per
-  translate restricted to the kept sites, so no table exceeds the window,
-  plus the flux of the key's first edge moved back, and translated to each
-  edge of the key, the same table on a support moved in order.
+  flux at e0 moved by sigma (``build_omega_rho`` refuses a basis the moves
+  do not conserve).  Each vertex is reduced once, to (k, rep); the orbit of
+  (u, v) is keyed by (rep_u, rep_v, k_v - k_u), and its representative e0,
+  (u, v) moved back by k_u, and the translates meeting e0 are found once per
+  orbit.  Their site y lands at k_u on the vertex reduced to
+  (k_y + k_u, rep_y), so the window keeps it when that is a window vertex's
+  reduction.  The sum is built on e0 once per (orbit, kept sites) key, each
+  translate restricted to the kept sites, plus the flux of the key's first
+  edge moved back, and translated to each edge of the key.
   """
+  reduced = {x: action.reduce(x) for x in win_set}
+  in_window = set(reduced.values())
+  shifts = {x: action.shift_of(k) for x, (k, _) in reduced.items()}
   orbits, totals, sums = {}, {}, {}
   for e in edges:
-    coeffs, rep = action.reduce(e[0])
-    shift = action.shift_of(coeffs)
-    back = tuple(-k for k in shift)
-    e0 = (rep, action.act_vertex(e[1], back))
-    if e0 not in orbits:
-      orbits[e0] = [translate_function(action, f, action.shift_of(c))
-                    for c in translates_meeting(action, f, e0)]
-    kept = tuple(y for g in orbits[e0] for y in g.support
-                 if action.act_vertex(y, shift) in win_set)
-    key = (e0, kept)
+    (ku, ru), (kv, rv) = reduced[e[0]], reduced[e[1]]
+    orbit = (ru, rv, tuple(map(minus, kv, ku)))
+    if orbit not in orbits:
+      e0 = (ru, action.act_vertex(rv, action.shift_of(orbit[2])))
+      meeting = translates_meeting(action, f, e0, reduced)
+      translates = [translate_function(action, f, action.shift_of(c))
+                    for c in meeting]
+      # each distinct site of the translates, with its reduction
+      sites = {y: (tuple(map(add, k, c)), r)
+               for c, g in zip(meeting, translates)
+               for (k, r), y in zip(map(reduced.get, f.support), g.support)}
+      orbits[orbit] = e0, translates, sites
+    e0, translates, sites = orbits[orbit]
+    kept = tuple(y for y, (k, r) in sites.items()
+                 if (tuple(map(add, k, ku)), r) in in_window)
+    key = (orbit, kept)
     if key not in totals:
-      terms = [(1, gradient(restrict(g, kept), e0, inter))
-               for g in orbits[e0]]
+      terms = [(1, gradient(restrict(g, kept), e0, inter)) for g in translates]
       if (fl := flux.fns.get(e)) is not None:
-        terms.append((1, translate_function(action, fl, back)))
+        terms.append((1, translate_function(
+            action, fl, tuple(-k for k in shifts[e[0]]))))
       totals[key] = trim(_combine(terms, inter.n_states, inter.base))
-    sums[e] = translate_function(action, totals[key], shift)
+    sums[e] = translate_function(action, totals[key], shifts[e[0]])
   return sums
 
 

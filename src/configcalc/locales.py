@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import add
 
 from .serialize import InputError, manifest_int
 
@@ -128,8 +129,7 @@ class LatticeLocale(Locale):
     return tuple(c)
 
   def translate(self, x, shift):
-    c = self.coord(x)
-    return self.with_coord(x, tuple(a + b for a, b in zip(c, shift)))
+    return self.with_coord(x, tuple(map(add, self.coord(x), shift)))
 
   def coord_dim(self) -> int:
     raise NotImplementedError

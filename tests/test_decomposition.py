@@ -13,7 +13,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -43,8 +43,8 @@ from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
                                      interaction_from_json, lattice_gas,
                                      multispecies, spin3)
-from configcalc.locales import (Euclidean, Hexagonal, NNeighbor, Triangular,
-                               box)
+from configcalc.locales import (Euclidean, FiniteGraph, Hexagonal, NNeighbor,
+                               Triangular, box, window as build_window)
 from configcalc.serialize import InputError, fraction_to_str
 
 
@@ -184,11 +184,23 @@ def test_translate_function():
   assert g.value_at({(3,): 1, (4,): 0}) == 2
 
 
+def site_weights(a_matrix, action, domain, window, inter, basis):
+  """Per window site x, the one-site table d -> sum_j tau(x)_j g_j(d), with
+  g_j(d) = sum_i a[i][j] basis[i][d] and tau(x) the tile index of x."""
+  tables = {}
+  for x in window.vertices:
+    tau, _ = tile_of(action, x, domain)
+    tables[x] = LocalFunction((x,), inter.n_states, inter.base, [
+        sum((k * Fraction(row[j]) * vec[d] for j, k in enumerate(tau)
+             for row, vec in zip(a_matrix, basis)), Fraction(0))
+        for d in range(inter.n_states)])
+  return tables
+
+
 def theta_profile(a_matrix, action, domain, window, inter, basis):
   """The window profile whose translation defect realizes the cocycle: the
   sum of the flux's per-site weight tables."""
-  tables = decomposition._site_weights(a_matrix, action, domain, window, inter,
-                                       basis)
+  tables = site_weights(a_matrix, action, domain, window, inter, basis)
   return _combine(((1, t) for t in tables.values()), inter.n_states,
                   inter.base)
 
@@ -501,7 +513,7 @@ def test_translate_gradient_sums_move_each_flux_back_once_per_key(
 def gather_omega_rho(a, action, domain, window, inter, basis):
   """Reference flux form: per edge, the gradient of theta_u + theta_v read
   through ``_combine`` and ``gradient``."""
-  tables = decomposition._site_weights(a, action, domain, window, inter, basis)
+  tables = site_weights(a, action, domain, window, inter, basis)
   fns = {}
   for e in window.edges:
     fn = gradient(_combine(((1, tables[x]) for x in e), inter.n_states,
@@ -639,6 +651,47 @@ def test_synthesized_form_matches_form_add_reference(case):
       assert (_verify_identity(form, f_hat, flux, win, inter, act)
               == form_add_identity(form, f_hat, flux, win, inter, act))
     assert _verify_identity(form, f, flux, win, inter, act)["ok"]
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
+    case, monkeypatch):
+  # build_omega_rho and _translate_gradient_sums reduce each vertex at most
+  # once per call, and the flux trims one table per edge orientation and
+  # difference of tile indices.
+  win, model, act, domain, supports, basis = FOLD_CASES[case]
+  inter = by_name(model)
+  if basis is None:
+    basis = conserved_basis(inter)
+  a = tuple(tuple(Fraction(k - j + 1, 3 + k + j) for j in range(act.rank))
+            for k in range(len(basis)))
+  tau = {x: tile_of(act, x, domain)[0] for x in win.vertices}
+  keys = {(u < v, tuple(tv - tu for tu, tv in zip(tau[u], tau[v])))
+          for u, v in win.edges}
+  real_reduce, real_trim = TranslationAction.reduce, decomposition.trim
+  reduced, trimmed = Counter(), []
+
+  def reduce(self, x):
+    reduced[x] += 1
+    return real_reduce(self, x)
+
+  def trim_counted(f):
+    trimmed.append(f)
+    return real_trim(f)
+  monkeypatch.setattr(TranslationAction, "reduce", reduce)
+  monkeypatch.setattr(decomposition, "trim", trim_counted)
+  flux = build_omega_rho(a, act, domain, win, inter, basis)
+  assert len(trimmed) == len(keys)
+  assert set(reduced.values()) == {1}
+  assert set(win.vertices) <= set(reduced)
+  for support in supports:
+    f = _vanishing_at_base(support, inter)
+    inner = interior_vertices(win, support_diameter(f.support, win.locale))
+    for edges in (win.edges, [e for e in win.edges if set(e) <= inner]):
+      reduced.clear()
+      decomposition._translate_gradient_sums(act, f, edges, set(win.vertices),
+                                             inter, flux)
+      assert set(reduced.values()) == {1}
 
 
 @pytest.mark.parametrize("case", ["line9", "square9"])
@@ -821,6 +874,42 @@ def test_interior_shrinks_with_pad():
   inner = interior_vertices(win, 1)
   assert len(inner) == 9
   assert all(0 < x < 4 and 0 < y < 4 for x, y in inner)
+
+
+def _holed_square():
+  return build_window(Euclidean(2), [x for x in product(range(7), repeat=2)
+                                     if x != (3, 3)])
+
+
+def _wheel(vertices):
+  """The wheel graph on hub 6 and rim 0..5, windowed on ``vertices``."""
+  rim = [(k, (k + 1) % 6) for k in range(6)]
+  return build_window(FiniteGraph(range(7), rim + [(6, k) for k in range(6)]),
+                      vertices)
+
+
+INTERIOR_WINDOWS = {
+    "square6": lambda: square(6),
+    "n-neighbour6": lambda: box(NNeighbor(2, 2), (0, 0), (5, 5)),
+    "triangular6": lambda: box(Triangular(), (0, 0), (5, 5)),
+    "hexagonal4": lambda: box(Hexagonal(), (0, 0), (3, 3)),
+    "holed-square7": _holed_square,
+    "whole-wheel": lambda: _wheel(range(7)),
+    "wheel-part": lambda: _wheel(range(1, 7)),
+}
+
+
+@pytest.mark.parametrize("pad", range(5))
+@pytest.mark.parametrize("case", sorted(INTERIOR_WINDOWS))
+def test_interior_vertices_match_the_per_vertex_balls(case, pad):
+  # The one breadth-first search from the window's edge keeps exactly the
+  # vertices whose pad-ball stays inside the window.
+  win = INTERIOR_WINDOWS[case]()
+  want = {x for x in win.vertices
+          if all(y in win for y in win.locale.ball(x, pad))}
+  assert interior_vertices(win, pad) == want
+  if case == "whole-wheel":
+    assert want == set(win.vertices)
 
 
 def test_counterexample_report_carries_all_evidence():
