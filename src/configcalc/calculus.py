@@ -107,6 +107,13 @@ class LocalFunction:
                self.values)
 
 
+def _on_support(f: LocalFunction, support) -> LocalFunction:
+  """f's table, unchanged, on another support of as many sites."""
+  moved = object.__new__(LocalFunction)
+  moved._fill(support, f.n_states, f.base, f.nums, f.denom)
+  return moved
+
+
 def constant(value, n_states: int, base: int) -> LocalFunction:
   return LocalFunction((), n_states, base, (Fraction(value),))
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import add, mul, sub as minus
 
-from .calculus import (Form, LocalFunction, _combine, _path_integral,
-                       _potential_scan, differential, expansion,
+from .calculus import (Form, LocalFunction, _combine, _on_support,
+                       _path_integral, _potential_scan, differential, expansion,
                        form_axioms_report, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
@@ -91,6 +90,7 @@ class TranslationAction:
     object.__setattr__(self, "_inverse", tuple(
         tuple(nums[i:i + d]) for i in range(0, d * d, d)))
     object.__setattr__(self, "_denom", denom)
+    object.__setattr__(self, "_reduced", {})
 
   @property
   def rank(self) -> int:
@@ -102,20 +102,18 @@ class TranslationAction:
   def reduce(self, x) -> tuple:
     """``(coeffs, rep)``: the floor of x's coordinate in the generators, and
     x moved back by that shift, so rep's coefficients lie in [0, 1).  Two
-    vertices share a rep exactly when a shift carries one to the other."""
-    c = self.locale.coord(x)
-    coeffs = tuple(sum(map(mul, row, c)) // self._denom
-                   for row in self._inverse)
-    return coeffs, self.locale.with_coord(
-        x, tuple(a - b for a, b in zip(c, self.shift_of(coeffs))))
+    vertices share a rep exactly when a shift carries one to the other, by
+    the difference of their coeffs.  Each vertex is reduced once per action."""
+    if x not in self._reduced:
+      c = self.locale.coord(x)
+      coeffs = tuple(sum(map(mul, row, c)) // self._denom
+                     for row in self._inverse)
+      self._reduced[x] = coeffs, self.locale.with_coord(
+          x, tuple(map(minus, c, self.shift_of(coeffs))))
+    return self._reduced[x]
 
   def act_vertex(self, x, shift):
     return self.locale.translate(x, shift)
-
-  def coeffs_carrying(self, v, x) -> tuple | None:
-    """Integer coefficients of the shift carrying ``v`` to ``x``, or None."""
-    (kv, rv), (kx, rx) = self.reduce(v), self.reduce(x)
-    return tuple(a - b for a, b in zip(kx, kv)) if rv == rx else None
 
   def max_step(self) -> int:
     """Largest graph distance a single generator moves a vertex."""
@@ -136,43 +134,22 @@ def translate_function(action: TranslationAction, f: LocalFunction,
   return _on_support(f, support)
 
 
-def _on_support(f: LocalFunction, support) -> LocalFunction:
-  """f's table, unchanged, on another support of as many sites."""
-  moved = object.__new__(LocalFunction)
-  moved._fill(support, f.n_states, f.base, f.nums, f.denom)
-  return moved
-
-
 # ---------------------------------------------------------------------------
 # Tilings by a fundamental domain
 
 
-def _reduced_domain(domain, reduced) -> dict:
-  """rep -> [(coeffs, v), ...]: the domain vertices by their reduction
-  (``reduced`` maps a vertex to it), in domain order."""
-  by_rep = {}
-  for v in domain:
-    coeffs, rep = reduced[v]
-    by_rep.setdefault(rep, []).append((coeffs, v))
-  return by_rep
-
-
-def _tile(x, reduction, by_rep: dict) -> tuple:
-  """``tile_of`` against a ``_reduced_domain``, from x's reduction."""
-  kx, rx = reduction
-  hits = [(tuple(a - b for a, b in zip(kx, kv)), v)
-          for kv, v in by_rep.get(rx, ())]
+def tile_of(action: TranslationAction, x, domain) -> tuple:
+  """The unique (coeffs, anchor) with x = anchor translated by the coeffs:
+  the domain vertices that share x's rep, in domain order."""
+  kx, rx = action.reduce(x)
+  hits = [(tuple(map(minus, kx, kv)), v)
+          for v, (kv, rv) in zip(domain, map(action.reduce, domain))
+          if rv == rx]
   if not hits:
     raise InputError(f"vertex {x!r} is not covered by the domain tiling")
   if len(hits) > 1:
     raise InputError(f"domain translates overlap at {x!r}: not a tiling")
   return hits[0]
-
-
-def tile_of(action: TranslationAction, x, domain) -> tuple:
-  """The unique (coeffs, anchor) with x = anchor translated by the coeffs."""
-  by_rep = _reduced_domain(domain, {v: action.reduce(v) for v in domain})
-  return _tile(x, action.reduce(x), by_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +182,7 @@ def build_omega_rho(a_matrix, action: TranslationAction, domain,
       sum((Fraction(row[j]) * vec[d] for row, vec in zip(a_matrix, basis)),
           ZERO) for j in range(action.rank) for d in range(s))
   g = [nums[i:i + s] for i in range(0, len(nums), s)]
-  reduced = {x: action.reduce(x)
-             for x in dict.fromkeys((*domain, *window.vertices))}
-  by_rep = _reduced_domain(domain, reduced)
-  tau = {x: _tile(x, reduced[x], by_rep)[0] for x in window.vertices}
+  tau = {x: tile_of(action, x, domain)[0] for x in window.vertices}
   tables, fns = {}, {}
   for u, v in window.edges:
     key = (u < v, tuple(b - a for a, b in zip(tau[u], tau[v])))
@@ -272,13 +246,8 @@ def is_shift_invariant(form: Form, window: Window, inter: Interaction,
         continue
       f1 = form.fn((u, v))
       f0 = form.fn((action.act_vertex(u, back), action.act_vertex(v, back)))
-      checked += 1
-      # equal tables on the moved support are equal functions; otherwise
-      # the translate decides, and it is built only then
-      if (f1.nums == f0.nums and f1.denom == f0.denom and f1.support == tuple(
-          action.act_vertex(x, g) for x in f0.support)):
-        continue
       shifted = translate_function(action, f0, g)
+      checked += 1
       if not functions_equal(f1, shifted):
         witness = _difference_witness(window.locale, (u, v),
                                       trim(sub(f1, shifted)), inter)
@@ -377,18 +346,11 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
 # Synthesis (sums of translates) and the main decomposition
 
 
-def translates_meeting(action: TranslationAction, f: LocalFunction, targets,
-                       reduced=None):
-  """All lattice shifts tau whose translate of supp(f) meets ``targets``.
-  ``reduced`` maps vertices to their ``reduce``; the call adds those it
-  lacks, so callers can share it over many calls."""
-  reduced = {} if reduced is None else reduced
-  for x in chain(f.support, targets):
-    if x not in reduced:
-      reduced[x] = action.reduce(x)
-  tails = [reduced[v] for v in f.support]
+def translates_meeting(action: TranslationAction, f: LocalFunction, targets):
+  """All lattice shifts tau whose translate of supp(f) meets ``targets``."""
+  tails = [action.reduce(v) for v in f.support]
   return sorted({tuple(map(minus, kt, kv))
-                 for kt, rt in map(reduced.get, targets)
+                 for kt, rt in map(action.reduce, targets)
                  for kv, rv in tails if rv == rt})
 
 
@@ -401,7 +363,7 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
   The sum is translation-equivariant: if e = sigma e0, the translates
   meeting e are those meeting e0 moved by sigma, and the flux at e is the
   flux at e0 moved by sigma (``build_omega_rho`` refuses a basis the moves
-  do not conserve).  Each vertex is reduced once, to (k, rep); the orbit of
+  do not conserve).  With each vertex reduced to (k, rep), the orbit of
   (u, v) is keyed by (rep_u, rep_v, k_v - k_u), and its representative e0,
   (u, v) moved back by k_u, and the translates meeting e0 are found once per
   orbit.  Their site y lands at k_u on the vertex reduced to
@@ -410,22 +372,21 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
   translate restricted to the kept sites, plus the flux of the key's first
   edge moved back, and translated to each edge of the key.
   """
-  reduced = {x: action.reduce(x) for x in win_set}
-  in_window = set(reduced.values())
-  shifts = {x: action.shift_of(k) for x, (k, _) in reduced.items()}
+  in_window = set(map(action.reduce, win_set))
+  shifts = {x: action.shift_of(action.reduce(x)[0]) for x in win_set}
   orbits, totals, sums = {}, {}, {}
   for e in edges:
-    (ku, ru), (kv, rv) = reduced[e[0]], reduced[e[1]]
+    (ku, ru), (kv, rv) = map(action.reduce, e)
     orbit = (ru, rv, tuple(map(minus, kv, ku)))
     if orbit not in orbits:
       e0 = (ru, action.act_vertex(rv, action.shift_of(orbit[2])))
-      meeting = translates_meeting(action, f, e0, reduced)
+      meeting = translates_meeting(action, f, e0)
       translates = [translate_function(action, f, action.shift_of(c))
                     for c in meeting]
       # each distinct site of the translates, with its reduction
       sites = {y: (tuple(map(add, k, c)), r)
                for c, g in zip(meeting, translates)
-               for (k, r), y in zip(map(reduced.get, f.support), g.support)}
+               for (k, r), y in zip(map(action.reduce, f.support), g.support)}
       orbits[orbit] = e0, translates, sites
     e0, translates, sites = orbits[orbit]
     kept = tuple(y for y, (k, r) in sites.items()
@@ -468,11 +429,12 @@ def _recenter_domain(window: Window, action: TranslationAction,
   center = window.center()
   candidates = sorted(window.locale.ball(center, action.max_step()),
                       key=lambda v: (window.locale.distance(v, center), v))
+  ka, ra = action.reduce(anchor)
   for cand in candidates:
-    coeffs = action.coeffs_carrying(anchor, cand)
-    if coeffs is None:
+    kc, rc = action.reduce(cand)
+    if rc != ra:
       continue
-    shift = action.shift_of(coeffs)
+    shift = action.shift_of(tuple(map(minus, kc, ka)))
     moved = tuple(sorted(action.act_vertex(x, shift) for x in domain))
     if all(v in window for v in moved):
       return moved

@@ -63,18 +63,31 @@ def rows(a):
   return tuple(tuple(x) for x in a)
 
 
+def carrying(act, v, x):
+  """The coefficients of the shift that carries v to x, read off ``reduce``:
+  the difference of their coeffs when their reps are equal, else None.  A
+  second reduction, and one by a fresh action, must agree with the first."""
+  fresh = TranslationAction(act.locale, act.generators)
+  (kv, rv), (kx, rx) = act.reduce(v), act.reduce(x)
+  for y, got in ((v, (kv, rv)), (x, (kx, rx))):
+    assert act.reduce(y) == got and fresh.reduce(y) == got
+  return tuple(a - b for a, b in zip(kx, kv)) if rv == rx else None
+
+
 def test_translation_action_basics():
   act = TranslationAction(Euclidean(2), ((1, 0), (0, 1)))
   assert act.rank == 2
   assert act.shift_of((2, -1)) == (2, -1)
-  assert act.coeffs_carrying((0, 0), (3, 4)) == (3, 4)
+  assert act.reduce((3, 4)) == ((3, 4), (0, 0))
+  assert carrying(act, (0, 0), (3, 4)) == (3, 4)
   assert act.act_vertex((2, -1), (1, 1)) == (3, 0)
   # sublattice action: only even shifts along the first axis
   sub = TranslationAction(Euclidean(2), ((2, 0), (0, 1)))
-  assert sub.coeffs_carrying((0, 0), (4, 1)) == (2, 1)
-  assert sub.coeffs_carrying((0, 0), (3, 0)) is None
-  assert sub.coeffs_carrying((0, 0), (1, 0)) is None
-  assert sub.coeffs_carrying((0, 0), (2, 0)) == (1, 0)
+  assert sub.reduce((3, 0)) == ((1, 0), (1, 0))
+  assert carrying(sub, (0, 0), (4, 1)) == (2, 1)
+  assert carrying(sub, (0, 0), (3, 0)) is None
+  assert carrying(sub, (0, 0), (1, 0)) is None
+  assert carrying(sub, (0, 0), (2, 0)) == (1, 0)
 
 
 def fraction_solve(gens, delta):
@@ -97,7 +110,7 @@ def test_coeffs_of_matches_a_fraction_solve(entries, delta):
   assume(gens[0][0] * gens[1][1] != gens[1][0] * gens[0][1])
   act = TranslationAction(Euclidean(2), gens)
   want = fraction_solve(gens, delta)
-  got = act.coeffs_carrying((0, 0), delta)
+  got = carrying(act, (0, 0), delta)
   assert got == want
   if got is not None:
     assert all(type(k) is int for k in got)
@@ -173,6 +186,57 @@ def test_tile_of_rejects_overlapping_domain():
   act = TranslationAction(Euclidean(1), ((1,),))
   with pytest.raises(InputError):
     tile_of(act, (0,), ((0,), (1,)))
+
+
+TILE_ACTIONS = REDUCE_ACTIONS + [
+    TranslationAction(Euclidean(2), gens)
+    for gens in (((1, 0), (0, 1)), ((2, 0), (0, 1)), ((2, 1), (-1, 1)))]
+
+
+@pytest.mark.parametrize("act", TILE_ACTIONS,
+                         ids=lambda a: f"{a.locale.name}{a.generators}")
+def test_tile_of_matches_a_search_over_domain_translates(act):
+  # Every domain translate whose coefficients lie in a box wide enough for
+  # the probed vertices: tile_of must return the one hit or refuse with the
+  # message of no hit or of several.
+  d, gens = act.rank, act.generators
+  index = abs(gens[0][0] if d == 1
+              else gens[0][0] * gens[1][1] - gens[1][0] * gens[0][1])
+  flags = ((0,), (1,)) if isinstance(act.locale, Hexagonal) else ((),)
+  # |index| sites along the first axis are one of each orbit here
+  tiling = [(i,) + (0,) * (d - 1) + f for i in range(index) for f in flags]
+  moved = act.act_vertex(tiling[0], act.shift_of((1,) * d))
+  domains = {"tile": tiling, "overlap": tiling + [moved],
+             "miss": tiling[:-1], "mixed": tiling[:-1] + [moved]}
+  reach = 3 if d == 1 else 2
+  probes = [c + f for c in product(range(-reach, reach + 1), repeat=d)
+            for f in flags]
+  seen = set()
+  for name, domain in domains.items():
+    hits = {}
+    for v in domain:
+      for k in product(range(-12, 13), repeat=d):
+        x = act.act_vertex(v, act.shift_of(k))
+        hits.setdefault(x, []).append((k, v))
+    for x in probes:
+      found = hits.get(x, [])
+      if len(found) == 1:
+        seen.add("tile")
+        assert tile_of(act, x, domain) == found[0], (name, x)
+        continue
+      with pytest.raises(InputError) as refused:
+        tile_of(act, x, domain)
+      if found:
+        seen.add("overlap")
+        assert str(refused.value) == (
+            f"domain translates overlap at {x!r}: not a tiling")
+      else:
+        seen.add("miss")
+        assert str(refused.value) == (
+            f"vertex {x!r} is not covered by the domain tiling")
+    if name == "tile":
+      assert seen == {"tile"}
+  assert seen == {"tile", "overlap", "miss"}
 
 
 def test_translate_function():
@@ -656,9 +720,9 @@ def test_synthesized_form_matches_form_add_reference(case):
 @pytest.mark.parametrize("case", sorted(FOLD_CASES))
 def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
     case, monkeypatch):
-  # build_omega_rho and _translate_gradient_sums reduce each vertex at most
-  # once per call, and the flux trims one table per edge orientation and
-  # difference of tile indices.
+  # An action computes each vertex's reduction at most once, across
+  # build_omega_rho and every _translate_gradient_sums call, and the flux
+  # trims one table per edge orientation and difference of tile indices.
   win, model, act, domain, supports, basis = FOLD_CASES[case]
   inter = by_name(model)
   if basis is None:
@@ -668,30 +732,42 @@ def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
   tau = {x: tile_of(act, x, domain)[0] for x in win.vertices}
   keys = {(u < v, tuple(tv - tu for tu, tv in zip(tau[u], tau[v])))
           for u, v in win.edges}
-  real_reduce, real_trim = TranslationAction.reduce, decomposition.trim
-  reduced, trimmed = Counter(), []
+  act = TranslationAction(act.locale, act.generators)  # nothing reduced yet
+  locale_type = type(act.locale)
+  real_reduce, real_coord = TranslationAction.reduce, locale_type.coord
+  real_trim = decomposition.trim
+  reducing, computed, trimmed = [], Counter(), []
 
+  # reduce reads a vertex's coordinate only when it computes the reduction
   def reduce(self, x):
-    reduced[x] += 1
-    return real_reduce(self, x)
+    reducing.append(x)
+    try:
+      return real_reduce(self, x)
+    finally:
+      reducing.pop()
+
+  def coord(self, x):
+    if reducing and reducing[-1] == x:
+      computed[x] += 1
+    return real_coord(self, x)
 
   def trim_counted(f):
     trimmed.append(f)
     return real_trim(f)
   monkeypatch.setattr(TranslationAction, "reduce", reduce)
+  monkeypatch.setattr(locale_type, "coord", coord)
   monkeypatch.setattr(decomposition, "trim", trim_counted)
   flux = build_omega_rho(a, act, domain, win, inter, basis)
   assert len(trimmed) == len(keys)
-  assert set(reduced.values()) == {1}
-  assert set(win.vertices) <= set(reduced)
+  assert set(computed.values()) == {1}
+  assert set(win.vertices) <= set(computed)
   for support in supports:
     f = _vanishing_at_base(support, inter)
     inner = interior_vertices(win, support_diameter(f.support, win.locale))
     for edges in (win.edges, [e for e in win.edges if set(e) <= inner]):
-      reduced.clear()
       decomposition._translate_gradient_sums(act, f, edges, set(win.vertices),
                                              inter, flux)
-      assert set(reduced.values()) == {1}
+      assert set(computed.values()) == {1}
 
 
 @pytest.mark.parametrize("case", ["line9", "square9"])

@@ -170,8 +170,10 @@ def test_every_optional_parameter_is_set_by_a_caller():
 def test_index_arithmetic_stays_in_configspace_and_calculus():
   # Where a configuration sits in a table is configspace's and calculus's
   # business (``configspace._offsets`` and the kernels beside it); the
-  # algebra and front-end modules read tables through those kernels.
-  banned = {"digit_powers", "_site_sums", "index_of", "digits_of", "powers"}
+  # algebra and front-end modules read tables through those kernels, and
+  # build functions through calculus's constructors, not ``_fill``.
+  banned = {"digit_powers", "_site_sums", "index_of", "digits_of", "powers",
+            "_fill"}
   modules = _modules()
   found = []
   for name in ("cohomology.py", "decomposition.py", "cli.py"):
