@@ -88,14 +88,11 @@ class LocalFunction:
     shared = {k: Fraction(k, self.denom) for k in set(self.nums)}
     return tuple(map(shared.__getitem__, self.nums))
 
-  def powers(self):
-    return digit_powers(len(self.support), self.n_states)
-
   def value_at(self, assignment: dict) -> Fraction:
     """Evaluate at {vertex: state_index}; absent sites sit at the base."""
     idx = 0
-    for v, p in zip(self.support, self.powers()):
-      idx += assignment.get(v, self.base) * p
+    for v in self.support:
+      idx = idx * self.n_states + assignment.get(v, self.base)
     return Fraction(self.nums[idx], self.denom)
 
   def is_zero(self) -> bool:
@@ -254,22 +251,6 @@ def _mobius(values, n_sites: int, n_states: int, base: int) -> list:
   return vals
 
 
-def _piece(table, positions, n_sites: int, n_states: int, base: int) -> tuple:
-  """The piece on the sites at ``positions`` of a Moebius-transformed table,
-  as a dense table over those sites: zero wherever one of them is at base."""
-  powers = digit_powers(n_sites, n_states)
-  origin = base * sum(powers)
-  places = [powers[k] for k in positions]
-  vals = []
-  for digits in product(range(n_states), repeat=len(places)):
-    if base in digits:
-      vals.append(0)
-    else:
-      vals.append(table[origin + sum((d - base) * p
-                                     for d, p in zip(digits, places))])
-  return tuple(vals)
-
-
 def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   """Exact-support pieces f_L over the subsets L of the support.
 
@@ -281,22 +262,32 @@ def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   order.  The budget is charged for the (1 + |S|)^n entries of all piece
   tables together.
   """
-  n = len(f.support)
-  if (1 + f.n_states) ** n > budget:
+  n, s, base = len(f.support), f.n_states, f.base
+  if (1 + s) ** n > budget:
     raise InputError(f"expansion over {n} sites exceeds the budget")
-  table = _mobius(f.nums, n, f.n_states, f.base)
-  # The non-base sites of every entry as a bit mask over support positions;
-  # the piece on a subset is nonzero exactly when an entry with its mask is.
-  masks = _site_sums([[0 if d == f.base else 1 << k for d in range(f.n_states)]
+  table = _mobius(f.nums, n, s, base)
+  # The non-base sites of every entry as a bit mask over support positions.
+  # One mask's entries, in index order, are its piece's entries with no site
+  # at base, and every other entry of that piece is 0.
+  masks = _site_sums([[0 if d == base else 1 << k for d in range(s)]
                       for k in range(n)])
-  live = [tuple(k for k in range(n) if m >> k & 1)
-          for m in set(compress(masks, table))]
+  groups = {}
+  for m, v in zip(masks, table):
+    groups.setdefault(m, []).append(v)
+  live = sorted(((tuple(k for k in range(n) if m >> k & 1), vals)
+                 for m, vals in groups.items() if any(vals)),
+                key=lambda piece: (len(piece[0]), piece[0]))
+  nonbase = {}  # per piece size: the count of non-base sites of each entry
   pieces = {}
-  for positions in sorted(live, key=lambda p: (len(p), p)):
-    sub_support = tuple(f.support[k] for k in positions)
+  for positions, vals in live:
+    k = len(positions)
+    if k not in nonbase:
+      nonbase[k] = _site_sums([[d != base for d in range(s)]] * k)
+    entries = iter(vals)
+    sub_support = tuple(f.support[p] for p in positions)
     pieces[sub_support] = LocalFunction._exact(
-        sub_support, f.n_states, f.base,
-        _piece(table, positions, n, f.n_states, f.base), f.denom)
+        sub_support, s, base,
+        [next(entries) if c == k else 0 for c in nonbase[k]], f.denom)
   return pieces
 
 
@@ -664,19 +655,6 @@ def _build_cycle(window, inter, table, tree, pin, idx, k, jdx, new, denom):
   }
 
 
-def _path_integral(form: Form, window: Window, steps) -> Fraction:
-  """The form summed along transition steps (window digits, directed edge)."""
-  fns = [(digits, form.fn(edge)) for digits, edge in steps]
-  denom = lcm(*(fn.denom for _, fn in fns))
-  total = 0
-  for digits, fn in fns:
-    k = 0
-    for v, p in zip(fn.support, fn.powers()):
-      k += digits[window.position(v)] * p
-    total += fn.nums[k] * (denom // fn.denom)
-  return Fraction(total, denom)
-
-
 def is_closed(form: Form, window: Window, inter: Interaction,
               budget: int = DEFAULT_BUDGET) -> dict:
   try:
@@ -748,11 +726,12 @@ def local_function_from_json(obj, locale: Locale, inter: Interaction) -> LocalFu
   if (not isinstance(obj, dict) or not isinstance(obj.get("support"), list)
       or not isinstance(obj.get("values"), list)):
     raise InputError(f"bad local function {obj!r}")
-  support = tuple(sorted(locale.decode_vertex(v) for v in obj["support"]))
-  if len(set(support)) != len(support):
+  listed = tuple(locale.decode_vertex(v) for v in obj["support"])
+  if len(set(listed)) != len(listed):
     raise InputError("local function support has repeated sites")
+  # The values follow the listed sites; the table is gathered onto them sorted.
   vals = tuple(fraction_from_str(v) for v in obj["values"])
-  return LocalFunction(support, inter.n_states, inter.base, vals)
+  return embed(LocalFunction(listed, inter.n_states, inter.base, vals), listed)
 
 
 def form_to_json(form: Form, window: Window) -> dict:

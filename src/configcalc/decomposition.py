@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add, mul, sub as minus
 
 from .calculus import (Form, LocalFunction, _combine, _on_support,
-                       _path_integral, _potential_scan, differential, expansion,
+                       _potential_scan, differential, expansion,
                        form_axioms_report, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
@@ -289,7 +289,9 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     total = ZERO
     for _, x, y in moves:
       steps, current = exchange_path(window, inter, current, x, y)
-      total += _path_integral(form, window, steps)
+      for cfg, edge in steps:
+        fn = form.fn(edge)
+        total += fn.value_at({v: cfg[window.position(v)] for v in fn.support})
     if current != digits_from_sites(window, inter, {y: s for s, _, y in moves}):
       raise RuntimeError("exchange paths did not move the probe states")
     return total

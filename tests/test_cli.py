@@ -118,6 +118,30 @@ def test_expand_lists_sorted_pieces(tmp_path):
   assert rep["n_pieces"] == len(rep["pieces"])
 
 
+def _reversed_listing(fn, s):
+  """The JSON function ``fn`` with its support listed in reverse and its
+  values permuted to match."""
+  configs = list(product(range(s), repeat=len(fn["support"])))
+  at = dict(zip(configs, fn["values"]))
+  return {"support": fn["support"][::-1],
+          "values": [at[digits[::-1]] for digits in configs]}
+
+
+def test_expand_reads_values_in_the_listed_support_order(tmp_path):
+  man = json.loads((DATA / "expand_spin3_line7.json").read_text())
+  flipped = dict(man, function=_reversed_listing(man["function"], 3))
+  code, rep = run(tmp_path, man, "expand")
+  assert code == 0
+  assert run(tmp_path, flipped, "expand", name="flipped.json") == (code, rep)
+  # f = 1 exactly where site 1 is at 0 and site 0 at 1
+  man = dict(BASE, function={"support": [[1], [0]],
+                             "values": ["0", "1", "0", "0"]})
+  code, rep = run(tmp_path, man, "expand")
+  assert rep["function"] == {"support": [[0], [1]],
+                             "values": ["0", "0", "1", "0"]}
+  assert [p["sites"] for p in rep["pieces"]] == [[[0]], [[0], [1]]]
+
+
 def test_expand_charges_the_piece_tables_once(tmp_path):
   # twelve binary sites; the values depend on sites 3 and 7 only
   values = [str(d[3] * d[7]) for d in product(range(2), repeat=12)]
@@ -238,6 +262,19 @@ def test_integrate_differential(tmp_path):
   assert rep["n_components"] == 6
   assert len(rep["pins"]) == rep["n_components"]
   assert rep["potential"]["support"]
+
+
+def test_inline_form_edges_read_values_in_the_listed_support_order(tmp_path):
+  win = box(Euclidean(1), (0,), (4,))
+  f = from_callable(((1,), (2,)), 2, 0, lambda d: d[0] + 3 * d[1] + d[0] * d[1])
+  form = form_to_json(differential(f, win, exclusion()), win)
+  flipped = dict(form, edges=[dict(e, fn=_reversed_listing(e["fn"], 2))
+                              for e in form["edges"]])
+  assert any(len(e["fn"]["support"]) > 1 for e in form["edges"])
+  code, rep = run(tmp_path, dict(BASE, form=form), "integrate")
+  assert code == 0
+  assert run(tmp_path, dict(BASE, form=flipped), "integrate",
+             name="flipped.json") == (code, rep)
 
 
 def test_integrate_perturbed_fails_with_witness(tmp_path):
@@ -428,6 +465,15 @@ def test_delta_refuses_non_invariant_form(tmp_path):
   code, rep = run(tmp_path, man, "delta")
   assert code == 1
   assert rep["error"]["kind"] == "InconsistentCocycle"
+  # spin3's single-site defects leave the span of its one quantity
+  man = dict(man, interaction="spin3",
+             function={"support": [[3]], "values": ["1", "0", "0"]})
+  code, rep = run(tmp_path, man, "delta")
+  assert code == 1
+  assert rep["error"] == {
+      "kind": "InconsistentCocycle",
+      "witness": {"generator": 0,
+                  "reason": "single-site defects outside the quantity span"}}
 
 
 def test_decompose_synthesized_roundtrip(tmp_path):
@@ -764,6 +810,20 @@ def _custom_rule(states, rows):
     ("decompose", dict(DECOMPOSE, sub_budget=2),
      "sub-window budget too small to cover the domain's radius ball"),
     ("omega-rho", dict(DECOMPOSE, cocycle=5), "bad cocycle payload 5"),
+    ("consv", {"interaction": 5}, "bad interaction descriptor 5"),
+    ("consv", {"interaction": {"states": [0, 1]}},
+     "interaction descriptor missing 'base'"),
+    ("consv", _custom_rule([0, 1], [[0, 1, 1, 2]]),
+     "map row [0, 1, 1, 2] uses unknown state 2"),
+    ("expand", dict(BASE, function={"support": [[1]], "values": ["0", "1"]},
+                    probe=3), "bad probe plan 3"),
+    ("omega-rho", dict(DECOMPOSE, cocycle={"a": [[1.5]]}),
+     "expected rational string, got 1.5"),
+    ("delta", dict(DECOMPOSE, form={"builtin": "differential"},
+                   function={"support": [[3]], "values": ["1", "0", "0"]},
+                   **_custom_rule([0, 1, 2], [[1, 0, 0, 1], [0, 1, 1, 0]])),
+     "cocycle extraction moves states around; custom lacks exchange "
+     "witnesses for [[0, 2], [1, 2], [2, 0], [2, 1]]"),
 ], ids=["missing-window", "unknown-builtin-function", "unknown-builtin-form",
         "empty-domain", "transfer-not-an-object", "rational-literal",
         "repeated-states", "generalized-exclusion-0", "lattice-gas-1",
@@ -772,7 +832,10 @@ def _custom_rule(states, rows):
         "bad-product-vertex", "window-not-an-object", "box-corner-length",
         "box-lo-above-hi", "box-on-free-group", "explicit-vertices-not-a-list",
         "decompose-domain-outside-window", "sub-budget-too-small",
-        "cocycle-not-an-object"])
+        "cocycle-not-an-object", "interaction-not-an-object",
+        "interaction-without-base", "map-row-unknown-state",
+        "probe-plan-not-an-object", "cocycle-entry-float",
+        "delta-without-exchange-witnesses"])
 def test_manifest_input_errors_exit_2_with_their_message(tmp_path, command,
                                                          manifest, message):
   code, rep = run(tmp_path, manifest, command)

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from configcalc import calculus, cli, decomposition
 from configcalc.calculus import (Form, LocalFunction, _combine, _mobius,
-                                 _piece, differential, form_to_json,
+                                 differential, form_to_json,
                                  from_callable, functions_equal, gradient,
                                  integrate,
                                  restrict, scale, support_diameter, trim)
@@ -1112,10 +1112,12 @@ def _orbit_average_by_support(read, h, basis, domain, sites, locale, radius,
   terms = []
   for supp in _brute_supports(sites, domain, locale, radius):
     g = _quantity_corrected(read(supp), supp, basis, h, "{}")
-    n = len(supp)
+    # The top piece of the Moebius table: its entries with no site at base.
+    table = _mobius(g.nums, len(supp), s, base)
     piece = LocalFunction._exact(
-        supp, s, base, _piece(_mobius(g.nums, n, s, base), range(n), n, s,
-                              base), g.denom)
+        supp, s, base, [0 if base in digits else v for digits, v in
+                        zip(product(range(s), repeat=len(supp)), table)],
+        g.denom)
     if not piece.is_zero():
       terms.append((Fraction(1, len(translates_meeting(action, piece,
                                                        domain))), piece))
@@ -1385,7 +1387,10 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
   s there, 0.15 s after, in process on a 2-vCPU host; the ``split`` of an
   inline exclusion table whose quantities are halves, the one report where
   the chain iteration divides Fraction keys: at commit 856ec30, before the
-  pairing table was keyed by the raw quantity sums).  A key runs the
+  pairing table was keyed by the raw quantity sums; the two ``expand``
+  reports, a four-site inline spin3 function with pieces of every size and
+  the inversion count on a multispecies:2 line of 7: at commit 1931115,
+  before the expansion read its pieces in one pass).  A key runs the
   command it starts with, on the manifest named by the whole key or else by
   the rest of it."""
   want = json.loads((DATA / "report_digests.json").read_text())[name]
