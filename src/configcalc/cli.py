@@ -184,10 +184,10 @@ def _cmd_expand(man, args):
   plan = _probe_plan(man)
   pieces = expansion(f, budget=_budget(man, args))
   pieces_json = []
-  for supp in sorted(pieces, key=lambda s: (len(s), s)):
+  for supp, piece in pieces.items():  # by size, then support
     pieces_json.append({
         "sites": [locale.encode_vertex(v) for v in supp],
-        "fn": local_function_to_json(pieces[supp], locale),
+        "fn": local_function_to_json(piece, locale),
     })
   return {
       "function": local_function_to_json(f, locale),

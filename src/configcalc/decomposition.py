@@ -17,12 +17,12 @@ orbits.  The defining identity is then re-verified edge by edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, mul, sub as minus
 
 from .calculus import (Form, LocalFunction, _combine, _on_support,
-                       _potential_scan, differential, expansion,
+                       _potential_scan, constant, differential, expansion,
                        form_axioms_report, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
@@ -156,48 +156,47 @@ def tile_of(action: TranslationAction, x, domain) -> tuple:
 # The flux form of a cocycle matrix
 
 
-def build_omega_rho(a_matrix, action: TranslationAction, domain,
-                    window: Window, inter: Interaction, basis) -> Form:
-  """The canonical flux form of the matrix ``a``: each jump moves quantity
-  between tiles weighted by the tile indices.  Radius zero by construction.
-
-  With g_j(d) = sum_i a[i][j] basis[i][d] and tau(x) the tile index of x
-  (``tile_of``), the flux across (u, v) at the pair (a, b) with
-  (c, d) = phi(a, b) is the gradient of theta_u + theta_v, where
-  theta_x(d) = sum_j tau(x)_j g_j(d).  A basis that some move does not
-  conserve is refused, as ``fibers_report`` refuses it; for a conserved one
-  g_j(c) - g_j(a) = -(g_j(d) - g_j(b)), so the flux is
-  sum_j (tau(v)_j - tau(u)_j) (g_j(d) - g_j(b)).  It depends only on the
-  edge's orientation and on tau(v) - tau(u): one trimmed table per such key,
-  put on each edge's sites in sorted order.
-  """
+def _tile_weights(a_matrix, action: TranslationAction, domain, window: Window,
+                  inter: Interaction, basis):
+  """theta: x -> the one-site table d -> sum_j tau(x)_j g_j(d) over one
+  denominator, with g_j(d) = sum_i a[i][j] basis[i][d] and tau(x) the tile
+  index of x (``tile_of``).  Refused in turn: a basis some move does not
+  conserve, as ``fibers_report`` refuses it; a matrix of the wrong shape;
+  the first window vertex the domain does not tile."""
   _require_conserved(inter, basis)
   if len(a_matrix) != len(basis):
     raise InputError("cocycle matrix needs one row per conserved quantity")
   if any(len(row) != action.rank for row in a_matrix):
     raise InputError("cocycle matrix needs one column per generator")
   s = inter.n_states
-  # each g_j as integer numerators over one denominator
   nums, denom = _integer_row(
       sum((Fraction(row[j]) * vec[d] for row, vec in zip(a_matrix, basis)),
           ZERO) for j in range(action.rank) for d in range(s))
   g = [nums[i:i + s] for i in range(0, len(nums), s)]
-  tau = {x: tile_of(action, x, domain)[0] for x in window.vertices}
-  tables, fns = {}, {}
-  for u, v in window.edges:
-    key = (u < v, tuple(b - a for a, b in zip(tau[u], tau[v])))
-    if key not in tables:
-      nums = [0] * (s * s)
-      for a, b, c, d in inter.moved:
-        nums[a * s + b if u < v else b * s + a] = sum(
-            k * (col[d] - col[b]) for k, col in zip(key[1], g))
-      tables[key] = trim(LocalFunction._exact((0, 1), s, inter.base, nums,
-                                              denom))
-    table = tables[key]
-    if not table.is_zero():
-      sites = sorted((u, v))
-      fns[(u, v)] = _on_support(table, tuple(sites[i] for i in table.support))
-  return Form(inter.n_states, inter.base, fns, 0)
+  for x in window.vertices:
+    tile_of(action, x, domain)
+
+  def theta(x) -> LocalFunction:
+    tau = tile_of(action, x, domain)[0]
+    return LocalFunction._exact((x,), s, inter.base,
+                                [sum(map(mul, tau, col)) for col in zip(*g)],
+                                denom)
+  return theta
+
+
+def build_omega_rho(a_matrix, action: TranslationAction, domain,
+                    window: Window, inter: Interaction, basis) -> Form:
+  """The canonical flux form of the matrix ``a``: each jump moves quantity
+  between tiles weighted by the tile indices.  Radius zero by construction.
+
+  Across (u, v) it is the gradient of theta_u + theta_v (``_tile_weights``),
+  the form synthesized from the zero function.  For a conserved basis it is
+  sum_j (tau(v)_j - tau(u)_j) (g_j(d) - g_j(b)) at each pair (a, b) with
+  (c, d) = phi(a, b): it reads the edge alone.
+  """
+  zero = constant(0, inter.n_states, inter.base)
+  return replace(synthesized_form(zero, a_matrix, action, domain, window,
+                                  inter, basis), radius=0)
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +357,22 @@ def translates_meeting(action: TranslationAction, f: LocalFunction, targets):
 
 def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
                              edges, win_set, inter: Interaction,
-                             flux: Form) -> dict:
-  """Per edge e, flux_e plus the sum over the translates tau f that meet e of
-  nabla_e(tau f restricted to the window), trimmed.
+                             theta) -> dict:
+  """Per edge e = (u, v), the flux nabla_e(theta_u + theta_v) plus the sum
+  over the translates tau f that meet e of nabla_e(tau f restricted to the
+  window), trimmed.
 
   The sum is translation-equivariant: if e = sigma e0, the translates
   meeting e are those meeting e0 moved by sigma, and the flux at e is the
-  flux at e0 moved by sigma (``build_omega_rho`` refuses a basis the moves
-  do not conserve).  With each vertex reduced to (k, rep), the orbit of
-  (u, v) is keyed by (rep_u, rep_v, k_v - k_u), and its representative e0,
-  (u, v) moved back by k_u, and the translates meeting e0 are found once per
+  flux at e0 moved by sigma, since it reads tau(v) - tau(u) alone.  With
+  each vertex reduced to (k, rep), the orbit of (u, v) is keyed by
+  (rep_u, rep_v, k_v - k_u); its representative e0, (u, v) moved back by
+  k_u, the translates meeting e0 and the flux on e0 are found once per
   orbit.  Their site y lands at k_u on the vertex reduced to
   (k_y + k_u, rep_y), so the window keeps it when that is a window vertex's
-  reduction.  The sum is built on e0 once per (orbit, kept sites) key, each
-  translate restricted to the kept sites, plus the flux of the key's first
-  edge moved back, and translated to each edge of the key.
+  reduction.  The sum is built on e0 once per (orbit, kept sites) key, one
+  gradient per translate restricted to the kept sites plus the flux, and
+  translated to each edge of the key.
   """
   in_window = set(map(action.reduce, win_set))
   shifts = {x: action.shift_of(action.reduce(x)[0]) for x in win_set}
@@ -389,17 +389,15 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
       sites = {y: (tuple(map(add, k, c)), r)
                for c, g in zip(meeting, translates)
                for (k, r), y in zip(map(action.reduce, f.support), g.support)}
-      orbits[orbit] = e0, translates, sites
-    e0, translates, sites = orbits[orbit]
+      flux = [(1, gradient(theta(x), e0, inter)) for x in e0]
+      orbits[orbit] = e0, translates, sites, flux
+    e0, translates, sites, flux = orbits[orbit]
     kept = tuple(y for y, (k, r) in sites.items()
                  if (tuple(map(add, k, ku)), r) in in_window)
     key = (orbit, kept)
     if key not in totals:
       terms = [(1, gradient(restrict(g, kept), e0, inter)) for g in translates]
-      if (fl := flux.fns.get(e)) is not None:
-        terms.append((1, translate_function(
-            action, fl, tuple(-k for k in shifts[e[0]]))))
-      totals[key] = trim(_combine(terms, inter.n_states, inter.base))
+      totals[key] = trim(_combine(terms + flux, inter.n_states, inter.base))
     sums[e] = translate_function(action, totals[key], shifts[e[0]])
   return sums
 
@@ -411,14 +409,14 @@ def synthesized_form(f: LocalFunction, a_matrix, action: TranslationAction,
 
   Exactly closed on the window by construction; shift-invariant away from
   the boundary.  The base-configuration value of f must be zero so that
-  truncation does not bend interior edge functions.  The flux is added
-  inside the per-class sums of ``_translate_gradient_sums``.
+  truncation does not bend interior edge functions.  The flux enters the
+  per-class sums of ``_translate_gradient_sums`` as its tile weights.
   """
   if f.value_at({}) != 0:
     raise InputError("synthesis needs f to vanish on the base configuration")
-  flux = build_omega_rho(a_matrix, action, domain, window, inter, basis)
+  theta = _tile_weights(a_matrix, action, domain, window, inter, basis)
   sums = _translate_gradient_sums(action, f, window.edges,
-                                  set(window.vertices), inter, flux)
+                                  set(window.vertices), inter, theta)
   fns = {e: total for e, total in sums.items() if not total.is_zero()}
   radius = max(1, support_diameter(f.support, window.locale))
   return Form(inter.n_states, inter.base, fns, radius)
@@ -519,7 +517,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   anchor = domain[len(domain) // 2]
   extraction = extract_cocycle(form, window, inter, basis, action)
   a_matrix = extraction["a"]
-  flux = build_omega_rho(a_matrix, action, domain, window, inter, basis)
+  theta = _tile_weights(a_matrix, action, domain, window, inter, basis)
 
   sub_win = _centered_subwindow(window, inter, anchor, sub_budget)
   needed = set()
@@ -534,8 +532,8 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
         "sub-window budget too small to cover the domain's radius ball")
   # The remainder omega - omega_rho is integrated on the sub-window only,
   # built there edge by edge from omega's functions restricted to it; the
-  # flux reads its edge alone, so it needs no restriction.  The whole
-  # window's flux is kept for the identity check.
+  # flux reads its edge alone, so the sub-window's own is the restriction.
+  flux = build_omega_rho(a_matrix, action, domain, sub_win, inter, basis)
   inside = set(sub_win.vertices)
   remainder = {}
   for e in sub_win.edges:
@@ -565,7 +563,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
        for supp, piece in pieces.items() if not set(domain).isdisjoint(supp)),
       inter.n_states, inter.base))
 
-  residual = _verify_identity(form, f_hat, flux, window, inter, action)
+  residual = _verify_identity(form, f_hat, theta, window, inter, action)
 
   return {
       "a": a_matrix,
@@ -588,7 +586,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   }
 
 
-def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
+def _verify_identity(form: Form, f_hat: LocalFunction, theta,
                      window: Window, inter: Interaction,
                      action: TranslationAction) -> dict:
   """Check omega = sum_tau d(tau f) + flux on every interior edge, exactly.
@@ -604,7 +602,7 @@ def _verify_identity(form: Form, f_hat: LocalFunction, flux: Form,
     raise InputError("window too small: no interior edge to verify on")
   # The window cuts no translate that meets an interior edge.
   sums = _translate_gradient_sums(action, f_hat, edges, set(window.vertices),
-                                  inter, flux)
+                                  inter, theta)
   witness = None
   worst = ZERO
   for (u, v), total in sums.items():

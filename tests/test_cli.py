@@ -440,6 +440,18 @@ def test_omega_rho_refuses_a_domain_that_does_not_tile(tmp_path):
   assert code == 2
   assert rep["error"]["message"] == (
       "vertex (1,) is not covered by the domain tiling")
+  # On a window from -3 the refusal names the first window vertex the
+  # domain misses or covers twice, in window order, not an orbit's
+  # representative: the flux and the synthesized form check every window
+  # vertex before they build anything.
+  offset = dict(DECOMPOSE, window={"kind": "box", "lo": [-3], "hi": [5]},
+                action={"generators": [[2]]})
+  for domain, message in (
+      ([[0]], "vertex (-3,) is not covered by the domain tiling"),
+      ([[0], [1], [2]], "domain translates overlap at (-2,): not a tiling")):
+    for command in ("omega-rho", "decompose"):
+      code, rep = run(tmp_path, dict(offset, domain=domain), command)
+      assert (code, rep["error"]["message"]) == (2, message), command
 
 
 def test_delta_recovers_cocycle(tmp_path):

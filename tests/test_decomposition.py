@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from configcalc import calculus, cli, decomposition
 from configcalc.calculus import (Form, LocalFunction, _combine, _mobius,
-                                 differential, form_to_json,
+                                 constant, differential, form_to_json,
                                  from_callable, functions_equal, gradient,
                                  integrate,
                                  restrict, scale, support_diameter, trim)
@@ -32,7 +32,8 @@ from configcalc.configspace import (apply_edge, config_from_json, digits_of,
                                     fibers_report)
 from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       NotShiftInvariant, TranslationAction,
-                                      _centered_subwindow, _verify_identity,
+                                      _centered_subwindow, _tile_weights,
+                                      _verify_identity,
                                       build_omega_rho, cocycle_from_json,
                                       cocycle_to_json, counterexample_report,
                                       extract_cocycle, interior_vertices,
@@ -418,16 +419,19 @@ def test_translates_meeting_counts_lattice_shifts():
   assert sorted(shifts) == [(-1,), (0,), (1,), (2,)]
 
 
-def per_edge_translate_gradients(action, f, edges, win_set, inter, flux):
+def per_edge_translate_gradients(action, f, edges, win_set, inter, theta):
   """Reference sums: per edge, one gradient per meeting translate of f plus
-  the edge's flux, summed and trimmed, with no reuse between edges."""
+  the gradient of the tile weights theta_u + theta_v of its ends, summed and
+  trimmed, with no reuse between edges."""
   sums = {}
   for edge in edges:
     grads = []
     for coeffs in translates_meeting(action, f, edge):
       tf = translate_function(action, f, action.shift_of(coeffs))
       grads.append((1, gradient(restrict(tf, win_set), edge, inter)))
-    grads.append((1, flux.fn(edge)))
+    weights = _combine(((1, theta(x)) for x in edge), inter.n_states,
+                       inter.base)
+    grads.append((1, gradient(weights, edge, inter)))
     sums[edge] = trim(_combine(grads, inter.n_states, inter.base))
   return sums
 
@@ -475,11 +479,11 @@ def test_translate_gradient_sums_match_the_per_edge_sum(case, monkeypatch):
   basis = conserved_basis(inter)
   a = tuple(tuple(Fraction(k - j, 3 + k + j) for j in range(act.rank))
             for k in range(len(basis)))
-  flux = build_omega_rho(a, act, domain, win, inter, basis)
+  theta = _tile_weights(a, act, domain, win, inter, basis)
 
   def run(f):
     form = synthesized_form(f, a, act, domain, win, inter, basis)
-    reports = [_verify_identity(form, f_hat, flux, win, inter, act)
+    reports = [_verify_identity(form, f_hat, theta, win, inter, act)
                for f_hat in (f, scale(f, Fraction(3, 2)))]
     return list(form.fns.items()), reports
 
@@ -523,7 +527,7 @@ def test_translate_gradient_sums_find_the_translates_once_per_orbit(
   basis = conserved_basis(inter)
   a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
             for k in range(len(basis)))
-  flux = build_omega_rho(a, act, domain, win, inter, basis)
+  theta = _tile_weights(a, act, domain, win, inter, basis)
   f = _vanishing_at_base(support, inter)
   calls = Counter()
 
@@ -539,39 +543,67 @@ def test_translate_gradient_sums_find_the_translates_once_per_orbit(
   spy("_combine")
   win_set = set(win.vertices)
   sums = decomposition._translate_gradient_sums(act, f, win.edges, win_set,
-                                                inter, flux)
+                                                inter, theta)
   assert calls == {"translates_meeting": meetings, "_combine": combines}
   monkeypatch.undo()
   assert sums == per_edge_translate_gradients(act, f, win.edges, win_set,
-                                              inter, flux)
+                                              inter, theta)
 
 
-@pytest.mark.parametrize("case,of_f,flux_moves", [
+def edge_orbits(act, edges):
+  """The orbits of directed edges, each keyed by (rep_u, rep_v, k_v - k_u)
+  from the reductions of its ends."""
+  return {(act.reduce(u)[1], act.reduce(v)[1],
+           tuple(kv - ku for ku, kv in zip(act.reduce(u)[0], act.reduce(v)[0])))
+          for u, v in edges}
+
+
+@pytest.mark.parametrize("case,of_f,crossing", [
     ("line9", 6, 6), ("square9", 14, 12), ("square9-even", 14, 12),
     ("hexagonal5", 10, 4)])
 def test_translate_gradient_sums_move_each_flux_back_once_per_key(
-    case, of_f, flux_moves, monkeypatch):
-  # translate_function moves f to each meeting translate once per orbit,
-  # each key's sum forward once per edge, and a flux back at most once per
-  # (orbit, window cut) key (6/12/22/6 keys), not once per flux edge
-  # (16/288/144/80).
+    case, of_f, crossing, monkeypatch):
+  # translate_function moves f to each meeting translate once per orbit and
+  # each key's sum forward once per edge, and moves no flux back: the flux
+  # on e0 is the gradients of the tile weights of its two ends, taken once
+  # per orbit, and it is nonzero in the sums of the (orbit, window cut) keys
+  # (of 6/12/22/6) whose edges cross a tile boundary.
   win, act, domain, support = ORBIT_CASES[case]
   inter = multispecies(2)
   basis = conserved_basis(inter)
   a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
             for k in range(len(basis)))
-  flux = build_omega_rho(a, act, domain, win, inter, basis)
+  theta = _tile_weights(a, act, domain, win, inter, basis)
   f = _vanishing_at_base(support, inter)
-  moved = []
+  moved, weighed, flux, combined = [], [], [], []
 
   def translate(action, g, shift):
     moved.append(g)
     return translate_function(action, g, shift)
+
+  def weights(x):
+    weighed.append(theta(x))
+    return weighed[-1]
+
+  def grad(g, edge, inter):
+    out = gradient(g, edge, inter)
+    if any(g is w for w in weighed):
+      flux.append(out)
+    return out
+
+  def combine(terms, n_states, base):
+    combined.append(list(terms))
+    return _combine(combined[-1], n_states, base)
   monkeypatch.setattr(decomposition, "translate_function", translate)
+  monkeypatch.setattr(decomposition, "gradient", grad)
+  monkeypatch.setattr(decomposition, "_combine", combine)
   decomposition._translate_gradient_sums(act, f, win.edges, set(win.vertices),
-                                         inter, flux)
+                                         inter, weights)
   n_f = sum(g is f for g in moved)
-  assert (n_f, len(moved) - n_f - len(win.edges)) == (of_f, flux_moves)
+  assert (n_f, len(moved) - n_f) == (of_f, len(win.edges))
+  assert len(weighed) == len(flux) == 2 * len(edge_orbits(act, win.edges))
+  assert sum(any(not g.is_zero() and any(g is h for h in flux)
+                 for _, g in terms) for terms in combined) == crossing
 
 
 def gather_omega_rho(a, action, domain, window, inter, basis):
@@ -588,9 +620,9 @@ def gather_omega_rho(a, action, domain, window, inter, basis):
 
 
 def _exact_sums(action, f, edges, window, inter):
-  no_flux = Form(inter.n_states, inter.base, {}, 0)
-  return per_edge_translate_gradients(action, f, edges, set(window.vertices),
-                                      inter, no_flux)
+  return per_edge_translate_gradients(
+      action, f, edges, set(window.vertices), inter,
+      lambda x: constant(0, inter.n_states, inter.base))
 
 
 def form_combine(a, b, sign, radius=None):
@@ -691,9 +723,9 @@ FOLD_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FOLD_CASES))
 def test_synthesized_form_matches_form_add_reference(case):
-  # The flux read off the move table and added inside the class sums gives
-  # the forms and identity reports of the flux built by gradients and added
-  # edge by edge.
+  # The flux read off the tile weights inside the class sums gives the forms
+  # and identity reports of the flux built edge by edge and added edge by
+  # edge.
   win, model, act, domain, supports, basis = FOLD_CASES[case]
   inter = by_name(model)
   if basis is None:
@@ -702,6 +734,7 @@ def test_synthesized_form_matches_form_add_reference(case):
             for k in range(len(basis)))
   flux = build_omega_rho(a, act, domain, win, inter, basis)
   assert flux == gather_omega_rho(a, act, domain, win, inter, basis)
+  theta = _tile_weights(a, act, domain, win, inter, basis)
   assert flux.fns
   for support in supports:
     f = _vanishing_at_base(support, inter)
@@ -712,9 +745,60 @@ def test_synthesized_form_matches_form_add_reference(case):
     want = form_add_synthesized(f, a, act, domain, win, inter, basis)
     assert form.fns == want.fns and form.radius == want.radius
     for f_hat in (f, scale(f, Fraction(3, 2))):
-      assert (_verify_identity(form, f_hat, flux, win, inter, act)
+      assert (_verify_identity(form, f_hat, theta, win, inter, act)
               == form_add_identity(form, f_hat, flux, win, inter, act))
-    assert _verify_identity(form, f, flux, win, inter, act)["ok"]
+    assert _verify_identity(form, f, theta, win, inter, act)["ok"]
+
+
+def move_table_omega_rho(a, action, domain, window, inter, basis):
+  """Reference flux read off the move table, with no gradient: across
+  (u, v), at each pair (p, q) that a move takes to (r, t), the closed form
+  sum_j (tau(v) - tau(u))_j (g_j(t) - g_j(q)) of a conserved basis, with
+  g_j(d) = sum_i a[i][j] basis[i][d], on the sorted sites of the edge."""
+  s = inter.n_states
+  g = [[sum((Fraction(row[j]) * vec[d] for row, vec in zip(a, basis)),
+            Fraction(0)) for d in range(s)] for j in range(action.rank)]
+  fns = {}
+  for u, v in window.edges:
+    step = [tv - tu for tu, tv in zip(tile_of(action, u, domain)[0],
+                                      tile_of(action, v, domain)[0])]
+    values = [Fraction(0)] * (s * s)
+    for p, q, _, t in inter.moved:
+      values[p * s + q if u < v else q * s + p] = sum(
+          k * (col[t] - col[q]) for k, col in zip(step, g))
+    fn = trim(LocalFunction(tuple(sorted((u, v))), s, inter.base, values))
+    if not fn.is_zero():
+      fns[(u, v)] = fn
+  return Form(s, inter.base, fns, 0)
+
+
+ORACLE_CASES = {**{name: case + (None,)
+                   for name, case in GRADIENT_SUM_CASES.items()},
+                **FOLD_CASES}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_omega_rho_matches_the_move_table_formula(case):
+  # build_omega_rho takes gradients of the tile weights; the oracle reads
+  # the closed form off the moves, so a fault shared with gradient shows.
+  win, model, act, domain, _, basis = ORACLE_CASES[case]
+  inter = by_name(model)
+  if basis is None:
+    basis = conserved_basis(inter)
+  for shift in (1, 2):
+    a = tuple(tuple(Fraction(k - j + shift, 3 + k + j)
+                    for j in range(act.rank)) for k in range(len(basis)))
+    flux = build_omega_rho(a, act, domain, win, inter, basis)
+    assert flux.fns
+    assert flux == move_table_omega_rho(a, act, domain, win, inter, basis)
+
+
+# Orbits of directed window edges per case: the even action's 16 are more
+# than the 6 (orientation, tile difference) classes of the flux's tables.
+FLUX_ORBITS = {"hexagonal5-exclusion": 6, "line11-multispecies": 2,
+               "line9-multispecies": 2, "line9-spin3": 2, "square7-even": 16,
+               "square8-even": 16, "square9-even": 16,
+               "triangular7-multispecies": 6}
 
 
 @pytest.mark.parametrize("case", sorted(FOLD_CASES))
@@ -722,16 +806,15 @@ def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
     case, monkeypatch):
   # An action computes each vertex's reduction at most once, across
   # build_omega_rho and every _translate_gradient_sums call, and the flux
-  # trims one table per edge orientation and difference of tile indices.
+  # trims one table per orbit of directed edges, the zero function's one
+  # (orbit, window cut) key.
   win, model, act, domain, supports, basis = FOLD_CASES[case]
   inter = by_name(model)
   if basis is None:
     basis = conserved_basis(inter)
   a = tuple(tuple(Fraction(k - j + 1, 3 + k + j) for j in range(act.rank))
             for k in range(len(basis)))
-  tau = {x: tile_of(act, x, domain)[0] for x in win.vertices}
-  keys = {(u < v, tuple(tv - tu for tu, tv in zip(tau[u], tau[v])))
-          for u, v in win.edges}
+  assert len(edge_orbits(act, win.edges)) == FLUX_ORBITS[case]
   act = TranslationAction(act.locale, act.generators)  # nothing reduced yet
   locale_type = type(act.locale)
   real_reduce, real_coord = TranslationAction.reduce, locale_type.coord
@@ -757,16 +840,17 @@ def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
   monkeypatch.setattr(TranslationAction, "reduce", reduce)
   monkeypatch.setattr(locale_type, "coord", coord)
   monkeypatch.setattr(decomposition, "trim", trim_counted)
-  flux = build_omega_rho(a, act, domain, win, inter, basis)
-  assert len(trimmed) == len(keys)
+  build_omega_rho(a, act, domain, win, inter, basis)
+  assert len(trimmed) == FLUX_ORBITS[case]
   assert set(computed.values()) == {1}
   assert set(win.vertices) <= set(computed)
+  theta = _tile_weights(a, act, domain, win, inter, basis)
   for support in supports:
     f = _vanishing_at_base(support, inter)
     inner = interior_vertices(win, support_diameter(f.support, win.locale))
     for edges in (win.edges, [e for e in win.edges if set(e) <= inner]):
       decomposition._translate_gradient_sums(act, f, edges, set(win.vertices),
-                                             inter, flux)
+                                             inter, theta)
       assert set(computed.values()) == {1}
 
 
@@ -774,7 +858,8 @@ def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
 def test_remainder_is_subtracted_on_the_sub_window(case, monkeypatch):
   # The remainder the decomposition integrates is omega restricted to the
   # sub-window minus the flux restricted to it, which is also the whole
-  # remainder restricted.
+  # remainder restricted.  The decomposition builds that flux once, on the
+  # sub-window, and the whole window's never.
   inter = multispecies(2)
   basis = conserved_basis(inter)
   if case == "line9":
@@ -794,14 +879,24 @@ def test_remainder_is_subtracted_on_the_sub_window(case, monkeypatch):
     passed.append((remainder, sub_win))
     return real_reader(remainder, sub_win, inter, sub_budget)
 
+  real_flux = decomposition.build_omega_rho
+  fluxes = []
+
+  def flux_of(a, action, domain, window, inter, basis):
+    fluxes.append(window)
+    return real_flux(a, action, domain, window, inter, basis)
+
   monkeypatch.setattr(decomposition, "_potential_scan", reader)
+  monkeypatch.setattr(decomposition, "build_omega_rho", flux_of)
   for b in (a, tuple(tuple(2 * x for x in row) for row in a)):
     form = synthesized_form(f, b, act, domain, win, inter, basis)
     rep = varadhan_decompose(form, win, inter, basis, act, domain,
                              sub_budget=budget)
     assert rows(rep["a"]) == b
     ((remainder, sub_win),) = passed  # one sub-window solve
+    assert fluxes == [sub_win]  # one flux, on the sub-window alone
     passed.clear()
+    fluxes.clear()
     assert sub_win == _centered_subwindow(win, inter, domain[0], budget)
     assert 1 < sub_win.n_sites < win.n_sites
     flux = build_omega_rho(b, act, domain, win, inter, basis)
@@ -1390,9 +1485,13 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
   pairing table was keyed by the raw quantity sums; the two ``expand``
   reports, a four-site inline spin3 function with pieces of every size and
   the inversion count on a multispecies:2 line of 7: at commit 1931115,
-  before the expansion read its pieces in one pass).  A key runs the
-  command it starts with, on the manifest named by the whole key or else by
-  the rest of it."""
+  before the expansion read its pieces in one pass; the ``omega-rho``
+  report of every committed ``decompose_*`` manifest and the ``integrate``
+  report of each of its five line manifests, the flux alone and the
+  potential of the synthesized form: at commit 47e198f, before the flux was
+  built as the gradient of the tile weights by the translate sums).  A key
+  runs the command it starts with, on the manifest named by the whole key
+  or else by the rest of it."""
   want = json.loads((DATA / "report_digests.json").read_text())[name]
   out = tmp_path / "report.json"
   if name == "counterexample":
