@@ -152,31 +152,24 @@ def embed(f: LocalFunction, support) -> LocalFunction:
                               f.denom)
 
 
-def _depends_on(nums, n_sites: int, s: int, k: int) -> bool:
-  """Does the table change with the digit at position ``k``?  Compares each
-  slice at digit zero there with the same slice shifted to every other
-  digit."""
-  place = s ** (n_sites - 1 - k)
-  return any(nums[sl] != nums[sl.start + d * place:sl.stop + d * place:sl.step]
-             for sl in _fixed_slices(n_sites, s, ((k, 0),))
-             for d in range(1, s))
-
-
 def trim(f: LocalFunction) -> LocalFunction:
   """Drop support sites the table does not actually depend on.
 
-  Each site found unread is dropped at once, keeping the entries with digit
-  zero there, and the next site is tested on that smaller table: dropping a
-  site does not change whether the table reads any other."""
+  A site is unread when each slice at digit zero there equals that slice
+  shifted to every other digit.  It is dropped at once, keeping those slices,
+  and the next site is tested on that smaller table: dropping a site does not
+  change whether the table reads any other."""
   n = len(f.support)
   s = f.n_states
   nums, keep = f.nums, []
   for v in f.support:
     k = len(keep)
-    if _depends_on(nums, n, s, k):
+    place = s ** (n - 1 - k)
+    slices = _fixed_slices(n, s, ((k, 0),))
+    if any(nums[sl] != nums[sl.start + d * place:sl.stop + d * place:sl.step]
+           for sl in slices for d in range(1, s)):
       keep.append(v)
       continue
-    slices = _fixed_slices(n, s, ((k, 0),))
     rows = [nums[sl] for sl in slices]
     # Contiguous slices run one per configuration of the sites before k;
     # strided ones walk those sites, one per configuration of the sites after.

@@ -115,6 +115,12 @@ def _domain(man, locale) -> tuple:
   return tuple(sorted(locale.decode_vertex(v) for v in spec))
 
 
+def _flux_spec(man, locale) -> tuple:
+  """The manifest's cocycle, action and domain, read in that order."""
+  return (cocycle_from_json(_need(man, "cocycle")), _action(man, locale),
+          _domain(man, locale))
+
+
 def _form(man, window, inter, basis):
   obj = _need(man, "form")
   if isinstance(obj, dict) and "builtin" in obj:
@@ -126,16 +132,12 @@ def _form(man, window, inter, basis):
       f = _function(man, window, inter)
       return differential(f, window, inter)
     if name == "omega-rho":
-      a = cocycle_from_json(_need(man, "cocycle"))
-      action = _action(man, window.locale)
-      domain = _domain(man, window.locale)
-      return build_omega_rho(a, action, domain, window, inter, basis)
+      return build_omega_rho(*_flux_spec(man, window.locale), window, inter,
+                             basis)
     if name == "synthesized":
       f = _function(man, window, inter)
-      a = cocycle_from_json(_need(man, "cocycle"))
-      action = _action(man, window.locale)
-      domain = _domain(man, window.locale)
-      return synthesized_form(f, a, action, domain, window, inter, basis)
+      return synthesized_form(f, *_flux_spec(man, window.locale), window,
+                              inter, basis)
     raise InputError(f"unknown builtin form {name!r}")
   return form_from_json(obj, window, inter)
 
@@ -292,9 +294,7 @@ def _cmd_h0(man, args):
 
 def _cmd_omega_rho(man, args):
   inter, locale, win, basis = _setting(man)
-  a = cocycle_from_json(_need(man, "cocycle"))
-  action = _action(man, locale)
-  domain = _domain(man, locale)
+  a, action, domain = _flux_spec(man, locale)
   form = build_omega_rho(a, action, domain, win, inter, basis)
   inv = is_shift_invariant(form, win, inter, action, 0)
   return {

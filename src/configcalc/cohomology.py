@@ -68,10 +68,6 @@ def set_distance(first, second, locale: Locale) -> int:
 # Probe plans
 
 
-def _truncated_ball(window: Window, center, radius: int):
-  return tuple(v for v in window.locale.ball(center, radius) if v in window)
-
-
 def default_probes(window: Window, inter: Interaction, radius: int,
                    ball_radius: int = 1,
                    probe_budget: int = DEFAULT_PROBE_BUDGET) -> list:
@@ -127,8 +123,8 @@ def default_probes(window: Window, inter: Interaction, radius: int,
       c2 = locale.translate(center, tuple(off2))
       if c1 not in window or c2 not in window:
         continue
-      first = _truncated_ball(window, c1, r1)
-      second = _truncated_ball(window, c2, r2)
+      first = window.ball(c1, r1)
+      second = window.ball(c2, r2)
       try_pair(first, second)
       if not oriented:
         try_pair(second, first)

@@ -112,6 +112,14 @@ class TranslationAction:
           x, tuple(map(minus, c, self.shift_of(coeffs))))
     return self._reduced[x]
 
+  def carry(self, sources, targets) -> list:
+    """(k_y - k_x, x, y), the shift carrying x onto y, for each target y and
+    then source x, in the order given, that share a rep (``reduce``)."""
+    tails = [(x, *self.reduce(x)) for x in sources]
+    heads = [(y, *self.reduce(y)) for y in targets]
+    return [(tuple(map(minus, ky, kx)), x, y)
+            for y, ky, ry in heads for x, kx, rx in tails if rx == ry]
+
   def act_vertex(self, x, shift):
     return self.locale.translate(x, shift)
 
@@ -140,11 +148,8 @@ def translate_function(action: TranslationAction, f: LocalFunction,
 
 def tile_of(action: TranslationAction, x, domain) -> tuple:
   """The unique (coeffs, anchor) with x = anchor translated by the coeffs:
-  the domain vertices that share x's rep, in domain order."""
-  kx, rx = action.reduce(x)
-  hits = [(tuple(map(minus, kx, kv)), v)
-          for v, (kv, rv) in zip(domain, map(action.reduce, domain))
-          if rv == rx]
+  the domain vertices that ``carry`` onto x, in domain order."""
+  hits = [(coeffs, v) for coeffs, v, _ in action.carry(domain, (x,))]
   if not hits:
     raise InputError(f"vertex {x!r} is not covered by the domain tiling")
   if len(hits) > 1:
@@ -349,10 +354,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
 
 def translates_meeting(action: TranslationAction, f: LocalFunction, targets):
   """All lattice shifts tau whose translate of supp(f) meets ``targets``."""
-  tails = [action.reduce(v) for v in f.support]
-  return sorted({tuple(map(minus, kt, kv))
-                 for kt, rt in map(action.reduce, targets)
-                 for kv, rv in tails if rv == rt})
+  return sorted({coeffs for coeffs, _, _ in action.carry(f.support, targets)})
 
 
 def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
@@ -429,12 +431,8 @@ def _recenter_domain(window: Window, action: TranslationAction,
   center = window.center()
   candidates = sorted(window.locale.ball(center, action.max_step()),
                       key=lambda v: (window.locale.distance(v, center), v))
-  ka, ra = action.reduce(anchor)
-  for cand in candidates:
-    kc, rc = action.reduce(cand)
-    if rc != ra:
-      continue
-    shift = action.shift_of(tuple(map(minus, kc, ka)))
+  for coeffs, _, _ in action.carry((anchor,), candidates):
+    shift = action.shift_of(coeffs)
     moved = tuple(sorted(action.act_vertex(x, shift) for x in domain))
     if all(v in window for v in moved):
       return moved
@@ -444,18 +442,17 @@ def _recenter_domain(window: Window, action: TranslationAction,
 def _centered_subwindow(window: Window, inter: Interaction, anchor,
                         sub_budget: int) -> Window:
   """Largest anchored ball window within the configuration budget."""
-  locale = window.locale
   best = [anchor]
   radius = 0
   while True:
     radius += 1
-    verts = [v for v in locale.ball(anchor, radius) if v in window]
+    verts = window.ball(anchor, radius)
     if inter.n_states ** len(verts) > sub_budget:
       break
     best = verts
     if len(verts) == window.n_sites:
       break
-  return build_window(locale, best)
+  return build_window(window.locale, best)
 
 
 def _maximal_supports(sites, domain, locale, radius: int) -> list:

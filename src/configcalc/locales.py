@@ -464,6 +464,10 @@ class Window:
         best, ecc = v, max(dist(v, w) for w in verts)
     return best
 
+  def ball(self, center, radius: int) -> tuple:
+    """The locale's ball, cut to the window, in the locale's order."""
+    return tuple(filter(self.__contains__, self.locale.ball(center, radius)))
+
   def neighbors_in(self, x):
     return [y for y in self.locale.neighbors(x) if y in self._index]
 
@@ -482,6 +486,8 @@ class Window:
 
 def window(locale: Locale, vertices) -> Window:
   vertices = tuple(vertices)
+  if not vertices:
+    raise InputError("a window needs at least one vertex")
   if len(set(vertices)) != len(vertices):
     raise InputError("window vertices repeat")
   verts = tuple(sorted(vertices))

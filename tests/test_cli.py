@@ -23,7 +23,8 @@ from configcalc.cli import main
 from configcalc.cohomology import (PairingNotWellDefined, SplittingInfeasible,
                                    compute_pairing, pairing_table_to_json)
 from configcalc.decomposition import InconsistentCocycle, NotShiftInvariant
-from configcalc.interactions import conserved_basis, exclusion, glauber
+from configcalc.interactions import (conserved_basis, exclusion, glauber,
+                                     interaction_from_json)
 from configcalc.locales import Euclidean, box
 from configcalc.serialize import WitnessError
 
@@ -926,6 +927,19 @@ def test_a_vertex_outside_the_locale_is_an_input_error(tmp_path, command,
       f"{vertex!r} is not a vertex of locale {manifest['locale']['kind']}")
 
 
+@pytest.mark.parametrize("command", [
+    "irreducible", "expand", "diff", "closed", "integrate", "pairing", "split",
+    "uniformize", "h0", "omega-rho", "delta", "decompose"])
+def test_an_empty_window_is_an_input_error(tmp_path, command):
+  # refused when the window is read, before any command places a probe at
+  # its center or scans its configurations
+  man = dict(DECOMPOSE, window={"kind": "explicit", "vertices": []})
+  code, rep = run(tmp_path, man, command)
+  assert code == 2
+  assert rep["error"] == {"kind": "InputError",
+                          "message": "a window needs at least one vertex"}
+
+
 # Small valid manifests covering every kind of input the commands read.
 FUZZ_MANIFESTS = [
     ("consv", {"interaction": "exclusion"}),
@@ -968,6 +982,19 @@ def _entry_paths(obj, prefix=()):
     yield from _entry_paths(value, prefix + (key,))
 
 
+def _main_report(command, manifest):
+  """The exit code and the report of ``command`` on ``manifest``, through
+  ``main`` with the report on stdout."""
+  with tempfile.TemporaryDirectory() as tmp:
+    man_path = os.path.join(tmp, "man.json")
+    with open(man_path, "w") as fh:
+      json.dump(manifest, fh)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+      code = main([command, "--manifest", man_path])
+  return code, json.loads(out.getvalue())
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_main_is_total_over_mutated_manifests(data):
@@ -980,15 +1007,75 @@ def test_main_is_total_over_mutated_manifests(data):
     del holder[path[-1]]
   else:
     holder[path[-1]] = value
-  with tempfile.TemporaryDirectory() as tmp:
-    man_path = os.path.join(tmp, "man.json")
-    with open(man_path, "w") as fh:
-      json.dump(manifest, fh)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-      code = main([command, "--manifest", man_path])
-  rep = json.loads(out.getvalue())
+  code, rep = _main_report(command, manifest)
   assert code in (0, 1, 2)
   assert rep["exit_code"] == code
   if code == 1 and "error" in rep:
     assert "witness" in rep["error"] or "certificate" in rep["error"]
+
+
+def _decomposed(manifest):
+  """The cocycle a that ``decompose`` recovers from ``manifest``, as
+  Fractions, and the rest of its report that no pin can move: the residual
+  and the work counts."""
+  code, rep = _main_report("decompose", manifest)
+  assert code == 0, rep.get("error")
+  a = [[Fraction(x) for x in row] for row in rep["cocycle"]["a"]]
+  counts = (rep["residual"]["edges_checked"], rep["sub_window_sites"],
+            rep["shift_invariance"]["checked"], rep["extraction"],
+            rep["margins"])
+  return a, rep["residual"]["max_abs_residual"], counts
+
+
+QUANTITY_MODELS = ("exclusion", "multispecies:2", "generalized-exclusion:2",
+                   "lattice-gas:2", "spin3")
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_decompose_follows_scaling_reflection_and_species_swap(data):
+  # A synthesized line(9) manifest, changed in ways whose effect on the
+  # cocycle is known: scaling f and a scales the recovered a, reflecting
+  # x -> -x negates its column, and swapping the two species of
+  # multispecies:2 swaps its rows.  The residual stays "0" and no work count
+  # moves.  f-hat is not compared: its bytes depend on the pins.
+  name = data.draw(st.sampled_from(QUANTITY_MODELS), label="model")
+  inter = interaction_from_json(name)
+  s, base = inter.n_states, inter.base
+  x = data.draw(st.integers(0, 7))
+  sites = [[x], [x + 1]]
+  values = data.draw(st.lists(RATIONALS, min_size=s * s, max_size=s * s))
+  values[base * s + base] = Fraction(0)
+  a = [[data.draw(RATIONALS)] for _ in conserved_basis(inter)]
+
+  def manifest(sites, values, a, lo, domain):
+    return {"locale": {"kind": "euclidean", "d": 1}, "interaction": name,
+            "window": {"kind": "box", "lo": [lo], "hi": [lo + 8]},
+            "function": {"support": sites, "values": list(map(str, values))},
+            "form": {"builtin": "synthesized"},
+            "cocycle": {"a": [[str(k) for k in row] for row in a]},
+            "action": {"generators": [[1]]}, "domain": [domain]}
+
+  domain = [data.draw(st.integers(0, 8))]
+  got_a, residual, counts = _decomposed(manifest(sites, values, a, 0, domain))
+  assert (got_a, residual) == (a, "0")
+  scaled = [(k, manifest(sites, [k * v for v in values],
+                         [[k * c for c in row] for row in a], 0, domain))
+            for k in (3, Fraction(-1, 2))]
+  # the reflected support is listed in the original order, so descending
+  reflected = manifest([[-v] for v, in sites], values,
+                       [[-c for c in row] for row in a], -8, [-domain[0]])
+  for k, man in scaled + [(-1, reflected)]:
+    assert _decomposed(man) == ([[k * c for c in row] for row in a], "0",
+                                counts), k
+  # read onto its sorted support, the reflected table is transposed
+  transposed = [values[j * s + i] for i in range(s) for j in range(s)]
+  assert _main_report("expand", reflected)[1]["function"] == {
+      "support": [[-x - 1], [-x]], "values": list(map(str, transposed))}
+  if name == "multispecies:2":
+    swap = (0, 2, 1)
+    swapped = [values[swap[i] * s + swap[j]] for i in range(s)
+               for j in range(s)]
+    assert _decomposed(manifest(sites, swapped, a[::-1], 0, domain)) == (
+        a[::-1], "0", counts)

@@ -240,6 +240,24 @@ def test_tile_of_matches_a_search_over_domain_translates(act):
   assert seen == {"tile", "overlap", "miss"}
 
 
+@pytest.mark.parametrize("act", TILE_ACTIONS,
+                         ids=lambda a: f"{a.locale.name}{a.generators}")
+def test_carry_matches_a_search_over_translates(act):
+  # Every (coeffs, x, y) with x moved by the coeffs' shift onto y, for
+  # coefficients in a box wide enough for the probed vertices, by target and
+  # then by source, each in the order given (here unsorted, with a repeat).
+  d = act.rank
+  flags = ((0,), (1,)) if isinstance(act.locale, Hexagonal) else ((),)
+  vertices = [c + f for c in product(range(-2, 3), repeat=d) for f in flags]
+  random.Random(d).shuffle(vertices)
+  sources, targets = vertices[:5] + vertices[:1], vertices[3:]
+  want = [(k, x, y) for y in targets for x in sources
+          for k in product(range(-8, 9), repeat=d)
+          if act.act_vertex(x, act.shift_of(k)) == y]
+  assert act.carry(sources, targets) == want
+  assert any(x != y for _, x, y in want)
+
+
 def test_translate_function():
   inter = exclusion()
   f = from_callable(((0,), (1,)), inter.n_states, inter.base,
@@ -558,11 +576,11 @@ def edge_orbits(act, edges):
           for u, v in edges}
 
 
-@pytest.mark.parametrize("case,of_f,crossing", [
+@pytest.mark.parametrize("case,of_f,flux_keys", [
     ("line9", 6, 6), ("square9", 14, 12), ("square9-even", 14, 12),
     ("hexagonal5", 10, 4)])
-def test_translate_gradient_sums_move_each_flux_back_once_per_key(
-    case, of_f, crossing, monkeypatch):
+def test_translate_sums_move_no_flux_weigh_orbits_twice(
+    case, of_f, flux_keys, monkeypatch):
   # translate_function moves f to each meeting translate once per orbit and
   # each key's sum forward once per edge, and moves no flux back: the flux
   # on e0 is the gradients of the tile weights of its two ends, taken once
@@ -603,7 +621,7 @@ def test_translate_gradient_sums_move_each_flux_back_once_per_key(
   assert (n_f, len(moved) - n_f) == (of_f, len(win.edges))
   assert len(weighed) == len(flux) == 2 * len(edge_orbits(act, win.edges))
   assert sum(any(not g.is_zero() and any(g is h for h in flux)
-                 for _, g in terms) for terms in combined) == crossing
+                 for _, g in terms) for terms in combined) == flux_keys
 
 
 def gather_omega_rho(a, action, domain, window, inter, basis):

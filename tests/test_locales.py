@@ -217,6 +217,19 @@ def test_ball_window():
   assert len([(u, v) for u, v in w.edges if u <= v]) == 4
 
 
+def test_window_ball_is_the_locale_ball_cut_to_the_window():
+  # in the locale's order, a center outside the window included
+  wins = [box(Euclidean(2), (0, 0), (3, 2)), box(Hexagonal(), (0, 0), (1, 2)),
+          window(Euclidean(1), [(0,), (2,), (3,), (7,)])]
+  for w in wins:
+    for center in w.vertices + (w.locale.neighbors(w.vertices[-1])[0],):
+      for r in range(4):
+        ball = w.locale.ball(center, r)
+        assert w.ball(center, r) == tuple(v for v in ball if v in w)
+  assert wins[2].ball((1,), 1) == ((0,), (2,))
+  assert wins[2].ball((5,), 1) == ()
+
+
 def test_explicit_window_rejects_duplicates():
   with pytest.raises(InputError):
     window(Euclidean(1), ((0,), (0,), (1,)))

@@ -41,6 +41,7 @@ CASES = [
     (lambda: FreeGroupCayley(0), "free group locale needs rank >= 1"),
     (lambda: WIN.position((9,)), "vertex (9,) not in window"),
     (lambda: window(LINE, [(0, 0)]), "vertex (0, 0) is not in locale euclidean"),
+    (lambda: window(LINE, []), "a window needs at least one vertex"),
 ]
 
 
@@ -49,7 +50,7 @@ CASES = [
     "config-payload", "config-lengths", "interaction-base",
     "interaction-table-shape", "interaction-table-entry", "ball-center",
     "euclidean-d", "n-neighbor-n", "free-group-rank", "window-position",
-    "window-vertex"])
+    "window-vertex", "window-empty"])
 def test_library_input_errors_carry_their_message(call, message):
   with pytest.raises(InputError) as exc:
     call()
