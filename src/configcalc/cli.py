@@ -20,7 +20,7 @@ from .cohomology import (DEFAULT_PROBE_BUDGET, check_pairing_laws,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_from_json, pairing_table_to_json,
                          solve_splitting, splitting_to_json, uniformize)
-from .configspace import DEFAULT_BUDGET, fibers_report
+from .configspace import DEFAULT_BUDGET, fibers_report, guard_budget
 from .decomposition import (DEFAULT_SUB_BUDGET, TranslationAction,
                             build_omega_rho,
                             cocycle_from_json, cocycle_to_json,
@@ -86,11 +86,12 @@ def _planned_probes(man, win, inter):
                               probe_budget=plan["budget"])
 
 
-def _function(man, window, inter):
+def _function(man, args, window, inter):
   obj = _need(man, "function")
   if isinstance(obj, dict) and "builtin" in obj:
     name = obj["builtin"]
     if name == "inversion-count":
+      guard_budget(window, inter, _budget(man, args))
       return inversion_count_function(window, inter,
                                       low_value=obj.get("low", 1),
                                       high_value=obj.get("high", 2))
@@ -121,7 +122,7 @@ def _flux_spec(man, locale) -> tuple:
           _domain(man, locale))
 
 
-def _form(man, window, inter, basis):
+def _form(man, args, window, inter, basis):
   obj = _need(man, "form")
   if isinstance(obj, dict) and "builtin" in obj:
     name = obj["builtin"]
@@ -129,13 +130,13 @@ def _form(man, window, inter, basis):
       return ordered_flux_form(window, inter, low_value=obj.get("low", 1),
                                high_value=obj.get("high", 2))
     if name == "differential":
-      f = _function(man, window, inter)
+      f = _function(man, args, window, inter)
       return differential(f, window, inter)
     if name == "omega-rho":
       return build_omega_rho(*_flux_spec(man, window.locale), window, inter,
                              basis)
     if name == "synthesized":
-      f = _function(man, window, inter)
+      f = _function(man, args, window, inter)
       return synthesized_form(f, *_flux_spec(man, window.locale), window,
                               inter, basis)
     raise InputError(f"unknown builtin form {name!r}")
@@ -182,7 +183,7 @@ def _cmd_irreducible(man, args):
 
 def _cmd_expand(man, args):
   inter, locale, win, _ = _setting(man)
-  f = _function(man, win, inter)
+  f = _function(man, args, win, inter)
   plan = _probe_plan(man)
   pieces = expansion(f, budget=_budget(man, args))
   pieces_json = []
@@ -203,7 +204,7 @@ def _cmd_expand(man, args):
 
 def _cmd_diff(man, args):
   inter, locale, win, _ = _setting(man)
-  f = _function(man, win, inter)
+  f = _function(man, args, win, inter)
   form = differential(f, win, inter)
   return {
       "function": local_function_to_json(f, locale),
@@ -214,14 +215,14 @@ def _cmd_diff(man, args):
 
 def _cmd_closed(man, args):
   inter, locale, win, basis = _setting(man)
-  form = _form(man, win, inter, basis)
+  form = _form(man, args, win, inter, basis)
   report = is_closed(form, win, inter, budget=_budget(man, args))
   return {"closed": report}, 0 if report["closed"] else 1
 
 
 def _cmd_integrate(man, args):
   inter, locale, win, basis = _setting(man)
-  form = _form(man, win, inter, basis)
+  form = _form(man, args, win, inter, basis)
   f, meta = integrate(form, win, inter, budget=_budget(man, args))
   return {
       "potential": local_function_to_json(f, locale),
@@ -232,7 +233,7 @@ def _cmd_integrate(man, args):
 
 def _cmd_pairing(man, args):
   inter, locale, win, basis = _setting(man)
-  f = _function(man, win, inter)
+  f = _function(man, args, win, inter)
   plan, probes = _planned_probes(man, win, inter)
   table = compute_pairing(f, win, inter, basis, plan["radius"], probes,
                           plan["budget"])
@@ -255,7 +256,7 @@ def _cmd_split(man, args):
   else:
     locale = _locale(man)
     win = _window(man, locale)
-    f = _function(man, win, inter)
+    f = _function(man, args, win, inter)
     plan, probes = _planned_probes(man, win, inter)
     table = compute_pairing(f, win, inter, basis, plan["radius"], probes,
                             plan["budget"])
@@ -270,7 +271,7 @@ def _cmd_split(man, args):
 
 def _cmd_uniformize(man, args):
   inter, locale, win, basis = _setting(man)
-  f = _function(man, win, inter)
+  f = _function(man, args, win, inter)
   plan, probes = _planned_probes(man, win, inter)
   result = uniformize(f, win, inter, basis, plan["radius"], probes,
                       probe_budget=plan["budget"])
@@ -306,7 +307,7 @@ def _cmd_omega_rho(man, args):
 
 def _cmd_delta(man, args):
   inter, locale, win, basis = _setting(man)
-  form = _form(man, win, inter, basis)
+  form = _form(man, args, win, inter, basis)
   action = _action(man, locale)
   result = extract_cocycle(form, win, inter, basis, action)
   return {
@@ -318,7 +319,7 @@ def _cmd_delta(man, args):
 
 def _cmd_decompose(man, args):
   inter, locale, win, basis = _setting(man)
-  form = _form(man, win, inter, basis)
+  form = _form(man, args, win, inter, basis)
   action = _action(man, locale)
   domain = _domain(man, locale)
   plan = _probe_plan(man)

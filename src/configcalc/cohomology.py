@@ -512,9 +512,7 @@ def solve_splitting(table: PairingTable) -> dict:
     if missed:
       raise RuntimeError("linear splitting misses the cell {}, {}".format(
           *missed))
-  zero = table.zero_vector()
-  return {"h": h, "method": method,
-          "pin": h.get(zero, ZERO), "domain": sorted(h)}
+  return {"h": h, "method": method}
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ from .calculus import (Form, LocalFunction, _combine, _on_support,
                        _potential_scan, constant, differential, expansion,
                        form_axioms_report, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
-from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
-                         _pairing, _quantity_corrected, check_pairing_laws,
-                         compute_pairing, default_probes,
+from .cohomology import (SplittingInfeasible, _pairing, _quantity_corrected,
+                         check_pairing_laws, compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import _require_conserved, digits_from_sites, exchange_path
+from .configspace import (_require_conserved, digits_from_sites, exchange_path,
+                          guard_budget)
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import _integer_row, rref
@@ -638,6 +638,7 @@ def counterexample_report(n_sites: int = 9) -> dict:
   win = box(locale, (-half,), (half,))
   inter = multispecies(2)
   basis = conserved_basis(inter)
+  guard_budget(win, inter)
   omega = ordered_flux_form(win, inter)
   f = inversion_count_function(win, inter)
 
@@ -665,8 +666,6 @@ def counterexample_report(n_sites: int = 9) -> dict:
     varadhan_decompose(omega, win, inter, basis, action, ((0,),), radius=0)
   except SplittingInfeasible as exc:
     decompose_error = {"splitting_infeasible": exc.certificate}
-  except PairingNotWellDefined as exc:
-    decompose_error = {"pairing_ill_defined": exc.witness}
 
   alpha_left_one = (1, 0)   # a single low-species particle
   beta_right_two = (0, 1)   # a single high-species particle

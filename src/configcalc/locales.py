@@ -66,30 +66,16 @@ class Locale:
   # -- metric ---------------------------------------------------------------
 
   def distance(self, x, y) -> int:
-    """Graph distance via a breadth-first search from each end.
+    """Graph distance via a breadth-first search from x.
 
-    Each step grows one end by a layer: the end whose last layer is
-    smaller, the shallower one on a tie.  The first new layer that meets
-    the other end's reached vertices gives the distance.  Raises
-    ``InputError`` when the distance exceeds ``DISTANCE_CAP`` or one end
-    runs out of vertices first.
+    Raises ``InputError`` when the distance exceeds ``DISTANCE_CAP`` or x's
+    side runs out of vertices first.
     """
-    if x == y:
-      return 0
-    ends = [_layers(self.neighbors, x), _layers(self.neighbors, y)]
-    last = [next(end) for end in ends]  # (layer, parent) of each end
-    depth = [0, 0]
-    for dist in range(1, DISTANCE_CAP + 1):
-      k = (len(last[0][0]), depth[0]) > (len(last[1][0]), depth[1])
-      grown = next(ends[k], None)
-      if grown is None:
-        break
-      last[k] = grown
-      depth[k] += 1
-      if any(v in last[1 - k][1] for v in grown[0]):
+    for dist, (_, parent) in enumerate(_layers(self.neighbors, x)):
+      if y in parent:
         return dist
-    else:
-      raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
+      if dist == DISTANCE_CAP:
+        raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
     raise InputError(f"{x} and {y} are not connected within cap {DISTANCE_CAP}")
 
   def ball(self, center, radius: int) -> tuple:
@@ -164,17 +150,6 @@ class Euclidean(LatticeLocale):
     return self.d
 
 
-def _l1_offsets(d: int, n: int):
-  """All integer vectors v with |v|_1 <= n, the zero vector included (the
-  recursion needs the zero tails; ``NNeighbor.neighbors`` skips it)."""
-  if d == 0:
-    yield ()
-    return
-  for head in range(-n, n + 1):
-    for tail in _l1_offsets(d - 1, n - abs(head)):
-      yield (head,) + tail
-
-
 @dataclass(frozen=True)
 class NNeighbor(LatticeLocale):
   """Z^d with edges between any two points at l1-distance between 1 and n."""
@@ -188,11 +163,9 @@ class NNeighbor(LatticeLocale):
       raise InputError("n-neighbor locale needs d >= 1 and n >= 1")
 
   def neighbors(self, x):
-    out = []
-    for off in _l1_offsets(self.d, self.n):
-      if any(off):
-        out.append(tuple(a + b for a, b in zip(x, off)))
-    return out
+    return [tuple(map(add, x, off))
+            for off in product(range(-self.n, self.n + 1), repeat=self.d)
+            if 0 < sum(map(abs, off)) <= self.n]
 
   def distance(self, x, y) -> int:
     l1 = sum(abs(a - b) for a, b in zip(x, y))

@@ -42,10 +42,7 @@ def manifest_int(value, name: str, minimum: int | None = None) -> int:
 
 
 def fraction_to_str(value: Fraction | int) -> str:
-  f = Fraction(value)
-  if f.denominator == 1:
-    return str(f.numerator)
-  return f"{f.numerator}/{f.denominator}"
+  return str(Fraction(value))
 
 
 def fraction_from_str(text) -> Fraction:
@@ -56,7 +53,7 @@ def fraction_from_str(text) -> Fraction:
   if not isinstance(text, str):
     raise InputError(f"expected rational string, got {text!r}")
   try:
-    return Fraction(text.strip())
+    return Fraction(text)
   except (ValueError, ZeroDivisionError) as exc:
     raise InputError(f"bad rational literal {text!r}") from exc
 

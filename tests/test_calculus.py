@@ -1082,6 +1082,77 @@ def test_glauber_differentials_satisfy_the_axioms():
     assert form_axioms_report(form, win, inter)["ok"]
 
 
+def alternation_holds(form, inter):
+  """omega_e(eta) + omega_undo(eta^e) = 0 for every stored edge e and every
+  configuration eta of the union of e's and the reversed edge's supports on
+  which e fires; omega_undo is the reversed edge's function where it undoes
+  the move, else e's own."""
+  for e, f in form.fns.items():
+    rev = form.fn(e[::-1])
+    support = tuple(sorted(set(chain(e, f.support, rev.support))))
+    pu, pv = (support.index(w) for w in e)
+    for digits in product(range(inter.n_states), repeat=len(support)):
+      moved = apply_edge(digits, pu, pv, inter)
+      if moved == digits:
+        continue
+      (a, b), (c, d) = (digits[pu], digits[pv]), (moved[pu], moved[pv])
+      undo = rev if inter.apply(d, c) == (b, a) else f
+      if (f.value_at(dict(zip(support, digits)))
+          + undo.value_at(dict(zip(support, moved)))):
+        return False
+  return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["exclusion", "spin3", "glauber"]), st.integers(4, 5),
+       st.randoms(use_true_random=False))
+def test_alternation_check_misses_no_fired_configuration(name, n, rng):
+  """The alternation witness is None exactly when alternation holds on the
+  union of both orientations' supports, though each orientation reads its
+  own extra site and ``form_axioms_report`` reads the reversed edge only on
+  the forward function's sites.
+
+  It misses nothing: the alternation sum is a function F of one side's
+  sites plus a function G of the other side's, sharing the sites c both
+  read.  Each orientation's check covers the configurations where the other
+  side's extra sites sit at base, so F(x, c) = -G(base, c) and G(y, c) =
+  -F(base, c), and F(x, c) + G(y, c) = -(F + G)(base, base, c) = 0.
+  Glauber covers moves undone across their own edge."""
+  win, inter = line(n), by_name(name)
+  s, base = inter.n_states, inter.base
+  fns = {}
+  for u, v in rng.sample([e for e in win.edges if e[0] < e[1]], rng.randint(1, 2)):
+    others = [x for x in win.vertices if x not in (u, v)]
+    rng.shuffle(others)
+    common = others[2:2 + rng.randint(0, 1)]
+    h = mixed_function(rng, [u, v] + common, inter)
+    # gradients of h where the edge fires, anything at all where it does
+    # not; each orientation reads its own extra site
+    for edge, extra in (((u, v), others[0]), ((v, u), others[1])):
+      support = tuple(sorted([*edge, extra, *common]))
+      pu, pv = (support.index(w) for w in edge)
+      vals = []
+      for digits in product(range(s), repeat=len(support)):
+        moved = apply_edge(digits, pu, pv, inter)
+        vals.append(rng.choice(MIXED) if moved == digits else
+                    h.value_at(dict(zip(support, moved)))
+                    - h.value_at(dict(zip(support, digits))))
+      fns[edge] = LocalFunction(support, s, base, vals)
+  valid = Form(s, base, fns)
+  assert alternation_holds(valid, inter)
+  assert form_axioms_report(valid, win, inter)["alternation"] is None
+  # plant one bumped entry, or drop one orientation
+  e = rng.choice(sorted(fns))
+  nums = list(fns[e].values)
+  nums[rng.randrange(len(nums))] += rng.choice((1, Fraction(-1, 2)))
+  bumped = {**fns, e: LocalFunction(fns[e].support, s, base, nums)}
+  dropped = {k: f for k, f in fns.items() if k != e}
+  for planted in (bumped, dropped):
+    form = Form(s, base, planted)
+    assert ((form_axioms_report(form, win, inter)["alternation"] is None)
+            == alternation_holds(form, inter))
+
+
 def test_glauber_relaxed_integration():
   # flips have no conserved quantity: the whole space is one component
   win = line(3)

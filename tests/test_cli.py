@@ -8,6 +8,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -575,6 +576,34 @@ def test_counterexample_needs_no_manifest(tmp_path, capsys):
   assert ce["shift_invariant"]
   assert ce["decomposition_refused"]
   assert ce["asymmetry"]["low_left_high_right"] == "1"
+
+
+def test_counterexample_charges_the_budget_before_the_inversion_count(tmp_path):
+  # building the 3^15 inversion table first took seconds and hundreds of MB
+  start = time.perf_counter()
+  code, rep = run(tmp_path, {"sites": 15}, "counterexample")
+  assert time.perf_counter() - start < 1
+  assert code == 2
+  assert rep["error"] == {
+      "kind": "BudgetExceeded",
+      "message": "3^15 = 14348907 configurations exceed the budget 2000000"}
+
+
+def test_inversion_count_builtin_charges_the_budget(tmp_path):
+  man = {"locale": {"kind": "euclidean", "d": 1},
+         "interaction": "multispecies:2",
+         "window": {"kind": "box", "lo": [0], "hi": [14]},
+         "function": {"builtin": "inversion-count"}}
+  code, rep = run(tmp_path, man, "pairing")
+  assert code == 2
+  assert rep["error"]["kind"] == "BudgetExceeded"
+  # the manifest's budget is charged, and --budget overrides it
+  small = dict(man, window={"kind": "box", "lo": [0], "hi": [4]}, budget=242)
+  code, rep = run(tmp_path, small, "diff")
+  assert rep["error"]["message"] == (
+      "3^5 = 243 configurations exceed the budget 242")
+  code, rep = run(tmp_path, small, "diff", "--budget", "243")
+  assert code == 0
 
 
 def test_transfer_classifications(tmp_path):

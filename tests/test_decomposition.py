@@ -189,6 +189,18 @@ def test_tile_of_rejects_overlapping_domain():
     tile_of(act, (0,), ((0,), (1,)))
 
 
+def test_recenter_domain_keeps_a_domain_no_central_translate_fits():
+  # ((0,), (13,)) tiles 0..13 under (2,): evens from (0,), odds from (13,).
+  # The translates that carry (13,) to (5,), (7,) or (9,) near the centre
+  # all leave the window, so the domain comes back as given.
+  win, act = line(14), TranslationAction(Euclidean(1), ((2,),))
+  domain = ((0,), (13,))
+  anchors = [tile_of(act, x, domain)[1] for x in win.vertices]
+  assert anchors == [(0,), (13,)] * 7
+  assert win.center() == (7,)
+  assert decomposition._recenter_domain(win, act, domain) == domain
+
+
 TILE_ACTIONS = REDUCE_ACTIONS + [
     TranslationAction(Euclidean(2), gens)
     for gens in (((1, 0), (0, 1)), ((2, 0), (0, 1)), ((2, 1), (-1, 1)))]

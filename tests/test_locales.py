@@ -124,14 +124,14 @@ def one_ended_distance(locale, x, y):
   return None
 
 
-def two_ended_distance(locale, x, y):
+def distance_or_refusal(locale, x, y):
   try:
     return Locale.distance(locale, x, y)
   except InputError as exc:
     return str(exc)
 
 
-def test_two_ended_distance_matches_the_one_ended_search():
+def test_distance_refuses_by_the_side_of_x():
   half = HalfPlane()
   # left of the vertical axis the half-plane is the horizontal axis alone
   points = ([(i, j) for i in range(0, 6) for j in range(-4, 5)]
@@ -145,14 +145,15 @@ def test_two_ended_distance_matches_the_one_ended_search():
                                        (3, 71), (72, 5), (0, 65), (69, 2))]
   refusals = []
   for loc, x, y in cases:
-    want, got = one_ended_distance(loc, x, y), two_ended_distance(loc, x, y)
+    want, got = one_ended_distance(loc, x, y), distance_or_refusal(loc, x, y)
     if want is None:
       refusals.append(got)
     else:
       assert got == want, (loc.name, x, y)
-  # a disconnected pair is refused as soon as the smaller side runs out
+  # a disconnected pair is "not connected" only when x's side runs out
+  # within the cap: 3's path reaches 64 steps first, 72's triangle does not
   assert refusals == ["distance((-30, 0), (30, 5)) exceeds cap 64",
-                      "3 and 71 are not connected within cap 64",
+                      "distance(3, 71) exceeds cap 64",
                       "72 and 5 are not connected within cap 64",
                       "distance(0, 65) exceeds cap 64",
                       "distance(69, 2) exceeds cap 64"]
