@@ -322,15 +322,13 @@ def _cmd_decompose(man, args):
   form = _form(man, args, win, inter, basis)
   action = _action(man, locale)
   domain = _domain(man, locale)
-  plan = _probe_plan(man)
   radius = man.get("radius")
   if radius is not None:
     radius = manifest_int(radius, "radius", 0)
   result = varadhan_decompose(
       form, win, inter, basis, action, domain, radius=radius,
       sub_budget=manifest_int(man.get("sub_budget", DEFAULT_SUB_BUDGET),
-                              "sub_budget", 1),
-      probe_ball=plan["ball_radius"])
+                              "sub_budget", 1))
   payload = {
       "cocycle": cocycle_to_json(result["a"]),
       "f": local_function_to_json(result["f"], locale),

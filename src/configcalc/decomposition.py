@@ -479,8 +479,7 @@ def _maximal_supports(sites, domain, locale, radius: int) -> list:
 def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
                        action: TranslationAction, domain,
                        radius: int | None = None,
-                       sub_budget: int = DEFAULT_SUB_BUDGET,
-                       probe_ball: int = 1) -> dict:
+                       sub_budget: int = DEFAULT_SUB_BUDGET) -> dict:
   """Split a shift-invariant closed form into translate-exact plus flux.
 
   Pipeline: check invariance; extract the cocycle matrix along transition
@@ -492,8 +491,8 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
 
   The remainder is solved once on the sub-window, whatever the model.  Its
   potential is read off the level maps (``calculus._potential_scan``) only
-  on the probe pairs' unions and on the maximal supports
-  (``_maximal_supports``), each expanded once by ``expansion``.
+  on the probe unions, fixed by the radius alone (``default_probes`` at its
+  defaults), and on the maximal supports, each expanded by ``expansion``.
   """
   domain = tuple(sorted(domain))
   if radius is None:
@@ -538,11 +537,11 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
                        inter.n_states, inter.base))
     if not fn.is_zero():
       remainder[e] = fn
-  read, denom, pins = _potential_scan(
+  read, denom, _ = _potential_scan(
       Form(inter.n_states, inter.base, remainder, radius), sub_win, inter,
       sub_budget)
 
-  probes = default_probes(sub_win, inter, radius, ball_radius=probe_ball)
+  probes = default_probes(sub_win, inter, radius)
   table = _pairing(read, denom, sub_win, inter, basis, radius, probes)
   split = solve_splitting(table)
   h = split["h"]
@@ -568,14 +567,12 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
       "h": h,
       "split_method": split["method"],
       "table": table,
-      "radius": radius,
       "margins": {
           "radius": radius,
           "invariance_pad": radius + action.max_step(),
           "identity_pad": residual["interior_pad"],
       },
       "sub_window_sites": sub_win.n_sites,
-      "potential_components": len(pins),
       "shift_invariance": inv,
       "extraction": {"probes": extraction["probes"],
                      "cross_checks": extraction["cross_checks"]},

@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 import time
 from fractions import Fraction
@@ -564,6 +565,46 @@ def test_decompose_on_a_split_locale_needs_explicit_probes(tmp_path):
   assert rep["error"]["message"] == (
       "no probe orientation convention for split locale n-neighbor; "
       "supply explicit probes")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("source", ["README.md",
+                                    "decompose_exclusion_square7.json"])
+def test_decompose_reads_no_probe_key(tmp_path, source):
+  """decompose's probes follow from its radius alone: its report keeps its
+  bytes whatever the manifest's probe section says, even malformed."""
+  if source == "README.md":
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    man = json.loads(block)
+  else:
+    man = json.loads((DATA / source).read_text())
+  reports = []
+  for k, probe in enumerate((None, {"ball_radius": 2}, {"radius": "x"})):
+    if probe is None:
+      man.pop("probe", None)
+    else:
+      man["probe"] = probe
+    path, out = tmp_path / f"man{k}.json", tmp_path / f"out{k}.json"
+    path.write_text(json.dumps(man))
+    assert main(["decompose", "--manifest", str(path), "--out", str(out)]) == 0
+    reports.append(out.read_bytes())
+  assert reports[0] == reports[1] == reports[2]
+
+
+def test_triangular_r1_decompose_needs_a_sub_budget_past_the_default(
+    tmp_path):
+  """On the triangular 7x7 exclusion box at radius 1 the default sub-window
+  budget leaves a quantity unpaired; the committed manifest sets 2^20."""
+  man = json.loads((DATA / "decompose_exclusion_triangular7_r1.json")
+                   .read_text())
+  assert man.pop("sub_budget") == 2 ** 20
+  code, rep = run(tmp_path, man, "decompose")
+  assert code == 2
+  assert rep["error"] == {
+      "kind": "InputError",
+      "message": "pairing probes did not cover quantity ['3']"}
 
 
 def test_counterexample_needs_no_manifest(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from configcalc.locales import (DISTANCE_CAP, Cross, Euclidean, FiniteGraph,
                                 FreeGroupCayley, HalfPlane, Hexagonal, Locale,
-                                NNeighbor, ProductLocale, Triangular, _layers,
+                                NNeighbor, ProductLocale, Triangular,
                                 ball_window, box, locale_from_json,
                                 transferability, window, window_from_json)
 from configcalc.serialize import InputError
@@ -113,17 +113,6 @@ def test_breadth_first_distance_refusals_name_the_cap():
     prod.distance(((0, 0), (0, 0)), ((65, 0), (0, 0)))
 
 
-def one_ended_distance(locale, x, y):
-  """The distance by one breadth-first search from x, or None where
-  ``Locale.distance`` must refuse."""
-  for dist, (_, parent) in enumerate(_layers(locale.neighbors, x)):
-    if y in parent:
-      return dist
-    if dist == DISTANCE_CAP:
-      return None
-  return None
-
-
 def distance_or_refusal(locale, x, y):
   try:
     return Locale.distance(locale, x, y)
@@ -133,20 +122,26 @@ def distance_or_refusal(locale, x, y):
 
 def test_distance_refuses_by_the_side_of_x():
   half = HalfPlane()
-  # left of the vertical axis the half-plane is the horizontal axis alone
+  # left of the vertical axis the half-plane is the horizontal axis alone, so
+  # every member pair has a monotone path inside it: the distance is l1
   points = ([(i, j) for i in range(0, 6) for j in range(-4, 5)]
             + [(i, 0) for i in range(-6, 0)])
-  cases = [(half, x, y) for x in points[::7] for y in points]
-  cases += [(half, (0, 0), (10, 10)), (half, (-30, 0), (30, 5))]
-  # two components: a path of 70 vertices and a triangle
+  pairs = [(x, y) for x in points[::7] for y in points]
+  pairs += [((0, 0), (10, 10)), ((-30, 0), (30, 5))]
+  cases = [(half, x, y, abs(x[0] - y[0]) + abs(x[1] - y[1]))
+           for x, y in pairs]
+  # two components: a path of 70 vertices, |x - y| apart along it, and a
+  # triangle, 1 apart within it
   graph = FiniteGraph(range(73), [(k, k + 1) for k in range(69)]
                       + [(70, 71), (71, 72), (70, 72)])
-  cases += [(graph, x, y) for x, y in ((0, 64), (64, 0), (70, 72), (8, 8),
-                                       (3, 71), (72, 5), (0, 65), (69, 2))]
+  cases += [(graph, x, y, None if (x < 70) != (y < 70)
+             else abs(x - y) if x < 70 else int(x != y))
+            for x, y in ((0, 64), (64, 0), (70, 72), (8, 8), (3, 71),
+                         (72, 5), (0, 65), (69, 2))]
   refusals = []
-  for loc, x, y in cases:
-    want, got = one_ended_distance(loc, x, y), distance_or_refusal(loc, x, y)
-    if want is None:
+  for loc, x, y, want in cases:
+    got = distance_or_refusal(loc, x, y)
+    if want is None or want > DISTANCE_CAP:
       refusals.append(got)
     else:
       assert got == want, (loc.name, x, y)
