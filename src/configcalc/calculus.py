@@ -742,13 +742,13 @@ def form_from_json(obj, window: Window, inter: Interaction) -> Form:
   if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
     raise InputError(f"bad form payload {obj!r}")
   fns = {}
-  dec = window.locale.decode_vertex
+  dec, edges = window.locale.decode_vertex, set(window.edges)
   for item in obj["edges"]:
     if (not isinstance(item, dict) or "fn" not in item
         or not isinstance(item.get("e"), list) or len(item["e"]) != 2):
       raise InputError(f"bad form edge {item!r}")
     u, v = dec(item["e"][0]), dec(item["e"][1])
-    if (u, v) not in set(window.edges):
+    if (u, v) not in edges:
       raise InputError(f"form edge ({u!r}, {v!r}) is not a window edge")
     fns[(u, v)] = local_function_from_json(item["fn"], window.locale, inter)
   radius = obj.get("radius")

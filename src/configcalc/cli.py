@@ -69,13 +69,18 @@ def _budget(man, args) -> int:
   return manifest_int(value, "budget", 1)
 
 
-def _probe_plan(man) -> dict:
+def _probe_key(man, name: str) -> int:
+  """The manifest's probe plan entry ``name``, or its default."""
   plan = man.get("probe", {})
   if not isinstance(plan, dict):
     raise InputError(f"bad probe plan {plan!r}")
-  return {name: manifest_int(plan.get(name, default), f"probe {name}", 0)
-          for name, default in (("radius", 1), ("ball_radius", 1),
-                                ("budget", DEFAULT_PROBE_BUDGET))}
+  default = DEFAULT_PROBE_BUDGET if name == "budget" else 1
+  return manifest_int(plan.get(name, default), f"probe {name}", 0)
+
+
+def _probe_plan(man) -> dict:
+  return {name: _probe_key(man, name)
+          for name in ("radius", "ball_radius", "budget")}
 
 
 def _planned_probes(man, win, inter):
@@ -184,7 +189,6 @@ def _cmd_irreducible(man, args):
 def _cmd_expand(man, args):
   inter, locale, win, _ = _setting(man)
   f = _function(man, args, win, inter)
-  plan = _probe_plan(man)
   pieces = expansion(f, budget=_budget(man, args))
   pieces_json = []
   for supp, piece in pieces.items():  # by size, then support
@@ -197,8 +201,8 @@ def _cmd_expand(man, args):
       "pieces": pieces_json,
       "n_pieces": len(pieces_json),
       "exact_support_radius": _pieces_radius(pieces, locale),
-      "uniform_at_probe_radius": _pieces_uniformity(pieces, locale,
-                                                    plan["radius"]),
+      "uniform_at_probe_radius": _pieces_uniformity(
+          pieces, locale, _probe_key(man, "radius")),
   }, 0
 
 

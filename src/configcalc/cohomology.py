@@ -77,6 +77,7 @@ def default_probes(window: Window, inter: Interaction, radius: int,
   half-spaces a separated pair leaves behind are not interchangeable there,
   so the argument order is pinned by position.  In higher dimension mirrored
   pairs are included, which is what makes the symmetry check meaningful.
+  Offsets count graph steps, so each pair lies more than ``radius`` apart.
   """
   locale = window.locale
   if isinstance(locale, Euclidean) and locale.d == 1:
@@ -96,31 +97,28 @@ def default_probes(window: Window, inter: Interaction, radius: int,
   center = window.center()
   d = locale.coord_dim()
   pairs = []
-  seen = set()
   over = []  # union sizes of the pairs the budget turns away
 
   def try_pair(first, second):
-    if set_distance(first, second, locale) <= radius:
-      return
     size = len(set(first) | set(second))
     if inter.n_states ** size > probe_budget:
       over.append(size)
-      return
-    key = (tuple(first), tuple(second))
-    if key not in seen:
-      seen.add(key)
-      pairs.append(key)
+    elif (first, second) not in pairs:
+      pairs.append((first, second))
 
   for axis in range(d):
+    # one edge moves the axis coordinate by at most unit, so a shift of
+    # k * unit along the axis is at least k graph steps
+    unit = max(abs(locale.coord(y)[axis] - locale.coord(center)[axis])
+               for y in locale.neighbors(center))
     for r1, r2 in ((ball_radius, ball_radius), (ball_radius, 0),
                    (ball_radius + 1, 0), (0, 0)):
       gap = radius + 1
-      off1 = [0] * d
-      off2 = [0] * d
-      off1[axis] = -(r1 + gap // 2)
-      off2[axis] = r2 + (gap + 1) // 2
-      c1 = locale.translate(center, tuple(off1))
-      c2 = locale.translate(center, tuple(off2))
+      shift = [0] * d
+      shift[axis] = -(r1 + gap // 2) * unit
+      c1 = locale.translate(center, tuple(shift))
+      shift[axis] = (r2 + (gap + 1) // 2) * unit
+      c2 = locale.translate(center, tuple(shift))
       if c1 not in window or c2 not in window:
         continue
       first = window.ball(c1, r1)

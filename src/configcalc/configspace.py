@@ -415,8 +415,6 @@ def exchange_path(window: Window, inter: Interaction, digits, x, y):
   """
   steps = []
   current = tuple(digits)
-  if x == y:
-    return steps, current
   path = window.path_between(x, y)
 
   def swap_adjacent(cfg, u, v):

@@ -301,14 +301,15 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     return total
 
   a_cols = []
+  cross = 0
   states = [s for s in range(inter.n_states) if s != inter.base]
   for j, g in enumerate(action.generators):
-    x0 = center
-    x_prev = action.act_vertex(x0, tuple(-a for a in g))
-    if x0 not in window or x_prev not in window:
+    back = tuple(-a for a in g)
+    x_prev = action.act_vertex(center, back)
+    if x_prev not in window:
       raise InputError("window too small to probe the translation defect")
     rows = [dict(enumerate([vec[s] for vec in basis]
-                           + [defect([(s, x_prev, x0)])]))
+                           + [defect([(s, x_prev, center)])]))
             for s in states]
     # The defects must lie in the span of the quantities.
     reduced, pivots, _ = rref(rows, c)
@@ -321,21 +322,15 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     for row, p in zip(reduced, pivots):
       col[p] = row.get(c, ZERO)
     a_cols.append(col)
-
-  # linearity cross-checks on two-site configurations
-  cross = 0
-  for j, g in enumerate(action.generators):
-    x0 = center
-    x1 = action.act_vertex(x0, tuple(2 * a for a in g))
-    x0p = action.act_vertex(x0, tuple(-a for a in g))
-    x1p = action.act_vertex(x1, tuple(-a for a in g))
+    # linearity cross-checks on two-site configurations
+    x1 = action.act_vertex(center, tuple(2 * a for a in g))
+    x1p = action.act_vertex(x1, back)
     if x1 not in window or x1p not in window:
       continue
     for s in states:
       for t in states:
-        measured = defect([(s, x0p, x0), (t, x1p, x1)])
-        predicted = sum(a_cols[j][i] * (basis[i][s] + basis[i][t])
-                        for i in range(c))
+        measured = defect([(s, x_prev, center), (t, x1p, x1)])
+        predicted = sum(col[i] * (basis[i][s] + basis[i][t]) for i in range(c))
         cross += 1
         if measured != predicted:
           raise InconsistentCocycle({

@@ -506,17 +506,13 @@ _STRONG, _TRANSFER, _WEAK_ONLY = "strongly", "transferable", "weakly-only"
 
 
 def _catalog_class(locale: Locale):
-  if isinstance(locale, Euclidean):
-    return _WEAK_ONLY if locale.d == 1 else _STRONG
-  if isinstance(locale, NNeighbor):
+  if isinstance(locale, (Euclidean, NNeighbor)):
     return _WEAK_ONLY if locale.d == 1 else _STRONG
   if isinstance(locale, (Triangular, Hexagonal)):
     return _STRONG
   if isinstance(locale, FreeGroupCayley):
     return _WEAK_ONLY if locale.rank == 1 else _TRANSFER
-  if isinstance(locale, Cross):
-    return _TRANSFER
-  if isinstance(locale, HalfPlane):
+  if isinstance(locale, (Cross, HalfPlane)):
     return _TRANSFER
   if isinstance(locale, ProductLocale):
     if all(isinstance(f, Euclidean) for f in locale.factors):
@@ -545,14 +541,10 @@ def transferability(locale: Locale, probe_radius: int = 3, probe_margin: int = 4
 
 
 def _probe_transferability(locale: Locale, probe_radius: int, probe_margin: int) -> dict:
-  if isinstance(locale, FiniteGraph):
-    anchors = locale.vertices[:1]
-  else:
-    anchors = None
-  if not anchors:
+  if not isinstance(locale, FiniteGraph) or not locale.vertices:
     return {"classification": "unknown", "transferable": None,
             "method": "probe", "evidence": {"reason": "no probe anchor"}}
-  x0 = anchors[0]
+  x0 = locale.vertices[0]
   evidence = []
   saw_finite_component = False
   component_counts = []

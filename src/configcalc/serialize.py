@@ -48,8 +48,6 @@ def fraction_to_str(value: Fraction | int) -> str:
 def fraction_from_str(text) -> Fraction:
   if isinstance(text, int):
     return Fraction(text)
-  if isinstance(text, Fraction):
-    return text
   if not isinstance(text, str):
     raise InputError(f"expected rational string, got {text!r}")
   try:

@@ -110,6 +110,19 @@ def test_irreducible_catches_parity_split_fibers(tmp_path):
   assert rep["fibers"]["witness"] is not None
 
 
+def test_irreducible_witness_names_product_sites_by_factor(tmp_path):
+  # the ball of radius 1 in Z x Z: five sites, each written [[x], [y]]
+  line = {"kind": "euclidean", "d": 1}
+  man = dict(BASE, interaction="pair-flip",
+             locale={"kind": "product", "factors": [line, line]},
+             window={"kind": "ball", "center": [[0], [0]], "radius": 1})
+  code, rep = run(tmp_path, man, "irreducible")
+  assert code == 1
+  sites = [s for cfg in rep["fibers"]["witness"]["configs"]
+           for s in cfg["sites"]]
+  assert [[1], [0]] in sites
+
+
 def test_expand_lists_sorted_pieces(tmp_path):
   man = dict(BASE, function={"support": [[1], [2]],
                              "values": ["0", "1", "-2", "3"]})
@@ -158,6 +171,15 @@ def test_expand_charges_the_piece_tables_once(tmp_path):
   code, rep = run(tmp_path, man, "expand", "--budget", "1000")
   assert code == 2
   assert rep["error"]["kind"] == "InputError"
+
+
+def test_expand_reads_only_the_probe_radius(tmp_path):
+  man = dict(BASE, function={"support": [[1], [2]],
+                             "values": ["0", "1", "-2", "3"]},
+             probe={"radius": 2, "budget": "x"})
+  code, rep = run(tmp_path, man, "expand")
+  assert code == 0
+  assert rep["uniform_at_probe_radius"]["radius"] == 2
 
 
 def test_diff_reports_axioms(tmp_path):
@@ -550,6 +572,28 @@ def test_pairing_names_a_probe_budget_that_admits_no_pair(tmp_path):
   assert run(tmp_path, man, "pairing")[0] == 0
 
 
+def test_pairing_places_probes_on_an_n_neighbor_box(tmp_path):
+  # one graph step covers two coordinates, so the probe offsets do too
+  man = dict(BASE, locale={"kind": "n-neighbor", "d": 2, "n": 2},
+             window={"kind": "box", "lo": [0, 0], "hi": [8, 8]},
+             function={"support": [[4, 4], [4, 5]],
+                       "values": ["0", "1", "2", "5"]},
+             probe={"radius": 1})
+  code, rep = run(tmp_path, man, "pairing")
+  assert code == 0
+  probes = rep["pairing"]["probes"]
+  assert len(probes) == 8
+  assert all(p["distance"] > 1 for p in probes)
+
+
+def test_transfer_refuses_finite_graph_vertices_that_do_not_sort(tmp_path):
+  man = {"locale": {"kind": "finite-graph", "vertices": [0, "a"],
+                    "edges": []}}
+  code, rep = run(tmp_path, man, "transfer")
+  assert code == 2
+  assert rep["error"]["message"].startswith("bad finite-graph vertices: ")
+
+
 def test_decompose_on_a_split_locale_needs_explicit_probes(tmp_path):
   man = dict(BASE,
              locale={"kind": "n-neighbor", "d": 1, "n": 2},
@@ -907,6 +951,20 @@ def _custom_rule(states, rows):
                    **_custom_rule([0, 1, 2], [[1, 0, 0, 1], [0, 1, 1, 0]])),
      "cocycle extraction moves states around; custom lacks exchange "
      "witnesses for [[0, 2], [1, 2], [2, 0], [2, 1]]"),
+    ("counterexample", {"sites": 8},
+     "the line scenario wants an odd window of >= 5 sites"),
+    ("counterexample", {"sites": 3},
+     "the line scenario wants an odd window of >= 5 sites"),
+    ("irreducible", dict(BASE, locale={"kind": "free-group"},
+                         window={"vertices": [[3]]}),
+     "[3] is not a vertex of locale free-group"),
+    ("irreducible", dict(BASE, locale={"kind": "free-group"},
+                         window={"vertices": [[1, -1]]}),
+     "[1, -1] is not a vertex of locale free-group"),
+    ("transfer", {"locale": {"kind": "finite-graph", "vertices": [0, 1],
+                             "edges": [[0]]}},
+     "bad finite-graph descriptor {'kind': 'finite-graph', 'vertices': "
+     "[0, 1], 'edges': [[0]]}"),
 ], ids=["missing-window", "unknown-builtin-function", "unknown-builtin-form",
         "empty-domain", "transfer-not-an-object", "rational-literal",
         "repeated-states", "generalized-exclusion-0", "lattice-gas-1",
@@ -918,7 +976,9 @@ def _custom_rule(states, rows):
         "cocycle-not-an-object", "interaction-not-an-object",
         "interaction-without-base", "map-row-unknown-state",
         "probe-plan-not-an-object", "cocycle-entry-float",
-        "delta-without-exchange-witnesses"])
+        "delta-without-exchange-witnesses", "counterexample-even-sites",
+        "counterexample-three-sites", "free-group-letter-above-rank",
+        "free-group-unreduced-word", "finite-graph-one-ended-edge"])
 def test_manifest_input_errors_exit_2_with_their_message(tmp_path, command,
                                                          manifest, message):
   code, rep = run(tmp_path, manifest, command)

@@ -31,7 +31,8 @@ from configcalc.configspace import (fibers_report, quantity_of,
 from configcalc.serialize import InputError, fraction_to_str
 from configcalc.interactions import (by_name, conserved_basis, exclusion,
                                      multispecies, spin3)
-from configcalc.locales import Euclidean, box
+from configcalc.locales import (Euclidean, Hexagonal, NNeighbor, Triangular,
+                                box)
 
 
 def line(n):
@@ -479,6 +480,23 @@ def test_default_probes_are_oriented_on_the_line():
   assert probes
   for first, second in probes:
     assert max(v[0] for v in first) < min(v[0] for v in second)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("locale", [
+    Euclidean(1), Euclidean(2), Triangular(), Hexagonal(), NNeighbor(2, 2),
+    NNeighbor(2, 3), NNeighbor(3, 2)], ids=repr)
+def test_default_probes_are_separated_inside_the_window(locale, radius):
+  # the probe offsets count graph steps; on n-neighbor lattices one step
+  # covers n coordinates
+  reach = (2 + (radius + 1) // 2) * getattr(locale, "n", 1)
+  d = locale.coord_dim()
+  win = box(locale, (-reach,) * d, (reach,) * d)
+  probes = default_probes(win, exclusion(), radius)
+  assert probes
+  for first, second in probes:
+    assert all(v in win for v in first + second)
+    assert set_distance(first, second, locale) > radius
 
 
 def test_pairing_requires_enough_room():

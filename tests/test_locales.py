@@ -165,6 +165,13 @@ def test_free_group_distance_reduced_word_length():
   assert fg.distance((1, -2), (2, 1)) == 4
 
 
+def test_free_group_vertices_are_reduced_words_of_letters():
+  fg = FreeGroupCayley(2)
+  assert (1, -2, 2) not in fg and (3,) not in fg and (0,) not in fg
+  assert 5 not in fg and [1] not in fg
+  assert (1, 2, -1) in fg and () in fg
+
+
 def test_cross_and_half_plane_membership():
   cr = Cross()
   assert (5, 0) in cr and (0, -7) in cr
