@@ -377,11 +377,19 @@ def gradient(f: LocalFunction, edge, inter: Interaction) -> LocalFunction:
 
 
 def differential(f: LocalFunction, window: Window, inter: Interaction) -> Form:
-  fns = {}
-  for e in window.edges:
-    g = gradient(f, e, inter)
-    if not g.is_zero():
-      fns[e] = g
+  """df: nabla_e f on every window edge e, in edge order, zeros dropped.
+
+  For an undirected rule (``Interaction.undirected``) both orientations of
+  an edge fire the same transitions, and a gradient's table is canonical,
+  so nabla_(v,u) f is nabla_(u,v) f: one gradient per edge pair, stored
+  under both orientations."""
+  grads = {}
+  for u, v in window.edges:
+    if inter.undirected and (v, u) in grads:
+      grads[u, v] = grads[v, u]
+    else:
+      grads[u, v] = gradient(f, (u, v), inter)
+  fns = {e: g for e, g in grads.items() if not g.is_zero()}
   radius = form_radius(Form(inter.n_states, inter.base, fns), window.locale)
   return Form(inter.n_states, inter.base, fns, radius)
 

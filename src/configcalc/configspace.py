@@ -254,12 +254,20 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   edge and each move walks on from h.  Deduplicated at every level, these
   are the links of the level-(m+1) configurations the move fires on.
   Links count both ways, so the components are those of the undirected
-  transition graph.  Returns (maps, reps), with ``maps[q]``
+  transition graph.  For an undirected rule (``Interaction.undirected``)
+  an edge fires the transitions of its reversed edge, so when the two read
+  alike (the same positions and numerators; always, without ``reads``) it
+  adds exactly the reversed edge's links, and only the first of the two is
+  walked.  An edge whose read differs from its reverse's is walked too,
+  which is how a form with unequal values on the two is found not closed.
+  Returns (maps, reps), with ``maps[q]``
   level q's (label, offset) and ``reps`` the least members of the window's
   components, or None when a cycle of moves has a nonzero integral.
   """
   n, s = window.n_sites, inter.n_states
   epos = edge_positions(window)
+  # each directed edge's number, by its positions, for the reversal lookup
+  number = {p: k for k, p in enumerate(epos)} if inter.undirected else {}
   each, zeros = [(x, x) for x in range(s)], [0] * (s * s)
   maps, reps = [None] * n, [0]
 
@@ -279,6 +287,9 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
       pos, nums = reads[k] if reads is not None else ((pu, pv), zeros)
       if min(pos) != m:
         continue
+      r = number.get((pv, pu), k)
+      if r < k and (reads is None or reads[r] == reads[k]):
+        continue  # the reversed edge added these links
       weight = dict(zip(pos, digit_powers(len(pos), s)))
       t, h = max(pos), max(pu, pv)
       # (source label, target label, offset difference, read index); every

@@ -370,11 +370,19 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
   reduction.  The sum is built on e0 once per (orbit, kept sites) key, one
   gradient per translate restricted to the kept sites plus the flux, and
   translated to each edge of the key.
+
+  For an undirected rule (``Interaction.undirected``) the sum on (v, u) is
+  the sum on (u, v): the same translates meet both, their gradients are the
+  same, and theta_u + theta_v is symmetric.  So an edge whose reversed edge
+  already has its sum takes that one, and its orbit is never built.
   """
   in_window = set(map(action.reduce, win_set))
   shifts = {x: action.shift_of(action.reduce(x)[0]) for x in win_set}
   orbits, totals, sums = {}, {}, {}
   for e in edges:
+    if inter.undirected and e[::-1] in sums:
+      sums[e] = sums[e[::-1]]
+      continue
     (ku, ru), (kv, rv) = map(action.reduce, e)
     orbit = (ru, rv, tuple(map(minus, kv, ku)))
     if orbit not in orbits:

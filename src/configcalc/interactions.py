@@ -41,6 +41,9 @@ class Interaction:
   moved: tuple = field(init=False, repr=False, compare=False)
   #: (i, j) -> ``exchange_witness(self, i, j)`` for every pair that has one
   witnesses: dict = field(init=False, repr=False, compare=False)
+  #: phi commutes with the pair swap: the move across (v, u) is the move
+  #: across (u, v)
+  undirected: bool = field(init=False, repr=False, compare=False)
 
   def __post_init__(self):
     n = len(self.states)
@@ -60,6 +63,9 @@ class Interaction:
     object.__setattr__(self, "witnesses", {
         (i, j): w for i in range(n) for j in range(n)
         if (w := exchange_witness(self, i, j)) is not None})
+    object.__setattr__(self, "undirected", all(
+        self.apply_reversed(i, j) == self.apply(i, j)
+        for i in range(n) for j in range(n)))
 
   @property
   def n_states(self) -> int:

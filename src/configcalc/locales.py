@@ -620,8 +620,10 @@ def locale_from_json(obj) -> Locale:
              for u, v in edges]
     try:
       return FiniteGraph(verts, edges)
-    except TypeError as exc:  # vertices that cannot be hashed or sorted
-      raise InputError(f"bad finite-graph vertices: {exc}") from None
+    except TypeError:  # vertices or edge ends that cannot be hashed or sorted
+      # named as listed: the TypeError's text follows the set's hash order
+      raise InputError(f"bad finite-graph vertices: {obj['vertices']!r} and "
+                       "the edge ends must hash and sort together") from None
   raise InputError(f"unknown locale kind {kind!r}")
 
 

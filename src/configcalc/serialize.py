@@ -56,9 +56,64 @@ def fraction_from_str(text) -> Fraction:
     raise InputError(f"bad rational literal {text!r}") from exc
 
 
+class _NotPlain(Exception):
+  """A value ``_encode`` leaves to ``json.dumps``."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _encode(obj, pad: str, out: list) -> None:
+  """Append the pieces of ``json.dumps(obj, sort_keys=True, indent=2)``, for
+  an object at indent ``pad``, to ``out``, strings quoted by json's C
+  encoder.  Pieces are joined once, so no nesting level copies the text
+  below it.  Dicts with string keys, lists, tuples, strings, ints, bools
+  and None are spelled here; anything else raises ``_NotPlain``."""
+  kind = type(obj)
+  if kind is str:
+    out.append(_quote(obj))
+  elif kind is int:
+    out.append(int.__repr__(obj))
+  elif obj is None or kind is bool:
+    out.append(_CONSTANTS[obj])
+  elif kind is dict:
+    if any(type(key) is not str for key in obj):
+      raise _NotPlain
+    inner = pad + "  "
+    out.append("{")
+    for i, key in enumerate(sorted(obj)):
+      out.append((",\n" if i else "\n") + inner + _quote(key) + ": ")
+      _encode(obj[key], inner, out)
+    out.append("\n" + pad + "}" if obj else "}")
+  elif kind is list or kind is tuple:
+    inner = pad + "  "
+    out.append("[")
+    try:  # a list of strings is quoted in one pass
+      if obj:
+        out.append("\n" + inner + (",\n" + inner).join(map(_quote, obj)))
+    except TypeError:
+      for i, item in enumerate(obj):
+        out.append((",\n" if i else "\n") + inner)
+        _encode(item, inner, out)
+    out.append("\n" + pad + "]" if obj else "]")
+  else:
+    raise _NotPlain
+
+
 def dump_json(obj, path=None) -> str:
-  """Serialize deterministically (sorted keys, 2-space indent, newline)."""
-  text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+  """Serialize deterministically (sorted keys, 2-space indent, newline):
+  the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
+  ``json.dumps`` takes its pure-Python encoder once given an indent, so
+  plain values are spelled by ``_encode`` instead, and only others (floats,
+  non-string keys) go through ``json.dumps``."""
+  out = []
+  try:
+    _encode(obj, "", out)
+    out.append("\n")
+    text = "".join(out)
+  except _NotPlain:
+    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
   if path is not None:
     with open(path, "w") as fh:
       fh.write(text)

@@ -292,6 +292,52 @@ def test_differential_satisfies_axioms():
   assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "pair-flip"])
+def test_differential_shares_each_edge_pair_exactly(name, monkeypatch):
+  # One gradient per edge pair of an undirected rule gives the form built
+  # one gradient per directed edge, functions and edge order alike.
+  inter = by_name(name)
+  assert inter.undirected
+  rng = random.Random(11)
+  cases = [(line(7), ((2,), (3,), (5,))),
+           (box(Euclidean(2), (0, 0), (3, 3)), ((1, 1), (1, 2), (2, 1)))]
+  got = []
+  for win, support in cases:
+    f = random_function(rng, support, inter.n_states, inter.base)
+    got.append((win, f, differential(f, win, inter)))
+  monkeypatch.setattr(Interaction, "undirected",
+                      property(lambda self: False), raising=False)
+  for win, f, form in got:
+    want = differential(f, win, inter)
+    assert form == want
+    assert list(form.fns.items()) == list(want.fns.items())
+    assert form.fns
+
+
+def test_a_form_unequal_on_the_two_orientations_is_not_closed():
+  # omega_(2,1) differs from omega_(1,2) on the cell where site 1 is
+  # occupied: exclusion fires the same swap across both, so the two arcs
+  # close a cycle with integral 1; the witness is the breadth-first scan's.
+  inter = exclusion()
+
+  def fn(support, values):
+    return LocalFunction(support, 2, 0, [Fraction(v) for v in values])
+  fns = {((1,), (2,)): fn(((1,), (2,)), [0, -1, 1, 0]),
+         ((2,), (1,)): fn(((1,), (2,)), [0, -1, 2, 0]),
+         ((2,), (3,)): fn(((2,), (3,)), [0, 1, -1, 0]),
+         ((3,), (2,)): fn(((2,), (3,)), [0, 1, -1, 0])}
+  rep = is_closed(Form(2, 0, fns), line(5), inter)
+  assert not rep["closed"]
+  steps = [(4, (3, 4)), (3, (2, 3)), (2, (1, 2)), (1, (2, 1)), (2, (3, 2)),
+           (3, (4, 3))]
+  assert rep["witness"] == {
+      "cycle": [{"config": {"sites": [[x]], "states": [1]},
+                 "edge": [[u], [v]]} for x, (u, v) in steps],
+      "defect": "1", "integral": "1"}
+  fns[(2,), (1,)] = fns[(1,), (2,)]
+  assert is_closed(Form(2, 0, fns), line(5), inter)["closed"]
+
+
 def test_differential_radius_is_honest():
   win = line(5)
   inter = exclusion()

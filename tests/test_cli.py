@@ -8,6 +8,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import configcalc
 from configcalc.calculus import (Form, NotClosedError, differential,
                                  form_to_json, from_callable, perturbed)
 from configcalc.cli import main
@@ -592,6 +595,31 @@ def test_transfer_refuses_finite_graph_vertices_that_do_not_sort(tmp_path):
   code, rep = run(tmp_path, man, "transfer")
   assert code == 2
   assert rep["error"]["message"].startswith("bad finite-graph vertices: ")
+
+
+def test_transfer_refusal_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+  # The refusal names the vertices as listed: sorting a set of an int and a
+  # str fails comparing whichever two its hash order meets first.
+  man = tmp_path / "man.json"
+  man.write_text(json.dumps({"locale": {"kind": "finite-graph",
+                                        "vertices": [5, "a"], "edges": []}}))
+  src = str(Path(configcalc.__file__).resolve().parent.parent)
+  reports = []
+  for seed in ("0", "2"):
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / f"report_{seed}.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "configcalc.cli", "transfer", "--manifest",
+         str(man), "--out", str(out)], env=env, capture_output=True,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    reports.append(out.read_bytes())
+  assert reports[0] == reports[1]
+  assert json.loads(reports[0])["error"]["message"] == (
+      "bad finite-graph vertices: [5, 'a'] and the edge ends must hash and "
+      "sort together")
 
 
 def test_decompose_on_a_split_locale_needs_explicit_probes(tmp_path):

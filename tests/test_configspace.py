@@ -8,14 +8,16 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from configcalc import calculus
 from configcalc.configspace import (BudgetExceeded, _fixed_slices,
-                                    _quantity_sums, _site_sums, apply_edge,
-                                    components,
+                                    _quantity_sums, _site_sums, _slab_solve,
+                                    apply_edge, components,
                                     config_from_json, config_to_json,
                                     digits_from_sites, digits_of,
                                     exchange_path, fibers_report, index_of,
                                     n_configs, quantity_of, digit_powers)
-from configcalc.calculus import is_closed
+from configcalc.calculus import (Form, differential, from_callable,
+                                 is_closed, perturbed)
 from configcalc.cohomology import _half
 from configcalc.decomposition import TranslationAction, build_omega_rho
 from configcalc.interactions import (Interaction, by_name, conserved_basis,
@@ -243,6 +245,50 @@ def test_fibers_and_closedness_build_no_dense_table():
   rep, peak = traced_peak(lambda: is_closed(omega, win, inter))
   assert rep == {"closed": True, "witness": None, "n_components": 78}
   assert peak < sys.getsizeof([0] * 3 ** 11)
+
+
+def scan_reads(form, win, inter, monkeypatch):
+  """The edge reads ``is_closed`` hands ``_slab_solve`` for ``form``."""
+  seen = []
+
+  def spy(window, rule, reads=None):
+    seen.append(reads)
+    return _slab_solve(window, rule, reads)
+  with monkeypatch.context() as patch:
+    patch.setattr(calculus, "_slab_solve", spy)
+    is_closed(form, win, inter)
+  return seen[0]
+
+
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "pair-flip"])
+def test_slab_solve_walks_each_edge_pair_once_exactly(name, monkeypatch):
+  # Walking one edge of each pair that reads alike gives the level maps
+  # and least members of walking every directed edge: without reads, on a
+  # closed form's reads, and None on a form bumped on the later orientation
+  # of one pair alone, where the earlier one is consistent on its own.
+  inter = by_name(name)
+  assert inter.undirected
+  rng = random.Random(3)
+  cases = []
+  for win in (line(7), box(Euclidean(2), (0, 0), (2, 2))):
+    x, y = win.vertices[3], win.vertices[4]
+    f = from_callable((x, y), inter.n_states, inter.base,
+                      lambda d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    form = differential(f, win, inter)
+    e = next(e for e in form.fns
+             if win.edges.index(e[::-1]) < win.edges.index(e))
+    cell = next(dict(zip(form.fns[e].support, d))
+                for d, val in form.fns[e].assignments() if val)
+    bumped = Form(form.n_states, form.base, {
+        **form.fns,
+        e: perturbed(form, win, inter, e, cell, Fraction(1, 3)).fns[e]})
+    cases += [(win, None)] + [(win, scan_reads(w, win, inter, monkeypatch))
+                              for w in (form, bumped)]
+  got = [_slab_solve(win, inter, reads) for win, reads in cases]
+  assert got[0] is not None and got[1] is not None and got[2] is None
+  monkeypatch.setattr(Interaction, "undirected",
+                      property(lambda self: False), raising=False)
+  assert got == [_slab_solve(win, inter, reads) for win, reads in cases]
 
 
 def test_quantity_preserved_along_moves():

@@ -41,9 +41,9 @@ from configcalc.decomposition import (DEFAULT_SUB_BUDGET, InconsistentCocycle,
                                       tile_of,
                                       translate_function, translates_meeting,
                                       varadhan_decompose)
-from configcalc.interactions import (by_name, conserved_basis, exclusion,
-                                     interaction_from_json, lattice_gas,
-                                     multispecies, spin3)
+from configcalc.interactions import (Interaction, by_name, conserved_basis,
+                                     exclusion, interaction_from_json,
+                                     lattice_gas, multispecies, spin3)
 from configcalc.locales import (Euclidean, FiniteGraph, Hexagonal, NNeighbor,
                                Triangular, box, window as build_window)
 from configcalc.serialize import InputError, fraction_to_str
@@ -531,6 +531,42 @@ def test_translate_gradient_sums_match_the_per_edge_sum(case, monkeypatch):
     assert perturbed["witness"] is not None
 
 
+@pytest.mark.parametrize("model", ["exclusion", "multispecies:2", "pair-flip"])
+def test_translate_sums_share_each_edge_pair_exactly(model, monkeypatch):
+  # Each reversed edge of an undirected rule takes the sum of the edge it
+  # reverses; the forms, flux and identity reports (a perturbed f-hat
+  # included) equal those built one orientation at a time.
+  inter = by_name(model)
+  assert inter.undirected
+  basis = conserved_basis(inter)
+
+  def run():
+    out = []
+    for win, act, domain, support in ((line(9), Z_ACTION, ((0,),),
+                                       ((0,), (1,), (2,))),
+                                      (square(7), SQUARE, ((0, 0),),
+                                       ((0, 0), (1, 0), (0, 1)))):
+      a = tuple(tuple(Fraction(k - j + 2, 3 + k + j) for j in range(act.rank))
+                for k in range(len(basis)))
+      theta = _tile_weights(a, act, domain, win, inter, basis)
+      f = _vanishing_at_base(support, inter)
+      form = synthesized_form(f, a, act, domain, win, inter, basis)
+      flux = build_omega_rho(a, act, domain, win, inter, basis)
+      reports = [_verify_identity(form, f_hat, theta, win, inter, act)
+                 for f_hat in (f, scale(f, Fraction(3, 2)))]
+      out.append((list(form.fns.items()), form.radius,
+                  list(flux.fns.items()), reports))
+    return out
+
+  got = run()
+  monkeypatch.setattr(Interaction, "undirected",
+                      property(lambda self: False), raising=False)
+  assert got == run()
+  for _, _, _, (ok, bumped) in got:
+    assert ok["ok"] and not bumped["ok"] and bumped["witness"] is not None
+    assert ok["edges_checked"] == bumped["edges_checked"] > 0
+
+
 # (window, action, domain, support of f): every window edge of the even
 # action's odd rows meets no translate of f
 ORBIT_CASES = {
@@ -545,39 +581,50 @@ ORBIT_CASES = {
 }
 
 
+# Per case, the translates_meeting and _combine calls of an undirected rule
+# (multispecies:2): each reversed edge takes its sum from the edge it
+# reverses, so half the orbits and half the keys are built.  A directed rule
+# (spin3) builds every orbit and key: the counts in the parameters.
+UNDIRECTED_ORBIT_CALLS = {"line9": (1, 3), "square9": (2, 6),
+                          "square9-even": (8, 11), "hexagonal5": (3, 3)}
+
+
 @pytest.mark.parametrize("case,meetings,combines", [
     ("line9", 2, 6), ("square9", 4, 12), ("square9-even", 16, 22),
     ("hexagonal5", 6, 6)])
 def test_translate_gradient_sums_find_the_translates_once_per_orbit(
     case, meetings, combines, monkeypatch):
-  # One translates_meeting call per orbit of directed edges, and one sum
-  # per (orbit, window cut) key, equal to the sums built edge by edge.
+  # One translates_meeting call per orbit of directed edges it builds, and
+  # one sum per (orbit, window cut) key, equal to the sums built edge by
+  # edge.
   win, act, domain, support = ORBIT_CASES[case]
-  inter = multispecies(2)
-  basis = conserved_basis(inter)
-  a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
-            for k in range(len(basis)))
-  theta = _tile_weights(a, act, domain, win, inter, basis)
-  f = _vanishing_at_base(support, inter)
-  calls = Counter()
-
-  def spy(name):
-    real = getattr(decomposition, name)
-
-    def counted(*args):
-      calls[name] += 1
-      return real(*args)
-    monkeypatch.setattr(decomposition, name, counted)
-
-  spy("translates_meeting")
-  spy("_combine")
   win_set = set(win.vertices)
-  sums = decomposition._translate_gradient_sums(act, f, win.edges, win_set,
+  for model, counts in (("spin3", (meetings, combines)),
+                        ("multispecies:2", UNDIRECTED_ORBIT_CALLS[case])):
+    inter = by_name(model)
+    basis = conserved_basis(inter)
+    a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
+              for k in range(len(basis)))
+    theta = _tile_weights(a, act, domain, win, inter, basis)
+    f = _vanishing_at_base(support, inter)
+    calls = Counter()
+
+    with monkeypatch.context() as patch:
+      def spy(name):
+        real = getattr(decomposition, name)
+
+        def counted(*args):
+          calls[name] += 1
+          return real(*args)
+        patch.setattr(decomposition, name, counted)
+
+      spy("translates_meeting")
+      spy("_combine")
+      sums = decomposition._translate_gradient_sums(act, f, win.edges,
+                                                    win_set, inter, theta)
+    assert calls == dict(zip(("translates_meeting", "_combine"), counts))
+    assert sums == per_edge_translate_gradients(act, f, win.edges, win_set,
                                                 inter, theta)
-  assert calls == {"translates_meeting": meetings, "_combine": combines}
-  monkeypatch.undo()
-  assert sums == per_edge_translate_gradients(act, f, win.edges, win_set,
-                                              inter, theta)
 
 
 def edge_orbits(act, edges):
@@ -588,52 +635,69 @@ def edge_orbits(act, edges):
           for u, v in edges}
 
 
+# Per case, an undirected rule's (multispecies:2) moves of f, moves of key
+# sums, tile weights read (two per built orbit) and flux-carrying keys: each
+# reversed edge takes the sum of the edge it reverses, so it moves no sum
+# and builds no orbit.
+UNDIRECTED_ORBIT_MOVES = {"line9": (3, 8, 2, 3), "square9": (7, 144, 4, 6),
+                          "square9-even": (7, 144, 16, 6),
+                          "hexagonal5": (5, 65, 6, 2)}
+
+
 @pytest.mark.parametrize("case,of_f,flux_keys", [
     ("line9", 6, 6), ("square9", 14, 12), ("square9-even", 14, 12),
     ("hexagonal5", 10, 4)])
 def test_translate_sums_move_no_flux_weigh_orbits_twice(
     case, of_f, flux_keys, monkeypatch):
-  # translate_function moves f to each meeting translate once per orbit and
-  # each key's sum forward once per edge, and moves no flux back: the flux
-  # on e0 is the gradients of the tile weights of its two ends, taken once
-  # per orbit, and it is nonzero in the sums of the (orbit, window cut) keys
-  # (of 6/12/22/6) whose edges cross a tile boundary.
+  # translate_function moves f to each meeting translate once per built
+  # orbit and each key's sum forward once per edge that builds a sum, and
+  # moves no flux back: the flux on e0 is the gradients of the tile weights
+  # of its two ends, taken once per built orbit, and it is nonzero in the
+  # sums of the (orbit, window cut) keys whose edges cross a tile boundary.
+  # A directed rule (spin3) builds every orbit: the counts in the
+  # parameters, and two tile weights read per orbit.
   win, act, domain, support = ORBIT_CASES[case]
-  inter = multispecies(2)
-  basis = conserved_basis(inter)
-  a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
-            for k in range(len(basis)))
-  theta = _tile_weights(a, act, domain, win, inter, basis)
-  f = _vanishing_at_base(support, inter)
-  moved, weighed, flux, combined = [], [], [], []
+  n_orbits = len(edge_orbits(act, win.edges))
+  for model, counts in (
+      ("spin3", (of_f, len(win.edges), 2 * n_orbits, flux_keys)),
+      ("multispecies:2", UNDIRECTED_ORBIT_MOVES[case])):
+    inter = by_name(model)
+    basis = conserved_basis(inter)
+    a = tuple(tuple(Fraction(k + 1, 2 + j) for j in range(act.rank))
+              for k in range(len(basis)))
+    theta = _tile_weights(a, act, domain, win, inter, basis)
+    f = _vanishing_at_base(support, inter)
+    moved, weighed, flux, combined = [], [], [], []
 
-  def translate(action, g, shift):
-    moved.append(g)
-    return translate_function(action, g, shift)
+    def translate(action, g, shift):
+      moved.append(g)
+      return translate_function(action, g, shift)
 
-  def weights(x):
-    weighed.append(theta(x))
-    return weighed[-1]
+    def weights(x):
+      weighed.append(theta(x))
+      return weighed[-1]
 
-  def grad(g, edge, inter):
-    out = gradient(g, edge, inter)
-    if any(g is w for w in weighed):
-      flux.append(out)
-    return out
+    def grad(g, edge, inter):
+      out = gradient(g, edge, inter)
+      if any(g is w for w in weighed):
+        flux.append(out)
+      return out
 
-  def combine(terms, n_states, base):
-    combined.append(list(terms))
-    return _combine(combined[-1], n_states, base)
-  monkeypatch.setattr(decomposition, "translate_function", translate)
-  monkeypatch.setattr(decomposition, "gradient", grad)
-  monkeypatch.setattr(decomposition, "_combine", combine)
-  decomposition._translate_gradient_sums(act, f, win.edges, set(win.vertices),
-                                         inter, weights)
-  n_f = sum(g is f for g in moved)
-  assert (n_f, len(moved) - n_f) == (of_f, len(win.edges))
-  assert len(weighed) == len(flux) == 2 * len(edge_orbits(act, win.edges))
-  assert sum(any(not g.is_zero() and any(g is h for h in flux)
-                 for _, g in terms) for terms in combined) == flux_keys
+    def combine(terms, n_states, base):
+      combined.append(list(terms))
+      return _combine(combined[-1], n_states, base)
+    with monkeypatch.context() as patch:
+      patch.setattr(decomposition, "translate_function", translate)
+      patch.setattr(decomposition, "gradient", grad)
+      patch.setattr(decomposition, "_combine", combine)
+      decomposition._translate_gradient_sums(act, f, win.edges,
+                                             set(win.vertices), inter,
+                                             weights)
+    n_f = sum(g is f for g in moved)
+    keys = sum(any(not g.is_zero() and any(g is h for h in flux)
+                   for _, g in terms) for terms in combined)
+    assert len(weighed) == len(flux)
+    assert (n_f, len(moved) - n_f, len(weighed), keys) == counts
 
 
 def gather_omega_rho(a, action, domain, window, inter, basis):
@@ -829,6 +893,13 @@ FLUX_ORBITS = {"hexagonal5-exclusion": 6, "line11-multispecies": 2,
                "line9-multispecies": 2, "line9-spin3": 2, "square7-even": 16,
                "square8-even": 16, "square9-even": 16,
                "triangular7-multispecies": 6}
+# The flux tables trimmed per case: one per orbit for the directed spin3,
+# one per pair of reversed orbits for the undirected rules, whose reversed
+# edges take the sums of the edges they reverse.
+FLUX_TRIMS = {"hexagonal5-exclusion": 3, "line11-multispecies": 1,
+              "line9-multispecies": 1, "line9-spin3": 2, "square7-even": 8,
+              "square8-even": 8, "square9-even": 8,
+              "triangular7-multispecies": 3}
 
 
 @pytest.mark.parametrize("case", sorted(FOLD_CASES))
@@ -836,8 +907,8 @@ def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
     case, monkeypatch):
   # An action computes each vertex's reduction at most once, across
   # build_omega_rho and every _translate_gradient_sums call, and the flux
-  # trims one table per orbit of directed edges, the zero function's one
-  # (orbit, window cut) key.
+  # trims one table per orbit of directed edges it builds, the zero
+  # function's one (orbit, window cut) key.
   win, model, act, domain, supports, basis = FOLD_CASES[case]
   inter = by_name(model)
   if basis is None:
@@ -871,7 +942,7 @@ def test_each_call_reduces_a_vertex_once_and_trims_one_flux_table_per_key(
   monkeypatch.setattr(locale_type, "coord", coord)
   monkeypatch.setattr(decomposition, "trim", trim_counted)
   build_omega_rho(a, act, domain, win, inter, basis)
-  assert len(trimmed) == FLUX_ORBITS[case]
+  assert len(trimmed) == FLUX_TRIMS[case]
   assert set(computed.values()) == {1}
   assert set(win.vertices) <= set(computed)
   theta = _tile_weights(a, act, domain, win, inter, basis)

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from configcalc.interactions import (CATALOG_NAMES, by_name, basis_to_json, check_exchangeability,
+from configcalc.configspace import apply_edge
+from configcalc.interactions import (CATALOG_NAMES, Interaction, by_name, basis_to_json, check_exchangeability,
                                      check_validity, conserved_basis,
                                      exchange_witness, exclusion,
                                      generalized_exclusion, glauber,
@@ -347,3 +348,43 @@ def test_by_name_refuses_a_malformed_spec(spec):
     by_name(spec)
   if isinstance(spec, str) and spec.split(":")[1].isdigit():
     assert "takes no parameter" in str(info.value)
+
+
+def fires_alike_both_ways(inter):
+  """Brute force: ``apply_edge`` across (0, 1) and across (1, 0) give the
+  same configuration on every configuration of a two-site window."""
+  return all(apply_edge((a, b), 0, 1, inter) == apply_edge((a, b), 1, 0, inter)
+             for a in range(inter.n_states) for b in range(inter.n_states))
+
+
+UNDIRECTED = {"exclusion": True, "multispecies:2": True, "pair-flip": True,
+              "generalized-exclusion:2": False, "lattice-gas:2": False,
+              "spin3": False, "glauber": False}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_undirected_is_the_two_orientations_firing_alike(name):
+  inter = by_name(name)
+  assert inter.undirected is UNDIRECTED[name]
+  assert inter.undirected == fires_alike_both_ways(inter)
+
+
+@st.composite
+def random_tables(draw):
+  n = draw(st.integers(1, 4))
+  pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+  table = [[draw(pair) for _ in range(n)] for _ in range(n)]
+  if draw(st.booleans()):  # symmetrize: phi(b, a) is phi(a, b) swapped
+    for a in range(n):
+      table[a][a] = (table[a][a][0],) * 2
+      for b in range(a):
+        c, d = table[a][b]
+        table[b][a] = (d, c)
+  return n, tuple(tuple(row) for row in table)
+
+
+@given(random_tables())
+def test_undirected_matches_the_brute_force_on_random_tables(drawn):
+  n, table = drawn
+  inter = Interaction("random", tuple(range(n)), 0, table)
+  assert inter.undirected == fires_alike_both_ways(inter)
