@@ -431,7 +431,7 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
     hit = vanish is None and _least_hit(still, (vals[sl] for sl in still))
     if hit:
       vanish = {"edge": _edge_json(window, e),
-                "value": fraction_to_str(Fraction(vals[hit[0]], denom))}
+                "value": fraction_to_str(vals[hit[0]], denom)}
     hit = alternation is None and _least_hit(
         [src for src, _ in fired],
         (map(operator.add, vals[src], t[dst]) for (src, dst), t
@@ -441,9 +441,9 @@ def form_axioms_report(form: Form, window: Window, inter: Interaction) -> dict:
       src, dst = fired[k]
       alternation = {
           "edge": _edge_json(window, e),
-          "value": fraction_to_str(Fraction(vals[idx], denom)),
+          "value": fraction_to_str(vals[idx], denom),
           "reversed_value": fraction_to_str(
-              Fraction(undo[k][idx + dst.start - src.start], denom)),
+              undo[k][idx + dst.start - src.start], denom),
       }
 
   matching = _matching_witness(form, window, inter)
@@ -490,8 +490,8 @@ def _matching_witness(form: Form, window: Window, inter: Interaction):
         k = hit[0]
         return {
             "edges": [_edge_json(window, e1), _edge_json(window, e2)],
-            "values": [fraction_to_str(Fraction(b1[k], denom)),
-                       fraction_to_str(Fraction(b2[k], denom))],
+            "values": [fraction_to_str(b1[k], denom),
+                       fraction_to_str(b2[k], denom)],
         }
   return None
 
@@ -651,8 +651,8 @@ def _build_cycle(window, inter, table, tree, pin, idx, k, jdx, new, denom):
       "cycle": [{"config": config_to_json(window, inter, digits_of(src, n, s)),
                  "edge": _edge_json(window, window.edges[e])}
                 for src, e, _, _ in walk],
-      "integral": fraction_to_str(Fraction(sum(w[2] for w in walk), denom)),
-      "defect": fraction_to_str(Fraction(defect, denom)),
+      "integral": fraction_to_str(sum(w[2] for w in walk), denom),
+      "defect": fraction_to_str(defect, denom),
   }
 
 
@@ -716,7 +716,7 @@ def perturbed(form: Form, window: Window, inter: Interaction, edge,
 
 
 def local_function_to_json(f: LocalFunction, locale: Locale) -> dict:
-  text = {k: fraction_to_str(Fraction(k, f.denom)) for k in set(f.nums)}
+  text = {k: fraction_to_str(k, f.denom) for k in set(f.nums)}
   return {
       "support": [locale.encode_vertex(v) for v in f.support],
       "values": list(map(text.__getitem__, f.nums)),
@@ -736,13 +736,9 @@ def local_function_from_json(obj, locale: Locale, inter: Interaction) -> LocalFu
 
 
 def form_to_json(form: Form, window: Window) -> dict:
-  enc = window.locale.encode_vertex
-  edges = []
-  for e in sorted(form.fns):
-    edges.append({
-        "e": [enc(e[0]), enc(e[1])],
-        "fn": local_function_to_json(form.fns[e], window.locale),
-    })
+  edges = [{"e": _edge_json(window, e),
+            "fn": local_function_to_json(form.fns[e], window.locale)}
+           for e in sorted(form.fns)]
   return {"radius": form.radius, "edges": edges}
 
 

@@ -78,14 +78,10 @@ def _probe_key(man, name: str) -> int:
   return manifest_int(plan.get(name, default), f"probe {name}", 0)
 
 
-def _probe_plan(man) -> dict:
-  return {name: _probe_key(man, name)
-          for name in ("radius", "ball_radius", "budget")}
-
-
 def _planned_probes(man, win, inter):
   """The manifest's probe plan and the default probes it places."""
-  plan = _probe_plan(man)
+  plan = {name: _probe_key(man, name)
+          for name in ("radius", "ball_radius", "budget")}
   return plan, default_probes(win, inter, plan["radius"],
                               ball_radius=plan["ball_radius"],
                               probe_budget=plan["budget"])
@@ -235,12 +231,18 @@ def _cmd_integrate(man, args):
   }, 0
 
 
-def _cmd_pairing(man, args):
-  inter, locale, win, basis = _setting(man)
+def _probed_pairing(man, args):
+  """The manifest's conserved basis, probe plan and the pairing table of its
+  function, read as interaction, locale, window, function, plan."""
+  inter, _, win, basis = _setting(man)
   f = _function(man, args, win, inter)
   plan, probes = _planned_probes(man, win, inter)
-  table = compute_pairing(f, win, inter, basis, plan["radius"], probes,
-                          plan["budget"])
+  return basis, plan, compute_pairing(f, win, inter, basis, plan["radius"],
+                                      probes, plan["budget"])
+
+
+def _cmd_pairing(man, args):
+  basis, plan, table = _probed_pairing(man, args)
   laws = check_pairing_laws(table)
   code = 0 if laws["cocycle"]["ok"] else 1
   return {
@@ -252,18 +254,11 @@ def _cmd_pairing(man, args):
 
 
 def _cmd_split(man, args):
-  inter = _interaction(man)
-  basis = conserved_basis(inter)
   if "pairing" in man:
-    table = pairing_table_from_json(man["pairing"], basis)
-    plan = None
+    basis = conserved_basis(_interaction(man))
+    plan, table = None, pairing_table_from_json(man["pairing"], basis)
   else:
-    locale = _locale(man)
-    win = _window(man, locale)
-    f = _function(man, args, win, inter)
-    plan, probes = _planned_probes(man, win, inter)
-    table = compute_pairing(f, win, inter, basis, plan["radius"], probes,
-                            plan["budget"])
+    basis, plan, table = _probed_pairing(man, args)
   split = solve_splitting(table)
   return {
       "basis": basis_to_json(basis),

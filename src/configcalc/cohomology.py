@@ -94,7 +94,7 @@ def default_probes(window: Window, inter: Interaction, radius: int,
         f"default probes need a lattice locale, not {locale.name}; "
         "supply explicit probes")
 
-  center = window.center()
+  center = window.center
   d = locale.coord_dim()
   pairs = []
   over = []  # union sizes of the pairs the budget turns away
@@ -277,8 +277,8 @@ def _raise_first_conflict(cells, provenance, record, denom: int, g,
     elif cells[key] != defect:
       raise PairingNotWellDefined({
           "cell": {"a": quantity_to_json(alpha), "b": quantity_to_json(beta)},
-          "values": [fraction_to_str(Fraction(cells[key], denom)),
-                     fraction_to_str(Fraction(defect, denom))],
+          "values": [fraction_to_str(cells[key], denom),
+                     fraction_to_str(defect, denom)],
           "probes": [provenance[key], record],
       })
   raise RuntimeError("no conflict found in an inconsistent probe")
@@ -444,7 +444,7 @@ def _linear_splitting(table: PairingTable):
               dict(equation(eq_id), coefficient=fraction_to_str(coef))
               for eq_id, coef in sorted(combo.items()) if coef != 0
           ],
-          "contradiction": fraction_to_str(Fraction(contradiction, v_denom)),
+          "contradiction": fraction_to_str(contradiction, v_denom),
       })
 
   solution = [ZERO] * n

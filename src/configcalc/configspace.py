@@ -8,7 +8,6 @@ order.  Transitions apply the interaction across a directed window edge.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -214,7 +213,7 @@ def _require_conserved(inter: Interaction, basis) -> None:
 
 
 def quantity_to_json(qvec) -> list:
-  return [fraction_to_str(Fraction(v)) for v in qvec]
+  return list(map(fraction_to_str, qvec))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +386,11 @@ def fibers_report(window: Window, inter: Interaction, basis,
   for q in sorted(fiber_components):
     comps = fiber_components[q]
     if len(comps) > 1:
-      first, second = comps[:2]
       witness = {
           "quantity": quantity_to_json(q),
-          "configs": [
-              config_to_json(window, inter, digits_of(first, window.n_sites, s)),
-              config_to_json(window, inter, digits_of(second, window.n_sites, s)),
-          ],
+          "configs": [config_to_json(window, inter,
+                                     digits_of(rep, window.n_sites, s))
+                      for rep in comps[:2]],
       }
       break
   n_components = len(reps)

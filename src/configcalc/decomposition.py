@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add, mul, sub as minus
 
-from .calculus import (Form, LocalFunction, _combine, _on_support,
+from .calculus import (Form, LocalFunction, _combine, _edge_json, _on_support,
                        _potential_scan, constant, differential, expansion,
                        form_axioms_report, functions_equal, gradient,
                        is_closed, restrict, support_diameter, sub, trim)
@@ -222,14 +222,14 @@ def interior_vertices(window: Window, pad: int) -> set:
   return set(window.vertices) - near
 
 
-def _difference_witness(locale, edge, diff: LocalFunction,
+def _difference_witness(window: Window, edge, diff: LocalFunction,
                         inter: Interaction) -> dict:
   """The first nonzero entry of ``diff``, the mismatch on ``edge``, with the
   sites' state values."""
   digits, val = next((dg, val) for dg, val in diff.assignments() if val != 0)
   return {
-      "edge": [locale.encode_vertex(x) for x in edge],
-      "sites": [locale.encode_vertex(x) for x in diff.support],
+      "edge": _edge_json(window, edge),
+      "sites": [window.locale.encode_vertex(x) for x in diff.support],
       "states": [inter.states[d] for d in digits],
       "difference": fraction_to_str(val),
   }
@@ -253,7 +253,7 @@ def is_shift_invariant(form: Form, window: Window, inter: Interaction,
       shifted = translate_function(action, f0, g)
       checked += 1
       if not functions_equal(f1, shifted):
-        witness = _difference_witness(window.locale, (u, v),
+        witness = _difference_witness(window, (u, v),
                                       trim(sub(f1, shifted)), inter)
         return {"invariant": False, "checked": checked,
                 "witness": {"generator": j, **witness}}
@@ -283,7 +283,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     raise InputError(
         f"cocycle extraction moves states around; {inter.name} lacks "
         f"exchange witnesses for {exch['missing_pairs']}")
-  center = window.center()
+  center = window.center
 
   def defect(moves):
     """The integral of the form along the exchange paths that carry state s
@@ -431,7 +431,7 @@ def _recenter_domain(window: Window, action: TranslationAction,
                      domain) -> tuple:
   """Translate the fundamental domain toward the window's middle vertex."""
   anchor = domain[len(domain) // 2]
-  center = window.center()
+  center = window.center
   candidates = sorted(window.locale.ball(center, action.max_step()),
                       key=lambda v: (window.locale.distance(v, center), v))
   for coeffs, _, _ in action.carry((anchor,), candidates):
@@ -610,7 +610,7 @@ def _verify_identity(form: Form, f_hat: LocalFunction, theta,
     if not diff.is_zero():
       worst = max(worst, *(abs(val) for _, val in diff.assignments()))
       if witness is None:
-        witness = _difference_witness(locale, (u, v), diff, inter)
+        witness = _difference_witness(window, (u, v), diff, inter)
   return {
       "ok": witness is None,
       "edges_checked": len(edges),

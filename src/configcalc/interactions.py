@@ -382,4 +382,4 @@ def interaction_from_json(obj) -> Interaction:
 
 
 def basis_to_json(basis) -> list:
-  return [[fraction_to_str(Fraction(v)) for v in vec] for vec in basis]
+  return [list(map(fraction_to_str, vec)) for vec in basis]

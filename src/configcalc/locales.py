@@ -23,6 +23,7 @@ JSON as nested lists of ints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from operator import add
 
@@ -423,6 +424,7 @@ class Window:
   def n_sites(self) -> int:
     return len(self.vertices)
 
+  @cached_property
   def center(self):
     """The vertex of least eccentricity (its largest distance to another
     window vertex); ties go to the vertex nearest index n // 2 in vertex

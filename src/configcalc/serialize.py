@@ -41,12 +41,13 @@ def manifest_int(value, name: str, minimum: int | None = None) -> int:
   return value
 
 
-def fraction_to_str(value: Fraction | int) -> str:
-  return str(Fraction(value))
+def fraction_to_str(num, denom: int = 1) -> str:
+  """The exact rational num/denom as "p" or "p/q" in lowest terms."""
+  return str(Fraction(num, denom))
 
 
 def fraction_from_str(text) -> Fraction:
-  if isinstance(text, int):
+  if type(text) is int:
     return Fraction(text)
   if not isinstance(text, str):
     raise InputError(f"expected rational string, got {text!r}")
@@ -56,20 +57,17 @@ def fraction_from_str(text) -> Fraction:
     raise InputError(f"bad rational literal {text!r}") from exc
 
 
-class _NotPlain(Exception):
-  """A value ``_encode`` leaves to ``json.dumps``."""
-
-
 _quote = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _encode(obj, pad: str, out: list) -> None:
-  """Append the pieces of ``json.dumps(obj, sort_keys=True, indent=2)``, for
-  an object at indent ``pad``, to ``out``, strings quoted by json's C
-  encoder.  Pieces are joined once, so no nesting level copies the text
-  below it.  Dicts with string keys, lists, tuples, strings, ints, bools
-  and None are spelled here; anything else raises ``_NotPlain``."""
+  """Append the pieces json writes for ``obj`` with ``sort_keys=True`` and
+  ``indent=2``, for an object at indent ``pad``, to ``out``, strings quoted
+  by json's C encoder.  Pieces are joined once, so no nesting level copies
+  the text below it.  Dicts with string keys, lists, tuples, strings, ints,
+  floats, bools and None are written; a key that is not a string, or any
+  other value, raises ``TypeError``."""
   kind = type(obj)
   if kind is str:
     out.append(_quote(obj))
@@ -77,9 +75,9 @@ def _encode(obj, pad: str, out: list) -> None:
     out.append(int.__repr__(obj))
   elif obj is None or kind is bool:
     out.append(_CONSTANTS[obj])
+  elif kind is float:
+    out.append(json.dumps(obj))  # NaN, Infinity and -0.0 as json spells them
   elif kind is dict:
-    if any(type(key) is not str for key in obj):
-      raise _NotPlain
     inner = pad + "  "
     out.append("{")
     for i, key in enumerate(sorted(obj)):
@@ -98,22 +96,17 @@ def _encode(obj, pad: str, out: list) -> None:
         _encode(item, inner, out)
     out.append("\n" + pad + "]" if obj else "]")
   else:
-    raise _NotPlain
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def dump_json(obj, path=None) -> str:
-  """Serialize deterministically (sorted keys, 2-space indent, newline):
-  the bytes of ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline.
-  ``json.dumps`` takes its pure-Python encoder once given an indent, so
-  plain values are spelled by ``_encode`` instead, and only others (floats,
-  non-string keys) go through ``json.dumps``."""
+  """Serialize deterministically: the bytes ``json.dumps`` writes with
+  ``sort_keys=True`` and ``indent=2``, and a newline, spelled by ``_encode``
+  (``json.dumps`` takes its pure-Python encoder once given an indent)."""
   out = []
-  try:
-    _encode(obj, "", out)
-    out.append("\n")
-    text = "".join(out)
-  except _NotPlain:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+  _encode(obj, "", out)
+  out.append("\n")
+  text = "".join(out)
   if path is not None:
     with open(path, "w") as fh:
       fh.write(text)

@@ -4,6 +4,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -65,6 +66,31 @@ def test_consv_multispecies(tmp_path):
   code, rep = run(tmp_path, {"interaction": "multispecies:3"}, "consv")
   assert code == 0
   assert rep["c_phi"] == 3
+
+
+# Float state labels are echoed as json spells them.  The sha256 of each
+# report, taken when a float still sent the whole report through json.dumps.
+FLOAT_LABEL_DIGESTS = {
+    ("half", "consv"):
+        "c66c4490882228c847342d52bce1e291ebfe9ad566b889b9f917befad80af863",
+    ("half", "validate"):
+        "b710694e7620e7026f2e94796a5ffd2b6ce60263db09e2c464960ae8b5e2a319",
+    ("nan", "consv"):
+        "676643b7e3add211871c56f6c9005a8933ebba2b7568f943071eca162602c6c5",
+    ("nan", "validate"):
+        "0e96cdf3d9e5728c372eab0799468dcbf419be88b73dc33592f76e13064fa533",
+}
+
+
+@pytest.mark.parametrize("label,command", sorted(FLOAT_LABEL_DIGESTS))
+def test_float_state_labels_keep_their_bytes(tmp_path, label, command):
+  x = {"half": 0.5, "nan": float("nan")}[label]
+  rule = {"states": [0, x], "base": 0, "map": [[0, x, x, 0], [x, 0, 0, x]]}
+  man, out = tmp_path / "man.json", tmp_path / "report.json"
+  man.write_text(json.dumps({"interaction": rule}))
+  assert main([command, "--manifest", str(man), "--out", str(out)]) == 0
+  digest = hashlib.sha256(out.read_bytes()).hexdigest()
+  assert digest == FLOAT_LABEL_DIGESTS[label, command]
 
 
 @pytest.mark.parametrize("name", ["spin3:7", "exclusion:3"])
@@ -993,6 +1019,14 @@ def _custom_rule(states, rows):
                              "edges": [[0]]}},
      "bad finite-graph descriptor {'kind': 'finite-graph', 'vertices': "
      "[0, 1], 'edges': [[0]]}"),
+    ("expand", dict(BASE, function={"support": [[1], [2]],
+                                    "values": [True, "0", "0", False]}),
+     "expected rational string, got True"),
+    ("omega-rho", dict(DECOMPOSE, cocycle={"a": [[False]]}),
+     "expected rational string, got False"),
+    ("irreducible", dict(BASE, locale=5), "bad locale descriptor 5"),
+    ("irreducible", dict(BASE, locale={"d": 2}),
+     "bad locale descriptor {'d': 2}"),
 ], ids=["missing-window", "unknown-builtin-function", "unknown-builtin-form",
         "empty-domain", "transfer-not-an-object", "rational-literal",
         "repeated-states", "generalized-exclusion-0", "lattice-gas-1",
@@ -1006,7 +1040,9 @@ def _custom_rule(states, rows):
         "probe-plan-not-an-object", "cocycle-entry-float",
         "delta-without-exchange-witnesses", "counterexample-even-sites",
         "counterexample-three-sites", "free-group-letter-above-rank",
-        "free-group-unreduced-word", "finite-graph-one-ended-edge"])
+        "free-group-unreduced-word", "finite-graph-one-ended-edge",
+        "function-value-true", "cocycle-entry-false", "locale-not-an-object",
+        "locale-without-kind"])
 def test_manifest_input_errors_exit_2_with_their_message(tmp_path, command,
                                                          manifest, message):
   code, rep = run(tmp_path, manifest, command)

@@ -197,7 +197,7 @@ def test_recenter_domain_keeps_a_domain_no_central_translate_fits():
   domain = ((0,), (13,))
   anchors = [tile_of(act, x, domain)[1] for x in win.vertices]
   assert anchors == [(0,), (13,)] * 7
-  assert win.center() == (7,)
+  assert win.center == (7,)
   assert decomposition._recenter_domain(win, act, domain) == domain
 
 

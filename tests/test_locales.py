@@ -202,7 +202,7 @@ def test_window_center_has_least_eccentricity():
   for w in (box(Euclidean(1), (0,), (8,)), box(Euclidean(1), (0,), (9,)),
             box(Euclidean(2), (0, 0), (6, 6)), box(Euclidean(2), (0, 0), (7, 7)),
             box(Hexagonal(), (0, 0), (3, 3)), ball_window(Triangular(), (0, 0), 2)):
-    c = w.center()
+    c = w.center
     least = min(ecc(w, v) for v in w.vertices)
     assert ecc(w, c) == least
     # ties go to the vertex nearest the middle of the vertex order
@@ -210,8 +210,20 @@ def test_window_center_has_least_eccentricity():
     tied = [i for i, v in enumerate(w.vertices) if ecc(w, v) == least]
     assert w.position(c) == min(tied, key=lambda i: (abs(i - mid), i))
   # the middle of the sorted vertex list, (4, 0), is a corner-side vertex
-  assert box(Euclidean(2), (0, 0), (7, 7)).center() == (4, 3)
-  assert box(Euclidean(1), (0,), (9,)).center() == (5,)
+  assert box(Euclidean(2), (0, 0), (7, 7)).center == (4, 3)
+  assert box(Euclidean(1), (0,), (9,)).center == (5,)
+
+
+def test_window_center_is_searched_once_per_window(monkeypatch):
+  calls = []
+  distance = Euclidean.distance
+  monkeypatch.setattr(Euclidean, "distance",
+                      lambda self, x, y: calls.append(x) or distance(self, x, y))
+  w = box(Euclidean(2), (0, 0), (5, 5))
+  assert w.center == (3, 2)
+  searched = len(calls)
+  assert searched > 0
+  assert w.center == w.center == (3, 2) and len(calls) == searched
 
 
 def test_ball_window():
