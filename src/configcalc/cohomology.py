@@ -398,7 +398,9 @@ def _linear_splitting(table: PairingTable):
   """Exact rational solve of h(a) + h(b) - h(a+b) = cell over the probed
   domain, pinned at h(0) = cell(0,0).  When the equations are inconsistent,
   the first leftover row with a nonzero right-hand side yields a verifiable
-  certificate (see ``_certificate``).
+  certificate (see ``_certificate``).  A leftover row is never rewritten:
+  ``rref`` hands back its input row's residual, the input row plus a
+  combination of the pivot inputs.
 
   The unknowns are the quantities as the cells key them and each equation
   is a sparse integer row, its right-hand side the cell's numerator over
@@ -454,11 +456,13 @@ def _linear_splitting(table: PairingTable):
 
 
 def _certificate(rows, pivots, inputs, j: int, n: int):
-  """The combination of equations that the elimination reduced row ``j`` by,
-  and the contradiction it sums to.
+  """The combination of equations that sums to the residual of equation
+  ``j``, a row ``rref`` left below the rank, and the contradiction it sums
+  to.
 
-  Only pivot rows are ever added to another row, so row j became
-  e_j + y over the pivot ``inputs`` P, with y * A_P = -A_j on the unknowns.
+  ``rref`` never rewrites a leftover row: it hands back equation j's
+  residual e_j + y over the pivot ``inputs`` P, with y * A_P = -A_j on the
+  unknowns.
   A_P has full rank, so y is unique and the square system at the pivot
   columns determines it.  Raises ``RuntimeError`` unless the combination
   cancels every unknown and leaves a nonzero right-hand side.

@@ -4,10 +4,14 @@ certificates, cocycle solves and the inverses of translation generator
 matrices.
 
 A row is a ``{column: value}`` map that holds only its nonzero entries.  Each
-input row is scaled to integers once; a fraction-free forward elimination
-(Bareiss 1968, with a gcd division in place of the exact quotient) clears
-each pivot column below the pivot, and a back-substitution then clears it
-above.  Only the pivot rows handed back are ever turned into ``Fraction``s.
+input row is scaled to integers once.  The elimination is left-looking, in
+the manner of Gilbert and Peierls (1988): only the pivot rows are ever
+rewritten, each kept reduced on every pivot found so far by fraction-free
+steps (Bareiss 1968, with a gcd division in place of the exact quotient).
+A row below the rank is only tested, by its residual at a column, read off
+the pivot rows that its own entries name, so the eliminations follow the
+rank, not the number of rows.  Only the pivot rows handed back are ever
+turned into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ def _integer_row(row):
 
 def _eliminate(row, prow, c):
   """``row`` with column ``c`` cleared by the pivot row ``prow``, divided by
-  the gcd of its entries: ``(p/g)·row − (f/g)·prow`` with g = gcd(p, f)."""
+  the gcd of its entries: ``(p/g)·row − (f/g)·prow`` with g = gcd(p, f).
+  ``rref`` calls it only to form a new pivot row and to clear the new pivot
+  column from the pivot rows before it."""
   p, f = prow[c], row[c]
   g = gcd(p, f)
   a, b = p // g, f // g
@@ -45,47 +51,68 @@ def rref(rows, n_cols: int):
   """Reduced row echelon form of the sparse ``rows`` over the columns
   ``0 .. n_cols - 1``.
 
-  Each row is a ``{column: value}`` map of ints and Fractions.  Column by
-  column, the first row at or below the current rank with a nonzero entry
-  is swapped up and the column is cleared in every row below it; the pivot
-  rows are then reduced from the last up.  Entries at columns from
-  ``n_cols`` on (a right-hand side, say) are carried along but never chosen
-  as pivots.
+  Each row is a ``{column: value}`` map of ints and Fractions.  Only pivot
+  rows are ever rewritten, and they are kept reduced on every pivot found so
+  far.  Column by column, the rows at or below the current rank are tested
+  in turn for their residual at the column (see ``residual``); the first
+  with a nonzero residual is swapped up and reduced against the pivot rows,
+  and the column is then cleared from the pivot rows that hold it.  Entries
+  at columns from ``n_cols`` on (a right-hand side, say) are carried along
+  but never chosen as pivots.
 
   Returns (reduced, pivots, order).  The first ``len(pivots)`` reduced rows
   hold the pivots, as maps to ``Fraction``s scaled to 1 at their pivot
   column; ``pivots`` is the column of each.  The leftover rows are integer
-  maps that hold the eliminated rows only up to a nonzero factor, so callers
-  test them against zero and nothing else.  ``order[k]`` is the index of the
-  input row that ended up as reduced row ``k``.  Pivots, order and leftover
-  rows are those of a Gauss-Jordan elimination with the same pivot rule,
-  which updates the rows below the rank by the same pivot rows.
+  maps: each is its input row's residual on the columns from ``n_cols`` on,
+  over one nonzero factor, so callers test them against zero and nothing
+  else.  ``order[k]`` is the index of the input row that ended up as
+  reduced row ``k``.  A row's residual is the entry that a Gauss-Jordan
+  elimination with the same pivot rule leaves in it, so pivots, order and
+  leftover rows are that elimination's.
 
-  Only pivot rows are ever added to another row.  So a leftover row is its
-  own input row plus a combination of the inputs ``order[:len(pivots)]``,
-  which callers that need it can recover with one more solve.
+  A leftover row is never rewritten: its residual is its own input row plus
+  a combination of the inputs ``order[:len(pivots)]``, which callers that
+  need it can recover with one more solve.
   """
   rows = [{k: x for k, x in zip(row, _integer_row(row.values())[0]) if x}
           for row in rows]
   order = list(range(len(rows)))
   pivots = []
+  reduced = {}  # pivot column j -> pivot row R_j, reduced, its scale R_j[j]
+
+  def residual(row, c):
+    """x_c − Σ x_j·R_j[c]/R_j[j] over the entries x_j of ``row`` at pivot
+    columns j, times the common factor Π R_j[j]."""
+    num, den = row.get(c, 0), 1
+    for j, x in row.items():
+      prow = reduced.get(j)
+      if prow is not None:
+        p = prow[j]
+        num, den = num * p - den * x * prow.get(c, 0), den * p
+    return num
+
   for c in range(n_cols):
     rank = len(pivots)
-    pivot = next((i for i in range(rank, len(rows)) if c in rows[i]), None)
+    pivot = next((i for i in range(rank, len(rows)) if residual(rows[i], c)),
+                 None)
     if pivot is None:
       continue
     rows[rank], rows[pivot] = rows[pivot], rows[rank]
     order[rank], order[pivot] = order[pivot], order[rank]
     prow = rows[rank]
-    for i in range(rank + 1, len(rows)):
-      if c in rows[i]:
-        rows[i] = _eliminate(rows[i], prow, c)
+    for j in [j for j in prow if j in reduced]:
+      prow = _eliminate(prow, reduced[j], j)
+    for j, row in reduced.items():
+      if c in row:
+        reduced[j] = _eliminate(row, prow, c)
+    reduced[c] = prow
     pivots.append(c)
-  for k in range(len(pivots) - 2, -1, -1):
-    for j in range(k + 1, len(pivots)):
-      if pivots[j] in rows[k]:
-        rows[k] = _eliminate(rows[k], rows[j], pivots[j])
+  for i in range(len(pivots), len(rows)):
+    row = rows[i]
+    tail = {k for r in [row, *(reduced[j] for j in row if j in reduced)]
+            for k in r if k >= n_cols}
+    rows[i] = {k: x for k in sorted(tail) if (x := residual(row, k))}
   for k, c in enumerate(pivots):
-    p = rows[k][c]
-    rows[k] = {col: Fraction(x, p) for col, x in rows[k].items()}
+    p = reduced[c][c]
+    rows[k] = {col: Fraction(x, p) for col, x in reduced[c].items()}
   return rows, pivots, order

@@ -16,6 +16,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from configcalc import linalg
 from configcalc.cohomology import (PairingTable, SplittingInfeasible,
                                    compute_pairing, default_probes,
                                    inversion_count_function, solve_splitting)
@@ -129,15 +130,45 @@ def splitting_shaped_system(rng, n_rows, side, dim, perturbed):
   return rows
 
 
-@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("seed", range(12))
 def test_rref_matches_the_tracked_elimination_on_splitting_shapes(seed):
+  """Seeds from 8 on are tall, 600 to 1200 equations on a line of 20 to 30
+  sites or a 5×5 grid: most rows end up below the rank."""
   rng = random.Random(seed)
   dim = 1 + seed % 2
-  side = rng.randint(20, 45) if dim == 1 else rng.randint(5, 6)
-  rows = splitting_shaped_system(rng, rng.randint(50, 300), side, dim,
-                                 perturbed=seed % 3)
+  tall = seed >= 8
+  if dim == 1:
+    side = rng.randint(20, 30 if tall else 45)
+  else:
+    side = 5 if tall else rng.randint(5, 6)
+  n_rows = rng.randint(600, 1200) if tall else rng.randint(50, 300)
+  rows = splitting_shaped_system(rng, n_rows, side, dim, perturbed=seed % 3)
   n_unknowns = len(rows[0]) - 1
   check_against_tracked(rows, n_unknowns, n_unknowns + 1)
+
+
+def test_rows_below_the_rank_are_never_eliminated(monkeypatch):
+  """Copies of a system's rows, appended, are dependent rows below the
+  rank: they cost no elimination and change no pivot row."""
+  calls = []
+  eliminate = linalg._eliminate
+
+  def spy(row, prow, c):
+    calls.append(c)
+    return eliminate(row, prow, c)
+
+  monkeypatch.setattr(linalg, "_eliminate", spy)
+  rows = [dict(enumerate(r)) for r in splitting_shaped_system(
+      random.Random(3), 200, 30, 1, perturbed=1)]
+  n_unknowns = len(rows[0]) - 1
+  reduced, pivots, order = rref(rows, n_unknowns)
+  assert 0 < len(pivots) < n_unknowns
+  eliminations, calls[:] = calls[:], []
+  doubled, doubled_pivots, doubled_order = rref(rows + rows, n_unknowns)
+  assert calls == eliminations
+  assert doubled_pivots == pivots
+  assert doubled_order[:len(rows)] == order
+  assert doubled[:len(pivots)] == reduced[:len(pivots)]
 
 
 def reference_certificate(table):

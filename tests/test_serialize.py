@@ -33,7 +33,7 @@ def test_dump_json_spells_empty_containers_and_non_ascii_text():
   assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def test_dump_json_leaves_other_values_to_json():
+def test_dump_json_spells_floats_as_json_dumps():
   # floats keep json's own spelling, NaN, the infinities and -0.0 included
   for obj in ({"x": [1.5, float("inf")]}, [{"k": 2.0}, -0.0, 1e300],
               (float("nan"), float("-inf"), [0.1, -2.5e-308])):
