@@ -244,7 +244,7 @@ def _mobius(values, n_sites: int, n_states: int, base: int) -> list:
   return vals
 
 
-def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
+def expansion(f: LocalFunction, budget: int = DEFAULT_BUDGET) -> dict:
   """Exact-support pieces f_L over the subsets L of the support.
 
   f_L(eta) is the alternating sum of f(eta restricted to L') over L' inside
@@ -252,8 +252,9 @@ def expansion(f: LocalFunction, budget: int = 1 << 22) -> dict:
   Pieces that vanish identically are dropped; the empty piece is f at the
   all-base configuration.  Summing all pieces over subsets of any region
   recovers iota^Region f.  Pieces come by size, then in ``combinations``
-  order.  The budget is charged for the (1 + |S|)^n entries of all piece
-  tables together.
+  order.  The budget, by default the configuration budget
+  ``DEFAULT_BUDGET`` that the CLI's ``expand`` charges as well, is charged
+  for the (1 + |S|)^n entries of all piece tables together.
   """
   n, s, base = len(f.support), f.n_states, f.base
   if (1 + s) ** n > budget:
@@ -394,12 +395,12 @@ def differential(f: LocalFunction, window: Window, inter: Interaction) -> Form:
   return Form(inter.n_states, inter.base, fns, radius)
 
 
-def edge_distance(x, edge, locale: Locale) -> int:
-  return min(locale.distance(x, edge[0]), locale.distance(x, edge[1]))
+def set_distance(first, second, locale: Locale) -> int:
+  return min(locale.distance(a, b) for a in first for b in second)
 
 
 def form_radius(form: Form, locale: Locale) -> int:
-  return max((edge_distance(x, e, locale)
+  return max((set_distance((x,), e, locale)
               for e, f in form.fns.items() for x in f.support), default=0)
 
 

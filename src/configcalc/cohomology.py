@@ -21,12 +21,12 @@ from itertools import product
 from math import lcm
 from operator import sub
 
-from .calculus import (Form, LocalFunction, _over, is_uniform,
+from .calculus import (Form, LocalFunction, _over, is_uniform, set_distance,
                        uniformity_criterion)
 from .configspace import _offsets, _quantity_sums, quantity_to_json
 from .interactions import Interaction
 from .linalg import _integer_row, rref
-from .locales import Euclidean, LatticeLocale, Locale, Window, transferability
+from .locales import Euclidean, LatticeLocale, Window, transferability
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
 
@@ -58,10 +58,6 @@ class PairingTable:
 
   def zero_vector(self):
     return (0,) * len(self.basis)
-
-
-def set_distance(first, second, locale: Locale) -> int:
-  return min(locale.distance(a, b) for a in first for b in second)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from .configspace import (_require_conserved, digits_from_sites, exchange_path,
 from .interactions import (Interaction, check_exchangeability,
                            conserved_basis, multispecies)
 from .linalg import _integer_row, rref
-from .locales import (Euclidean, Hexagonal, LatticeLocale, Window, box,
-                      window as build_window)
+from .locales import (Euclidean, Hexagonal, LatticeLocale, Window, _layers,
+                      box, window as build_window)
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str)
 
@@ -210,16 +210,13 @@ def build_omega_rho(a_matrix, action: TranslationAction, domain,
 
 def interior_vertices(window: Window, pad: int) -> set:
   """Vertices whose pad-ball stays inside the window: those more than pad
-  steps from every vertex outside it.  One breadth-first search through the
-  window, from the vertices with a neighbour outside it at depth 1, finds
-  the others."""
-  layer = {x for x in window.vertices
-           if any(y not in window for y in window.locale.neighbors(x))}
-  near = set()
-  for _ in range(pad):
-    near |= layer
-    layer = {y for x in layer for y in window.neighbors_in(x)} - near
-  return set(window.vertices) - near
+  steps from every vertex outside it: the window less the first pad layers
+  of one layered search (``locales._layers``) through the window from its
+  rim, the vertices with a neighbour outside it."""
+  rim = [x for x in window.vertices
+         if any(y not in window for y in window.locale.neighbors(x))]
+  near = zip(range(pad), _layers(window.neighbors_in, rim))
+  return set(window.vertices).difference(*(layer for _, (layer, _) in near))
 
 
 def _difference_witness(window: Window, edge, diff: LocalFunction,
@@ -391,9 +388,7 @@ def _translate_gradient_sums(action: TranslationAction, f: LocalFunction,
       translates = [translate_function(action, f, action.shift_of(c))
                     for c in meeting]
       # each distinct site of the translates, with its reduction
-      sites = {y: (tuple(map(add, k, c)), r)
-               for c, g in zip(meeting, translates)
-               for (k, r), y in zip(map(action.reduce, f.support), g.support)}
+      sites = {y: action.reduce(y) for g in translates for y in g.support}
       flux = [(1, gradient(theta(x), e0, inter)) for x in e0]
       orbits[orbit] = e0, translates, sites, flux
     e0, translates, sites, flux = orbits[orbit]

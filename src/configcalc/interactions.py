@@ -201,19 +201,15 @@ def by_name(spec: str) -> Interaction:
   head, _, arg = spec.partition(":")
   if head not in _CATALOG:
     raise InputError(f"unknown interaction {spec!r}")
-  builder = _CATALOG[head]
-  if arg:
-    try:
-      kappa = int(arg)
-    except ValueError:
-      raise InputError(f"interaction parameter {arg!r} is not an integer") from None
-    try:
-      return builder(kappa)
-    except TypeError:
-      raise InputError(f"interaction {head!r} takes no parameter") from None
-  if head in ("multispecies", "generalized-exclusion", "lattice-gas"):
-    raise InputError(f"interaction {head!r} needs a parameter, e.g. {head}:2")
-  return builder()
+  try:
+    args = (int(arg),) if arg else ()
+  except ValueError:
+    raise InputError(f"interaction parameter {arg!r} is not an integer") from None
+  try:  # the builder's own signature says whether it takes kappa
+    return _CATALOG[head](*args)
+  except TypeError:
+    need = "takes no parameter" if args else f"needs a parameter, e.g. {head}:2"
+    raise InputError(f"interaction {head!r} {need}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +364,7 @@ def interaction_from_json(obj) -> Interaction:
   index = {s: i for i, s in enumerate(states)}
   n = len(states)
   table = [[(i, j) for j in range(n)] for i in range(n)]
+  mapped = set()
   for row in rows:
     if not isinstance(row, list) or len(row) != 4:
       raise InputError(f"map rows are [s1, s2, t1, t2]; got {row!r}")
@@ -375,6 +372,9 @@ def interaction_from_json(obj) -> Interaction:
     for v in (s1, s2, t1, t2):
       if isinstance(v, (list, dict)) or v not in index:
         raise InputError(f"map row {row!r} uses unknown state {v!r}")
+    if (index[s1], index[s2]) in mapped:
+      raise InputError(f"map row {row!r} repeats the source pair {[s1, s2]!r}")
+    mapped.add((index[s1], index[s2]))
     table[index[s1]][index[s2]] = (index[t1], index[t2])
   inter = Interaction(obj.get("name", "custom"), states, index[base_value],
                       tuple(tuple(r) for r in table))

@@ -29,19 +29,17 @@ from operator import add
 
 from .serialize import InputError, manifest_int
 
-#: the farthest graph distance the breadth-first ``Locale.distance`` searches
-DISTANCE_CAP = 64
+def _layers(neighbors, starts):
+  """Breadth-first search from the ``starts``, one whole layer at a time.
 
-
-def _layers(neighbors, start):
-  """Breadth-first search from ``start``, one whole layer at a time.
-
-  Lazily yields ``(layer, parent)`` for distances 0, 1, ... until a layer is
-  empty.  ``parent`` maps every vertex reached so far to the vertex that first
-  reached it, in ``neighbors`` order (``start`` to None); it grows in place.
+  Lazily yields ``(layer, parent)`` for distances 0, 1, ... from the nearest
+  start until a layer is empty.  ``parent`` maps every vertex reached so far
+  to the vertex that first reached it, in ``neighbors`` order (each start to
+  None); it grows in place.  The one search behind finite-graph distance,
+  balls, window paths, interior vertices and the transfer probe.
   """
-  parent = {start: None}
-  layer = [start]
+  parent = dict.fromkeys(starts)
+  layer = list(parent)
   while layer:
     yield layer, parent
     nxt = []
@@ -67,23 +65,22 @@ class Locale:
   # -- metric ---------------------------------------------------------------
 
   def distance(self, x, y) -> int:
-    """Graph distance via a breadth-first search from x.
+    """Graph distance by a breadth-first search from x.
 
-    Raises ``InputError`` when the distance exceeds ``DISTANCE_CAP`` or x's
-    side runs out of vertices first.
+    Only finite graphs use it, where the search ends by itself; every
+    infinite locale states its own closed form.  Raises ``InputError`` when
+    the search runs out of vertices before it reaches y.
     """
-    for dist, (_, parent) in enumerate(_layers(self.neighbors, x)):
+    for dist, (_, parent) in enumerate(_layers(self.neighbors, [x])):
       if y in parent:
         return dist
-      if dist == DISTANCE_CAP:
-        raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
-    raise InputError(f"{x} and {y} are not connected within cap {DISTANCE_CAP}")
+    raise InputError(f"{x} and {y} are not connected")
 
   def ball(self, center, radius: int) -> tuple:
     """Sorted tuple of vertices within graph distance ``radius`` of center."""
     if center not in self:
       raise InputError(f"ball center {center!r} not in locale {self.name}")
-    for dist, (_, parent) in enumerate(_layers(self.neighbors, center)):
+    for dist, (_, parent) in enumerate(_layers(self.neighbors, [center])):
       if dist >= radius:
         break
     return tuple(sorted(parent))
@@ -323,7 +320,12 @@ class ProductLocale(Locale):
 
 
 class _PredicateSublocale(Locale):
-  """Induced subgraph of Z^2 on the vertices satisfying ``member``."""
+  """Induced subgraph of Z^2 on the vertices satisfying ``member``.
+
+  Both sublocales are l1-geodesic, so the distance is Z^2's: on the cross a
+  path runs along one axis or through the origin; on the half-plane a point
+  with x1 < 0 walks along the horizontal axis, then a monotone staircase.
+  """
 
   ambient = Euclidean(2)
 
@@ -335,6 +337,9 @@ class _PredicateSublocale(Locale):
 
   def __contains__(self, x):
     return x in self.ambient and self.member(x)
+
+  def distance(self, x, y) -> int:
+    return self.ambient.distance(x, y)
 
 
 @dataclass(frozen=True)
@@ -450,7 +455,7 @@ class Window:
     """A shortest vertex path x .. y inside the window: searching breadth
     first from x, each vertex's predecessor is the first vertex that reached
     it in ``neighbors_in`` order."""
-    for _, parent in _layers(self.neighbors_in, x):
+    for _, parent in _layers(self.neighbors_in, [x]):
       if y in parent:
         path = [y]
         while parent[path[-1]] is not None:
@@ -559,7 +564,7 @@ def _probe_transferability(locale: Locale, probe_radius: int, probe_margin: int)
     for start in sorted(rest):
       if start in seen:
         continue
-      for _, comp in _layers(lambda u: rest.intersection(locale.neighbors(u)), start):
+      for _, comp in _layers(lambda u: rest.intersection(locale.neighbors(u)), [start]):
         pass
       seen.update(comp)
       boundary = any(w not in region for u in comp for w in locale.neighbors(u))

@@ -24,7 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 import configcalc
 from configcalc.calculus import (Form, NotClosedError, differential,
-                                 form_to_json, from_callable, perturbed)
+                                 expansion, form_to_json, from_callable,
+                                 perturbed)
 from configcalc.cli import main
 from configcalc.cohomology import (PairingNotWellDefined, SplittingInfeasible,
                                    compute_pairing, pairing_table_to_json)
@@ -32,7 +33,7 @@ from configcalc.decomposition import InconsistentCocycle, NotShiftInvariant
 from configcalc.interactions import (conserved_basis, exclusion, glauber,
                                      interaction_from_json)
 from configcalc.locales import Euclidean, box
-from configcalc.serialize import WitnessError
+from configcalc.serialize import InputError, WitnessError
 
 
 def run(tmp_path, manifest, *argv, name="man.json"):
@@ -200,6 +201,24 @@ def test_expand_charges_the_piece_tables_once(tmp_path):
   code, rep = run(tmp_path, man, "expand", "--budget", "1000")
   assert code == 2
   assert rep["error"]["kind"] == "InputError"
+
+
+def test_library_and_cli_expand_refuse_the_same_table(tmp_path):
+  # eleven ternary sites: (1 + 3)^11 = 4194304 piece entries, past the
+  # configuration budget both charge by default
+  support = [(k,) for k in range(11)]
+  f = from_callable(support, 3, 0, lambda d: d[0] * d[10])
+  with pytest.raises(InputError) as refusal:
+    expansion(f)
+  man = dict(BASE, interaction="multispecies:2",
+             window={"kind": "box", "lo": [0], "hi": [10]},
+             function={"support": [list(v) for v in support],
+                       "values": [str(v) for v in f.values]})
+  code, rep = run(tmp_path, man, "expand")
+  assert code == 2
+  assert rep["error"]["kind"] == "InputError"
+  assert rep["error"]["message"] == str(refusal.value) == (
+      "expansion over 11 sites exceeds the budget")
 
 
 def test_expand_reads_only_the_probe_radius(tmp_path):
@@ -810,17 +829,20 @@ def test_form_edge_without_function(tmp_path):
     assert rep["error"]["kind"] == "InputError"
 
 
-def test_pair_beyond_the_distance_cap_is_an_input_error(tmp_path):
-  # the half-plane has no closed-form distance; its two support sites lie
-  # beyond the breadth-first distance cap
-  man = {"locale": {"kind": "half-plane"}, "interaction": "exclusion",
+def test_far_half_plane_pair_has_a_distance(tmp_path):
+  # the half-plane's distance is l1; the locale is named by its string
+  # shorthand and the values are JSON integers, read as the strings are
+  man = {"locale": "half-plane", "interaction": "exclusion",
          "window": {"kind": "explicit", "vertices": [[0, 0], [1, 0]]},
-         "function": {"support": [[0, 0], [200, 0]],
-                      "values": ["0", "0", "0", "1"]}}
+         "function": {"support": [[0, 0], [200, 0]], "values": [0, 0, 0, 1]}}
   code, rep = run(tmp_path, man, "expand")
-  assert code == 2
-  assert rep["error"]["kind"] == "InputError"
-  assert "exceeds cap" in rep["error"]["message"]
+  assert code == 0
+  assert rep["exact_support_radius"] == 200
+  spelled = dict(man, locale={"kind": "half-plane"},
+                 function=dict(man["function"], values=["0", "0", "0", "1"]))
+  code, want = run(tmp_path, spelled, "expand", name="spelled.json")
+  assert code == 0
+  assert (rep["function"], rep["pieces"]) == (want["function"], want["pieces"])
 
 
 def test_far_triangular_pair_has_a_distance(tmp_path):
@@ -1027,6 +1049,9 @@ def _custom_rule(states, rows):
     ("irreducible", dict(BASE, locale=5), "bad locale descriptor 5"),
     ("irreducible", dict(BASE, locale={"d": 2}),
      "bad locale descriptor {'d': 2}"),
+    ("validate", _custom_rule([0, 1], [[0, 1, 1, 0], [0, 1, 0, 1],
+                                       [1, 0, 0, 1]]),
+     "map row [0, 1, 0, 1] repeats the source pair [0, 1]"),
 ], ids=["missing-window", "unknown-builtin-function", "unknown-builtin-form",
         "empty-domain", "transfer-not-an-object", "rational-literal",
         "repeated-states", "generalized-exclusion-0", "lattice-gas-1",
@@ -1042,7 +1067,7 @@ def _custom_rule(states, rows):
         "counterexample-three-sites", "free-group-letter-above-rank",
         "free-group-unreduced-word", "finite-graph-one-ended-edge",
         "function-value-true", "cocycle-entry-false", "locale-not-an-object",
-        "locale-without-kind"])
+        "locale-without-kind", "map-row-repeats-a-source-pair"])
 def test_manifest_input_errors_exit_2_with_their_message(tmp_path, command,
                                                          manifest, message):
   code, rep = run(tmp_path, manifest, command)

@@ -3,7 +3,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.locales import (DISTANCE_CAP, Cross, Euclidean, FiniteGraph,
+from configcalc.locales import (Cross, Euclidean, FiniteGraph,
                                 FreeGroupCayley, HalfPlane, Hexagonal, Locale,
                                 NNeighbor, ProductLocale, Triangular,
                                 ball_window, box, locale_from_json,
@@ -83,9 +83,19 @@ coordinate = st.integers(-6, 6)
 @given(st.tuples(coordinate, coordinate), st.tuples(coordinate, coordinate),
        st.integers(0, 1), st.integers(0, 1))
 def test_closed_form_distances_match_breadth_first_search(x, y, s, t):
-  # Locale.distance is the generic breadth-first search from u, capped at 64
+  # Locale.distance is the generic breadth-first search from u, which stops
+  # once it reaches v.  s and t put a cross point on one axis or the other; a
+  # half-plane point left of the vertical axis drops onto the horizontal one
+  def on_axis(p, k):
+    return (p[0], 0) if k else (0, p[1])
+
+  def in_half(p):
+    return p if p[0] >= 0 else (p[0], 0)
+
   for loc, u, v in ((Triangular(), x, y),
-                    (Hexagonal(), x + (s,), y + (t,))):
+                    (Hexagonal(), x + (s,), y + (t,)),
+                    (Cross(), on_axis(x, s), on_axis(y, t)),
+                    (HalfPlane(), in_half(x), in_half(y))):
     assert loc.distance(u, v) == Locale.distance(loc, u, v), (loc.name, u, v)
 
 
@@ -96,31 +106,22 @@ def test_far_lattice_pairs_have_a_distance():
   assert Hexagonal().distance((0, 0, 0), (-100, 0, 1)) == 199
 
 
-def test_breadth_first_distance_refusals_name_the_cap():
-  # 65 steps along the cross's arm, one past the cap of 64
-  with pytest.raises(InputError) as far:
-    Cross().distance((0, 0), (65, 0))
-  assert str(far.value) == "distance((0, 0), (65, 0)) exceeds cap 64"
-  assert Cross().distance((0, 0), (64, 0)) == 64
+def test_far_sublocale_pairs_have_a_distance():
+  # 65 steps along the cross's arm; 40 along the half-plane's horizontal axis
+  # and 40 up
+  assert Cross().distance((0, 0), (65, 0)) == 65
+  assert HalfPlane().distance((-40, 0), (0, 40)) == 80
+  # a product sums its factors' distances
+  prod = ProductLocale((Cross(), Cross()))
+  assert prod.distance(((0, 0), (0, 0)), ((40, 0), (0, 40))) == 80
+  assert prod.distance(((0, 0), (0, 0)), ((65, 0), (0, -200))) == 265
   apart = FiniteGraph([0, 1, 2], [(0, 1)])
   with pytest.raises(InputError) as cut:
     apart.distance(0, 2)
-  assert str(cut.value) == "0 and 2 are not connected within cap 64"
-  # a product applies the cap to each factor, not to the sum
-  prod = ProductLocale((Cross(), Cross()))
-  assert prod.distance(((0, 0), (0, 0)), ((40, 0), (0, 40))) == 80
-  with pytest.raises(InputError, match="exceeds cap 64"):
-    prod.distance(((0, 0), (0, 0)), ((65, 0), (0, 0)))
+  assert str(cut.value) == "0 and 2 are not connected"
 
 
-def distance_or_refusal(locale, x, y):
-  try:
-    return Locale.distance(locale, x, y)
-  except InputError as exc:
-    return str(exc)
-
-
-def test_distance_refuses_by_the_side_of_x():
+def test_far_half_plane_and_path_pairs_are_measured():
   half = HalfPlane()
   # left of the vertical axis the half-plane is the horizontal axis alone, so
   # every member pair has a monotone path inside it: the distance is l1
@@ -128,30 +129,21 @@ def test_distance_refuses_by_the_side_of_x():
             + [(i, 0) for i in range(-6, 0)])
   pairs = [(x, y) for x in points[::7] for y in points]
   pairs += [((0, 0), (10, 10)), ((-30, 0), (30, 5))]
-  cases = [(half, x, y, abs(x[0] - y[0]) + abs(x[1] - y[1]))
-           for x, y in pairs]
+  for x, y in pairs:
+    want = abs(x[0] - y[0]) + abs(x[1] - y[1])
+    assert half.distance(x, y) == Locale.distance(half, x, y) == want, (x, y)
   # two components: a path of 70 vertices, |x - y| apart along it, and a
   # triangle, 1 apart within it
   graph = FiniteGraph(range(73), [(k, k + 1) for k in range(69)]
                       + [(70, 71), (71, 72), (70, 72)])
-  cases += [(graph, x, y, None if (x < 70) != (y < 70)
-             else abs(x - y) if x < 70 else int(x != y))
-            for x, y in ((0, 64), (64, 0), (70, 72), (8, 8), (3, 71),
-                         (72, 5), (0, 65), (69, 2))]
-  refusals = []
-  for loc, x, y, want in cases:
-    got = distance_or_refusal(loc, x, y)
-    if want is None or want > DISTANCE_CAP:
-      refusals.append(got)
-    else:
-      assert got == want, (loc.name, x, y)
-  # a disconnected pair is "not connected" only when x's side runs out
-  # within the cap: 3's path reaches 64 steps first, 72's triangle does not
-  assert refusals == ["distance((-30, 0), (30, 5)) exceeds cap 64",
-                      "distance(3, 71) exceeds cap 64",
-                      "72 and 5 are not connected within cap 64",
-                      "distance(0, 65) exceeds cap 64",
-                      "distance(69, 2) exceeds cap 64"]
+  for x, y, want in ((0, 64, 64), (64, 0, 64), (70, 72, 1), (8, 8, 0),
+                     (0, 65, 65), (69, 2, 67), (0, 69, 69)):
+    assert graph.distance(x, y) == want, (x, y)
+  # a pair in different components is refused from either side
+  for x, y in ((3, 71), (72, 5)):
+    with pytest.raises(InputError) as cut:
+      graph.distance(x, y)
+    assert str(cut.value) == f"{x} and {y} are not connected"
 
 
 def test_free_group_distance_reduced_word_length():
@@ -342,11 +334,7 @@ def reference_distance(loc, x, y):
     return 0
   front_a, front_b = {x: 0}, {y: 0}
   seen_a, seen_b = {x: 0}, {y: 0}
-  dist = 0
   while front_a and front_b:
-    dist += 1
-    if dist > DISTANCE_CAP:
-      raise InputError(f"distance({x}, {y}) exceeds cap {DISTANCE_CAP}")
     if len(front_a) > len(front_b):
       front_a, front_b = front_b, front_a
       seen_a, seen_b = seen_b, seen_a
@@ -359,7 +347,7 @@ def reference_distance(loc, x, y):
           seen_a[v] = du + 1
           nxt[v] = du + 1
     front_a = nxt
-  raise InputError(f"{x} and {y} are not connected within cap {DISTANCE_CAP}")
+  raise InputError(f"{x} and {y} are not connected")
 
 
 def reference_ball(loc, center, radius):
@@ -432,22 +420,17 @@ finite = FiniteGraph(range(10), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
 
 def test_distance_matches_the_bidirectional_reference():
   grid = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
-  for loc in (Cross(), HalfPlane()):
+  far = {Cross(): [((0, 0), (65, 0)), ((0, -40), (70, 0))],
+         HalfPlane(): [((-40, 0), (0, 40)), ((-30, 0), (30, 5))]}
+  for loc, far_pairs in far.items():
     verts = [v for v in grid if v in loc]
-    for x in verts:
-      for y in verts:
-        assert Locale.distance(loc, x, y) == reference_distance(loc, x, y), (x, y)
+    for x, y in [(x, y) for x in verts for y in verts] + far_pairs:
+      want = reference_distance(loc, x, y)
+      assert loc.distance(x, y) == Locale.distance(loc, x, y) == want, (x, y)
   for x in finite.vertices:
     for y in finite.vertices:
       assert outcome(finite.distance, x, y) == outcome(reference_distance, finite, x, y)
-  refusals = [outcome(Cross().distance, (0, 0), (DISTANCE_CAP + 1, 0)),
-              outcome(HalfPlane().distance, (-40, 0), (0, 40)),
-              outcome(finite.distance, 7, 9)]
-  assert refusals == [outcome(reference_distance, Cross(), (0, 0), (DISTANCE_CAP + 1, 0)),
-                      outcome(reference_distance, HalfPlane(), (-40, 0), (0, 40)),
-                      outcome(reference_distance, finite, 7, 9)]
-  assert [kind for kind, _ in refusals] == ["refused"] * 3
-  assert refusals[2][1] == "7 and 9 are not connected within cap 64"
+  assert outcome(finite.distance, 7, 9) == ("refused", "7 and 9 are not connected")
 
 
 def test_ball_matches_the_layered_reference():
