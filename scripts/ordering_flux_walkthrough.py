@@ -14,7 +14,7 @@ from configcalc.serialize import dump_json
 def main():
   parser = argparse.ArgumentParser(description=__doc__)
   parser.add_argument("--sites", type=int, default=9,
-                      help="window length (odd keeps the probes centered)")
+                      help="window length, 3 or more (odd centers it on 0)")
   parser.add_argument("--json", action="store_true",
                       help="dump the full evidence report instead")
   args = parser.parse_args()

@@ -344,8 +344,8 @@ def _cmd_decompose(man, args):
 
 
 def _cmd_counterexample(man, args):
-  report = counterexample_report(manifest_int(man.get("sites", 9), "sites"))
-  return {"counterexample": report}, 0
+  sites = manifest_int(man.get("sites", 9), "sites", 1)
+  return {"counterexample": counterexample_report(sites)}, 0
 
 
 def _cmd_transfer(man, args):

@@ -26,7 +26,7 @@ from .calculus import (Form, LocalFunction, _over, is_uniform, set_distance,
 from .configspace import _offsets, _quantity_sums, quantity_to_json
 from .interactions import Interaction
 from .linalg import _integer_row, rref
-from .locales import Euclidean, LatticeLocale, Window, transferability
+from .locales import LatticeLocale, Window
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
 
@@ -69,29 +69,22 @@ def default_probes(window: Window, inter: Interaction, radius: int,
                    probe_budget: int = DEFAULT_PROBE_BUDGET) -> list:
   """Deterministic list of probe pairs (first, second) inside the window.
 
-  On the line the first set always sits to the left of the second -- the two
-  half-spaces a separated pair leaves behind are not interchangeable there,
-  so the argument order is pinned by position.  In higher dimension mirrored
-  pairs are included, which is what makes the symmetry check meaningful.
-  Offsets count graph steps, so each pair lies more than ``radius`` apart.
+  On a one-dimensional lattice (Z or the n-neighbor line) the first set
+  always sits to the left of the second -- a ball's complement there has a
+  left and a right end, and the two are not interchangeable, so the argument
+  order is pinned by position.  In higher dimension mirrored pairs are
+  included, which is what makes the symmetry check meaningful.  Offsets
+  count graph steps, so each pair lies more than ``radius`` apart.
   """
   locale = window.locale
-  if isinstance(locale, Euclidean) and locale.d == 1:
-    oriented = True
-  elif isinstance(locale, LatticeLocale):
-    cls = transferability(locale)["classification"]
-    if cls == "weakly-only":
-      raise InputError(
-          f"no probe orientation convention for split locale {locale.name}; "
-          "supply explicit probes")
-    oriented = False
-  else:
+  if not isinstance(locale, LatticeLocale):
     raise InputError(
         f"default probes need a lattice locale, not {locale.name}; "
         "supply explicit probes")
 
   center = window.center
   d = locale.coord_dim()
+  oriented = d == 1
   pairs = []
   over = []  # union sizes of the pairs the budget turns away
 

@@ -408,12 +408,10 @@ def synthesized_form(f: LocalFunction, a_matrix, action: TranslationAction,
   """omega = d(sum of window-truncated translates of f) + flux(a).
 
   Exactly closed on the window by construction; shift-invariant away from
-  the boundary.  The base-configuration value of f must be zero so that
-  truncation does not bend interior edge functions.  The flux enters the
-  per-class sums of ``_translate_gradient_sums`` as its tile weights.
+  the boundary.  f is read only through its gradients, so f and f plus a
+  constant synthesize the same form.  The flux enters the per-class sums of
+  ``_translate_gradient_sums`` as its tile weights.
   """
-  if f.value_at({}) != 0:
-    raise InputError("synthesis needs f to vanish on the base configuration")
   theta = _tile_weights(a_matrix, action, domain, window, inter, basis)
   sums = _translate_gradient_sums(action, f, window.edges,
                                   set(window.vertices), inter, theta)
@@ -487,6 +485,10 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   pieces that meet the fundamental domain over their translation orbits; and
   re-verify the defining identity on every interior edge, exactly.
 
+  Any translate of the fundamental domain will do: the flux reads only tile
+  index differences, so the domain is first carried next to the window's
+  center, and refused only when the radius ball around it leaves the window.
+
   The remainder is solved once on the sub-window, whatever the model.  Its
   potential is read off the level maps (``calculus._potential_scan``) only
   on the probe unions, fixed by the radius alone (``default_probes`` at its
@@ -495,9 +497,6 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   domain = tuple(sorted(domain))
   if radius is None:
     radius = form.radius if form.radius is not None else 0
-  for x in domain:
-    if x not in window:
-      raise InputError("fundamental domain must sit inside the window")
 
   inv = is_shift_invariant(form, window, inter, action, radius)
   if not inv["invariant"]:
@@ -513,7 +512,6 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   a_matrix = extraction["a"]
   theta = _tile_weights(a_matrix, action, domain, window, inter, basis)
 
-  sub_win = _centered_subwindow(window, inter, anchor, sub_budget)
   needed = set()
   for x in domain:
     needed.update(window.locale.ball(x, radius))
@@ -521,6 +519,7 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
     raise InputError(
         "window too small: the radius ball around the (re-centered) "
         "fundamental domain leaves it")
+  sub_win = _centered_subwindow(window, inter, anchor, sub_budget)
   if not needed <= set(sub_win.vertices):
     raise InputError(
         "sub-window budget too small to cover the domain's radius ball")
@@ -624,13 +623,13 @@ def counterexample_report(n_sites: int = 9) -> dict:
 
   The form is closed and shift-invariant with radius zero, yet its potential
   has an asymmetric pairing: splitting is infeasible and the decomposition
-  must refuse with an exact certificate.  Returns all the evidence.
+  must refuse with an exact certificate.  The window is the n_sites sites
+  from -(n_sites // 2); any window that fits a probe pair will do (three
+  sites or more).  Returns all the evidence.
   """
-  if n_sites < 5 or n_sites % 2 == 0:
-    raise InputError("the line scenario wants an odd window of >= 5 sites")
   half = n_sites // 2
   locale = Euclidean(1)
-  win = box(locale, (-half,), (half,))
+  win = box(locale, (-half,), (n_sites - 1 - half,))
   inter = multispecies(2)
   basis = conserved_basis(inter)
   guard_budget(win, inter)

@@ -667,21 +667,52 @@ def test_transfer_refusal_bytes_do_not_depend_on_the_hash_seed(tmp_path):
       "sort together")
 
 
-def test_decompose_on_a_split_locale_needs_explicit_probes(tmp_path):
-  man = dict(BASE,
-             locale={"kind": "n-neighbor", "d": 1, "n": 2},
-             window={"kind": "box", "lo": [0], "hi": [6]},
+NNEIGHBOR_LINE = dict(BASE,
+                      locale={"kind": "n-neighbor", "d": 1, "n": 2},
+                      window={"kind": "box", "lo": [0], "hi": [12]},
+                      form={"builtin": "synthesized"},
+                      action={"generators": [[1]]},
+                      domain=[[0]])
+
+
+@pytest.mark.parametrize("interaction,values,a", [
+    ("exclusion", ["0", "0", "0", "1/2"], [["-2/3"]]),
+    ("multispecies:2", ["0", "1/2", "-3/4", "2", "0", "5/3", "-1", "1/6",
+                        "7/2"], [["2/3"], ["-5/4"]]),
+    ("spin3", ["1", "1/2", "-3/4", "2", "0", "5/3", "-1", "1/6", "7/2"],
+     [["7/4"]]),
+], ids=["exclusion", "multispecies2", "spin3"])
+def test_decompose_on_the_n_neighbor_line_recovers_the_cocycle(
+    tmp_path, interaction, values, a):
+  """The n-neighbor line orients its default probes as Z does: no edge
+  spans more than n coordinates, so a ball's complement has a left and a
+  right end there too."""
+  man = dict(NNEIGHBOR_LINE, interaction=interaction, cocycle={"a": a},
+             function={"support": [[0], [1]], "values": values})
+  code, rep = run(tmp_path, man, "decompose")
+  assert code == 0
+  assert rep["cocycle"]["a"] == a
+  assert rep["residual"]["ok"]
+  assert rep["residual"]["max_abs_residual"] == "0"
+
+
+def test_n_neighbor_line_pairs_each_probe_left_of_the_next(tmp_path):
+  man = dict(NNEIGHBOR_LINE, window={"kind": "box", "lo": [0], "hi": [6]},
              function={"support": [[0], [1]],
                        "values": ["0", "0", "0", "1/2"]},
-             form={"builtin": "synthesized"},
-             cocycle={"a": [["-2/3"]]},
-             action={"generators": [[1]]},
-             domain=[[0]])
+             cocycle={"a": [["-2/3"]]})
+  code, rep = run(tmp_path, man, "pairing")
+  assert code == 0
+  probes = rep["pairing"]["probes"]
+  assert probes
+  for probe in probes:
+    assert max(probe["first"]) < min(probe["second"]), probe
+  # seven sites hold too few probe pairs to cover the remainder's quantities
   code, rep = run(tmp_path, man, "decompose")
   assert code == 2
-  assert rep["error"]["message"] == (
-      "no probe orientation convention for split locale n-neighbor; "
-      "supply explicit probes")
+  assert rep["error"] == {
+      "kind": "InputError",
+      "message": "pairing probes did not cover quantity ['3']"}
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -734,6 +765,18 @@ def test_counterexample_needs_no_manifest(tmp_path, capsys):
   assert ce["shift_invariant"]
   assert ce["decomposition_refused"]
   assert ce["asymmetry"]["low_left_high_right"] == "1"
+
+
+@pytest.mark.parametrize("sites", [3, 4, 8])
+def test_counterexample_runs_on_any_window_its_probes_fit(tmp_path, sites):
+  code, rep = run(tmp_path, {"sites": sites}, "counterexample")
+  assert code == 0
+  ce = rep["counterexample"]
+  assert ce["window_sites"] == sites
+  assert ce["asymmetry"] == {"high_left_low_right": "0",
+                             "low_left_high_right": "1"}
+  assert ce["splitting_certificate"]
+  assert ce["decomposition_refused"]
 
 
 def test_counterexample_charges_the_budget_before_the_inversion_count(tmp_path):
@@ -1008,8 +1051,6 @@ def _custom_rule(states, rows):
      "box windows need a lattice locale, not free-group"),
     ("irreducible", dict(BASE, window={"vertices": 3}),
      "bad window vertices 3"),
-    ("decompose", dict(DECOMPOSE, domain=[[9]]),
-     "fundamental domain must sit inside the window"),
     ("decompose", dict(DECOMPOSE, sub_budget=2),
      "sub-window budget too small to cover the domain's radius ball"),
     ("omega-rho", dict(DECOMPOSE, cocycle=5), "bad cocycle payload 5"),
@@ -1027,10 +1068,9 @@ def _custom_rule(states, rows):
                    **_custom_rule([0, 1, 2], [[1, 0, 0, 1], [0, 1, 1, 0]])),
      "cocycle extraction moves states around; custom lacks exchange "
      "witnesses for [[0, 2], [1, 2], [2, 0], [2, 1]]"),
-    ("counterexample", {"sites": 8},
-     "the line scenario wants an odd window of >= 5 sites"),
-    ("counterexample", {"sites": 3},
-     "the line scenario wants an odd window of >= 5 sites"),
+    ("counterexample", {"sites": 2},
+     "window too small to place any probe pair"),
+    ("counterexample", {"sites": 0}, "bad sites 0"),
     ("irreducible", dict(BASE, locale={"kind": "free-group"},
                          window={"vertices": [[3]]}),
      "[3] is not a vertex of locale free-group"),
@@ -1059,12 +1099,12 @@ def _custom_rule(states, rows):
         "product-one-factor", "product-factors-not-a-list",
         "bad-product-vertex", "window-not-an-object", "box-corner-length",
         "box-lo-above-hi", "box-on-free-group", "explicit-vertices-not-a-list",
-        "decompose-domain-outside-window", "sub-budget-too-small",
+        "sub-budget-too-small",
         "cocycle-not-an-object", "interaction-not-an-object",
         "interaction-without-base", "map-row-unknown-state",
         "probe-plan-not-an-object", "cocycle-entry-float",
-        "delta-without-exchange-witnesses", "counterexample-even-sites",
-        "counterexample-three-sites", "free-group-letter-above-rank",
+        "delta-without-exchange-witnesses", "counterexample-two-sites",
+        "counterexample-no-sites", "free-group-letter-above-rank",
         "free-group-unreduced-word", "finite-graph-one-ended-edge",
         "function-value-true", "cocycle-entry-false", "locale-not-an-object",
         "locale-without-kind", "map-row-repeats-a-source-pair"])
@@ -1074,6 +1114,18 @@ def test_manifest_input_errors_exit_2_with_their_message(tmp_path, command,
   assert code == 2
   assert rep["error"]["kind"] == "InputError"
   assert rep["error"]["message"] == message
+
+
+def test_decompose_takes_a_domain_outside_the_window(tmp_path):
+  """The flux reads only tile-index differences, so any translate of the
+  fundamental domain gives the same report: decompose carries it next to
+  the window's center first."""
+  reports = []
+  for domain in ([[0]], [[9]]):
+    code, _ = run(tmp_path, dict(DECOMPOSE, domain=domain), "decompose")
+    assert code == 0
+    reports.append((tmp_path / "man.json.report.json").read_bytes())
+  assert reports[0] == reports[1]
 
 
 OMEGA_RHO = dict(DECOMPOSE, form={"builtin": "omega-rho"})

@@ -1023,15 +1023,32 @@ def test_synthesized_form_roundtrip_line():
   assert rep["shift_invariance"]["invariant"]
 
 
-def test_synthesized_form_requires_centered_local_part():
-  win = line(7)
-  inter = exclusion()
+@pytest.mark.parametrize("win,inter,act,a", [
+    (line(7), multispecies(2), Z_ACTION,
+     ((Fraction(2, 3),), (Fraction(-5, 4),))),
+    (square(5), exclusion(),
+     TranslationAction(Euclidean(2), ((1, 0), (0, 1))),
+     ((Fraction(1, 5), Fraction(-2, 3)),)),
+    (box(Triangular(), (0, 0), (4, 4)), exclusion(),
+     TranslationAction(Triangular(), ((1, 0), (0, 1))),
+     ((Fraction(1, 5), Fraction(-2, 3)),)),
+], ids=["line-multispecies2", "square-exclusion", "triangular-exclusion"])
+def test_synthesized_form_ignores_the_constant_of_f(win, inter, act, a):
+  """f enters only through its gradients: f plus a constant synthesizes
+  the same form, whatever f takes on the base configuration."""
   basis = conserved_basis(inter)
-  f = from_callable(((0,),), inter.n_states, inter.base,
-                    lambda d: Fraction(d[0] + 1))  # f(base) = 1 != 0
-  with pytest.raises(InputError):
-    synthesized_form(f, ((Fraction(1),),), Z_ACTION, ((0,),), win, inter,
-                     basis)
+  origin = win.vertices[0]
+  support = (origin, win.vertices[1])
+
+  def f_plus(c):
+    return from_callable(support, inter.n_states, inter.base,
+                         lambda d: Fraction(d[0] * (d[1] + 2), 3) + c)
+
+  want = synthesized_form(f_plus(0), a, act, (origin,), win, inter, basis)
+  assert want.fns
+  for c in (Fraction(5, 3), Fraction(-2), Fraction(1, 7)):
+    assert synthesized_form(f_plus(c), a, act, (origin,), win, inter,
+                            basis) == want
 
 
 def test_decompose_square_multispecies():
@@ -1596,9 +1613,12 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
   ``decompose`` and ``omega-rho`` reports of the triangular 7x7 exclusion
   manifest at radius 1, whose 19-site sub-window needs ``sub_budget`` 2^20
   and whose one-quantity table takes the linear solve: at commit 616043f,
-  before ``decompose`` stopped reading the manifest's ``probe`` section).  A key
-  runs the command it starts with, on the manifest named by the whole key
-  or else by the rest of it."""
+  before ``decompose`` stopped reading the manifest's ``probe`` section; the
+  ``decompose`` and ``omega-rho`` reports of the 13-site n-neighbor (d 1,
+  n 2) exclusion line: taken when default probes first oriented every
+  one-dimensional lattice, the first change under which that line
+  decomposed).  A key runs the command it starts with, on the manifest
+  named by the whole key or else by the rest of it."""
   want = json.loads((DATA / "report_digests.json").read_text())[name]
   out = tmp_path / "report.json"
   if name == "counterexample":
@@ -1610,6 +1630,26 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
       manifest = DATA / f"{rest}.json"
     argv = [command, "--manifest", str(manifest)]
   assert main(argv + ["--out", str(out)]) == 0
+  assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", [
+    "decompose_exclusion_hexagonal5", "decompose_exclusion_square7",
+    "decompose_exclusion_square7_coarse",
+    "decompose_multispecies2_line9_coarse", "decompose_spin3_line9"])
+def test_far_domain_translates_keep_the_pinned_bytes(name, tmp_path):
+  """decompose carries the fundamental domain next to the window's center,
+  so a translate 20 steps of the first generator outside the window gives
+  the pinned report."""
+  man = json.loads((DATA / f"{name}.json").read_text())
+  step = man["action"]["generators"][0]
+  man["domain"] = [[c + 20 * g for c, g in zip(v, step)] + v[len(step):]
+                   for v in man["domain"]]
+  assert all(v[0] > man["window"]["hi"][0] for v in man["domain"])
+  path, out = tmp_path / "man.json", tmp_path / "report.json"
+  path.write_text(json.dumps(man))
+  assert main(["decompose", "--manifest", str(path), "--out", str(out)]) == 0
+  want = json.loads((DATA / "report_digests.json").read_text())[name]
   assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
