@@ -38,6 +38,8 @@ from .locales import Locale, Window
 from .serialize import (InputError, WitnessError, fraction_from_str,
                         fraction_to_str, manifest_int)
 
+_GCD_CHUNK = 4096  # entries per gcd call in LocalFunction._exact
+
 
 @dataclass(frozen=True, init=False)
 class LocalFunction:
@@ -65,8 +67,16 @@ class LocalFunction:
   @classmethod
   def _exact(cls, support, n_states: int, base: int, nums, denom: int = 1):
     """From integer numerators over ``denom``, put in lowest terms: how
-    every kernel builds its result."""
-    if denom != 1 and (common := gcd(denom, *nums)) != 1:
+    every kernel builds its result.  A table past ``_GCD_CHUNK`` entries
+    takes its gcd chunk by chunk and stops at the first 1."""
+    common = denom
+    if denom != 1 and len(nums) <= _GCD_CHUNK:
+      common = gcd(denom, *nums)
+    elif denom != 1:
+      for i in range(0, len(nums), _GCD_CHUNK):
+        if (common := gcd(common, *nums[i:i + _GCD_CHUNK])) == 1:
+          break
+    if common != 1:
       nums, denom = [k // common for k in nums], denom // common
     f = object.__new__(cls)
     f._fill(support, n_states, base, tuple(nums), denom)

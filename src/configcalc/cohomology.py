@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from operator import sub
+from operator import add, sub
 
 from .calculus import (Form, LocalFunction, _over, is_uniform, set_distance,
                        uniformity_criterion)
@@ -601,13 +601,15 @@ def inversion_count_function(window: Window, inter: Interaction,
   low = inter.state_index(low_value)
   high = inter.state_index(high_value)
   s = inter.n_states
-  # Inversion and low-state counts of every prefix configuration in index
-  # order; a high state at the next site closes one inversion per low before it.
-  inversions, lows = [0], [0]
+  # Inversion and high-state counts of every suffix configuration in index
+  # order; a low state at a new leading site opens one inversion per high.
+  inversions, highs = [0], [0]
   for _ in window.vertices:
-    inversions = [c + (d == high) * k for c, k in zip(inversions, lows)
-                  for d in range(s)]
-    lows = [k + (d == low) for k in lows for d in range(s)]
+    new_inversions, new_highs = [], []
+    for d in range(s):
+      new_inversions += map(add, inversions, highs) if d == low else inversions
+      new_highs += map((1).__add__, highs) if d == high else highs
+    inversions, highs = new_inversions, new_highs
   return LocalFunction._exact(window.vertices, s, inter.base, inversions)
 
 

@@ -327,13 +327,33 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   return maps, reps
 
 
+def _cut(maps, s: int, positions) -> int:
+  """Where ``_expand`` cuts the levels: the largest k with s^a * C_k <= s^b,
+  a and b the read positions above and below k and C_k the level-k labels,
+  so that no prefix table outgrows the block; 0 if there is none."""
+  k, top, bottom = 0, 1, s ** sum(q in positions for q in range(len(maps)))
+  for j in range(1, len(maps)):
+    if j - 1 in positions:
+      top, bottom = top * s, bottom // s
+    if top * (len(maps[j - 1][0]) // s) <= bottom:
+      k = j
+  return k
+
+
 def _expand(maps, s: int, potential: bool, positions, base: int) -> list:
   """The dense table of ``_slab_solve``'s level maps over ``positions``, in
   index order, with every other position read at digit ``base``: each
   configuration's label, or with ``potential`` its potential numerator
-  (which reads the labels of every level but the first)."""
-  L, U = [0], [0]
+  (which reads the labels of every level but the first).  One lookup and
+  one addition per entry: levels n-1 .. k (``_cut``) give the labels Lb and
+  potentials Ub of a block over the positions below k, levels k-1 .. 0 one
+  table per digit prefix over the level-k labels, and each prefix reads its
+  table at Lb (and adds Ub)."""
+  k, L, U = _cut(maps, s, positions), [0], [0]
   for q in range(len(maps) - 1, -1, -1):
+    if q == k - 1:  # the cut: walk on from every level-k label
+      Lb, Ub, width = L, U, len(maps[q][0]) // s
+      L, U = range(width), [0] * width
     label, offset = maps[q]
     n_comp = len(label) // s
     new_L, new_U = [], []
@@ -345,7 +365,16 @@ def _expand(maps, s: int, potential: bool, positions, base: int) -> list:
       if q or not potential:
         new_L += map(label[nodes].__getitem__, L)
     L, U = new_L, new_U
-  return U if potential else L
+  if not k:
+    return U if potential else L
+  tables, out = U if potential else L, []
+  for p in range(0, len(tables), width):
+    t = tables[p:p + width]
+    if potential:
+      out += map(add, Ub, map(t.__getitem__, Lb)) if any(t) else Ub
+    else:
+      out += map(t.__getitem__, Lb)
+  return out
 
 
 def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import configcalc.calculus as calculus_module
+import configcalc.configspace as configspace_module
 from configcalc.calculus import (Form, LocalFunction, NotClosedError,
                                  _combine, _gather, _pieces_radius, add,
                                  constant, differential, embed, expansion,
@@ -912,6 +913,96 @@ def test_slab_kernel_matches_a_union_find_oracle(win_key, name, monkeypatch):
   assert verdicts == [True] * 3 + [False] * 3
 
 
+# The kernel windows, and one- and two-site windows: too few levels to cut
+# most reads.
+READ_WINDOWS = {**KERNEL_WINDOWS, "line1": lambda: line(1),
+                "line2": lambda: line(2)}
+
+
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3",
+                                  "glauber", "generalized-exclusion:2",
+                                  "pair-flip"])
+@pytest.mark.parametrize("win_key", sorted(READ_WINDOWS))
+def test_partial_reads_match_a_union_find_oracle(win_key, name, monkeypatch):
+  """Each read of ``_potential_scan`` (no site, the first, the last, a
+  seeded subset, every site), and the labels over the same positions,
+  against the union-find oracle with every other site at base.  On two or
+  more sites the last site alone is read through a cut (k > 0) and the
+  first alone without one, so both paths of ``_expand`` are checked."""
+  solved, slab_solve = [], calculus_module._slab_solve
+  cuts, cut = [], configspace_module._cut
+
+  def spy(*args):
+    solved.append(slab_solve(*args))
+    return solved[-1]
+
+  def cut_spy(*args):
+    cuts.append(cut(*args))
+    return cuts[-1]
+
+  monkeypatch.setattr("configcalc.calculus._slab_solve", spy)
+  monkeypatch.setattr("configcalc.configspace._cut", cut_spy)
+  rng = random.Random(f"reads {win_key} {name}")
+  win, inter = READ_WINDOWS[win_key](), by_name(name)
+  n, s = win.n_sites, inter.n_states
+  form = differential(mixed_function(
+      rng, rng.sample(win.vertices, min(n, 2)), inter), win, inter)
+  labels, reps, values = union_find_oracle(
+      win, inter, transition_moves(win, inter), form)
+  assert components(win, inter) == (labels, reps)
+  read, _, _ = calculus_module._potential_scan(form, win, inter, 10 ** 6)
+  [(maps, _)] = solved
+  del cuts[:]
+  powers = digit_powers(n, s)
+  for sites in ((), win.vertices[:1], win.vertices[-1:],
+                rng.sample(win.vertices, rng.randint(1, n)), win.vertices):
+    positions = sorted(map(win.position, sites))
+    at = []
+    for digits in product(range(s), repeat=len(positions)):
+      full = [inter.base] * n
+      for p, d in zip(positions, digits):
+        full[p] = d
+      at.append(index_of(full, powers))
+    f = read(sites)
+    assert f.support == tuple(win.vertices[p] for p in positions)
+    assert list(f.values) == [values[i] for i in at], sites
+    assert (configspace_module._expand(maps, s, False, set(positions),
+                                       inter.base)
+            == [labels[i] for i in at]), sites
+  assert {k > 0 for k in cuts} == ({False, True} if n > 1 else {False})
+
+
+def test_full_read_of_line11_is_cut(monkeypatch):
+  """The omega_rho potential of multispecies:2 on line(11), read at every
+  site, is cut (k > 0), and the cut table equals the walk of every level
+  (k = 0)."""
+  win, inter = line(11), multispecies(2)
+  basis = conserved_basis(inter)
+  form = build_omega_rho([[Fraction(1, 3)], [Fraction(-2, 7)]],
+                         TranslationAction(Euclidean(1), ((1,),)), ((0,),),
+                         win, inter, basis)
+  solved, slab_solve = [], calculus_module._slab_solve
+  cuts, cut = [], configspace_module._cut
+
+  def spy(*args):
+    solved.append(slab_solve(*args))
+    return solved[-1]
+
+  def cut_spy(*args):
+    cuts.append(cut(*args))
+    return cuts[-1]
+
+  monkeypatch.setattr("configcalc.calculus._slab_solve", spy)
+  monkeypatch.setattr("configcalc.configspace._cut", cut_spy)
+  integrate(form, win, inter)
+  assert 0 < cuts[-1] < 11
+  [(maps, _)] = solved
+  whole = configspace_module._expand(maps, 3, True, range(11), inter.base)
+  monkeypatch.setattr("configcalc.configspace._cut", lambda *args: 0)
+  assert configspace_module._expand(maps, 3, True, range(11),
+                                    inter.base) == whole
+
+
 def oracle_gradient(f, edge, inter):
   """nabla_e f configuration by configuration, by ``apply_edge``."""
   support = tuple(sorted(set(f.support) | set(edge)))
@@ -1265,6 +1356,36 @@ def test_form_json_rejects_foreign_edges():
                                         "values": ["0", "0", "0", "1"]}}]}
   with pytest.raises(InputError):
     form_from_json(obj, win, inter)
+
+
+@pytest.mark.parametrize("case", ["last", "first", "denom1", "all"])
+def test_long_tables_reach_lowest_terms(case, monkeypatch):
+  """A table of four gcd chunks, reduced as ``Fraction`` reduces it: a
+  factor of the denominator that every entry but the last shares, one that
+  the first chunk already loses, a denominator of 1, and one that every
+  entry shares.  The gcd stops at the first chunk that brings it to 1."""
+  chunk = calculus_module._GCD_CHUNK
+  support = tuple((i,) for i in range(14))
+  assert 2 ** len(support) == 4 * chunk
+  rng = random.Random(case)
+  nums = [6 * rng.randint(-50, 50) for _ in range(4 * chunk)]
+  denom = 1 if case == "denom1" else 12
+  if case == "last":
+    nums[-1] = 5
+  if case == "first":
+    nums[1] = 7
+  calls, real_gcd = [], calculus_module.gcd
+
+  def gcd(*args):
+    calls.append(args)
+    return real_gcd(*args)
+
+  monkeypatch.setattr(calculus_module, "gcd", gcd)
+  f = LocalFunction._exact(support, 2, 0, nums, denom)
+  values = [Fraction(k, denom) for k in nums]
+  want = lcm(*(v.denominator for v in values))
+  assert (f.nums, f.denom) == (tuple(v * want for v in values), want)
+  assert len(calls) == {"last": 4, "first": 1, "denom1": 0, "all": 4}[case]
 
 
 def test_table_is_numerators_over_one_reduced_denominator():

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import configcalc
@@ -54,6 +55,24 @@ def test_library_imports_only_names_it_uses():
           if bound not in used:
             unused.append(f"{name}:{node.lineno} {bound}")
   assert not unused, unused
+
+
+def test_library_imports_only_the_standard_library():
+  # The library has no runtime dependencies: every import is relative, or
+  # names configcalc, __future__ or a standard-library module.
+  allowed = set(sys.stdlib_module_names) | {"configcalc", "__future__"}
+  found = []
+  for name, tree in _modules().items():
+    for node in ast.walk(tree):
+      if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+      elif isinstance(node, ast.ImportFrom) and not node.level:
+        modules = [node.module]
+      else:
+        continue
+      found += [f"{name}:{node.lineno} {module}" for module in modules
+                if module.split(".")[0] not in allowed]
+  assert not found, found
 
 
 def test_every_private_function_is_referenced():
