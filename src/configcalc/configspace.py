@@ -9,7 +9,7 @@ order.  Transitions apply the interaction across a directed window edge.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from operator import add, itemgetter
 
 from .interactions import Interaction
 from .locales import Window
@@ -328,27 +328,30 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
 
 
 def _cut(maps, s: int, positions) -> int:
-  """Where ``_expand`` cuts the levels: the largest k with s^a * C_k <= s^b,
-  a and b the read positions above and below k and C_k the level-k labels,
-  so that no prefix table outgrows the block; 0 if there is none."""
-  k, top, bottom = 0, 1, s ** sum(q in positions for q in range(len(maps)))
+  """Where ``_expand`` cuts the levels: the largest k with 3 <= a <= b / 2,
+  a and b the read positions above and below k, so that at least s^3
+  prefixes share the block's interned pairs and there are no more of them
+  than the square root of its s^b entries; 0 if there is none."""
+  k, a, b = 0, 0, sum(q in positions for q in range(len(maps)))
   for j in range(1, len(maps)):
     if j - 1 in positions:
-      top, bottom = top * s, bottom // s
-    if top * (len(maps[j - 1][0]) // s) <= bottom:
+      a, b = a + 1, b - 1
+    if 3 <= a <= b / 2:
       k = j
   return k
 
 
-def _expand(maps, s: int, potential: bool, positions, base: int) -> list:
+def _expand(maps, s: int, potential: bool, positions, base: int):
   """The dense table of ``_slab_solve``'s level maps over ``positions``, in
   index order, with every other position read at digit ``base``: each
-  configuration's label, or with ``potential`` its potential numerator
-  (which reads the labels of every level but the first).  One lookup and
-  one addition per entry: levels n-1 .. k (``_cut``) give the labels Lb and
-  potentials Ub of a block over the positions below k, levels k-1 .. 0 one
-  table per digit prefix over the level-k labels, and each prefix reads its
-  table at Lb (and adds Ub)."""
+  configuration's label (a list), or with ``potential`` its potential
+  numerator (a tuple; it reads the labels of every level but the first).
+  Levels n-1 .. k (``_cut``) give the labels Lb and potentials Ub of a block
+  over the positions below k, levels k-1 .. 0 one table T_p per digit
+  prefix over the level-k labels.  The block's distinct (Lb, Ub) pairs are
+  interned once, ids in first-seen order, so each prefix makes one sum
+  ``T_p[label] + potential`` per distinct pair and one gather per entry
+  (labels: T_p gathered at Lb)."""
   k, L, U = _cut(maps, s, positions), [0], [0]
   for q in range(len(maps) - 1, -1, -1):
     if q == k - 1:  # the cut: walk on from every level-k label
@@ -366,15 +369,27 @@ def _expand(maps, s: int, potential: bool, positions, base: int) -> list:
         new_L += map(label[nodes].__getitem__, L)
     L, U = new_L, new_U
   if not k:
-    return U if potential else L
-  tables, out = U if potential else L, []
+    return tuple(U) if potential else L
+  tables, out, pid = U if potential else L, [], Lb
+  if potential:
+    ids = {}
+    pid = [ids.setdefault(pair, len(ids)) for pair in zip(Lb, Ub)]
+    labels, pots = zip(*ids)
+    read = _gather(labels)
+  gather = _gather(pid)
   for p in range(0, len(tables), width):
     t = tables[p:p + width]
-    if potential:
-      out += map(add, Ub, map(t.__getitem__, Lb)) if any(t) else Ub
-    else:
-      out += map(t.__getitem__, Lb)
-  return out
+    if potential:  # a table of zeros leaves the block's potentials
+      t = list(map(add, pots, read(t))) if any(t) else pots
+    out += gather(t)
+  return tuple(out) if potential else out
+
+
+def _gather(indices):
+  """``itemgetter(*indices)``, a tuple even for one index."""
+  if len(indices) == 1:
+    return lambda t: (t[indices[0]],)
+  return itemgetter(*indices)
 
 
 def components(window: Window, inter: Interaction, budget: int = DEFAULT_BUDGET):

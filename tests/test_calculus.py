@@ -926,22 +926,16 @@ READ_WINDOWS = {**KERNEL_WINDOWS, "line1": lambda: line(1),
 def test_partial_reads_match_a_union_find_oracle(win_key, name, monkeypatch):
   """Each read of ``_potential_scan`` (no site, the first, the last, a
   seeded subset, every site), and the labels over the same positions,
-  against the union-find oracle with every other site at base.  On two or
-  more sites the last site alone is read through a cut (k > 0) and the
-  first alone without one, so both paths of ``_expand`` are checked."""
+  against the union-find oracle with every other site at base, at every cut
+  k = 0..n of ``_expand`` (``_cut`` patched), whatever ``_cut`` decides:
+  the uncut walk, one-entry blocks and one-prefix reads among them."""
   solved, slab_solve = [], calculus_module._slab_solve
-  cuts, cut = [], configspace_module._cut
 
   def spy(*args):
     solved.append(slab_solve(*args))
     return solved[-1]
 
-  def cut_spy(*args):
-    cuts.append(cut(*args))
-    return cuts[-1]
-
   monkeypatch.setattr("configcalc.calculus._slab_solve", spy)
-  monkeypatch.setattr("configcalc.configspace._cut", cut_spy)
   rng = random.Random(f"reads {win_key} {name}")
   win, inter = READ_WINDOWS[win_key](), by_name(name)
   n, s = win.n_sites, inter.n_states
@@ -952,7 +946,6 @@ def test_partial_reads_match_a_union_find_oracle(win_key, name, monkeypatch):
   assert components(win, inter) == (labels, reps)
   read, _, _ = calculus_module._potential_scan(form, win, inter, 10 ** 6)
   [(maps, _)] = solved
-  del cuts[:]
   powers = digit_powers(n, s)
   for sites in ((), win.vertices[:1], win.vertices[-1:],
                 rng.sample(win.vertices, rng.randint(1, n)), win.vertices):
@@ -963,19 +956,20 @@ def test_partial_reads_match_a_union_find_oracle(win_key, name, monkeypatch):
       for p, d in zip(positions, digits):
         full[p] = d
       at.append(index_of(full, powers))
-    f = read(sites)
-    assert f.support == tuple(win.vertices[p] for p in positions)
-    assert list(f.values) == [values[i] for i in at], sites
-    assert (configspace_module._expand(maps, s, False, set(positions),
-                                       inter.base)
-            == [labels[i] for i in at]), sites
-  assert {k > 0 for k in cuts} == ({False, True} if n > 1 else {False})
+    for k in range(n + 1):
+      monkeypatch.setattr("configcalc.configspace._cut", lambda *args: k)
+      f = read(sites)
+      assert f.support == tuple(win.vertices[p] for p in positions)
+      assert list(f.values) == [values[i] for i in at], (sites, k)
+      assert (configspace_module._expand(maps, s, False, set(positions),
+                                         inter.base)
+              == [labels[i] for i in at]), (sites, k)
 
 
 def test_full_read_of_line11_is_cut(monkeypatch):
   """The omega_rho potential of multispecies:2 on line(11), read at every
-  site, is cut (k > 0), and the cut table equals the walk of every level
-  (k = 0)."""
+  site, is cut (k > 0), and the cut potentials and labels equal the walk of
+  every level (k = 0)."""
   win, inter = line(11), multispecies(2)
   basis = conserved_basis(inter)
   form = build_omega_rho([[Fraction(1, 3)], [Fraction(-2, 7)]],
@@ -997,10 +991,13 @@ def test_full_read_of_line11_is_cut(monkeypatch):
   integrate(form, win, inter)
   assert 0 < cuts[-1] < 11
   [(maps, _)] = solved
-  whole = configspace_module._expand(maps, 3, True, range(11), inter.base)
+  whole = [configspace_module._expand(maps, 3, potential, range(11),
+                                      inter.base)
+           for potential in (True, False)]
   monkeypatch.setattr("configcalc.configspace._cut", lambda *args: 0)
-  assert configspace_module._expand(maps, 3, True, range(11),
-                                    inter.base) == whole
+  assert [configspace_module._expand(maps, 3, potential, range(11),
+                                     inter.base)
+          for potential in (True, False)] == whole
 
 
 def oracle_gradient(f, edge, inter):
