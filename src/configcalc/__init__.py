@@ -14,16 +14,15 @@ from .calculus import (Form, LocalFunction, NotClosedError, differential,
 from .cohomology import (PairingNotWellDefined, SplittingInfeasible,
                          check_pairing_laws, compute_pairing, h_zero_report,
                          solve_splitting, uniformize)
-from .configspace import (BudgetExceeded, components, exchange_path,
-                          fibers_report, quantity_of)
+from .configspace import (BudgetExceeded, components, fibers_report,
+                          quantity_of)
 from .decomposition import (InconsistentCocycle, NotShiftInvariant,
                             TranslationAction, build_omega_rho,
                             counterexample_report, extract_cocycle,
                             is_shift_invariant, synthesized_form,
                             varadhan_decompose)
 from .interactions import (CATALOG_NAMES, Interaction, by_name,
-                           check_exchangeability, check_validity,
-                           conserved_basis)
+                           check_validity, conserved_basis)
 from .locales import (Cross, Euclidean, FiniteGraph, FreeGroupCayley,
                       HalfPlane, Hexagonal, NNeighbor, ProductLocale,
                       Triangular, Window, ball_window, box, transferability,
@@ -39,11 +38,11 @@ __all__ = [
     "NotClosedError", "NotShiftInvariant", "PairingNotWellDefined",
     "ProductLocale", "SplittingInfeasible", "TranslationAction", "Triangular",
     "Window", "WitnessError", "ball_window", "box", "build_omega_rho",
-    "by_name", "check_exchangeability", "check_pairing_laws", "check_validity",
-    "components", "compute_pairing", "conserved_basis",
-    "counterexample_report", "differential", "exchange_path", "expansion",
-    "extract_cocycle", "fibers_report", "form_axioms_report",
-    "from_callable", "gradient", "h_zero_report", "integrate", "is_closed",
+    "by_name", "check_pairing_laws", "check_validity", "components",
+    "compute_pairing", "conserved_basis", "counterexample_report",
+    "differential", "expansion", "extract_cocycle", "fibers_report",
+    "form_axioms_report", "from_callable", "gradient", "h_zero_report",
+    "integrate", "is_closed",
     "is_shift_invariant", "is_uniform", "quantity_of", "reassemble",
     "solve_splitting", "synthesized_form", "transferability", "uniformize",
     "varadhan_decompose", "window",

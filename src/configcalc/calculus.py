@@ -532,7 +532,8 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   pins): ``read(sites)`` is the potential with every window site outside
   ``sites`` at base, as a function of ``sites``, spelled out by ``_expand``
   from the level maps of ``_slab_solve`` over those positions alone; its
-  denominator divides ``denom``.  A form that is not closed raises
+  denominator divides ``denom``.  ``read(sites, False)`` is the component
+  label from the same maps, an integer.  A form that is not closed raises
   ``NotClosedError`` with a witness cycle.
 
   Each edge function is read as (window positions, numerators over them):
@@ -570,12 +571,13 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
       maps[0] = label, [o - shift if c == comp else o
                         for c, o in zip(label, offset)]
 
-    def read(sites):
+    def read(sites, potential=True):
       sites = tuple(sorted(sites, key=window.position))
       positions = set(map(window.position, sites))
-      return LocalFunction._exact(sites, s, inter.base,
-                                  _expand(maps, s, True, positions, inter.base),
-                                  denom)
+      return LocalFunction._exact(
+          sites, s, inter.base,
+          _expand(maps, s, potential, positions, inter.base),
+          denom if potential else 1)
     return read, denom, [star] + [r for c, r in enumerate(reps) if c != comp]
   table = []  # per edge: its positions, the index jump of each pair, its read
   for k, ((pu, pv), read) in enumerate(zip(edge_positions(window), reads)):

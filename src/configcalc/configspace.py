@@ -20,10 +20,6 @@ class BudgetExceeded(InputError):
   """|S|^|window| (or a derived workload) passed the configured budget."""
 
 
-class PairNotExchangeable(InputError):
-  """A path construction needed an exchange witness that does not exist."""
-
-
 DEFAULT_BUDGET = 2_000_000
 
 
@@ -447,48 +443,3 @@ def fibers_report(window: Window, inter: Interaction, basis,
       "components_separated": n_components == n_fibers,
       "witness": witness,
   }
-
-
-# ---------------------------------------------------------------------------
-# Explicit transition paths
-
-
-def exchange_path(window: Window, inter: Interaction, digits, x, y):
-  """Transform ``digits`` into the configuration with sites x and y swapped.
-
-  Walks a shortest window path z_0 .. z_m, exchanging adjacent pairs on the
-  way out and back; each adjacent exchange expands into the pair's exchange
-  witness (a power of the rule along the edge, in one orientation or the
-  other).  Returns (steps, final) where ``steps`` is a list of
-  (configuration, directed_edge) transitions and ``final`` equals the input
-  with the two sites swapped.  Every intermediate step is a genuine
-  single-edge transition.  A pair of unequal states with no exchange
-  witness that the walk has to swap raises ``PairNotExchangeable``.
-  """
-  steps = []
-  current = tuple(digits)
-  path = window.path_between(x, y)
-
-  def swap_adjacent(cfg, u, v):
-    pu, pv = window.position(u), window.position(v)
-    a, b = cfg[pu], cfg[pv]
-    if a == b:
-      return cfg
-    w = inter.witnesses.get((a, b))
-    if w is None:
-      raise PairNotExchangeable(
-          f"{inter.name} cannot exchange the pair "
-          f"({inter.states[a]!r}, {inter.states[b]!r})")
-    edge = (u, v) if w["op"] == "phi" else (v, u)
-    pe = (pu, pv) if w["op"] == "phi" else (pv, pu)
-    for _ in range(w["power"]):
-      steps.append((cfg, edge))
-      cfg = apply_edge(cfg, pe[0], pe[1], inter)
-    return cfg
-
-  m = len(path) - 1
-  for i in range(m):
-    current = swap_adjacent(current, path[i], path[i + 1])
-  for i in range(m - 2, -1, -1):
-    current = swap_adjacent(current, path[i], path[i + 1])
-  return steps, current

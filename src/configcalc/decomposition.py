@@ -8,11 +8,13 @@ window, up to the stated margins -- as
 
 where f is a local function and omega_rho is the canonical flux form of a
 rational matrix rho pairing conserved quantities with translation
-generators.  The matrix is recovered exactly by integrating omega along
-explicit exchange paths between a configuration and its translate; the local
-part is recovered by integrating on a budgeted central sub-window, removing
-the pairing defect, and averaging exact-support pieces over translation
-orbits.  The defining identity is then re-verified edge by edge.
+generators.  The matrix is recovered exactly from translation defects:
+potential differences between a configuration and its translate, read off
+one potential solve per generator on the small window its probes travel.
+The local part is recovered by integrating on a budgeted central
+sub-window, removing the pairing defect, and averaging exact-support pieces
+over translation orbits.  The defining identity is then re-verified edge by
+edge.
 """
 
 from __future__ import annotations
@@ -29,10 +31,8 @@ from .cohomology import (SplittingInfeasible, _pairing, _quantity_corrected,
                          check_pairing_laws, compute_pairing, default_probes,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_to_json, solve_splitting)
-from .configspace import (_require_conserved, digits_from_sites, exchange_path,
-                          guard_budget)
-from .interactions import (Interaction, check_exchangeability,
-                           conserved_basis, multispecies)
+from .configspace import DEFAULT_BUDGET, _require_conserved, guard_budget
+from .interactions import Interaction, conserved_basis, multispecies
 from .linalg import _integer_row, rref
 from .locales import (Euclidean, Hexagonal, LatticeLocale, Window, _layers,
                       box, window as build_window)
@@ -265,38 +265,26 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
                     action: TranslationAction) -> dict:
   """Recover the cocycle matrix from translation defects of the potential.
 
-  For each generator, the difference v(eta) - v(translated eta) equals the
-  integral of the form along any transition path between the two
-  configurations; single-site configurations determine the matrix, two-site
-  configurations cross-check linearity.  No global integration happens: the
-  paths are explicit exchange constructions.
+  A probe's defect is v(target) - v(source), the potential difference of a
+  configuration and its translate by a generator g: the integral of the
+  form along any transition path between the two.  Single-site probes carry
+  each state from the center moved back by g to the center and determine
+  the matrix; two-site probes also carry a state from the center moved by g
+  to the center moved by 2g, when the window holds both, and cross-check
+  linearity.  Each generator's defects come from one potential solve
+  (``calculus._potential_scan``, charged to ``DEFAULT_BUDGET``) on its probe
+  window: the window paths (``Window.path_between``) its probes travel, with
+  the form restricted there.  Its labels, from the same level maps, must put
+  a probe's two configurations in one component; a probe that no transition
+  path on the probe window carries is refused.  A form that is not closed
+  on the probe window raises ``NotClosedError``.
   """
   c = len(basis)
   d = action.rank
   if c == 0:
     return {"a": [], "probes": 0, "cross_checks": 0}
-  exch = check_exchangeability(inter)
-  if not exch["exchangeable"]:
-    raise InputError(
-        f"cocycle extraction moves states around; {inter.name} lacks "
-        f"exchange witnesses for {exch['missing_pairs']}")
   center = window.center
-
-  def defect(moves):
-    """The integral of the form along the exchange paths that carry state s
-    from x to y for each (s, x, y) of ``moves`` in turn, every other site at
-    base."""
-    current = digits_from_sites(window, inter, {x: s for s, x, _ in moves})
-    total = ZERO
-    for _, x, y in moves:
-      steps, current = exchange_path(window, inter, current, x, y)
-      for cfg, edge in steps:
-        fn = form.fn(edge)
-        total += fn.value_at({v: cfg[window.position(v)] for v in fn.support})
-    if current != digits_from_sites(window, inter, {y: s for s, _, y in moves}):
-      raise RuntimeError("exchange paths did not move the probe states")
-    return total
-
+  enc = window.locale.encode_vertex
   a_cols = []
   cross = 0
   states = [s for s in range(inter.n_states) if s != inter.base]
@@ -305,8 +293,34 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
     x_prev = action.act_vertex(center, back)
     if x_prev not in window:
       raise InputError("window too small to probe the translation defect")
-    rows = [dict(enumerate([vec[s] for vec in basis]
-                           + [defect([(s, x_prev, center)])]))
+    x1 = action.act_vertex(center, tuple(2 * a for a in g))
+    x1p = action.act_vertex(x1, back)
+    legs = [(x_prev, center)]
+    if x1 in window and x1p in window:
+      legs.append((x1p, x1))
+    probe_win = build_window(window.locale, {
+        v for x, y in legs for v in window.path_between(x, y)})
+    read, _, _ = _potential_scan(
+        Form(inter.n_states, inter.base,
+             {e: restrict(form.fn(e), probe_win.vertices)
+              for e in probe_win.edges}, form.radius),
+        probe_win, inter, DEFAULT_BUDGET)
+    ends = [v for leg in legs for v in leg]
+    values, labels = read(ends), read(ends, False)
+
+    def defect(*carried):
+      """v(target) - v(source), state carried[k] travelling legs[k]."""
+      source = {x: s for s, (x, _) in zip(carried, legs)}
+      target = {y: s for s, (_, y) in zip(carried, legs)}
+      if labels.value_at(source) != labels.value_at(target):
+        raise InputError(
+            "cocycle extraction: no transition path on the probe window "
+            f"{list(map(enc, probe_win.vertices))} carries " + " and ".join(
+                f"state {inter.states[s]!r} from {enc(x)} to {enc(y)}"
+                for s, (x, y) in zip(carried, legs)))
+      return values.value_at(target) - values.value_at(source)
+
+    rows = [dict(enumerate([vec[s] for vec in basis] + [defect(s)]))
             for s in states]
     # The defects must lie in the span of the quantities.
     reduced, pivots, _ = rref(rows, c)
@@ -320,13 +334,11 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
       col[p] = row.get(c, ZERO)
     a_cols.append(col)
     # linearity cross-checks on two-site configurations
-    x1 = action.act_vertex(center, tuple(2 * a for a in g))
-    x1p = action.act_vertex(x1, back)
-    if x1 not in window or x1p not in window:
+    if len(legs) == 1:
       continue
     for s in states:
       for t in states:
-        measured = defect([(s, x_prev, center), (t, x1p, x1)])
+        measured = defect(s, t)
         predicted = sum(col[i] * (basis[i][s] + basis[i][t]) for i in range(c))
         cross += 1
         if measured != predicted:
@@ -478,12 +490,13 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
                        sub_budget: int = DEFAULT_SUB_BUDGET) -> dict:
   """Split a shift-invariant closed form into translate-exact plus flux.
 
-  Pipeline: check invariance; extract the cocycle matrix along transition
-  paths; remove its flux form; integrate the remainder on a budgeted central
-  sub-window; remove the pairing defect of that potential (splitting must be
-  feasible -- the certificate escapes otherwise); average the exact-support
-  pieces that meet the fundamental domain over their translation orbits; and
-  re-verify the defining identity on every interior edge, exactly.
+  Pipeline: check invariance; extract the cocycle matrix from potential
+  differences on the probe windows (``extract_cocycle``); remove its flux
+  form; integrate the remainder on a budgeted central sub-window; remove
+  the pairing defect of that potential (splitting must be feasible -- the
+  certificate escapes otherwise); average the exact-support pieces that
+  meet the fundamental domain over their translation orbits; and re-verify
+  the defining identity on every interior edge, exactly.
 
   Any translate of the fundamental domain will do: the flux reads only tile
   index differences, so the domain is first carried next to the window's

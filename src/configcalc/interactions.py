@@ -39,8 +39,6 @@ class Interaction:
   table: tuple             # table[i][j] = (k, l) state-index pair
   #: (a, b, c, d) for every pair phi moves, (a, b) -> (c, d), in (a, b) order
   moved: tuple = field(init=False, repr=False, compare=False)
-  #: (i, j) -> ``exchange_witness(self, i, j)`` for every pair that has one
-  witnesses: dict = field(init=False, repr=False, compare=False)
   #: phi commutes with the pair swap: the move across (v, u) is the move
   #: across (u, v)
   undirected: bool = field(init=False, repr=False, compare=False)
@@ -60,9 +58,6 @@ class Interaction:
     object.__setattr__(self, "moved", tuple(
         (a, b, *cd) for a, row in enumerate(self.table)
         for b, cd in enumerate(row) if cd != (a, b)))
-    object.__setattr__(self, "witnesses", {
-        (i, j): w for i in range(n) for j in range(n)
-        if (w := exchange_witness(self, i, j)) is not None})
     object.__setattr__(self, "undirected", all(
         self.apply_reversed(i, j) == self.apply(i, j)
         for i in range(n) for j in range(n)))
@@ -293,40 +288,6 @@ def conserved_basis(inter: Interaction) -> tuple:
       vec[pc] = -r.get(fc, 0)
     basis.append(_normalize_integer_vector(vec))
   return tuple(basis)
-
-
-# ---------------------------------------------------------------------------
-# Exchangeability
-
-
-def exchange_witness(inter: Interaction, i: int, j: int):
-  """Find (op, power) with phi^power or reversed-phi^power swapping (i, j).
-
-  Returns None when no power of either orientation exchanges the pair; the
-  search is complete because orbits live in a set of size |S|^2.
-  """
-  target = (j, i)
-  bound = inter.n_states ** 2 + 1
-  for op_name, step in (("phi", inter.apply), ("phi-reversed", inter.apply_reversed)):
-    pair = (i, j)
-    for power in range(bound):
-      if pair == target:
-        return {"op": op_name, "power": power}
-      pair = step(*pair)
-  return None
-
-
-def check_exchangeability(inter: Interaction) -> dict:
-  """Per-pair exchange witnesses; ``exchangeable`` iff every pair has one."""
-  n = inter.n_states
-  missing = [[inter.states[i], inter.states[j]]
-             for i in range(n) for j in range(n)
-             if (i, j) not in inter.witnesses]
-  return {
-      "exchangeable": not missing,
-      "witnesses": dict(inter.witnesses),
-      "missing_pairs": missing,
-  }
 
 
 # ---------------------------------------------------------------------------

@@ -1066,8 +1066,8 @@ def _custom_rule(states, rows):
     ("delta", dict(DECOMPOSE, form={"builtin": "differential"},
                    function={"support": [[3]], "values": ["1", "0", "0"]},
                    **_custom_rule([0, 1, 2], [[1, 0, 0, 1], [0, 1, 1, 0]])),
-     "cocycle extraction moves states around; custom lacks exchange "
-     "witnesses for [[0, 2], [1, 2], [2, 0], [2, 1]]"),
+     "cocycle extraction: no transition path on the probe window "
+     "[[2], [3], [4], [5]] carries state 2 from [2] to [3]"),
     ("counterexample", {"sites": 2},
      "window too small to place any probe pair"),
     ("counterexample", {"sites": 0}, "bad sites 0"),
@@ -1103,7 +1103,7 @@ def _custom_rule(states, rows):
         "cocycle-not-an-object", "interaction-not-an-object",
         "interaction-without-base", "map-row-unknown-state",
         "probe-plan-not-an-object", "cocycle-entry-float",
-        "delta-without-exchange-witnesses", "counterexample-two-sites",
+        "delta-frozen-state", "counterexample-two-sites",
         "counterexample-no-sites", "free-group-letter-above-rank",
         "free-group-unreduced-word", "finite-graph-one-ended-edge",
         "function-value-true", "cocycle-entry-false", "locale-not-an-object",

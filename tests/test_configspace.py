@@ -14,7 +14,7 @@ from configcalc.configspace import (BudgetExceeded, _fixed_slices,
                                     apply_edge, components,
                                     config_from_json, config_to_json,
                                     digits_from_sites, digits_of,
-                                    exchange_path, fibers_report, index_of,
+                                    fibers_report, index_of,
                                     n_configs, quantity_of, digit_powers)
 from configcalc.calculus import (Form, differential, from_callable,
                                  is_closed, perturbed)
@@ -301,75 +301,6 @@ def test_quantity_preserved_along_moves():
     for pu, pv in epos:
       out = apply_edge(digits, pu, pv, inter)
       assert quantity_of(out, basis) == q
-
-
-def swapped(digits, win, x, y):
-  """``digits`` with the states at sites x and y exchanged."""
-  px, py = win.position(x), win.position(y)
-  out = list(digits)
-  out[px], out[py] = out[py], out[px]
-  return tuple(out)
-
-
-def exchange_path_endpoint_oracle(win, inter, digits, x, y):
-  """Replay a path and check every step is a genuine one-edge transition."""
-  steps, final = exchange_path(win, inter, digits, x, y)
-  seen = digits
-  for config, edge in steps:
-    assert config == seen
-    pu, pv = win.position(edge[0]), win.position(edge[1])
-    nxt = apply_edge(config, pu, pv, inter)
-    assert nxt != config, "path contains a frozen step"
-    seen = nxt
-  assert seen == final
-  return final
-
-
-@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3",
-                                  "generalized-exclusion:2", "lattice-gas:2"])
-def test_exchange_path_swaps_exactly(name):
-  inter = by_name(name)
-  win = line(5)
-  x, y = (1,), (4,)
-  for a in range(inter.n_states):
-    for b in range(inter.n_states):
-      digits = digits_from_sites(win, inter, {x: a, y: b})
-      final = exchange_path_endpoint_oracle(win, inter, digits, x, y)
-      assert final == swapped(digits, win, x, y)
-
-
-def test_exchange_path_2d_around_corner():
-  inter = multispecies(2)
-  win = box(Euclidean(2), (0, 0), (2, 2))
-  digits = digits_from_sites(win, inter, {(0, 0): 1, (2, 2): 2})
-  final = exchange_path_endpoint_oracle(win, inter, digits, (0, 0), (2, 2))
-  assert final == swapped(digits, win, (0, 0), (2, 2))
-
-
-def test_exchange_path_leaves_spectators_alone():
-  inter = exclusion()
-  win = line(5)
-  digits = digits_from_sites(win, inter, {(0,): 1, (2,): 1, (4,): 1})
-  final = exchange_path_endpoint_oracle(win, inter, digits, (0,), (4,))
-  # swapping equal states is the identity; spectator at (2,) untouched
-  assert final == digits
-
-
-def test_exchange_path_refuses_non_exchangeable():
-  win = line(3)
-  inter = pair_flip()
-  digits = digits_from_sites(win, inter, {(0,): 1})
-  with pytest.raises(InputError):
-    exchange_path(win, inter, digits, (0,), (2,))
-
-
-def test_exchange_path_refuses_only_a_pair_it_must_swap():
-  # pair-flip has no exchange witness for (0, 1), but swapping two base
-  # sites never needs one
-  win = line(3)
-  inter = pair_flip()
-  digits = digits_from_sites(win, inter, {})
-  assert exchange_path(win, inter, digits, (0,), (2,)) == ([], digits)
 
 
 def test_fibers_connected_catalog_small():

@@ -23,7 +23,7 @@ from configcalc import calculus, cli, decomposition
 from configcalc.calculus import (Form, LocalFunction, _combine, _mobius,
                                  constant, differential, form_to_json,
                                  from_callable, functions_equal, gradient,
-                                 integrate,
+                                 integrate, is_closed,
                                  restrict, scale, support_diameter, trim)
 from configcalc.cli import main
 from configcalc.cohomology import (PairingNotWellDefined, _quantity_corrected,
@@ -47,6 +47,7 @@ from configcalc.interactions import (Interaction, by_name, conserved_basis,
 from configcalc.locales import (Euclidean, FiniteGraph, Hexagonal, NNeighbor,
                                Triangular, box, window as build_window)
 from configcalc.serialize import InputError, fraction_to_str
+from test_calculus import replayed_integral
 
 
 def line(n):
@@ -437,6 +438,121 @@ def test_extract_cocycle_rejects_non_invariant_form():
   omega = differential(f, win, inter)
   with pytest.raises(InconsistentCocycle):
     extract_cocycle(omega, win, inter, basis, Z_ACTION)
+
+
+@pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3"])
+def test_delta_refuses_a_form_not_closed_on_the_probe_window(name, tmp_path):
+  # A synthesized form bumped across the first probe edge, at the probe's
+  # source cell: the probe window's potential solve meets a cycle with a
+  # nonzero integral, and that cycle replays on the whole window.
+  inter = by_name(name)
+  basis = conserved_basis(inter)
+  win, base = line(9), inter.base
+  f = from_callable(((4,), (5,)), inter.n_states, base,
+                    lambda d: Fraction(0) if d == (base, base)
+                    else Fraction(3 * d[0] - d[1] + 1, 2))
+  a = tuple((Fraction(k + 2, 3),) for k in range(len(basis)))
+  omega = synthesized_form(f, a, Z_ACTION, ((4,),), win, inter, basis)
+  assert win.center == (4,)
+  state = next(s for s in range(inter.n_states) if s != base)
+  bad = calculus.perturbed(omega, win, inter, ((3,), (4,)), {(3,): state},
+                           Fraction(1, 3))
+  man = {"locale": {"kind": "euclidean", "d": 1}, "interaction": name,
+         "window": {"kind": "box", "lo": [0], "hi": [8]},
+         "form": form_to_json(bad, win), "action": {"generators": [[1]]}}
+  path, out = tmp_path / "man.json", tmp_path / "out.json"
+  path.write_text(json.dumps(man))
+  assert main(["delta", "--manifest", str(path), "--out", str(out)]) == 1
+  error = json.loads(out.read_text())["error"]
+  assert error["kind"] == "NotClosedError"
+  witness = error["witness"]
+  total = replayed_integral(witness, bad, win, inter)
+  assert fraction_to_str(total) == witness["integral"] == witness["defect"]
+  assert total != 0
+  # every step of the cycle stays on the probe window
+  assert {v[0] for step in witness["cycle"]
+          for v in step["edge"] + step["config"]["sites"]} <= {3, 4, 5, 6}
+  assert is_closed(omega, win, inter)["closed"]
+
+
+def _involutions(items):
+  """Every involution of ``items`` as a dict, fixed points included."""
+  if not items:
+    yield {}
+    return
+  first, rest = items[0], items[1:]
+  for rule in _involutions(rest):
+    yield {first: first, **rule}
+  for k, other in enumerate(rest):
+    for rule in _involutions(rest[:k] + rest[k + 1:]):
+      yield {first: other, other: first, **rule}
+
+
+# The involutive rules on states 0, 1, 2 (base 0) with a conserved quantity
+# and connected fibers on a line of 7, less the two-species swap.  None
+# swaps (0, 1), (0, 2) or (1, 2) by a power of the rule across one edge:
+# in the second, state 1 hops and (1, 1) <-> (2, 0).
+HOP_RULES = [
+    [[0, 2, 2, 0], [1, 0, 2, 2], [1, 2, 2, 1], [2, 0, 0, 2], [2, 1, 1, 2],
+     [2, 2, 1, 0]],
+    [[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 2, 0], [1, 2, 2, 1], [2, 0, 1, 1],
+     [2, 1, 1, 2]],
+    [[0, 1, 1, 0], [0, 2, 1, 1], [1, 0, 0, 1], [1, 1, 0, 2], [1, 2, 2, 1],
+     [2, 1, 1, 2]],
+    [[0, 1, 2, 2], [0, 2, 2, 0], [1, 2, 2, 1], [2, 0, 0, 2], [2, 1, 1, 2],
+     [2, 2, 0, 1]],
+    [[0, 0, 1, 2], [0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1], [1, 2, 0, 0],
+     [2, 0, 0, 2]],
+    [[0, 0, 2, 1], [0, 1, 1, 0], [0, 2, 2, 0], [1, 0, 0, 1], [2, 0, 0, 2],
+     [2, 1, 0, 0]],
+]
+
+
+def test_hop_rules_are_the_connected_three_state_involutions():
+  pairs = list(product(range(3), repeat=2))
+  found, count = [], 0
+  for phi in _involutions(pairs):
+    inter = Interaction("custom", (0, 1, 2), 0, tuple(
+        tuple(phi[a, b] for b in range(3)) for a in range(3)))
+    count += bool(inter.moved)
+    basis = conserved_basis(inter)
+    if basis and fibers_report(line(7), inter, basis)["fibers_connected"]:
+      found.append([list(move) for move in inter.moved])
+  assert count == 2619
+  swap = [[a, b, b, a] for a, b in pairs if a != b]
+  assert sorted(found) == sorted(HOP_RULES + [swap])
+
+
+@pytest.mark.parametrize("window", ["line11", "square7"])
+@pytest.mark.parametrize("k", range(len(HOP_RULES)))
+def test_rules_without_one_edge_exchanges_decompose(k, window, tmp_path):
+  """A synthesized form of each hop rule, from a seeded two-site f and a
+  seeded a, decomposes with residual 0 and that exact a."""
+  rng = random.Random(10 * k + len(window))
+  d = 1 if window == "line11" else 2
+
+  def draw():
+    return fraction_to_str(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                    rng.randint(1, 6)))
+
+  a = [[draw() for _ in range(d)]]
+  half = [5] if d == 1 else [3, 3]
+  man = {"locale": {"kind": "euclidean", "d": d},
+         "interaction": {"states": [0, 1, 2], "base": 0,
+                         "map": HOP_RULES[k]},
+         "window": {"kind": "box", "lo": [-h for h in half], "hi": half},
+         "function": {"support": [[0] * d, [1] + [0] * (d - 1)],
+                      "values": ["0"] + [draw() for _ in range(8)]},
+         "form": {"builtin": "synthesized"}, "cocycle": {"a": a},
+         "action": {"generators": [[int(i == j) for j in range(d)]
+                                   for i in range(d)]},
+         "domain": [[0] * d]}
+  path, out = tmp_path / "man.json", tmp_path / "out.json"
+  path.write_text(json.dumps(man))
+  assert main(["decompose", "--manifest", str(path), "--out", str(out)]) == 0
+  rep = json.loads(out.read_text())
+  assert rep["residual"]["max_abs_residual"] == "0"
+  assert rep["cocycle"]["a"] == a
 
 
 def test_translates_meeting_counts_lattice_shifts():
@@ -994,7 +1110,10 @@ def test_remainder_is_subtracted_on_the_sub_window(case, monkeypatch):
     rep = varadhan_decompose(form, win, inter, basis, act, domain,
                              sub_budget=budget)
     assert rows(rep["a"]) == b
-    ((remainder, sub_win),) = passed  # one sub-window solve
+    # one solve per generator's probe window, then one sub-window solve
+    *probes, (remainder, sub_win) = passed
+    sizes = [w.n_sites for _, w in probes]
+    assert sizes == _probe_sizes(win, act, basis) == [4] * act.rank
     assert fluxes == [sub_win]  # one flux, on the sub-window alone
     passed.clear()
     fluxes.clear()
@@ -1271,8 +1390,27 @@ def _read_case(case):
   return win, inter, basis, act, domain, omega
 
 
+def _probe_sizes(win, act, basis):
+  """The site count of each generator's probe window, in generator order:
+  the window path from the center moved back by g to the center, joined,
+  when the window holds both ends, by the path from the center moved by g
+  to the center moved by 2g.  Empty without a conserved quantity."""
+  sizes = []
+  for g in act.generators if basis else ():
+    center = win.center
+    ahead = act.act_vertex(center, g)
+    far = act.act_vertex(ahead, g)
+    sites = set(win.path_between(
+        act.act_vertex(center, tuple(-a for a in g)), center))
+    if ahead in win and far in win:
+      sites.update(win.path_between(ahead, far))
+    sizes.append(len(sites))
+  return sizes
+
+
 def _spy_scans(monkeypatch):
-  """The site counts of the windows the potential scan runs on, from now."""
+  """The site counts of the windows the potential scan runs on, from now:
+  each generator's probe window, in order, then the sub-window."""
   scanned, real = [], decomposition._potential_scan
 
   def scan(form, window, inter, budget):
@@ -1413,8 +1551,8 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
     calls = []
     readers.append((remainder, sub_win, calls))
 
-    def recorded(sites):
-      calls.append((sites, read(sites)))
+    def recorded(sites, *label):
+      calls.append((sites, read(sites, *label)))
       return calls[-1][1]
     return recorded, denom, pins
 
@@ -1430,7 +1568,7 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
     rep = varadhan_decompose(omega, win, inter, basis, act, domain)
   except InputError as exc:  # the probe plan or the window falls short
     rep = str(exc)
-  ((remainder, sub_win, calls),) = readers
+  *probes, (remainder, sub_win, calls) = readers
   scans = list(scanned)
 
   # The pairing reads the probe unions; then each maximal support is read
@@ -1464,9 +1602,13 @@ def test_read_regions_match_the_sub_window_potential(case, monkeypatch):
         lambda sites: restrict(whole, sites), rep["h"], basis, centered, ball,
         win.locale, omega.radius, act, inter)
 
-  # One scan per decomposition, on the sub-window; every read comes from
-  # its level maps.
-  assert scans == [sub_win.n_sites]
+  # One scan per generator's probe window, read twice at its four probe
+  # ends (potentials, then labels), then one on the sub-window; every read
+  # comes from its level maps.
+  assert scans == _probe_sizes(win, act, basis) + [sub_win.n_sites]
+  assert [w.n_sites for _, w, _ in probes] == scans[:-1]
+  for _, _, ((first, _), (second, _)) in probes:
+    assert first == second and len(first) == 4
 
 
 CYCLE_MAP = {"name": "cyc", "states": [0, 1, 2], "base": 0,
@@ -1528,7 +1670,7 @@ def test_fallback_models_scan_the_whole_sub_window(name, monkeypatch):
     rep = varadhan_decompose(omega, win, inter, basis, act, domain)
     assert rep["residual"]["ok"]
     assert _result_digest(rep) == FALLBACK_DIGESTS[name]
-  assert scanned == [sub_win.n_sites]
+  assert scanned == _probe_sizes(win, act, basis) + [sub_win.n_sites]
 
 
 def _three_body_bump(win, c):
@@ -1617,8 +1759,11 @@ def test_cli_reports_keep_their_bytes(name, tmp_path):
   ``decompose`` and ``omega-rho`` reports of the 13-site n-neighbor (d 1,
   n 2) exclusion line: taken when default probes first oriented every
   one-dimensional lattice, the first change under which that line
-  decomposed).  A key runs the command it starts with, on the manifest
-  named by the whole key or else by the rest of it."""
+  decomposed; the ``decompose`` report of the custom hop rule on line(11),
+  where state 1 hops and (1, 1) <-> (2, 0): taken when the cocycle was
+  first read off the probe-window potential, the first change under which
+  that rule decomposed).  A key runs the command it starts with, on the
+  manifest named by the whole key or else by the rest of it."""
   want = json.loads((DATA / "report_digests.json").read_text())[name]
   out = tmp_path / "report.json"
   if name == "counterexample":

@@ -1,4 +1,4 @@
-"""Interaction tables, validity, conserved bases, exchange witnesses.
+"""Interaction tables, validity, conserved bases.
 
 The expected values here were worked out by hand from the defining rules of
 each model; the basis checks compare spans, not normalized coordinates, so
@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from configcalc.configspace import apply_edge
-from configcalc.interactions import (CATALOG_NAMES, Interaction, by_name, basis_to_json, check_exchangeability,
+from configcalc.interactions import (CATALOG_NAMES, Interaction, by_name, basis_to_json,
                                      check_validity, conserved_basis,
-                                     exchange_witness, exclusion,
+                                     exclusion,
                                      generalized_exclusion, glauber,
                                      interaction_from_json,
                                      interaction_to_json, lattice_gas,
@@ -212,41 +212,6 @@ def test_basis_normalization_integer_coprime_positive_lead():
       assert nz[0] > 0
 
 
-def test_exchange_witnesses():
-  ge = generalized_exclusion(2)
-  w = exchange_witness(ge, 2, 0)
-  assert w == {"op": "phi", "power": 2}
-  sp = spin3()
-  w2 = exchange_witness(sp, 2, 0)   # states 1 and -1
-  assert w2["power"] == 2
-  ex = exclusion()
-  assert exchange_witness(ex, 0, 1) == {"op": "phi", "power": 1}
-
-
-def test_exchange_witness_replay():
-  # applying the named operation the named number of times swaps the pair
-  for name in ("exclusion", "multispecies:2", "generalized-exclusion:2",
-               "lattice-gas:2", "spin3"):
-    inter = by_name(name)
-    rep = check_exchangeability(inter)
-    assert rep["exchangeable"], name
-    for (i, j), w in rep["witnesses"].items():
-      pair = (i, j)
-      for _ in range(w["power"]):
-        if w["op"] == "phi":
-          pair = inter.apply(*pair)
-        else:
-          pair = inter.apply_reversed(*pair)
-      assert pair == (j, i), (name, i, j, w)
-
-
-def test_non_exchangeable_models():
-  assert not check_exchangeability(glauber())["exchangeable"]
-  rep = check_exchangeability(pair_flip())
-  assert not rep["exchangeable"]
-  assert rep["missing_pairs"]
-
-
 def test_quantity_of_state():
   basis = conserved_basis(multispecies(2))
   quantities = [tuple(vec[d] for vec in basis) for d in range(3)]
@@ -307,37 +272,6 @@ def test_moved_of_a_custom_interaction():
   assert inter.moved == ((0, 2, 2, 0), (1, 1, 0, 2), (2, 0, 1, 1))
   assert interaction_to_json(inter)["map"] == [
       [5, 9, 9, 5], [7, 7, 5, 9], [9, 5, 7, 7]]
-
-
-def per_pair_witnesses(inter):
-  """(witnesses, missing pairs) from one ``exchange_witness`` search per
-  pair, in (i, j) order."""
-  witnesses, missing = {}, []
-  for i in range(inter.n_states):
-    for j in range(inter.n_states):
-      w = exchange_witness(inter, i, j)
-      if w is None:
-        missing.append([inter.states[i], inter.states[j]])
-      else:
-        witnesses[(i, j)] = w
-  return witnesses, missing
-
-
-def test_witnesses_match_the_per_pair_search():
-  inters = [by_name(name) for name in CATALOG_NAMES]
-  # the three-state cycle above: (5, 7) is fixed, so it has no witness
-  inters.append(interaction_from_json({
-      "name": "cyc", "states": [5, 7, 9], "base": 7,
-      "map": [[5, 9, 9, 5], [9, 5, 7, 7], [7, 7, 5, 9], [9, 9, 9, 9]]}))
-  assert [5, 7] in per_pair_witnesses(inters[-1])[1]
-  for inter in inters:
-    witnesses, missing = per_pair_witnesses(inter)
-    assert inter.witnesses == witnesses, inter.name
-    assert check_exchangeability(inter) == {
-        "exchangeable": not missing,
-        "witnesses": witnesses,
-        "missing_pairs": missing,
-    }, inter.name
 
 
 @pytest.mark.parametrize("spec", ["multispecies:x", "lattice-gas:2.5", 5,
