@@ -249,12 +249,17 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   edge and each move walks on from h.  Deduplicated at every level, these
   are the links of the level-(m+1) configurations the move fires on.
   Links count both ways, so the components are those of the undirected
-  transition graph.  For an undirected rule (``Interaction.undirected``)
-  an edge fires the transitions of its reversed edge, so when the two read
-  alike (the same positions and numerators; always, without ``reads``) it
-  adds exactly the reversed edge's links, and only the first of the two is
-  walked.  An edge whose read differs from its reverse's is walked too,
-  which is how a form with unequal values on the two is found not closed.
+  transition graph, and a move is not walked when its undo was, at this
+  level, with negated steps: (c, d, a, b) on the same edge or (d, c, b, a)
+  on the reversed edge reading the same positions, whose numerators at
+  (c, d) are minus the move's at (a, b) for every other read digit (always,
+  without ``reads``).  Its links are then the undo's, reversed.  For an
+  undirected rule (``Interaction.undirected``) an edge fires the
+  transitions of its reversed edge, so when the two read alike (the same
+  positions and numerators; always, without ``reads``) only the first of
+  the two is walked.  A move whose steps do not negate its undo's, and an
+  edge whose read differs from its reverse's, are walked too, which is how
+  a form that breaks alternation is found not closed.
   Returns (maps, reps), with ``maps[q]``
   level q's (label, offset) and ``reps`` the least members of the window's
   components, or None when a cycle of moves has a nonzero integral.
@@ -264,36 +269,35 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
   # each directed edge's number, by its positions, for the reversal lookup
   number = {p: k for k, p in enumerate(epos)} if inter.undirected else {}
   each, zeros = [(x, x) for x in range(s)], [0] * (s * s)
+  if reads is None:  # each edge reads its own two sites, every step 0
+    reads = [(tuple(sorted(p)), zeros) for p in epos]
+  checked = [[] for _ in range(n)]  # the edges checked at each level
+  for k, ((pu, pv), (pos, nums)) in enumerate(zip(epos, reads)):
+    r = number.get((pv, pu), k)
+    if not (r < k and reads[r] == reads[k]):  # else r adds these links
+      checked[min(pos)].append((pu, pv, pos, nums))
   maps, reps = [None] * n, [0]
-
-  def walk(reach, levels, weight, pairs):
-    for q in levels:
-      label, offset = maps[q]
-      width, w, xs = len(label) // s, weight.get(q, 0), pairs.get(q, each)
-      reach = {(label[i], label[j], du + offset[i] - offset[j], r + x * w)
-               for l, l2, du, r in reach for x, x2 in xs
-               for i, j in ((x * width + l, x2 * width + l2),)}
-    return reach
-
   for m in range(n - 1, -1, -1):
     size, n_comp = s ** (n - 1 - m), len(reps)
     links = set()  # (source node, target node, offset difference)
-    for k, (pu, pv) in enumerate(epos):
-      pos, nums = reads[k] if reads is not None else ((pu, pv), zeros)
-      if min(pos) != m:
-        continue
-      r = number.get((pv, pu), k)
-      if r < k and (reads is None or reads[r] == reads[k]):
-        continue  # the reversed edge added these links
+    walked = {}  # (group, source, target digits) of each walked move -> nums
+    for pu, pv, pos, nums in checked[m]:
       weight = dict(zip(pos, digit_powers(len(pos), s)))
-      t, h = max(pos), max(pu, pv)
+      t, (lo, h) = max(pos), sorted((pu, pv))
+      group = pos, (pos.index(lo), pos.index(h))  # the read, the edge in it
       # (source label, target label, offset difference, read index); every
       # move reads (x, x) above h, so those levels are walked once per edge
-      above = walk({(l, l, 0, 0) for l in range(len(maps[t][0]) // s)},
-                   range(t, h, -1), weight, {})
-      for a, b, c, d in inter.moved:
+      above = _walk(maps, {(l, l, 0, 0) for l in range(len(maps[t][0]) // s)},
+                    range(t, h, -1), weight, {}, each)
+      for a, b, c, d in inter.moved:  # source, target digits in window order
+        src, dst = ((a, b), (c, d)) if pu < pv else ((b, a), (d, c))
+        undo = walked.get((group, dst, src))
+        if undo is not None and (
+            nums is zeros or _negates(s, *group, nums, src, undo, dst)):
+          continue  # its undo, walked with negated steps, added these links
+        walked[group, src, dst] = nums
         pairs = {pu: [(a, c)], pv: [(b, d)]}
-        reach = walk(above, range(h, m, -1), weight, pairs)
+        reach = _walk(maps, above, range(h, m, -1), weight, pairs, each)
         w, xs = weight[m], pairs.get(m, each)
         links.update((x * n_comp + l, x2 * n_comp + l2, du + nums[r + x * w])
                      for l, l2, du, r in reach for x, x2 in xs)
@@ -321,6 +325,27 @@ def _slab_solve(window: Window, inter: Interaction, reads=None):
             return None
     maps[m], reps = (label, offset), new_reps
   return maps, reps
+
+
+def _negates(s: int, pos, places, nums, src, undo, dst) -> bool:
+  """Are ``nums`` at digits ``src`` on read ``places`` minus ``undo``'s at
+  ``dst``, for every other digit of the read positions ``pos``?"""
+  at = [_fixed_slices(len(pos), s, tuple(zip(places, digits)))
+        for digits in (src, dst)]
+  return not any(v for sl, sl2 in zip(*at)
+                 for v in map(add, nums[sl], undo[sl2]))
+
+
+def _walk(maps, reach, levels, weight, pairs, each):
+  """``_slab_solve``'s link tuples carried down ``levels`` of its maps, each
+  through its (source, target) digits ``pairs[q]``, else ``each``'s (x, x)."""
+  for q in levels:
+    label, offset = maps[q]
+    width, w, xs = len(label) // len(each), weight.get(q, 0), pairs.get(q, each)
+    reach = {(label[i], label[j], du + offset[i] - offset[j], r + x * w)
+             for l, l2, du, r in reach for x, x2 in xs
+             for i, j in ((x * width + l, x2 * width + l2),)}
+  return reach
 
 
 def _cut(maps, s: int, positions) -> int:

@@ -583,10 +583,13 @@ def far_box_form():
 
 
 @pytest.mark.parametrize("case", ["closed_glauber_line6",
-                                  "closed_multispecies2_line9_far", "box3x3"])
+                                  "closed_multispecies2_line9_far",
+                                  "closed_exclusion_unalternating_line6",
+                                  "box3x3"])
 def test_far_and_relaxed_witnesses_match_fraction_oracle(case):
-  """The witnesses of the committed glauber and far-conflict manifests, and
-  of a far conflict on a 3 x 3 box, against the Fraction oracle."""
+  """The witnesses of the committed glauber, far-conflict and unalternating
+  manifests, and of a far conflict on a 3 x 3 box, against the Fraction
+  oracle."""
   win, inter, bad = far_box_form() if case == "box3x3" else manifest_form(case)
   _, _, want = reference_scan(bad, win, inter)
   assert want["integral"] == want["defect"] != "0"
@@ -859,14 +862,32 @@ def union_find_oracle(window, inter, moves, form=None):
                         for p, c in zip(pot, labels)]
 
 
+def unalternated(form, win, inter, edge, cell, delta):
+  """``form`` with ``delta`` added to ``edge``'s function at one cell that
+  the edge moves, a sparse {vertex: state_index} assignment, and nothing
+  else changed: the move's step no longer negates its undo's."""
+  fn = form.fn(edge)
+  support = tuple(sorted({*fn.support, *edge, *cell}))
+  values = list(embed(fn, support).values)
+  digits = tuple(cell.get(v, inter.base) for v in support)
+  assert apply_edge(digits, support.index(edge[0]), support.index(edge[1]),
+                    inter) != digits
+  values[index_of(digits, digit_powers(len(support), inter.n_states))] += delta
+  return Form(form.n_states, form.base, {
+      **form.fns, edge: LocalFunction(support, inter.n_states, inter.base,
+                                      values)})
+
+
 @pytest.mark.parametrize("name", ["exclusion", "multispecies:2", "spin3",
                                   "glauber", "generalized-exclusion:2",
-                                  "pair-flip"])
+                                  "pair-flip", "lattice-gas:2"])
 @pytest.mark.parametrize("win_key", sorted(KERNEL_WINDOWS))
 def test_slab_kernel_matches_a_union_find_oracle(win_key, name, monkeypatch):
   """The components, the potentials of the differentials of random 1- to
-  3-site functions (whose edge functions read beyond their edge) and the
-  refusal of perturbed copies, each against the union-find oracle."""
+  3-site functions (whose edge functions read beyond their edge), the
+  refusal of perturbed copies (alternation kept) and of copies bumped at
+  one cell of one orientation alone (an undo's step no longer negates),
+  each against the union-find oracle; every refusal's witness replays."""
   solved, slab_solve = [], calculus_module._slab_solve
 
   def spy(*args):
@@ -885,11 +906,12 @@ def test_slab_kernel_matches_a_union_find_oracle(win_key, name, monkeypatch):
                                        inter), win, inter) for k in (1, 2, 3)]
   assert any(not set(fn.support) <= set(e)
              for form in forms for e, fn in form.fns.items())
-  for form in list(forms):
-    edge = rng.choice(win.edges)
-    a, b = rng.choice([(a, b) for a, b, _, _ in inter.moved])
-    forms.append(perturbed(form, win, inter, edge, {edge[0]: a, edge[1]: b},
-                           rng.choice(MIXED[:5])))
+  for bump in (perturbed, unalternated):
+    for form in forms[:3]:
+      edge = rng.choice(win.edges)
+      a, b = rng.choice([(a, b) for a, b, _, _ in inter.moved])
+      forms.append(bump(form, win, inter, edge, {edge[0]: a, edge[1]: b},
+                        rng.choice(MIXED[:5])))
   verdicts = []
   for form in forms:
     del solved[:]
@@ -898,6 +920,7 @@ def test_slab_kernel_matches_a_union_find_oracle(win_key, name, monkeypatch):
     rep = is_closed(form, win, inter)
     if oracle is None:
       assert not rep["closed"]
+      assert_certificate(rep["witness"], form, win, inter)
       with pytest.raises(NotClosedError):
         integrate(form, win, inter)
     else:
@@ -910,7 +933,7 @@ def test_slab_kernel_matches_a_union_find_oracle(win_key, name, monkeypatch):
       assert rep == {"closed": True, "witness": None,
                      "n_components": len(reps)}
     assert solved and all((s is None) == (oracle is None) for s in solved)
-  assert verdicts == [True] * 3 + [False] * 3
+  assert verdicts == [True] * 3 + [False] * 6
 
 
 # The kernel windows, and one- and two-site windows: too few levels to cut

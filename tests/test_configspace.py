@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc import calculus
+from configcalc import calculus, configspace
 from configcalc.configspace import (BudgetExceeded, _fixed_slices,
                                     _quantity_sums, _site_sums, _slab_solve,
                                     apply_edge, components,
@@ -26,6 +26,7 @@ from configcalc.interactions import (Interaction, by_name, conserved_basis,
 from configcalc.locales import (Euclidean, FiniteGraph, Hexagonal, Triangular,
                                box, window)
 from configcalc.serialize import InputError
+from test_calculus import unalternated
 
 
 def line(n):
@@ -289,6 +290,68 @@ def test_slab_solve_walks_each_edge_pair_once_exactly(name, monkeypatch):
   monkeypatch.setattr(Interaction, "undirected",
                       property(lambda self: False), raising=False)
   assert got == [_slab_solve(win, inter, reads) for win, reads in cases]
+
+
+def walked_moves(monkeypatch, win, inter, reads=None):
+  """``_slab_solve``'s result, and the moves it walks: {edge: [(a, b), ...]}
+  in walk order, each move by the digits it fires on at (u, v)."""
+  walks, walk = {}, configspace._walk
+
+  def spy(maps, reach, levels, weight, pairs, each):
+    if pairs:  # a move's walk, not the levels above its edge
+      (pu, [(a, _)]), (pv, [(b, _)]) = pairs.items()
+      edge = win.vertices[pu], win.vertices[pv]
+      walks.setdefault(edge, []).append((a, b))
+    return walk(maps, reach, levels, weight, pairs, each)
+  with monkeypatch.context() as patch:
+    patch.setattr(configspace, "_walk", spy)
+    solved = _slab_solve(win, inter, reads)
+  return solved, walks
+
+
+SAME_EDGE_UNDO = ["exclusion", "multispecies:2", "pair-flip", "glauber"]
+
+
+@pytest.mark.parametrize("name", SAME_EDGE_UNDO + ["lattice-gas:2",
+                                                  "generalized-exclusion:2"])
+def test_slab_solve_walks_each_reversible_transition_once(name, monkeypatch):
+  # On line(6), without reads and on a differential's: a rule that undoes
+  # each move on its own edge walks the move of each pair with the lesser
+  # source on every edge it walks (an undirected rule walks only the first
+  # edge of each pair), and one that undoes them across the reversed edge
+  # walks every move of the first edge of each pair and none of the second.
+  # Bumped at the source of a skipped move on one orientation alone of the
+  # first pair (checked at level 0, after every other edge), the form
+  # breaks alternation there, so that move is walked as well.
+  win, inter = line(6), by_name(name)
+  rng = random.Random(name)
+  first = [e for e in win.edges
+           if win.edges.index(e) < win.edges.index(e[::-1])]
+  if name in SAME_EDGE_UNDO:
+    want = {e: [(a, b) for a, b, c, d in inter.moved if (a, b) < (c, d)]
+            for e in (first if inter.undirected else win.edges)}
+    e = first[0]
+    a, b = next((a, b) for a, b, c, d in inter.moved if (a, b) > (c, d))
+  else:
+    want = {e: [(a, b) for a, b, _, _ in inter.moved] for e in first}
+    e = first[0][::-1]
+    a, b = rng.choice([(a, b) for a, b, _, _ in inter.moved])
+  f = from_callable(win.vertices[1:4:2], inter.n_states, inter.base,
+                    lambda d: Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+  form = differential(f, win, inter)
+  bumped = unalternated(form, win, inter, e, {e[0]: a, e[1]: b},
+                        Fraction(1, 3))
+  for reads in (None, scan_reads(form, win, inter, monkeypatch)):
+    solved, walks = walked_moves(monkeypatch, win, inter, reads)
+    assert solved is not None and walks == want
+  solved, walks = walked_moves(monkeypatch, win, inter,
+                               scan_reads(bumped, win, inter, monkeypatch))
+  assert solved is None
+  assert walks[e] == [(x, y) for x, y, _, _ in inter.moved
+                      if (x, y) in want.get(e, []) + [(a, b)]]
+  others = set(win.edges) - {e, e[::-1]}
+  assert ({k: walks.get(k) for k in others}
+          == {k: want.get(k) for k in others})
 
 
 def test_quantity_preserved_along_moves():
