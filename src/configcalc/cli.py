@@ -349,15 +349,7 @@ def _cmd_counterexample(man, args):
 
 
 def _cmd_transfer(man, args):
-  locale = _locale(man)
-  plan = man.get("transfer", {})
-  if not isinstance(plan, dict):
-    raise InputError(f"bad transfer options {plan!r}")
-  report = transferability(
-      locale,
-      probe_radius=manifest_int(plan.get("probe_radius", 3), "probe_radius", 0),
-      probe_margin=manifest_int(plan.get("probe_margin", 4), "probe_margin", 0))
-  return {"transferability": report}, 0
+  return {"transferability": transferability(_locale(man))}, 0
 
 
 _HANDLERS = {

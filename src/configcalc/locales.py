@@ -511,6 +511,11 @@ def ball_window(locale: Locale, center, radius: int) -> Window:
 #: whether the stronger complement conditions hold as well.
 _STRONG, _TRANSFER, _WEAK_ONLY = "strongly", "transferable", "weakly-only"
 
+#: the transfer probe reads the complement of each ball of radius
+#: r = 1..TRANSFER_PROBE_RADIUS about its anchor, inside the ball of radius
+#: r + TRANSFER_PROBE_MARGIN.
+TRANSFER_PROBE_RADIUS, TRANSFER_PROBE_MARGIN = 3, 4
+
 
 def _catalog_class(locale: Locale):
   if isinstance(locale, (Euclidean, NNeighbor)):
@@ -527,7 +532,7 @@ def _catalog_class(locale: Locale):
   return None
 
 
-def transferability(locale: Locale, probe_radius: int = 3, probe_margin: int = 4) -> dict:
+def transferability(locale: Locale) -> dict:
   """Classify how ball complements decompose.
 
   Returns a report dict with ``classification`` in {"strongly",
@@ -544,10 +549,10 @@ def transferability(locale: Locale, probe_radius: int = 3, probe_margin: int = 4
         "method": "catalog",
         "evidence": None,
     }
-  return _probe_transferability(locale, probe_radius, probe_margin)
+  return _probe_transferability(locale)
 
 
-def _probe_transferability(locale: Locale, probe_radius: int, probe_margin: int) -> dict:
+def _probe_transferability(locale: Locale) -> dict:
   if not isinstance(locale, FiniteGraph) or not locale.vertices:
     return {"classification": "unknown", "transferable": None,
             "method": "probe", "evidence": {"reason": "no probe anchor"}}
@@ -555,8 +560,8 @@ def _probe_transferability(locale: Locale, probe_radius: int, probe_margin: int)
   evidence = []
   saw_finite_component = False
   component_counts = []
-  for r in range(1, probe_radius + 1):
-    region = set(locale.ball(x0, r + probe_margin))
+  for r in range(1, TRANSFER_PROBE_RADIUS + 1):
+    region = set(locale.ball(x0, r + TRANSFER_PROBE_MARGIN))
     ball_r = set(locale.ball(x0, r))
     rest = region - ball_r
     comps = []

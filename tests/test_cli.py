@@ -291,12 +291,14 @@ def test_closed_rejects_perturbed_with_witness(tmp_path):
 
 def test_closed_and_integrate_certify_cycles_not_retraced_by_negation(
     tmp_path):
-  """spin3's rotation under the ordered flux, and a one-cell perturbation of
-  the zero form under glauber: no return arc negates its tree step, and
-  both commands still report a witness whose integral is its defect.
-  Glauber's flip across (1, 0) is undone by the same edge, so the bump's
-  -1/4 sits on (1, 0) at the image cell, where the two-step witness (flip
-  site 1 across (1, 2), back across (1, 0)) reads it."""
+  """spin3's rotation under the ordered flux, a one-cell perturbation of
+  the zero form under glauber, and an exclusion edge whose value on
+  (1,0)->(0,1) is not minus its value on (0,1)->(1,0): no return arc
+  negates its tree step, and both commands still report a witness whose
+  integral is its defect.  Glauber's flip across (1, 0) is undone by the
+  same edge, so the bump's -1/4 sits on (1, 0) at the image cell, where the
+  two-step witness (flip site 1 across (1, 2), back across (1, 0)) reads
+  it; the exclusion hop and its undo sum to 1/3 - 1/4."""
   win, inter = box(Euclidean(1), (0,), (7,)), glauber()
   bad = perturbed(Form(inter.n_states, inter.base), win, inter,
                   ((1,), (0,)), {(1,): 0, (0,): 0}, Fraction(1, 4))
@@ -304,7 +306,10 @@ def test_closed_and_integrate_certify_cycles_not_retraced_by_negation(
           "window": {"kind": "box", "lo": [0], "hi": [7]},
           "form": form_to_json(bad, win)}
   rotation = json.loads((DATA / "closed_spin3_line7.json").read_text())
-  for man, defect in ((rotation, "1"), (flip, "-1/4")):
+  unalternating = json.loads(
+      (DATA / "closed_exclusion_unalternating_line6.json").read_text())
+  for man, defect in ((rotation, "1"), (flip, "-1/4"),
+                      (unalternating, "1/12")):
     code, rep = run(tmp_path, man, "closed")
     assert code == 1
     w = rep["closed"]["witness"]
@@ -429,6 +434,15 @@ def test_split_refuses_asymmetric_with_certificate(tmp_path):
   cert = rep["error"]["certificate"]
   assert cert["combination"]
   assert cert["contradiction"] != "0"
+  # the default counterexample's pairing table, handed to split as a table:
+  # refused with the certificate that counterexample reports
+  code, ce = run(tmp_path, {}, "counterexample")
+  assert code == 0
+  ce = ce["counterexample"]
+  man = {"interaction": "multispecies:2", "pairing": ce["pairing"]}
+  code, rep = run(tmp_path, man, "split")
+  assert code == 1
+  assert rep["error"]["certificate"] == ce["splitting_certificate"]
 
 
 def test_split_refuses_a_pairing_cell_with_two_values(tmp_path):
@@ -479,14 +493,20 @@ def test_h0_pair_flip_exceeds_quantity_count(tmp_path):
 
 def test_irreducible_and_h0_share_one_verdict(tmp_path):
   pair_flip = json.loads((DATA / "fibers_pair_flip_line6.json").read_text())
-  for man, want in ((pair_flip, 1), (dict(pair_flip, interaction="exclusion"),
-                                     0)):
+  # 3^13 multispecies:2 configurations: the scans read only the level maps
+  line13 = dict(pair_flip, interaction="multispecies:2",
+                window={"kind": "box", "lo": [0], "hi": [12]})
+  for man, want, n_components in (
+      (pair_flip, 1, 7), (dict(pair_flip, interaction="exclusion"), 0, 7),
+      (line13, 0, 105)):
     code, fibers = run(tmp_path, man, "irreducible")
     assert code == want
+    assert fibers["fibers"]["n_components"] == n_components
+    assert fibers["fibers"]["components_separated"] == (want == 0)
     code, h0 = run(tmp_path, man, "h0")
     assert code == want
     assert h0["h0"]["quantities_separate_components"] == (want == 0)
-    assert h0["h0"]["h0_dimension"] == fibers["fibers"]["n_components"]
+    assert h0["h0"]["h0_dimension"] == n_components
     assert h0["h0"]["fiber_witness"] == fibers["fibers"]["witness"]
 
 
@@ -642,23 +662,44 @@ def test_transfer_refuses_finite_graph_vertices_that_do_not_sort(tmp_path):
   assert rep["error"]["message"].startswith("bad finite-graph vertices: ")
 
 
+def run_process(*argv, **env):
+  """``python -m configcalc.cli`` on ``argv`` in a subprocess, with the
+  tested package's tree first on PYTHONPATH and ``env`` added to the
+  environment."""
+  src = str(Path(configcalc.__file__).resolve().parent.parent)
+  env = dict(os.environ, **env)
+  env["PYTHONPATH"] = os.pathsep.join(
+      p for p in (src, env.get("PYTHONPATH")) if p)
+  return subprocess.run([sys.executable, "-m", "configcalc.cli", *argv],
+                        env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command,manifest,want", [
+    ("diff", "diff_glauber_line5", 0),
+    ("irreducible", "fibers_pair_flip_line6", 1),
+    ("closed", "closed_one_way_line3", 2)])
+def test_process_exit_code_is_the_reports(tmp_path, command, manifest, want):
+  """The process exits with the code its report records, and a report
+  written to --out leaves stdout empty."""
+  out = tmp_path / "report.json"
+  proc = run_process(command, "--manifest", str(DATA / f"{manifest}.json"),
+                     "--out", str(out))
+  assert proc.stdout == ""
+  assert proc.returncode == json.loads(out.read_text())["exit_code"] == want, (
+      proc.stderr)
+
+
 def test_transfer_refusal_bytes_do_not_depend_on_the_hash_seed(tmp_path):
   # The refusal names the vertices as listed: sorting a set of an int and a
   # str fails comparing whichever two its hash order meets first.
   man = tmp_path / "man.json"
   man.write_text(json.dumps({"locale": {"kind": "finite-graph",
                                         "vertices": [5, "a"], "edges": []}}))
-  src = str(Path(configcalc.__file__).resolve().parent.parent)
   reports = []
   for seed in ("0", "2"):
-    env = dict(os.environ, PYTHONHASHSEED=seed)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     out = tmp_path / f"report_{seed}.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "configcalc.cli", "transfer", "--manifest",
-         str(man), "--out", str(out)], env=env, capture_output=True,
-        timeout=120)
+    proc = run_process("transfer", "--manifest", str(man), "--out", str(out),
+                       PYTHONHASHSEED=seed)
     assert proc.returncode == 2, proc.stderr
     reports.append(out.read_bytes())
   assert reports[0] == reports[1]
@@ -701,12 +742,15 @@ def test_n_neighbor_line_pairs_each_probe_left_of_the_next(tmp_path):
              function={"support": [[0], [1]],
                        "values": ["0", "0", "0", "1/2"]},
              cocycle={"a": [["-2/3"]]})
-  code, rep = run(tmp_path, man, "pairing")
-  assert code == 0
-  probes = rep["pairing"]["probes"]
-  assert probes
-  for probe in probes:
-    assert max(probe["first"]) < min(probe["second"]), probe
+  committed = json.loads(
+      (DATA / "decompose_exclusion_nneighbor2_line13.json").read_text())
+  for source in (committed, man):
+    code, rep = run(tmp_path, source, "pairing")
+    assert code == 0
+    probes = rep["pairing"]["probes"]
+    assert probes
+    for probe in probes:
+      assert max(probe["first"]) < min(probe["second"]), probe
   # seven sites hold too few probe pairs to cover the remainder's quantities
   code, rep = run(tmp_path, man, "decompose")
   assert code == 2
@@ -739,6 +783,30 @@ def test_decompose_reads_no_probe_key(tmp_path, source):
     assert main(["decompose", "--manifest", str(path), "--out", str(out)]) == 0
     reports.append(out.read_bytes())
   assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("manifest", sorted(DATA.glob("decompose_*.json")),
+                         ids=lambda path: path.stem)
+def test_committed_decompose_manifests_decompose_and_read_back(tmp_path,
+                                                               manifest):
+  """Every committed decompose manifest, found by its name: the
+  decomposition leaves no residual, the flux of the manifest's cocycle is
+  shift-invariant and reads each edge alone (radius 0, each support inside
+  its edge), and delta reads that cocycle back."""
+  man = json.loads(manifest.read_text())
+  code, rep = run(tmp_path, man, "decompose")
+  assert code == 0
+  assert rep["residual"]["max_abs_residual"] == "0"
+  code, flux = run(tmp_path, man, "omega-rho")
+  assert code == 0
+  assert flux["shift_invariance"]["invariant"] is True
+  assert flux["form"]["radius"] == 0
+  for edge in flux["form"]["edges"]:
+    assert all(v in edge["e"] for v in edge["fn"]["support"]), edge
+  code, rep = run(tmp_path, man, "delta")
+  assert code == 0
+  assert ([[Fraction(x) for x in row] for row in rep["cocycle"]["a"]] ==
+          [[Fraction(x) for x in row] for row in man["cocycle"]["a"]])
 
 
 def test_triangular_r1_decompose_needs_a_sub_budget_past_the_default(
@@ -977,7 +1045,6 @@ PATH_GRAPH = {"kind": "finite-graph", "vertices": [0, 1, 2],
 
 
 @pytest.mark.parametrize("command,manifest", [
-    ("transfer", {"locale": PATH_GRAPH, "transfer": {"probe_radius": "x"}}),
     ("counterexample", {"sites": "9"}),
     ("counterexample", {"sites": 7.0}),
     ("irreducible", dict(BASE, locale={"kind": "euclidean", "d": "x"})),
@@ -994,7 +1061,7 @@ PATH_GRAPH = {"kind": "finite-graph", "vertices": [0, 1, 2],
                 "function": {"support": [0, "x"], "values": ["0"] * 4}}),
     ("consv", {"interaction": "multispecies:x"}),
     ("consv", {"interaction": {"name": 5}}),
-], ids=["transfer-probe-radius", "counterexample-sites-string",
+], ids=["counterexample-sites-string",
         "counterexample-sites-float", "locale-d", "decompose-radius-string",
         "decompose-radius-negative", "decompose-generator-entry",
         "pairing-cell-without-b", "pairing-radius", "form-radius",
@@ -1017,13 +1084,14 @@ def _custom_rule(states, rows):
 @pytest.mark.parametrize("command,manifest,message", [
     ("irreducible", {"locale": LINE, "interaction": "exclusion"},
      "manifest is missing the 'window' entry"),
+    ("closed", {"locale": LINE, "interaction": "exclusion",
+                "form": {"edges": []}},
+     "manifest is missing the 'window' entry"),
     ("expand", dict(BASE, function={"builtin": "nope"}),
      "unknown builtin function 'nope'"),
     ("closed", dict(BASE, form={"builtin": "nope"}),
      "unknown builtin form 'nope'"),
     ("omega-rho", dict(DECOMPOSE, domain=[]), "bad domain []"),
-    ("transfer", {"locale": PATH_GRAPH, "transfer": 3},
-     "bad transfer options 3"),
     ("expand", dict(BASE, function={"support": [[0]], "values": ["0", "x/"]}),
      "bad rational literal 'x/'"),
     ("consv", _custom_rule([0, 0], []), "interaction states must be distinct"),
@@ -1092,8 +1160,9 @@ def _custom_rule(states, rows):
     ("validate", _custom_rule([0, 1], [[0, 1, 1, 0], [0, 1, 0, 1],
                                        [1, 0, 0, 1]]),
      "map row [0, 1, 0, 1] repeats the source pair [0, 1]"),
-], ids=["missing-window", "unknown-builtin-function", "unknown-builtin-form",
-        "empty-domain", "transfer-not-an-object", "rational-literal",
+], ids=["missing-window", "closed-missing-window",
+        "unknown-builtin-function", "unknown-builtin-form",
+        "empty-domain", "rational-literal",
         "repeated-states", "generalized-exclusion-0", "lattice-gas-1",
         "multispecies-without-parameter", "three-entry-map-row",
         "product-one-factor", "product-factors-not-a-list",
@@ -1237,8 +1306,7 @@ FUZZ_MANIFESTS = [
                    cocycle={"a": [["1/2"]]})),
     ("decompose", dict(DECOMPOSE, radius=1, sub_budget=4096)),
     ("counterexample", {"sites": 5}),
-    ("transfer", {"locale": PATH_GRAPH,
-                  "transfer": {"probe_radius": 1, "probe_margin": 1}}),
+    ("transfer", {"locale": PATH_GRAPH}),
 ]
 MUTANTS = ("x", "9", -1, 0, 2, 7.0, True, None, [], {}, [["a"]],
            {"kind": "x"}, "delete")

@@ -3,7 +3,8 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc.locales import (Cross, Euclidean, FiniteGraph,
+from configcalc.locales import (TRANSFER_PROBE_MARGIN, TRANSFER_PROBE_RADIUS,
+                                Cross, Euclidean, FiniteGraph,
                                 FreeGroupCayley, HalfPlane, Hexagonal, Locale,
                                 NNeighbor, ProductLocale, Triangular,
                                 ball_window, box, locale_from_json,
@@ -454,11 +455,11 @@ def test_path_between_matches_the_first_discoverer_reference():
 
 def test_transfer_probe_components_match_the_reference():
   path12 = FiniteGraph(range(12), [(i, i + 1) for i in range(11)])
-  rep = transferability(path12, probe_radius=2, probe_margin=3)
+  rep = transferability(path12)
   balls = rep["evidence"]["balls"]
   for r, ball in enumerate(balls, 1):
-    assert ball == {"radius": r,
-                    "components": reference_components(path12, 0, r, 3)}
-    assert ball["components"] == [{"size": 3, "reaches_probe_edge": True}]
-  assert len(balls) == 2
+    assert ball == {"radius": r, "components": reference_components(
+        path12, 0, r, TRANSFER_PROBE_MARGIN)}
+    assert ball["components"] == [{"size": 4, "reaches_probe_edge": True}]
+  assert len(balls) == TRANSFER_PROBE_RADIUS == 3
   assert rep["classification"] == "unknown"
