@@ -451,25 +451,41 @@ def _certificate(rows, pivots, inputs, j: int, n: int):
 
   ``rref`` never rewrites a leftover row: it hands back equation j's
   residual e_j + y over the pivot ``inputs`` P, with y * A_P = -A_j on the
-  unknowns.
-  A_P has full rank, so y is unique and the square system at the pivot
-  columns determines it.  Raises ``RuntimeError`` unless the combination
-  cancels every unknown and leaves a nonzero right-hand side.
+  unknowns.  A_P is nonsingular at the pivot columns, so y is unique, and
+  it is solved for only on the pivot inputs that equation j reaches
+  (Gilbert and Peierls 1988): first those holding one of its pivot
+  columns, then, while that subsystem is inconsistent, every pivot input
+  holding a column the chosen ones touch.  A consistent subsystem's
+  solution, zero elsewhere, solves the whole system, so it is y.  Raises
+  ``RuntimeError`` unless the combination cancels every unknown and leaves
+  a nonzero right-hand side.
   """
-  row_of = {c: i for i, c in enumerate(pivots)}  # pivot column -> system row
-  m = len(inputs)
-  system = [{} for _ in pivots]
+  holders = {c: [] for c in pivots}  # pivot column -> the inputs holding it
   for k, eq_id in enumerate(inputs):
-    for c, x in rows[eq_id].items():
-      if c in row_of:
-        system[row_of[c]][k] = x
-  for c, x in rows[j].items():
-    if c in row_of:
-      system[row_of[c]][m] = -x
-  solved, solved_pivots, _ = rref(system, m)
+    for c in rows[eq_id]:
+      if c in holders:
+        holders[c].append(k)
+  reach = {c for c in rows[j] if c in holders}
+  chosen = []
+  while True:
+    grown = sorted({k for c in reach for k in holders[c]})
+    closed, chosen = grown == chosen, grown
+    reach.update(c for k in chosen for c in rows[inputs[k]] if c in holders)
+    m = len(chosen)
+    system = {c: {} for c in sorted(reach)}  # one equation per pivot column
+    for k, i in enumerate(chosen):
+      for c, x in rows[inputs[i]].items():
+        if c in system:
+          system[c][k] = x
+    for c, x in rows[j].items():
+      if c in system:
+        system[c][m] = -x
+    solved, solved_pivots, _ = rref(system.values(), m)
+    if closed or not any(solved[len(solved_pivots):]):
+      break
   combo = {j: Fraction(1)}
   for row, k in zip(solved, solved_pivots):
-    combo[inputs[k]] = row.get(m, ZERO)
+    combo[inputs[chosen[k]]] = row.get(m, ZERO)
   total = {}  # the combined row: unknowns, then right-hand side
   for eq_id, coef in combo.items():
     for c, x in rows[eq_id].items():

@@ -10,8 +10,10 @@ rewritten, each kept reduced on every pivot found so far by fraction-free
 steps (Bareiss 1968, with a gcd division in place of the exact quotient).
 A row below the rank is only tested, by its residual at a column, read off
 the pivot rows that its own entries name, so the eliminations follow the
-rank, not the number of rows.  Only the pivot rows handed back are ever
-turned into ``Fraction``s.
+rank, not the number of rows.  Each such row keeps its lead, the first
+column where its residual is nonzero, and is read again only after a pivot
+lands on that column, so a row in the span of the pivots is read once.
+Only the pivot rows handed back are ever turned into ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -47,18 +49,46 @@ def _eliminate(row, prow, c):
   return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
+def _residual(row, c, reduced):
+  """x_c − Σ x_j·R_j[c]/R_j[j] over the entries x_j of ``row`` at the pivot
+  columns j of ``reduced`` (pivot column j -> pivot row R_j), times the
+  common factor Π R_j[j]: up to that factor, the entry that Gauss-Jordan
+  leaves in ``row`` at column c."""
+  num, den = row.get(c, 0), 1
+  for j, x in row.items():
+    prow = reduced.get(j)
+    if prow is not None:
+      p = prow[j]
+      num, den = num * p - den * x * prow.get(c, 0), den * p
+  return num
+
+
+def _lead(row, c, n_cols, reduced):
+  """The first column from ``c`` on, below ``n_cols``, where the residual of
+  ``row`` is nonzero, or ``n_cols`` when there is none.  Only the columns
+  that ``row`` and its pivot rows hold can be nonzero, so only they are
+  read."""
+  for k in sorted(set(row).union(*[reduced[j] for j in row if j in reduced])):
+    if c <= k < n_cols and _residual(row, k, reduced):
+      return k
+  return n_cols
+
+
 def rref(rows, n_cols: int):
   """Reduced row echelon form of the sparse ``rows`` over the columns
   ``0 .. n_cols - 1``.
 
   Each row is a ``{column: value}`` map of ints and Fractions.  Only pivot
   rows are ever rewritten, and they are kept reduced on every pivot found so
-  far.  Column by column, the rows at or below the current rank are tested
-  in turn for their residual at the column (see ``residual``); the first
-  with a nonzero residual is swapped up and reduced against the pivot rows,
-  and the column is then cleared from the pivot rows that hold it.  Entries
-  at columns from ``n_cols`` on (a right-hand side, say) are carried along
-  but never chosen as pivots.
+  far.  Each row at or below the current rank keeps its lead (see
+  ``_lead``), read when the search first reaches it.  A residual does not
+  change while pivots land where it is zero, so a lead holds until a pivot
+  lands on it; a lead below the current column is read again.  Column by
+  column, the search walks the rows from the rank to the first whose lead
+  is the column; that row is swapped up with its order and lead, reduced
+  against the pivot rows, and its column is cleared from the pivot rows
+  that hold it.  Entries at columns from ``n_cols`` on (a right-hand side,
+  say) are carried along but never chosen as pivots.
 
   Returns (reduced, pivots, order).  The first ``len(pivots)`` reduced rows
   hold the pivots, as maps to ``Fraction``s scaled to 1 at their pivot
@@ -79,26 +109,18 @@ def rref(rows, n_cols: int):
   order = list(range(len(rows)))
   pivots = []
   reduced = {}  # pivot column j -> pivot row R_j, reduced, its scale R_j[j]
-
-  def residual(row, c):
-    """x_c − Σ x_j·R_j[c]/R_j[j] over the entries x_j of ``row`` at pivot
-    columns j, times the common factor Π R_j[j]."""
-    num, den = row.get(c, 0), 1
-    for j, x in row.items():
-      prow = reduced.get(j)
-      if prow is not None:
-        p = prow[j]
-        num, den = num * p - den * x * prow.get(c, 0), den * p
-    return num
-
+  leads = [-1] * len(rows)  # per place; one below the column is stale
   for c in range(n_cols):
     rank = len(pivots)
-    pivot = next((i for i in range(rank, len(rows)) if residual(rows[i], c)),
-                 None)
-    if pivot is None:
+    for pivot in range(rank, len(rows)):
+      if leads[pivot] < c:
+        leads[pivot] = _lead(rows[pivot], c, n_cols, reduced)
+      if leads[pivot] == c:
+        break
+    else:
       continue
-    rows[rank], rows[pivot] = rows[pivot], rows[rank]
-    order[rank], order[pivot] = order[pivot], order[rank]
+    for seq in (rows, order, leads):
+      seq[rank], seq[pivot] = seq[pivot], seq[rank]
     prow = rows[rank]
     for j in [j for j in prow if j in reduced]:
       prow = _eliminate(prow, reduced[j], j)
@@ -111,7 +133,7 @@ def rref(rows, n_cols: int):
     row = rows[i]
     tail = {k for r in [row, *(reduced[j] for j in row if j in reduced)]
             for k in r if k >= n_cols}
-    rows[i] = {k: x for k in sorted(tail) if (x := residual(row, k))}
+    rows[i] = {k: x for k in sorted(tail) if (x := _residual(row, k, reduced))}
   for k, c in enumerate(pivots):
     p = reduced[c][c]
     rows[k] = {col: Fraction(x, p) for col, x in reduced[c].items()}

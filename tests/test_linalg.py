@@ -16,7 +16,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from configcalc import linalg
+from configcalc import cohomology, linalg
 from configcalc.cohomology import (PairingTable, SplittingInfeasible,
                                    compute_pairing, default_probes,
                                    inversion_count_function, solve_splitting)
@@ -102,6 +102,33 @@ def test_rref_matches_the_tracked_elimination(case):
   check_against_tracked(rows, n_cols, len(rows[0]) if rows else 0)
 
 
+@st.composite
+def rows_with_dependent_rows(draw):
+  """Rows as above, then copies and sums of rows inserted at random places
+  behind them, then a first column that only the last row holds.  The
+  search reads every row at that column, and a dependent row that shares
+  its lead with a row ahead of it is read again once the pivot lands there."""
+  width = draw(st.integers(1, 6))
+  rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                       min_size=1, max_size=6))
+  for _ in range(draw(st.integers(1, 6))):
+    terms = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                    st.sampled_from([1, -1, 2])),
+                          min_size=1, max_size=3))
+    row = [sum(x * rows[i][k] for i, x in terms) for k in range(width)]
+    last = max(i for i, _ in terms)
+    rows.insert(draw(st.integers(last + 1, len(rows))), row)
+  rows = [[0, *row] for row in rows[:-1]] + [[1, *rows[-1]]]
+  return rows, draw(st.integers(0, width + 1))
+
+
+@settings(max_examples=300)
+@given(rows_with_dependent_rows())
+def test_rref_matches_the_tracked_elimination_with_dependent_rows(case):
+  rows, n_cols = case
+  check_against_tracked(rows, n_cols, len(rows[0]))
+
+
 def splitting_shaped_system(rng, n_rows, side, dim, perturbed):
   """The equations h(a) + h(b) - h(a+b) = v over the quantities of a
   ``side``^``dim`` grid, with a and b drawn at random so that a + b is in
@@ -169,6 +196,45 @@ def test_rows_below_the_rank_are_never_eliminated(monkeypatch):
   assert doubled_pivots == pivots
   assert doubled_order[:len(rows)] == order
   assert doubled[:len(pivots)] == reduced[:len(pivots)]
+
+
+def count_calls(monkeypatch, name, keep=lambda *args: True):
+  """A list that grows by one entry per call of ``linalg.<name>`` whose
+  arguments ``keep`` accepts."""
+  calls = []
+  fn = getattr(linalg, name)
+
+  def spy(*args):
+    if keep(*args):
+      calls.append(args)
+    return fn(*args)
+
+  monkeypatch.setattr(linalg, name, spy)
+  return calls
+
+
+def test_copies_of_the_first_row_cost_one_lead_read_each(monkeypatch):
+  """A copy of the first pivot row, right behind it, is read once when the
+  search first reaches it and found in the span of the pivots; it is never
+  read again."""
+  rows = [dict(enumerate(r)) for r in splitting_shaped_system(
+      random.Random(5), 150, 25, 1, perturbed=1)]
+  n_unknowns = len(rows[0]) - 1
+  _, _, order = rref(rows, n_unknowns)
+  rows = [rows[i] for i in order]  # each pivot is found at the rank
+  reads = count_calls(monkeypatch, "_lead")
+  reduced, pivots, order = rref(rows, n_unknowns)
+  assert pivots[0] == 0 and order == list(range(len(rows)))
+  base = len(reads)
+  for k in (1, 5, 40):
+    reads[:] = []
+    copied = rows[:1] + [dict(rows[0]) for _ in range(k)] + rows[1:]
+    copied_reduced, copied_pivots, copied_order = rref(copied, n_unknowns)
+    assert len(reads) == base + k
+    assert copied_pivots == pivots
+    assert [i - k if i > k else i
+            for i in copied_order if not 1 <= i <= k] == order
+    assert copied_reduced[:len(pivots)] == reduced[:len(pivots)]
 
 
 def reference_certificate(table):
@@ -264,20 +330,76 @@ def test_certificate_is_the_tracked_combination_on_wide_tables(seed):
   check_certificate(table)
 
 
-def test_inversion_count_certificate_is_the_tracked_combination():
-  """The infeasible splitting of the inversion count's pairing on line(7)
-  multispecies:2, probed on balls of radius 2 as the benchmark probes it."""
-  win = box(Euclidean(1), (0,), (6,))
+def inversion_count_table(n):
+  """The pairing of the inversion count on line(n) multispecies:2, probed on
+  balls of radius 2 as the benchmark probes it: its splitting is
+  infeasible."""
+  win = box(Euclidean(1), (0,), (n - 1,))
   inter = by_name("multispecies:2")
   basis = conserved_basis(inter)
   f = inversion_count_function(win, inter)
   probes = default_probes(win, inter, 0, ball_radius=2)
-  table = compute_pairing(f, win, inter, basis, 0, probes)
-  expected = reference_certificate(table)
-  assert expected is not None
+  return compute_pairing(f, win, inter, basis, 0, probes)
+
+
+def test_inversion_count_certificate_is_the_tracked_combination():
+  for n in (7, 9):
+    table = inversion_count_table(n)
+    expected = reference_certificate(table)
+    assert expected is not None
+    with pytest.raises(SplittingInfeasible) as exc:
+      solve_splitting(table)
+    assert exc.value.certificate == expected
+
+
+def splitting_solves(monkeypatch, table):
+  """(rows, n_cols) of every ``rref`` call that ``solve_splitting`` makes on
+  ``table``, which must be infeasible: the splitting system first, then
+  each certificate solve."""
+  calls = []
+
+  def spy(rows, n_cols):
+    rows = list(rows)
+    calls.append((rows, n_cols))
+    return rref(rows, n_cols)
+
+  monkeypatch.setattr(cohomology, "rref", spy)
   with pytest.raises(SplittingInfeasible) as exc:
     solve_splitting(table)
-  assert exc.value.certificate == expected
+  monkeypatch.undo()
+  return calls, exc.value.certificate
+
+
+def test_certificate_grows_around_a_ring_of_cells(monkeypatch):
+  """Seven cells, each sharing one quantity with the next and the last with
+  the first, and one of them shifted: the certificate needs all seven, and
+  the solve reaches them a few at a time from the failing equation."""
+  cells = [(1, 1), (1, 7), (2, 7), (4, 5), (3, 5), (3, 8), (4, 7)]
+  table = PairingTable(basis=(0,), radius=0)
+  for a, b in cells:
+    table.cells[((Fraction(a),), (Fraction(b),))] = Fraction((a, b) == (1, 7))
+  calls, certificate = splitting_solves(monkeypatch, table)
+  assert certificate == reference_certificate(table)
+  assert len(certificate["combination"]) == len(cells)
+  sizes = [len(rows) for rows, _ in calls[1:]]
+  assert len(sizes) >= 3 and sizes == sorted(sizes)
+
+
+def test_line11_splitting_costs_what_its_pivots_cost(monkeypatch):
+  """The line(11) inversion-count splitting, 463 equations of rank 64: its
+  pivot search reads each row's residual a few times, not at every column
+  (6646 tests when every row ahead of the next pivot was tested at every
+  column), and its certificate is solved on the 28 pivot columns that the
+  failing equation reaches, not on all 64."""
+  calls, certificate = splitting_solves(monkeypatch, inversion_count_table(11))
+  (rows, n_cols), *certificate_solves = calls
+  assert (len(rows), n_cols) == (463, 66)
+  assert len(certificate["combination"]) == 2
+  assert max(len(rows) for rows, _ in certificate_solves) <= 28
+  tests = count_calls(monkeypatch, "_residual", lambda row, c, _: c < n_cols)
+  _, pivots, _ = rref(rows, n_cols)
+  assert len(pivots) == 64
+  assert len(tests) <= 1500
 
 
 def old_integer_row(row):
