@@ -70,12 +70,9 @@ class LocalFunction:
     every kernel builds its result.  A table past ``_GCD_CHUNK`` entries
     takes its gcd chunk by chunk and stops at the first 1."""
     common = denom
-    if denom != 1 and len(nums) <= _GCD_CHUNK:
-      common = gcd(denom, *nums)
-    elif denom != 1:
-      for i in range(0, len(nums), _GCD_CHUNK):
-        if (common := gcd(common, *nums[i:i + _GCD_CHUNK])) == 1:
-          break
+    for i in range(0, len(nums) if denom != 1 else 0, _GCD_CHUNK):
+      if (common := gcd(common, *nums[i:i + _GCD_CHUNK])) == 1:
+        break
     if common != 1:
       nums, denom = [k // common for k in nums], denom // common
     f = object.__new__(cls)
@@ -537,7 +534,8 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   ``NotClosedError`` with a witness cycle.
 
   Each edge function is read as (window positions, numerators over them):
-  every position it reads with the edge's, in order.  ``_slab_solve``
+  every position it reads with the edge's, in order, with its sites
+  outside the window at base (the restriction iota^W).  ``_slab_solve``
   decides the window slab by slab, whatever the functions read.  Once it
   meets a cycle with a nonzero integral, a breadth-first scan builds the
   witness: seeds are the all-base configuration, then every unreached index
@@ -556,7 +554,7 @@ def _potential_scan(form: Form, window: Window, inter: Interaction,
   denom = lcm(*(fn.denom for fn in fns))
   reads = []
   for fn, e in zip(fns, window.edges):
-    sites = tuple(sorted({*fn.support, *e}))
+    sites = tuple(sorted({*filter(window.__contains__, fn.support), *e}))
     reads.append((tuple(map(window.position, sites)), _over(fn, sites, denom)))
   powers = digit_powers(n, s)
   star = index_of((inter.base,) * n, powers)

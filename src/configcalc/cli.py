@@ -16,7 +16,7 @@ from .calculus import (_pieces_radius, _pieces_uniformity, differential,
                        form_to_json, is_closed, integrate,
                        local_function_from_json, local_function_to_json)
 from .cohomology import (DEFAULT_PROBE_BUDGET, check_pairing_laws,
-                         compute_pairing, default_probes, h_zero_report,
+                         compute_pairing, h_zero_report,
                          inversion_count_function, ordered_flux_form,
                          pairing_table_from_json, pairing_table_to_json,
                          solve_splitting, splitting_to_json, uniformize)
@@ -63,28 +63,23 @@ def _setting(man):
   return inter, locale, _window(man, locale), conserved_basis(inter)
 
 
-def _budget(man, args) -> int:
-  value = args.budget if args.budget is not None else man.get(
-      "budget", DEFAULT_BUDGET)
-  return manifest_int(value, "budget", 1)
+def _budget(args) -> int:
+  return manifest_int(args.budget, "budget", 1)
 
 
-def _probe_key(man, name: str) -> int:
-  """The manifest's probe plan entry ``name``, or its default."""
+def _probe_radius(man) -> int:
+  """The manifest's probe radius, by default 1."""
   plan = man.get("probe", {})
   if not isinstance(plan, dict):
     raise InputError(f"bad probe plan {plan!r}")
-  default = DEFAULT_PROBE_BUDGET if name == "budget" else 1
-  return manifest_int(plan.get(name, default), f"probe {name}", 0)
+  return manifest_int(plan.get("radius", 1), "probe radius", 0)
 
 
-def _planned_probes(man, win, inter):
-  """The manifest's probe plan and the default probes it places."""
-  plan = {name: _probe_key(man, name)
-          for name in ("radius", "ball_radius", "budget")}
-  return plan, default_probes(win, inter, plan["radius"],
-                              ball_radius=plan["ball_radius"],
-                              probe_budget=plan["budget"])
+def _probe_plan(man) -> dict:
+  """What the default probes are placed by: the manifest's probe radius,
+  radius-1 ball halves and the probe budget."""
+  return {"radius": _probe_radius(man), "ball_radius": 1,
+          "budget": DEFAULT_PROBE_BUDGET}
 
 
 def _function(man, args, window, inter):
@@ -92,7 +87,7 @@ def _function(man, args, window, inter):
   if isinstance(obj, dict) and "builtin" in obj:
     name = obj["builtin"]
     if name == "inversion-count":
-      guard_budget(window, inter, _budget(man, args))
+      guard_budget(window, inter, _budget(args))
       return inversion_count_function(window, inter,
                                       low_value=obj.get("low", 1),
                                       high_value=obj.get("high", 2))
@@ -172,7 +167,7 @@ def _fibers(man, args):
   off it, and the exit code of both: 0 when the conserved quantities
   separate exactly the transition components."""
   inter, _, win, basis = _setting(man)
-  fib = fibers_report(win, inter, basis, _budget(man, args))
+  fib = fibers_report(win, inter, basis, _budget(args))
   h0 = h_zero_report(fib, basis)
   return basis, fib, h0, 0 if h0["quantities_separate_components"] else 1
 
@@ -185,7 +180,7 @@ def _cmd_irreducible(man, args):
 def _cmd_expand(man, args):
   inter, locale, win, _ = _setting(man)
   f = _function(man, args, win, inter)
-  pieces = expansion(f, budget=_budget(man, args))
+  pieces = expansion(f, budget=_budget(args))
   pieces_json = []
   for supp, piece in pieces.items():  # by size, then support
     pieces_json.append({
@@ -198,7 +193,7 @@ def _cmd_expand(man, args):
       "n_pieces": len(pieces_json),
       "exact_support_radius": _pieces_radius(pieces, locale),
       "uniform_at_probe_radius": _pieces_uniformity(
-          pieces, locale, _probe_key(man, "radius")),
+          pieces, locale, _probe_radius(man)),
   }, 0
 
 
@@ -216,14 +211,14 @@ def _cmd_diff(man, args):
 def _cmd_closed(man, args):
   inter, locale, win, basis = _setting(man)
   form = _form(man, args, win, inter, basis)
-  report = is_closed(form, win, inter, budget=_budget(man, args))
+  report = is_closed(form, win, inter, budget=_budget(args))
   return {"closed": report}, 0 if report["closed"] else 1
 
 
 def _cmd_integrate(man, args):
   inter, locale, win, basis = _setting(man)
   form = _form(man, args, win, inter, basis)
-  f, meta = integrate(form, win, inter, budget=_budget(man, args))
+  f, meta = integrate(form, win, inter, budget=_budget(args))
   return {
       "potential": local_function_to_json(f, locale),
       "n_components": meta["n_components"],
@@ -236,9 +231,8 @@ def _probed_pairing(man, args):
   function, read as interaction, locale, window, function, plan."""
   inter, _, win, basis = _setting(man)
   f = _function(man, args, win, inter)
-  plan, probes = _planned_probes(man, win, inter)
-  return basis, plan, compute_pairing(f, win, inter, basis, plan["radius"],
-                                      probes, plan["budget"])
+  plan = _probe_plan(man)
+  return basis, plan, compute_pairing(f, win, inter, basis, plan["radius"])
 
 
 def _cmd_pairing(man, args):
@@ -271,9 +265,8 @@ def _cmd_split(man, args):
 def _cmd_uniformize(man, args):
   inter, locale, win, basis = _setting(man)
   f = _function(man, args, win, inter)
-  plan, probes = _planned_probes(man, win, inter)
-  result = uniformize(f, win, inter, basis, plan["radius"], probes,
-                      probe_budget=plan["budget"])
+  plan = _probe_plan(man)
+  result = uniformize(f, win, inter, basis, plan["radius"])
   ok = result["uniform"]["uniform"] and result["criterion_ok"]
   return {
       "probe_plan": plan,
@@ -384,8 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
   parser.add_argument("--out", help="write the report here instead of stdout")
   parser.add_argument("--seed", type=int, default=0,
                       help="recorded in the report; reports are deterministic")
-  parser.add_argument("--budget", type=int, default=None,
-                      help="override the manifest's configuration budget")
+  parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                      help="the configuration budget of the whole-window "
+                      "scans, the expansion and the inversion-count builtin")
   return parser
 
 

@@ -65,9 +65,9 @@ class PairingTable:
 
 
 def default_probes(window: Window, inter: Interaction, radius: int,
-                   ball_radius: int = 1,
-                   probe_budget: int = DEFAULT_PROBE_BUDGET) -> list:
-  """Deterministic list of probe pairs (first, second) inside the window.
+                   ball_radius: int = 1) -> list:
+  """Deterministic list of probe pairs (first, second) inside the window,
+  each over at most ``DEFAULT_PROBE_BUDGET`` configurations.
 
   On a one-dimensional lattice (Z or the n-neighbor line) the first set
   always sits to the left of the second -- a ball's complement there has a
@@ -90,7 +90,7 @@ def default_probes(window: Window, inter: Interaction, radius: int,
 
   def try_pair(first, second):
     size = len(set(first) | set(second))
-    if inter.n_states ** size > probe_budget:
+    if inter.n_states ** size > DEFAULT_PROBE_BUDGET:
       over.append(size)
     elif (first, second) not in pairs:
       pairs.append((first, second))
@@ -117,8 +117,8 @@ def default_probes(window: Window, inter: Interaction, radius: int,
         try_pair(second, first)
   if not pairs:
     raise InputError(
-        f"probe budget {probe_budget} admits no probe pair: the smallest "
-        f"needs {inter.n_states}^{min(over)} configurations" if over
+        f"probe budget {DEFAULT_PROBE_BUDGET} admits no probe pair: the "
+        f"smallest needs {inter.n_states}^{min(over)} configurations" if over
         else "window too small to place any probe pair")
   return pairs
 
@@ -128,8 +128,7 @@ def default_probes(window: Window, inter: Interaction, radius: int,
 
 
 def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
-                    basis, radius: int, probes=None,
-                    probe_budget: int = DEFAULT_PROBE_BUDGET) -> PairingTable:
+                    basis, radius: int, probes=None) -> PairingTable:
   """Exact pairing table of f over the probe plan.
 
   Every assignment over each probe pair is enumerated; the defect must agree
@@ -137,9 +136,9 @@ def compute_pairing(f: LocalFunction, window: Window, inter: Interaction,
   with both witnesses.
   """
   if probes is None:
-    probes = default_probes(window, inter, radius, probe_budget=probe_budget)
+    probes = default_probes(window, inter, radius)
   return _pairing(lambda union: f, f.denom, window, inter, basis, radius,
-                  probes, probe_budget)
+                  probes)
 
 
 def _half(sites, union, basis, s: int, base: int):
@@ -159,8 +158,7 @@ def _leads(offsets, quantities) -> dict:
 
 
 def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
-             radius: int, probes,
-             probe_budget: int = DEFAULT_PROBE_BUDGET) -> PairingTable:
+             radius: int, probes) -> PairingTable:
   """The pairing loop of ``compute_pairing``.  ``read(union)`` is a
   function g that agrees with f wherever the sites outside each probe
   pair's union sit at base, with a denominator dividing ``denom``; it is
@@ -192,7 +190,7 @@ def _pairing(read, denom: int, window: Window, inter: Interaction, basis,
       raise InputError(
           f"probe pair at distance {dist} is not separated beyond {radius}")
     union = tuple(sorted(first + second))
-    if s ** len(union) > probe_budget:
+    if s ** len(union) > DEFAULT_PROBE_BUDGET:
       raise InputError(f"probe pair over {len(union)} sites exceeds budget")
     record = {
         "first": [locale.encode_vertex(v) for v in first],
@@ -527,8 +525,7 @@ def solve_splitting(table: PairingTable) -> dict:
 
 
 def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
-               radius: int, probes=None,
-               probe_budget: int = DEFAULT_PROBE_BUDGET) -> dict:
+               radius: int, probes=None) -> dict:
   """Correct f by a function of the conserved quantities.
 
   Returns g = f + h(quantity) restricted to a certificate region, together
@@ -538,9 +535,8 @@ def uniformize(f: LocalFunction, window: Window, inter: Interaction, basis,
   diameter at most ``radius`` and that the ball-local criterion holds there.
   """
   if probes is None:
-    probes = default_probes(window, inter, radius, probe_budget=probe_budget)
-  table = compute_pairing(f, window, inter, basis, radius, probes,
-                          probe_budget)
+    probes = default_probes(window, inter, radius)
+  table = compute_pairing(f, window, inter, basis, radius, probes)
   split = solve_splitting(table)
   h = split["h"]
   cert_region = tuple(sorted(max((p[0] for p in probes), key=len)))

@@ -300,11 +300,7 @@ def extract_cocycle(form: Form, window: Window, inter: Interaction, basis,
       legs.append((x1p, x1))
     probe_win = build_window(window.locale, {
         v for x, y in legs for v in window.path_between(x, y)})
-    read, _, _ = _potential_scan(
-        Form(inter.n_states, inter.base,
-             {e: restrict(form.fn(e), probe_win.vertices)
-              for e in probe_win.edges}, form.radius),
-        probe_win, inter, DEFAULT_BUDGET)
+    read, _, _ = _potential_scan(form, probe_win, inter, DEFAULT_BUDGET)
     ends = [v for leg in legs for v in leg]
     values, labels = read(ends), read(ends, False)
 
@@ -536,14 +532,13 @@ def varadhan_decompose(form: Form, window: Window, inter: Interaction, basis,
   if not needed <= set(sub_win.vertices):
     raise InputError(
         "sub-window budget too small to cover the domain's radius ball")
-  # The remainder omega - omega_rho is integrated on the sub-window only,
-  # built there edge by edge from omega's functions restricted to it; the
-  # flux reads its edge alone, so the sub-window's own is the restriction.
+  # The remainder omega - omega_rho is integrated on the sub-window only:
+  # the scan reads each edge's function there, the rest at base.  The flux
+  # reads its edge alone, so the sub-window's own is the restriction.
   flux = build_omega_rho(a_matrix, action, domain, sub_win, inter, basis)
-  inside = set(sub_win.vertices)
   remainder = {}
   for e in sub_win.edges:
-    fn = trim(_combine(((1, restrict(form.fn(e), inside)), (-1, flux.fn(e))),
+    fn = trim(_combine(((1, form.fn(e)), (-1, flux.fn(e))),
                        inter.n_states, inter.base))
     if not fn.is_zero():
       remainder[e] = fn

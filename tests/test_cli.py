@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 import configcalc
 from configcalc.calculus import (Form, NotClosedError, differential,
                                  expansion, form_to_json, from_callable,
-                                 perturbed)
+                                 local_function_to_json, perturbed, restrict)
 from configcalc.cli import main
 from configcalc.cohomology import (PairingNotWellDefined, SplittingInfeasible,
                                    compute_pairing, pairing_table_to_json)
@@ -342,6 +342,22 @@ def test_integrate_differential(tmp_path):
   assert rep["potential"]["support"]
 
 
+def test_scans_read_a_form_past_the_window_at_base(tmp_path):
+  # f = eta_4 (1 + eta_5) reads site 5, past the window 0..4, and so does its
+  # differential; the scans read it with site 5 at base (iota^W), which is
+  # the differential of f restricted to the window.
+  locale = Euclidean(1)
+  f = from_callable(((4,), (5,)), 2, 0, lambda d: d[0] * (1 + d[1]))
+  near = restrict(f, box(locale, (0,), (4,)).vertices)
+  for command in ("closed", "integrate"):
+    reports = [run(tmp_path, dict(BASE, form={"builtin": "differential"},
+                                  function=local_function_to_json(g, locale)),
+                   command)
+               for g in (f, near)]
+    assert reports[0][0] == 0
+    assert reports[0] == reports[1]
+
+
 def test_inline_form_edges_read_values_in_the_listed_support_order(tmp_path):
   win = box(Euclidean(1), (0,), (4,))
   f = from_callable(((1,), (2,)), 2, 0, lambda d: d[0] + 3 * d[1] + d[0] * d[1])
@@ -368,7 +384,7 @@ def test_pairing_embeds_probe_plan_and_flags_asymmetry(tmp_path):
       "locale": {"kind": "euclidean", "d": 1},
       "interaction": "multispecies:2",
       "window": {"kind": "box", "lo": [0], "hi": [8]},
-      "probe": {"radius": 3, "ball_radius": 1},
+      "probe": {"radius": 3},
       "function": {"builtin": "inversion-count"},
   }
   code, rep = run(tmp_path, man, "pairing")
@@ -425,7 +441,7 @@ def test_split_refuses_asymmetric_with_certificate(tmp_path):
       "locale": {"kind": "euclidean", "d": 1},
       "interaction": "multispecies:2",
       "window": {"kind": "box", "lo": [0], "hi": [8]},
-      "probe": {"radius": 3, "ball_radius": 1},
+      "probe": {"radius": 3},
       "function": {"builtin": "inversion-count"},
   }
   code, rep = run(tmp_path, man, "split")
@@ -465,7 +481,7 @@ def test_split_refuses_a_pairing_cell_with_two_values(tmp_path):
 def test_uniformize_flat_function(tmp_path):
   man = dict(BASE,
              window={"kind": "box", "lo": [0], "hi": [12]},
-             probe={"radius": 1, "ball_radius": 1},
+             probe={"radius": 1},
              function={"support": [[5], [6]],
                        "values": ["0", "3", "3", "6"]})
   code, rep = run(tmp_path, man, "uniformize")
@@ -624,19 +640,20 @@ def test_pairing_default_probes_need_a_lattice_locale(tmp_path):
       "supply explicit probes")
 
 
-def test_pairing_names_a_probe_budget_that_admits_no_pair(tmp_path):
+def test_pairing_names_a_probe_budget_that_admits_no_pair(tmp_path,
+                                                         monkeypatch):
   # Every probe pair fits the 11-site window; the budget turns each away.
   man = dict(BASE, interaction="multispecies:2",
              window={"kind": "box", "lo": [0], "hi": [10]},
              function={"support": [[4], [5]],
-                       "values": [str(k) for k in range(9)]},
-             probe={"budget": 8})
+                       "values": [str(k) for k in range(9)]})
+  monkeypatch.setattr(configcalc.cohomology, "DEFAULT_PROBE_BUDGET", 8)
   code, rep = run(tmp_path, man, "pairing")
   assert code == 2
   assert rep["error"]["message"] == (
       "probe budget 8 admits no probe pair: the smallest needs 3^2 "
       "configurations")
-  man["probe"] = {"budget": 9}
+  monkeypatch.setattr(configcalc.cohomology, "DEFAULT_PROBE_BUDGET", 9)
   assert run(tmp_path, man, "pairing")[0] == 0
 
 
@@ -785,6 +802,34 @@ def test_decompose_reads_no_probe_key(tmp_path, source):
   assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("command", ["pairing", "split", "uniformize"])
+def test_probe_commands_read_only_the_probe_radius_keep_their_bytes(tmp_path,
+                                                                    command):
+  """pairing, split and uniformize place their probes as decompose does:
+  radius-1 ball halves at the probe radius under the probe budget.  Their
+  reports keep their bytes whatever the manifest says of a ball radius, a
+  probe budget or a configuration budget."""
+  inversions = dict(BASE, interaction="multispecies:2",
+                    window={"kind": "box", "lo": [0], "hi": [8]},
+                    function={"builtin": "inversion-count"})
+  square = dict(BASE, window={"kind": "box", "lo": [0], "hi": [8]},
+                function={"support": [[k] for k in range(9)],
+                          "values": [str(bin(i).count("1") ** 2)
+                                     for i in range(2 ** 9)]})
+  for man in (inversions, square):
+    reports = []
+    for k, extra in enumerate(({}, {"budget": 1}, {"probe": {
+        "radius": 1, "ball_radius": 2, "budget": 8}})):
+      path, out = tmp_path / f"man{k}.json", tmp_path / f"out{k}.json"
+      path.write_text(json.dumps(dict(man, **extra)))
+      main([command, "--manifest", str(path), "--out", str(out)])
+      reports.append(out.read_bytes())
+    assert reports[0] == reports[1] == reports[2]
+    # a refused split or uniformize reports no plan
+    assert json.loads(reports[0]).get("probe_plan") in (
+        None, {"radius": 1, "ball_radius": 1, "budget": 200000})
+
+
 @pytest.mark.parametrize("manifest", sorted(DATA.glob("decompose_*.json")),
                          ids=lambda path: path.stem)
 def test_committed_decompose_manifests_decompose_and_read_back(tmp_path,
@@ -866,9 +911,9 @@ def test_inversion_count_builtin_charges_the_budget(tmp_path):
   code, rep = run(tmp_path, man, "pairing")
   assert code == 2
   assert rep["error"]["kind"] == "BudgetExceeded"
-  # the manifest's budget is charged, and --budget overrides it
-  small = dict(man, window={"kind": "box", "lo": [0], "hi": [4]}, budget=242)
-  code, rep = run(tmp_path, small, "diff")
+  # --budget sets the budget it is charged
+  small = dict(man, window={"kind": "box", "lo": [0], "hi": [4]})
+  code, rep = run(tmp_path, small, "diff", "--budget", "242")
   assert rep["error"]["message"] == (
       "3^5 = 243 configurations exceed the budget 242")
   code, rep = run(tmp_path, small, "diff", "--budget", "243")
@@ -919,8 +964,8 @@ def test_budget_override_trips(tmp_path):
   assert rep["error"]["kind"] == "BudgetExceeded"
 
 
-def test_boolean_budget_is_an_input_error(tmp_path):
-  code, rep = run(tmp_path, dict(BASE, budget=True), "irreducible")
+def test_budget_below_one_is_an_input_error(tmp_path):
+  code, rep = run(tmp_path, dict(BASE), "irreducible", "--budget", "0")
   assert code == 2
   assert rep["error"]["kind"] == "InputError"
 
@@ -1301,7 +1346,7 @@ FUZZ_MANIFESTS = [
     ("pairing", dict(BASE, interaction="multispecies:2",
                      window={"kind": "box", "lo": [0], "hi": [6]},
                      function={"builtin": "inversion-count"},
-                     probe={"radius": 0, "ball_radius": 1, "budget": 2000})),
+                     probe={"radius": 0})),
     ("delta", dict(DECOMPOSE, form={"builtin": "omega-rho"},
                    cocycle={"a": [["1/2"]]})),
     ("decompose", dict(DECOMPOSE, radius=1, sub_budget=4096)),

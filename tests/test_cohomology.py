@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import product
 
+import configcalc.cohomology as cohomology_module
 from configcalc.calculus import (LocalFunction, _pieces_radius,
                                  differential, expansion, from_callable,
                                  functions_equal)
@@ -55,13 +56,15 @@ def quadratic_table(n_sites=13):
     ([(((0,), (1,), (2,)), ((6,), (7,), (8,)))], 32,
      "probe pair over 6 sites exceeds budget")])
 def test_explicit_probes_are_checked_before_they_are_read(probes, budget,
-                                                          message):
+                                                          message,
+                                                          monkeypatch):
   win = line(9)
   inter = exclusion()
   f = from_callable(win.vertices, inter.n_states, inter.base,
                     lambda d: Fraction(sum(d)))
+  monkeypatch.setattr(cohomology_module, "DEFAULT_PROBE_BUDGET", budget)
   with pytest.raises(InputError) as err:
-    compute_pairing(f, win, inter, conserved_basis(inter), 1, probes, budget)
+    compute_pairing(f, win, inter, conserved_basis(inter), 1, probes)
   assert str(err.value) == message
 
 
